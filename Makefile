@@ -1,7 +1,7 @@
 # Tier-1 verification and common entry points. CI (.github/workflows/ci.yml)
 # runs the same commands; `make tier1` is the local equivalent.
 
-.PHONY: tier1 build test clippy bench examples tables soak synth churn serve trace clean
+.PHONY: tier1 build test clippy benchmark-check bench examples tables soak synth churn serve trace clean
 
 tier1: build test
 
@@ -13,6 +13,13 @@ test:
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# benchmark/ is a standalone package (not a workspace member) built
+# against crates/*: a refactor that breaks the call surface it uses
+# fails here with a compiler error, not later in the benchmark pipeline.
+benchmark-check:
+	cargo build --release --offline --manifest-path benchmark/Cargo.toml
+	cargo test --offline --manifest-path benchmark/Cargo.toml
 
 # Microbenchmarks + the committed machine-readable snapshot: the shim
 # appends one JSON line per bench to CRITERION_JSON; bench_json merges

@@ -22,7 +22,7 @@
 use adapt::{probe_budget, AdaptConfig, AdaptivePolicy, PageMode, PolicyStats, ProtocolPolicy};
 use apps::workload::{run_matrix, Variant};
 use proptest::prelude::*;
-use synth::{Dynamics, Scenario, Structure, SynthConfig};
+use synth::{Dynamics, Prepared, Structure, SynthConfig};
 
 fn drive(p: &mut AdaptivePolicy, stats: &PolicyStats, inv: &[u32]) -> Vec<u32> {
     let epoch = p.log().total_epochs() + 1;
@@ -155,7 +155,7 @@ fn pages(cfg: &SynthConfig) -> u64 {
 /// bitwise-identical) and checks the message-count budget bound.
 fn check_budget(cfg: SynthConfig) {
     let budget = probe_budget(cfg.adapt.probe_every, pages(&cfg), cfg.iters as u64);
-    let m = run_matrix(&Scenario::new(cfg));
+    let m = run_matrix(&Prepared::new(cfg));
     let base = m.get(Variant::TmkBase).report.messages;
     for v in [Variant::TmkAdaptive, Variant::TmkPush] {
         let got = m.get(v).report.messages;

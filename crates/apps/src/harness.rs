@@ -1,8 +1,10 @@
 //! Shared run-report capture: the bookkeeping every parallel runner
 //! (Tmk and CHAOS alike) used to copy-paste — the rank-0 timed-region
-//! snapshot, the per-processor second counters, and the final
-//! [`RunReport`] assembly. Pure bookkeeping: nothing here touches the
-//! protocol, so extracting it cannot change a message count.
+//! snapshot, the per-processor second counters, the adaptive builds'
+//! policy counters, and the final [`RunReport`] assembly — plus
+//! [`install_policy`], the one place a [`Variant`] becomes an
+//! [`adapt::AdaptivePolicy`]. Pure bookkeeping: nothing here touches
+//! the protocol, so extracting it cannot change a message count.
 //!
 //! The per-processor second buffers are pooled per thread: a serving
 //! workload builds one `Capture` per job, and in steady state the
@@ -14,7 +16,7 @@ use std::cell::RefCell;
 use parking_lot::Mutex;
 use simnet::{NetReport, PolicyReport, SimTime};
 
-use crate::report::{RunReport, SystemKind};
+use crate::report::{RunReport, Variant};
 
 thread_local! {
     /// Retired per-proc second buffers, reused by the next
@@ -44,13 +46,29 @@ fn give_buf(v: Vec<f64>) {
     });
 }
 
-/// Capture state for one parallel run. Create it before `cl.run` /
-/// `w.run`, have rank 0 call a `freeze_*` method at the end of the timed
-/// region (before any untimed result extraction), and turn it into the
-/// table row with [`Capture::report`].
+/// Install the runtime-adaptive engine on processor `p` when `v` is one
+/// of the adaptive builds (`knobs.push` is overridden to select
+/// update-push for [`Variant::TmkPush`]); a no-op for every other
+/// variant. Every Tmk kernel calls this first thing in its SPMD body.
+pub fn install_policy(p: &mut sdsm_core::TmkProc, v: Variant, knobs: &adapt::AdaptConfig) {
+    if v.is_adaptive() {
+        let knobs = adapt::AdaptConfig {
+            push: v == Variant::TmkPush,
+            ..knobs.clone()
+        };
+        p.set_policy(Box::new(adapt::AdaptivePolicy::new(knobs)));
+    }
+}
+
+/// Capture state for one parallel run of `system`. Create it before
+/// `cl.run` / `w.run`, have rank 0 call a `freeze_*` method at the end
+/// of the timed region (before any untimed result extraction), and turn
+/// it into the table row with [`Capture::report`].
 pub struct Capture {
+    system: Variant,
     timed: Mutex<Option<(SimTime, u64, u64)>>,
     net: Mutex<Option<NetReport>>,
+    policy: Option<PolicyReport>,
     scan: Mutex<Vec<f64>>,
     insp_timed: Mutex<Vec<f64>>,
     insp_untimed: Mutex<Vec<f64>>,
@@ -58,10 +76,12 @@ pub struct Capture {
 }
 
 impl Capture {
-    pub fn new(nprocs: usize) -> Self {
+    pub fn new(nprocs: usize, system: Variant) -> Self {
         Capture {
+            system,
             timed: Mutex::new(None),
             net: Mutex::new(None),
+            policy: None,
             scan: Mutex::new(take_buf(nprocs)),
             insp_timed: Mutex::new(take_buf(nprocs)),
             insp_untimed: Mutex::new(take_buf(nprocs)),
@@ -78,6 +98,32 @@ impl Capture {
             *self.timed.lock() = Some((cl.elapsed(), rep.messages, rep.bytes));
             *self.net.lock() = Some(rep);
         }
+    }
+
+    /// After the timed `cl.run`: snapshot the adaptive builds'
+    /// policy-decision counters (a no-op for every other variant), then
+    /// have rank 0 read the whole of `x` back through the DSM — the
+    /// untimed result extraction, in index order. In that order because
+    /// the timed run's teardown has just recorded the plans that
+    /// quiesced untriggered, and the extraction's own faults must not
+    /// reach the counters.
+    pub fn extract(
+        &mut self,
+        cl: &sdsm_core::Cluster,
+        x: &sdsm_core::SharedSlice<f64>,
+    ) -> Vec<f64> {
+        if self.system.is_adaptive() {
+            self.policy = Some(cl.net().policy_report());
+        }
+        let out = Mutex::new(vec![0.0; x.len()]);
+        cl.run(|p| {
+            if p.rank() == 0 {
+                for (i, slot) in out.lock().iter_mut().enumerate() {
+                    *slot = p.read(x, i);
+                }
+            }
+        });
+        out.into_inner()
     }
 
     /// Rank 0 snapshots a CHAOS world's timed region.
@@ -105,13 +151,7 @@ impl Capture {
     }
 
     /// Assemble the table row. Panics if no `freeze_*` call happened.
-    pub fn report(
-        self,
-        system: SystemKind,
-        seq_time: SimTime,
-        checksum: f64,
-        policy: Option<PolicyReport>,
-    ) -> RunReport {
+    pub fn report(self, seq_time: SimTime, checksum: f64) -> RunReport {
         let (time, messages, bytes) = self.timed.into_inner().expect("timed region captured");
         let avg = |v: Vec<f64>| {
             let a = v.iter().sum::<f64>() / self.nprocs as f64;
@@ -119,7 +159,7 @@ impl Capture {
             a
         };
         RunReport {
-            system,
+            system: self.system,
             time,
             seq_time,
             messages,
@@ -128,7 +168,7 @@ impl Capture {
             untimed_inspector_s: avg(self.insp_untimed.into_inner()),
             validate_scan_s: avg(self.scan.into_inner()),
             checksum,
-            policy,
+            policy: self.policy,
             net: self.net.into_inner(),
         }
     }
@@ -140,13 +180,13 @@ mod tests {
 
     #[test]
     fn report_averages_per_proc_seconds() {
-        let c = Capture::new(4);
+        let c = Capture::new(4, Variant::TmkOpt);
         *c.timed.lock() = Some((SimTime::from_us(5e6), 100, 2000));
         c.set_scan(0, 2.0);
         c.set_scan(1, 2.0);
         c.set_inspector(2, 4.0);
         c.set_untimed_inspector(3, 8.0);
-        let r = c.report(SystemKind::TmkOpt, SimTime::from_us(10e6), 1.0, None);
+        let r = c.report(SimTime::from_us(10e6), 1.0);
         assert_eq!(r.messages, 100);
         assert_eq!(r.bytes, 2000);
         assert!((r.validate_scan_s - 1.0).abs() < 1e-12);
@@ -158,21 +198,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "timed region captured")]
     fn report_without_freeze_panics() {
-        let c = Capture::new(1);
-        let _ = c.report(SystemKind::TmkBase, SimTime::ZERO, 0.0, None);
+        let c = Capture::new(1, Variant::TmkBase);
+        let _ = c.report(SimTime::ZERO, 0.0);
     }
 
     #[test]
     fn buffers_cycle_through_the_thread_pool() {
         // Drain whatever earlier tests on this thread pooled.
         while BUF_POOL.with(|p| p.borrow_mut().pop()).is_some() {}
-        let c = Capture::new(8);
+        let c = Capture::new(8, Variant::TmkBase);
         *c.timed.lock() = Some((SimTime::ZERO, 0, 0));
-        let _ = c.report(SystemKind::TmkBase, SimTime::ZERO, 0.0, None);
+        let _ = c.report(SimTime::ZERO, 0.0);
         assert_eq!(BUF_POOL.with(|p| p.borrow().len()), 3);
         // The next capture reuses them (pool drains), even at another
         // cluster size — buffers are resized, not reallocated.
-        let c = Capture::new(4);
+        let c = Capture::new(4, Variant::TmkBase);
         assert_eq!(BUF_POOL.with(|p| p.borrow().len()), 0);
         assert_eq!(c.scan.lock().len(), 4);
     }

@@ -17,7 +17,7 @@ use chaos::{inspector, rcb_partition, ChaosWorld, Ghosted, TTable, TTableCache, 
 
 use super::geometry::{build_interaction_list_for, pair_force, MoldynWorld};
 use super::{MoldynConfig, DT};
-use crate::report::{RunReport, SystemKind};
+use crate::report::{RunReport, Variant};
 use crate::work;
 
 /// Run moldyn under CHAOS. Returns the Table-1 row and final positions
@@ -44,7 +44,7 @@ pub fn run_chaos(
     let w = ChaosWorld::new(nprocs, cfg.cost.clone());
     let rebuilds = cfg.rebuild_steps();
 
-    let cap = crate::harness::Capture::new(nprocs);
+    let cap = crate::harness::Capture::new(nprocs, Variant::Chaos);
     let finals: Mutex<Vec<(usize, Vec<[f64; 3]>)>> = Mutex::new(Vec::new());
 
     w.run(|cp| {
@@ -159,10 +159,7 @@ pub fn run_chaos(
     }
 
     let checksum = final_x.iter().flatten().map(|v| v.abs()).sum();
-    (
-        cap.report(SystemKind::Chaos, seq_time, checksum, None),
-        final_x,
-    )
+    (cap.report(seq_time, checksum), final_x)
 }
 
 /// Pre-resolve every pair's two molecule locations (owned / ghost).

@@ -1,6 +1,6 @@
 //! Workload generation and the shared physics kernel.
 //!
-//! All four builds (sequential, Tmk base, Tmk optimized, CHAOS) use the
+//! Every build (sequential, the four Tmk builds, CHAOS) uses the
 //! same seeded geometry, the same interaction-list construction, and the
 //! same pair force, so their results agree to summation-order tolerance.
 

@@ -1,17 +1,15 @@
 //! moldyn — molecular dynamics with a periodically rebuilt interaction
 //! list (paper §5.1, Figure 1, Table 1).
 
-mod adaptive_run;
 mod chaos_run;
 mod geometry;
 mod seq;
 mod tmk;
 
-pub use adaptive_run::{knobs as adaptive_knobs, run_adaptive, run_push};
 pub use chaos_run::run_chaos;
 pub use geometry::{build_interaction_list, gen_positions, pair_force, MoldynWorld};
 pub use seq::run_seq;
-pub use tmk::{run_tmk, TmkMode};
+pub use tmk::run_tmk;
 
 use simnet::CostModel;
 

@@ -4,7 +4,7 @@ use simnet::SimTime;
 
 use super::geometry::{build_interaction_list, pair_force, MoldynWorld};
 use super::{MoldynConfig, DT};
-use crate::report::{RunReport, SystemKind};
+use crate::report::RunReport;
 use crate::work;
 
 /// Result of the sequential run: the report plus the final positions
@@ -54,19 +54,7 @@ pub fn run_seq(cfg: &MoldynConfig, world: &MoldynWorld) -> SeqResult {
 
     let checksum = x.iter().flatten().map(|v| v.abs()).sum();
     SeqResult {
-        report: RunReport {
-            system: SystemKind::Sequential,
-            time,
-            seq_time: time,
-            messages: 0,
-            bytes: 0,
-            inspector_s: 0.0,
-            untimed_inspector_s: 0.0,
-            validate_scan_s: 0.0,
-            checksum,
-            policy: None,
-            net: None,
-        },
+        report: RunReport::sequential(time, checksum),
         x,
     }
 }

@@ -1,6 +1,10 @@
-//! moldyn on the DSM: base TreadMarks (pure demand paging) and the
-//! compiler-optimized build (`Validate` aggregation) — the `Tmk base` /
-//! `Tmk optimized` rows of Table 1.
+//! moldyn on the DSM, all four Tmk builds from one SPMD program: base
+//! TreadMarks (pure demand paging) and the compiler-optimized build
+//! (`Validate` aggregation) — the `Tmk base` / `Tmk optimized` rows of
+//! Table 1 — plus the runtime-adaptive and update-push builds, which
+//! run the *base* program (no `Validate` calls, no compiler
+//! involvement) with an [`adapt::AdaptivePolicy`] installed per
+//! processor.
 //!
 //! Program structure (paper §5.1): molecules are assigned to processors
 //! with the RCB partitioner and *remapped* so each processor's molecules
@@ -21,8 +25,17 @@
 //! The optimized build takes its `INDIRECT` descriptor from `fcc`
 //! compiling the paper's Figure-1 source — the compiler genuinely drives
 //! the run-time.
+//!
+//! What the adaptive engine learns here is moldyn's whole story:
+//! between list rebuilds, every step re-reads the *same* 30–50% of the
+//! coordinate pages through the interaction list, and the pipelined
+//! force reduction touches the same chunk pages every `nprocs + 1`
+//! barriers. Both repeat, so both get promoted to batched barrier-time
+//! prefetch within two steps. A rebuild shifts part of the read set;
+//! the default two-window promotion re-learns a shifted page in two
+//! steps, and the probe cadence retires pages that left the working
+//! set — so the default [`adapt::AdaptConfig`] is used as is.
 
-use parking_lot::Mutex;
 use rsd::{Dim, Env, Rsd};
 use sdsm_core::{validate, AccessType, Cluster, Desc, DsmConfig, RegionRef, Validator};
 use simnet::SimTime;
@@ -31,50 +44,20 @@ use chaos::{rcb_partition, Partition};
 
 use super::geometry::{build_interaction_list_for, pair_force, MoldynWorld};
 use super::{MoldynConfig, DT};
-use crate::report::{RunReport, SystemKind};
+use crate::report::{RunReport, Variant};
 use crate::work;
 
-/// Which Tmk build to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TmkMode {
-    /// Unmodified TreadMarks: demand paging only.
-    Base,
-    /// Compiler-inserted `Validate`: aggregation + prefetch + `*_ALL`.
-    Optimized,
-    /// Runtime-adaptive aggregation (`adapt` crate): same program as
-    /// `Base`, but each processor carries an [`adapt::AdaptivePolicy`]
-    /// that learns the access pattern and batches predictable fetches.
-    Adaptive,
-    /// The adaptive engine in **update-push** mode: same predictor as
-    /// `Adaptive`, but each predicted exchange is a single one-way
-    /// writer push per peer instead of a request/reply pair.
-    Push,
-}
-
-impl TmkMode {
-    pub fn system_kind(self) -> SystemKind {
-        match self {
-            TmkMode::Base => SystemKind::TmkBase,
-            TmkMode::Optimized => SystemKind::TmkOpt,
-            TmkMode::Adaptive => SystemKind::TmkAdaptive,
-            TmkMode::Push => SystemKind::TmkPush,
-        }
-    }
-
-    /// Does this mode install the runtime-adaptive engine?
-    pub fn is_adaptive(self) -> bool {
-        matches!(self, TmkMode::Adaptive | TmkMode::Push)
-    }
-}
-
-/// Run moldyn on the simulated DSM. Returns the Table-1 row and the
-/// final positions in *original* numbering for verification.
+/// Run moldyn on the simulated DSM as one of the [`Variant::TMK`]
+/// builds. Returns the Table-1 row ([`RunReport::policy`] filled for the
+/// adaptive builds) and the final positions in *original* numbering
+/// for verification.
 pub fn run_tmk(
     cfg: &MoldynConfig,
     world: &MoldynWorld,
-    mode: TmkMode,
+    variant: Variant,
     seq_time: SimTime,
 ) -> (RunReport, Vec<[f64; 3]>) {
+    variant.expect_tmk("moldyn::run_tmk");
     let nprocs = cfg.nprocs;
     let n = cfg.n;
 
@@ -114,12 +97,10 @@ pub fn run_tmk(
     let npairs = cl.alloc::<i64>(nprocs);
 
     let rebuilds = cfg.rebuild_steps();
-    let cap = crate::harness::Capture::new(nprocs);
+    let mut cap = crate::harness::Capture::new(nprocs, variant);
 
     cl.run(|p| {
-        if mode.is_adaptive() {
-            p.set_policy(super::adaptive_run::policy(mode));
-        }
+        crate::harness::install_policy(p, variant, &adapt::AdaptConfig::default());
         let me = p.rank();
         let my_mols = part.range_of(me);
         let rc2 = world.cutoff * world.cutoff;
@@ -139,7 +120,7 @@ pub fn run_tmk(
         // carries that site's tag and starts that phase's event axis.
         p.barrier_tagged(crate::phases::UPDATE);
         my_npairs = rebuild_list(
-            p, &part, me, &x, &ilist, &npairs, cap_pp, world, &mut xbuf, mode, &mut v, n,
+            p, &part, me, &x, &ilist, &npairs, cap_pp, world, &mut xbuf, variant, &mut v, n,
         );
         // Phase tags name the barrier *sites* of the step loop so the
         // adaptive engine learns one plan per site (crate::phases); the
@@ -153,7 +134,7 @@ pub fn run_tmk(
             // ---- (maybe) rebuild the interaction list ----
             if rebuilds.contains(&step) {
                 my_npairs = rebuild_list(
-                    p, &part, me, &x, &ilist, &npairs, cap_pp, world, &mut xbuf, mode, &mut v,
+                    p, &part, me, &x, &ilist, &npairs, cap_pp, world, &mut xbuf, variant, &mut v,
                     n,
                 );
                 p.barrier_tagged(crate::phases::REBUILD);
@@ -161,7 +142,7 @@ pub fn run_tmk(
 
             // ---- ComputeForces (the Figure-2 transformation) ----
             let my_start_pairs = me * cap_pp;
-            if mode == TmkMode::Optimized {
+            if variant == Variant::TmkOpt {
                 // Bind the compiler's symbolic section to this processor:
                 // num_interactions = my count, offset by my list section.
                 let sd = &site.descriptors[0];
@@ -205,7 +186,7 @@ pub fn run_tmk(
                 let chunk = (me + s + 1) % p.nprocs();
                 let mr = part.range_of(chunk);
                 let (elo, ehi) = (3 * mr.start, 3 * mr.end);
-                if mode == TmkMode::Optimized {
+                if variant == Variant::TmkOpt {
                     let access = if s == 0 {
                         AccessType::WriteAll
                     } else {
@@ -240,7 +221,7 @@ pub fn run_tmk(
 
             // ---- position update (owner) ----
             let (elo, ehi) = (3 * my_mols.start, 3 * my_mols.end);
-            if mode == TmkMode::Optimized {
+            if variant == Variant::TmkOpt {
                 validate(
                     p,
                     &mut v,
@@ -267,30 +248,15 @@ pub fn run_tmk(
         p.barrier();
     });
 
-    // Policy decisions of the timed region (extraction reads below do
-    // not touch these counters).
-    let policy = mode.is_adaptive().then(|| cl.net().policy_report());
-
-    // --- untimed result extraction ---
-    let final_x: Mutex<Vec<[f64; 3]>> = Mutex::new(vec![[0.0; 3]; n]);
-    cl.run(|p| {
-        if p.rank() == 0 {
-            let mut out = final_x.lock();
-            for k in 0..n {
-                let orig = part.old_of[k] as usize;
-                for d in 0..3 {
-                    out[orig][d] = p.read(&x, 3 * k + d);
-                }
-            }
-        }
-    });
-    let final_x = final_x.into_inner();
+    // --- untimed result extraction, back to original numbering ---
+    let remapped = cap.extract(&cl, &x);
+    let mut final_x = vec![[0.0; 3]; n];
+    for (k, xyz) in remapped.chunks_exact(3).enumerate() {
+        final_x[part.old_of[k] as usize].copy_from_slice(xyz);
+    }
 
     let checksum = final_x.iter().flatten().map(|v| v.abs()).sum();
-    (
-        cap.report(mode.system_kind(), seq_time, checksum, policy),
-        final_x,
-    )
+    (cap.report(seq_time, checksum), final_x)
 }
 
 /// One processor's share of a list (re)build: read every position
@@ -307,12 +273,12 @@ fn rebuild_list(
     cap_pp: usize,
     world: &MoldynWorld,
     xbuf: &mut [f64],
-    mode: TmkMode,
+    variant: Variant,
     v: &mut Validator,
     n: usize,
 ) -> usize {
     let my_mols = part.range_of(me);
-    if mode == TmkMode::Optimized {
+    if variant == Variant::TmkOpt {
         // Regular read of the whole coordinate array: aggregate the fetch.
         validate(
             p,
@@ -346,7 +312,7 @@ fn rebuild_list(
         cap_pp
     );
     let my_start = me * cap_pp;
-    if mode == TmkMode::Optimized {
+    if variant == Variant::TmkOpt {
         // Pre-twin this processor's list section (regular WRITE).
         validate(
             p,

@@ -15,7 +15,7 @@ use chaos::{
 };
 
 use super::{nbf_force, NbfConfig, NbfWorld, DT};
-use crate::report::{RunReport, SystemKind};
+use crate::report::{RunReport, Variant};
 use crate::work;
 
 /// Run nbf under CHAOS. Returns the Table-2 row and final coordinates.
@@ -32,7 +32,7 @@ pub fn run_chaos(
     let tt = TTable::new(TTableKind::Replicated, &part);
 
     let w = ChaosWorld::new(nprocs, cfg.cost.clone());
-    let cap = crate::harness::Capture::new(nprocs);
+    let cap = crate::harness::Capture::new(nprocs, Variant::Chaos);
     let finals: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
 
     w.run(|cp| {
@@ -111,8 +111,5 @@ pub fn run_chaos(
     }
 
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (
-        cap.report(SystemKind::Chaos, seq_time, checksum, None),
-        final_x,
-    )
+    (cap.report(seq_time, checksum), final_x)
 }

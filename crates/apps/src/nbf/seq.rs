@@ -3,7 +3,7 @@
 use simnet::SimTime;
 
 use super::{nbf_force, NbfConfig, NbfWorld, DT};
-use crate::report::{RunReport, SystemKind};
+use crate::report::RunReport;
 use crate::work;
 
 pub struct SeqResult {
@@ -42,19 +42,7 @@ pub fn run_seq(cfg: &NbfConfig, world: &NbfWorld) -> SeqResult {
 
     let checksum = x.iter().map(|v| v.abs()).sum();
     SeqResult {
-        report: RunReport {
-            system: SystemKind::Sequential,
-            time,
-            seq_time: time,
-            messages: 0,
-            bytes: 0,
-            inspector_s: 0.0,
-            untimed_inspector_s: 0.0,
-            validate_scan_s: 0.0,
-            checksum,
-            policy: None,
-            net: None,
-        },
+        report: RunReport::sequential(time, checksum),
         x,
     }
 }

@@ -1,4 +1,7 @@
-//! nbf on the DSM (base and optimized) — the `Tmk` rows of Table 2.
+//! nbf on the DSM, all four Tmk builds from one SPMD program: base and
+//! optimized — the `Tmk` rows of Table 2 — plus the runtime-adaptive
+//! and update-push builds (the base program with an
+//! [`adapt::AdaptivePolicy`] installed per processor).
 //!
 //! BLOCK partition; the static partner list is written once during
 //! initialization. Each timed step: `Validate` (optimized) prefetches
@@ -10,26 +13,38 @@
 //! misaligned with pages, the boundary pages of `x` and `forces` are
 //! written by two processors — the false-sharing overhead §5.2.1
 //! measures falls out of the protocol here with no special handling.
+//!
+//! nbf is the adaptive engine's best case: the partner list is
+//! *static*, so the set of coordinate pages each processor reads
+//! through it never changes. After `promote_after` steps the whole
+//! remote read set is promoted and every step's page-at-a-time demand
+//! traffic collapses into one exchange per peer — the same shape
+//! `Validate` reaches, but learned instead of compiled. (This is the
+//! paper's §5.2 workload whose indirection even a compiler can handle;
+//! the point of the adaptive build is that *nothing* about the source
+//! was needed.) The pattern is perfectly stable, so the default
+//! [`adapt::AdaptConfig`] is right.
 
-use parking_lot::Mutex;
 use rsd::{Dim, Env, Rsd};
 use sdsm_core::{validate, AccessType, Cluster, Desc, DsmConfig, RegionRef, Validator};
 use simnet::SimTime;
 
 use chaos::block_partition;
 
-use super::{nbf_force, NbfConfig, NbfWorld, TmkMode, DT};
-use crate::report::RunReport;
+use super::{nbf_force, NbfConfig, NbfWorld, DT};
+use crate::report::{RunReport, Variant};
 use crate::work;
 
-/// Run nbf on the simulated DSM. Returns the Table-2 row and the final
-/// coordinates.
+/// Run nbf on the simulated DSM as one of the [`Variant::TMK`] builds.
+/// Returns the Table-2 row ([`RunReport::policy`] filled for the
+/// adaptive builds) and the final coordinates.
 pub fn run_tmk(
     cfg: &NbfConfig,
     world: &NbfWorld,
-    mode: TmkMode,
+    variant: Variant,
     seq_time: SimTime,
 ) -> (RunReport, Vec<f64>) {
+    variant.expect_tmk("nbf::run_tmk");
     let nprocs = cfg.nprocs;
     let n = cfg.n;
     let part = block_partition(n, nprocs);
@@ -59,12 +74,10 @@ pub fn run_tmk(
     let partners = cl.alloc::<i32>(world.partners.len());
     let last = cl.alloc::<i32>(n + 1);
 
-    let cap = crate::harness::Capture::new(nprocs);
+    let mut cap = crate::harness::Capture::new(nprocs, variant);
 
     cl.run(|p| {
-        if mode.is_adaptive() {
-            p.set_policy(super::adaptive_run::policy(mode));
-        }
+        crate::harness::install_policy(p, variant, &adapt::AdaptConfig::default());
         let me = p.rank();
         let my = part.range_of(me);
         let mut v = Validator::new();
@@ -97,7 +110,7 @@ pub fn run_tmk(
             }
 
             // ---- ComputeNbfForces ----
-            if mode == TmkMode::Optimized {
+            if variant == Variant::TmkOpt {
                 // Bind the compiler's section: the opaque bound symbols
                 // `last(0)` and `last(num_molecules)` become this
                 // processor's partner-list extent (its molecules' lists).
@@ -159,7 +172,7 @@ pub fn run_tmk(
             for s in 0..p.nprocs() {
                 let chunk = (me + s + 1) % p.nprocs();
                 let cr = part.range_of(chunk);
-                if mode == TmkMode::Optimized {
+                if variant == Variant::TmkOpt {
                     let access = if s == 0 {
                         AccessType::WriteAll
                     } else {
@@ -196,7 +209,7 @@ pub fn run_tmk(
             }
 
             // ---- owner integrates ----
-            if mode == TmkMode::Optimized {
+            if variant == Variant::TmkOpt {
                 validate(
                     p,
                     &mut v,
@@ -222,23 +235,8 @@ pub fn run_tmk(
         p.barrier();
     });
 
-    let policy = mode.is_adaptive().then(|| cl.net().policy_report());
-
-    // Untimed extraction.
-    let final_x: Mutex<Vec<f64>> = Mutex::new(vec![0.0; n]);
-    cl.run(|p| {
-        if p.rank() == 0 {
-            let mut out = final_x.lock();
-            for i in 0..n {
-                out[i] = p.read(&x, i);
-            }
-        }
-    });
-    let final_x = final_x.into_inner();
+    let final_x = cap.extract(&cl, &x);
 
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (
-        cap.report(mode.system_kind(), seq_time, checksum, policy),
-        final_x,
-    )
+    (cap.report(seq_time, checksum), final_x)
 }

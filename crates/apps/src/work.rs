@@ -1,8 +1,9 @@
 //! Modeled per-operation compute costs (microseconds), calibrated against
-//! the paper's *sequential* timings — see EXPERIMENTS.md for the full
-//! derivation. These model the 1997 thin-node SP2 (66 MHz POWER2); the
-//! real Rust arithmetic runs at native speed and only these charges enter
-//! the simulated clocks.
+//! the paper's *sequential* timings — each constant below carries its
+//! derivation, and ARCHITECTURE.md §Simulation honesty rules says what
+//! is modeled versus measured. These model the 1997 thin-node SP2
+//! (66 MHz POWER2); the real Rust arithmetic runs at native speed and
+//! only these charges enter the simulated clocks.
 
 use simnet::SimTime;
 

@@ -6,61 +6,41 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use apps::moldyn::{self, MoldynConfig, TmkMode};
-use apps::nbf::{self, NbfConfig};
+use apps::moldyn::MoldynConfig;
+use apps::nbf::NbfConfig;
+use apps::workload::{MoldynWorkload, NbfWorkload, Variant, Workload};
+use simnet::SimTime;
 
-fn tiny_moldyn() -> MoldynConfig {
+/// One group per app: the sequential reference and the paper's three
+/// systems, each a whole simulated run through `Workload::run`.
+fn bench_app(c: &mut Criterion, group: &str, w: &dyn Workload) {
+    let mut g = c.benchmark_group(group);
+    g.sample_size(10);
+    let seq_time = w.run(Variant::Seq, SimTime::ZERO).0.time;
+    for (name, v) in [
+        ("seq", Variant::Seq),
+        ("tmk_base", Variant::TmkBase),
+        ("tmk_opt", Variant::TmkOpt),
+        ("chaos", Variant::Chaos),
+    ] {
+        g.bench_function(name, |b| b.iter(|| black_box(w.run(v, seq_time).0.time)));
+    }
+    g.finish();
+}
+
+fn bench_moldyn(c: &mut Criterion) {
     let mut cfg = MoldynConfig::small();
     cfg.n = 1024;
     cfg.steps = 4;
     cfg.update_interval = 3;
-    cfg
-}
-
-fn bench_moldyn(c: &mut Criterion) {
-    let mut g = c.benchmark_group("moldyn_small");
-    g.sample_size(10);
-    let cfg = tiny_moldyn();
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-
-    g.bench_function("seq", |b| b.iter(|| black_box(moldyn::run_seq(&cfg, &world).report.time)));
-    g.bench_function("tmk_base", |b| {
-        b.iter(|| black_box(moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time).0.time))
-    });
-    g.bench_function("tmk_opt", |b| {
-        b.iter(|| {
-            black_box(moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time).0.time)
-        })
-    });
-    g.bench_function("chaos", |b| {
-        b.iter(|| black_box(moldyn::run_chaos(&cfg, &world, seq.report.time).0.time))
-    });
-    g.finish();
+    bench_app(c, "moldyn_small", &MoldynWorkload::new(cfg));
 }
 
 fn bench_nbf(c: &mut Criterion) {
-    let mut g = c.benchmark_group("nbf_small");
-    g.sample_size(10);
     let mut cfg = NbfConfig::small();
     cfg.n = 2048;
     cfg.partners = 16;
-    let world = nbf::gen_world(&cfg);
-    let seq = nbf::run_seq(&cfg, &world);
-
-    g.bench_function("seq", |b| b.iter(|| black_box(nbf::run_seq(&cfg, &world).report.time)));
-    g.bench_function("tmk_base", |b| {
-        b.iter(|| black_box(nbf::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time).0.time))
-    });
-    g.bench_function("tmk_opt", |b| {
-        b.iter(|| {
-            black_box(nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time).0.time)
-        })
-    });
-    g.bench_function("chaos", |b| {
-        b.iter(|| black_box(nbf::run_chaos(&cfg, &world, seq.report.time).0.time))
-    });
-    g.finish();
+    bench_app(c, "nbf_small", &NbfWorkload::new(cfg));
 }
 
 fn bench_compiler(c: &mut Criterion) {

@@ -1,5 +1,6 @@
-//! Ablations beyond the paper's tables — the design choices DESIGN.md
-//! calls out. Run one (or all) studies:
+//! Ablations beyond the paper's tables — the design choices
+//! ARCHITECTURE.md calls out (README.md §The bench bins lists the
+//! curves). Run one (or all) studies:
 //!
 //! ```text
 //! cargo run --release -p bench --bin ablation -- [study] [--quick]
@@ -11,18 +12,16 @@
 //!   opt-levels    base vs aggregation-only vs full optimization
 //! ```
 
-use apps::moldyn::{self, MoldynConfig, TmkMode};
-use apps::nbf::{self, NbfConfig};
+use apps::moldyn::MoldynConfig;
+use apps::workload::{run_variants, MoldynWorkload, NbfWorkload, Variant};
+use bench::cli::Cli;
 use bench::Scale;
 use chaos::{block_partition, inspector, ChaosWorld, TTable, TTableCache, TTableKind};
 
 fn main() {
-    let study = std::env::args()
-        .nth(1)
-        .filter(|s| !s.starts_with("--"))
-        .unwrap_or_else(|| "all".into());
-    let scale = Scale::from_args();
-    match study.as_str() {
+    let cli = Cli::parse("ablation [study] [--quick]");
+    let scale = cli.scale();
+    match cli.positionals.first().map_or("all", String::as_str) {
         "update-freq" => update_freq(scale),
         "page-size" => page_size(scale),
         "ttable" => ttable_study(scale),
@@ -35,16 +34,15 @@ fn main() {
             scaling(scale);
             opt_levels(scale);
         }
-        other => eprintln!("unknown study '{other}'"),
+        other => cli.usage_error(&format!(
+            "unknown study '{other}' (update-freq | page-size | ttable | scaling | opt-levels)"
+        )),
     }
 }
 
 fn moldyn_cfg(scale: Scale, interval: usize) -> MoldynConfig {
-    let mut cfg = MoldynConfig::paper(interval);
-    if scale == Scale::Quick {
-        cfg.n = 2048;
-        cfg.cutoff_frac = 0.2;
-    } else {
+    let mut cfg = scale.moldyn(interval);
+    if scale == Scale::Paper {
         cfg.n = 8192; // ablations run many points; half scale
         cfg.cutoff_frac = 0.15;
     }
@@ -61,11 +59,9 @@ fn update_freq(scale: Scale) {
         "interval", "CHAOS(s)", "TmkOpt(s)", "opt/chaos", "chaos+inspect"
     );
     for interval in [40usize, 20, 10, 5, 3] {
-        let cfg = moldyn_cfg(scale, interval);
-        let world = moldyn::gen_positions(&cfg);
-        let seq = moldyn::run_seq(&cfg, &world);
-        let (c, _) = moldyn::run_chaos(&cfg, &world, seq.report.time);
-        let (o, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
+        let w = MoldynWorkload::new(moldyn_cfg(scale, interval));
+        let m = run_variants(&w, &[Variant::Chaos, Variant::TmkOpt]);
+        let (c, o) = (&m.get(Variant::Chaos).report, &m.get(Variant::TmkOpt).report);
         println!(
             "{:<10} {:>10.1} {:>10.1} {:>12.2} {:>14.1}",
             interval,
@@ -85,15 +81,10 @@ fn page_size(scale: Scale) {
         "page", "time(s)", "messages", "MB"
     );
     for page in [1024usize, 2048, 4096, 8192, 16384] {
-        let mut cfg = NbfConfig::paper(64000);
+        let mut cfg = scale.nbf(64000);
         cfg.page_size = page;
-        if scale == Scale::Quick {
-            cfg.n = 8000;
-            cfg.partners = 50;
-        }
-        let world = nbf::gen_world(&cfg);
-        let seq = nbf::run_seq(&cfg, &world);
-        let (o, _) = nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
+        let m = run_variants(&NbfWorkload::new(cfg), &[Variant::TmkOpt]);
+        let o = &m.get(Variant::TmkOpt).report;
         println!(
             "{:<10} {:>10.1} {:>10} {:>10.1}",
             page,
@@ -155,11 +146,8 @@ fn scaling(scale: Scale) {
     for nprocs in [1usize, 2, 4, 8] {
         let mut cfg = moldyn_cfg(scale, 20);
         cfg.nprocs = nprocs;
-        let world = moldyn::gen_positions(&cfg);
-        let seq = moldyn::run_seq(&cfg, &world);
-        let (c, _) = moldyn::run_chaos(&cfg, &world, seq.report.time);
-        let (b, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-        let (o, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
+        let m = run_variants(&MoldynWorkload::new(cfg), &Variant::PAPER);
+        let [c, b, o] = Variant::PAPER.map(|v| &m.get(v).report);
         println!(
             "{:<8} {:>10.1} {:>10.1} {:>10.1}",
             nprocs,
@@ -176,11 +164,9 @@ fn scaling(scale: Scale) {
 /// (no *_ALL epilogue), then full.
 fn opt_levels(scale: Scale) {
     println!("\n=== Ablation: optimization levels (moldyn) ===");
-    let cfg = moldyn_cfg(scale, 20);
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-    let (b, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (o, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
+    let w = MoldynWorkload::new(moldyn_cfg(scale, 20));
+    let m = run_variants(&w, &[Variant::TmkBase, Variant::TmkOpt]);
+    let (b, o) = (&m.get(Variant::TmkBase).report, &m.get(Variant::TmkOpt).report);
     println!("base:      {:>8.1} s  {:>9} msgs  {:>7.1} MB", b.time.as_secs_f64(), b.messages, b.megabytes());
     println!("optimized: {:>8.1} s  {:>9} msgs  {:>7.1} MB", o.time.as_secs_f64(), o.messages, o.megabytes());
     println!(

@@ -2,7 +2,7 @@
 //! snapshots — the golden-count regression gate for `make bench` / CI.
 //!
 //! ```text
-//! cargo run --release -p bench --bin bench_diff              # BENCH_9.json vs BENCH_10.json
+//! cargo run --release -p bench --bin bench_diff              # the committed pair, bench::SNAPSHOTS
 //! cargo run --release -p bench --bin bench_diff -- OLD NEW   # explicit files
 //! ```
 //!
@@ -118,14 +118,11 @@ fn check_cells_per_sec(old_text: &str, new_text: &str) -> Result<Option<String>,
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (old_path, new_path) = match args.as_slice() {
-        [] => ("BENCH_9.json".to_string(), "BENCH_10.json".to_string()),
+    let cli = bench::cli::Cli::parse("bench_diff [old.json new.json]");
+    let (old_path, new_path) = match cli.positionals.as_slice() {
+        [] => (bench::SNAPSHOTS.0.to_string(), bench::SNAPSHOTS.1.to_string()),
         [old, new] => (old.clone(), new.clone()),
-        _ => {
-            eprintln!("usage: bench_diff [OLD.json NEW.json]");
-            return ExitCode::FAILURE;
-        }
+        _ => cli.usage_error("give both snapshots or neither"),
     };
     let old_text = match std::fs::read_to_string(&old_path) {
         Ok(t) => t,

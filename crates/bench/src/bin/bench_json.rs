@@ -1,4 +1,5 @@
-//! Collect the machine-readable benchmark snapshot `BENCH_10.json`.
+//! Collect the machine-readable benchmark snapshot (`BENCH_10.json`,
+//! named once in `bench::SNAPSHOTS`).
 //!
 //! `make bench` runs `cargo bench` with `CRITERION_JSON` pointing at a
 //! JSON-lines sink (one `{"name": ..., "ns": ..., "mad_ns": ...}` per
@@ -40,9 +41,11 @@ use apps::nbf::NbfConfig;
 use apps::umesh::UmeshConfig;
 use apps::workload::{run_matrix, MoldynWorkload, NbfWorkload, UmeshWorkload, Variant};
 use serve::{serve, ServeConfig, Stop};
-use synth::{notice_meta_probe, scenario_grid, Dynamics, Scenario, Structure, SynthConfig};
+use synth::{notice_meta_probe, scenario_grid, Prepared};
 
 fn main() {
+    bench::cli::Cli::parse("bench_json");
+    let snapshot = bench::SNAPSHOTS.1;
     let sink = std::env::var("CRITERION_JSON")
         .unwrap_or_else(|_| "target/criterion.jsonl".to_string());
     let mut ns: BTreeMap<String, (f64, Option<f64>)> = BTreeMap::new();
@@ -81,7 +84,7 @@ fn main() {
     // in-simulation like the app rows, so drifts are protocol changes.
     for cfg in scenario_grid(true).into_iter().filter(|c| c.dynamics.is_churn()) {
         let label = cfg.label();
-        let matrix = run_matrix(&Scenario::new(cfg));
+        let matrix = run_matrix(&Prepared::new(cfg));
         let row = variants
             .iter()
             .map(|&(v, tag)| (tag, matrix.get(v).report.messages))
@@ -108,15 +111,7 @@ fn main() {
         .collect();
 
     // The metadata-scaling probe at the sizes table_synth asserts.
-    let probe = |nprocs: usize| {
-        let mut cfg = SynthConfig::quick(Structure::Uniform, Dynamics::Static);
-        cfg.n = 8192;
-        cfg.refs = 12288;
-        cfg.iters = 6;
-        cfg.nprocs = nprocs;
-        notice_meta_probe(&cfg, &synth::gen_world(&cfg))
-    };
-    let (nb16, nb64) = (probe(16), probe(64));
+    let (nb16, nb64) = (notice_meta_probe(16), notice_meta_probe(64));
 
     // Serve rounds over the quick grid: one job per cell, three times.
     // The message totals are pure simulation counts (identical every
@@ -198,12 +193,12 @@ fn main() {
     );
     assert!(
         trace::json_well_formed(&out),
-        "BENCH_10.json would be malformed"
+        "{snapshot} would be malformed"
     );
 
-    std::fs::write("BENCH_10.json", &out).expect("write BENCH_10.json");
+    std::fs::write(snapshot, &out).expect("write the snapshot");
     println!(
-        "wrote BENCH_10.json ({} benches, 3 apps, notice probe, 3×{}-job serve rounds, stall attribution)",
+        "wrote {snapshot} ({} benches, 3 apps, notice probe, 3×{}-job serve rounds, stall attribution)",
         ns.len(),
         out_serve.jobs_done
     );

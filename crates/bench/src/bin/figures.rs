@@ -10,7 +10,11 @@
 //! `cargo run -p bench --bin figures [-- 1|2|3]`
 
 fn main() {
-    let which: Option<u32> = std::env::args().nth(1).and_then(|a| a.parse().ok());
+    let cli = bench::cli::Cli::parse("figures [1|2|3]");
+    let which: Option<u32> = cli.positionals.first().map(|a| match a.parse() {
+        Ok(n @ 1..=3) => n,
+        _ => cli.usage_error(&format!("no figure '{a}'")),
+    });
     if which.is_none_or(|w| w == 1) {
         figure1();
     }

@@ -8,28 +8,22 @@
 //!
 //! `cargo run --release -p bench --bin overhead1p [-- --quick]`
 
-use apps::moldyn::{self, MoldynConfig, TmkMode};
-use apps::nbf::{self, NbfConfig};
-use bench::Scale;
+use apps::workload::{run_variants, MoldynWorkload, NbfWorkload, Variant};
+use bench::cli::Cli;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Cli::parse("overhead1p [--quick]").scale();
+    let systems = [Variant::TmkOpt, Variant::Chaos];
 
     println!("=== Single-processor overheads (paper §5.1.1 / §5.2.1) ===\n");
 
     // moldyn at one rebuild.
-    let mut cfg = MoldynConfig::paper(20);
+    let mut cfg = scale.moldyn(20);
     cfg.nprocs = 1;
-    if scale == Scale::Quick {
-        cfg.n = 2048;
-        cfg.cutoff_frac = 0.2;
-    }
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-    let (opt, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-    let (chaos, _) = moldyn::run_chaos(&cfg, &world, seq.report.time);
+    let m = run_variants(&MoldynWorkload::new(cfg), &systems);
+    let [seq, opt, chaos] = [0, 1, 2].map(|i| &m.runs[i].report);
     println!("moldyn (update every 20):");
-    println!("  sequential            {:8.1} s", seq.report.time.as_secs_f64());
+    println!("  sequential            {:8.1} s", seq.time.as_secs_f64());
     println!(
         "  TreadMarks, 1 proc    {:8.1} s   (indirection check {:.2} s)",
         opt.time.as_secs_f64(),
@@ -42,18 +36,12 @@ fn main() {
     );
 
     // nbf 64×1024.
-    let mut cfg = NbfConfig::paper(65536);
+    let mut cfg = scale.nbf(65536);
     cfg.nprocs = 1;
-    if scale == Scale::Quick {
-        cfg.n /= 8;
-        cfg.partners = 50;
-    }
-    let world = nbf::gen_world(&cfg);
-    let seq = nbf::run_seq(&cfg, &world);
-    let (opt, _) = nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-    let (chaos, _) = nbf::run_chaos(&cfg, &world, seq.report.time);
+    let m = run_variants(&NbfWorkload::new(cfg), &systems);
+    let [seq, opt, chaos] = [0, 1, 2].map(|i| &m.runs[i].report);
     println!("\nnbf (64 x 1024):");
-    println!("  sequential            {:8.1} s", seq.report.time.as_secs_f64());
+    println!("  sequential            {:8.1} s", seq.time.as_secs_f64());
     println!(
         "  TreadMarks, 1 proc    {:8.1} s   (indirection scan {:.3} s)",
         opt.time.as_secs_f64(),

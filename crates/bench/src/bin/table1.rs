@@ -6,33 +6,30 @@
 //! cargo run --release -p bench --bin table1 -- --quick # reduced scale
 //! ```
 
-use apps::moldyn::MoldynConfig;
-use bench::{moldyn_rows, print_group, Scale};
+use apps::workload::{run_variants, MoldynWorkload, Variant};
+use bench::cli::Cli;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Cli::parse("table1 [--quick]").scale();
     println!("=== Table 1: Moldyn — 8 processor results ===");
     println!("(interaction list updated at varying intervals; times are");
-    println!(" simulated; see EXPERIMENTS.md for paper-vs-measured)");
+    println!(" simulated; see README.md §The bench bins for what each bin asserts)");
 
     for interval in [20usize, 15, 11] {
-        let rows = moldyn_rows(MoldynConfig::paper(interval), scale);
-        print_group(
-            &format!("Update every {interval} iterations"),
-            rows.seq_secs,
-            &[&rows.chaos, &rows.base, &rows.opt],
-        );
+        let m = run_variants(&MoldynWorkload::new(scale.moldyn(interval)), &Variant::PAPER);
+        m.print_titled(&format!("Update every {interval} iterations"));
+        let [chaos, base, opt] = Variant::PAPER.map(|v| &m.get(v).report);
         println!(
             "  in-text: CHAOS inspector {:.1}s/proc timed (+{:.1}s untimed); \
              Tmk Validate indirection scan {:.2}s/proc",
-            rows.chaos.inspector_s, rows.chaos.untimed_inspector_s, rows.opt.validate_scan_s
+            chaos.inspector_s, chaos.untimed_inspector_s, opt.validate_scan_s
         );
         println!(
             "  shape: opt/chaos time = {:.2}, base/opt messages = {:.1}x, \
              chaos+inspector = {:.1}s",
-            rows.opt.time.as_secs_f64() / rows.chaos.time.as_secs_f64(),
-            rows.base.messages as f64 / rows.opt.messages.max(1) as f64,
-            rows.chaos.time.as_secs_f64() + rows.chaos.untimed_inspector_s
+            opt.time.as_secs_f64() / chaos.time.as_secs_f64(),
+            base.messages as f64 / opt.messages.max(1) as f64,
+            chaos.time.as_secs_f64() + chaos.untimed_inspector_s
         );
     }
 }

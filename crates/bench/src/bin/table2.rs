@@ -8,30 +8,27 @@
 //! cargo run --release -p bench --bin table2 [-- --quick]
 //! ```
 
-use apps::nbf::NbfConfig;
-use bench::{nbf_rows, print_group, Scale};
+use apps::workload::{run_variants, NbfWorkload, Variant};
+use bench::cli::Cli;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Cli::parse("table2 [--quick]").scale();
     println!("=== Table 2: NBF kernel — 8 processor results ===");
 
     for (label, n) in [("64 x 1024", 65536usize), ("64 x 1000", 64000), ("32 x 1024", 32768)] {
-        let rows = nbf_rows(NbfConfig::paper(n), scale);
-        print_group(&format!("Problem size {label}"), rows.seq_secs, &[
-            &rows.chaos,
-            &rows.base,
-            &rows.opt,
-        ]);
+        let m = run_variants(&NbfWorkload::new(scale.nbf(n)), &Variant::PAPER);
+        m.print_titled(&format!("Problem size {label}"));
+        let (chaos, opt) = (&m.get(Variant::Chaos).report, &m.get(Variant::TmkOpt).report);
         println!(
             "  in-text: CHAOS inspector (untimed) {:.1}s/proc; \
              Tmk indirection scan {:.3}s/proc",
-            rows.chaos.untimed_inspector_s, rows.opt.validate_scan_s
+            chaos.untimed_inspector_s, opt.validate_scan_s
         );
         println!(
             "  shape: opt/chaos time = {:.2}, chaos+inspector = {:.1}s vs opt {:.1}s",
-            rows.opt.time.as_secs_f64() / rows.chaos.time.as_secs_f64(),
-            rows.chaos.time.as_secs_f64() + rows.chaos.untimed_inspector_s,
-            rows.opt.time.as_secs_f64()
+            opt.time.as_secs_f64() / chaos.time.as_secs_f64(),
+            chaos.time.as_secs_f64() + chaos.untimed_inspector_s,
+            opt.time.as_secs_f64()
         );
     }
 }

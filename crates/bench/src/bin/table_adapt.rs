@@ -28,40 +28,56 @@
 
 use std::sync::Arc;
 
-use apps::moldyn::{self, MoldynConfig, TmkMode};
-use apps::nbf::{self, NbfConfig};
 use apps::report::RunReport;
-use apps::umesh::{self, UmeshConfig};
-use bench::{print_group, Scale};
+use apps::umesh::UmeshConfig;
+use apps::workload::{
+    run_variants, MoldynWorkload, NbfWorkload, UmeshWorkload, Variant, Workload, WorkloadMatrix,
+};
+use bench::cli::Cli;
+use bench::Scale;
 use trace::{chrome_trace_json, json_well_formed, with_trace_sink, Tracer};
 
+/// One app's seq + four Tmk builds, cross-checked by `run_variants`
+/// (each against sequential per the app's contract, and bitwise among
+/// themselves).
 struct Group {
     app: &'static str,
-    seq_secs: f64,
-    base: RunReport,
-    opt: RunReport,
-    adaptive: RunReport,
-    push: RunReport,
+    m: WorkloadMatrix,
 }
 
 impl Group {
-    fn reduction_vs_base(&self) -> f64 {
-        100.0 * (self.base.messages.saturating_sub(self.adaptive.messages)) as f64
-            / self.base.messages.max(1) as f64
+    fn run(app: &'static str, w: &dyn Workload) -> Group {
+        Group {
+            app,
+            m: run_variants(w, &Variant::TMK),
+        }
+    }
+
+    fn report(&self, v: Variant) -> &RunReport {
+        &self.m.get(v).report
+    }
+
+    fn messages(&self, v: Variant) -> u64 {
+        self.report(v).messages
+    }
+
+    /// Percent fewer messages than `Tmk base`.
+    fn reduction_vs_base(&self, v: Variant) -> f64 {
+        let base = self.messages(Variant::TmkBase);
+        100.0 * base.saturating_sub(self.messages(v)) as f64 / base.max(1) as f64
     }
 
     fn print(&self) {
-        print_group(
-            self.app,
-            self.seq_secs,
-            &[&self.base, &self.opt, &self.adaptive, &self.push],
-        );
-        let pol = self.adaptive.policy.clone().expect("adaptive policy report");
+        self.m.print_titled(self.app);
+        let pol = self
+            .report(Variant::TmkAdaptive)
+            .policy
+            .as_ref()
+            .expect("adaptive policy report");
         println!(
             "  adaptive vs base: {:.1}% fewer messages (opt reaches {:.1}%)",
-            self.reduction_vs_base(),
-            100.0 * (self.base.messages.saturating_sub(self.opt.messages)) as f64
-                / self.base.messages.max(1) as f64,
+            self.reduction_vs_base(Variant::TmkAdaptive),
+            self.reduction_vs_base(Variant::TmkOpt),
         );
         println!(
             "  policy decisions: {} epochs, {} promotions, {} demotions, {} probes; \
@@ -85,12 +101,17 @@ impl Group {
                 row.phase, row.deferred_plans, row.quiesced_plans, row.quiesced_pages
             );
         }
-        let pp = self.push.policy.clone().expect("push policy report");
+        let pp = self
+            .report(Variant::TmkPush)
+            .policy
+            .as_ref()
+            .expect("push policy report");
+        let adaptive = self.messages(Variant::TmkAdaptive);
         println!(
             "  update-push: {:.1}% fewer messages than pull-mode adaptive \
              ({} push rounds covering {} pages, {} one-way subscription msgs counted)",
-            100.0 * (self.adaptive.messages.saturating_sub(self.push.messages)) as f64
-                / self.adaptive.messages.max(1) as f64,
+            100.0 * adaptive.saturating_sub(self.messages(Variant::TmkPush)) as f64
+                / adaptive.max(1) as f64,
             pp.push_rounds,
             pp.push_pages,
             pp.subscriptions,
@@ -98,117 +119,72 @@ impl Group {
     }
 }
 
-fn moldyn_group(scale: Scale) -> Group {
-    let mut cfg = MoldynConfig::paper(15);
+/// moldyn at rebuild interval 15. At quick scale, 1/8 the molecules
+/// with 1/4 the page size keeps the paper's pages-per-array regime
+/// (~dozens of coordinate pages), which is what both aggregation paths
+/// feed on.
+fn moldyn_workload(scale: Scale) -> MoldynWorkload {
+    let mut cfg = scale.moldyn(15);
     if scale == Scale::Quick {
-        // 1/8 the molecules with 1/4 the page size keeps the paper's
-        // pages-per-array regime (~dozens of coordinate pages), which
-        // is what both aggregation paths feed on.
-        cfg.n = 2048;
-        cfg.cutoff_frac = 0.2;
         cfg.page_size = 1024;
     }
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-    let (base, xb) = moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (opt, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-    let (adaptive, xa) = moldyn::run_adaptive(&cfg, &world, seq.report.time);
-    let (push, xp) = moldyn::run_push(&cfg, &world, seq.report.time);
-    assert_eq!(xa, xb, "moldyn: adaptive must be bitwise identical to base");
-    assert_eq!(xp, xb, "moldyn: push must be bitwise identical to base");
-    Group {
-        app: "moldyn (rebuild every 15 steps)",
-        seq_secs: seq.report.time.as_secs_f64(),
-        base,
-        opt,
-        adaptive,
-        push,
-    }
+    MoldynWorkload::new(cfg)
 }
 
-fn nbf_group(scale: Scale) -> Group {
-    let mut cfg = NbfConfig::paper(65536);
+fn nbf_workload(scale: Scale) -> NbfWorkload {
+    let mut cfg = scale.nbf(65536);
     if scale == Scale::Quick {
-        cfg.n /= 8;
-        cfg.partners = 50;
         cfg.page_size = 1024; // preserve the pages-per-array regime
     }
-    let world = nbf::gen_world(&cfg);
-    let seq = nbf::run_seq(&cfg, &world);
-    let (base, xb) = nbf::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (opt, _) = nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-    let (adaptive, xa) = nbf::run_adaptive(&cfg, &world, seq.report.time);
-    let (push, xp) = nbf::run_push(&cfg, &world, seq.report.time);
-    assert_eq!(xa, xb, "nbf: adaptive must be bitwise identical to base");
-    assert_eq!(xp, xb, "nbf: push must be bitwise identical to base");
-    Group {
-        app: "nbf (static partner list)",
-        seq_secs: seq.report.time.as_secs_f64(),
-        base,
-        opt,
-        adaptive,
-        push,
-    }
+    NbfWorkload::new(cfg)
 }
 
-fn umesh_group(scale: Scale) -> Group {
-    let cfg = if scale == Scale::Quick {
+fn umesh_workload(scale: Scale) -> UmeshWorkload {
+    UmeshWorkload::new(if scale == Scale::Quick {
         let mut c = UmeshConfig::small();
         c.side = 64;
         c.sweeps = 8;
         c
     } else {
         UmeshConfig::medium()
-    };
-    let mesh = umesh::gen_mesh(&cfg);
-    let seq = umesh::run_seq(&cfg, &mesh);
-    let (base, xb) = umesh::run_tmk(&cfg, &mesh, TmkMode::Base, seq.report.time);
-    let (opt, _) = umesh::run_tmk(&cfg, &mesh, TmkMode::Optimized, seq.report.time);
-    let (adaptive, xa) = umesh::run_adaptive(&cfg, &mesh, seq.report.time);
-    let (push, xp) = umesh::run_push(&cfg, &mesh, seq.report.time);
-    assert_eq!(xa, xb, "umesh: adaptive must be bitwise identical to base");
-    assert_eq!(xp, xb, "umesh: push must be bitwise identical to base");
-    Group {
-        app: "umesh (static mesh)",
-        seq_secs: seq.report.time.as_secs_f64(),
-        base,
-        opt,
-        adaptive,
-        push,
-    }
+    })
 }
 
 fn main() {
-    let scale = Scale::from_args();
+    let cli = Cli::parse("table_adapt [--quick] [--trace PATH]");
+    let scale = cli.scale();
     println!("=== table_adapt: the runtime-adaptive fourth and fifth systems ===");
     println!("(seq / Tmk base / Tmk+compiler / Tmk adaptive / Tmk push; times simulated;");
     println!(" the adaptive builds use NO compiler hints and NO inspector;");
     println!(" push = same predictor, writer-initiated one-way diffs)");
 
-    let groups = [moldyn_group(scale), nbf_group(scale), umesh_group(scale)];
+    let groups = [
+        Group::run("moldyn (rebuild every 15 steps)", &moldyn_workload(scale)),
+        Group::run("nbf (static partner list)", &nbf_workload(scale)),
+        Group::run("umesh (static mesh)", &umesh_workload(scale)),
+    ];
     for g in &groups {
         g.print();
     }
 
     // Acceptance checks, per the simnet counters.
+    let (base, adaptive, push) = (Variant::TmkBase, Variant::TmkAdaptive, Variant::TmkPush);
     for g in &groups {
         assert!(
-            g.adaptive.messages <= g.base.messages,
+            g.messages(adaptive) <= g.messages(base),
             "{}: adaptive sent MORE messages than plain Tmk ({} > {})",
             g.app,
-            g.adaptive.messages,
-            g.base.messages
+            g.messages(adaptive),
+            g.messages(base)
         );
         assert!(
-            g.push.messages <= g.adaptive.messages,
+            g.messages(push) <= g.messages(adaptive),
             "{}: push sent MORE messages than pull-mode adaptive ({} > {})",
             g.app,
-            g.push.messages,
-            g.adaptive.messages
+            g.messages(push),
+            g.messages(adaptive)
         );
-    }
-    for g in &groups {
-        let pp = g.push.policy.as_ref().expect("push policy report");
+        let pp = g.report(push).policy.as_ref().expect("push policy report");
         assert!(
             pp.subscriptions > 0,
             "{}: push must pay its subscription traffic (0 AdaptSub billed)",
@@ -217,23 +193,23 @@ fn main() {
     }
     for g in &groups[..2] {
         assert!(
-            g.reduction_vs_base() >= 25.0,
+            g.reduction_vs_base(adaptive) >= 25.0,
             "{}: adaptive reduction {:.1}% below the 25% bar",
             g.app,
-            g.reduction_vs_base()
+            g.reduction_vs_base(adaptive)
         );
         assert!(
-            g.push.messages < g.adaptive.messages,
+            g.messages(push) < g.messages(adaptive),
             "{}: update-push must be strictly cheaper than prefetch ({} !< {})",
             g.app,
-            g.push.messages,
-            g.adaptive.messages
+            g.messages(push),
+            g.messages(adaptive)
         );
         // The phase-keyed quiesce win: the multi-barrier apps' plans
         // build per-site streaks and the final exchanges go untriggered
         // — a globally-keyed streak never fires here, because the
         // alternating barrier sites reset it every epoch.
-        let pol = g.adaptive.policy.as_ref().expect("adaptive policy report");
+        let pol = g.report(adaptive).policy.as_ref().expect("adaptive policy report");
         assert!(
             pol.deferred_plans > 0,
             "{}: phase-keyed streaks must defer steady plans",
@@ -250,34 +226,19 @@ fn main() {
     println!("            push strictly beats prefetch on moldyn and nbf, and the");
     println!("            phase-keyed streaks quiesce plans on both  ✓");
 
-    if let Some(path) = arg_value("--trace") {
-        write_trace(&path);
+    if let Some(path) = cli.value("--trace") {
+        write_trace(path);
     }
-}
-
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
 }
 
 /// One reduced-scale moldyn adaptive run under the structured trace
 /// sink, exported as Chrome trace JSON — the phase-tagged barriers and
 /// the policy's promote/demote/prefetch decisions, on a timeline.
 fn write_trace(path: &str) {
-    let mut cfg = MoldynConfig::paper(15);
-    cfg.n = 2048;
-    cfg.cutoff_frac = 0.2;
-    cfg.page_size = 1024;
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-    let tracer = Arc::new(Tracer::new(cfg.nprocs, 1 << 16));
+    let w = moldyn_workload(Scale::Quick);
+    let tracer = Arc::new(Tracer::new(w.cfg.nprocs, 1 << 16));
     let _ = with_trace_sink(tracer.clone(), || {
-        moldyn::run_adaptive(&cfg, &world, seq.report.time)
+        run_variants(&w, &[Variant::TmkAdaptive])
     });
     let trace = tracer.capture();
     let json = chrome_trace_json(&trace);
@@ -286,6 +247,6 @@ fn write_trace(path: &str) {
     println!(
         "\nwrote {path}: {} events over {} lanes from one moldyn adaptive run",
         trace.len(),
-        cfg.nprocs
+        w.cfg.nprocs
     );
 }

@@ -35,9 +35,10 @@
 //! into `make soak` and CI); the default is the full nightly scale.
 
 use apps::workload::{run_matrix, Variant, Workload, WorkloadMatrix};
+use bench::cli::Cli;
 use bench::{churn_budget, Scale};
 use simnet::{with_loss, StallCat};
-use synth::{scenario_grid, Scenario};
+use synth::{scenario_grid, Prepared};
 
 fn print_matrix_row(m: &WorkloadMatrix, budget: u64) {
     let cell = |v: Variant| {
@@ -56,8 +57,7 @@ fn print_matrix_row(m: &WorkloadMatrix, budget: u64) {
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let quick = scale == Scale::Quick;
+    let quick = Cli::parse("table_churn [--quick]").scale() == Scale::Quick;
     println!("=== table_churn: mid-run regime breaks, rebalances, lossy links ===");
     println!("(churn cells of the scenario grid; six variants per cell, bitwise-");
     println!(" checked; messages bounded by the probe budget computed in-crate)\n");
@@ -79,7 +79,7 @@ fn main() {
 
     for cfg in &churn {
         let budget = churn_budget(cfg);
-        let m = run_matrix(&Scenario::new(cfg.clone())); // asserts 6-way bitwise
+        let m = run_matrix(&Prepared::new(cfg.clone())); // asserts 6-way bitwise
         print_matrix_row(&m, budget);
 
         let base = m.get(Variant::TmkBase).report.messages;
@@ -114,11 +114,12 @@ const LOSS_PER_MILLE: u32 = 50;
 /// time still conserves across stall categories with `Retry` present.
 fn lossy_link_probe(cfg: &synth::SynthConfig) {
     println!("\n--- lossy links on the first churn cell ({}‰ drops) ---", LOSS_PER_MILLE);
-    let scn = Scenario::new(cfg.clone());
+    let scn = Prepared::new(cfg.clone());
     let (seq_report, seq_x) = scn.run(Variant::Seq, simnet::SimTime::ZERO);
     let seq_time = seq_report.time;
 
-    for v in [Variant::TmkAdaptive, Variant::TmkPush] {
+    // Extra messages the drops cost each variant: [adaptive, push].
+    let extra = [Variant::TmkAdaptive, Variant::TmkPush].map(|v| {
         let (clean, clean_x) = scn.run(v, seq_time);
         let (lossy, lossy_x) = with_loss(LOSS_SEED, LOSS_PER_MILLE, || scn.run(v, seq_time));
         assert_eq!(
@@ -154,19 +155,9 @@ fn lossy_link_probe(cfg: &synth::SynthConfig) {
             lossy.messages - clean.messages,
             retry_stall,
         );
-    }
-
-    // Degradation comparison needs all four counts at once.
-    let adaptive_clean = scn.run(Variant::TmkAdaptive, seq_time).0.messages;
-    let push_clean = scn.run(Variant::TmkPush, seq_time).0.messages;
-    let (adaptive_lossy, push_lossy) = with_loss(LOSS_SEED, LOSS_PER_MILLE, || {
-        (
-            scn.run(Variant::TmkAdaptive, seq_time).0.messages,
-            scn.run(Variant::TmkPush, seq_time).0.messages,
-        )
+        lossy.messages - clean.messages
     });
-    let adaptive_extra = adaptive_lossy - adaptive_clean;
-    let push_extra = push_lossy - push_clean;
+    let [adaptive_extra, push_extra] = extra;
     assert!(
         push_extra <= adaptive_extra,
         "push must degrade no worse than request/reply under loss \

@@ -5,7 +5,7 @@
 //! per-job latency percentiles (p50/p95/p99).
 //!
 //! ```text
-//! cargo run --release -p bench --bin table_serve -- --quick   # ≥200 jobs, 24-cell grid
+//! cargo run --release -p bench --bin table_serve -- --quick   # ≥200 jobs, 30-cell grid
 //! cargo run --release -p bench --bin table_serve             # 60 s window, paper scale
 //! ```
 //!
@@ -29,28 +29,21 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use bench::cli::Cli;
+use bench::Scale;
 use serve::{serve, ServeConfig, Stop};
 use synth::scenario_grid;
 use trace::{json_well_formed, ServeTrace};
 
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let workers: usize = arg_value("--workers")
-        .map(|v| v.parse().expect("--workers takes a count"))
-        .unwrap_or(4);
-    let jobs: Option<usize> = arg_value("--jobs").map(|v| v.parse().expect("--jobs takes a count"));
-    let window: Option<u64> = arg_value("--window-secs")
-        .map(|v| v.parse().expect("--window-secs takes seconds"));
+    let cli = Cli::parse(
+        "table_serve [--quick] [--jobs N] [--window-secs S] [--workers W] [--json PATH] \
+         [--trace PATH]",
+    );
+    let quick = cli.scale() == Scale::Quick;
+    let workers: usize = cli.parsed("--workers").unwrap_or(4);
+    let jobs: Option<usize> = cli.parsed("--jobs");
+    let window: Option<u64> = cli.parsed("--window-secs");
 
     let stop = match (jobs, window) {
         (Some(n), _) => Stop::Jobs(n),
@@ -70,7 +63,7 @@ fn main() {
 
     // Per-worker job-lifecycle lanes, only when asked for: the `None`
     // path is the zero-overhead default the heap assertions measure.
-    let trace_path = arg_value("--trace");
+    let trace_path = cli.value("--trace");
     let tracer = trace_path
         .as_ref()
         .map(|_| Arc::new(ServeTrace::new(workers, 1 << 14)));
@@ -87,7 +80,7 @@ fn main() {
     let out = serve(&grid, &cfg);
     print!("{}", out.summary());
 
-    if let (Some(path), Some(tr)) = (&trace_path, &tracer) {
+    if let (Some(path), Some(tr)) = (trace_path, &tracer) {
         let json = tr.to_chrome_json();
         assert!(json_well_formed(&json), "serve trace JSON malformed");
         let (jobs, steals, recycles) = tr.totals();
@@ -100,7 +93,7 @@ fn main() {
         println!("wrote {path} ({jobs} jobs, {steals} steals, {recycles} recycles traced)");
     }
 
-    if let Some(path) = arg_value("--json") {
+    if let Some(path) = cli.value("--json") {
         let lat = |q: f64| out.latency(q).as_secs_f64() * 1e3;
         let rows: Vec<String> = out
             .per_variant
@@ -139,7 +132,7 @@ fn main() {
         assert!(json_well_formed(&report), "--json report malformed");
         let bucket_total: u64 = out.hist.nonzero_buckets().iter().map(|&(_, _, n)| n).sum();
         assert_eq!(bucket_total, out.jobs_done, "histogram buckets must cover every job");
-        std::fs::write(&path, report).expect("write --json report");
+        std::fs::write(path, report).expect("write --json report");
         println!("wrote {path}");
     }
 

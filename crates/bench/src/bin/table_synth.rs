@@ -23,20 +23,11 @@
 //! * on *static*-indirection scenarios CHAOS beats plain Tmk on both
 //!   messages and time, as the paper predicts (its inspector amortizes
 //!   perfectly when the list never changes).
-//!
-//! In `--quick` mode it additionally re-runs the three classic apps
-//! through the `Workload` trait and asserts the counts equal the direct
-//! per-app calls' — the refactor-safety check that the trait harness
-//! changes nothing.
 
-use apps::moldyn::{self, MoldynConfig, TmkMode};
-use apps::nbf::{self, NbfConfig};
-use apps::umesh::{self, UmeshConfig};
-use apps::workload::{
-    run_matrix, MoldynWorkload, NbfWorkload, UmeshWorkload, Variant, WorkloadMatrix,
-};
+use apps::workload::{run_matrix, Variant, WorkloadMatrix};
+use bench::cli::Cli;
 use bench::Scale;
-use synth::{notice_meta_probe, scenario_grid, Dynamics, Scenario, Structure, SynthConfig};
+use synth::{notice_meta_probe, scenario_grid, Dynamics, Prepared};
 
 fn print_matrix_row(m: &WorkloadMatrix) {
     let cell = |v: Variant| {
@@ -56,8 +47,8 @@ fn print_matrix_row(m: &WorkloadMatrix) {
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let quick = scale == Scale::Quick;
+    let cli = Cli::parse("table_synth [--quick] [--trace PATH]");
+    let quick = cli.scale() == Scale::Quick;
     println!("=== table_synth: the synthetic scenario matrix ===");
     println!("(structure × dynamics × nprocs; six variants per cell; all cells");
     println!(" cross-checked bitwise; messages and simulated seconds per variant)\n");
@@ -78,8 +69,7 @@ fn main() {
         // the probe-budget bound. `table_churn` asserts the churn
         // properties in depth; here the cells just ride the grid.
         let churn_budget = cfg.dynamics.is_churn().then(|| bench::churn_budget(&cfg));
-        let scenario = Scenario::new(cfg);
-        let m = run_matrix(&scenario); // asserts 6-way bitwise agreement
+        let m = run_matrix(&Prepared::new(cfg)); // asserts 6-way bitwise agreement
         print_matrix_row(&m);
 
         let base = &m.get(Variant::TmkBase).report;
@@ -122,34 +112,20 @@ fn main() {
 
     notice_scaling_probe();
 
-    if quick {
-        classic_apps_through_trait();
-    }
-
-    if let Some(path) = arg_value("--trace") {
+    if let Some(path) = cli.value("--trace") {
         let cfg = first_cell.expect("grid is never empty");
         let tracer = std::sync::Arc::new(trace::Tracer::new(cfg.nprocs, 1 << 16));
-        let _ = trace::with_trace_sink(tracer.clone(), || run_matrix(&Scenario::new(cfg.clone())));
+        let _ = trace::with_trace_sink(tracer.clone(), || run_matrix(&Prepared::new(cfg.clone())));
         let t = tracer.capture();
         let json = trace::chrome_trace_json(&t);
         assert!(trace::json_well_formed(&json), "trace JSON malformed");
-        std::fs::write(&path, &json).expect("write --trace output");
+        std::fs::write(path, &json).expect("write --trace output");
         println!(
             "\nwrote {path}: {} events over {} lanes from the grid's first cell",
             t.len(),
             cfg.nprocs
         );
     }
-}
-
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
 }
 
 /// The barrier-metadata scaling check: the same fixed-size workload at
@@ -160,17 +136,8 @@ fn arg_value(name: &str) -> Option<String> {
 /// the cluster must *not* quadruple the bytes. The dense O(nprocs)
 /// clock-per-record encoding this replaced fails this assertion.
 fn notice_scaling_probe() {
-    let probe = |nprocs: usize| {
-        let mut cfg = SynthConfig::quick(Structure::Uniform, synth::Dynamics::Static);
-        cfg.n = 8192; // 128 pages of 512 B — ≥ 2 per proc at both sizes
-        cfg.refs = 12288;
-        cfg.iters = 6;
-        cfg.nprocs = nprocs;
-        let world = synth::gen_world(&cfg);
-        notice_meta_probe(&cfg, &world)
-    };
-    let nb16 = probe(16);
-    let nb64 = probe(64);
+    let nb16 = notice_meta_probe(16);
+    let nb64 = notice_meta_probe(64);
     println!(
         "\nbarrier notice metadata, same workload: p16 {nb16} B, p64 {nb64} B ({:.2}x for 4x procs)",
         nb64 as f64 / nb16 as f64
@@ -181,74 +148,4 @@ fn notice_scaling_probe() {
         "barrier metadata super-linear in nprocs: p64 {nb64} B vs p16 {nb16} B"
     );
     println!("metadata cost ~linear in nprocs (64-proc < 4x the 16-proc bytes)  ✓");
-}
-
-/// The refactor-safety check: each classic app, run through the
-/// `Workload` trait, must reproduce the direct per-app calls' counts
-/// exactly (`run_matrix` checked physics agreement already).
-fn classic_apps_through_trait() {
-    println!("\n--- classic apps through the Workload trait (vs direct calls) ---");
-
-    let cfg = MoldynConfig::small();
-    let w = MoldynWorkload::new(cfg.clone());
-    let m = run_matrix(&w);
-    let seq = moldyn::run_seq(&cfg, &w.world);
-    let direct = [
-        (Variant::TmkBase, moldyn::run_tmk(&cfg, &w.world, TmkMode::Base, seq.report.time).0),
-        (Variant::TmkOpt, moldyn::run_tmk(&cfg, &w.world, TmkMode::Optimized, seq.report.time).0),
-        (Variant::TmkAdaptive, moldyn::run_adaptive(&cfg, &w.world, seq.report.time).0),
-        (Variant::TmkPush, moldyn::run_push(&cfg, &w.world, seq.report.time).0),
-        (Variant::Chaos, moldyn::run_chaos(&cfg, &w.world, seq.report.time).0),
-    ];
-    assert_counts_match(&m, &direct);
-
-    let cfg = NbfConfig::small();
-    let w = NbfWorkload::new(cfg.clone());
-    let m = run_matrix(&w);
-    let seq = nbf::run_seq(&cfg, &w.world);
-    let direct = [
-        (Variant::TmkBase, nbf::run_tmk(&cfg, &w.world, TmkMode::Base, seq.report.time).0),
-        (Variant::TmkOpt, nbf::run_tmk(&cfg, &w.world, TmkMode::Optimized, seq.report.time).0),
-        (Variant::TmkAdaptive, nbf::run_adaptive(&cfg, &w.world, seq.report.time).0),
-        (Variant::TmkPush, nbf::run_push(&cfg, &w.world, seq.report.time).0),
-        (Variant::Chaos, nbf::run_chaos(&cfg, &w.world, seq.report.time).0),
-    ];
-    assert_counts_match(&m, &direct);
-
-    let cfg = UmeshConfig::small();
-    let w = UmeshWorkload::new(cfg.clone());
-    let m = run_matrix(&w);
-    let seq = umesh::run_seq(&cfg, &w.mesh);
-    let direct = [
-        (Variant::TmkBase, umesh::run_tmk(&cfg, &w.mesh, TmkMode::Base, seq.report.time).0),
-        (Variant::TmkOpt, umesh::run_tmk(&cfg, &w.mesh, TmkMode::Optimized, seq.report.time).0),
-        (Variant::TmkAdaptive, umesh::run_adaptive(&cfg, &w.mesh, seq.report.time).0),
-        (Variant::TmkPush, umesh::run_push(&cfg, &w.mesh, seq.report.time).0),
-        (Variant::Chaos, umesh::run_chaos(&cfg, &w.mesh, seq.report.time).0),
-    ];
-    assert_counts_match(&m, &direct);
-
-    println!("moldyn, nbf, umesh: trait-harness counts == direct-call counts  ✓");
-}
-
-fn assert_counts_match(m: &WorkloadMatrix, direct: &[(Variant, apps::RunReport)]) {
-    for (v, d) in direct {
-        let t = &m.get(*v).report;
-        assert_eq!(
-            (t.messages, t.bytes),
-            (d.messages, d.bytes),
-            "{} {:?}: trait harness diverged from direct call",
-            m.label,
-            v
-        );
-    }
-    println!(
-        "{:<24} base {:>6} msgs | opt {:>6} | adaptive {:>6} | push {:>6} | CHAOS {:>6}   (= direct)",
-        m.label,
-        m.get(Variant::TmkBase).report.messages,
-        m.get(Variant::TmkOpt).report.messages,
-        m.get(Variant::TmkAdaptive).report.messages,
-        m.get(Variant::TmkPush).report.messages,
-        m.get(Variant::Chaos).report.messages,
-    );
 }

@@ -25,8 +25,10 @@
 use std::sync::Arc;
 
 use apps::workload::{run_matrix, Variant};
+use bench::cli::Cli;
+use bench::Scale;
 use simnet::{NetReport, StallCat};
-use synth::{Dynamics, Scenario, Structure, SynthConfig};
+use synth::{Dynamics, Prepared, Structure, SynthConfig};
 use trace::{check_conservation, chrome_trace_json, json_well_formed, with_trace_sink, Tracer};
 
 /// Ring capacity per processor lane. Large enough that the quick cell
@@ -53,7 +55,7 @@ fn cell(quick: bool) -> SynthConfig {
 /// Returns the Chrome JSON plus each parallel variant's report.
 fn traced_pass(cfg: &SynthConfig) -> (String, usize, u64, Vec<(Variant, NetReport)>) {
     let tracer = Arc::new(Tracer::new(cfg.nprocs, LANE_CAP));
-    let matrix = with_trace_sink(tracer.clone(), || run_matrix(&Scenario::new(cfg.clone())));
+    let matrix = with_trace_sink(tracer.clone(), || run_matrix(&Prepared::new(cfg.clone())));
     let trace = tracer.capture();
     let (events, dropped) = (trace.len(), trace.dropped());
     let json = chrome_trace_json(&trace);
@@ -81,19 +83,9 @@ fn print_stall_table(variant: Variant, rep: &NetReport) {
     }
 }
 
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cfg = cell(quick);
+    let cli = Cli::parse("table_trace [--quick] [--trace PATH]");
+    let cfg = cell(cli.scale() == Scale::Quick);
     println!("=== table_trace: deterministic tracing + stall attribution ===");
     println!(
         "(one fixed-seed synth cell, {} procs, seed {}; six variants traced twice)\n",
@@ -136,8 +128,8 @@ fn main() {
         print_stall_table(*v, rep);
     }
 
-    if let Some(path) = arg_value("--trace") {
-        std::fs::write(&path, &json_a).expect("write --trace output");
+    if let Some(path) = cli.value("--trace") {
+        std::fs::write(path, &json_a).expect("write --trace output");
         println!("\nwrote {path} (load it in Perfetto or chrome://tracing)");
     }
 }

@@ -1,26 +1,46 @@
 //! # bench — experiment harnesses for every table and figure
 //!
-//! Binaries (run with `--release`; each prints a paper-style table and
-//! the in-text numbers the paper quotes around it):
+//! Binaries (run with `--release`; every flag goes through [`cli`], so
+//! an unknown one prints the usage and exits 2):
 //!
 //! * `table1` — moldyn, 16 384 molecules, list rebuilt every {20, 15, 11}
 //!   steps (paper Table 1).
 //! * `table2` — nbf at {64×1024, 64×1000, 32×1024} (paper Table 2).
-//! * `table_adapt` — the four-system comparison (seq / Tmk base /
-//!   Tmk+compiler / Tmk adaptive) on all three apps, with the adaptive
-//!   engine's policy-decision counters and acceptance checks.
+//! * `table_adapt` — seq / Tmk base / Tmk+compiler / Tmk adaptive /
+//!   Tmk push on all three apps, with the adaptive engine's
+//!   policy-decision counters and acceptance checks.
+//! * `table_synth` — the synthetic scenario grid, six variants per cell,
+//!   bitwise cross-checked, plus the barrier-metadata scaling probe.
+//! * `table_churn` — the grid's six churn cells under the probe-budget
+//!   bound, plus the lossy-link section.
+//! * `table_serve` — the scenario matrix as a throughput service
+//!   (cells/sec, latency percentiles, warm == cold goldens).
+//! * `table_trace` — byte-identical traces and stall conservation on one
+//!   fixed-seed cell.
 //! * `figures` — regenerates Figure 1 (input), Figure 2 (transformed
 //!   source), and Figure 3 (the Validate interface, as implemented).
 //! * `overhead1p` — the §5 single-processor sanity numbers.
 //! * `ablation` — sweeps beyond the paper: opt levels, page size,
 //!   update frequency, translation-table organization, scaling.
+//! * `bench_json` / `bench_diff` — write the committed benchmark
+//!   snapshot and gate it against the previous one ([`SNAPSHOTS`]).
+//!
+//! Every table bin runs its systems through
+//! `apps::workload::run_variants`, so each printed row was
+//! cross-checked against the sequential reference first.
 //!
 //! Criterion benches (`cargo bench`): protocol microbenchmarks (diffs,
 //! sections, inspector, barriers) and small-scale end-to-end runs.
 
-use apps::moldyn::{self, MoldynConfig, TmkMode};
-use apps::nbf::{self, NbfConfig};
-use apps::report::{table_header, RunReport};
+pub mod cli;
+
+use apps::moldyn::MoldynConfig;
+use apps::nbf::NbfConfig;
+
+/// The committed benchmark snapshot pair, `(previous, current)`:
+/// `bench_json` writes the current one, `bench_diff` gates it against
+/// the previous one.
+pub const SNAPSHOTS: (&str, &str) = ("BENCH_9.json", "BENCH_10.json");
 
 /// Scale factors for quick runs (`--quick` on the binaries): smaller n,
 /// fewer steps — same structure, minutes → seconds.
@@ -33,12 +53,24 @@ pub enum Scale {
 }
 
 impl Scale {
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Paper
+    /// The Table-1 moldyn configuration at this scale.
+    pub fn moldyn(self, update_interval: usize) -> MoldynConfig {
+        let mut cfg = MoldynConfig::paper(update_interval);
+        if self == Scale::Quick {
+            cfg.n = 2048;
+            cfg.cutoff_frac = 0.2;
         }
+        cfg
+    }
+
+    /// The Table-2 nbf configuration of paper size `n` at this scale.
+    pub fn nbf(self, n: usize) -> NbfConfig {
+        let mut cfg = NbfConfig::paper(n);
+        if self == Scale::Quick {
+            cfg.n /= 8;
+            cfg.partners = 50;
+        }
+        cfg
     }
 }
 
@@ -54,90 +86,20 @@ pub fn churn_budget(cfg: &synth::SynthConfig) -> u64 {
     adapt::probe_budget(cfg.adapt.probe_every, pages, cfg.iters as u64)
 }
 
-/// One Table-1 cell group: the three systems at one update interval.
-pub struct MoldynRows {
-    pub update_interval: usize,
-    pub seq_secs: f64,
-    pub chaos: RunReport,
-    pub base: RunReport,
-    pub opt: RunReport,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Run the three systems for one moldyn configuration.
-pub fn moldyn_rows(mut cfg: MoldynConfig, scale: Scale) -> MoldynRows {
-    if scale == Scale::Quick {
-        cfg.n = 2048;
-        cfg.cutoff_frac = 0.2;
-    }
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-    let (chaos, xc) = moldyn::run_chaos(&cfg, &world, seq.report.time);
-    let (base, xb) = moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (opt, xo) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-    verify3(&seq.x, &xc, &xb, &xo);
-    MoldynRows {
-        update_interval: cfg.update_interval,
-        seq_secs: seq.report.time.as_secs_f64(),
-        chaos,
-        base,
-        opt,
-    }
-}
-
-/// One Table-2 cell group.
-pub struct NbfRows {
-    pub n: usize,
-    pub seq_secs: f64,
-    pub chaos: RunReport,
-    pub base: RunReport,
-    pub opt: RunReport,
-}
-
-pub fn nbf_rows(mut cfg: NbfConfig, scale: Scale) -> NbfRows {
-    if scale == Scale::Quick {
-        cfg.n /= 8;
-        cfg.partners = 50;
-    }
-    let world = nbf::gen_world(&cfg);
-    let seq = nbf::run_seq(&cfg, &world);
-    let (chaos, xc) = nbf::run_chaos(&cfg, &world, seq.report.time);
-    let (base, xb) = nbf::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (opt, xo) = nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-    for (label, got) in [("chaos", &xc), ("base", &xb), ("opt", &xo)] {
-        for (g, w) in got.iter().zip(&seq.x) {
-            assert!(
-                (g - w).abs() <= 1e-9 + 1e-9 * w.abs(),
-                "{label} diverged from sequential"
-            );
-        }
-    }
-    NbfRows {
-        n: cfg.n,
-        seq_secs: seq.report.time.as_secs_f64(),
-        chaos,
-        base,
-        opt,
-    }
-}
-
-fn verify3(seq: &[[f64; 3]], a: &[[f64; 3]], b: &[[f64; 3]], c: &[[f64; 3]]) {
-    for got in [a, b, c] {
-        for (g, w) in got.iter().zip(seq) {
-            for d in 0..3 {
-                assert!(
-                    (g[d] - w[d]).abs() <= 1e-9 + 1e-9 * w[d].abs(),
-                    "parallel result diverged from sequential"
-                );
-            }
-        }
-    }
-}
-
-/// Print one group as a paper-style block.
-pub fn print_group(title: &str, seq_secs: f64, rows: &[&RunReport]) {
-    println!("\n{title}  (seq = {seq_secs:.1} s)");
-    println!("{}", table_header());
-    for r in rows {
-        println!("{}", r.row());
+    #[test]
+    fn snapshot_pair_is_committed_and_consecutive() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let number = |name: &str| -> u32 {
+            assert!(root.join(name).is_file(), "{name} is not committed at the repo root");
+            name.strip_prefix("BENCH_")
+                .and_then(|n| n.strip_suffix(".json"))
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("{name} is not BENCH_<N>.json"))
+        };
+        assert_eq!(number(SNAPSHOTS.0) + 1, number(SNAPSHOTS.1));
     }
 }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use apps::workload::run_matrix;
 use proptest::prelude::*;
-use synth::{Dynamics, Scenario, Structure, SynthConfig};
+use synth::{Dynamics, Prepared, Structure, SynthConfig};
 use trace::{check_conservation, chrome_trace_json, json_well_formed, with_trace_sink, Tracer};
 
 /// A trace-test-sized cell, mirroring the merge-property sizing: the
@@ -48,7 +48,7 @@ fn cell(structure: Structure, dynamics: Dynamics, nprocs: usize, seed: u64) -> S
 /// a fresh ring-buffer sink, and the capture is exported to JSON.
 fn traced_json(cfg: &SynthConfig) -> String {
     let tracer = Arc::new(Tracer::new(cfg.nprocs, 1 << 16));
-    let _ = with_trace_sink(tracer.clone(), || run_matrix(&Scenario::new(cfg.clone())));
+    let _ = with_trace_sink(tracer.clone(), || run_matrix(&Prepared::new(cfg.clone())));
     chrome_trace_json(&tracer.capture())
 }
 
@@ -70,7 +70,7 @@ fn same_seed_twice_yields_byte_identical_trace() {
 fn stall_categories_sum_to_final_clock_on_pinned_cells() {
     for &nprocs in &[4usize, 8, 64] {
         let cfg = cell(Structure::Banded { width: 16 }, Dynamics::Alternating, nprocs, 7);
-        let m = run_matrix(&Scenario::new(cfg));
+        let m = run_matrix(&Prepared::new(cfg));
         let mut checked = 0;
         for run in &m.runs {
             let Some(net) = &run.report.net else { continue };
@@ -126,7 +126,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let cfg = cell(structure, dyn_, np, seed);
-        let m = run_matrix(&Scenario::new(cfg));
+        let m = run_matrix(&Prepared::new(cfg));
         for run in &m.runs {
             if let Some(net) = &run.report.net {
                 check_conservation(net).unwrap_or_else(|e| {

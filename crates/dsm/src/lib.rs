@@ -27,7 +27,7 @@
 //! MMU ([`SharedSlice`] + the typed accessors on [`TmkProc`]): they check a
 //! per-page state machine and run the identical protocol transitions
 //! (fault → fetch → apply → validate). Two deliberate deviations, both
-//! metric-preserving (DESIGN.md §2):
+//! metric-preserving (ARCHITECTURE.md §Simulation honesty rules):
 //!
 //! 1. **Eager diffing at interval close** instead of lazy diffing on first
 //!    request. Same diffs, same messages; only the *moment* diff-creation

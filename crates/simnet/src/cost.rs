@@ -9,8 +9,9 @@
 //! the SP2 switch as TreadMarks 1.0.1 used it).
 //!
 //! Absolute values are *modeled*, not measured; the reproduction targets
-//! the shape of the comparison (see DESIGN.md §2, §5). All constants are
-//! public so benches can run ablations over them.
+//! the shape of the comparison (see ARCHITECTURE.md §Simulation honesty
+//! rules). All constants are public so benches can run ablations over
+//! them.
 
 use crate::SimTime;
 

@@ -1,6 +1,6 @@
 //! The cluster: per-processor logical clocks plus traffic accounting.
 //!
-//! Clock discipline (DESIGN.md §5):
+//! Clock discipline (ARCHITECTURE.md §Simulation honesty rules):
 //!
 //! * A processor's own thread advances its clock with [`Net::advance`]
 //!   (modeled compute) and the `charge_*` helpers (protocol actions).
@@ -1055,6 +1055,25 @@ mod loss_tests {
                 .sum();
             assert!(retry > 0, "p{np}: no retries billed at 30% loss");
         }
+    }
+
+    #[test]
+    fn a_dropped_message_is_retried_exactly_once() {
+        // At 1000‰ every first attempt is dropped. The model retries
+        // once and the retry always lands — it is *not* re-drawn — so
+        // the run terminates and bills exactly one duplicate per
+        // message: 2× the loss-free traffic, with conservation intact.
+        let clean = Net::new(4, CostModel::default());
+        drive(&clean);
+        let lossy = Net::new(4, CostModel::default());
+        lossy.set_loss(7, 1000);
+        drive(&lossy);
+        lossy.assert_conserved();
+        assert_eq!(
+            lossy.stats().total_messages(),
+            2 * clean.stats().total_messages()
+        );
+        assert_eq!(lossy.stats().total_bytes(), 2 * clean.stats().total_bytes());
     }
 
     #[test]

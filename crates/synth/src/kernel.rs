@@ -1,4 +1,4 @@
-//! The generic gather–compute–scatter reduction kernel, in all five
+//! The generic gather–compute–scatter reduction kernel, in all six
 //! system variants.
 //!
 //! Each iteration walks the effective interaction list: a *flux* is
@@ -11,7 +11,7 @@
 //! All parallel builds use the fixed-order **owner-side** reduction
 //! (the owner of element `i` recomputes each of `i`'s incident fluxes
 //! from the coherent start-of-iteration values, in global list order),
-//! so seq, Tmk base, Tmk optimized, Tmk adaptive, and CHAOS agree
+//! so seq, the four Tmk builds, and CHAOS agree
 //! **bitwise** on every scenario — the contract `table_synth` asserts
 //! across the whole grid.
 
@@ -24,15 +24,14 @@ use sdsm_core::{
 };
 use simnet::{MsgKind, SimTime};
 
-use apps::harness::Capture;
-use apps::report::{RunReport, SystemKind};
+use apps::harness::{install_policy, Capture};
+use apps::report::{RunReport, Variant};
 use apps::work;
 use chaos::{
     block_partition, gather, inspector, ChaosWorld, Ghosted, Partition, TTable, TTableCache,
-    TTableKind,
 };
 
-use crate::{Dynamics, SynthConfig, SynthWorld, TmkMode};
+use crate::{Dynamics, SynthConfig, SynthWorld};
 
 /// Barrier-site phase tag of the end-of-iteration barrier (see
 /// `apps::phases` for the idea). Under [`Dynamics::Alternating`] the
@@ -91,22 +90,7 @@ pub fn run_seq(cfg: &SynthConfig, world: &SynthWorld) -> (RunReport, Vec<f64>) {
         time += work::t(REF_US, list.len()) + work::t(work::ZERO_US, 2 * n);
     }
     let checksum = x.iter().map(|v| v.abs()).sum();
-    (
-        RunReport {
-            system: SystemKind::Sequential,
-            time,
-            seq_time: time,
-            messages: 0,
-            bytes: 0,
-            inspector_s: 0.0,
-            untimed_inspector_s: 0.0,
-            validate_scan_s: 0.0,
-            checksum,
-            policy: None,
-            net: None,
-        },
-        x,
-    )
+    (RunReport::sequential(time, checksum), x)
 }
 
 /// Per-schedule-version, per-processor owner-side work plan,
@@ -232,57 +216,30 @@ pub(crate) fn plan(cfg: &SynthConfig, world: &SynthWorld) -> Plan {
     }
 }
 
-/// The kernel on the DSM: base / optimized / adaptive, selected by
-/// `mode` exactly as in the three classic apps.
-pub fn run_tmk(
-    cfg: &SynthConfig,
-    world: &SynthWorld,
-    mode: TmkMode,
-    seq_time: SimTime,
-) -> (RunReport, Vec<f64>) {
-    let (report, x, _) = run_tmk_counted(cfg, world, mode, seq_time);
-    (report, x)
-}
-
-/// Barrier-metadata scaling probe: run the plain-Tmk kernel and report
-/// the leader-counted write-notice payload bytes of the timed region
-/// (`simnet::Net::notice_meta_bytes`, billed once per barrier, not per
-/// fan-in/fan-out copy). `table_synth` runs the same fixed-size
-/// workload at two cluster sizes and asserts the figure stays
-/// ~linear in nprocs — the flat-digest + sparse-clock contract.
-pub fn notice_meta_probe(cfg: &SynthConfig, world: &SynthWorld) -> u64 {
-    run_tmk_counted(cfg, world, TmkMode::Base, SimTime::ZERO).2
-}
-
 thread_local! {
     /// Recycled clusters for the reusable-scratch path (one pool per
     /// executor thread, so serving workers never contend on it). Only
-    /// [`run_tmk_prepared`] with `reuse = true` touches it; every other
-    /// entry point builds a cold cluster, exactly as before.
+    /// [`run_tmk_prepared`] with `reuse = true` touches it; otherwise
+    /// every run builds a cold cluster.
     static CLUSTERS: ClusterPool = const { ClusterPool::new() };
 }
 
-fn run_tmk_counted(
-    cfg: &SynthConfig,
-    world: &SynthWorld,
-    mode: TmkMode,
-    seq_time: SimTime,
-) -> (RunReport, Vec<f64>, u64) {
-    run_tmk_prepared(cfg, world, &plan(cfg, world), mode, seq_time, false)
-}
-
-/// The Tmk kernel against a prebuilt [`Plan`] — the shared-setup entry
-/// the serve driver uses via [`crate::Prepared`]. With `reuse`, the
+/// The kernel on the DSM as one of the [`Variant::TMK`] builds, selected
+/// exactly as in the three classic apps, against a prebuilt [`Plan`]
+/// ([`crate::Prepared`] holds one per scenario). With `reuse`, the
 /// cluster is checked out of (and recycled back into) a thread-local
-/// [`ClusterPool`] instead of being built and dropped per run.
+/// [`ClusterPool`] instead of being built and dropped per run. The
+/// third result is the timed region's barrier notice-metadata bytes
+/// (see [`crate::notice_meta_probe`]).
 pub(crate) fn run_tmk_prepared(
     cfg: &SynthConfig,
     world: &SynthWorld,
     pl: &Plan,
-    mode: TmkMode,
+    variant: Variant,
     seq_time: SimTime,
     reuse: bool,
 ) -> (RunReport, Vec<f64>, u64) {
+    variant.expect_tmk("synth::kernel::run_tmk_prepared");
     let n = cfg.n;
     let nprocs = cfg.nprocs;
     let cap_pp = pl.cap_pp;
@@ -301,7 +258,7 @@ pub(crate) fn run_tmk_prepared(
     let x = cl.alloc::<f64>(n);
     let ilist = cl.alloc::<i32>(2 * cap_pp * nprocs);
 
-    let cap = Capture::new(nprocs);
+    let mut cap = Capture::new(nprocs, variant);
 
     // Phase identity of the kernel's two barrier sites: constant tags
     // normally; split by iteration parity for the alternating cell so
@@ -316,18 +273,12 @@ pub(crate) fn run_tmk_prepared(
     };
 
     cl.run(|p| {
-        if mode.is_adaptive() {
-            let knobs = adapt::AdaptConfig {
-                push: mode == TmkMode::Push,
-                ..cfg.adapt.clone()
-            };
-            p.set_policy(Box::new(adapt::AdaptivePolicy::new(knobs)));
-        }
+        install_policy(p, variant, &cfg.adapt);
         let me = p.rank();
         let mut cur_sv = pl.sv_of_iter[0];
         let mut my = pl.parts[pl.sv_part[cur_sv]].range_of(me);
         let my_start = me * cap_pp;
-        let mut v = if mode == TmkMode::Optimized {
+        let mut v = if variant == Variant::TmkOpt {
             Validator::incremental()
         } else {
             Validator::new()
@@ -374,7 +325,7 @@ pub(crate) fn run_tmk_prepared(
                 cur_sv = sv;
             }
             let my_flat = pl.flat[sv][me].len();
-            if mode == TmkMode::Optimized && my_flat > 0 {
+            if variant == Variant::TmkOpt && my_flat > 0 {
                 validate(
                     p,
                     &mut v,
@@ -428,51 +379,21 @@ pub(crate) fn run_tmk_prepared(
         p.barrier();
     });
 
-    let policy = mode.is_adaptive().then(|| cl.net().policy_report());
-
-    let final_x: Mutex<Vec<f64>> = Mutex::new(vec![0.0; n]);
-    cl.run(|p| {
-        if p.rank() == 0 {
-            let mut out = final_x.lock();
-            for i in 0..n {
-                out[i] = p.read(&x, i);
-            }
-        }
-    });
-    let final_x = final_x.into_inner();
+    let final_x = cap.extract(&cl, &x);
     let checksum = final_x.iter().map(|v| v.abs()).sum();
     let notice_bytes = cl.net().notice_meta_bytes();
     if reuse {
         CLUSTERS.with(|p| p.checkin(cl));
     }
-    (
-        cap.report(mode.system_kind(), seq_time, checksum, policy),
-        final_x,
-        notice_bytes,
-    )
+    (cap.report(seq_time, checksum), final_x, notice_bytes)
 }
 
-/// The kernel under CHAOS: inspector at start (untimed) and again after
-/// every list change (timed, like moldyn's rebuilds); gather endpoint
-/// values per iteration; owner-side accumulation needs no scatter.
-pub fn run_chaos(
-    cfg: &SynthConfig,
-    world: &SynthWorld,
-    seq_time: SimTime,
-) -> (RunReport, Vec<f64>) {
-    let pl = plan(cfg, world);
-    let tts: Vec<TTable> = pl
-        .parts
-        .iter()
-        .map(|part| TTable::new(TTableKind::Replicated, part))
-        .collect();
-    run_chaos_prepared(cfg, world, &pl, &tts, seq_time)
-}
-
-/// The CHAOS kernel against a prebuilt [`Plan`] and its translation
-/// tables (one per partition epoch) — the shared-setup entry
-/// [`crate::Prepared`] uses (the replicated `TTable`s are immutable, so
-/// every instance of a scenario shares them).
+/// The kernel under CHAOS, against a prebuilt [`Plan`] and its
+/// translation tables (one per partition epoch; the replicated `TTable`s
+/// are immutable, so [`crate::Prepared`] builds them once per scenario):
+/// inspector at start (untimed) and again after every list change
+/// (timed, like moldyn's rebuilds); gather endpoint values per
+/// iteration; owner-side accumulation needs no scatter.
 pub(crate) fn run_chaos_prepared(
     cfg: &SynthConfig,
     world: &SynthWorld,
@@ -485,7 +406,7 @@ pub(crate) fn run_chaos_prepared(
 
     let w = ChaosWorld::new(nprocs, cfg.cost.clone());
     w.net().set_label(&cfg.label());
-    let cap = Capture::new(nprocs);
+    let cap = Capture::new(nprocs, Variant::Chaos);
     let finals: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
 
     w.run(|cp| {
@@ -628,8 +549,5 @@ pub(crate) fn run_chaos_prepared(
         final_x[last_part.range_of(me)].copy_from_slice(&block);
     }
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (
-        cap.report(SystemKind::Chaos, seq_time, checksum, None),
-        final_x,
-    )
+    (cap.report(seq_time, checksum), final_x)
 }

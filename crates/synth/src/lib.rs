@@ -18,9 +18,10 @@
 //! Every `(structure, dynamics, nprocs)` cell drives the same generic
 //! gather–compute–scatter reduction kernel ([`kernel`]) with
 //! deterministic seeded output, implements the `apps::Workload` trait,
-//! and therefore runs as all **five** system variants — sequential,
-//! Tmk base, Tmk optimized (`Validate`), Tmk adaptive, and CHAOS — with
-//! **bitwise**-identical results (fixed-order owner-side reduction).
+//! and therefore runs as all **six** system variants — sequential,
+//! Tmk base, Tmk optimized (`Validate`), Tmk adaptive, Tmk push, and
+//! CHAOS — with **bitwise**-identical results (fixed-order owner-side
+//! reduction).
 //! The `table_synth` harness in `bench` sweeps [`scenario_grid`] and
 //! asserts the protocol claims cell by cell: the adaptive policy never
 //! sends more messages than plain Tmk on *any* scenario, and CHAOS wins
@@ -30,13 +31,13 @@
 //!
 //! ```
 //! use apps::workload::run_matrix;
-//! use synth::{Dynamics, Scenario, Structure, SynthConfig};
+//! use synth::{Dynamics, Prepared, Structure, SynthConfig};
 //!
 //! let mut cfg = SynthConfig::quick(Structure::Uniform, Dynamics::PeriodicRemap { period: 3 });
 //! cfg.n = 256;       // keep the doctest fast
 //! cfg.refs = 512;
 //! cfg.iters = 6;
-//! let matrix = run_matrix(&Scenario::new(cfg)); // runs + cross-checks all six variants
+//! let matrix = run_matrix(&Prepared::new(cfg)); // runs + cross-checks all six variants
 //! assert_eq!(matrix.runs.len(), 6);
 //! ```
 
@@ -45,9 +46,7 @@ pub mod kernel;
 pub mod structure;
 
 pub use dynamics::{drift_round, raw_for_iter, Dynamics};
-pub use kernel::{
-    notice_meta_probe, run_chaos, run_seq, run_tmk, PHASE_ITER, PHASE_REMAP, REF_US, REMAP_US,
-};
+pub use kernel::{run_seq, PHASE_ITER, PHASE_REMAP, REF_US, REMAP_US};
 pub use structure::{degrees, normalize, Structure};
 
 use std::collections::HashMap;
@@ -59,8 +58,6 @@ use chaos::{TTable, TTableKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{CostModel, SimTime};
-
-pub use apps::moldyn::TmkMode;
 
 /// Configuration of one synthetic scenario.
 #[derive(Debug, Clone)]
@@ -132,7 +129,7 @@ impl SynthConfig {
 }
 
 /// The generated workload: initial values plus every distinct effective
-/// list the run will use — a pure function of the config, so all five
+/// list the run will use — a pure function of the config, so all six
 /// variants see identical structure with no shared mutable state.
 #[derive(Debug, Clone)]
 pub struct SynthWorld {
@@ -203,52 +200,13 @@ pub fn gen_world(cfg: &SynthConfig) -> SynthWorld {
     }
 }
 
-/// One runnable scenario: a config plus its generated world. Implements
-/// [`Workload`], so `apps::workload::run_matrix` runs and cross-checks
-/// all five variants. Rebuilds the work plan per run; see [`Prepared`]
-/// for the shared-setup form serving workloads use.
-pub struct Scenario {
-    pub cfg: SynthConfig,
-    pub world: SynthWorld,
-}
-
-impl Scenario {
-    pub fn new(cfg: SynthConfig) -> Self {
-        let world = gen_world(&cfg);
-        Scenario { cfg, world }
-    }
-}
-
-impl Workload for Scenario {
-    fn label(&self) -> String {
-        format!("synth {}", self.cfg.label())
-    }
-
-    fn check_mode(&self) -> CheckMode {
-        CheckMode::Bitwise
-    }
-
-    fn run(&self, v: Variant, seq_time: SimTime) -> (RunReport, Vec<f64>) {
-        match v {
-            Variant::Seq => run_seq(&self.cfg, &self.world),
-            Variant::TmkBase => run_tmk(&self.cfg, &self.world, TmkMode::Base, seq_time),
-            Variant::TmkOpt => run_tmk(&self.cfg, &self.world, TmkMode::Optimized, seq_time),
-            Variant::TmkAdaptive => run_tmk(&self.cfg, &self.world, TmkMode::Adaptive, seq_time),
-            Variant::TmkPush => run_tmk(&self.cfg, &self.world, TmkMode::Push, seq_time),
-            Variant::Chaos => run_chaos(&self.cfg, &self.world, seq_time),
-        }
-    }
-}
-
-/// A scenario with every piece of variant-independent setup built once
-/// and shared: the generated world, the per-version owner-side work
-/// [`kernel::Plan`], and the CHAOS translation table. [`Scenario`]
-/// rebuilds all three on every `run` call; a serving workload running
-/// the same cell hundreds of times wants them behind one `Arc`.
-///
-/// `Prepared` implements [`Workload`] with output bitwise-identical to
-/// the equivalent [`Scenario`] — the shared state is immutable, and the
-/// kernels consume it read-only.
+/// One runnable scenario, with every piece of variant-independent setup
+/// built once and shared: the generated world, the per-version
+/// owner-side work [`kernel::Plan`], and the CHAOS translation tables.
+/// Implements [`Workload`], so `apps::workload::run_matrix` runs and
+/// cross-checks all six variants; the shared state is immutable and the
+/// kernels consume it read-only, so a serving workload can run the same
+/// cell hundreds of times behind one `Arc`.
 ///
 /// With [`Prepared::set_reuse`], the Tmk variants additionally check
 /// their simulated cluster out of a thread-local recycled-cluster pool
@@ -315,18 +273,8 @@ impl Workload for Prepared {
     }
 
     fn run(&self, v: Variant, seq_time: SimTime) -> (RunReport, Vec<f64>) {
-        let reuse = self.reuse_enabled();
-        let tmk = |mode| {
-            let (report, x, _) =
-                kernel::run_tmk_prepared(&self.cfg, &self.world, &self.plan, mode, seq_time, reuse);
-            (report, x)
-        };
         match v {
             Variant::Seq => run_seq(&self.cfg, &self.world),
-            Variant::TmkBase => tmk(TmkMode::Base),
-            Variant::TmkOpt => tmk(TmkMode::Optimized),
-            Variant::TmkAdaptive => tmk(TmkMode::Adaptive),
-            Variant::TmkPush => tmk(TmkMode::Push),
             Variant::Chaos => kernel::run_chaos_prepared(
                 &self.cfg,
                 &self.world,
@@ -334,8 +282,37 @@ impl Workload for Prepared {
                 &self.ttables,
                 seq_time,
             ),
+            tmk => {
+                let (report, x, _) = kernel::run_tmk_prepared(
+                    &self.cfg,
+                    &self.world,
+                    &self.plan,
+                    tmk,
+                    seq_time,
+                    self.reuse_enabled(),
+                );
+                (report, x)
+            }
         }
     }
+}
+
+/// Barrier-metadata scaling probe: run the plain-Tmk kernel on one fixed
+/// workload (n = 8192 — 128 value pages of 512 B, ≥ 2 per processor up
+/// to 64 processors — 12288 refs, 6 iterations) at `nprocs` processors
+/// and report the leader-counted write-notice payload bytes of the
+/// timed region (`simnet::Net::notice_meta_bytes`, billed once per
+/// barrier, not per fan-in/fan-out copy). `table_synth` compares two
+/// cluster sizes and asserts the figure stays ~linear in nprocs — the
+/// flat-digest + sparse-clock contract.
+pub fn notice_meta_probe(nprocs: usize) -> u64 {
+    let mut cfg = SynthConfig::quick(Structure::Uniform, Dynamics::Static);
+    cfg.n = 8192;
+    cfg.refs = 12288;
+    cfg.iters = 6;
+    cfg.nprocs = nprocs;
+    let p = Prepared::new(cfg);
+    kernel::run_tmk_prepared(&p.cfg, &p.world, &p.plan, Variant::TmkBase, SimTime::ZERO, false).2
 }
 
 /// The scenario grid `table_synth` sweeps: structure × dynamics ×
@@ -466,18 +443,17 @@ mod tests {
     use apps::workload::run_matrix;
 
     #[test]
-    fn prepared_matches_scenario_cold_and_warm() {
+    fn recycled_clusters_match_cold_runs() {
         let mut cfg = SynthConfig::quick(Structure::Uniform, Dynamics::PeriodicRemap { period: 3 });
         cfg.n = 256;
         cfg.refs = 512;
         cfg.iters = 6;
-        let cold = run_matrix(&Scenario::new(cfg.clone()));
         let prep = Prepared::new(cfg);
-        let shared_cold = run_matrix(&prep);
+        let cold = run_matrix(&prep);
         prep.set_reuse(true);
         let warm = run_matrix(&prep); // cold pool: fills it
         let warm2 = run_matrix(&prep); // actually recycled clusters
-        for m in [&shared_cold, &warm, &warm2] {
+        for m in [&warm, &warm2] {
             for (a, b) in cold.runs.iter().zip(&m.runs) {
                 assert_eq!(a.report.system, b.report.system);
                 assert_eq!(a.report.messages, b.report.messages, "{:?}", a.report.system);
@@ -505,26 +481,8 @@ mod tests {
             cfg.n = 512;
             cfg.refs = 1024;
             cfg.iters = 6;
-            let m = run_matrix(&Scenario::new(cfg));
+            let m = run_matrix(&Prepared::new(cfg));
             assert_eq!(m.runs.len(), 6);
-        }
-    }
-
-    #[test]
-    fn prepared_matches_scenario_on_a_rebalance_cell() {
-        // The shared-setup path carries one translation table per
-        // partition epoch; it must reproduce the per-run-build path
-        // exactly on the cell that actually has two epochs.
-        let mut cfg = SynthConfig::quick(Structure::Uniform, Dynamics::Rebalance { at: 3 });
-        cfg.n = 512;
-        cfg.refs = 1024;
-        cfg.iters = 6;
-        let cold = run_matrix(&Scenario::new(cfg.clone()));
-        let shared = run_matrix(&Prepared::new(cfg));
-        for (a, b) in cold.runs.iter().zip(&shared.runs) {
-            assert_eq!(a.report.messages, b.report.messages, "{:?}", a.report.system);
-            assert_eq!(a.report.time, b.report.time, "{:?}", a.report.system);
-            assert_eq!(a.x, b.x, "{:?}", a.report.system);
         }
     }
 

@@ -8,7 +8,7 @@
 //! [`normalize`]d: endpoints ordered `a < b`, self-pairs dropped,
 //! sorted, deduplicated — the same canonical global order umesh's
 //! fixed-order owner-side reduction replays, which is what buys the
-//! bitwise five-variant contract.
+//! bitwise six-variant contract.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

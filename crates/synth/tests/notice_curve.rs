@@ -9,19 +9,13 @@
 //! The asserted form of this curve (64-proc < 4× the 16-proc figure)
 //! lives in `table_synth`; this test only regenerates the numbers.
 
-use synth::{gen_world, notice_meta_probe, Dynamics, Structure, SynthConfig};
+use synth::notice_meta_probe;
 
 #[test]
 #[ignore = "diagnostic printout, not an assertion"]
 fn print_notice_metadata_curve() {
     println!("nprocs  notice-metadata bytes (same workload: n=8192, 128 pages, 6 iters)");
     for nprocs in [4, 8, 16, 32, 64, 128] {
-        let mut cfg = SynthConfig::quick(Structure::Uniform, Dynamics::Static);
-        cfg.n = 8192;
-        cfg.refs = 12288;
-        cfg.iters = 6;
-        cfg.nprocs = nprocs;
-        let bytes = notice_meta_probe(&cfg, &gen_world(&cfg));
-        println!("{nprocs:>6}  {bytes}");
+        println!("{nprocs:>6}  {}", notice_meta_probe(nprocs));
     }
 }

@@ -9,7 +9,7 @@
 
 use apps::workload::{run_matrix, Variant};
 use proptest::prelude::*;
-use synth::{Dynamics, Scenario, Structure, SynthConfig};
+use synth::{Dynamics, Prepared, Structure, SynthConfig};
 
 /// A cell small enough for property-test case counts, keeping the
 /// pages-per-processor invariant (16 value pages, 8 per processor —
@@ -54,7 +54,7 @@ proptest! {
         dyn_ in dynamics(),
         seed in 0u64..1_000_000,
     ) {
-        let m = run_matrix(&Scenario::new(cell(structure, dyn_.clone(), seed)));
+        let m = run_matrix(&Prepared::new(cell(structure, dyn_.clone(), seed)));
         let base = m.get(Variant::TmkBase).report.messages;
         let ad = m.get(Variant::TmkAdaptive).report.messages;
         prop_assert!(

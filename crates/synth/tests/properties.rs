@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 
 use apps::workload::run_matrix;
-use synth::{Dynamics, Scenario, Structure, SynthConfig};
+use synth::{Dynamics, Prepared, Structure, SynthConfig};
 
 fn structures() -> impl Strategy<Value = Structure> {
     prop::sample::select(vec![
@@ -49,7 +49,7 @@ proptest! {
         cfg.page_size = 64;
         cfg.nprocs = nprocs;
         cfg.seed = seed;
-        let m = run_matrix(&Scenario::new(cfg)); // asserts 6-way bitwise agreement
+        let m = run_matrix(&Prepared::new(cfg)); // asserts 6-way bitwise agreement
         prop_assert_eq!(m.runs.len(), 6);
     }
 }

@@ -2,8 +2,8 @@
 //! and the protocol-shape claims, on representative grid cells (the
 //! full grid sweep lives in `bench`'s `table_synth`).
 
-use apps::workload::{run_matrix, Variant};
-use synth::{Dynamics, Scenario, Structure, SynthConfig, TmkMode};
+use apps::workload::{run_matrix, Variant, Workload};
+use synth::{Dynamics, Prepared, Structure, SynthConfig};
 
 /// Shrink a quick cell further so each test stays fast in debug builds.
 /// The smaller page size preserves the pages-per-processor regime (16
@@ -20,7 +20,7 @@ fn tiny(structure: Structure, dynamics: Dynamics) -> SynthConfig {
 #[test]
 fn five_variants_agree_bitwise_on_static_uniform() {
     // run_matrix asserts bitwise agreement internally (CheckMode::Bitwise).
-    let m = run_matrix(&Scenario::new(tiny(Structure::Uniform, Dynamics::Static)));
+    let m = run_matrix(&Prepared::new(tiny(Structure::Uniform, Dynamics::Static)));
     let base = &m.get(Variant::TmkBase).report;
     let opt = &m.get(Variant::TmkOpt).report;
     let chaos = &m.get(Variant::Chaos).report;
@@ -34,7 +34,7 @@ fn five_variants_agree_bitwise_on_static_uniform() {
 
 #[test]
 fn five_variants_agree_bitwise_on_remapped_powerlaw() {
-    let m = run_matrix(&Scenario::new(tiny(
+    let m = run_matrix(&Prepared::new(tiny(
         Structure::PowerLaw { alpha: 2.0 },
         Dynamics::PeriodicRemap { period: 3 },
     )));
@@ -46,7 +46,7 @@ fn five_variants_agree_bitwise_on_remapped_powerlaw() {
 
 #[test]
 fn five_variants_agree_bitwise_on_drifting_banded() {
-    let m = run_matrix(&Scenario::new(tiny(
+    let m = run_matrix(&Prepared::new(tiny(
         Structure::Banded { width: 32 },
         Dynamics::Drift { per_mille: 25 },
     )));
@@ -65,7 +65,7 @@ fn adaptive_never_exceeds_base_across_dynamics() {
         Dynamics::MultiPeriodic { p1: 3, p2: 5 },
         Dynamics::Alternating,
     ] {
-        let m = run_matrix(&Scenario::new(tiny(Structure::Uniform, dynamics.clone())));
+        let m = run_matrix(&Prepared::new(tiny(Structure::Uniform, dynamics.clone())));
         let base = m.get(Variant::TmkBase).report.messages;
         let ad = m.get(Variant::TmkAdaptive).report.messages;
         assert!(
@@ -86,7 +86,7 @@ fn multi_periodic_scenario_exercises_the_predictor() {
     // interleaved remaps force demotions/relearning).
     let mut cfg = tiny(Structure::Uniform, Dynamics::MultiPeriodic { p1: 3, p2: 5 });
     cfg.iters = 15; // a full p1×p2 cycle
-    let m = run_matrix(&Scenario::new(cfg));
+    let m = run_matrix(&Prepared::new(cfg));
     let base = &m.get(Variant::TmkBase).report;
     let ad = &m.get(Variant::TmkAdaptive).report;
     assert!(ad.messages <= base.messages);
@@ -108,13 +108,12 @@ fn quiesce_saves_the_final_barrier_prefetch_on_identical_epochs() {
     let mut cfg = tiny(Structure::Uniform, Dynamics::Static);
     cfg.iters = 12;
     cfg.adapt.probe_every = 64;
-    let world = synth::gen_world(&cfg);
-    let (seq, _) = synth::run_seq(&cfg, &world);
-
     let mut eager_cfg = cfg.clone();
     eager_cfg.adapt.quiesce_after = 0; // PR 2 behavior: always eager
-    let (eager, xe) = synth::run_tmk(&eager_cfg, &world, TmkMode::Adaptive, seq.time);
-    let (quiet, xq) = synth::run_tmk(&cfg, &world, TmkMode::Adaptive, seq.time);
+    let quiet_cell = Prepared::new(cfg);
+    let (seq, _) = quiet_cell.run(Variant::Seq, simnet::SimTime::ZERO);
+    let (eager, xe) = Prepared::new(eager_cfg).run(Variant::TmkAdaptive, seq.time);
+    let (quiet, xq) = quiet_cell.run(Variant::TmkAdaptive, seq.time);
 
     assert_eq!(xq, xe, "quiesce must not change results");
     let pe = eager.policy.as_ref().expect("policy report");
@@ -154,7 +153,7 @@ fn alternating_two_phase_cell_quiesces_per_phase() {
     // pinned contrast lives in crates/adapt/tests/phase_keyed.rs).
     let mut cfg = tiny(Structure::Uniform, Dynamics::Alternating);
     cfg.iters = 16; // 8 epochs per parity: promote, streak, quiesce
-    let m = run_matrix(&Scenario::new(cfg));
+    let m = run_matrix(&Prepared::new(cfg));
     let base = &m.get(Variant::TmkBase).report;
     let ad = &m.get(Variant::TmkAdaptive).report;
     assert!(ad.messages <= base.messages);
@@ -191,7 +190,7 @@ fn push_beats_prefetch_on_every_dynamics() {
         Dynamics::PeriodicRemap { period: 3 },
         Dynamics::MultiPeriodic { p1: 3, p2: 5 },
     ] {
-        let m = run_matrix(&Scenario::new(tiny(Structure::Uniform, dynamics.clone())));
+        let m = run_matrix(&Prepared::new(tiny(Structure::Uniform, dynamics.clone())));
         let ad = &m.get(Variant::TmkAdaptive).report;
         let push = &m.get(Variant::TmkPush).report;
         assert!(
@@ -210,8 +209,8 @@ fn push_beats_prefetch_on_every_dynamics() {
 #[test]
 fn deterministic_across_runs() {
     let cfg = tiny(Structure::Uniform, Dynamics::PeriodicRemap { period: 3 });
-    let m1 = run_matrix(&Scenario::new(cfg.clone()));
-    let m2 = run_matrix(&Scenario::new(cfg));
+    let m1 = run_matrix(&Prepared::new(cfg.clone()));
+    let m2 = run_matrix(&Prepared::new(cfg));
     for v in Variant::ALL {
         let (a, b) = (m1.get(v), m2.get(v));
         assert_eq!(a.x, b.x, "{v:?} state");
@@ -231,7 +230,7 @@ fn static_scenarios_reward_chaos_across_structures() {
         Structure::PowerLaw { alpha: 2.0 },
         Structure::Banded { width: 32 },
     ] {
-        let m = run_matrix(&Scenario::new(tiny(structure.clone(), Dynamics::Static)));
+        let m = run_matrix(&Prepared::new(tiny(structure.clone(), Dynamics::Static)));
         let base = &m.get(Variant::TmkBase).report;
         let chaos = &m.get(Variant::Chaos).report;
         assert!(

@@ -5,8 +5,8 @@
 //! cargo run --release --example moldyn
 //! ```
 
-use sdsm_repro::apps::moldyn::{self, MoldynConfig, TmkMode};
-use sdsm_repro::apps::report::table_header;
+use sdsm_repro::apps::moldyn::MoldynConfig;
+use sdsm_repro::apps::workload::{run_variants, MoldynWorkload, Variant};
 
 fn main() {
     let mut cfg = MoldynConfig::paper(10);
@@ -19,18 +19,11 @@ fn main() {
         cfg.n, cfg.steps, cfg.update_interval, cfg.nprocs
     );
 
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-    println!("sequential: {:.1} s (simulated)\n", seq.report.time.as_secs_f64());
-
-    let (chaos, _) = moldyn::run_chaos(&cfg, &world, seq.report.time);
-    let (base, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (opt, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-
-    println!("{}", table_header());
-    for r in [&chaos, &base, &opt] {
-        println!("{}", r.row());
-    }
+    // Runs the sequential reference, then the paper's three systems,
+    // cross-checking every result against sequential.
+    let m = run_variants(&MoldynWorkload::new(cfg), &Variant::PAPER);
+    m.print();
+    let [chaos, base, opt] = Variant::PAPER.map(|v| &m.get(v).report);
     println!(
         "\nCHAOS spends {:.2} s/proc re-running the inspector in the loop;\n\
          TreadMarks+Validate spends {:.3} s/proc rescanning the indirection array.",

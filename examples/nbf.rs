@@ -6,8 +6,8 @@
 //! cargo run --release --example nbf
 //! ```
 
-use sdsm_repro::apps::nbf::{self, NbfConfig, TmkMode};
-use sdsm_repro::apps::report::table_header;
+use sdsm_repro::apps::nbf::NbfConfig;
+use sdsm_repro::apps::workload::{run_variants, NbfWorkload, Variant};
 
 fn main() {
     // 8192 molecules × 8B = 16 pages exactly; 8000 molecules misalign.
@@ -15,18 +15,7 @@ fn main() {
         let mut cfg = NbfConfig::paper(n);
         cfg.partners = 60;
         println!("\nnbf {label}: {} molecules, {} partners each", cfg.n, cfg.partners);
-
-        let world = nbf::gen_world(&cfg);
-        let seq = nbf::run_seq(&cfg, &world);
-        let (chaos, _) = nbf::run_chaos(&cfg, &world, seq.report.time);
-        let (base, _) = nbf::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-        let (opt, _) = nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-
-        println!("sequential {:.1} s", seq.report.time.as_secs_f64());
-        println!("{}", table_header());
-        for r in [&chaos, &base, &opt] {
-            println!("{}", r.row());
-        }
+        run_variants(&NbfWorkload::new(cfg), &Variant::PAPER).print();
     }
     println!("\nThe misaligned size sends extra messages and data purely from");
     println!("false sharing at partition boundaries (paper §5.2.1).");

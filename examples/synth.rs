@@ -1,4 +1,4 @@
-//! The synthetic irregular-workload engine: one scenario, all five
+//! The synthetic irregular-workload engine: one scenario, all six
 //! system variants, cross-checked bitwise by the generic `Workload`
 //! runner.
 //!
@@ -7,7 +7,7 @@
 //! ```
 
 use sdsm_repro::apps::workload::{run_matrix, Variant};
-use sdsm_repro::synth::{Dynamics, Scenario, Structure, SynthConfig};
+use sdsm_repro::synth::{Dynamics, Prepared, Structure, SynthConfig};
 
 fn main() {
     // A moldyn-flavoured cell: skewed interaction structure, wholesale
@@ -23,15 +23,15 @@ fn main() {
         cfg.refs,
         cfg.iters
     );
-    let scenario = Scenario::new(cfg);
+    let scenario = Prepared::new(cfg);
     println!(
         "{} distinct list versions, kappa = {:.5}\n",
-        scenario.world.lists.len(),
-        scenario.world.kappa
+        scenario.world().lists.len(),
+        scenario.world().kappa
     );
 
-    // Runs seq + Tmk base/opt/adaptive + CHAOS, asserting bitwise
-    // agreement across all five before returning.
+    // Runs seq + Tmk base/opt/adaptive/push + CHAOS, asserting bitwise
+    // agreement across all six before returning.
     let matrix = run_matrix(&scenario);
     matrix.print();
 
@@ -39,7 +39,7 @@ fn main() {
     let ad = &matrix.get(Variant::TmkAdaptive).report;
     let chaos = &matrix.get(Variant::Chaos).report;
     println!(
-        "\nAll five variants bitwise-identical. Adaptive cut messages \
+        "\nAll six variants bitwise-identical. Adaptive cut messages \
          {} -> {} ({}%) with no compiler hints;",
         base.messages,
         ad.messages,

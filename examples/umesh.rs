@@ -6,8 +6,8 @@
 //! cargo run --release --example umesh
 //! ```
 
-use sdsm_repro::apps::report::table_header;
-use sdsm_repro::apps::umesh::{self, TmkMode, UmeshConfig};
+use sdsm_repro::apps::umesh::UmeshConfig;
+use sdsm_repro::apps::workload::{run_variants, UmeshWorkload, Variant};
 
 fn main() {
     let cfg = UmeshConfig::medium();
@@ -19,23 +19,17 @@ fn main() {
         cfg.sweeps,
         cfg.nprocs
     );
-    let mesh = umesh::gen_mesh(&cfg);
-    println!("{} edges ({} long-range)", mesh.edges.len(), {
-        let grid = 2 * cfg.side * (cfg.side - 1);
-        mesh.edges.len() - grid
+    let w = UmeshWorkload::new(cfg);
+    println!("{} edges ({} long-range)", w.mesh.edges.len(), {
+        let grid = 2 * w.cfg.side * (w.cfg.side - 1);
+        w.mesh.edges.len() - grid
     });
 
-    let seq = umesh::run_seq(&cfg, &mesh);
-    println!("sequential: {:.2} s (simulated)\n", seq.report.time.as_secs_f64());
-
-    let (chaos, _) = umesh::run_chaos(&cfg, &mesh, seq.report.time);
-    let (base, _) = umesh::run_tmk(&cfg, &mesh, TmkMode::Base, seq.report.time);
-    let (opt, _) = umesh::run_tmk(&cfg, &mesh, TmkMode::Optimized, seq.report.time);
-
-    println!("{}", table_header());
-    for r in [&chaos, &base, &opt] {
-        println!("{}", r.row());
-    }
+    // Sequential first, then the three systems — each checked bitwise
+    // against it (umesh's fixed-order owner-side reduction).
+    let m = run_variants(&w, &Variant::PAPER);
+    m.print();
+    let (chaos, opt) = (&m.get(Variant::Chaos).report, &m.get(Variant::TmkOpt).report);
     println!(
         "\nStatic mesh: CHAOS's inspector ran once ({:.2} s/proc, untimed);\n\
          Validate scanned the edge list once ({:.3} s/proc) and reused the\n\

@@ -4,7 +4,10 @@
 //! example's code path (`examples/*.rs`) with its printout replaced by
 //! assertions; scales are cut to keep the whole suite in seconds.
 
-use sdsm_repro::apps::umesh::{self, UmeshConfig};
+use sdsm_repro::apps::umesh::UmeshConfig;
+use sdsm_repro::apps::workload::{
+    run_variants, MoldynWorkload, NbfWorkload, UmeshWorkload, Variant,
+};
 use sdsm_repro::apps::{moldyn, nbf};
 use sdsm_repro::core_rt::{Cluster, DsmConfig};
 use sdsm_repro::{apps, fcc};
@@ -50,19 +53,16 @@ fn quickstart_path() {
     assert!(cl.elapsed().as_secs_f64() > 0.0);
 }
 
-/// `examples/moldyn.rs` at quick scale: all four builds run and the
-/// optimized DSM beats base on messages.
+/// `examples/moldyn.rs` at quick scale: seq and the paper's three systems
+/// run cross-checked and the optimized DSM beats base on messages.
 #[test]
 fn moldyn_example_path() {
     let mut cfg = moldyn::MoldynConfig::small();
     cfg.n = 512;
     cfg.steps = 4;
     cfg.update_interval = 2;
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-    let (base, _) = moldyn::run_tmk(&cfg, &world, moldyn::TmkMode::Base, seq.report.time);
-    let (opt, _) = moldyn::run_tmk(&cfg, &world, moldyn::TmkMode::Optimized, seq.report.time);
-    let (chaos, _) = moldyn::run_chaos(&cfg, &world, seq.report.time);
+    let m = run_variants(&MoldynWorkload::new(cfg), &Variant::PAPER);
+    let [chaos, base, opt] = Variant::PAPER.map(|v| &m.get(v).report);
     assert!(opt.messages < base.messages);
     assert!(chaos.time.as_secs_f64() > 0.0);
 }
@@ -73,30 +73,21 @@ fn nbf_example_path() {
     let mut cfg = nbf::NbfConfig::small();
     cfg.n = 1024;
     cfg.partners = 8;
-    let world = nbf::gen_world(&cfg);
-    let seq = nbf::run_seq(&cfg, &world);
-    let (base, _) = nbf::run_tmk(&cfg, &world, nbf::TmkMode::Base, seq.report.time);
-    let (opt, _) = nbf::run_tmk(&cfg, &world, nbf::TmkMode::Optimized, seq.report.time);
-    assert!(opt.messages < base.messages);
+    let m = run_variants(&NbfWorkload::new(cfg), &Variant::PAPER);
+    assert!(m.get(Variant::TmkOpt).report.messages < m.get(Variant::TmkBase).report.messages);
 }
 
 /// `examples/umesh.rs` at small scale: the third workload's three systems
 /// agree and the cached Validate schedule is reused on the static mesh.
 #[test]
 fn umesh_example_path() {
-    let cfg = UmeshConfig::small();
-    let mesh = umesh::gen_mesh(&cfg);
-    let seq = umesh::run_seq(&cfg, &mesh);
-    let (chaos, xc) = umesh::run_chaos(&cfg, &mesh, seq.report.time);
-    let (opt, xo) = umesh::run_tmk(&cfg, &mesh, umesh::TmkMode::Optimized, seq.report.time);
     // Fixed-order owner-side accumulation: every build replays the
-    // sequential flux order, so agreement is bitwise (same contract as
-    // the `all_variants_agree` test in `apps::umesh`).
-    for (label, got) in [("chaos", &xc), ("tmk-opt", &xo)] {
-        assert_eq!(got, &seq.x, "{label} must be bitwise identical to seq");
-    }
+    // sequential flux order, so `run_variants` checks agreement bitwise
+    // (`UmeshWorkload::check_mode`).
+    let m = run_variants(&UmeshWorkload::new(UmeshConfig::small()), &Variant::PAPER);
+    let [seq, chaos, _, opt] = [0, 1, 2, 3].map(|i| &m.runs[i].report);
     assert!(chaos.untimed_inspector_s > 0.0);
-    assert!(opt.time < seq.report.time);
+    assert!(opt.time < seq.time);
 }
 
 /// `examples/adaptive.rs`: the fourth variant learns a stable irregular
@@ -133,12 +124,12 @@ fn adaptive_example_path() {
 }
 
 /// `examples/synth.rs` at reduced scale: one synthetic scenario through
-/// the generic `Workload` runner — five variants, bitwise agreement
+/// the generic `Workload` runner — six variants, bitwise agreement
 /// asserted inside `run_matrix`, adaptive within base's message count.
 #[test]
 fn synth_example_path() {
-    use sdsm_repro::apps::workload::{run_matrix, Variant};
-    use sdsm_repro::synth::{Dynamics, Scenario, Structure, SynthConfig};
+    use sdsm_repro::apps::workload::run_matrix;
+    use sdsm_repro::synth::{Dynamics, Prepared, Structure, SynthConfig};
     let mut cfg = SynthConfig::quick(
         Structure::PowerLaw { alpha: 2.0 },
         Dynamics::PeriodicRemap { period: 3 },
@@ -147,7 +138,7 @@ fn synth_example_path() {
     cfg.refs = 1536;
     cfg.iters = 6;
     cfg.page_size = 256;
-    let matrix = run_matrix(&Scenario::new(cfg));
+    let matrix = run_matrix(&Prepared::new(cfg));
     let base = &matrix.get(Variant::TmkBase).report;
     assert!(matrix.get(Variant::TmkAdaptive).report.messages <= base.messages);
     assert!(matrix.get(Variant::Chaos).report.inspector_s > 0.0);
