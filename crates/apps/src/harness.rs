@@ -5,46 +5,11 @@
 //! [`install_policy`], the one place a [`Variant`] becomes an
 //! [`adapt::AdaptivePolicy`]. Pure bookkeeping: nothing here touches
 //! the protocol, so extracting it cannot change a message count.
-//!
-//! The per-processor second buffers are pooled per thread: a serving
-//! workload builds one `Capture` per job, and in steady state the
-//! buffers cycle through the pool instead of the allocator (part of the
-//! reusable-scratch path the `serve` crate's allocation tests pin).
-
-use std::cell::RefCell;
 
 use parking_lot::Mutex;
 use simnet::{NetReport, PolicyReport, SimTime};
 
 use crate::report::{RunReport, Variant};
-
-thread_local! {
-    /// Retired per-proc second buffers, reused by the next
-    /// [`Capture::new`] on this thread.
-    static BUF_POOL: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Retained buffers per thread: each capture holds three, and a worker
-/// builds captures one at a time, so a handful covers steady state.
-const MAX_POOLED_BUFS: usize = 12;
-
-fn take_buf(nprocs: usize) -> Vec<f64> {
-    let mut v = BUF_POOL
-        .with(|p| p.borrow_mut().pop())
-        .unwrap_or_default();
-    v.clear();
-    v.resize(nprocs, 0.0);
-    v
-}
-
-fn give_buf(v: Vec<f64>) {
-    BUF_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < MAX_POOLED_BUFS {
-            pool.push(v);
-        }
-    });
-}
 
 /// Install the runtime-adaptive engine on processor `p` when `v` is one
 /// of the adaptive builds (`knobs.push` is overridden to select
@@ -82,9 +47,9 @@ impl Capture {
             timed: Mutex::new(None),
             net: Mutex::new(None),
             policy: None,
-            scan: Mutex::new(take_buf(nprocs)),
-            insp_timed: Mutex::new(take_buf(nprocs)),
-            insp_untimed: Mutex::new(take_buf(nprocs)),
+            scan: Mutex::new(vec![0.0; nprocs]),
+            insp_timed: Mutex::new(vec![0.0; nprocs]),
+            insp_untimed: Mutex::new(vec![0.0; nprocs]),
             nprocs,
         }
     }
@@ -153,11 +118,7 @@ impl Capture {
     /// Assemble the table row. Panics if no `freeze_*` call happened.
     pub fn report(self, seq_time: SimTime, checksum: f64) -> RunReport {
         let (time, messages, bytes) = self.timed.into_inner().expect("timed region captured");
-        let avg = |v: Vec<f64>| {
-            let a = v.iter().sum::<f64>() / self.nprocs as f64;
-            give_buf(v);
-            a
-        };
+        let avg = |v: Vec<f64>| v.iter().sum::<f64>() / self.nprocs as f64;
         RunReport {
             system: self.system,
             time,
@@ -200,20 +161,5 @@ mod tests {
     fn report_without_freeze_panics() {
         let c = Capture::new(1, Variant::TmkBase);
         let _ = c.report(SimTime::ZERO, 0.0);
-    }
-
-    #[test]
-    fn buffers_cycle_through_the_thread_pool() {
-        // Drain whatever earlier tests on this thread pooled.
-        while BUF_POOL.with(|p| p.borrow_mut().pop()).is_some() {}
-        let c = Capture::new(8, Variant::TmkBase);
-        *c.timed.lock() = Some((SimTime::ZERO, 0, 0));
-        let _ = c.report(SimTime::ZERO, 0.0);
-        assert_eq!(BUF_POOL.with(|p| p.borrow().len()), 3);
-        // The next capture reuses them (pool drains), even at another
-        // cluster size — buffers are resized, not reallocated.
-        let c = Capture::new(4, Variant::TmkBase);
-        assert_eq!(BUF_POOL.with(|p| p.borrow().len()), 0);
-        assert_eq!(c.scan.lock().len(), 4);
     }
 }

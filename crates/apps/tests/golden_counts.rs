@@ -48,13 +48,23 @@
 //! classic app uses. A diff in any row below means one of those
 //! defaults leaked into the steady-state path.
 //!
+//! PR 15 retired the committed benchmark snapshot; the one exact
+//! section of it that nothing else asserted — where the adaptive
+//! build's processors spend their *simulated* time on moldyn and nbf —
+//! is pinned here beside each app's count table, as the cluster-wide
+//! sum of the per-processor stall rows (clock + nine categories, in
+//! nanoseconds, values unchanged from the snapshot).
+//!
 //! If a *protocol* change legitimately shifts these numbers, update the
 //! table below in the same commit and say why in its message.
 
 use apps::moldyn::MoldynConfig;
 use apps::nbf::NbfConfig;
 use apps::umesh::UmeshConfig;
-use apps::workload::{run_matrix, MoldynWorkload, NbfWorkload, UmeshWorkload, Variant, Workload};
+use apps::workload::{
+    run_matrix, run_variants, MoldynWorkload, NbfWorkload, UmeshWorkload, Variant, Workload,
+};
+use simnet::{StallCat, StallRow};
 
 /// `(variant, messages, bytes)` — the four classic rows captured from
 /// the direct per-app calls before the `Workload` refactor, plus the
@@ -75,6 +85,35 @@ fn assert_golden(w: &dyn Workload, golden: &Golden) {
     }
 }
 
+/// The adaptive build's per-processor stall rows, summed over the
+/// cluster, must equal `clock` and `cats` exactly (categories not
+/// listed must be zero) — and each row must conserve (categories sum
+/// to the clock), so the pinned total cannot be met by two errors
+/// cancelling across processors.
+fn assert_adaptive_stall_total(w: &dyn Workload, clock: u64, cats: &[(StallCat, u64)]) {
+    let mut want = StallRow {
+        clock,
+        ..StallRow::default()
+    };
+    for &(cat, ns) in cats {
+        want.cats[cat as usize] = ns;
+    }
+    let m = run_variants(w, &[Variant::TmkAdaptive]);
+    let net = m.get(Variant::TmkAdaptive).report.net.as_ref();
+    let net = net.expect("the adaptive build carries a net report");
+    let mut total = StallRow::default();
+    for (p, row) in net.stalls.iter().enumerate() {
+        assert_eq!(
+            row.total(),
+            row.clock,
+            "{} proc {p}: stall row does not conserve",
+            m.label
+        );
+        total.merge(row);
+    }
+    assert_eq!(total, want, "{}: adaptive stall attribution moved", m.label);
+}
+
 #[test]
 fn moldyn_small_reproduces_pre_refactor_counts() {
     assert_golden(
@@ -90,6 +129,22 @@ fn moldyn_small_reproduces_pre_refactor_counts() {
 }
 
 #[test]
+fn moldyn_small_adaptive_stall_total_is_pinned() {
+    // Barrier wait is moldyn's largest bucket (346 of 1143 ms).
+    assert_adaptive_stall_total(
+        &MoldynWorkload::new(MoldynConfig::small()),
+        1_143_093_312,
+        &[
+            (StallCat::Compute, 335_239_512),
+            (StallCat::FaultStall, 323_365_520),
+            (StallCat::BarrierWait, 346_118_360),
+            (StallCat::PrefetchPush, 79_719_920),
+            (StallCat::Handler, 58_650_000),
+        ],
+    );
+}
+
+#[test]
 fn nbf_small_reproduces_pre_refactor_counts() {
     assert_golden(
         &NbfWorkload::new(NbfConfig::small()),
@@ -99,6 +154,21 @@ fn nbf_small_reproduces_pre_refactor_counts() {
             (Variant::TmkAdaptive, 580, 389_696),
             (Variant::TmkPush, 568, 388_600),
             (Variant::Chaos, 96, 129_216),
+        ],
+    );
+}
+
+#[test]
+fn nbf_small_adaptive_stall_total_is_pinned() {
+    assert_adaptive_stall_total(
+        &NbfWorkload::new(NbfConfig::small()),
+        405_916_224,
+        &[
+            (StallCat::Compute, 44_427_264),
+            (StallCat::FaultStall, 187_292_160),
+            (StallCat::BarrierWait, 95_322_400),
+            (StallCat::PrefetchPush, 42_574_400),
+            (StallCat::Handler, 36_300_000),
         ],
     );
 }

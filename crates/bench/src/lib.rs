@@ -10,37 +10,30 @@
 //!   Tmk push on all three apps, with the adaptive engine's
 //!   policy-decision counters and acceptance checks.
 //! * `table_synth` — the synthetic scenario grid, six variants per cell,
-//!   bitwise cross-checked, plus the barrier-metadata scaling probe.
-//! * `table_churn` — the grid's six churn cells under the probe-budget
-//!   bound, plus the lossy-link section.
+//!   bitwise cross-checked (churn cells under the probe-budget bound),
+//!   plus the barrier-metadata scaling probe.
 //! * `table_serve` — the scenario matrix as a throughput service
 //!   (cells/sec, latency percentiles, warm == cold goldens).
-//! * `table_trace` — byte-identical traces and stall conservation on one
-//!   fixed-seed cell.
 //! * `figures` — regenerates Figure 1 (input), Figure 2 (transformed
 //!   source), and Figure 3 (the Validate interface, as implemented).
 //! * `overhead1p` — the §5 single-processor sanity numbers.
 //! * `ablation` — sweeps beyond the paper: opt levels, page size,
 //!   update frequency, translation-table organization, scaling.
-//! * `bench_json` / `bench_diff` — write the committed benchmark
-//!   snapshot and gate it against the previous one ([`SNAPSHOTS`]).
 //!
 //! Every table bin runs its systems through
 //! `apps::workload::run_variants`, so each printed row was
 //! cross-checked against the sequential reference first.
 //!
-//! Criterion benches (`cargo bench`): protocol microbenchmarks (diffs,
-//! sections, inspector, barriers) and small-scale end-to-end runs.
+//! A bin exists only if it prints a table no test asserts. Host time
+//! is measured by `benchmark/` (the repo benchmark, `make bench`), end
+//! to end and layer by layer; exact simulated counts are pinned by the
+//! tier-1 golden tests (`apps/tests/golden_counts.rs`,
+//! `synth/tests/scenarios.rs`).
 
 pub mod cli;
 
 use apps::moldyn::MoldynConfig;
 use apps::nbf::NbfConfig;
-
-/// The committed benchmark snapshot pair, `(previous, current)`:
-/// `bench_json` writes the current one, `bench_diff` gates it against
-/// the previous one.
-pub const SNAPSHOTS: (&str, &str) = ("BENCH_9.json", "BENCH_10.json");
 
 /// Scale factors for quick runs (`--quick` on the binaries): smaller n,
 /// fewer steps — same structure, minutes → seconds.
@@ -79,27 +72,8 @@ impl Scale {
 /// plan on at most every shared value page, and each stale plan wastes
 /// at most `min(probe_every, iters)` exchanges of ≤ 2 messages before
 /// the probe cadence demotes it (`adapt::probe_budget`). `table_synth`
-/// relaxes its per-cell bars by exactly this on churn cells, and
-/// `table_churn` asserts the bound cell by cell.
+/// relaxes its per-cell bars by exactly this on churn cells.
 pub fn churn_budget(cfg: &synth::SynthConfig) -> u64 {
     let pages = ((cfg.n * 8).div_ceil(cfg.page_size) * cfg.nprocs) as u64;
     adapt::probe_budget(cfg.adapt.probe_every, pages, cfg.iters as u64)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_pair_is_committed_and_consecutive() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let number = |name: &str| -> u32 {
-            assert!(root.join(name).is_file(), "{name} is not committed at the repo root");
-            name.strip_prefix("BENCH_")
-                .and_then(|n| n.strip_suffix(".json"))
-                .and_then(|n| n.parse().ok())
-                .unwrap_or_else(|| panic!("{name} is not BENCH_<N>.json"))
-        };
-        assert_eq!(number(SNAPSHOTS.0) + 1, number(SNAPSHOTS.1));
-    }
 }

@@ -11,7 +11,7 @@
 //!    checked on deterministic pinned cells at 4, 8, and 64 processors
 //!    and then soaked with proptest over random synthetic cells, so the
 //!    accounting identity holds for every billing path the scenario
-//!    space can reach, not just the ones the fixed benches exercise.
+//!    space can reach, not just the ones the pinned cells exercise.
 //!
 //! Soak runs raise the proptest case count with `PROPTEST_CASES`;
 //! failing draws replay via `PROPTEST_TEST`/`PROPTEST_SEED`.

@@ -24,8 +24,8 @@
 //!   counts cannot be (those are pinned exactly).
 //! * **An allocation regime.** Serving the same cells repeatedly makes
 //!   "zero per-job heap growth" a checkable property; the
-//!   reusable-scratch paths (`dsm::ClusterPool`, pooled report buffers)
-//!   exist so the steady state recycles rather than reallocates.
+//!   reusable-scratch path (`dsm::ClusterPool`) exists so the steady
+//!   state recycles rather than reallocates.
 //!
 //! The moving parts, bottom-up: [`hist::Histogram`] (log-bucketed
 //! mergeable latency percentiles), [`deque::JobPool`] (injector +

@@ -393,8 +393,9 @@ pub fn scenario_grid(quick: bool) -> Vec<SynthConfig> {
     // at half the run, unannounced — the axis where a learned predictor
     // can be *wrong* and CHAOS's amortized schedule goes stale. The
     // steady-state acceptance bars (adaptive ≤ base) relax to the
-    // probe-budget bound exactly on these cells; `table_churn` asserts
-    // that bound plus six-way bitwise agreement per cell.
+    // probe-budget bound exactly on these cells; `table_synth` asserts
+    // that bound plus six-way bitwise agreement per cell, and
+    // `tests/scenarios.rs` pins the quick cells' exact counts.
     let brk = (if quick { 10usize } else { 20 } / 2) as u32;
     let shift = |from: Dynamics, to: Dynamics| Dynamics::RegimeShift {
         at: brk,

@@ -1,9 +1,12 @@
 //! Scenario-level integration tests: the six-variant bitwise contract
 //! and the protocol-shape claims, on representative grid cells (the
-//! full grid sweep lives in `bench`'s `table_synth`).
+//! full grid sweep lives in `bench`'s `table_synth`), plus the golden
+//! message/byte counts of the quick grid's six churn cells and the
+//! lossy-link contract on the first of them.
 
 use apps::workload::{run_matrix, Variant, Workload};
-use synth::{Dynamics, Prepared, Structure, SynthConfig};
+use simnet::{with_loss, StallCat};
+use synth::{scenario_grid, Dynamics, Prepared, Structure, SynthConfig};
 
 /// Shrink a quick cell further so each test stays fast in debug builds.
 /// The smaller page size preserves the pages-per-processor regime (16
@@ -243,4 +246,137 @@ fn static_scenarios_reward_chaos_across_structures() {
             base.time
         );
     }
+}
+
+/// The quick grid's churn cells (mid-run regime shifts and partition
+/// rebalances), in grid order.
+fn churn_cells() -> Vec<SynthConfig> {
+    let churn: Vec<_> = scenario_grid(true)
+        .into_iter()
+        .filter(|cfg| cfg.dynamics.is_churn())
+        .collect();
+    assert_eq!(
+        churn.len(),
+        6,
+        "the grid's churn axis is six cells (3 regime shifts, 1 multi-periodic \
+         shift, 2 rebalances)"
+    );
+    churn
+}
+
+/// `(label, messages, bytes)`, the two arrays per parallel variant in
+/// [`Variant::PARALLEL`] order: Tmk base, Tmk optimized, Tmk adaptive,
+/// Tmk push, CHAOS.
+type ChurnGolden = (&'static str, [u64; 5], [u64; 5]);
+
+/// What a mid-run regime break, rebalance, or multi-periodic shift
+/// costs each variant on the quick grid — counted in-simulation, so
+/// exact. The message rows are the ones the retired benchmark snapshot
+/// gated; the byte rows were captured from the same build. A protocol
+/// change that legitimately moves a row updates it here, in the same
+/// commit, and says why.
+const CHURN_GOLDEN: [ChurnGolden; 6] = [
+    (
+        "uniform/shift5:static>remap3/p4",
+        [1080, 336, 524, 456, 222],
+        [288_296, 261_308, 283_848, 260_636, 219_740],
+    ),
+    (
+        "powerlaw2/shift5:remap3>static/p4",
+        [1016, 320, 512, 440, 210],
+        [264_608, 257_972, 260_576, 256_928, 199_584],
+    ),
+    (
+        "banded128/shift5:static>static/p4",
+        [304, 196, 220, 184, 132],
+        [69_948, 68_740, 69_276, 68_076, 44_132],
+    ),
+    (
+        "uniform/shift5:multi3x5>remap2/p4",
+        [1082, 338, 526, 458, 234],
+        [289_396, 262_540, 284_948, 261_748, 230_268],
+    ),
+    (
+        "uniform/rebal5/p4",
+        [1024, 312, 534, 475, 201],
+        [270_388, 255_672, 266_468, 266_232, 195_912],
+    ),
+    (
+        "banded128/rebal5/p4",
+        [326, 210, 284, 272, 135],
+        [77_492, 70_764, 87_796, 98_464, 49_412],
+    ),
+];
+
+#[test]
+fn churn_cells_reproduce_golden_counts() {
+    for (cfg, (label, messages, bytes)) in churn_cells().into_iter().zip(CHURN_GOLDEN) {
+        assert_eq!(cfg.label(), label, "the grid's churn cells moved");
+        let m = run_matrix(&Prepared::new(cfg)); // asserts 6-way bitwise
+        let got = Variant::PARALLEL.map(|v| &m.get(v).report);
+        assert_eq!(got.map(|r| r.messages), messages, "{label}: messages moved");
+        assert_eq!(got.map(|r| r.bytes), bytes, "{label}: bytes moved");
+    }
+}
+
+/// Deterministic loss-model seed/rate: ~5% per-message drops, heavy
+/// enough that every variant retries, light enough that the quick cell
+/// still finishes in milliseconds.
+const LOSS_SEED: u64 = 0x0C4A_0515;
+const LOSS_PER_MILLE: u32 = 50;
+
+#[test]
+fn lossy_links_perturb_cost_never_results_and_push_degrades_no_worse() {
+    // The first churn cell's adaptive and push variants re-run under
+    // deterministic message loss: (a) results stay bitwise-identical to
+    // the clean and sequential runs, (b) retries are billed and
+    // attributed to the `Retry` stall category with simulated time
+    // still conserved, (c) push degrades no worse than request/reply —
+    // each lost one-way push retries one message; a request/reply round
+    // trip has two legs to lose.
+    let scn = Prepared::new(churn_cells().swap_remove(0));
+    let (seq_report, seq_x) = scn.run(Variant::Seq, simnet::SimTime::ZERO);
+    let seq_time = seq_report.time;
+
+    // Extra messages the drops cost each variant: [adaptive, push].
+    let extra = [Variant::TmkAdaptive, Variant::TmkPush].map(|v| {
+        let (clean, clean_x) = scn.run(v, seq_time);
+        let (lossy, lossy_x) = with_loss(LOSS_SEED, LOSS_PER_MILLE, || scn.run(v, seq_time));
+        assert_eq!(
+            lossy_x, clean_x,
+            "{v:?}: dropped messages must perturb cost, never results"
+        );
+        assert_eq!(lossy_x, seq_x, "{v:?}: lossy run diverged from sequential");
+        assert!(
+            lossy.messages > clean.messages,
+            "{v:?}: {LOSS_PER_MILLE}‰ loss billed no retries ({} msgs clean and lossy)",
+            clean.messages
+        );
+
+        let net = lossy
+            .net
+            .as_ref()
+            .expect("synth kernels freeze a NetReport");
+        let mut retry_stall = 0u64;
+        for (rank, row) in net.stalls.iter().enumerate() {
+            assert_eq!(
+                row.total(),
+                row.clock,
+                "{v:?} p{rank}: stall categories must conserve the simulated clock"
+            );
+            retry_stall += row.get(StallCat::Retry);
+        }
+        assert!(
+            retry_stall > 0,
+            "{v:?}: loss run attributed no stall time to Retry"
+        );
+        lossy.messages - clean.messages
+    });
+    // (+18 and +16 messages at this seed and rate.)
+    let [adaptive_extra, push_extra] = extra;
+    assert!(
+        push_extra <= adaptive_extra,
+        "push must degrade no worse than request/reply under loss \
+         (push +{push_extra} vs adaptive +{adaptive_extra} msgs)"
+    );
 }

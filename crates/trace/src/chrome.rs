@@ -10,7 +10,7 @@
 //! rendering (`ts` is microseconds, printed as `ns/1000.ns%1000` with
 //! three fixed decimals), fixed key order, one event per line — so two
 //! runs with the same seed produce byte-identical files, which is the
-//! contract `table_trace` asserts.
+//! contract `bench/tests/trace_determinism.rs` asserts.
 
 use std::fmt::Write as _;
 
