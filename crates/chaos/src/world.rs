@@ -7,10 +7,8 @@
 //! a bulk point-to-point exchange whose messages and bytes are accounted
 //! on the same [`simnet::Net`] the DSM uses.
 
-use std::sync::Barrier;
-
 use parking_lot::Mutex;
-use simnet::{CostModel, MsgKind, Net, NetReport, ProcId, SimTime};
+use simnet::{CostModel, MsgKind, Net, NetReport, ProcId, Rendezvous, SimTime};
 
 /// One deposited message awaiting pickup.
 struct Deposit {
@@ -24,7 +22,7 @@ pub struct ChaosWorld {
     nprocs: usize,
     net: Net,
     inboxes: Vec<Mutex<Vec<Deposit>>>,
-    bar: Barrier,
+    bar: Rendezvous,
 }
 
 impl ChaosWorld {
@@ -33,7 +31,7 @@ impl ChaosWorld {
             nprocs,
             net: Net::new(nprocs, cost),
             inboxes: (0..nprocs).map(|_| Mutex::new(Vec::new())).collect(),
-            bar: Barrier::new(nprocs),
+            bar: Rendezvous::new(nprocs),
         }
     }
 
@@ -53,7 +51,20 @@ impl ChaosWorld {
         self.net.clock_max()
     }
 
+    /// Host rendezvous crossings since construction (one per `sync`, two
+    /// per `exchange`) — exact, independent of the host schedule.
+    pub fn rendezvous_crossings(&self) -> u64 {
+        self.bar.generation()
+    }
+
     /// Run the SPMD body on every processor (one OS thread each).
+    ///
+    /// **Panics.** If `f` panics on some processor, the others are
+    /// released from (or turned away at) their next `sync` / `exchange`
+    /// instead of parking forever, every thread is joined, and the
+    /// lowest panicking rank's original payload is re-raised here
+    /// ([`Rendezvous::run_spmd`]). The world is then *aborted*: a
+    /// further `run` panics saying so.
     ///
     /// The caller's thread allowance (see `vendor/rayon`) is divided
     /// evenly among the processor threads, so intra-processor
@@ -69,19 +80,28 @@ impl ChaosWorld {
             .num_threads((rayon::current_num_threads() / self.nprocs).max(1))
             .build()
             .expect("shim pools cannot fail to build");
-        let share = &share;
-        std::thread::scope(|s| {
-            for rank in 0..self.nprocs {
-                let f = &f;
-                s.spawn(move || {
-                    let mut cp = ChaosProc {
-                        world: self,
-                        me: rank,
-                    };
-                    share.install(|| f(&mut cp));
-                });
-            }
+        self.bar.run_spmd(|rank| {
+            let mut cp = ChaosProc {
+                world: self,
+                me: rank,
+            };
+            share.install(|| f(&mut cp));
         });
+    }
+
+    /// The leader section of a `sync`: count the 2(n−1) barrier
+    /// messages and align the simulated clocks.
+    fn bill_sync(&self) {
+        if self.nprocs > 1 {
+            let net = &self.net;
+            let cost = net.cost();
+            for p in 1..self.nprocs {
+                net.count_only(p, MsgKind::Other, 1, 8);
+                net.count_only(0, MsgKind::Other, 1, 8);
+            }
+            let t = net.clock_max() + SimTime::from_us(2.0 * cost.msg_latency_us + cost.barrier_us);
+            net.set_all_clocks(t);
+        }
     }
 }
 
@@ -209,29 +229,24 @@ impl<'w> ChaosProc<'w> {
     /// Global synchronization (timestep boundary): rendezvous, align the
     /// simulated clocks, count the 2(n−1) barrier messages.
     pub fn sync(&mut self) {
-        let net = &self.world.net;
-        let leader = self.world.bar.wait().is_leader();
-        if leader && self.world.nprocs > 1 {
-            let cost = net.cost();
-            for p in 1..self.world.nprocs {
-                net.count_only(p, MsgKind::Other, 1, 8);
-                net.count_only(0, MsgKind::Other, 1, 8);
-            }
-            let t = net.clock_max()
-                + SimTime::from_us(2.0 * cost.msg_latency_us + cost.barrier_us);
-            net.set_all_clocks(t);
-        }
-        self.world.bar.wait();
+        let world = self.world;
+        world.bar.wait_then(|| world.bill_sync());
     }
 
     /// Collectively zero clocks and counters (untimed-initialization
     /// boundary, like the DSM side's `start_timed_region`).
     pub fn start_timed_region(&mut self) {
         self.sync();
-        if self.me == 0 {
-            self.world.net.reset();
-        }
-        self.sync();
+        // The reset runs at the head of the closing sync's leader
+        // section, with every processor parked — as on the DSM side, so
+        // nobody can read a clock or emit a traced event mid-reset. (The
+        // DSM needs a crossing of its own for this because its barrier
+        // does protocol work before arriving; a CHAOS sync does not.)
+        let world = self.world;
+        world.bar.wait_then(|| {
+            world.net.reset();
+            world.bill_sync();
+        });
     }
 }
 
@@ -327,5 +342,65 @@ mod tests {
         });
         assert_eq!(w.report().messages, 0);
         assert_eq!(w.elapsed(), SimTime::ZERO);
+    }
+
+    /// One processor panicking before its first `sync` / `exchange` must
+    /// fail the whole `run` fast and with *its* message — not park the
+    /// other `nprocs − 1` forever — and leave the world refusing to run
+    /// again.
+    #[test]
+    fn a_panicking_processor_fails_the_run_fast_with_its_own_message() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let message = |payload: Box<dyn std::any::Any + Send>| match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default(),
+        };
+        for nprocs in [4, 64] {
+            for via_exchange in [false, true] {
+                let w = ChaosWorld::new(nprocs, CostModel::default());
+                let t0 = std::time::Instant::now();
+                let err = catch_unwind(AssertUnwindSafe(|| {
+                    w.run(|cp| {
+                        if cp.rank() == 1 {
+                            panic!("rank 1 of {nprocs} lost its input");
+                        }
+                        if via_exchange {
+                            cp.exchange(MsgKind::Gather, vec![]);
+                        } else {
+                            cp.sync();
+                        }
+                        cp.start_timed_region();
+                    })
+                }))
+                .expect_err("the processor's panic must reach the caller");
+                assert!(
+                    t0.elapsed() < std::time::Duration::from_secs(1),
+                    "{nprocs} processors took {:?} to fail",
+                    t0.elapsed()
+                );
+                assert_eq!(message(err), format!("rank 1 of {nprocs} lost its input"));
+
+                let again = catch_unwind(AssertUnwindSafe(|| w.run(|_| {})))
+                    .expect_err("an aborted world must refuse to run");
+                assert!(message(again).contains("aborted"));
+            }
+        }
+    }
+
+    #[test]
+    fn sync_is_one_crossing_and_exchange_two() {
+        let w = ChaosWorld::new(3, CostModel::default());
+        w.run(|cp| {
+            cp.sync();
+            cp.exchange(MsgKind::Gather, vec![]);
+            cp.start_timed_region();
+        });
+        assert_eq!(w.rendezvous_crossings(), 1 + 2 + 2);
+        // The closing sync of the timed-region boundary is billed to the
+        // freshly zeroed counters.
+        assert_eq!(w.report().messages, 4);
     }
 }

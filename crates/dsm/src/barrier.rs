@@ -5,17 +5,26 @@
 //! notices to the barrier manager; the departure message carries everyone
 //! else's notices. After a barrier, all vector clocks are equal.
 //!
-//! The thread rendezvous itself uses `std::sync::Barrier` in three
-//! phases so the leader can (a) snapshot the global vector clock, charge
-//! the 2(n−1) barrier messages, synchronize the simulated clocks, and run
-//! record-store garbage collection while everyone is parked, and (b) no
-//! processor can race ahead and publish new intervals while stragglers
-//! still read the snapshot.
+//! On the host, one barrier is **two crossings** of the cluster's
+//! [`simnet::Rendezvous`]:
+//!
+//! 1. *Arrive + leader.* Once everyone has closed and published, the
+//!    last arriver — whoever the host schedule makes it — runs the
+//!    leader section in place while the others stay parked: snapshot the
+//!    global vector clock, charge the 2(n−1) barrier messages, build the
+//!    notice digest, synchronize the simulated clocks, and fold the
+//!    record store. Nobody is released before the snapshot is complete.
+//! 2. *Merged.* Each processor merges the digest (and may prefetch
+//!    against the stable store), then crosses again. This crossing is
+//!    what keeps a fast processor's next `close_interval` from publishing
+//!    new intervals under a straggler that is still reading the snapshot
+//!    or fetching records; dropping it would need a proof that no such
+//!    read can observe the difference.
 
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::{MsgKind, SimTime, StallCat, TraceEvent};
+use simnet::{MsgKind, Rendezvous, SimTime, StallCat, TraceEvent};
 
 use crate::cluster::Cluster;
 use crate::interval::Vc;
@@ -23,7 +32,7 @@ use crate::proc::TmkProc;
 
 #[derive(Debug)]
 pub(crate) struct BarrierCtl {
-    rendezvous: Barrier,
+    rendezvous: Rendezvous,
     state: Mutex<BarrierState>,
 }
 
@@ -36,8 +45,9 @@ struct BarrierState {
     prev: Vc,
     /// Flat write-notice digest of this barrier: `(page, proc, seq)` for
     /// every notice in `(prev target, target]`, built once by the leader
-    /// and consumed by every processor in Phase B — the per-peer board
-    /// re-walk this replaces was O(nprocs²) work per barrier.
+    /// and merged by every processor after the first crossing — the
+    /// per-peer board re-walk this replaces was O(nprocs²) work per
+    /// barrier.
     digest: Arc<[(u32, u32, u32)]>,
     epoch: u64,
 }
@@ -45,7 +55,7 @@ struct BarrierState {
 impl BarrierCtl {
     pub(crate) fn new(nprocs: usize) -> Self {
         BarrierCtl {
-            rendezvous: Barrier::new(nprocs),
+            rendezvous: Rendezvous::new(nprocs),
             state: Mutex::new(BarrierState {
                 target: vec![0; nprocs],
                 prev: vec![0; nprocs],
@@ -59,7 +69,12 @@ impl BarrierCtl {
         self.state.lock().epoch
     }
 
-    /// Back to the just-built state; the rendezvous itself is reusable.
+    pub(crate) fn rendezvous(&self) -> &Rendezvous {
+        &self.rendezvous
+    }
+
+    /// Back to the just-built state; the rendezvous itself is reusable
+    /// (its generation keeps counting).
     pub(crate) fn reset(&self) {
         let mut st = self.state.lock();
         st.target.fill(0);
@@ -104,9 +119,9 @@ impl TmkProc<'_> {
         let cl: &Cluster = self.cl;
         let ctl = cl.barrier_ctl();
 
-        // Phase A: everyone has closed and published.
-        let leader = ctl.rendezvous.wait().is_leader();
-        if leader {
+        // Everyone has closed and published; the last arriver leads
+        // while the rest stay parked.
+        ctl.rendezvous.wait_then(|| {
             let net = cl.net();
             let nprocs = self.nprocs();
             let mut st = ctl.state.lock();
@@ -116,7 +131,7 @@ impl TmkProc<'_> {
             // each processor's notices since the last barrier; departure
             // messages carry everyone else's. The same single pass over
             // the new intervals also builds the flat notice digest every
-            // processor merges in Phase B.
+            // processor merges once released.
             let manager = 0usize;
             let mut digest: Vec<(u32, u32, u32)> = Vec::new();
             let deltas: Vec<usize> = (0..nprocs)
@@ -163,10 +178,10 @@ impl TmkProc<'_> {
             st.digest = digest.into();
             st.epoch += 1;
             // The notice is a cluster-wide fact produced by whichever
-            // thread won the rendezvous — pin it to proc 0's lane so the
+            // thread arrived last — pin it to proc 0's lane so the
             // trace does not depend on the host schedule. Proc 0 is
-            // parked in the barrier (or *is* the leader), so its virtual
-            // clock is stable here.
+            // parked in the rendezvous (or *is* the leader), so its
+            // virtual clock is stable here.
             net.trace(
                 0,
                 TraceEvent::BarrierNotice {
@@ -175,11 +190,10 @@ impl TmkProc<'_> {
                     bytes: total as u64,
                 },
             );
-        }
+        });
 
-        // Phase B: snapshot is ready; merge notices from the shared
-        // digest (one flat pass, no per-peer board walks).
-        ctl.rendezvous.wait();
+        // The snapshot is ready: merge notices from the shared digest
+        // (one flat pass, no per-peer board walks).
         let (target, digest, epoch) = {
             let st = ctl.state.lock();
             (st.target.clone(), Arc::clone(&st.digest), st.epoch)
@@ -257,8 +271,8 @@ impl TmkProc<'_> {
         // aggregated exchange per peer instead of a demand fault per
         // page — eager, deferred to the epoch's first fault, or as
         // writer-initiated update-push. The records it needs were
-        // published before Phase A, so fetching inside the B→C window
-        // reads a stable store.
+        // published before the first crossing, so fetching before the
+        // second reads a stable store.
         let dec = self
             .inner
             .policy
@@ -313,7 +327,7 @@ impl TmkProc<'_> {
             }
         }
 
-        // Phase C: nobody publishes new intervals until all have merged.
+        // Nobody publishes new intervals until all have merged.
         ctl.rendezvous.wait();
         cl.net()
             .trace(self.me, TraceEvent::BarrierExit { epoch, phase });
@@ -326,17 +340,14 @@ impl TmkProc<'_> {
     /// [`TmkProc::reset_counters`].
     pub fn start_timed_region(&mut self) {
         self.barrier();
-        // Zero the clocks while every processor is parked between two
-        // bare rendezvous (no protocol traffic): a processor racing
+        // Zero the clocks in a leader section of its own (no protocol
+        // traffic), while every processor is parked: a processor racing
         // ahead into its next traced event (or clock read) mid-reset
         // would observe pre- or post-zero time depending on the host
         // schedule. The closing protocol barrier below is charged to
-        // the freshly zeroed counters, exactly as before.
-        let ctl = self.cl.barrier_ctl();
-        if ctl.rendezvous.wait().is_leader() {
-            self.cl.net().reset();
-        }
-        ctl.rendezvous.wait();
+        // the freshly zeroed counters.
+        let cl = self.cl;
+        cl.barrier_ctl().rendezvous.wait_then(|| cl.net().reset());
         self.barrier();
     }
 

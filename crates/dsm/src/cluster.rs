@@ -113,9 +113,15 @@ impl Cluster {
     /// observably indistinguishable from a fresh [`Cluster::new`] with
     /// the same configuration — but with every page frame, twin, diff
     /// store, and barrier board allocation retained for reuse. Panics if
-    /// called while a [`Cluster::run`] is in flight. The scenario label
-    /// survives (callers re-stamp it per run anyway).
+    /// called while a [`Cluster::run`] is in flight, or after one in
+    /// which a processor panicked (that cluster is torn; drop it). The
+    /// scenario label survives (callers re-stamp it per run anyway), and
+    /// [`Cluster::rendezvous_crossings`] keeps counting.
     pub fn recycle(&self) {
+        assert!(
+            !self.barrier.rendezvous().is_aborted(),
+            "recycle() on an aborted cluster: a processor panicked in an earlier run() — build a fresh one"
+        );
         let heap_pages = self.alloc_next.lock().div_ceil(self.cfg.page_size);
         self.net.reset();
         self.board.reset();
@@ -195,6 +201,15 @@ impl Cluster {
     /// each). May be called repeatedly; processor protocol state persists
     /// across calls.
     ///
+    /// **Panics.** If `f` panics on some processor, the others are
+    /// released from (or turned away at) their next barrier instead of
+    /// parking forever, every thread is joined, and the lowest panicking
+    /// rank's original payload is re-raised here
+    /// ([`simnet::Rendezvous::run_spmd`]). The cluster is then *aborted*:
+    /// its protocol state is torn, and a further `run` or
+    /// [`Cluster::recycle`] panics saying so. Processors blocked in
+    /// [`TmkProc::lock`] are not abort-aware yet.
+    ///
     /// The caller's thread allowance (see `vendor/rayon`) is divided
     /// evenly among the processor threads, mirroring
     /// `chaos::ChaosWorld::run`: intra-processor parallelism (the
@@ -210,46 +225,40 @@ impl Cluster {
             .num_threads((rayon::current_num_threads() / self.cfg.nprocs).max(1))
             .build()
             .expect("shim pools cannot fail to build");
-        let share = &share;
-        std::thread::scope(|s| {
-            for rank in 0..self.cfg.nprocs {
-                let f = &f;
-                s.spawn(move || {
-                    let mut inner = self.slots[rank]
-                        .lock()
-                        .take()
-                        .expect("processor state in use — nested run()?");
-                    inner.ensure_frames(npages);
-                    let mut p = TmkProc {
-                        cl: self,
-                        me: rank,
-                        nprocs: self.cfg.nprocs,
-                        page_size: self.cfg.page_size,
-                        inner,
-                    };
-                    share.install(|| f(&mut p));
-                    // Batched fetches deferred near the body's end that
-                    // nothing triggered are the quiesce win: the
-                    // exchanges the eager policy would have wasted on an
-                    // iteration that never executes. Record and drop
-                    // them (billed to each plan's owning phase) so the
-                    // report sees them and a later run() starts clean.
-                    for plan in std::mem::take(&mut p.inner.deferred) {
-                        self.net
-                            .policy()
-                            .record_quiesced(rank, plan.phase, plan.pages.len());
-                        self.net.trace(
-                            rank,
-                            simnet::TraceEvent::PlanQuiesce {
-                                phase: plan.phase,
-                                pages: plan.pages.len() as u32,
-                            },
-                        );
-                        p.inner.policy.note_quiesced(plan.phase, &plan.pages);
-                    }
-                    *self.slots[rank].lock() = Some(p.inner);
-                });
+        self.barrier.rendezvous().run_spmd(|rank| {
+            let mut inner = self.slots[rank]
+                .lock()
+                .take()
+                .expect("processor state in use — nested run()?");
+            inner.ensure_frames(npages);
+            let mut p = TmkProc {
+                cl: self,
+                me: rank,
+                nprocs: self.cfg.nprocs,
+                page_size: self.cfg.page_size,
+                inner,
+            };
+            share.install(|| f(&mut p));
+            // Batched fetches deferred near the body's end that
+            // nothing triggered are the quiesce win: the exchanges the
+            // eager policy would have wasted on an iteration that never
+            // executes. Record and drop them (billed to each plan's
+            // owning phase) so the report sees them and a later run()
+            // starts clean.
+            for plan in std::mem::take(&mut p.inner.deferred) {
+                self.net
+                    .policy()
+                    .record_quiesced(rank, plan.phase, plan.pages.len());
+                self.net.trace(
+                    rank,
+                    simnet::TraceEvent::PlanQuiesce {
+                        phase: plan.phase,
+                        pages: plan.pages.len() as u32,
+                    },
+                );
+                p.inner.policy.note_quiesced(plan.phase, &plan.pages);
             }
+            *self.slots[rank].lock() = Some(p.inner);
         });
     }
 
@@ -287,6 +296,14 @@ impl Cluster {
     /// Barrier epochs completed (diagnostics).
     pub fn barrier_epoch(&self) -> u64 {
         self.barrier.epoch()
+    }
+
+    /// Host rendezvous crossings since construction (two per barrier,
+    /// five per `start_timed_region`). Exact and independent of the host
+    /// schedule, and — unlike [`Cluster::barrier_epoch`] — not reset by
+    /// [`Cluster::recycle`]: it counts host work, not protocol state.
+    pub fn rendezvous_crossings(&self) -> u64 {
+        self.barrier.rendezvous().generation()
     }
 
     /// Retained (unfolded) diff records (memory-bound diagnostics).

@@ -140,14 +140,19 @@ mod tests {
         });
         assert!(cl.heap_pages() > 0);
         assert!(cl.barrier_epoch() > 0);
+        assert_eq!(cl.rendezvous_crossings(), 2);
         cl.recycle();
         assert_eq!(cl.heap_pages(), 0);
         assert_eq!(cl.barrier_epoch(), 0);
         assert_eq!(cl.report().messages, 0);
-        // Fresh shared memory reads back zeroed.
+        // Fresh shared memory reads back zeroed, and the host rendezvous
+        // is the same reusable object: host work keeps counting.
         let s = cl.alloc::<f64>(8);
         cl.run(|p| {
             assert_eq!(p.read(&s, 0), 0.0);
+            p.barrier();
         });
+        assert_eq!(cl.barrier_epoch(), 1);
+        assert_eq!(cl.rendezvous_crossings(), 4);
     }
 }

@@ -513,3 +513,56 @@ fn heap_growth_between_runs() {
         p.barrier();
     });
 }
+
+/// The message of a caught panic payload (`panic!` with or without
+/// format arguments).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .unwrap_or_default(),
+    }
+}
+
+/// One processor panicking before its first barrier must fail the whole
+/// `run` fast and with *its* message — not park the other `nprocs − 1`
+/// forever, not surface as "a scoped thread panicked" — and must leave
+/// the cluster refusing further use in so many words.
+#[test]
+fn a_panicking_processor_fails_the_run_fast_with_its_own_message() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    for nprocs in [4, 64] {
+        let cl = cluster(nprocs);
+        let s = cl.alloc::<f64>(nprocs);
+        let t0 = std::time::Instant::now();
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            cl.run(|p| {
+                if p.rank() == nprocs - 2 {
+                    panic!("rank {} lost its input", p.rank());
+                }
+                p.write(&s, p.rank(), 1.0);
+                p.barrier();
+                p.start_timed_region();
+            })
+        }))
+        .expect_err("the processor's panic must reach the caller");
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(1),
+            "{nprocs} processors took {:?} to fail",
+            t0.elapsed()
+        );
+        assert_eq!(
+            panic_message(err),
+            format!("rank {} lost its input", nprocs - 2)
+        );
+
+        let again = catch_unwind(AssertUnwindSafe(|| cl.run(|_| {})))
+            .expect_err("an aborted cluster must refuse to run");
+        assert!(panic_message(again).contains("aborted"));
+        let again = catch_unwind(AssertUnwindSafe(|| cl.recycle()))
+            .expect_err("an aborted cluster must refuse to recycle");
+        assert!(panic_message(again).contains("aborted"));
+    }
+}

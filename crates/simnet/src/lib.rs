@@ -8,7 +8,8 @@
 //!
 //! * **Simulated processors** are OS threads. Each owns a monotone
 //!   *logical clock* ([`Net::clock`]) measured in nanoseconds of simulated
-//!   time.
+//!   time. The threads are launched by, and meet on, one host-side
+//!   [`Rendezvous`] — the only thing here that concerns the host clock.
 //! * **Every protocol message** is accounted — count and payload bytes —
 //!   per sending processor and per [`MsgKind`]. The paper's "Messages" and
 //!   "Data" columns are read directly from these counters.
@@ -22,12 +23,14 @@
 
 mod cost;
 mod net;
+mod rendezvous;
 mod stats;
 mod time;
 pub mod trace;
 
 pub use cost::CostModel;
 pub use net::{with_loss, CatScope, Net, ProcId};
+pub use rendezvous::Rendezvous;
 pub use stats::{MsgKind, NetReport, PhasePolicyRow, PolicyReport, PolicyStats, Stats};
 pub use time::SimTime;
 pub use trace::{

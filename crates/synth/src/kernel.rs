@@ -239,13 +239,8 @@ pub(crate) fn run_tmk_prepared(
     seq_time: SimTime,
     reuse: bool,
 ) -> (RunReport, Vec<f64>, u64) {
-    variant.expect_tmk("synth::kernel::run_tmk_prepared");
-    let n = cfg.n;
-    let nprocs = cfg.nprocs;
-    let cap_pp = pl.cap_pp;
-
     let dsm_cfg = DsmConfig {
-        nprocs,
+        nprocs: cfg.nprocs,
         page_size: cfg.page_size,
         cost: cfg.cost.clone(),
     };
@@ -254,6 +249,27 @@ pub(crate) fn run_tmk_prepared(
     } else {
         Cluster::new(dsm_cfg)
     };
+    let out = run_tmk_on(&cl, cfg, world, pl, variant, seq_time);
+    if reuse {
+        CLUSTERS.with(|p| p.checkin(cl));
+    }
+    out
+}
+
+/// [`run_tmk_prepared`] on a given just-built (or recycled) cluster.
+fn run_tmk_on(
+    cl: &Cluster,
+    cfg: &SynthConfig,
+    world: &SynthWorld,
+    pl: &Plan,
+    variant: Variant,
+    seq_time: SimTime,
+) -> (RunReport, Vec<f64>, u64) {
+    variant.expect_tmk("synth::kernel::run_tmk_prepared");
+    let n = cfg.n;
+    let nprocs = cfg.nprocs;
+    let cap_pp = pl.cap_pp;
+
     cl.net().set_label(&cfg.label());
     let x = cl.alloc::<f64>(n);
     let ilist = cl.alloc::<i32>(2 * cap_pp * nprocs);
@@ -374,17 +390,14 @@ pub(crate) fn run_tmk_prepared(
             p.barrier_tagged(site(PHASE_ITER, it));
         }
 
-        cap.freeze_tmk(me, &cl);
+        cap.freeze_tmk(me, cl);
         cap.set_scan(me, v.scan_seconds());
         p.barrier();
     });
 
-    let final_x = cap.extract(&cl, &x);
+    let final_x = cap.extract(cl, &x);
     let checksum = final_x.iter().map(|v| v.abs()).sum();
     let notice_bytes = cl.net().notice_meta_bytes();
-    if reuse {
-        CLUSTERS.with(|p| p.checkin(cl));
-    }
     (cap.report(seq_time, checksum), final_x, notice_bytes)
 }
 
@@ -401,10 +414,22 @@ pub(crate) fn run_chaos_prepared(
     tts: &[TTable],
     seq_time: SimTime,
 ) -> (RunReport, Vec<f64>) {
+    let w = ChaosWorld::new(cfg.nprocs, cfg.cost.clone());
+    run_chaos_on(&w, cfg, world, pl, tts, seq_time)
+}
+
+/// [`run_chaos_prepared`] on a given just-built world.
+fn run_chaos_on(
+    w: &ChaosWorld,
+    cfg: &SynthConfig,
+    world: &SynthWorld,
+    pl: &Plan,
+    tts: &[TTable],
+    seq_time: SimTime,
+) -> (RunReport, Vec<f64>) {
     let n = cfg.n;
     let nprocs = cfg.nprocs;
 
-    let w = ChaosWorld::new(nprocs, cfg.cost.clone());
     w.net().set_label(&cfg.label());
     let cap = Capture::new(nprocs, Variant::Chaos);
     let finals: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
@@ -550,4 +575,56 @@ pub(crate) fn run_chaos_prepared(
     }
     let checksum = final_x.iter().map(|v| v.abs()).sum();
     (cap.report(seq_time, checksum), final_x)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{scenario_grid, Prepared};
+
+    /// Host rendezvous crossings are exact host *work*: they depend on
+    /// the program's barrier structure, never on the host schedule. Pin
+    /// them for one 4-processor and one 64-processor static cell so a
+    /// refactor that re-adds a crossing fails here with a number instead
+    /// of hiding inside the host clock's noise band. A Tmk variant is
+    /// init + `start_timed_region` + one per iteration + final =
+    /// `iters + 4` barriers at two crossings each, plus the one bare
+    /// crossing that zeroes the clocks. CHAOS, as measured: the
+    /// inspector's one exchange and a gather per iteration at two each,
+    /// one per `sync`, two for `start_timed_region`.
+    #[test]
+    fn static_cells_cross_the_host_rendezvous_an_exact_number_of_times() {
+        for (nprocs, tmk_want, chaos_want) in [(4, 29, 34), (64, 21, 22)] {
+            let cfg = scenario_grid(true)
+                .into_iter()
+                .find(|c| c.nprocs == nprocs && c.dynamics == Dynamics::Static)
+                .expect("the quick grid has a static cell at this size");
+            let p = Prepared::new(cfg);
+            let (cfg, world, plan) = (p.cfg(), p.world(), &p.plan);
+            let barriers = cfg.iters as u64 + 4;
+            assert_eq!(2 * barriers + 1, tmk_want, "{}", cfg.label());
+            for v in Variant::TMK {
+                let cl = Cluster::new(DsmConfig {
+                    nprocs,
+                    page_size: cfg.page_size,
+                    cost: cfg.cost.clone(),
+                });
+                run_tmk_on(&cl, cfg, world, plan, v, SimTime::ZERO);
+                assert_eq!(
+                    (cl.barrier_epoch(), cl.rendezvous_crossings()),
+                    (barriers, tmk_want),
+                    "{} {v:?}",
+                    cfg.label()
+                );
+            }
+            let w = ChaosWorld::new(nprocs, cfg.cost.clone());
+            run_chaos_on(&w, cfg, world, plan, &p.ttables, SimTime::ZERO);
+            assert_eq!(
+                w.rendezvous_crossings(),
+                chaos_want,
+                "{} CHAOS",
+                cfg.label()
+            );
+        }
+    }
 }
