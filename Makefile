@@ -1,7 +1,7 @@
 # Tier-1 verification and common entry points. CI (.github/workflows/ci.yml)
 # runs the same commands; `make tier1` is the local equivalent.
 
-.PHONY: tier1 build test clippy benchmark-check bench examples tables soak synth serve clean
+.PHONY: tier1 build test clippy hygiene benchmark-check bench examples tables soak synth serve clean
 
 tier1: build test
 
@@ -13,6 +13,16 @@ test:
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# Idioms that were deleted and must not grow back: an SPMD body returns
+# its per-rank values (`cl.run` / `w.run` hand back a Vec in rank
+# order), so the kernels share nothing that needs a lock; and
+# trace::stall_json had no caller.
+hygiene:
+	@if grep -rn "Mutex" crates/apps/src crates/synth/src; then \
+		echo "hygiene: return per-rank values from the SPMD body instead of locking"; exit 1; fi
+	@if grep -rn "stall_json" crates/; then \
+		echo "hygiene: trace::stall_json is deleted; check_conservation is the stall API"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses

@@ -82,8 +82,7 @@ fn run(cycle: &[Position], nprocs: usize, policy: Option<AdaptConfig>) -> (f64, 
         cl.run(|p| p.set_policy(Box::new(StaticPolicy)));
     }
 
-    let sums = std::sync::Mutex::new(vec![0.0f64; nprocs]);
-    cl.run(|p| {
+    let sums = cl.run(|p| {
         let me = p.rank();
         let mut acc = 0.0f64;
         for c in 0..CYCLES {
@@ -105,9 +104,9 @@ fn run(cycle: &[Position], nprocs: usize, policy: Option<AdaptConfig>) -> (f64, 
                 }
             }
         }
-        sums.lock().unwrap()[me] = acc;
+        acc
     });
-    let total: f64 = sums.into_inner().unwrap().iter().sum();
+    let total: f64 = sums.iter().sum();
     (total, cl.report().messages)
 }
 

@@ -3,10 +3,11 @@
 //! snapshot, the per-processor second counters, the adaptive builds'
 //! policy counters, and the final [`RunReport`] assembly — plus
 //! [`install_policy`], the one place a [`Variant`] becomes an
-//! [`adapt::AdaptivePolicy`]. Pure bookkeeping: nothing here touches
-//! the protocol, so extracting it cannot change a message count.
+//! [`adapt::AdaptivePolicy`]. Every SPMD body *returns* its processor's
+//! [`Capture`], so the ranks share nothing and nothing here locks. Pure
+//! bookkeeping: nothing here touches the protocol, so extracting it
+//! cannot change a message count.
 
-use parking_lot::Mutex;
 use simnet::{NetReport, PolicyReport, SimTime};
 
 use crate::report::{RunReport, Variant};
@@ -25,112 +26,88 @@ pub fn install_policy(p: &mut sdsm_core::TmkProc, v: Variant, knobs: &adapt::Ada
     }
 }
 
-/// Capture state for one parallel run of `system`. Create it before
-/// `cl.run` / `w.run`, have rank 0 call a `freeze_*` method at the end
-/// of the timed region (before any untimed result extraction), and turn
-/// it into the table row with [`Capture::report`].
+/// One processor's numbers for the table row, returned from its SPMD
+/// body. Build it at the end of the timed region — before the untimed
+/// final barrier and any result extraction — because rank 0's carries
+/// the frozen timed-region snapshot (elapsed simulated time, net report).
 pub struct Capture {
-    system: Variant,
-    timed: Mutex<Option<(SimTime, u64, u64)>>,
-    net: Mutex<Option<NetReport>>,
-    policy: Option<PolicyReport>,
-    scan: Mutex<Vec<f64>>,
-    insp_timed: Mutex<Vec<f64>>,
-    insp_untimed: Mutex<Vec<f64>>,
-    nprocs: usize,
+    frozen: Option<(SimTime, NetReport)>,
+    validate_scan_s: f64,
+    inspector_s: f64,
+    untimed_inspector_s: f64,
 }
 
 impl Capture {
-    pub fn new(nprocs: usize, system: Variant) -> Self {
+    /// Processor `me` of a DSM run, with its Validate indirection-scan
+    /// seconds; rank 0 snapshots the cluster's timed region. Call after
+    /// the final barrier of the timed region.
+    pub fn tmk(me: usize, cl: &sdsm_core::Cluster, validate_scan_s: f64) -> Self {
         Capture {
-            system,
-            timed: Mutex::new(None),
-            net: Mutex::new(None),
-            policy: None,
-            scan: Mutex::new(vec![0.0; nprocs]),
-            insp_timed: Mutex::new(vec![0.0; nprocs]),
-            insp_untimed: Mutex::new(vec![0.0; nprocs]),
-            nprocs,
+            frozen: (me == 0).then(|| {
+                let rep = cl.report();
+                (cl.elapsed(), rep)
+            }),
+            validate_scan_s,
+            inspector_s: 0.0,
+            untimed_inspector_s: 0.0,
         }
     }
 
-    /// Rank 0 snapshots the DSM cluster's timed region (elapsed simulated
-    /// time, messages, bytes). Call from inside the SPMD body, after the
-    /// final barrier of the timed region.
-    pub fn freeze_tmk(&self, me: usize, cl: &sdsm_core::Cluster) {
-        if me == 0 {
-            let rep = cl.report();
-            *self.timed.lock() = Some((cl.elapsed(), rep.messages, rep.bytes));
-            *self.net.lock() = Some(rep);
+    /// A CHAOS processor, with its untimed (setup) and in-timed-region
+    /// inspector seconds; rank 0 snapshots the world's timed region.
+    pub fn chaos(cp: &chaos::ChaosProc, untimed_inspector_s: f64, inspector_s: f64) -> Self {
+        Capture {
+            frozen: (cp.rank() == 0).then(|| {
+                let rep = cp.net().report();
+                (cp.net().clock_max(), rep)
+            }),
+            validate_scan_s: 0.0,
+            inspector_s,
+            untimed_inspector_s,
         }
     }
 
     /// After the timed `cl.run`: snapshot the adaptive builds'
-    /// policy-decision counters (a no-op for every other variant), then
-    /// have rank 0 read the whole of `x` back through the DSM — the
-    /// untimed result extraction, in index order. In that order because
-    /// the timed run's teardown has just recorded the plans that
-    /// quiesced untriggered, and the extraction's own faults must not
-    /// reach the counters.
+    /// policy-decision counters (`None` for every other variant), then
+    /// read the whole of `x` back through the DSM as rank 0 — the
+    /// untimed result extraction ([`sdsm_core::Cluster::read_back`]). In
+    /// that order because the timed run's teardown has just recorded the
+    /// plans that quiesced untriggered, and the extraction's own faults
+    /// must not reach the counters.
     pub fn extract(
-        &mut self,
+        system: Variant,
         cl: &sdsm_core::Cluster,
         x: &sdsm_core::SharedSlice<f64>,
-    ) -> Vec<f64> {
-        if self.system.is_adaptive() {
-            self.policy = Some(cl.net().policy_report());
-        }
-        let out = Mutex::new(vec![0.0; x.len()]);
-        cl.run(|p| {
-            if p.rank() == 0 {
-                for (i, slot) in out.lock().iter_mut().enumerate() {
-                    *slot = p.read(x, i);
-                }
-            }
-        });
-        out.into_inner()
+    ) -> (Option<PolicyReport>, Vec<f64>) {
+        let policy = system.is_adaptive().then(|| cl.net().policy_report());
+        (policy, cl.read_back(x))
     }
 
-    /// Rank 0 snapshots a CHAOS world's timed region.
-    pub fn freeze_chaos(&self, cp: &chaos::ChaosProc) {
-        if cp.rank() == 0 {
-            let rep = cp.net().report();
-            *self.timed.lock() = Some((cp.net().clock_max(), rep.messages, rep.bytes));
-            *self.net.lock() = Some(rep);
-        }
-    }
-
-    /// Record processor `me`'s Validate indirection-scan seconds.
-    pub fn set_scan(&self, me: usize, secs: f64) {
-        self.scan.lock()[me] = secs;
-    }
-
-    /// Record processor `me`'s in-timed-region inspector seconds.
-    pub fn set_inspector(&self, me: usize, secs: f64) {
-        self.insp_timed.lock()[me] = secs;
-    }
-
-    /// Record processor `me`'s untimed (setup) inspector seconds.
-    pub fn set_untimed_inspector(&self, me: usize, secs: f64) {
-        self.insp_untimed.lock()[me] = secs;
-    }
-
-    /// Assemble the table row. Panics if no `freeze_*` call happened.
-    pub fn report(self, seq_time: SimTime, checksum: f64) -> RunReport {
-        let (time, messages, bytes) = self.timed.into_inner().expect("timed region captured");
-        let avg = |v: Vec<f64>| v.iter().sum::<f64>() / self.nprocs as f64;
+    /// Assemble the table row from what `cl.run` / `w.run` returned (one
+    /// capture per processor, in rank order). Panics if rank 0's carries
+    /// no timed-region snapshot.
+    pub fn report(
+        system: Variant,
+        mut ranks: Vec<Capture>,
+        policy: Option<PolicyReport>,
+        seq_time: SimTime,
+        checksum: f64,
+    ) -> RunReport {
+        let (time, net) = ranks[0].frozen.take().expect("timed region captured");
+        let avg =
+            |secs: fn(&Capture) -> f64| ranks.iter().map(secs).sum::<f64>() / ranks.len() as f64;
         RunReport {
-            system: self.system,
+            system,
             time,
             seq_time,
-            messages,
-            bytes,
-            inspector_s: avg(self.insp_timed.into_inner()),
-            untimed_inspector_s: avg(self.insp_untimed.into_inner()),
-            validate_scan_s: avg(self.scan.into_inner()),
+            messages: net.messages,
+            bytes: net.bytes,
+            inspector_s: avg(|r| r.inspector_s),
+            untimed_inspector_s: avg(|r| r.untimed_inspector_s),
+            validate_scan_s: avg(|r| r.validate_scan_s),
             checksum,
-            policy: self.policy,
-            net: self.net.into_inner(),
+            policy,
+            net: Some(net),
         }
     }
 }
@@ -139,15 +116,32 @@ impl Capture {
 mod tests {
     use super::*;
 
+    fn rank(validate_scan_s: f64, inspector_s: f64, untimed_inspector_s: f64) -> Capture {
+        Capture {
+            frozen: None,
+            validate_scan_s,
+            inspector_s,
+            untimed_inspector_s,
+        }
+    }
+
     #[test]
     fn report_averages_per_proc_seconds() {
-        let c = Capture::new(4, Variant::TmkOpt);
-        *c.timed.lock() = Some((SimTime::from_us(5e6), 100, 2000));
-        c.set_scan(0, 2.0);
-        c.set_scan(1, 2.0);
-        c.set_inspector(2, 4.0);
-        c.set_untimed_inspector(3, 8.0);
-        let r = c.report(SimTime::from_us(10e6), 1.0);
+        let mut ranks = vec![
+            rank(2.0, 0.0, 0.0),
+            rank(2.0, 0.0, 0.0),
+            rank(0.0, 4.0, 0.0),
+            rank(0.0, 0.0, 8.0),
+        ];
+        let net = NetReport {
+            messages: 100,
+            bytes: 2000,
+            per_kind: Vec::new(),
+            label: None,
+            stalls: Vec::new(),
+        };
+        ranks[0].frozen = Some((SimTime::from_us(5e6), net));
+        let r = Capture::report(Variant::TmkOpt, ranks, None, SimTime::from_us(10e6), 1.0);
         assert_eq!(r.messages, 100);
         assert_eq!(r.bytes, 2000);
         assert!((r.validate_scan_s - 1.0).abs() < 1e-12);
@@ -159,7 +153,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "timed region captured")]
     fn report_without_freeze_panics() {
-        let c = Capture::new(1, Variant::TmkBase);
-        let _ = c.report(SimTime::ZERO, 0.0);
+        let ranks = vec![rank(0.0, 0.0, 0.0)];
+        let _ = Capture::report(Variant::TmkBase, ranks, None, SimTime::ZERO, 0.0);
     }
 }

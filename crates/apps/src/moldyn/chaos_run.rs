@@ -10,13 +10,13 @@
 //! remote `x` values before the force loop and scatters force
 //! contributions back after it.
 
-use parking_lot::Mutex;
 use simnet::{MsgKind, SimTime};
 
 use chaos::{inspector, rcb_partition, ChaosWorld, Ghosted, TTable, TTableCache, TTableKind};
 
 use super::geometry::{build_interaction_list_for, pair_force, MoldynWorld};
 use super::{MoldynConfig, DT};
+use crate::harness::Capture;
 use crate::report::{RunReport, Variant};
 use crate::work;
 
@@ -44,10 +44,7 @@ pub fn run_chaos(
     let w = ChaosWorld::new(nprocs, cfg.cost.clone());
     let rebuilds = cfg.rebuild_steps();
 
-    let cap = crate::harness::Capture::new(nprocs, Variant::Chaos);
-    let finals: Mutex<Vec<(usize, Vec<[f64; 3]>)>> = Mutex::new(Vec::new());
-
-    w.run(|cp| {
+    let out = w.run(|cp| {
         let me = cp.rank();
         let my_range = part.range_of(me);
         let rc2 = world.cutoff * world.cutoff;
@@ -70,7 +67,7 @@ pub fn run_chaos(
             &mut cache,
             pairs.iter().flat_map(|&(i, j)| [i, j]),
         );
-        cap.set_untimed_inspector(me, (cp.now() - t0).as_secs_f64());
+        let untimed_inspector_s = (cp.now() - t0).as_secs_f64();
         let mut locs: Vec<(chaos::Loc, chaos::Loc)> = resolve(&pairs, &tt, &sched, me);
 
         cp.start_timed_region();
@@ -144,22 +141,21 @@ pub fn run_chaos(
             cp.sync();
         }
 
-        cap.freeze_chaos(cp);
-        cap.set_inspector(me, inspector_in_region);
-        finals.lock().push((me, x_own));
+        let rank = Capture::chaos(cp, untimed_inspector_s, inspector_in_region);
+        (rank, x_own)
     });
 
-    // Reassemble final positions in original numbering.
+    // The owned blocks in rank order are the remapped array (a
+    // processor's range ascends with its rank); back to original
+    // numbering.
+    let (ranks, blocks): (Vec<_>, Vec<_>) = out.into_iter().unzip();
     let mut final_x = vec![[0.0f64; 3]; n];
-    for (me, block) in finals.into_inner() {
-        let r = part.range_of(me);
-        for (off, v) in block.into_iter().enumerate() {
-            final_x[part.old_of[r.start + off] as usize] = v;
-        }
+    for (k, v) in blocks.into_iter().flatten().enumerate() {
+        final_x[part.old_of[k] as usize] = v;
     }
 
     let checksum = final_x.iter().flatten().map(|v| v.abs()).sum();
-    (cap.report(seq_time, checksum), final_x)
+    (Capture::report(Variant::Chaos, ranks, None, seq_time, checksum), final_x)
 }
 
 /// Pre-resolve every pair's two molecule locations (owned / ghost).

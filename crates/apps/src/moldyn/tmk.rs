@@ -44,6 +44,7 @@ use chaos::{rcb_partition, Partition};
 
 use super::geometry::{build_interaction_list_for, pair_force, MoldynWorld};
 use super::{MoldynConfig, DT};
+use crate::harness::{install_policy, Capture};
 use crate::report::{RunReport, Variant};
 use crate::work;
 
@@ -97,10 +98,8 @@ pub fn run_tmk(
     let npairs = cl.alloc::<i64>(nprocs);
 
     let rebuilds = cfg.rebuild_steps();
-    let mut cap = crate::harness::Capture::new(nprocs, variant);
-
-    cl.run(|p| {
-        crate::harness::install_policy(p, variant, &adapt::AdaptConfig::default());
+    let ranks = cl.run(|p| {
+        install_policy(p, variant, &adapt::AdaptConfig::default());
         let me = p.rank();
         let my_mols = part.range_of(me);
         let rc2 = world.cutoff * world.cutoff;
@@ -243,20 +242,20 @@ pub fn run_tmk(
         }
 
         // Capture the timed region before any result extraction.
-        cap.freeze_tmk(me, &cl);
-        cap.set_scan(me, v.scan_seconds());
+        let out = Capture::tmk(me, &cl, v.scan_seconds());
         p.barrier();
+        out
     });
 
     // --- untimed result extraction, back to original numbering ---
-    let remapped = cap.extract(&cl, &x);
+    let (policy, remapped) = Capture::extract(variant, &cl, &x);
     let mut final_x = vec![[0.0; 3]; n];
     for (k, xyz) in remapped.chunks_exact(3).enumerate() {
         final_x[part.old_of[k] as usize].copy_from_slice(xyz);
     }
 
     let checksum = final_x.iter().flatten().map(|v| v.abs()).sum();
-    (cap.report(seq_time, checksum), final_x)
+    (Capture::report(variant, ranks, policy, seq_time, checksum), final_x)
 }
 
 /// One processor's share of a list (re)build: read every position

@@ -6,7 +6,6 @@
 //! coordinates from remote processors. A scatter is invoked at the end of
 //! each time step to propagate the modifications to the force array."
 
-use parking_lot::Mutex;
 use simnet::SimTime;
 
 use chaos::{
@@ -15,6 +14,7 @@ use chaos::{
 };
 
 use super::{nbf_force, NbfConfig, NbfWorld, DT};
+use crate::harness::Capture;
 use crate::report::{RunReport, Variant};
 use crate::work;
 
@@ -32,10 +32,7 @@ pub fn run_chaos(
     let tt = TTable::new(TTableKind::Replicated, &part);
 
     let w = ChaosWorld::new(nprocs, cfg.cost.clone());
-    let cap = crate::harness::Capture::new(nprocs, Variant::Chaos);
-    let finals: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
-
-    w.run(|cp| {
+    let out = w.run(|cp| {
         let me = cp.rank();
         let my = part.range_of(me);
         let mut cache = TTableCache::new();
@@ -52,7 +49,7 @@ pub fn run_chaos(
             &mut cache,
             world.partners[klo..khi].iter().map(|&j| j as u32 - 1),
         );
-        cap.set_untimed_inspector(me, (cp.now() - t0).as_secs_f64());
+        let untimed_inspector_s = (cp.now() - t0).as_secs_f64();
 
         // Pre-resolve each partner reference.
         let locs: Vec<chaos::Loc> = world.partners[klo..khi]
@@ -100,16 +97,14 @@ pub fn run_chaos(
             cp.sync();
         }
 
-        cap.freeze_chaos(cp);
-        finals.lock().push((me, x_own));
+        (Capture::chaos(cp, untimed_inspector_s, 0.0), x_own)
     });
 
-    let mut final_x = vec![0.0f64; n];
-    for (me, block) in finals.into_inner() {
-        let r = part.range_of(me);
-        final_x[r].copy_from_slice(&block);
-    }
+    // BLOCK ranges ascend with the rank, so the owned blocks in rank
+    // order are the whole array.
+    let (ranks, blocks): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+    let final_x = blocks.concat();
 
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (cap.report(seq_time, checksum), final_x)
+    (Capture::report(Variant::Chaos, ranks, None, seq_time, checksum), final_x)
 }

@@ -32,6 +32,7 @@ use simnet::SimTime;
 use chaos::block_partition;
 
 use super::{nbf_force, NbfConfig, NbfWorld, DT};
+use crate::harness::{install_policy, Capture};
 use crate::report::{RunReport, Variant};
 use crate::work;
 
@@ -74,10 +75,8 @@ pub fn run_tmk(
     let partners = cl.alloc::<i32>(world.partners.len());
     let last = cl.alloc::<i32>(n + 1);
 
-    let mut cap = crate::harness::Capture::new(nprocs, variant);
-
-    cl.run(|p| {
-        crate::harness::install_policy(p, variant, &adapt::AdaptConfig::default());
+    let ranks = cl.run(|p| {
+        install_policy(p, variant, &adapt::AdaptConfig::default());
         let me = p.rank();
         let my = part.range_of(me);
         let mut v = Validator::new();
@@ -230,13 +229,13 @@ pub fn run_tmk(
             p.barrier_tagged(crate::phases::UPDATE);
         }
 
-        cap.freeze_tmk(me, &cl);
-        cap.set_scan(me, v.scan_seconds());
+        let out = Capture::tmk(me, &cl, v.scan_seconds());
         p.barrier();
+        out
     });
 
-    let final_x = cap.extract(&cl, &x);
+    let (policy, final_x) = Capture::extract(variant, &cl, &x);
 
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (cap.report(seq_time, checksum), final_x)
+    (Capture::report(variant, ranks, policy, seq_time, checksum), final_x)
 }

@@ -25,7 +25,6 @@
 //! partial sums, which reassociates floating-point addition and only
 //! agreed to 1e-9.)
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsd::{Dim, Rsd};
@@ -34,6 +33,7 @@ use simnet::{CostModel, SimTime};
 
 use chaos::{block_partition, gather, inspector, ChaosWorld, Ghosted, TTable, TTableCache, TTableKind};
 
+use crate::harness::{install_policy, Capture};
 use crate::report::{RunReport, Variant};
 use crate::work;
 
@@ -226,10 +226,8 @@ pub fn run_tmk(
     let x = cl.alloc::<f64>(n);
     let ilist = cl.alloc::<i32>(2 * cap_pp * nprocs);
 
-    let mut cap = crate::harness::Capture::new(nprocs, variant);
-
-    cl.run(|p| {
-        crate::harness::install_policy(p, variant, &adapt::AdaptConfig::default());
+    let ranks = cl.run(|p| {
+        install_policy(p, variant, &adapt::AdaptConfig::default());
         let me = p.rank();
         let my = part.range_of(me);
         let my_flat = flat_counts[me];
@@ -318,14 +316,14 @@ pub fn run_tmk(
             p.barrier_tagged(crate::phases::UPDATE);
         }
 
-        cap.freeze_tmk(me, &cl);
-        cap.set_scan(me, v.scan_seconds());
+        let out = Capture::tmk(me, &cl, v.scan_seconds());
         p.barrier();
+        out
     });
 
-    let final_x = cap.extract(&cl, &x);
+    let (policy, final_x) = Capture::extract(variant, &cl, &x);
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (cap.report(seq_time, checksum), final_x)
+    (Capture::report(variant, ranks, policy, seq_time, checksum), final_x)
 }
 
 /// umesh under CHAOS: inspector once (static mesh), gather endpoint
@@ -340,10 +338,7 @@ pub fn run_chaos(cfg: &UmeshConfig, mesh: &Mesh, seq_time: SimTime) -> (RunRepor
     let incident = incident_lists(n, &mesh.edges);
 
     let w = ChaosWorld::new(nprocs, cfg.cost.clone());
-    let cap = crate::harness::Capture::new(nprocs, Variant::Chaos);
-    let finals: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
-
-    w.run(|cp| {
+    let out = w.run(|cp| {
         let me = cp.rank();
         let my = part.range_of(me);
         let mut cache = TTableCache::new();
@@ -358,7 +353,7 @@ pub fn run_chaos(cfg: &UmeshConfig, mesh: &Mesh, seq_time: SimTime) -> (RunRepor
             my.clone()
                 .flat_map(|i| incident[i].iter().flat_map(|&(a, b)| [a, b])),
         );
-        cap.set_untimed_inspector(me, (cp.now() - t0).as_secs_f64());
+        let untimed_inspector_s = (cp.now() - t0).as_secs_f64();
         let locs: Vec<(chaos::Loc, chaos::Loc)> = my
             .clone()
             .flat_map(|i| incident[i].iter().copied())
@@ -389,16 +384,15 @@ pub fn run_chaos(cfg: &UmeshConfig, mesh: &Mesh, seq_time: SimTime) -> (RunRepor
             }
             cp.sync();
         }
-        cap.freeze_chaos(cp);
-        finals.lock().push((me, x_own));
+        (Capture::chaos(cp, untimed_inspector_s, 0.0), x_own)
     });
 
-    let mut final_x = vec![0.0f64; n];
-    for (me, block) in finals.into_inner() {
-        final_x[part.range_of(me)].copy_from_slice(&block);
-    }
+    // BLOCK ranges ascend with the rank, so the owned blocks in rank
+    // order are the whole array.
+    let (ranks, blocks): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+    let final_x = blocks.concat();
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (cap.report(seq_time, checksum), final_x)
+    (Capture::report(Variant::Chaos, ranks, None, seq_time, checksum), final_x)
 }
 
 #[cfg(test)]

@@ -298,8 +298,10 @@ mod tests {
 
     #[test]
     fn policy_counters_are_reported_exactly_for_the_adaptive_builds() {
-        // `install_policy` + `Capture::extract` key off the one axis: a policy report iff the variant is adaptive, and one-way
-        // pushes only in update-push mode.
+        // `install_policy` + `Capture::extract` key off the one axis: a
+        // policy report iff the variant is adaptive (snapshotted after
+        // the one timed `cl.run`, before the calling-thread read-back),
+        // and one-way pushes only in update-push mode.
         let w = UmeshWorkload::new(UmeshConfig::small());
         let m = run_variants(&w, &Variant::TMK);
         for r in &m.runs {

@@ -113,16 +113,13 @@ fn ttable_study(scale: Scale) {
     ] {
         let tt = TTable::new(kind, &part);
         let w = ChaosWorld::new(nprocs, Default::default());
-        let secs = parking_lot::Mutex::new(0.0f64);
-        w.run(|cp| {
+        let secs = w.run(|cp| {
             let me = cp.rank();
             let mut cache = TTableCache::new();
             let refs = (0..refs_per_proc).map(|k| ((me * 97 + k * 131) % n) as u32);
             let t0 = cp.now();
             let _ = inspector(cp, &tt, &mut cache, refs);
-            if me == 0 {
-                *secs.lock() = (cp.now() - t0).as_secs_f64();
-            }
+            (cp.now() - t0).as_secs_f64()
         });
         let rep = w.report();
         println!(
@@ -130,7 +127,7 @@ fn ttable_study(scale: Scale) {
             label,
             rep.messages,
             rep.bytes,
-            secs.into_inner(),
+            secs[0],
             tt.bytes_per_proc()
         );
     }

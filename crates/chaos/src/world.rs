@@ -57,14 +57,23 @@ impl ChaosWorld {
         self.bar.generation()
     }
 
-    /// Run the SPMD body on every processor (one OS thread each).
+    /// [`ChaosWorld::run`] calls since construction (`nprocs` OS-thread
+    /// spawns each) — exact host work, like the crossings.
+    pub fn spmd_launches(&self) -> u64 {
+        self.bar.launches()
+    }
+
+    /// Run the SPMD body on every processor (one OS thread each) and
+    /// return what each processor's body returned, in rank order — a
+    /// CHAOS program's results live in its processors' private vectors,
+    /// so this is how they leave the run.
     ///
     /// **Panics.** If `f` panics on some processor, the others are
     /// released from (or turned away at) their next `sync` / `exchange`
     /// instead of parking forever, every thread is joined, and the
-    /// lowest panicking rank's original payload is re-raised here
-    /// ([`Rendezvous::run_spmd`]). The world is then *aborted*: a
-    /// further `run` panics saying so.
+    /// lowest panicking rank's original payload is re-raised here —
+    /// nothing is returned ([`Rendezvous::run_spmd`]). The world is then
+    /// *aborted*: a further `run` panics saying so.
     ///
     /// The caller's thread allowance (see `vendor/rayon`) is divided
     /// evenly among the processor threads, so intra-processor
@@ -72,9 +81,10 @@ impl ChaosWorld {
     /// 64-processor cell on an 8-thread allowance leaves every
     /// processor with exactly its one thread, and a `serve` job never
     /// exceeds the tokens it holds from the shared `ThreadBudget`.
-    pub fn run<F>(&self, f: F)
+    pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
-        F: Fn(&mut ChaosProc) + Sync,
+        F: Fn(&mut ChaosProc) -> R + Sync,
+        R: Send,
     {
         let share = rayon::ThreadPoolBuilder::new()
             .num_threads((rayon::current_num_threads() / self.nprocs).max(1))
@@ -85,8 +95,8 @@ impl ChaosWorld {
                 world: self,
                 me: rank,
             };
-            share.install(|| f(&mut cp));
-        });
+            share.install(|| f(&mut cp))
+        })
     }
 
     /// The leader section of a `sync`: count the 2(n−1) barrier
@@ -344,10 +354,24 @@ mod tests {
         assert_eq!(w.elapsed(), SimTime::ZERO);
     }
 
+    #[test]
+    fn run_returns_each_processors_value_in_rank_order() {
+        for nprocs in [1, 4, 64] {
+            let w = ChaosWorld::new(nprocs, CostModel::default());
+            let got = w.run(|cp| {
+                cp.sync();
+                vec![cp.rank() as f64; 2]
+            });
+            let want: Vec<_> = (0..nprocs).map(|r| vec![r as f64; 2]).collect();
+            assert_eq!(got, want);
+            assert_eq!(w.spmd_launches(), 1);
+        }
+    }
+
     /// One processor panicking before its first `sync` / `exchange` must
     /// fail the whole `run` fast and with *its* message — not park the
-    /// other `nprocs − 1` forever — and leave the world refusing to run
-    /// again.
+    /// other `nprocs − 1` forever — return nobody's value, and leave the
+    /// world refusing to run again.
     #[test]
     fn a_panicking_processor_fails_the_run_fast_with_its_own_message() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -362,10 +386,13 @@ mod tests {
             for via_exchange in [false, true] {
                 let w = ChaosWorld::new(nprocs, CostModel::default());
                 let t0 = std::time::Instant::now();
-                let err = catch_unwind(AssertUnwindSafe(|| {
+                let err = catch_unwind(AssertUnwindSafe(|| -> Vec<usize> {
                     w.run(|cp| {
                         if cp.rank() == 1 {
                             panic!("rank 1 of {nprocs} lost its input");
+                        }
+                        if cp.rank() == 0 {
+                            return 0; // returns normally; still not handed back
                         }
                         if via_exchange {
                             cp.exchange(MsgKind::Gather, vec![]);
@@ -373,6 +400,7 @@ mod tests {
                             cp.sync();
                         }
                         cp.start_timed_region();
+                        cp.rank()
                     })
                 }))
                 .expect_err("the processor's panic must reach the caller");

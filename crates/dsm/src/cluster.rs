@@ -48,14 +48,15 @@ impl DsmConfig {
 /// A simulated TreadMarks cluster.
 ///
 /// Usage mirrors a TreadMarks program: allocate shared memory, then run
-/// the SPMD body on every processor.
+/// the SPMD body on every processor; what each body returns comes back
+/// in rank order.
 ///
 /// ```
 /// use dsm::{Cluster, DsmConfig};
 ///
 /// let cl = Cluster::new(DsmConfig::with_nprocs(4));
 /// let data = cl.alloc::<f64>(1024);
-/// cl.run(|p| {
+/// let seen = cl.run(|p| {
 ///     let me = p.rank();
 ///     let chunk = data.len() / p.nprocs();
 ///     for i in me * chunk..(me + 1) * chunk {
@@ -63,9 +64,9 @@ impl DsmConfig {
 ///     }
 ///     p.barrier();
 ///     // every processor can now read everyone's writes
-///     let v = p.read(&data, (p.nprocs() - 1) * chunk);
-///     assert_eq!(v, (p.nprocs() - 1) as f64);
+///     p.read(&data, (me + 1) % p.nprocs() * chunk)
 /// });
+/// assert_eq!(seen, [1.0, 2.0, 3.0, 0.0]);
 /// ```
 #[derive(Debug)]
 pub struct Cluster {
@@ -198,17 +199,18 @@ impl Cluster {
     }
 
     /// Run the SPMD body `f` on every simulated processor (one OS thread
-    /// each). May be called repeatedly; processor protocol state persists
+    /// each) and return what each processor's body returned, in rank
+    /// order. May be called repeatedly; processor protocol state persists
     /// across calls.
     ///
     /// **Panics.** If `f` panics on some processor, the others are
     /// released from (or turned away at) their next barrier instead of
     /// parking forever, every thread is joined, and the lowest panicking
-    /// rank's original payload is re-raised here
+    /// rank's original payload is re-raised here — nothing is returned
     /// ([`simnet::Rendezvous::run_spmd`]). The cluster is then *aborted*:
-    /// its protocol state is torn, and a further `run` or
-    /// [`Cluster::recycle`] panics saying so. Processors blocked in
-    /// [`TmkProc::lock`] are not abort-aware yet.
+    /// its protocol state is torn, and a further `run`,
+    /// [`Cluster::read_back`] or [`Cluster::recycle`] panics saying so.
+    /// Processors blocked in [`TmkProc::lock`] are not abort-aware yet.
     ///
     /// The caller's thread allowance (see `vendor/rayon`) is divided
     /// evenly among the processor threads, mirroring
@@ -216,50 +218,73 @@ impl Cluster {
     /// sharded `PageSet::finish` bitmap fill) only engages when the
     /// allowance exceeds the processor count, so a `serve` job never
     /// uses more OS threads than the tokens it holds.
-    pub fn run<F>(&self, f: F)
+    pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
-        F: Fn(&mut TmkProc) + Sync,
+        F: Fn(&mut TmkProc) -> R + Sync,
+        R: Send,
     {
-        let npages = self.heap_pages();
         let share = rayon::ThreadPoolBuilder::new()
             .num_threads((rayon::current_num_threads() / self.cfg.nprocs).max(1))
             .build()
             .expect("shim pools cannot fail to build");
-        self.barrier.rendezvous().run_spmd(|rank| {
-            let mut inner = self.slots[rank]
-                .lock()
-                .take()
-                .expect("processor state in use — nested run()?");
-            inner.ensure_frames(npages);
-            let mut p = TmkProc {
-                cl: self,
-                me: rank,
-                nprocs: self.cfg.nprocs,
-                page_size: self.cfg.page_size,
-                inner,
-            };
-            share.install(|| f(&mut p));
-            // Batched fetches deferred near the body's end that
-            // nothing triggered are the quiesce win: the exchanges the
-            // eager policy would have wasted on an iteration that never
-            // executes. Record and drop them (billed to each plan's
-            // owning phase) so the report sees them and a later run()
-            // starts clean.
-            for plan in std::mem::take(&mut p.inner.deferred) {
-                self.net
-                    .policy()
-                    .record_quiesced(rank, plan.phase, plan.pages.len());
-                self.net.trace(
-                    rank,
-                    simnet::TraceEvent::PlanQuiesce {
-                        phase: plan.phase,
-                        pages: plan.pages.len() as u32,
-                    },
-                );
-                p.inner.policy.note_quiesced(plan.phase, &plan.pages);
-            }
-            *self.slots[rank].lock() = Some(p.inner);
-        });
+        self.barrier
+            .rendezvous()
+            .run_spmd(|rank| self.enter(rank, |p| share.install(|| f(p))))
+    }
+
+    /// Read the whole of `x` back through the DSM as processor 0, in
+    /// index order, on the *calling* thread — the untimed result
+    /// extraction after a `run`. No thread is spawned and no other
+    /// processor takes part: rank 0's demand faults are served from the
+    /// shared diff store exactly as inside a `run` (same messages, same
+    /// bytes, same trace events), so nobody else needs to be alive.
+    /// Panics "aborted" after a run in which a processor panicked, and
+    /// "processor state in use" from inside a `run`.
+    pub fn read_back<T: Pod>(&self, x: &SharedSlice<T>) -> Vec<T> {
+        assert!(
+            !self.barrier.rendezvous().is_aborted(),
+            "read_back() on an aborted cluster: a processor panicked in an earlier run() — build a fresh one"
+        );
+        self.enter(0, |p| (0..x.len()).map(|i| p.read(x, i)).collect())
+    }
+
+    /// Become processor `rank` for the duration of `f`: take its
+    /// protocol state out of its slot, run `f`, put it back.
+    fn enter<R>(&self, rank: usize, f: impl FnOnce(&mut TmkProc) -> R) -> R {
+        let mut inner = self.slots[rank]
+            .lock()
+            .take()
+            .expect("processor state in use — nested run()?");
+        inner.ensure_frames(self.heap_pages());
+        let mut p = TmkProc {
+            cl: self,
+            me: rank,
+            nprocs: self.cfg.nprocs,
+            page_size: self.cfg.page_size,
+            inner,
+        };
+        let out = f(&mut p);
+        // Batched fetches deferred near the body's end that
+        // nothing triggered are the quiesce win: the exchanges the
+        // eager policy would have wasted on an iteration that never
+        // executes. Record and drop them (billed to each plan's
+        // owning phase) so the report sees them and a later run()
+        // starts clean.
+        for plan in std::mem::take(&mut p.inner.deferred) {
+            self.net
+                .policy()
+                .record_quiesced(rank, plan.phase, plan.pages.len());
+            self.net.trace(
+                rank,
+                simnet::TraceEvent::PlanQuiesce {
+                    phase: plan.phase,
+                    pages: plan.pages.len() as u32,
+                },
+            );
+            p.inner.policy.note_quiesced(plan.phase, &plan.pages);
+        }
+        *self.slots[rank].lock() = Some(p.inner);
+        out
     }
 
     /// The simulated parallel execution time so far.
@@ -304,6 +329,14 @@ impl Cluster {
     /// [`Cluster::recycle`]: it counts host work, not protocol state.
     pub fn rendezvous_crossings(&self) -> u64 {
         self.barrier.rendezvous().generation()
+    }
+
+    /// [`Cluster::run`] calls since construction (`nprocs` OS-thread
+    /// spawns each; [`Cluster::read_back`] spawns none). Exact host work
+    /// like [`Cluster::rendezvous_crossings`], and not reset by
+    /// [`Cluster::recycle`] either.
+    pub fn spmd_launches(&self) -> u64 {
+        self.barrier.rendezvous().launches()
     }
 
     /// Retained (unfolded) diff records (memory-bound diagnostics).

@@ -66,8 +66,8 @@ impl ProtocolPolicy for PrefetchAll {
 /// others read everything each epoch.
 fn producer_consumer(cl: &Cluster, epochs: usize, elems: usize) -> f64 {
     let s = cl.alloc::<f64>(elems);
-    let sum = parking_lot::Mutex::new(0.0f64);
-    cl.run(|p| {
+    let last_sums = cl.run(|p| {
+        let mut last = 0.0;
         for e in 0..epochs {
             if p.rank() == 0 {
                 for i in 0..elems {
@@ -79,13 +79,12 @@ fn producer_consumer(cl: &Cluster, epochs: usize, elems: usize) -> f64 {
             for i in 0..elems {
                 local += p.read(&s, i);
             }
-            if p.rank() == 1 {
-                *sum.lock() = local;
-            }
+            last = local;
             p.barrier();
         }
+        last
     });
-    sum.into_inner()
+    last_sums[1]
 }
 
 #[test]
@@ -134,8 +133,6 @@ fn prefetch_policy_eliminates_demand_faults_and_preserves_results() {
 fn policy_hooks_observe_misses_closes_and_epochs() {
     let cl = Cluster::new(DsmConfig::with_nprocs(2));
     let s = cl.alloc::<f64>(1024);
-    let seen = parking_lot::Mutex::new((0usize, 0usize, 0usize));
-
     #[derive(Debug, Default)]
     struct Recorder {
         misses: usize,
@@ -163,7 +160,7 @@ fn policy_hooks_observe_misses_closes_and_epochs() {
         }
     }
 
-    cl.run(|p| {
+    let seen = cl.run(|p| {
         if p.rank() == 1 {
             p.set_policy(Box::new(Recorder::default()));
         }
@@ -173,17 +170,18 @@ fn policy_hooks_observe_misses_closes_and_epochs() {
         p.barrier();
         let _ = p.read(&s, 0);
         p.barrier();
-        if p.rank() == 1 {
-            // Downcast-free introspection: count through Debug output.
-            let dbg = format!("{:?}", p.policy());
-            let grab = |k: &str| -> usize {
-                let at = dbg.find(k).unwrap() + k.len() + 2;
-                dbg[at..].chars().take_while(|c| c.is_ascii_digit()).collect::<String>().parse().unwrap()
-            };
-            *seen.lock() = (grab("misses"), grab("closes"), grab("epochs"));
+        if p.rank() != 1 {
+            return (0, 0, 0);
         }
+        // Downcast-free introspection: count through Debug output.
+        let dbg = format!("{:?}", p.policy());
+        let grab = |k: &str| -> usize {
+            let at = dbg.find(k).unwrap() + k.len() + 2;
+            dbg[at..].chars().take_while(|c| c.is_ascii_digit()).collect::<String>().parse().unwrap()
+        };
+        (grab("misses"), grab("closes"), grab("epochs"))
     });
-    let (misses, closes, epochs) = seen.into_inner();
+    let (misses, closes, epochs) = seen[1];
     assert_eq!(misses, 1, "one demand miss on the shared page");
     assert_eq!(closes, 0, "proc 1 never wrote");
     assert_eq!(epochs, 2, "two barriers crossed");

@@ -526,10 +526,110 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+#[test]
+fn run_returns_each_processors_value_in_rank_order() {
+    for nprocs in [1, 4, 64] {
+        let cl = cluster(nprocs);
+        let s = cl.alloc::<f64>(nprocs);
+        let got = cl.run(|p| {
+            p.write(&s, p.rank(), p.rank() as f64);
+            p.barrier();
+            let right = (p.rank() + 1) % nprocs;
+            (p.rank(), p.read(&s, right))
+        });
+        let want: Vec<_> = (0..nprocs)
+            .map(|r| (r, ((r + 1) % nprocs) as f64))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(cl.spmd_launches(), 1);
+    }
+}
+
+/// `read_back` is the rank-0 read-back a second `cl.run` used to do,
+/// minus the threads: on two identically driven clusters it returns the
+/// same data for the same messages, bytes and simulated time — on a
+/// false-shared page with four writers (diffs fetched from three peers)
+/// and on a page whose only diff was folded long ago (master fetch).
+#[test]
+fn read_back_costs_exactly_what_rank_0_reading_in_a_second_run_costs() {
+    let drive = |cl: &Cluster| {
+        let shared = cl.alloc::<f64>(512); // one page
+        let folded = cl.alloc::<f64>(8);
+        let other = cl.alloc::<f64>(8);
+        cl.run(|p| {
+            let me = p.rank();
+            if me == 1 {
+                p.write(&folded, 0, 1.25);
+            }
+            // Many epochs of unrelated work so that record gets folded.
+            for it in 0..6 {
+                if me == 1 {
+                    p.write(&other, 0, it as f64);
+                }
+                p.barrier();
+            }
+            for i in (me..shared.len()).step_by(4) {
+                p.write(&shared, i, (10 * i + me) as f64);
+            }
+            p.barrier();
+        });
+        (shared, folded, cl.report(), cl.elapsed())
+    };
+    let cost = |cl: &Cluster, before: &dsm::NetReport| {
+        let after = cl.report();
+        (
+            after.messages - before.messages,
+            after.bytes - before.bytes,
+            cl.elapsed(),
+        )
+    };
+
+    let old = cluster(4);
+    let (shared, folded, before, t0) = drive(&old);
+    let old_run = old.run(|p| {
+        if p.rank() != 0 {
+            return Vec::new();
+        }
+        let page: Vec<f64> = (0..shared.len()).map(|i| p.read(&shared, i)).collect();
+        let shared_faults = p.counters().read_faults;
+        let cold: Vec<f64> = (0..folded.len()).map(|i| p.read(&folded, i)).collect();
+        assert!(shared_faults >= 1 && p.counters().master_fetches >= 1);
+        [page, cold].concat()
+    });
+    let old_data = &old_run[0];
+    let old_cost = cost(&old, &before);
+    assert!(old_cost.0 >= 2 * 3 + 2 && old_cost.2 > t0, "{old_cost:?}");
+    assert_eq!(old_data[7], 73.0);
+    assert_eq!(old_data[512], 1.25);
+
+    let new = cluster(4);
+    let (shared, folded, before, _) = drive(&new);
+    let new_data = [new.read_back(&shared), new.read_back(&folded)].concat();
+    assert_eq!(&new_data, old_data);
+    assert_eq!(cost(&new, &before), old_cost);
+    assert_eq!((old.spmd_launches(), new.spmd_launches()), (2, 1));
+}
+
+#[test]
+fn read_back_from_inside_a_run_is_refused() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let cl = cluster(2);
+    let s = cl.alloc::<f64>(8);
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        cl.run(|p| {
+            if p.rank() == 0 {
+                cl.read_back(&s);
+            }
+        })
+    }))
+    .expect_err("rank 0's state is checked out by the run");
+    assert!(panic_message(err).contains("processor state in use"));
+}
+
 /// One processor panicking before its first barrier must fail the whole
 /// `run` fast and with *its* message — not park the other `nprocs − 1`
-/// forever, not surface as "a scoped thread panicked" — and must leave
-/// the cluster refusing further use in so many words.
+/// forever, not surface as "a scoped thread panicked" — return nobody's
+/// value, and leave the cluster refusing further use in so many words.
 #[test]
 fn a_panicking_processor_fails_the_run_fast_with_its_own_message() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -537,14 +637,18 @@ fn a_panicking_processor_fails_the_run_fast_with_its_own_message() {
         let cl = cluster(nprocs);
         let s = cl.alloc::<f64>(nprocs);
         let t0 = std::time::Instant::now();
-        let err = catch_unwind(AssertUnwindSafe(|| {
+        let err = catch_unwind(AssertUnwindSafe(|| -> Vec<usize> {
             cl.run(|p| {
                 if p.rank() == nprocs - 2 {
                     panic!("rank {} lost its input", p.rank());
                 }
+                if p.rank() == nprocs - 1 {
+                    return p.rank(); // returns normally; still not handed back
+                }
                 p.write(&s, p.rank(), 1.0);
                 p.barrier();
                 p.start_timed_region();
+                p.rank()
             })
         }))
         .expect_err("the processor's panic must reach the caller");
@@ -563,6 +667,9 @@ fn a_panicking_processor_fails_the_run_fast_with_its_own_message() {
         assert!(panic_message(again).contains("aborted"));
         let again = catch_unwind(AssertUnwindSafe(|| cl.recycle()))
             .expect_err("an aborted cluster must refuse to recycle");
+        assert!(panic_message(again).contains("aborted"));
+        let again = catch_unwind(AssertUnwindSafe(|| cl.read_back(&s)))
+            .expect_err("an aborted cluster must refuse a read-back");
         assert!(panic_message(again).contains("aborted"));
     }
 }

@@ -24,7 +24,8 @@
 //!
 //! A crossing allocates nothing, and the generation counter doubles as
 //! an exact, machine-independent count of host crossings
-//! ([`Rendezvous::generation`]).
+//! ([`Rendezvous::generation`]); [`Rendezvous::launches`] counts the
+//! SPMD launches (`n` thread spawns each) the same way.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -39,6 +40,7 @@ struct Aborted;
 struct State {
     arrived: usize,
     generation: u64,
+    launches: u64,
     aborted: bool,
 }
 
@@ -60,6 +62,7 @@ impl Rendezvous {
             state: Mutex::new(State {
                 arrived: 0,
                 generation: 0,
+                launches: 0,
                 aborted: false,
             }),
             released: Condvar::new(),
@@ -69,7 +72,7 @@ impl Rendezvous {
     fn lock(&self) -> MutexGuard<'_, State> {
         // No caller code runs under this mutex and every unwind below
         // drops its guard first, so poisoning cannot happen; and as each
-        // update leaves the three fields consistent, recovering would be
+        // update leaves the fields consistent, recovering would be
         // sound anyway.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -78,6 +81,12 @@ impl Rendezvous {
     /// [`Rendezvous::wait_then`] generation, whatever the host schedule.
     pub fn generation(&self) -> u64 {
         self.lock().generation
+    }
+
+    /// [`Rendezvous::run_spmd`] calls since construction — `n` OS-thread
+    /// spawns each; like the generation, exact host work.
+    pub fn launches(&self) -> u64 {
+        self.lock().launches
     }
 
     /// Did a rank of an earlier or the current [`Rendezvous::run_spmd`]
@@ -136,34 +145,58 @@ impl Rendezvous {
     }
 
     /// Run `body(rank)` for every rank `0..n` on a scoped OS thread of
-    /// its own and wait for them all.
+    /// its own, wait for them all, and return what each rank's body
+    /// returned, in rank order (`result[rank]`).
+    ///
+    /// ```
+    /// let r = simnet::Rendezvous::new(4);
+    /// let squares = r.run_spmd(|rank| {
+    ///     r.wait(); // ranks may meet as often as they like
+    ///     rank * rank
+    /// });
+    /// assert_eq!(squares, [0, 1, 4, 9]);
+    /// ```
     ///
     /// **Panic contract.** A rank's panic is caught on its own thread
     /// and the rendezvous marked aborted: ranks parked in or arriving at
     /// [`Rendezvous::wait_then`] unwind too (silently), ranks that never
     /// reach it again finish normally, and once every thread is done the
     /// lowest panicking rank's *original* payload is re-raised on the
-    /// calling thread. The abort is sticky — a later `run_spmd` panics
-    /// up front, because whatever the ranks shared is torn.
-    pub fn run_spmd<F>(&self, body: F)
+    /// calling thread — no rank's value is returned. The abort is sticky
+    /// — a later `run_spmd` panics up front, because whatever the ranks
+    /// shared is torn.
+    pub fn run_spmd<F, R>(&self, body: F) -> Vec<R>
     where
-        F: Fn(usize) + Sync,
+        F: Fn(usize) -> R + Sync,
+        R: Send,
     {
+        let refused = {
+            let mut st = self.lock();
+            st.launches += 1;
+            st.aborted
+        };
         assert!(
-            !self.is_aborted(),
+            !refused,
             "aborted: a rank panicked in an earlier run, so this SPMD world's state is torn — build a fresh one"
         );
         // Lowest panicking rank so far and its payload.
         let first: Mutex<Option<(usize, Box<dyn Any + Send>)>> = Mutex::new(None);
         let (body, first_seen) = (&body, &first);
+        // Each thread owns its rank's slot for the scope: no lock, and
+        // nothing to join one handle at a time afterwards.
+        let mut returned: Vec<Option<R>> = (0..self.n).map(|_| None).collect();
         std::thread::scope(|s| {
-            for rank in 0..self.n {
+            for (rank, slot) in returned.iter_mut().enumerate() {
                 s.spawn(move || {
                     // The ranks share only what `body` borrows, and a
                     // panic is re-raised below: nothing observes state a
                     // panic tore.
-                    let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(rank))) else {
-                        return;
+                    let payload = match catch_unwind(AssertUnwindSafe(|| body(rank))) {
+                        Ok(value) => {
+                            *slot = Some(value);
+                            return;
+                        }
+                        Err(payload) => payload,
                     };
                     if payload.is::<Aborted>() {
                         return; // released by another rank's abort
@@ -180,6 +213,10 @@ impl Rendezvous {
         if let Some((_, payload)) = first.into_inner().unwrap_or_else(PoisonError::into_inner) {
             resume_unwind(payload);
         }
+        returned
+            .into_iter()
+            .map(|slot| slot.expect("no rank panicked, so every rank returned"))
+            .collect()
     }
 }
 
@@ -197,6 +234,22 @@ mod tests {
         r.wait_then(|| led += 1);
         assert_eq!(led, 2);
         assert_eq!(r.generation(), 3);
+    }
+
+    #[test]
+    fn run_spmd_returns_each_ranks_value_in_rank_order_and_counts_launches() {
+        for n in [1, 4, 64] {
+            let r = Rendezvous::new(n);
+            let got = r.run_spmd(|rank| {
+                r.wait();
+                // Not `Copy`, not `Sync`-dependent: anything `Send` comes back.
+                vec![rank; rank % 3]
+            });
+            let want: Vec<Vec<usize>> = (0..n).map(|rank| vec![rank; rank % 3]).collect();
+            assert_eq!(got, want, "{n} ranks");
+            assert_eq!(r.run_spmd(|_| ()).len(), n);
+            assert_eq!((r.launches(), r.generation()), (2, 1));
+        }
     }
 
     /// 64 threads × 2 000 generations: the leader runs exactly once per
@@ -255,15 +308,20 @@ mod tests {
     fn a_panicking_rank_releases_the_parked_ones_with_its_own_payload() {
         let r = Rendezvous::new(8);
         let crossed = AtomicUsize::new(0);
-        let err = catch_unwind(AssertUnwindSafe(|| {
+        // Ranks 6 and 7 return a value; the caller still gets only the
+        // panic.
+        let err = catch_unwind(AssertUnwindSafe(|| -> Vec<usize> {
             r.run_spmd(|rank| {
                 r.wait();
                 crossed.fetch_add(1, Ordering::Relaxed);
                 if rank == 5 {
                     panic!("rank 5 gives up");
                 }
-                r.wait();
-                unreachable!("the second crossing can never complete");
+                if rank < 5 {
+                    r.wait();
+                    unreachable!("the second crossing can never complete");
+                }
+                rank
             })
         }))
         .expect_err("the panic must surface");

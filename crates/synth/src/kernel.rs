@@ -17,7 +17,6 @@
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
 use rsd::{Dim, Rsd};
 use sdsm_core::{
     validate, AccessType, Cluster, ClusterPool, Desc, DsmConfig, RegionRef, Validator,
@@ -274,8 +273,6 @@ fn run_tmk_on(
     let x = cl.alloc::<f64>(n);
     let ilist = cl.alloc::<i32>(2 * cap_pp * nprocs);
 
-    let mut cap = Capture::new(nprocs, variant);
-
     // Phase identity of the kernel's two barrier sites: constant tags
     // normally; split by iteration parity for the alternating cell so
     // its two interleaved lists register as two plans.
@@ -288,7 +285,7 @@ fn run_tmk_on(
         }
     };
 
-    cl.run(|p| {
+    let ranks = cl.run(|p| {
         install_policy(p, variant, &cfg.adapt);
         let me = p.rank();
         let mut cur_sv = pl.sv_of_iter[0];
@@ -390,15 +387,16 @@ fn run_tmk_on(
             p.barrier_tagged(site(PHASE_ITER, it));
         }
 
-        cap.freeze_tmk(me, cl);
-        cap.set_scan(me, v.scan_seconds());
+        let out = Capture::tmk(me, cl, v.scan_seconds());
         p.barrier();
+        out
     });
 
-    let final_x = cap.extract(cl, &x);
+    let (policy, final_x) = Capture::extract(variant, cl, &x);
     let checksum = final_x.iter().map(|v| v.abs()).sum();
     let notice_bytes = cl.net().notice_meta_bytes();
-    (cap.report(seq_time, checksum), final_x, notice_bytes)
+    let report = Capture::report(variant, ranks, policy, seq_time, checksum);
+    (report, final_x, notice_bytes)
 }
 
 /// The kernel under CHAOS, against a prebuilt [`Plan`] and its
@@ -427,14 +425,10 @@ fn run_chaos_on(
     tts: &[TTable],
     seq_time: SimTime,
 ) -> (RunReport, Vec<f64>) {
-    let n = cfg.n;
     let nprocs = cfg.nprocs;
 
     w.net().set_label(&cfg.label());
-    let cap = Capture::new(nprocs, Variant::Chaos);
-    let finals: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
-
-    w.run(|cp| {
+    let out = w.run(|cp| {
         let me = cp.rank();
         let mut cur_sv = pl.sv_of_iter[0];
         let mut pe = pl.sv_part[cur_sv];
@@ -460,7 +454,7 @@ fn run_chaos_on(
             &mut cache,
             pl.flat[cur_sv][me].iter().flat_map(|&(a, b)| [a, b]),
         );
-        cap.set_untimed_inspector(me, (cp.now() - t0).as_secs_f64());
+        let untimed_inspector_s = (cp.now() - t0).as_secs_f64();
         let mut locs = resolve(&pl.flat[cur_sv][me], &sched, &tts[pe]);
 
         cp.start_timed_region();
@@ -561,20 +555,17 @@ fn run_chaos_on(
             cp.sync();
         }
 
-        cap.freeze_chaos(cp);
-        cap.set_inspector(me, insp_in_region);
-        finals.lock().push((me, x_own));
+        let rank = Capture::chaos(cp, untimed_inspector_s, insp_in_region);
+        (rank, x_own)
     });
 
-    // Assemble under the partition the run *ended* on — after a
-    // rebalance each processor's final block is its re-cut range.
-    let last_part = &pl.parts[pl.sv_part[pl.sv_of_iter[cfg.iters - 1]]];
-    let mut final_x = vec![0.0f64; n];
-    for (me, block) in finals.into_inner() {
-        final_x[last_part.range_of(me)].copy_from_slice(&block);
-    }
+    // Every partition is ascending-contiguous (see [`Plan::parts`]), so
+    // the owned blocks in rank order are the whole array — whichever
+    // partition the run *ended* on.
+    let (ranks, blocks): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+    let final_x = blocks.concat();
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (cap.report(seq_time, checksum), final_x)
+    (Capture::report(Variant::Chaos, ranks, None, seq_time, checksum), final_x)
 }
 
 #[cfg(test)]
@@ -591,7 +582,9 @@ mod tests {
     /// `iters + 4` barriers at two crossings each, plus the one bare
     /// crossing that zeroes the clocks. CHAOS, as measured: the
     /// inspector's one exchange and a gather per iteration at two each,
-    /// one per `sync`, two for `start_timed_region`.
+    /// one per `sync`, two for `start_timed_region`. And every variant
+    /// is exactly one SPMD launch (`nprocs` thread spawns): the result
+    /// read-back happens on the calling thread.
     #[test]
     fn static_cells_cross_the_host_rendezvous_an_exact_number_of_times() {
         for (nprocs, tmk_want, chaos_want) in [(4, 29, 34), (64, 21, 22)] {
@@ -611,8 +604,12 @@ mod tests {
                 });
                 run_tmk_on(&cl, cfg, world, plan, v, SimTime::ZERO);
                 assert_eq!(
-                    (cl.barrier_epoch(), cl.rendezvous_crossings()),
-                    (barriers, tmk_want),
+                    (
+                        cl.barrier_epoch(),
+                        cl.rendezvous_crossings(),
+                        cl.spmd_launches()
+                    ),
+                    (barriers, tmk_want, 1),
                     "{} {v:?}",
                     cfg.label()
                 );
@@ -620,8 +617,8 @@ mod tests {
             let w = ChaosWorld::new(nprocs, cfg.cost.clone());
             run_chaos_on(&w, cfg, world, plan, &p.ttables, SimTime::ZERO);
             assert_eq!(
-                w.rendezvous_crossings(),
-                chaos_want,
+                (w.rendezvous_crossings(), w.spmd_launches()),
+                (chaos_want, 1),
                 "{} CHAOS",
                 cfg.label()
             );

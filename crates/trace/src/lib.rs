@@ -13,10 +13,10 @@
 //! * [`Trace::to_chrome_json`] — Chrome trace-event JSON (one "thread"
 //!   per simulated processor), viewable in Perfetto or
 //!   `chrome://tracing`.
-//! * [`stall_json`] / [`check_conservation`] — the stall-attribution
-//!   report over [`simnet::NetReport::stalls`], with the exact
-//!   conservation law (category sums equal each processor's final
-//!   clock to the nanosecond) checked rather than assumed.
+//! * [`check_conservation`] — the exact conservation law over
+//!   [`simnet::NetReport::stalls`] (category sums equal each
+//!   processor's final clock to the nanosecond), checked rather than
+//!   assumed.
 //! * [`ServeTrace`] — job lifecycle / steal / recycle lanes for the
 //!   serve throughput driver, exported into the same JSON shape.
 //! * [`json_well_formed`] — a dependency-free JSON validator so the
@@ -36,7 +36,7 @@ pub use chrome::chrome_trace_json;
 pub use json::json_well_formed;
 pub use serve_lane::{ServeEvent, ServeTrace};
 pub use sink::{ProcLane, Trace, Tracer};
-pub use stall::{check_conservation, stall_json};
+pub use stall::check_conservation;
 
 // The event vocabulary lives in `simnet` (the `Net` hooks speak it);
 // re-export it so consumers need only this crate for tracing work.

@@ -4,12 +4,9 @@
 //! bucket, so attribution is an accounting identity, not a sampler:
 //! for every processor, the bucket sum equals the final simulated
 //! clock to the nanosecond. [`check_conservation`] verifies that
-//! identity on a captured [`NetReport`]; [`stall_json`] renders the
-//! breakdown (per processor and cluster totals) as JSON.
+//! identity on a captured [`NetReport`].
 
-use std::fmt::Write as _;
-
-use simnet::{NetReport, StallCat, StallRow};
+use simnet::NetReport;
 
 /// Verify the conservation law on every row of `rep.stalls`: the
 /// per-category nanoseconds must sum *exactly* to the processor's
@@ -36,40 +33,10 @@ pub fn check_conservation(rep: &NetReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Render the stall breakdown of `rep` as a JSON document:
-/// `{"procs":[{"proc":0,"clock_ns":…,"compute":…,…},…],"total":{…}}`.
-/// Row order and key order are fixed, so equal reports render to
-/// byte-identical strings.
-pub fn stall_json(rep: &NetReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\"procs\":[\n");
-    let mut total = StallRow::default();
-    for (p, row) in rep.stalls.iter().enumerate() {
-        if p > 0 {
-            out.push_str(",\n");
-        }
-        let _ = write!(out, "{{\"proc\":{p},");
-        row_fields(&mut out, row);
-        out.push('}');
-        total.merge(row);
-    }
-    out.push_str("\n],\"total\":{");
-    row_fields(&mut out, &total);
-    out.push_str("}}\n");
-    out
-}
-
-fn row_fields(out: &mut String, row: &StallRow) {
-    let _ = write!(out, "\"clock_ns\":{}", row.clock);
-    for cat in StallCat::ALL {
-        let _ = write!(out, ",\"{}\":{}", cat.name(), row.get(cat));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json_well_formed;
+    use simnet::{StallCat, StallRow};
 
     fn report(rows: Vec<StallRow>) -> NetReport {
         NetReport {
@@ -101,14 +68,5 @@ mod tests {
         assert!(err.contains("off by 5"), "{err}");
 
         assert!(check_conservation(&report(Vec::new())).is_err());
-    }
-
-    #[test]
-    fn json_render_is_well_formed_and_totals_fold() {
-        let rep = report(vec![row(70, 30), row(40, 10)]);
-        let json = stall_json(&rep);
-        assert!(json_well_formed(&json), "malformed:\n{json}");
-        assert!(json.contains("\"total\":{\"clock_ns\":150,\"compute\":110,"));
-        assert_eq!(json, stall_json(&rep.clone()), "deterministic render");
     }
 }
