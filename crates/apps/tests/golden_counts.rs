@@ -64,7 +64,7 @@ use apps::umesh::UmeshConfig;
 use apps::workload::{
     run_matrix, run_variants, MoldynWorkload, NbfWorkload, UmeshWorkload, Variant, Workload,
 };
-use simnet::{StallCat, StallRow};
+use simnet::{PolicyReport, StallCat, StallRow};
 
 /// `(variant, messages, bytes)` — the four classic rows captured from
 /// the direct per-app calls before the `Workload` refactor, plus the
@@ -185,4 +185,129 @@ fn umesh_small_reproduces_pre_refactor_counts() {
             (Variant::Chaos, 78, 11_344),
         ],
     );
+}
+
+/// One adaptive build's full [`PolicyReport`], flattened: the twelve
+/// whole-run totals in field order (`epochs`, `prefetch_rounds`,
+/// `prefetch_pages`, `push_rounds`, `push_pages`, `deferred_plans`,
+/// `quiesced_plans`, `quiesced_pages`, `subscriptions`, `promotions`,
+/// `demotions`, `probes`), then one row per phase: the tag followed by
+/// the same first nine counters.
+type PolicyGolden = (Variant, [u64; 12], &'static [[u64; 10]]);
+
+fn flatten(r: &PolicyReport) -> ([u64; 12], Vec<[u64; 10]>) {
+    let totals = [
+        r.epochs,
+        r.prefetch_rounds,
+        r.prefetch_pages,
+        r.push_rounds,
+        r.push_pages,
+        r.deferred_plans,
+        r.quiesced_plans,
+        r.quiesced_pages,
+        r.subscriptions,
+        r.promotions,
+        r.demotions,
+        r.probes,
+    ];
+    let per_phase = r.per_phase.iter().map(|p| {
+        [
+            u64::from(p.phase),
+            p.epochs,
+            p.prefetch_rounds,
+            p.prefetch_pages,
+            p.push_rounds,
+            p.push_pages,
+            p.deferred_plans,
+            p.quiesced_plans,
+            p.quiesced_pages,
+            p.subscriptions,
+        ]
+    });
+    (totals, per_phase.collect())
+}
+
+/// Every decision counter of the adaptive and push builds, per-phase
+/// rows included — captured from the build *before* `epoch_end` became
+/// a pure function and `dsm` the only writer of `PolicyStats`. No other
+/// test compares a `PolicyReport` by equality; this table (with its
+/// churn-cell sibling in `synth/tests/scenarios.rs`, which adds
+/// demotions and probes) is what says the single record of the engine's
+/// decisions equals the four it replaced.
+const POLICY_GOLDEN: [(&str, [PolicyGolden; 2]); 2] = [
+    (
+        "moldyn",
+        [
+            (
+                Variant::TmkAdaptive,
+                [132, 45, 174, 0, 0, 16, 7, 26, 0, 62, 0, 0],
+                &[
+                    [0, 8, 0, 0, 0, 0, 0, 0, 0, 0],
+                    [1, 24, 9, 42, 0, 0, 6, 3, 14, 0],
+                    [2, 4, 0, 0, 0, 0, 0, 0, 0, 0],
+                    [8, 24, 12, 76, 0, 0, 0, 0, 0, 0],
+                    [9, 24, 9, 18, 0, 0, 3, 0, 0, 0],
+                    [10, 24, 3, 6, 0, 0, 1, 0, 0, 0],
+                    [11, 24, 12, 32, 0, 0, 6, 4, 12, 0],
+                ],
+            ),
+            (
+                Variant::TmkPush,
+                [132, 0, 0, 52, 200, 0, 0, 0, 52, 62, 0, 0],
+                &[
+                    [0, 8, 0, 0, 0, 0, 0, 0, 0, 0],
+                    [1, 24, 0, 0, 12, 56, 0, 0, 0, 7],
+                    [2, 4, 0, 0, 0, 0, 0, 0, 0, 0],
+                    [8, 24, 0, 0, 12, 76, 0, 0, 0, 21],
+                    [9, 24, 0, 0, 9, 18, 0, 0, 0, 8],
+                    [10, 24, 0, 0, 3, 6, 0, 0, 0, 3],
+                    [11, 24, 0, 0, 16, 44, 0, 0, 0, 13],
+                ],
+            ),
+        ],
+    ),
+    (
+        "nbf",
+        [
+            (
+                Variant::TmkAdaptive,
+                [68, 24, 80, 0, 0, 0, 0, 0, 0, 56, 0, 0],
+                &[
+                    [0, 8, 0, 0, 0, 0, 0, 0, 0, 0],
+                    [1, 12, 8, 48, 0, 0, 0, 0, 0, 0],
+                    [8, 12, 4, 8, 0, 0, 0, 0, 0, 0],
+                    [9, 12, 4, 8, 0, 0, 0, 0, 0, 0],
+                    [10, 12, 4, 8, 0, 0, 0, 0, 0, 0],
+                    [11, 12, 4, 8, 0, 0, 0, 0, 0, 0],
+                ],
+            ),
+            (
+                Variant::TmkPush,
+                [68, 0, 0, 24, 80, 0, 0, 0, 50, 56, 0, 0],
+                &[
+                    [0, 8, 0, 0, 0, 0, 0, 0, 0, 0],
+                    [1, 12, 0, 0, 8, 48, 0, 0, 0, 12],
+                    [8, 12, 0, 0, 4, 8, 0, 0, 0, 8],
+                    [9, 12, 0, 0, 4, 8, 0, 0, 0, 10],
+                    [10, 12, 0, 0, 4, 8, 0, 0, 0, 10],
+                    [11, 12, 0, 0, 4, 8, 0, 0, 0, 10],
+                ],
+            ),
+        ],
+    ),
+];
+
+#[test]
+fn moldyn_and_nbf_small_policy_reports_are_pinned() {
+    let moldyn = MoldynWorkload::new(MoldynConfig::small());
+    let nbf = NbfWorkload::new(NbfConfig::small());
+    let apps: [&dyn Workload; 2] = [&moldyn, &nbf];
+    for (w, (app, rows)) in apps.into_iter().zip(POLICY_GOLDEN) {
+        let m = run_variants(w, &rows.map(|(v, ..)| v));
+        for (v, totals, per_phase) in rows {
+            let got = m.get(v).report.policy.as_ref();
+            let got = flatten(got.expect("adaptive builds carry a policy report"));
+            assert_eq!(got, (totals, per_phase.to_vec()), "{app} {v:?}: policy report moved");
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! message/byte counts of the quick grid's six churn cells and the
 //! lossy-link contract on the first of them.
 
-use apps::workload::{run_matrix, Variant, Workload};
+use apps::workload::{run_matrix, run_variants, Variant, Workload};
 use simnet::{with_loss, StallCat};
 use synth::{scenario_grid, Dynamics, Prepared, Structure, SynthConfig};
 
@@ -316,6 +316,79 @@ fn churn_cells_reproduce_golden_counts() {
         let got = Variant::PARALLEL.map(|v| &m.get(v).report);
         assert_eq!(got.map(|r| r.messages), messages, "{label}: messages moved");
         assert_eq!(got.map(|r| r.bytes), bytes, "{label}: bytes moved");
+    }
+}
+
+/// The first churn cell's full `PolicyReport` under the adaptive and
+/// push builds, in `apps/tests/golden_counts.rs`'s `POLICY_GOLDEN` form
+/// (twelve totals in field order, then `[phase, nine counters]` rows) —
+/// the cell that adds probes to what the moldyn/nbf rows there pin.
+/// Captured from the build before `dsm` became the only writer of
+/// `PolicyStats`.
+const CHURN_POLICY_GOLDEN: [(Variant, [u64; 12], [[u64; 10]; 3]); 2] = [
+    (
+        Variant::TmkAdaptive,
+        [60, 29, 337, 0, 0, 20, 0, 0, 0, 49, 0, 48],
+        [
+            [0, 8, 0, 0, 0, 0, 0, 0, 0, 0],
+            [2, 40, 28, 336, 0, 0, 20, 0, 0, 0],
+            [4, 12, 1, 1, 0, 0, 0, 0, 0, 0],
+        ],
+    ),
+    (
+        Variant::TmkPush,
+        [60, 0, 0, 29, 337, 0, 0, 0, 13, 49, 0, 48],
+        [
+            [0, 8, 0, 0, 0, 0, 0, 0, 0, 0],
+            [2, 40, 0, 0, 28, 336, 0, 0, 0, 12],
+            [4, 12, 0, 0, 1, 1, 0, 0, 0, 1],
+        ],
+    ),
+];
+
+#[test]
+fn first_churn_cell_policy_reports_are_pinned() {
+    let cell = Prepared::new(churn_cells().swap_remove(0));
+    let m = run_variants(&cell, &CHURN_POLICY_GOLDEN.map(|(v, ..)| v));
+    for (v, totals, per_phase) in CHURN_POLICY_GOLDEN {
+        let r = m.get(v).report.policy.as_ref().expect("policy report");
+        let got_totals = [
+            r.epochs,
+            r.prefetch_rounds,
+            r.prefetch_pages,
+            r.push_rounds,
+            r.push_pages,
+            r.deferred_plans,
+            r.quiesced_plans,
+            r.quiesced_pages,
+            r.subscriptions,
+            r.promotions,
+            r.demotions,
+            r.probes,
+        ];
+        let got_phases: Vec<[u64; 10]> = r
+            .per_phase
+            .iter()
+            .map(|p| {
+                [
+                    u64::from(p.phase),
+                    p.epochs,
+                    p.prefetch_rounds,
+                    p.prefetch_pages,
+                    p.push_rounds,
+                    p.push_pages,
+                    p.deferred_plans,
+                    p.quiesced_plans,
+                    p.quiesced_pages,
+                    p.subscriptions,
+                ]
+            })
+            .collect();
+        assert_eq!(
+            (got_totals, got_phases),
+            (totals, per_phase.to_vec()),
+            "{v:?}: policy report moved"
+        );
     }
 }
 
