@@ -16,13 +16,24 @@ clippy:
 
 # Idioms that were deleted and must not grow back: an SPMD body returns
 # its per-rank values (`cl.run` / `w.run` hand back a Vec in rank
-# order), so the kernels share nothing that needs a lock; and
-# trace::stall_json had no caller.
+# order), so the kernels share nothing that needs a lock;
+# trace::stall_json had no caller; a protocol policy returns its
+# decision and dsm alone counts and traces it (no PolicyStats in adapt,
+# no in-policy log); loss is a CostModel field, not a thread-local; and
+# dsm's fetch classes are simnet::FetchKind, not a mirror enum.
 hygiene:
 	@if grep -rn "Mutex" crates/apps/src crates/synth/src; then \
 		echo "hygiene: return per-rank values from the SPMD body instead of locking"; exit 1; fi
 	@if grep -rn "stall_json" crates/; then \
 		echo "hygiene: trace::stall_json is deleted; check_conservation is the stall API"; exit 1; fi
+	@if grep -rn "PolicyStats" crates/adapt/src; then \
+		echo "hygiene: a policy returns its EpochDecision; dsm's barrier_tagged is the only PolicyStats writer"; exit 1; fi
+	@if grep -rn "EpochLog\|page_history" crates/; then \
+		echo "hygiene: the policy keeps no flight recorder; PolicyReport and the trace are the record"; exit 1; fi
+	@if grep -n "thread_local" crates/simnet/src/net.rs; then \
+		echo "hygiene: loss is CostModel::loss_per_mille / loss_seed, not an ambient thread-local"; exit 1; fi
+	@if grep -rn "enum FetchClass" crates/dsm; then \
+		echo "hygiene: dsm::FetchClass is simnet::FetchKind; add tables as methods beside that enum"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses

@@ -13,10 +13,9 @@
 //! the aggregation win with zero source access. [`AdaptivePolicy`]
 //! implements that idea on the [`dsm`] crate's `ProtocolPolicy` hook:
 //!
-//! 1. **Observe** — every demand miss, every locally dirtied page, and
-//!    every barrier-time invalidation lands in a per-page
-//!    [epoch-history table](history::PageHistory), keyed by
-//!    invalidation events so periodic patterns (a page touched every
+//! 1. **Observe** — every demand miss and every barrier-time
+//!    invalidation lands in a per-page table, keyed by invalidation
+//!    events so periodic patterns (a page touched every
 //!    `nprocs + 1` barriers) are seen as stable — and keyed by the
 //!    barrier's **phase identity** (`dsm::TmkProc::barrier_tagged`), so
 //!    multi-barrier apps that alternate sites (coordinate pages at one
@@ -50,10 +49,12 @@
 //! The engine only moves fetches earlier (or flips who initiates the
 //! wire exchange); it never changes which records a fetch applies, so
 //! results are **bitwise identical** to base TreadMarks, while the
-//! message count drops toward the compiler-optimized build's. Decision
-//! counters are published through [`simnet::PolicyStats`] and each
-//! engine keeps a per-epoch [decision log](history::EpochLog) for
-//! diagnostics.
+//! message count drops toward the compiler-optimized build's. The
+//! engine is a pure function of what it observed: each epoch's
+//! [`EpochDecision`] — picks plus the per-page promotions, demotions and
+//! probes behind them — is the only record it produces. The DSM counts
+//! it (`Net::policy_report`, a [`PolicyReport`]) and traces it; the
+//! engine keeps no log of its own.
 //!
 //! ## Quickstart
 //!
@@ -82,11 +83,9 @@
 
 #![warn(missing_docs)]
 
-mod history;
 mod policy;
 
-pub use history::{EpochLog, EpochRow, PageHistory};
 pub use policy::{probe_budget, AdaptConfig, AdaptivePolicy, PageMode};
 
-pub use dsm::{EpochDecision, ProtocolPolicy, StaticPolicy};
-pub use simnet::{PolicyReport, PolicyStats};
+pub use dsm::{EpochDecision, ProtocolPolicy};
+pub use simnet::PolicyReport;

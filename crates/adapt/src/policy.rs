@@ -87,12 +87,16 @@
 //!   *changed* per-phase schedule (see `dsm::FetchClass::Push`).
 
 use dsm::{EpochDecision, ProtocolPolicy};
-use simnet::{PolicyStats, ProcId};
-
-use crate::history::{EpochLog, EpochRow, PageHistory};
+use simnet::PolicyAct;
 
 /// "No phase has invalidated this page yet."
 const NO_PHASE: u32 = u32::MAX;
+
+/// Per-(page, phase) gap-history depth. The longest recognizable
+/// need-period cycle is half this (a cycle must be seen twice to be
+/// verified), and it exceeds every legal
+/// [`AdaptConfig::promote_after`], so a constant gap can always lock.
+const HISTORY_WINDOW: usize = 16;
 
 /// Tuning knobs of the adaptive engine.
 #[derive(Debug, Clone)]
@@ -120,12 +124,6 @@ pub struct AdaptConfig {
     /// pattern dead. Any probe that *does* demand-fault clears the
     /// streak. Range 1–8.
     pub demote_after: u32,
-    /// Retained rows of the per-epoch decision log (diagnostics only).
-    pub log_window: usize,
-    /// Per-(page, phase) gap-history depth. The longest recognizable
-    /// need-period cycle is half this (a cycle must be seen twice to be
-    /// verified). Range 4–64.
-    pub history_window: usize,
     /// Consecutive identical-pick epochs *of one phase* before the
     /// batched fetch is deferred to the epoch's first demand fault (the
     /// final-barrier quiesce heuristic). 0 disables deferral entirely
@@ -157,8 +155,6 @@ impl Default for AdaptConfig {
             promote_after: 1,
             probe_every: 8,
             demote_after: 1,
-            log_window: 64,
-            history_window: 16,
             quiesce_after: 2,
             push: false,
         }
@@ -234,12 +230,9 @@ fn locked_period(gaps: &[u32], promote_after: u32) -> Option<usize> {
 
 #[derive(Debug, Clone)]
 struct PageEntry {
-    hist: PageHistory,
     /// Demand miss attributed to this phase since the page's last
     /// invalidation at this phase.
     missed: bool,
-    /// Locally dirtied since the page's last invalidation here.
-    dirtied: bool,
     /// The current window was covered by one of this phase's
     /// prefetches.
     prefetched: bool,
@@ -262,9 +255,7 @@ struct PageEntry {
 impl PageEntry {
     fn new() -> Self {
         PageEntry {
-            hist: PageHistory::default(),
             missed: false,
-            dirtied: false,
             prefetched: false,
             probing: false,
             invs: 0,
@@ -284,7 +275,7 @@ impl PageEntry {
 /// page-indexed vector — no hashing, nothing keyed by peer processor —
 /// so `epoch_end` at 256 processors walks only the pages this barrier
 /// invalidated, never a per-peer structure. The only bounded shifts are
-/// the per-page gap ring (≤ `history_window` ≤ 64 entries).
+/// the per-page gap ring (≤ [`HISTORY_WINDOW`] entries).
 #[derive(Debug, Clone)]
 struct PhaseState {
     phase: u32,
@@ -340,52 +331,26 @@ pub struct AdaptivePolicy {
     /// Demand miss seen before the page's first-ever invalidation
     /// (consumed by whichever phase invalidates it first).
     cold_miss: Vec<bool>,
-    /// Dirtying seen before the page's first-ever invalidation.
-    cold_dirty: Vec<bool>,
-    log: EpochLog,
-    /// Demand misses since the last epoch boundary (for the log).
-    epoch_misses: u32,
 }
 
 impl AdaptivePolicy {
-    /// Build an engine with the given knobs (panics on out-of-range or
-    /// mutually unsatisfiable knob values — see each [`AdaptConfig`]
-    /// field's range).
+    /// Build an engine with the given knobs (panics on out-of-range
+    /// knob values — see each [`AdaptConfig`] field's range).
     pub fn new(cfg: AdaptConfig) -> Self {
         assert!((1..=8).contains(&cfg.promote_after), "promote_after: 1–8");
         assert!(cfg.probe_every >= 2, "probe_every: at least 2");
         assert!((1..=8).contains(&cfg.demote_after), "demote_after: 1–8");
-        assert!(
-            (4..=64).contains(&cfg.history_window),
-            "history_window: 4–64"
-        );
-        // locked_period needs span = max(L, promote_after) ≤ n − L with
-        // n ≤ history_window; for even the shortest cycle (L = 1) that
-        // requires history_window > promote_after — otherwise no page
-        // could ever be promoted and the engine would be silently inert.
-        assert!(
-            cfg.history_window > cfg.promote_after as usize,
-            "history_window must exceed promote_after or nothing can promote"
-        );
         AdaptivePolicy {
-            log: EpochLog::new(cfg.log_window),
             cfg,
             phases: Vec::new(),
             last_inv: Vec::new(),
             cold_miss: Vec::new(),
-            cold_dirty: Vec::new(),
-            epoch_misses: 0,
         }
     }
 
     /// The knobs this engine runs with.
     pub fn config(&self) -> &AdaptConfig {
         &self.cfg
-    }
-
-    /// The per-epoch decision log (diagnostics).
-    pub fn log(&self) -> &EpochLog {
-        &self.log
     }
 
     /// Phase tags this engine has seen, in first-seen order.
@@ -412,7 +377,6 @@ impl AdaptivePolicy {
         if idx >= self.last_inv.len() {
             self.last_inv.resize(idx + 1, NO_PHASE);
             self.cold_miss.resize(idx + 1, false);
-            self.cold_dirty.resize(idx + 1, false);
         }
     }
 
@@ -475,40 +439,16 @@ impl AdaptivePolicy {
                 .and_then(|e| locked_period(&e.gaps, pa).map(|l| l as u32))
         })
     }
-
-    /// Completed-window history of `page`: the history of the phase
-    /// that has closed the most windows for it (diagnostics; ties go to
-    /// the later-seen phase).
-    pub fn page_history(&self, page: u32) -> Option<PageHistory> {
-        self.phases
-            .iter()
-            .filter_map(|st| st.entry(page).map(|e| e.hist))
-            .max_by_key(|h| h.windows)
-    }
 }
 
 impl ProtocolPolicy for AdaptivePolicy {
     fn note_miss(&mut self, page: u32) {
-        self.epoch_misses += 1;
         self.ensure_page(page);
         match self.last_inv[page as usize] {
             NO_PHASE => self.cold_miss[page as usize] = true,
             ph => {
                 let i = self.phase_pos(ph).expect("attributing phase was seen");
                 self.phases[i].entry_mut(page).missed = true;
-            }
-        }
-    }
-
-    fn note_interval_close(&mut self, pages: &[u32]) {
-        for &page in pages {
-            self.ensure_page(page);
-            match self.last_inv[page as usize] {
-                NO_PHASE => self.cold_dirty[page as usize] = true,
-                ph => {
-                    let i = self.phase_pos(ph).expect("attributing phase was seen");
-                    self.phases[i].entry_mut(page).dirtied = true;
-                }
             }
         }
     }
@@ -527,24 +467,7 @@ impl ProtocolPolicy for AdaptivePolicy {
         }
     }
 
-    fn epoch_end(
-        &mut self,
-        epoch: u64,
-        phase: u32,
-        invalidated: &[u32],
-        stats: &PolicyStats,
-        me: ProcId,
-    ) -> EpochDecision {
-        stats.record_epoch(me, phase);
-        let mut row = EpochRow {
-            epoch,
-            phase,
-            invalidated: invalidated.len() as u32,
-            misses: self.epoch_misses,
-            ..Default::default()
-        };
-        self.epoch_misses = 0;
-
+    fn epoch_end(&mut self, _epoch: u64, phase: u32, invalidated: &[u32]) -> EpochDecision {
         let pi = self.ensure_phase(phase);
         if let Some(&max) = invalidated.iter().max() {
             self.ensure_page(max);
@@ -553,46 +476,38 @@ impl ProtocolPolicy for AdaptivePolicy {
         let promote_after = self.cfg.promote_after;
         let probe_every = self.cfg.probe_every;
         let demote_after = self.cfg.demote_after;
-        let history_window = self.cfg.history_window;
         let mut picks = Vec::new();
         // The picks plus any probe-withheld pages: the quiesce streak
         // compares *plans*, and a probe deliberately thinning one epoch
         // must not read as the plan having changed (it would break the
         // streak twice — once thinning, once restoring).
         let mut planned = Vec::new();
-        // Per-page decision records for the trace layer, in decision
-        // order (protocol-inert; the DSM emits them only when tracing).
-        let mut events: Vec<(u32, simnet::PolicyAct)> = Vec::new();
+        // Per-page decision records, in decision order — the one account
+        // of what this epoch promoted, demoted and probed; the DSM
+        // counts and traces them.
+        let mut events: Vec<(u32, PolicyAct)> = Vec::new();
         for &page in invalidated {
             let idx = page as usize;
-            // A page's first-ever invalidation consumes any cold marks
-            // (miss/dirty before any phase owned the page).
-            let (cold_m, cold_d) = if self.last_inv[idx] == NO_PHASE {
-                (
-                    std::mem::take(&mut self.cold_miss[idx]),
-                    std::mem::take(&mut self.cold_dirty[idx]),
-                )
-            } else {
-                (false, false)
-            };
+            // A page's first-ever invalidation consumes its cold mark
+            // (a miss before any phase owned the page).
+            let cold_m =
+                self.last_inv[idx] == NO_PHASE && std::mem::take(&mut self.cold_miss[idx]);
             // From here on, misses on this page belong to this phase:
             // only this phase's prefetch could cover them.
             self.last_inv[idx] = phase;
 
             let e = self.phases[pi].entry_mut(page);
             e.missed |= cold_m;
-            e.dirtied |= cold_d;
             e.invs += 1;
             let t = e.invs;
 
             // Close window W_{t-1}: did the page turn out to be needed?
             let need = e.missed || e.prefetched;
             let was_probe = e.probing;
-            e.hist.push(e.missed, e.dirtied);
             if need {
                 if e.last_need > 0 {
                     let g = (t - e.last_need).min(u32::MAX as u64) as u32;
-                    if e.gaps.len() == history_window {
+                    if e.gaps.len() == HISTORY_WINDOW {
                         e.gaps.remove(0);
                     }
                     e.gaps.push(g);
@@ -621,7 +536,7 @@ impl ProtocolPolicy for AdaptivePolicy {
                     // virtual need so the cadence stays on schedule and
                     // the *next* probe gets to decide.
                     let g = (t - e.last_need).min(u32::MAX as u64) as u32;
-                    if e.gaps.len() == history_window {
+                    if e.gaps.len() == HISTORY_WINDOW {
                         e.gaps.remove(0);
                     }
                     e.gaps.push(g);
@@ -630,7 +545,6 @@ impl ProtocolPolicy for AdaptivePolicy {
             }
             e.probing = false;
             e.missed = false;
-            e.dirtied = false;
             e.prefetched = false;
 
             // Promotion state: does the gap history lock onto a cycle?
@@ -638,13 +552,12 @@ impl ProtocolPolicy for AdaptivePolicy {
             let now_promoted = locked.is_some();
             if now_promoted != e.promoted {
                 e.promoted = now_promoted;
-                if now_promoted {
-                    row.promotions += 1;
-                    events.push((page, simnet::PolicyAct::Promote));
+                let act = if now_promoted {
+                    PolicyAct::Promote
                 } else {
-                    row.demotions += 1;
-                    events.push((page, simnet::PolicyAct::Demote));
-                }
+                    PolicyAct::Demote
+                };
+                events.push((page, act));
             }
 
             // Predict: the cycle says the next need gap is the one L
@@ -658,8 +571,7 @@ impl ProtocolPolicy for AdaptivePolicy {
                     planned.push(page);
                     if e.predictions % probe_every == 0 {
                         e.probing = true;
-                        row.probes += 1;
-                        events.push((page, simnet::PolicyAct::Probe));
+                        events.push((page, PolicyAct::Probe));
                     } else {
                         e.prefetched = true;
                         picks.push(page);
@@ -667,18 +579,6 @@ impl ProtocolPolicy for AdaptivePolicy {
                 }
             }
         }
-
-        row.prefetched = picks.len() as u32;
-        if row.promotions > 0 {
-            stats.record_promotions(me, row.promotions as u64);
-        }
-        if row.demotions > 0 {
-            stats.record_demotions(me, row.demotions as u64);
-        }
-        if row.probes > 0 {
-            stats.record_probes(me, row.probes as u64);
-        }
-        self.log.push(row);
 
         // Quiesce heuristic: after `quiesce_after` consecutive epochs
         // of THIS phase with identical picks, steady state is assumed
@@ -718,27 +618,49 @@ impl ProtocolPolicy for AdaptivePolicy {
 mod tests {
     use super::*;
 
-    fn drive(p: &mut AdaptivePolicy, stats: &PolicyStats, inv: &[u32]) -> Vec<u32> {
-        drive_in(p, stats, 0, inv)
+    /// What the protocol layer would have counted from the decisions
+    /// driven so far (it owns the real counters; the engine only
+    /// returns decisions).
+    #[derive(Default)]
+    struct Tally {
+        epochs: u64,
+        promotions: u64,
+        demotions: u64,
+        probes: u64,
     }
 
-    fn drive_in(p: &mut AdaptivePolicy, stats: &PolicyStats, phase: u32, inv: &[u32]) -> Vec<u32> {
-        let epoch = p.log().total_epochs() + 1;
-        p.epoch_end(epoch, phase, inv, stats, 0).picks
+    /// One barrier epoch of phase 0: the picks.
+    fn drive(p: &mut AdaptivePolicy, tally: &mut Tally, inv: &[u32]) -> Vec<u32> {
+        decide(p, tally, 0, inv).picks
+    }
+
+    /// One barrier epoch of `phase`, numbered and tallied the way
+    /// `dsm::TmkProc::barrier_tagged` would.
+    fn decide(p: &mut AdaptivePolicy, tally: &mut Tally, phase: u32, inv: &[u32]) -> EpochDecision {
+        tally.epochs += 1;
+        let dec = p.epoch_end(tally.epochs, phase, inv);
+        for &(_, act) in &dec.events {
+            match act {
+                PolicyAct::Promote => tally.promotions += 1,
+                PolicyAct::Demote => tally.demotions += 1,
+                PolicyAct::Probe => tally.probes += 1,
+            }
+        }
+        dec
     }
 
     #[test]
     fn gap1_pattern_promotes_after_three_confirmed_needs() {
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig::default());
 
         // Needs at events 1, 2, 3 → gap 1 confirmed twice at event 3.
         p.note_miss(7);
-        assert!(drive(&mut p, &stats, &[7]).is_empty()); // first need: no gap yet
+        assert!(drive(&mut p, &mut tally, &[7]).is_empty()); // first need: no gap yet
         p.note_miss(7);
-        assert!(drive(&mut p, &stats, &[7]).is_empty()); // gap=1, unconfirmed
+        assert!(drive(&mut p, &mut tally, &[7]).is_empty()); // gap=1, unconfirmed
         p.note_miss(7);
-        let picks = drive(&mut p, &stats, &[7]); // gap=1 again → stable → predict
+        let picks = drive(&mut p, &mut tally, &[7]); // gap=1 again → stable → predict
         assert_eq!(p.page_mode(7), PageMode::Prefetch);
         assert_eq!(p.page_gap(7), Some(1));
         assert_eq!(p.page_period(7), Some(1));
@@ -747,25 +669,24 @@ mod tests {
         // Steady state: keeps prefetching with no further misses (the
         // prefetch itself counts as the predicted need).
         for _ in 0..5 {
-            assert_eq!(drive(&mut p, &stats, &[7]), vec![7]);
+            assert_eq!(drive(&mut p, &mut tally, &[7]), vec![7]);
         }
-        let rep = simnet::PolicyReport::capture(&stats);
-        assert_eq!(rep.promotions, 1);
-        assert_eq!(rep.demotions, 0);
+        assert_eq!(tally.promotions, 1);
+        assert_eq!(tally.demotions, 0);
     }
 
     #[test]
     fn periodic_pattern_prefetches_only_at_the_predicted_phase() {
         // A pipelined-reduction page: invalidated every event, needed
         // every 4th event. Blind prefetch would fetch 4x too often.
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig::default());
         let mut prefetches = Vec::new();
         let mut misses = 0;
         for t in 1u64..=40 {
             // The app misses in window W_t iff t % 4 == 1 and the page
             // was not prefetched for that window.
-            let picks = drive(&mut p, &stats, &[5]);
+            let picks = drive(&mut p, &mut tally, &[5]);
             if !picks.is_empty() {
                 prefetches.push(t);
             } else if t % 4 == 1 {
@@ -785,14 +706,14 @@ mod tests {
 
     #[test]
     fn unaccessed_pages_are_never_prefetched() {
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig::default());
         for _ in 0..20 {
             // Invalidated every epoch but never missed on.
-            assert!(drive(&mut p, &stats, &[3]).is_empty());
+            assert!(drive(&mut p, &mut tally, &[3]).is_empty());
         }
         assert_eq!(p.page_mode(3), PageMode::Demand);
-        assert!(!simnet::PolicyReport::capture(&stats).is_active());
+        assert_eq!(tally.promotions, 0, "nothing was ever decided");
     }
 
     #[test]
@@ -803,12 +724,12 @@ mod tests {
         // lands one event later, the observed gap breaks the cycle
         // match, the lock is lost, and the predictor re-learns the
         // shifted phase — all without waiting for a probe.
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig::default());
         let mut wasted = 0;
         let mut demand_misses = 0;
         for t in 1u64..=60 {
-            let picks = drive(&mut p, &stats, &[6]);
+            let picks = drive(&mut p, &mut tally, &[6]);
             // Phase slips at t=30: needs move from W_{t: t%4==1} to
             // W_{t: t%4==2}.
             let used = if t < 30 { t % 4 == 1 } else { t % 4 == 2 };
@@ -832,38 +753,36 @@ mod tests {
 
     #[test]
     fn clean_probe_resets_a_dead_pattern() {
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig {
             promote_after: 1,
             probe_every: 4,
-            log_window: 16,
             ..Default::default()
         });
         // Gap-1 pattern, promoted at event 3 (prediction #1).
         for _ in 0..3 {
             p.note_miss(9);
-            drive(&mut p, &stats, &[9]);
+            drive(&mut p, &mut tally, &[9]);
         }
         // The program stops touching the page; writers keep writing.
         // Predictions 2, 3 prefetch; prediction 4 is the probe; the
         // clean probe window resets the predictor.
-        assert_eq!(drive(&mut p, &stats, &[9]), vec![9]); // prediction 2
-        assert_eq!(drive(&mut p, &stats, &[9]), vec![9]); // prediction 3
-        assert!(drive(&mut p, &stats, &[9]).is_empty()); // prediction 4 = probe
-        assert!(drive(&mut p, &stats, &[9]).is_empty()); // clean → reset
+        assert_eq!(drive(&mut p, &mut tally, &[9]), vec![9]); // prediction 2
+        assert_eq!(drive(&mut p, &mut tally, &[9]), vec![9]); // prediction 3
+        assert!(drive(&mut p, &mut tally, &[9]).is_empty()); // prediction 4 = probe
+        assert!(drive(&mut p, &mut tally, &[9]).is_empty()); // clean → reset
         assert_eq!(p.page_mode(9), PageMode::Demand);
-        let rep = simnet::PolicyReport::capture(&stats);
-        assert_eq!(rep.probes, 1);
-        assert!(rep.demotions >= 1);
+        assert_eq!(tally.probes, 1);
+        assert!(tally.demotions >= 1);
         // And it stays quiet afterwards.
         for _ in 0..8 {
-            assert!(drive(&mut p, &stats, &[9]).is_empty());
+            assert!(drive(&mut p, &mut tally, &[9]).is_empty());
         }
     }
 
     #[test]
     fn demote_after_tolerates_isolated_clean_probes() {
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig {
             promote_after: 1,
             probe_every: 3,
@@ -873,26 +792,26 @@ mod tests {
         // Promote page 9 (gap 1), then let the page go quiet.
         for _ in 0..3 {
             p.note_miss(9);
-            drive(&mut p, &stats, &[9]);
+            drive(&mut p, &mut tally, &[9]);
         }
         // Predictions 2, 3 = prefetch, probe. One clean probe is below
         // the demote threshold, so the prediction stream continues...
-        assert_eq!(drive(&mut p, &stats, &[9]), vec![9]);
-        assert!(drive(&mut p, &stats, &[9]).is_empty()); // probe 1
-        assert_eq!(drive(&mut p, &stats, &[9]), vec![9], "one clean probe tolerated");
+        assert_eq!(drive(&mut p, &mut tally, &[9]), vec![9]);
+        assert!(drive(&mut p, &mut tally, &[9]).is_empty()); // probe 1
+        assert_eq!(drive(&mut p, &mut tally, &[9]), vec![9], "one clean probe tolerated");
         // ...until the second consecutive clean probe resets it.
-        assert_eq!(drive(&mut p, &stats, &[9]), vec![9]);
-        assert!(drive(&mut p, &stats, &[9]).is_empty()); // probe 2
-        drive(&mut p, &stats, &[9]); // clean again → reset
+        assert_eq!(drive(&mut p, &mut tally, &[9]), vec![9]);
+        assert!(drive(&mut p, &mut tally, &[9]).is_empty()); // probe 2
+        drive(&mut p, &mut tally, &[9]); // clean again → reset
         assert_eq!(p.page_mode(9), PageMode::Demand);
         for _ in 0..6 {
-            assert!(drive(&mut p, &stats, &[9]).is_empty());
+            assert!(drive(&mut p, &mut tally, &[9]).is_empty());
         }
     }
 
     #[test]
     fn probe_that_faults_clears_the_clean_streak() {
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig {
             promote_after: 1,
             probe_every: 2,
@@ -901,12 +820,12 @@ mod tests {
         });
         for _ in 0..3 {
             p.note_miss(4);
-            drive(&mut p, &stats, &[4]);
+            drive(&mut p, &mut tally, &[4]);
         }
         // Every second prediction probes; the page stays live, so each
         // probe demand-faults and the clean streak never reaches 2.
         for round in 0..6 {
-            let picks = drive(&mut p, &stats, &[4]);
+            let picks = drive(&mut p, &mut tally, &[4]);
             if picks.is_empty() {
                 p.note_miss(4); // the probe window's real miss
             }
@@ -929,54 +848,23 @@ mod tests {
 
     #[test]
     fn probe_miss_keeps_the_page_promoted() {
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig {
             promote_after: 1,
             probe_every: 2,
-            log_window: 16,
             ..Default::default()
         });
         for _ in 0..3 {
             p.note_miss(5);
-            drive(&mut p, &stats, &[5]);
+            drive(&mut p, &mut tally, &[5]);
         }
         // Prediction #2 is a probe; the page is still live, so the
         // probe demand-faults and the pattern survives.
-        assert!(drive(&mut p, &stats, &[5]).is_empty()); // probe
+        assert!(drive(&mut p, &mut tally, &[5]).is_empty()); // probe
         p.note_miss(5);
-        assert_eq!(drive(&mut p, &stats, &[5]), vec![5]); // prediction 3
+        assert_eq!(drive(&mut p, &mut tally, &[5]), vec![5]); // prediction 3
         assert_eq!(p.page_mode(5), PageMode::Prefetch);
-        assert_eq!(simnet::PolicyReport::capture(&stats).demotions, 0);
-    }
-
-    #[test]
-    fn epoch_log_records_decisions() {
-        let stats = PolicyStats::new(1);
-        let mut p = AdaptivePolicy::new(AdaptConfig::default());
-        for _ in 0..2 {
-            p.note_miss(1);
-            p.note_miss(2);
-            drive(&mut p, &stats, &[1, 2]);
-        }
-        p.note_miss(1); // page 1 needs a third time; page 2 goes quiet
-        drive(&mut p, &stats, &[1, 2]);
-        let rows = p.log().rows();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].invalidated, 2);
-        assert_eq!(rows[0].misses, 2);
-        assert_eq!(rows[2].promotions, 1, "page 1 promoted, page 2 not");
-        assert_eq!(rows[2].prefetched, 1);
-    }
-
-    #[test]
-    fn dirty_stream_is_tracked_per_window() {
-        let stats = PolicyStats::new(1);
-        let mut p = AdaptivePolicy::new(AdaptConfig::default());
-        p.note_interval_close(&[4]);
-        drive(&mut p, &stats, &[4]);
-        let h = p.page_history(4).unwrap();
-        assert_eq!(h.dirty_bits & 1, 1);
-        assert_eq!(h.miss_bits & 1, 0);
+        assert_eq!(tally.demotions, 0);
     }
 
     #[test]
@@ -1005,7 +893,7 @@ mod tests {
 
     #[test]
     fn quiesce_defers_after_identical_epochs() {
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig {
             quiesce_after: 2,
             ..Default::default()
@@ -1013,14 +901,13 @@ mod tests {
         // Promote page 7 (gap 1): three confirmed needs.
         for _ in 0..3 {
             p.note_miss(7);
-            drive(&mut p, &stats, &[7]);
+            drive(&mut p, &mut tally, &[7]);
         }
         // Identical picks [7] accumulate; the third identical epoch
         // tips the decision to deferred.
         let mut defers = Vec::new();
         for _ in 0..4 {
-            let epoch = p.log().total_epochs() + 1;
-            let dec = p.epoch_end(epoch, 0, &[7], &stats, 0);
+            let dec = decide(&mut p, &mut tally, 0, &[7]);
             assert_eq!(dec.picks, vec![7]);
             assert_eq!(dec.phase, 0, "the decision echoes its phase");
             defers.push(dec.defer);
@@ -1030,15 +917,15 @@ mod tests {
 
     #[test]
     fn quiesced_plan_acts_as_a_free_probe() {
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig::default());
         // Promote page 7 (gap 1), then run a steady predicted stretch.
         for _ in 0..3 {
             p.note_miss(7);
-            drive(&mut p, &stats, &[7]);
+            drive(&mut p, &mut tally, &[7]);
         }
         for _ in 0..3 {
-            assert_eq!(drive(&mut p, &stats, &[7]), vec![7]);
+            assert_eq!(drive(&mut p, &mut tally, &[7]), vec![7]);
         }
         // The protocol layer discarded the deferred plan untriggered
         // and reports it: the covered-need mark is cleared, the next
@@ -1047,24 +934,23 @@ mod tests {
         // the dead pattern until the probe cadence caught it.
         p.note_quiesced(0, &[7]);
         for _ in 0..6 {
-            assert!(drive(&mut p, &stats, &[7]).is_empty());
+            assert!(drive(&mut p, &mut tally, &[7]).is_empty());
         }
     }
 
     #[test]
     fn push_mode_never_defers() {
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig::pushing());
         for _ in 0..3 {
             p.note_miss(4);
-            drive(&mut p, &stats, &[4]);
+            drive(&mut p, &mut tally, &[4]);
         }
         // Long identical streak — pull mode would defer from the third
         // identical epoch; push mode must stay eager (a fault-triggered
         // plan would be a pull and forfeit the one-way billing).
         for _ in 0..6 {
-            let epoch = p.log().total_epochs() + 1;
-            let dec = p.epoch_end(epoch, 0, &[4], &stats, 0);
+            let dec = decide(&mut p, &mut tally, 0, &[4]);
             assert_eq!(dec.picks, vec![4]);
             assert!(dec.push);
             assert!(!dec.defer, "push plans are always eager");
@@ -1072,18 +958,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "history_window must exceed promote_after")]
+    #[should_panic(expected = "promote_after: 1–8")]
     fn unsatisfiable_knobs_are_rejected() {
+        // The gap ring holds HISTORY_WINDOW = 16 gaps; a span of nine
+        // verified repeats is out of the knob's range.
         let _ = AdaptivePolicy::new(AdaptConfig {
-            promote_after: 6,
-            history_window: 4,
+            promote_after: 9,
             ..Default::default()
         });
     }
 
     #[test]
     fn quiesce_zero_never_defers_and_push_flag_propagates() {
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig {
             quiesce_after: 0,
             push: true,
@@ -1091,11 +978,10 @@ mod tests {
         });
         for _ in 0..3 {
             p.note_miss(2);
-            drive(&mut p, &stats, &[2]);
+            drive(&mut p, &mut tally, &[2]);
         }
         for _ in 0..6 {
-            let epoch = p.log().total_epochs() + 1;
-            let dec = p.epoch_end(epoch, 0, &[2], &stats, 0);
+            let dec = decide(&mut p, &mut tally, 0, &[2]);
             assert!(!dec.defer, "quiesce_after: 0 disables deferral");
             assert!(dec.push, "push mode rides every decision");
         }
@@ -1109,14 +995,14 @@ mod tests {
         // Phase 1 must lock and prefetch; phase 2 must stay silent —
         // under a single global axis the interleaving would read as a
         // gap-2 pattern and *both* barriers' epochs would share it.
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig::default());
         for _ in 0..8 {
-            let picks1 = drive_in(&mut p, &stats, 1, &[3]);
+            let picks1 = decide(&mut p, &mut tally, 1, &[3]).picks;
             if picks1.is_empty() {
                 p.note_miss(3); // read lands while phase 1 owns the page
             }
-            let picks2 = drive_in(&mut p, &stats, 2, &[3]);
+            let picks2 = decide(&mut p, &mut tally, 2, &[3]).picks;
             assert!(picks2.is_empty(), "phase 2 never sees a need");
         }
         assert_eq!(p.page_mode_in(3, 1), PageMode::Prefetch);
@@ -1127,11 +1013,11 @@ mod tests {
 
     #[test]
     fn untagged_stream_is_single_phase() {
-        let stats = PolicyStats::new(1);
+        let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig::default());
         for _ in 0..4 {
             p.note_miss(1);
-            drive(&mut p, &stats, &[1]);
+            drive(&mut p, &mut tally, &[1]);
         }
         assert_eq!(p.phases_seen(), vec![0]);
         assert_eq!(p.page_mode_in(1, 0), p.page_mode(1));

@@ -10,9 +10,14 @@
 use adapt::{AdaptConfig, AdaptivePolicy, PageMode, ProtocolPolicy};
 use simnet::{PolicyReport, PolicyStats};
 
+/// One phase-0 epoch, driven the way `dsm::TmkProc::barrier_tagged`
+/// does: numbered by the epochs `stats` has counted, the decision
+/// counted into `stats`.
 fn drive(p: &mut AdaptivePolicy, stats: &PolicyStats, inv: &[u32]) -> Vec<u32> {
-    let epoch = p.log().total_epochs() + 1;
-    p.epoch_end(epoch, 0, inv, stats, 0).picks
+    let epoch = PolicyReport::capture(stats).epochs + 1;
+    let dec = p.epoch_end(epoch, 0, inv);
+    stats.record_epoch(0, 0, &dec.events);
+    dec.picks
 }
 
 #[test]

@@ -9,20 +9,24 @@
 //! phase-keyed one by tagging the two sites.
 
 use adapt::{AdaptConfig, AdaptivePolicy, PageMode, ProtocolPolicy};
-use simnet::PolicyStats;
+use simnet::{PolicyReport, PolicyStats};
 
 const A: u32 = 1;
 const B: u32 = 2;
 
-/// Drive one epoch at `phase`, returning the full decision.
+/// Drive one epoch at `phase` the way `dsm::TmkProc::barrier_tagged`
+/// does — numbered by the epochs `stats` has counted, the decision
+/// counted into `stats` — returning the full decision.
 fn epoch(
     p: &mut AdaptivePolicy,
     stats: &PolicyStats,
     phase: u32,
     inv: &[u32],
 ) -> dsm::EpochDecision {
-    let e = p.log().total_epochs() + 1;
-    p.epoch_end(e, phase, inv, stats, 0)
+    let e = PolicyReport::capture(stats).epochs + 1;
+    let dec = p.epoch_end(e, phase, inv);
+    stats.record_epoch(0, phase, &dec.events);
+    dec
 }
 
 /// The two-site app shape: site A invalidates (and the epoch then

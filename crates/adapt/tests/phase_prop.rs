@@ -26,7 +26,7 @@
 //! — so the property is stated over the prompt-read regime.
 
 use adapt::{AdaptConfig, AdaptivePolicy};
-use dsm::{Cluster, DsmConfig, StaticPolicy};
+use dsm::{Cluster, DsmConfig};
 use proptest::prelude::*;
 
 /// One barrier position of the cycle: pages proc 0 rewrites before the
@@ -75,11 +75,8 @@ fn positions(nprocs: usize) -> impl Strategy<Value = Vec<Position>> {
 fn run(cycle: &[Position], nprocs: usize, policy: Option<AdaptConfig>) -> (f64, u64) {
     let cl = Cluster::new(DsmConfig::with_nprocs(nprocs));
     let data = cl.alloc::<f64>(PAGES * ELEMS_PER_PAGE);
-    if let Some(cfg) = policy {
-        let cfg = &cfg;
+    if let Some(cfg) = &policy {
         cl.run(|p| p.set_policy(Box::new(AdaptivePolicy::new(cfg.clone()))));
-    } else {
-        cl.run(|p| p.set_policy(Box::new(StaticPolicy)));
     }
 
     let sums = cl.run(|p| {

@@ -19,14 +19,20 @@
 //! The proptests run 64 cases under `cargo test` and scale to a soak
 //! via `PROPTEST_CASES` (the `make soak` target runs ≥ 512).
 
-use adapt::{probe_budget, AdaptConfig, AdaptivePolicy, PageMode, PolicyStats, ProtocolPolicy};
+use adapt::{probe_budget, AdaptConfig, AdaptivePolicy, PageMode, PolicyReport, ProtocolPolicy};
 use apps::workload::{run_matrix, Variant};
+use simnet::PolicyStats;
 use proptest::prelude::*;
 use synth::{Dynamics, Prepared, Structure, SynthConfig};
 
+/// One phase-0 epoch, driven the way `dsm::TmkProc::barrier_tagged`
+/// does: numbered by the epochs `stats` has counted, the decision
+/// counted into `stats`.
 fn drive(p: &mut AdaptivePolicy, stats: &PolicyStats, inv: &[u32]) -> Vec<u32> {
-    let epoch = p.log().total_epochs() + 1;
-    p.epoch_end(epoch, 0, inv, stats, 0).picks
+    let epoch = PolicyReport::capture(stats).epochs + 1;
+    let dec = p.epoch_end(epoch, 0, inv);
+    stats.record_epoch(0, 0, &dec.events);
+    dec.picks
 }
 
 /// Teach the policy a `period`-gap pattern on `page` until it promotes;
@@ -82,7 +88,7 @@ fn dead_pattern_demotes_within_one_probe_interval() {
         "a dead pattern wasted {wasted} prefetches; the probe cadence \
          bounds it below probe_every = {probe_every}"
     );
-    let rep = adapt::PolicyReport::capture(&stats);
+    let rep = PolicyReport::capture(&stats);
     assert!(rep.demotions >= 1, "the break must show up as a demotion");
     assert!(rep.probes >= 1, "only a probe can witness a dead pattern");
 }

@@ -42,8 +42,9 @@
 //! the break detector's [`adapt::AdaptConfig::demote_after`] defaults
 //! to 1, which by construction reproduces the previous
 //! first-clean-probe demotion exactly (tolerated clean probes only
-//! exist at ≥ 2); the loss model is opt-in per run via
-//! `simnet::with_loss` and no app harness opts in; and the rebalance
+//! exist at ≥ 2); the loss model is opt-in per cost model
+//! (`simnet::CostModel::loss_per_mille`, default 0) and no app harness
+//! sets it; and the rebalance
 //! machinery only engages on `Dynamics::Rebalance` scenarios, which no
 //! classic app uses. A diff in any row below means one of those
 //! defaults leaked into the steady-state path.
@@ -54,6 +55,12 @@
 //! is pinned here beside each app's count table, as the cluster-wide
 //! sum of the per-processor stall rows (clock + nine categories, in
 //! nanoseconds, values unchanged from the snapshot).
+//!
+//! PR 23 made the adaptive engine's `EpochDecision` the one record of
+//! what it decided (`dsm` counts and traces it; the policy holds no
+//! counters and no log). `POLICY_GOLDEN` below pins every
+//! [`PolicyReport`] field of the adaptive and push builds on moldyn and
+//! nbf, captured from the build before that refactor.
 //!
 //! If a *protocol* change legitimately shifts these numbers, update the
 //! table below in the same commit and say why in its message.

@@ -130,7 +130,6 @@ fn fresh_gather(refs: &[Vec<u32>], part: &Partition, value: impl Fn(usize) -> f6
     let nprocs = part.counts.len();
     let tt = TTable::new(TTableKind::Replicated, part);
     let w = ChaosWorld::new(nprocs, CostModel::default());
-    let reads = parking_lot::Mutex::new(vec![Vec::new(); nprocs]);
     w.run(|cp| {
         let me = cp.rank();
         let my = part.range_of(me);
@@ -139,16 +138,14 @@ fn fresh_gather(refs: &[Vec<u32>], part: &Partition, value: impl Fn(usize) -> f6
         let owned: Vec<f64> = my.map(&value).collect();
         let mut x = Ghosted::new(owned, &sched);
         gather(cp, &sched, &mut x);
-        let got: Vec<f64> = refs[me]
+        refs[me]
             .iter()
             .map(|&r| {
                 let (o, off) = tt.translate_free(r);
                 x.get(sched.locate(me, o, off))
             })
-            .collect();
-        reads.lock()[me] = got;
-    });
-    reads.into_inner()
+            .collect()
+    })
 }
 
 /// The mid-run rebalance contract, end to end at the chaos layer:
@@ -189,11 +186,10 @@ fn rebalance_matches_fresh_inspection_and_bills_reinspect_once() {
     let tt_a = TTable::new(TTableKind::Replicated, &part_a);
     let tt_b = TTable::new(TTableKind::Replicated, &part_b);
     let spans = Arc::new(ReinspectSpans::default());
-    let reads = parking_lot::Mutex::new(vec![Vec::new(); nprocs]);
 
-    let reinspections = with_trace_sink(spans.clone(), || {
+    let (rebalanced, reinspections) = with_trace_sink(spans.clone(), || {
         let w = ChaosWorld::new(nprocs, CostModel::default());
-        w.run(|cp| {
+        let reads: Vec<Vec<f64>> = w.run(|cp| {
             let me = cp.rank();
             let my = part_a.range_of(me);
             let mut cache = TTableCache::new();
@@ -243,16 +239,15 @@ fn rebalance_matches_fresh_inspection_and_bills_reinspect_once() {
             let sched_b = reinspect(cp, &tt_b, &mut cache, refs[me].iter().copied());
             let mut x = Ghosted::new(x_own, &sched_b);
             gather(cp, &sched_b, &mut x);
-            let got: Vec<f64> = refs[me]
+            refs[me]
                 .iter()
                 .map(|&r| {
                     let (o, off) = tt_b.translate_free(r);
                     x.get(sched_b.locate(me, o, off))
                 })
-                .collect();
-            reads.lock()[me] = got;
+                .collect()
         });
-        w.net().reinspections()
+        (reads, w.net().reinspections())
     });
 
     // (2) billed exactly once: one collective pass on the counter, one
@@ -262,7 +257,6 @@ fn rebalance_matches_fresh_inspection_and_bills_reinspect_once() {
     assert_eq!(spans.ends.load(Ordering::Relaxed), nprocs as u64);
 
     // (1) bitwise equal to a run fresh-inspected on B from the start.
-    let rebalanced = reads.into_inner();
     let fresh = fresh_gather(&refs, &part_b, value);
     assert_eq!(rebalanced, fresh, "rebalanced reads must match fresh-inspected reads bitwise");
 }
@@ -276,8 +270,7 @@ fn executor_roundtrip_counts_references() {
     let part = block_partition(n, nprocs);
     let tt = TTable::new(TTableKind::Replicated, &part);
     let w = ChaosWorld::new(nprocs, CostModel::default());
-    let results = parking_lot::Mutex::new(vec![0.0f64; n]);
-    w.run(|cp| {
+    let blocks = w.run(|cp| {
         let me = cp.rank();
         let my = part.range_of(me);
         // Every processor references elements me, me+5, me+10, ... (mod n),
@@ -303,12 +296,10 @@ fn executor_roundtrip_counts_references() {
             f.add(sched.locate(me, o, off), 1.0);
         }
         scatter_add(cp, &sched, &mut f);
-        let mut out = results.lock();
-        for (l, e) in my.clone().enumerate() {
-            out[e] = f.owned[l];
-        }
+        f.owned
     });
-    let got = results.into_inner();
+    // Block partition: the owned blocks in rank order are the array.
+    let got = blocks.concat();
     // Reference counts: 1 (owner) + number of procs referencing each elem.
     for (e, &g) in got.iter().enumerate() {
         let mut want = 1.0; // owner's own reference
@@ -375,18 +366,16 @@ proptest! {
                 .build()
                 .unwrap();
             let w = ChaosWorld::new(nprocs, CostModel::default());
-            let out = parking_lot::Mutex::new(vec![CommSchedule::default(); nprocs]);
-            pool.install(|| {
+            let scheds = pool.install(|| {
                 w.run(|cp| {
                     let me = cp.rank();
                     let len = if me == 0 && long { 20_000 } else { 384 };
                     let refs = (0..len).map(|k| mixed_ref(seed, me, k, n));
                     let mut cache = TTableCache::new();
-                    let s = inspector(cp, &tt, &mut cache, refs);
-                    out.lock()[me] = s;
-                });
+                    inspector(cp, &tt, &mut cache, refs)
+                })
             });
-            (out.into_inner(), w.report().messages)
+            (scheds, w.report().messages)
         };
         let (seq, seq_msgs) = build(1);
         let (par, par_msgs) = build(4);

@@ -68,13 +68,6 @@ impl RegionRef {
     pub fn pages_of(&self, lo: i64, hi: i64, stride: i64, page_size: usize) -> rsd::PageSet {
         rsd::pages_of_section(self.base, self.elem, lo, hi, stride, page_size)
     }
-
-    /// Page holding element `i` (elements here never straddle pages:
-    /// regions are page-aligned and element sizes divide the page size).
-    #[inline]
-    pub fn page_of_elem(&self, i: usize, page_size: usize) -> u32 {
-        ((self.base + i * self.elem) / page_size) as u32
-    }
 }
 
 /// One access descriptor.

@@ -83,11 +83,6 @@ impl Validator {
         })
     }
 
-    /// Total `Read_indices` executions.
-    pub fn total_recomputes(&self) -> u64 {
-        self.schedules.values().map(|s| s.recomputes).sum()
-    }
-
     /// Simulated seconds spent scanning indirection arrays.
     pub fn scan_seconds(&self) -> f64 {
         self.scan_time.as_secs_f64()

@@ -28,6 +28,7 @@ use simnet::{MsgKind, Rendezvous, SimTime, StallCat, TraceEvent};
 
 use crate::cluster::Cluster;
 use crate::interval::Vc;
+use crate::policy::EpochDecision;
 use crate::proc::TmkProc;
 
 #[derive(Debug)]
@@ -223,17 +224,7 @@ impl TmkProc<'_> {
                 let stale = epoch.saturating_sub(plan.armed_at)
                     >= crate::proc::DeferredPlan::STALE_EPOCHS;
                 if plan.phase == phase || stale {
-                    cl.net()
-                        .policy()
-                        .record_quiesced(self.me, plan.phase, plan.pages.len());
-                    cl.net().trace(
-                        self.me,
-                        TraceEvent::PlanQuiesce {
-                            phase: plan.phase,
-                            pages: plan.pages.len() as u32,
-                        },
-                    );
-                    self.inner.policy.note_quiesced(plan.phase, &plan.pages);
+                    self.quiesce(plan.phase, &plan.pages);
                     continue;
                 }
                 if !invalidated.is_empty() {
@@ -246,17 +237,7 @@ impl TmkProc<'_> {
                         .iter()
                         .partition(|pg| invalidated.binary_search(pg).is_ok());
                     if !dead.is_empty() {
-                        cl.net()
-                            .policy()
-                            .record_quiesced(self.me, plan.phase, dead.len());
-                        cl.net().trace(
-                            self.me,
-                            TraceEvent::PlanQuiesce {
-                                phase: plan.phase,
-                                pages: dead.len() as u32,
-                            },
-                        );
-                        self.inner.policy.note_quiesced(plan.phase, &dead);
+                        self.quiesce(plan.phase, &dead);
                         plan.pages = live;
                     }
                 }
@@ -273,22 +254,31 @@ impl TmkProc<'_> {
         // writer-initiated update-push. The records it needs were
         // published before the first crossing, so fetching before the
         // second reads a stable store.
-        let dec = self
-            .inner
-            .policy
-            .epoch_end(epoch, phase, &invalidated, cl.net().policy(), self.me);
-        if cl.net().tracing() {
-            for &(page, act) in &dec.events {
-                cl.net().trace(
-                    self.me,
-                    TraceEvent::Policy {
-                        page,
-                        phase: dec.phase,
-                        act,
-                    },
-                );
+        //
+        // The decision is the only record of what the policy believed;
+        // here, and nowhere else, it becomes counters and trace events.
+        // No policy installed is base TreadMarks: nothing is decided and
+        // no policy counter is touched.
+        let dec = match &mut self.inner.policy {
+            Some(policy) => {
+                let dec = policy.epoch_end(epoch, phase, &invalidated);
+                cl.net().policy().record_epoch(self.me, phase, &dec.events);
+                if cl.net().tracing() {
+                    for &(page, act) in &dec.events {
+                        cl.net().trace(
+                            self.me,
+                            TraceEvent::Policy {
+                                page,
+                                phase: dec.phase,
+                                act,
+                            },
+                        );
+                    }
+                }
+                dec
             }
-        }
+            None => EpochDecision::none(),
+        };
         let todo: Vec<u32> = dec
             .picks
             .into_iter()
@@ -323,7 +313,7 @@ impl TmkProc<'_> {
                 cl.net()
                     .policy()
                     .record_prefetch(self.me, dec.phase, todo.len());
-                self.fetch_pages(&todo, crate::proc::FetchClass::Prefetch);
+                self.fetch_pages(&todo, crate::FetchClass::Prefetch);
             }
         }
 

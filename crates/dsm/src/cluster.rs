@@ -271,17 +271,7 @@ impl Cluster {
         // owning phase) so the report sees them and a later run()
         // starts clean.
         for plan in std::mem::take(&mut p.inner.deferred) {
-            self.net
-                .policy()
-                .record_quiesced(rank, plan.phase, plan.pages.len());
-            self.net.trace(
-                rank,
-                simnet::TraceEvent::PlanQuiesce {
-                    phase: plan.phase,
-                    pages: plan.pages.len() as u32,
-                },
-            );
-            p.inner.policy.note_quiesced(plan.phase, &plan.pages);
+            p.quiesce(plan.phase, &plan.pages);
         }
         *self.slots[rank].lock() = Some(p.inner);
         out

@@ -45,8 +45,9 @@
 //! A third consumer is the runtime-adaptive engine in the `adapt` crate:
 //! each processor carries a [`ProtocolPolicy`] that observes demand
 //! misses and barrier-time invalidations and may answer an epoch with a
-//! batched prefetch — same aggregation machinery, no compiler. The
-//! default [`StaticPolicy`] keeps the exact base-TreadMarks behavior.
+//! batched prefetch — same aggregation machinery, no compiler. With no
+//! policy installed (the default) a processor is exactly base
+//! TreadMarks.
 
 #![warn(missing_docs)]
 
@@ -67,8 +68,10 @@ pub use scratch::ClusterPool;
 pub use diff::{Diff, Payload, DIFF_WORD};
 pub use heap::{Pod, SharedSlice};
 pub use interval::{covers, vc_key, CompactVc, IntervalRec, NoticeBoard, Vc, DENSE_VC_MAX};
-pub use policy::{EpochDecision, ProtocolPolicy, StaticPolicy};
-pub use proc::{FetchClass, PageState, ProcCounters, TmkProc};
+pub use policy::{EpochDecision, ProtocolPolicy};
+pub use proc::{PageState, ProcCounters, TmkProc};
 pub use store::{DiffStore, Record};
 
-pub use simnet::{CostModel, MsgKind, Net, NetReport, PolicyReport, PolicyStats, ProcId, SimTime};
+pub use simnet::{
+    CostModel, FetchKind as FetchClass, MsgKind, Net, NetReport, PolicyReport, ProcId, SimTime,
+};

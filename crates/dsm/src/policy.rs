@@ -5,23 +5,29 @@
 //! and the next access demand-fetches it — one request/reply pair per
 //! page. The paper's `Validate` runtime replaces that with compiler-
 //! directed aggregation. A [`ProtocolPolicy`] is the third option: a
-//! runtime observer that sees every demand miss, every interval close,
-//! and every barrier-time invalidation, and may answer a barrier epoch
-//! with a set of pages to prefetch in **one aggregated exchange per
-//! peer** — the same machinery `Validate` uses ([`FetchClass::Prefetch`]
-//! → `AdaptRequest`/`AdaptReply` messages), but with no compiler in the
+//! runtime observer that sees every demand miss and every barrier-time
+//! invalidation, and may answer a barrier epoch with a set of pages to
+//! prefetch in **one aggregated exchange per peer** — the same
+//! machinery `Validate` uses ([`FetchClass::Prefetch`] →
+//! `AdaptRequest`/`AdaptReply` messages), but with no compiler in the
 //! loop.
+//!
+//! A policy is a pure function of what it observed: observations in,
+//! one [`EpochDecision`] out. It never touches a counter or a trace
+//! sink — the protocol layer turns each decision into
+//! [`simnet::PolicyStats`] counts and [`simnet::TraceEvent::Policy`]
+//! events in exactly one place ([`TmkProc::barrier_tagged`]), so the
+//! decision is the only record of what the policy believed.
 //!
 //! The policy is deliberately *mechanism-preserving*: it can only change
 //! when invalid pages are brought up to date, never what data they
 //! contain, so any policy produces bitwise-identical program results.
-//! [`StaticPolicy`] (the default) observes nothing and prefetches
-//! nothing — byte-for-byte the original TreadMarks behavior. The
+//! A processor with no policy installed (the default) is byte-for-byte
+//! the original TreadMarks and never touches the policy counters. The
 //! `adapt` crate provides the learning implementation.
 //!
 //! [`FetchClass::Prefetch`]: crate::FetchClass::Prefetch
-
-use simnet::{PolicyStats, ProcId};
+//! [`TmkProc::barrier_tagged`]: crate::TmkProc::barrier_tagged
 
 /// What a [`ProtocolPolicy`] decided at one barrier epoch boundary.
 ///
@@ -63,9 +69,10 @@ pub struct EpochDecision {
     pub phase: u32,
     /// Per-page decision records made while forming this decision
     /// (promotions, demotions, withheld probes), in decision order. The
-    /// protocol layer emits each as a [`simnet::TraceEvent::Policy`]
-    /// event when tracing is enabled and ignores them otherwise; they
-    /// carry no protocol meaning. Empty for non-learning policies.
+    /// protocol layer counts each into [`simnet::PolicyStats`] and emits
+    /// it as a [`simnet::TraceEvent::Policy`] event when tracing is
+    /// enabled; they carry no protocol meaning. Empty for non-learning
+    /// policies.
     pub events: Vec<(u32, simnet::PolicyAct)>,
 }
 
@@ -91,7 +98,7 @@ impl EpochDecision {
 /// Per-processor protocol decision hooks.
 ///
 /// One boxed policy lives inside each processor's persistent protocol
-/// state (installed with [`TmkProc::set_policy`]); it survives across
+/// state once installed with [`TmkProc::set_policy`]; it survives across
 /// [`Cluster::run`] calls like the page table does. All hooks default to
 /// no-ops so a policy only implements what it observes.
 ///
@@ -101,10 +108,6 @@ pub trait ProtocolPolicy: Send + std::fmt::Debug {
     /// A demand fault on `page` required a fetch (the page was invalid).
     /// Not called for aggregated or prefetch fetches.
     fn note_miss(&mut self, _page: u32) {}
-
-    /// The interval just closed dirtied `pages` (this processor wrote
-    /// them since the previous release).
-    fn note_interval_close(&mut self, _pages: &[u32]) {}
 
     /// A deferred plan owned by `phase` and covering `pages` was
     /// discarded untriggered: the plan's window closed (its pages were
@@ -126,43 +129,11 @@ pub trait ProtocolPolicy: Send + std::fmt::Debug {
     /// which pages to bring up to date in one aggregated exchange per
     /// peer instead of leaving them to demand-fault one at a time,
     /// whether to defer that exchange to the epoch's first fault, and
-    /// whether to account it as writer-initiated update-push. Decision
-    /// counters go to `stats` (per-processor slot `me`).
+    /// whether to account it as writer-initiated update-push.
     ///
     /// [`TmkProc::barrier_tagged`]: crate::TmkProc::barrier_tagged
     /// [`TmkProc::barrier`]: crate::TmkProc::barrier
-    fn epoch_end(
-        &mut self,
-        _epoch: u64,
-        _phase: u32,
-        _invalidated: &[u32],
-        _stats: &PolicyStats,
-        _me: ProcId,
-    ) -> EpochDecision {
+    fn epoch_end(&mut self, _epoch: u64, _phase: u32, _invalidated: &[u32]) -> EpochDecision {
         EpochDecision::none()
-    }
-}
-
-/// The do-nothing policy: plain TreadMarks demand paging. Installing it
-/// is equivalent to having no policy at all — no state, no prefetch, no
-/// message or timing difference.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StaticPolicy;
-
-impl ProtocolPolicy for StaticPolicy {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn static_policy_decides_nothing() {
-        let stats = PolicyStats::new(1);
-        let mut p = StaticPolicy;
-        p.note_miss(3);
-        p.note_interval_close(&[1, 2]);
-        let dec = p.epoch_end(1, 7, &[1, 2, 3], &stats, 0);
-        assert!(dec.picks.is_empty() && !dec.defer && !dec.push);
-        assert_eq!(simnet::PolicyReport::capture(&stats), Default::default());
     }
 }

@@ -4,14 +4,15 @@
 
 use std::sync::Arc;
 
-use simnet::{FetchKind, MsgKind, ProcId, SimTime, StallCat, TraceEvent};
+use simnet::{MsgKind, ProcId, SimTime, StallCat, TraceEvent};
 
 use crate::cluster::Cluster;
 use crate::diff::{Diff, Payload};
 use crate::heap::{Pod, SharedSlice};
 use crate::interval::{IntervalRec, Vc};
-use crate::policy::{ProtocolPolicy, StaticPolicy};
+use crate::policy::ProtocolPolicy;
 use crate::store::Record;
+use crate::FetchClass;
 
 /// Access state of one page in one processor's view — the analogue of the
 /// `mprotect` setting TreadMarks would have on that page.
@@ -122,25 +123,6 @@ pub struct ProcCounters {
     pub lock_acquires: u64,
 }
 
-/// How a fetch was triggered — decides the message kind used for
-/// accounting (demand faults vs `Validate` aggregation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FetchClass {
-    /// Demand fault on a single page (base TreadMarks).
-    Demand,
-    /// Aggregated prefetch of a whole schedule (`Validate`).
-    Aggregated,
-    /// Aggregated prefetch decided by a runtime [`ProtocolPolicy`]
-    /// (no compiler hints): accounted as `AdaptRequest`/`AdaptReply`.
-    Prefetch,
-    /// Writer-initiated update push decided by a runtime
-    /// [`ProtocolPolicy`] in push mode: the writers push their diffs in
-    /// one one-way `AdaptPush` message per writer/consumer pair — the
-    /// request half of the exchange does not exist on the wire. Data
-    /// and application order are identical to [`FetchClass::Prefetch`].
-    Push,
-}
-
 /// A policy-deferred batched fetch: armed at a barrier, owned by the
 /// phase (barrier site) that predicted it, triggered by the next demand
 /// fault, and discarded — *quiesced* — when its pages are
@@ -176,8 +158,9 @@ pub(crate) struct ProcInner {
     watch_dirty: Vec<Vec<u32>>,
     pub(crate) counters: ProcCounters,
     pub(crate) last_barrier_seen: Vc,
-    /// The protocol decision layer (default: plain demand paging).
-    pub(crate) policy: Box<dyn ProtocolPolicy>,
+    /// The protocol decision layer (`None`: base TreadMarks — plain
+    /// demand paging, no policy counter ever touched).
+    pub(crate) policy: Option<Box<dyn ProtocolPolicy>>,
     /// Armed policy-deferred plans, at most one per phase (the quiesce
     /// heuristic). The epoch's first demand fault triggers them all in
     /// one merged exchange.
@@ -205,7 +188,7 @@ impl ProcInner {
             watch_dirty: Vec::new(),
             counters: ProcCounters::default(),
             last_barrier_seen: vec![0; nprocs],
-            policy: Box::new(StaticPolicy),
+            policy: None,
             deferred: Vec::new(),
             push_scheds: Vec::new(),
         }
@@ -243,7 +226,7 @@ impl ProcInner {
         self.watch_dirty.clear();
         self.counters = ProcCounters::default();
         self.last_barrier_seen.fill(0);
-        self.policy = Box::new(StaticPolicy);
+        self.policy = None;
         self.deferred.clear();
         self.push_scheds.clear();
     }
@@ -360,7 +343,7 @@ impl<'c> TmkProc<'c> {
         let _fs = net.scope(self.me, StallCat::FaultStall);
         net.trace(self.me, TraceEvent::FaultBegin { page, write: false });
         self.inner.counters.read_faults += 1;
-        self.inner.policy.note_miss(page);
+        self.note_miss(page);
         self.compute(net.cost().page_fault());
         self.demand_fetch(page);
         net.trace(self.me, TraceEvent::FaultEnd { page });
@@ -427,7 +410,7 @@ impl<'c> TmkProc<'c> {
             self.inner.frames[page as usize].watch_protect = false;
         }
         if self.inner.frames[page as usize].state == PageState::Invalid {
-            self.inner.policy.note_miss(page);
+            self.note_miss(page);
             self.demand_fetch(page);
         }
         let page_size = self.page_size;
@@ -529,16 +512,8 @@ impl<'c> TmkProc<'c> {
     }
 
     fn fetch_pages_impl(&mut self, pages: &[u32], class: FetchClass, push_phase: Option<u32>) {
-        // Attribute the whole exchange by who initiated it: demand and
-        // compiler-aggregated fetches are fault service, predicted
-        // prefetch/push rounds are the adaptive engine's data motion.
-        let _sc = self.cl.net().scope(
-            self.me,
-            match class {
-                FetchClass::Demand | FetchClass::Aggregated => StallCat::FaultStall,
-                FetchClass::Prefetch | FetchClass::Push => StallCat::PrefetchPush,
-            },
-        );
+        // Attribute the whole exchange by who initiated it.
+        let _sc = self.cl.net().scope(self.me, class.stall_cat());
         // Phase 1: figure out what is needed, per page.
         struct Need {
             page: u32,
@@ -709,133 +684,43 @@ impl<'c> TmkProc<'c> {
         }
         // Deterministic leg order regardless of record arrival order.
         peers.sort_unstable_by_key(|p| p.q);
-        if class == FetchClass::Push {
-            // Update-push: the writers initiate — one one-way data
-            // message per serving peer, no request leg on the wire. The
-            // writers only know *what* to push because the consumer
-            // subscribed them to its schedule: bill one one-way
-            // subscription message per peer whose share of this phase's
-            // schedule *grew* beyond what it was already taught (the
-            // cumulative union). A steady-state plan subscribes once
-            // and then rides free; a probe — a transient subset of the
-            // subscribed schedule — costs nothing extra. Unsubscription
-            // is lazy and unbilled: a writer briefly pushing pages a
-            // demoted pattern no longer needs shows up as the pull
-            // traffic the probe/demand path already counts.
-            if let Some(phase) = push_phase {
-                let scheds = &mut self.inner.push_scheds;
-                let si = match scheds.iter().position(|(ph, _)| *ph == phase) {
-                    Some(i) => i,
-                    None => {
-                        scheds.push((phase, Vec::new()));
-                        scheds.len() - 1
-                    }
-                };
-                let subscribed = &mut scheds[si].1;
-                let mut newly: Vec<(ProcId, usize)> = Vec::new();
-                for p in &peers {
-                    let (q, pp) = (p.q, &p.pages);
-                    if q == self.me || pp.is_empty() {
-                        continue;
-                    }
-                    let known = match subscribed.iter_mut().find(|(oq, _)| *oq == q) {
-                        Some((_, known)) => known,
-                        None => {
-                            subscribed.push((q, Vec::new()));
-                            &mut subscribed.last_mut().unwrap().1
-                        }
-                    };
-                    // `known` stays sorted: membership is a binary search
-                    // even when a phase's cumulative schedule grows large.
-                    let mut fresh = 0usize;
-                    for &pg in pp {
-                        if let Err(pos) = known.binary_search(&pg) {
-                            known.insert(pos, pg);
-                            fresh += 1;
-                        }
-                    }
-                    if fresh > 0 {
-                        newly.push((q, fresh));
-                    }
+        let net = self.cl.net();
+        let me = self.me;
+        let serving = peers.iter().filter(|p| p.q != me && p.req_pages > 0);
+        let npeers = serving.clone().count() as u32;
+        let bytes = serving.clone().map(|p| p.resp_bytes as u64).sum();
+        match class.msg_kinds() {
+            (None, kdata) => {
+                // Update-push: the writers initiate — one one-way data
+                // message per serving peer, no request leg on the wire.
+                if let Some(phase) = push_phase {
+                    self.subscribe(phase, peers.iter().map(|p| (p.q, p.pages.as_slice())));
                 }
-                if !newly.is_empty() {
-                    let net = self.cl.net();
-                    for &(q, npages) in &newly {
-                        // One-way teach message: the consumer pays the
-                        // injection (inside push), the writer absorbs
-                        // it asynchronously for one interrupt-handler
-                        // cost. Only commutative clock updates here —
-                        // folding the arrival time in with a max would
-                        // make simulated time depend on OS interleaving
-                        // (several consumers subscribe concurrently).
-                        let _arrival = net.push(self.me, MsgKind::AdaptSub, 16 + 4 * npages);
-                        net.advance_remote(q, net.cost().handler());
-                        net.trace(
-                            self.me,
-                            TraceEvent::Msg {
-                                kind: MsgKind::AdaptSub,
-                                peer: q as u32,
-                                bytes: (16 + 4 * npages) as u32,
-                                out: true,
-                            },
-                        );
-                    }
-                    net.policy().record_subscribe(self.me, phase, newly.len());
-                }
+                let legs: Vec<_> = serving.map(|p| (p.q, kdata, p.resp_bytes)).collect();
+                net.push_round(me, &legs);
             }
-            let legs: Vec<(ProcId, MsgKind, usize)> = peers
-                .iter()
-                .filter(|p| p.q != self.me && p.req_pages > 0)
-                .map(|p| (p.q, MsgKind::AdaptPush, p.resp_bytes))
-                .collect();
-            self.cl.net().push_round(self.me, &legs);
-            self.cl.net().trace(
-                self.me,
-                TraceEvent::Fetch {
-                    class: FetchKind::Push,
-                    pages: needs.len() as u32,
-                    peers: legs.len() as u32,
-                    bytes: legs.iter().map(|&(_, _, b)| b as u64).sum(),
-                },
-            );
-        } else {
-            let (kreq, kresp) = match class {
-                FetchClass::Demand => (MsgKind::DiffRequest, MsgKind::DiffReply),
-                FetchClass::Aggregated => (MsgKind::AggRequest, MsgKind::AggReply),
-                FetchClass::Prefetch => (MsgKind::AdaptRequest, MsgKind::AdaptReply),
-                FetchClass::Push => unreachable!("handled by the push_round branch above"),
-            };
-            let legs: Vec<(ProcId, MsgKind, usize, MsgKind, usize)> = peers
-                .iter()
-                .filter(|p| p.q != self.me && p.req_pages > 0)
-                .map(|p| {
-                    (
-                        p.q,
-                        kreq,
-                        REQ_FIXED + REQ_PER_PAGE * p.req_pages,
-                        kresp,
-                        p.resp_bytes,
-                    )
-                })
-                .collect();
-            // One parallel exchange round: a demand fault covers one page;
-            // the aggregated classes cover a whole schedule's worth per
-            // peer.
-            self.cl.net().parallel_round(self.me, &legs);
-            self.cl.net().trace(
-                self.me,
-                TraceEvent::Fetch {
-                    class: match class {
-                        FetchClass::Demand => FetchKind::Demand,
-                        FetchClass::Aggregated => FetchKind::Aggregated,
-                        _ => FetchKind::Prefetch,
-                    },
-                    pages: needs.len() as u32,
-                    peers: legs.len() as u32,
-                    bytes: legs.iter().map(|&(_, _, _, _, b)| b as u64).sum(),
-                },
-            );
+            (Some(kreq), kresp) => {
+                // One parallel exchange round: a demand fault covers one
+                // page; the aggregated classes cover a whole schedule's
+                // worth per peer.
+                let legs: Vec<_> = serving
+                    .map(|p| {
+                        let req_bytes = REQ_FIXED + REQ_PER_PAGE * p.req_pages;
+                        (p.q, kreq, req_bytes, kresp, p.resp_bytes)
+                    })
+                    .collect();
+                net.parallel_round(me, &legs);
+            }
         }
+        net.trace(
+            me,
+            TraceEvent::Fetch {
+                class,
+                pages: needs.len() as u32,
+                peers: npeers,
+                bytes,
+            },
+        );
 
         // Phase 3: apply, master copies first, then records causally.
         let cost = self.cl.net().cost();
@@ -894,6 +779,78 @@ impl<'c> TmkProc<'c> {
         self.cl.net().advance(self.me, apply_time);
     }
 
+    /// The update-push subscription cost model. The writers only know
+    /// *what* to push because the consumer subscribed them to its
+    /// schedule: bill one one-way subscription message per peer whose
+    /// share (`shares`: serving peer, its pages in this round) of
+    /// `phase`'s schedule *grew* beyond what it was already taught (the
+    /// cumulative union). A steady-state plan subscribes once and then
+    /// rides free; a probe — a transient subset of the subscribed
+    /// schedule — costs nothing extra. Unsubscription is lazy and
+    /// unbilled: a writer briefly pushing pages a demoted pattern no
+    /// longer needs shows up as the pull traffic the probe/demand path
+    /// already counts.
+    fn subscribe<'a>(&mut self, phase: u32, shares: impl Iterator<Item = (ProcId, &'a [u32])>) {
+        let scheds = &mut self.inner.push_scheds;
+        let si = match scheds.iter().position(|(ph, _)| *ph == phase) {
+            Some(i) => i,
+            None => {
+                scheds.push((phase, Vec::new()));
+                scheds.len() - 1
+            }
+        };
+        let subscribed = &mut scheds[si].1;
+        let mut newly: Vec<(ProcId, usize)> = Vec::new();
+        for (q, pp) in shares {
+            if q == self.me || pp.is_empty() {
+                continue;
+            }
+            let known = match subscribed.iter_mut().find(|(oq, _)| *oq == q) {
+                Some((_, known)) => known,
+                None => {
+                    subscribed.push((q, Vec::new()));
+                    &mut subscribed.last_mut().unwrap().1
+                }
+            };
+            // `known` stays sorted: membership is a binary search
+            // even when a phase's cumulative schedule grows large.
+            let mut fresh = 0usize;
+            for &pg in pp {
+                if let Err(pos) = known.binary_search(&pg) {
+                    known.insert(pos, pg);
+                    fresh += 1;
+                }
+            }
+            if fresh > 0 {
+                newly.push((q, fresh));
+            }
+        }
+        if newly.is_empty() {
+            return;
+        }
+        let net = self.cl.net();
+        for &(q, npages) in &newly {
+            // One-way teach message: the consumer pays the injection
+            // (inside push), the writer absorbs it asynchronously for
+            // one interrupt-handler cost. Only commutative clock updates
+            // here — folding the arrival time in with a max would make
+            // simulated time depend on OS interleaving (several
+            // consumers subscribe concurrently).
+            let _arrival = net.push(self.me, MsgKind::AdaptSub, 16 + 4 * npages);
+            net.advance_remote(q, net.cost().handler());
+            net.trace(
+                self.me,
+                TraceEvent::Msg {
+                    kind: MsgKind::AdaptSub,
+                    peer: q as u32,
+                    bytes: (16 + 4 * npages) as u32,
+                    out: true,
+                },
+            );
+        }
+        net.policy().record_subscribe(self.me, phase, newly.len());
+    }
+
     // ------------------------------------------------------------------
     // Interval close + notice application (called by barrier/lock code).
     // ------------------------------------------------------------------
@@ -908,7 +865,6 @@ impl<'c> TmkProc<'c> {
         let mut dirty = std::mem::take(&mut self.inner.dirty);
         dirty.sort_unstable();
         dirty.dedup();
-        self.inner.policy.note_interval_close(&dirty);
 
         // Build payloads first; only non-empty ones publish.
         let mut payloads: Vec<(u32, Payload)> = Vec::new();
@@ -1047,21 +1003,42 @@ impl<'c> TmkProc<'c> {
     // ------------------------------------------------------------------
 
     /// Install a protocol policy on this processor. The policy persists
-    /// across [`Cluster::run`] calls (like the page table); installing
+    /// across [`Cluster::run`] calls (like the page table) until
+    /// [`Cluster::recycle`] removes it; installing
     /// replaces any previous policy and its learned state — including
     /// the protocol layer's own per-policy state: armed deferred plans
     /// are dropped (the old engine that predicted them is gone) and the
     /// push-subscription schedules are forgotten, so a fresh push-mode
     /// policy is billed for teaching its writers from scratch.
     pub fn set_policy(&mut self, policy: Box<dyn ProtocolPolicy>) {
-        self.inner.policy = policy;
+        self.inner.policy = Some(policy);
         self.inner.deferred.clear();
         self.inner.push_scheds.clear();
     }
 
-    /// The installed protocol policy (diagnostics).
-    pub fn policy(&self) -> &dyn ProtocolPolicy {
-        self.inner.policy.as_ref()
+    /// The installed protocol policy, if any (diagnostics).
+    pub fn policy(&self) -> Option<&dyn ProtocolPolicy> {
+        self.inner.policy.as_deref()
+    }
+
+    /// Tell the policy (if any) a demand fault on `page` needed a fetch.
+    fn note_miss(&mut self, page: u32) {
+        if let Some(policy) = &mut self.inner.policy {
+            policy.note_miss(page);
+        }
+    }
+
+    /// A deferred plan of `phase` covering `pages` was discarded
+    /// untriggered: count it, trace it, and tell the policy — the one
+    /// place a quiesce is recorded.
+    pub(crate) fn quiesce(&mut self, phase: u32, pages: &[u32]) {
+        let net = self.cl.net();
+        net.policy().record_quiesced(self.me, phase, pages.len());
+        let n = pages.len() as u32;
+        net.trace(self.me, TraceEvent::PlanQuiesce { phase, pages: n });
+        if let Some(policy) = &mut self.inner.policy {
+            policy.note_quiesced(phase, pages);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1143,12 +1120,5 @@ impl<'c> TmkProc<'c> {
     /// The cluster's cost model (for charging modeled library work).
     pub fn cost(&self) -> &simnet::CostModel {
         self.cl.net().cost()
-    }
-
-    /// Pages currently invalid within a region (what a fetch would bring).
-    pub fn invalid_pages_in<T: Pod>(&self, s: &SharedSlice<T>) -> Vec<u32> {
-        s.pages(self.page_size)
-            .filter(|&p| self.inner.frames[p as usize].state == PageState::Invalid)
-            .collect()
     }
 }

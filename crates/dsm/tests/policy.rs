@@ -1,9 +1,9 @@
 //! Protocol-policy plumbing tests: the policy hooks observe the right
 //! events, a prefetching policy moves traffic from per-page demand pairs
-//! to aggregated exchanges without changing results, and the static
-//! policy is invisible.
+//! to aggregated exchanges without changing results, and a cluster with
+//! no policy installed never touches the policy counters.
 
-use dsm::{Cluster, DsmConfig, EpochDecision, MsgKind, PolicyStats, ProcId, ProtocolPolicy};
+use dsm::{Cluster, DsmConfig, EpochDecision, MsgKind, PolicyReport, ProtocolPolicy};
 
 /// Prefetch every page the barrier just invalidated — the maximally
 /// eager policy. Useful for plumbing tests: after the barrier, no
@@ -13,7 +13,6 @@ use dsm::{Cluster, DsmConfig, EpochDecision, MsgKind, PolicyStats, ProcId, Proto
 #[derive(Debug, Default)]
 struct PrefetchAll {
     misses: Vec<u32>,
-    closes: Vec<Vec<u32>>,
     epochs: Vec<u64>,
     push: bool,
     defer: bool,
@@ -39,18 +38,7 @@ impl ProtocolPolicy for PrefetchAll {
     fn note_miss(&mut self, page: u32) {
         self.misses.push(page);
     }
-    fn note_interval_close(&mut self, pages: &[u32]) {
-        self.closes.push(pages.to_vec());
-    }
-    fn epoch_end(
-        &mut self,
-        epoch: u64,
-        phase: u32,
-        invalidated: &[u32],
-        stats: &PolicyStats,
-        me: ProcId,
-    ) -> EpochDecision {
-        stats.record_epoch(me, phase);
+    fn epoch_end(&mut self, epoch: u64, phase: u32, invalidated: &[u32]) -> EpochDecision {
         self.epochs.push(epoch);
         EpochDecision {
             picks: invalidated.to_vec(),
@@ -97,9 +85,10 @@ fn prefetch_policy_eliminates_demand_faults_and_preserves_results() {
     let base_rep = base.report();
     assert!(base_rep.messages_per_kind(MsgKind::DiffRequest) > 0);
     assert_eq!(base_rep.messages_per_kind(MsgKind::AdaptRequest), 0);
-    assert!(
-        !base.net().policy_report().is_active(),
-        "static policy records no decisions"
+    assert_eq!(
+        base.net().policy_report(),
+        PolicyReport::default(),
+        "no policy installed: not even an epoch is recorded"
     );
 
     let ad = Cluster::new(DsmConfig::with_nprocs(3));
@@ -130,31 +119,19 @@ fn prefetch_policy_eliminates_demand_faults_and_preserves_results() {
 }
 
 #[test]
-fn policy_hooks_observe_misses_closes_and_epochs() {
+fn policy_hooks_observe_misses_and_epochs() {
     let cl = Cluster::new(DsmConfig::with_nprocs(2));
     let s = cl.alloc::<f64>(1024);
     #[derive(Debug, Default)]
     struct Recorder {
         misses: usize,
-        closes: usize,
         epochs: usize,
     }
     impl ProtocolPolicy for Recorder {
         fn note_miss(&mut self, _page: u32) {
             self.misses += 1;
         }
-        fn note_interval_close(&mut self, pages: &[u32]) {
-            assert!(!pages.is_empty());
-            self.closes += 1;
-        }
-        fn epoch_end(
-            &mut self,
-            _epoch: u64,
-            _phase: u32,
-            _invalidated: &[u32],
-            _stats: &PolicyStats,
-            _me: ProcId,
-        ) -> EpochDecision {
+        fn epoch_end(&mut self, _epoch: u64, _phase: u32, _inv: &[u32]) -> EpochDecision {
             self.epochs += 1;
             EpochDecision::none()
         }
@@ -171,7 +148,7 @@ fn policy_hooks_observe_misses_closes_and_epochs() {
         let _ = p.read(&s, 0);
         p.barrier();
         if p.rank() != 1 {
-            return (0, 0, 0);
+            return (0, 0);
         }
         // Downcast-free introspection: count through Debug output.
         let dbg = format!("{:?}", p.policy());
@@ -179,11 +156,10 @@ fn policy_hooks_observe_misses_closes_and_epochs() {
             let at = dbg.find(k).unwrap() + k.len() + 2;
             dbg[at..].chars().take_while(|c| c.is_ascii_digit()).collect::<String>().parse().unwrap()
         };
-        (grab("misses"), grab("closes"), grab("epochs"))
+        (grab("misses"), grab("epochs"))
     });
-    let (misses, closes, epochs) = seen[1];
+    let (misses, epochs) = seen[1];
     assert_eq!(misses, 1, "one demand miss on the shared page");
-    assert_eq!(closes, 0, "proc 1 never wrote");
     assert_eq!(epochs, 2, "two barriers crossed");
 }
 

@@ -55,6 +55,20 @@ pub struct CostModel {
     pub translate_us: f64,
     /// CHAOS executor: packing/unpacking one byte of gather/scatter data.
     pub pack_per_byte_us: f64,
+
+    // ---- lossy links ----
+    /// Per-message drop probability in per-mille, 0..=1000 (0, the
+    /// default, switches the model off: every traffic helper takes its
+    /// loss-free path untouched). Every message attempt draws from the
+    /// calling processor's own deterministic stream; a dropped message
+    /// is retried once (the retry always lands) and billed as a
+    /// duplicate message + bytes on the original sender plus a
+    /// timeout/resend wait under `StallCat::Retry` on the caller — so
+    /// stall conservation still holds and delivered payloads are never
+    /// perturbed.
+    pub loss_per_mille: u32,
+    /// Seed of the drop streams.
+    pub loss_seed: u64,
 }
 
 impl Default for CostModel {
@@ -84,6 +98,8 @@ impl Default for CostModel {
             hash_us: 8.0,
             translate_us: 0.35,
             pack_per_byte_us: 0.004,
+            loss_per_mille: 0,
+            loss_seed: 0,
         }
     }
 }

@@ -29,7 +29,7 @@ mod time;
 pub mod trace;
 
 pub use cost::CostModel;
-pub use net::{with_loss, CatScope, Net, ProcId};
+pub use net::{CatScope, Net, ProcId};
 pub use rendezvous::Rendezvous;
 pub use stats::{MsgKind, NetReport, PhasePolicyRow, PolicyReport, PolicyStats, Stats};
 pub use time::SimTime;

@@ -25,8 +25,7 @@
 //! service), so per-processor bucket sums equal the clocks *exactly* —
 //! see [`crate::trace`].
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::stats::{PolicyReport, PolicyStats};
@@ -70,46 +69,16 @@ pub struct Net {
     /// `sink.is_some()`, cached so the disabled [`Net::trace`] path is
     /// a single predictable branch.
     trace_on: bool,
-    /// Opt-in lossy-link model: drop probability in per-mille (0 = the
-    /// model is off and every traffic helper takes its loss-free path
-    /// untouched). Set via [`Net::set_loss`] or adopted at construction
-    /// from [`with_loss`].
-    loss_pm: AtomicU32,
-    /// Seed of the deterministic drop stream.
-    loss_seed: AtomicU64,
-    /// Per-processor draw counters: a drop decision is a pure function
-    /// of (seed, calling proc, that proc's draw index), never of
-    /// arrival order, so lossy runs are deterministic across thread
+    /// Per-processor draw counters of the lossy-link model
+    /// ([`CostModel::loss_per_mille`]): a drop decision is a pure
+    /// function of (seed, calling proc, that proc's draw index), never
+    /// of arrival order, so lossy runs are deterministic across thread
     /// schedules just like loss-free ones.
     loss_ctr: Vec<AtomicU64>,
     /// Collective re-inspection passes (CHAOS re-paying its inspector
     /// after a partition rebalance invalidated the amortized schedule).
     /// Counted once per collective by the rank-0 caller.
     reinspections: AtomicU64,
-}
-
-thread_local! {
-    /// The loss setting the next [`Net::new`] on this thread adopts —
-    /// set by [`with_loss`] so harnesses can make a run lossy without
-    /// plumbing the knob through every workload constructor.
-    static PENDING_LOSS: Cell<Option<(u64, u32)>> = const { Cell::new(None) };
-}
-
-/// Run `f` with `(seed, per_mille)` as the pending loss model: every
-/// cluster *constructed on this thread* inside `f` starts with that
-/// lossy-link setting (mirror of [`crate::with_trace_sink`]). The
-/// previous pending setting is restored on exit, even on panic.
-pub fn with_loss<R>(seed: u64, per_mille: u32, f: impl FnOnce() -> R) -> R {
-    let prev = PENDING_LOSS.with(|c| c.replace(Some((seed, per_mille))));
-    struct Restore(Option<(u64, u32)>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take();
-            PENDING_LOSS.with(|c| c.set(prev));
-        }
-    }
-    let _restore = Restore(prev);
-    f()
 }
 
 /// SplitMix64-style mixer for the drop stream (self-contained so the
@@ -126,8 +95,10 @@ impl Net {
     pub fn new(nprocs: usize, cost: CostModel) -> Self {
         assert!(nprocs >= 1, "need at least one processor");
         let sink = trace::pending_sink();
-        let (loss_seed, loss_pm) = PENDING_LOSS.with(|c| c.get()).unwrap_or((0, 0));
-        assert!(loss_pm <= 1000, "loss probability is per-mille (0..=1000)");
+        assert!(
+            cost.loss_per_mille <= 1000,
+            "loss probability is per-mille (0..=1000)"
+        );
         Net {
             nprocs,
             cost,
@@ -143,39 +114,14 @@ impl Net {
             cats: (0..nprocs).map(|_| AtomicU8::new(0)).collect(),
             trace_on: sink.is_some(),
             sink,
-            loss_pm: AtomicU32::new(loss_pm),
-            loss_seed: AtomicU64::new(loss_seed),
             loss_ctr: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
             reinspections: AtomicU64::new(0),
         }
     }
 
-    /// Switch the lossy-link model on (`per_mille` in 1..=1000) or off
-    /// (`per_mille == 0`). Drops are deterministic per `seed`: every
-    /// message attempt draws from the calling processor's own stream,
-    /// a dropped message is retried once (the retry always lands), and
-    /// the retry is billed as a duplicate message + bytes on the
-    /// original sender plus a timeout/resend wait under
-    /// [`StallCat::Retry`] on the caller — so `check_conservation`
-    /// still holds and delivered payloads are never perturbed.
-    pub fn set_loss(&self, seed: u64, per_mille: u32) {
-        assert!(per_mille <= 1000, "loss probability is per-mille (0..=1000)");
-        self.loss_seed.store(seed, Ordering::Relaxed);
-        self.loss_pm.store(per_mille, Ordering::Relaxed);
-    }
-
-    /// The current loss setting `(seed, per_mille)`; `per_mille == 0`
-    /// means the model is off.
-    pub fn loss(&self) -> (u64, u32) {
-        (
-            self.loss_seed.load(Ordering::Relaxed),
-            self.loss_pm.load(Ordering::Relaxed),
-        )
-    }
-
     #[inline]
     fn loss_on(&self) -> bool {
-        self.loss_pm.load(Ordering::Relaxed) != 0
+        self.cost.loss_per_mille != 0
     }
 
     /// Deterministic drop decision for the next message attempt made
@@ -184,9 +130,8 @@ impl Net {
     #[inline]
     fn loss_dropped(&self, caller: ProcId) -> bool {
         let k = self.loss_ctr[caller].fetch_add(1, Ordering::Relaxed);
-        let seed = self.loss_seed.load(Ordering::Relaxed);
-        let pm = self.loss_pm.load(Ordering::Relaxed);
-        loss_mix(seed ^ ((caller as u64 + 1) << 32), k) % 1000 < u64::from(pm)
+        let stream = self.cost.loss_seed ^ ((caller as u64 + 1) << 32);
+        loss_mix(stream, k) % 1000 < u64::from(self.cost.loss_per_mille)
     }
 
     /// Bill one dropped message of `bytes` payload: the original
@@ -366,9 +311,8 @@ impl Net {
         self.stats.reset();
         self.policy.reset();
         self.notice_meta.store(0, Ordering::Relaxed);
-        // The loss *setting* survives (like the label: the scenario does
-        // not change when counters are zeroed) but the draw streams
-        // restart, so a timed region is deterministic on its own.
+        // The loss draw streams restart, so a timed region is
+        // deterministic on its own.
         for c in &self.loss_ctr {
             c.store(0, Ordering::Relaxed);
         }
@@ -877,6 +821,17 @@ mod tests {
     }
 }
 
+/// Test helper: a cluster whose links drop `per_mille` ‰ of messages.
+#[cfg(test)]
+fn lossy(nprocs: usize, loss_seed: u64, loss_per_mille: u32) -> Net {
+    let cost = CostModel {
+        loss_seed,
+        loss_per_mille,
+        ..CostModel::default()
+    };
+    Net::new(nprocs, cost)
+}
+
 #[cfg(test)]
 mod parallel_round_tests {
     use super::*;
@@ -934,10 +889,8 @@ mod parallel_round_tests {
     fn lossy_push_round_still_counts_fewer_messages_than_lossy_pull() {
         // Half the droppable messages means push cannot degrade past
         // request/reply under the same loss stream shape.
-        let pull = Net::new(3, CostModel::default());
-        pull.set_loss(7, 500);
-        let push = Net::new(3, CostModel::default());
-        push.set_loss(7, 500);
+        let pull = lossy(3, 7, 500);
+        let push = lossy(3, 7, 500);
         for _ in 0..50 {
             pull.parallel_round(
                 0,
@@ -1032,8 +985,7 @@ mod loss_tests {
     #[test]
     fn retry_billing_is_deterministic_per_seed() {
         let run = |seed: u64| {
-            let n = Net::new(4, CostModel::default());
-            n.set_loss(seed, 250);
+            let n = lossy(4, seed, 250);
             drive(&n);
             fingerprint(&n)
         };
@@ -1044,8 +996,7 @@ mod loss_tests {
     #[test]
     fn retry_conservation_holds_across_cluster_sizes() {
         for np in [4usize, 8, 64] {
-            let n = Net::new(np, CostModel::default());
-            n.set_loss(9, 300);
+            let n = lossy(np, 9, 300);
             drive(&n);
             n.assert_conserved();
             let retry: u64 = n
@@ -1065,23 +1016,24 @@ mod loss_tests {
         // message: 2× the loss-free traffic, with conservation intact.
         let clean = Net::new(4, CostModel::default());
         drive(&clean);
-        let lossy = Net::new(4, CostModel::default());
-        lossy.set_loss(7, 1000);
-        drive(&lossy);
-        lossy.assert_conserved();
+        let all_dropped = lossy(4, 7, 1000);
+        drive(&all_dropped);
+        all_dropped.assert_conserved();
         assert_eq!(
-            lossy.stats().total_messages(),
+            all_dropped.stats().total_messages(),
             2 * clean.stats().total_messages()
         );
-        assert_eq!(lossy.stats().total_bytes(), 2 * clean.stats().total_bytes());
+        assert_eq!(
+            all_dropped.stats().total_bytes(),
+            2 * clean.stats().total_bytes()
+        );
     }
 
     #[test]
     fn zero_loss_is_byte_identical_to_the_no_loss_path() {
         let bare = Net::new(4, CostModel::default());
         drive(&bare);
-        let zeroed = Net::new(4, CostModel::default());
-        zeroed.set_loss(12345, 0);
+        let zeroed = lossy(4, 12345, 0);
         drive(&zeroed);
         assert_eq!(fingerprint(&bare), fingerprint(&zeroed));
         for p in 0..4 {
@@ -1098,21 +1050,11 @@ mod loss_tests {
     }
 
     #[test]
-    fn with_loss_scopes_the_pending_setting() {
-        let n = with_loss(77, 125, || Net::new(2, CostModel::default()));
-        assert_eq!(n.loss(), (77, 125));
-        let bare = Net::new(2, CostModel::default());
-        assert_eq!(bare.loss(), (0, 0), "restored outside the scope");
-    }
-
-    #[test]
     fn reset_restarts_the_drop_stream_but_keeps_the_setting() {
-        let n = Net::new(2, CostModel::default());
-        n.set_loss(5, 400);
+        let n = lossy(2, 5, 400);
         drive(&n);
         let first = fingerprint(&n);
         n.reset();
-        assert_eq!(n.loss(), (5, 400));
         assert_eq!(n.reinspections(), 0);
         drive(&n);
         assert_eq!(fingerprint(&n), first, "replay after reset is identical");

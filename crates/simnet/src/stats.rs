@@ -6,9 +6,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-use crate::ProcId;
+use crate::{PolicyAct, ProcId};
 
 /// Category of a protocol message, for breakdown reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -174,70 +174,65 @@ impl Stats {
 
 /// Per-epoch policy-decision counters for runtime-adaptive protocol
 /// engines: how often the engine chose batched prefetch over demand
-/// paging, and how its per-page modes churned. Plain (static-policy)
-/// runs never touch these, so they stay zero and cost nothing.
+/// paging, and how its per-page modes churned. Only the DSM's protocol
+/// layer writes them, and only for a processor with a policy installed
+/// — plain runs never touch them, so they stay zero and cost nothing.
 ///
-/// Counters are per processor, like [`Stats`], and lock-free. Since
-/// plans carry a **phase identity** (the barrier site that issued
-/// them), every decision is additionally broken down per phase in a
-/// side table sharded per recording processor — each shard's mutex is
-/// uncontended (only its own processor locks it), so 256 processors
-/// recording an epoch simultaneously never serialize on one global
-/// lock; [`PolicyReport::capture`] merges the shards field-wise.
+/// Every number is kept once: one shard per recording processor holding
+/// that processor's per-**phase** rows (the barrier site that issued
+/// each plan) and its three phase-less mode-flip counters. A shard's
+/// mutex is uncontended (only its own processor locks it), so 256
+/// processors recording an epoch simultaneously never serialize on one
+/// global lock; [`PolicyReport::capture`] merges the shards, and the
+/// whole-run totals are the sum of the merged rows.
 #[derive(Debug)]
 pub struct PolicyStats {
-    epochs: Vec<AtomicU64>,
-    prefetch_rounds: Vec<AtomicU64>,
-    prefetch_pages: Vec<AtomicU64>,
-    push_rounds: Vec<AtomicU64>,
-    push_pages: Vec<AtomicU64>,
-    deferred_plans: Vec<AtomicU64>,
-    quiesced_plans: Vec<AtomicU64>,
-    quiesced_pages: Vec<AtomicU64>,
-    subscriptions: Vec<AtomicU64>,
-    promotions: Vec<AtomicU64>,
-    demotions: Vec<AtomicU64>,
-    probes: Vec<AtomicU64>,
-    /// Per-phase breakdown of the decision stream, sharded by recording
-    /// processor (phases are app-level barrier-site tags; shards merge
-    /// at capture).
-    phases: Vec<Mutex<BTreeMap<u32, PhasePolicyRow>>>,
+    shards: Vec<Mutex<PolicyShard>>,
+}
+
+#[derive(Debug, Default)]
+struct PolicyShard {
+    rows: BTreeMap<u32, PhasePolicyRow>,
+    promotions: u64,
+    demotions: u64,
+    probes: u64,
 }
 
 impl PolicyStats {
     pub fn new(nprocs: usize) -> Self {
-        let make = || (0..nprocs).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         PolicyStats {
-            epochs: make(),
-            prefetch_rounds: make(),
-            prefetch_pages: make(),
-            push_rounds: make(),
-            push_pages: make(),
-            deferred_plans: make(),
-            quiesced_plans: make(),
-            quiesced_pages: make(),
-            subscriptions: make(),
-            promotions: make(),
-            demotions: make(),
-            probes: make(),
-            phases: (0..nprocs).map(|_| Mutex::new(BTreeMap::new())).collect(),
+            shards: (0..nprocs).map(|_| Mutex::default()).collect(),
         }
     }
 
-    fn phase_row(&self, p: ProcId, phase: u32, f: impl FnOnce(&mut PhasePolicyRow)) {
-        let mut map = self.phases[p].lock().unwrap();
-        let row = map.entry(phase).or_insert_with(|| PhasePolicyRow {
-            phase,
-            ..Default::default()
-        });
-        f(row);
+    fn shard(&self, p: ProcId) -> MutexGuard<'_, PolicyShard> {
+        self.shards[p].lock().expect("a recording processor panicked")
     }
 
-    /// One barrier epoch (tagged `phase`) observed by `p`'s policy.
-    #[inline]
-    pub fn record_epoch(&self, p: ProcId, phase: u32) {
-        self.epochs[p].fetch_add(1, Ordering::Relaxed);
-        self.phase_row(p, phase, |r| r.epochs += 1);
+    /// Add `delta`'s counters to `p`'s row for `delta.phase`.
+    fn add(&self, p: ProcId, delta: PhasePolicyRow) {
+        add_row(&mut self.shard(p).rows, delta);
+    }
+
+    /// One barrier epoch (tagged `phase`) observed by `p`'s policy,
+    /// which made the per-page decisions `acts` (`(page, action)`, as in
+    /// [`TraceEvent::Policy`](crate::TraceEvent::Policy)) while
+    /// answering it: each promotion, demotion and probe is counted.
+    pub fn record_epoch(&self, p: ProcId, phase: u32, acts: &[(u32, PolicyAct)]) {
+        let mut shard = self.shard(p);
+        let epoch = PhasePolicyRow {
+            phase,
+            epochs: 1,
+            ..Default::default()
+        };
+        add_row(&mut shard.rows, epoch);
+        for &(_, act) in acts {
+            match act {
+                PolicyAct::Promote => shard.promotions += 1,
+                PolicyAct::Demote => shard.demotions += 1,
+                PolicyAct::Probe => shard.probes += 1,
+            }
+        }
     }
 
     /// `p` issued one plan's worth of aggregated prefetch covering
@@ -246,35 +241,38 @@ impl PolicyStats {
     /// deferred plans they merge into a single exchange, and a plan
     /// partially quiesced at a cross-phase barrier can contribute both
     /// a quiesce record and, later, a round for its live remainder.
-    #[inline]
     pub fn record_prefetch(&self, p: ProcId, phase: u32, pages: usize) {
-        self.prefetch_rounds[p].fetch_add(1, Ordering::Relaxed);
-        self.prefetch_pages[p].fetch_add(pages as u64, Ordering::Relaxed);
-        self.phase_row(p, phase, |r| {
-            r.prefetch_rounds += 1;
-            r.prefetch_pages += pages as u64;
-        });
+        let delta = PhasePolicyRow {
+            phase,
+            prefetch_rounds: 1,
+            prefetch_pages: pages as u64,
+            ..Default::default()
+        };
+        self.add(p, delta);
     }
 
     /// `p` absorbed one round of writer-initiated update pushes covering
     /// `pages` pages (update-push mode: no request leg on the wire),
     /// predicted by `phase`'s plan.
-    #[inline]
     pub fn record_push(&self, p: ProcId, phase: u32, pages: usize) {
-        self.push_rounds[p].fetch_add(1, Ordering::Relaxed);
-        self.push_pages[p].fetch_add(pages as u64, Ordering::Relaxed);
-        self.phase_row(p, phase, |r| {
-            r.push_rounds += 1;
-            r.push_pages += pages as u64;
-        });
+        let delta = PhasePolicyRow {
+            phase,
+            push_rounds: 1,
+            push_pages: pages as u64,
+            ..Default::default()
+        };
+        self.add(p, delta);
     }
 
     /// `p`'s policy deferred `phase`'s batched fetch to the epoch's
     /// first demand fault instead of issuing it eagerly at the barrier.
-    #[inline]
     pub fn record_deferred(&self, p: ProcId, phase: u32) {
-        self.deferred_plans[p].fetch_add(1, Ordering::Relaxed);
-        self.phase_row(p, phase, |r| r.deferred_plans += 1);
+        let delta = PhasePolicyRow {
+            phase,
+            deferred_plans: 1,
+            ..Default::default()
+        };
+        self.add(p, delta);
     }
 
     /// A deferred plan of `pages` pages owned by `phase` at `p` was
@@ -283,64 +281,30 @@ impl PolicyStats {
     /// was saved. A plan whose pages' windows close at *different*
     /// barriers (cross-phase page sharing) quiesces in parts and can
     /// contribute more than one record here.
-    #[inline]
     pub fn record_quiesced(&self, p: ProcId, phase: u32, pages: usize) {
-        self.quiesced_plans[p].fetch_add(1, Ordering::Relaxed);
-        self.quiesced_pages[p].fetch_add(pages as u64, Ordering::Relaxed);
-        self.phase_row(p, phase, |r| {
-            r.quiesced_plans += 1;
-            r.quiesced_pages += pages as u64;
-        });
+        let delta = PhasePolicyRow {
+            phase,
+            quiesced_plans: 1,
+            quiesced_pages: pages as u64,
+            ..Default::default()
+        };
+        self.add(p, delta);
     }
 
     /// `p` (a push-mode consumer) sent `peers` one-way subscription
     /// messages because `phase`'s push schedule changed.
-    #[inline]
     pub fn record_subscribe(&self, p: ProcId, phase: u32, peers: usize) {
-        self.subscriptions[p].fetch_add(peers as u64, Ordering::Relaxed);
-        self.phase_row(p, phase, |r| r.subscriptions += peers as u64);
-    }
-
-    /// `n` pages switched from demand paging to batched prefetch at `p`.
-    #[inline]
-    pub fn record_promotions(&self, p: ProcId, n: u64) {
-        self.promotions[p].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` pages fell back from batched prefetch to demand paging at `p`.
-    #[inline]
-    pub fn record_demotions(&self, p: ProcId, n: u64) {
-        self.demotions[p].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` prefetch-mode pages were left to demand-fault this epoch to
-    /// re-validate that they are still worth prefetching.
-    #[inline]
-    pub fn record_probes(&self, p: ProcId, n: u64) {
-        self.probes[p].fetch_add(n, Ordering::Relaxed);
+        let delta = PhasePolicyRow {
+            phase,
+            subscriptions: peers as u64,
+            ..Default::default()
+        };
+        self.add(p, delta);
     }
 
     pub fn reset(&self) {
-        for row in [
-            &self.epochs,
-            &self.prefetch_rounds,
-            &self.prefetch_pages,
-            &self.push_rounds,
-            &self.push_pages,
-            &self.deferred_plans,
-            &self.quiesced_plans,
-            &self.quiesced_pages,
-            &self.subscriptions,
-            &self.promotions,
-            &self.demotions,
-            &self.probes,
-        ] {
-            for c in row.iter() {
-                c.store(0, Ordering::Relaxed);
-            }
-        }
-        for shard in &self.phases {
-            shard.lock().unwrap().clear();
+        for p in 0..self.shards.len() {
+            *self.shard(p) = PolicyShard::default();
         }
     }
 }
@@ -372,7 +336,32 @@ pub struct PhasePolicyRow {
     pub subscriptions: u64,
 }
 
-/// Frozen totals of [`PolicyStats`] (summed over processors).
+/// Adds the nine counters; `self.phase` is left alone.
+impl std::ops::AddAssign for PhasePolicyRow {
+    fn add_assign(&mut self, o: PhasePolicyRow) {
+        self.epochs += o.epochs;
+        self.prefetch_rounds += o.prefetch_rounds;
+        self.prefetch_pages += o.prefetch_pages;
+        self.push_rounds += o.push_rounds;
+        self.push_pages += o.push_pages;
+        self.deferred_plans += o.deferred_plans;
+        self.quiesced_plans += o.quiesced_plans;
+        self.quiesced_pages += o.quiesced_pages;
+        self.subscriptions += o.subscriptions;
+    }
+}
+
+/// Add `delta` to `rows`' entry for its phase (created zeroed).
+fn add_row(rows: &mut BTreeMap<u32, PhasePolicyRow>, delta: PhasePolicyRow) {
+    let zero = PhasePolicyRow {
+        phase: delta.phase,
+        ..Default::default()
+    };
+    *rows.entry(delta.phase).or_insert(zero) += delta;
+}
+
+/// Frozen totals of [`PolicyStats`] (summed over processors). The first
+/// nine totals are always the sums of the same columns of `per_phase`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PolicyReport {
     /// Barrier epochs the policies observed (summed over processors).
@@ -408,42 +397,39 @@ pub struct PolicyReport {
 
 impl PolicyReport {
     pub fn capture(stats: &PolicyStats) -> Self {
-        let sum = |v: &Vec<AtomicU64>| v.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        // Merge the per-processor phase shards field-wise; BTreeMap keeps
-        // the rows sorted by phase tag, as the report promises.
-        let mut merged: BTreeMap<u32, PhasePolicyRow> = BTreeMap::new();
-        for shard in &stats.phases {
-            for (&phase, row) in shard.lock().unwrap().iter() {
-                let e = merged.entry(phase).or_insert_with(|| PhasePolicyRow {
-                    phase,
-                    ..Default::default()
-                });
-                e.epochs += row.epochs;
-                e.prefetch_rounds += row.prefetch_rounds;
-                e.prefetch_pages += row.prefetch_pages;
-                e.push_rounds += row.push_rounds;
-                e.push_pages += row.push_pages;
-                e.deferred_plans += row.deferred_plans;
-                e.quiesced_plans += row.quiesced_plans;
-                e.quiesced_pages += row.quiesced_pages;
-                e.subscriptions += row.subscriptions;
+        let mut report = PolicyReport::default();
+        // BTreeMap keeps the merged rows sorted by phase tag, as the
+        // report promises.
+        let mut merged = BTreeMap::new();
+        for p in 0..stats.shards.len() {
+            let shard = stats.shard(p);
+            for &row in shard.rows.values() {
+                add_row(&mut merged, row);
             }
+            report.promotions += shard.promotions;
+            report.demotions += shard.demotions;
+            report.probes += shard.probes;
         }
-        PolicyReport {
-            epochs: sum(&stats.epochs),
-            prefetch_rounds: sum(&stats.prefetch_rounds),
-            prefetch_pages: sum(&stats.prefetch_pages),
-            push_rounds: sum(&stats.push_rounds),
-            push_pages: sum(&stats.push_pages),
-            deferred_plans: sum(&stats.deferred_plans),
-            quiesced_plans: sum(&stats.quiesced_plans),
-            quiesced_pages: sum(&stats.quiesced_pages),
-            subscriptions: sum(&stats.subscriptions),
-            promotions: sum(&stats.promotions),
-            demotions: sum(&stats.demotions),
-            probes: sum(&stats.probes),
-            per_phase: merged.into_values().collect(),
+        report.per_phase = merged.into_values().collect();
+        report.retotal();
+        report
+    }
+
+    /// Set the nine per-phase totals to the column sums of `per_phase`.
+    fn retotal(&mut self) {
+        let mut sum = PhasePolicyRow::default();
+        for &row in &self.per_phase {
+            sum += row;
         }
+        self.epochs = sum.epochs;
+        self.prefetch_rounds = sum.prefetch_rounds;
+        self.prefetch_pages = sum.prefetch_pages;
+        self.push_rounds = sum.push_rounds;
+        self.push_pages = sum.push_pages;
+        self.deferred_plans = sum.deferred_plans;
+        self.quiesced_plans = sum.quiesced_plans;
+        self.quiesced_pages = sum.quiesced_pages;
+        self.subscriptions = sum.subscriptions;
     }
 
     /// This report's row for `phase`, if the phase made any decisions.
@@ -457,35 +443,16 @@ impl PolicyReport {
     /// reports locally and the partial sums merge in any order into one
     /// report — no global lock anywhere on the hot path.
     pub fn merge(&mut self, other: &PolicyReport) {
-        self.epochs += other.epochs;
-        self.prefetch_rounds += other.prefetch_rounds;
-        self.prefetch_pages += other.prefetch_pages;
-        self.push_rounds += other.push_rounds;
-        self.push_pages += other.push_pages;
-        self.deferred_plans += other.deferred_plans;
-        self.quiesced_plans += other.quiesced_plans;
-        self.quiesced_pages += other.quiesced_pages;
-        self.subscriptions += other.subscriptions;
+        for &row in &other.per_phase {
+            match self.per_phase.binary_search_by_key(&row.phase, |r| r.phase) {
+                Ok(i) => self.per_phase[i] += row,
+                Err(i) => self.per_phase.insert(i, row),
+            }
+        }
+        self.retotal();
         self.promotions += other.promotions;
         self.demotions += other.demotions;
         self.probes += other.probes;
-        for row in &other.per_phase {
-            match self.per_phase.binary_search_by_key(&row.phase, |r| r.phase) {
-                Ok(i) => {
-                    let e = &mut self.per_phase[i];
-                    e.epochs += row.epochs;
-                    e.prefetch_rounds += row.prefetch_rounds;
-                    e.prefetch_pages += row.prefetch_pages;
-                    e.push_rounds += row.push_rounds;
-                    e.push_pages += row.push_pages;
-                    e.deferred_plans += row.deferred_plans;
-                    e.quiesced_plans += row.quiesced_plans;
-                    e.quiesced_pages += row.quiesced_pages;
-                    e.subscriptions += row.subscriptions;
-                }
-                Err(i) => self.per_phase.insert(i, *row),
-            }
-        }
     }
 
     /// Did any adaptive decision actually happen?
@@ -656,18 +623,17 @@ mod tests {
 
     #[test]
     fn policy_counters_roundtrip() {
+        use PolicyAct::{Demote, Probe, Promote};
         let s = PolicyStats::new(2);
-        s.record_epoch(0, 1);
-        s.record_epoch(1, 2);
+        let acts0 = [Promote, Promote, Probe, Promote, Probe, Promote];
+        s.record_epoch(0, 1, &acts0.map(|act| (7, act)));
+        s.record_epoch(1, 2, &[(9, Demote)]);
         s.record_prefetch(0, 1, 12);
         s.record_prefetch(1, 2, 3);
         s.record_push(0, 1, 5);
         s.record_deferred(1, 2);
         s.record_quiesced(1, 2, 4);
         s.record_subscribe(0, 1, 3);
-        s.record_promotions(0, 4);
-        s.record_demotions(1, 1);
-        s.record_probes(0, 2);
         let r = PolicyReport::capture(&s);
         assert_eq!(r.epochs, 2);
         assert_eq!(r.prefetch_rounds, 2);
@@ -737,14 +703,13 @@ mod tests {
     #[test]
     fn policy_report_merge_adds_and_merges_phases() {
         let s = PolicyStats::new(1);
-        s.record_epoch(0, 1);
+        s.record_epoch(0, 1, &[(3, PolicyAct::Promote), (4, PolicyAct::Promote)]);
         s.record_prefetch(0, 1, 4);
-        s.record_promotions(0, 2);
         let a = PolicyReport::capture(&s);
         let t = PolicyStats::new(1);
-        t.record_epoch(0, 2);
+        t.record_epoch(0, 2, &[]);
         t.record_push(0, 2, 3);
-        t.record_epoch(0, 1);
+        t.record_epoch(0, 1, &[]);
         t.record_quiesced(0, 1, 2);
         let b = PolicyReport::capture(&t);
         let mut ab = a.clone();

@@ -67,8 +67,9 @@ pub enum StallCat {
     /// the remaining categories are deterministic per processor.
     Handler = 7,
     /// Lossy-link retransmission: the timeout + resend penalty a
-    /// processor pays when the opt-in loss model ([`crate::Net::set_loss`])
-    /// drops one of its messages. Zero on every loss-free run.
+    /// processor pays when the opt-in loss model
+    /// ([`crate::CostModel::loss_per_mille`]) drops one of its messages.
+    /// Zero on every loss-free run.
     Retry = 8,
 }
 
@@ -180,17 +181,23 @@ impl PolicyAct {
     }
 }
 
-/// Which protocol path issued a page fetch (mirror of the DSM's fetch
-/// classes, kept here so `simnet` stays dependency-free).
+/// How a page fetch was triggered — the DSM's fetch classes
+/// (`dsm::FetchClass` is this type). The class decides which stall
+/// bucket the exchange bills and which message kinds account it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchKind {
-    /// A demand miss (single page).
+    /// Demand fault on a single page (base TreadMarks).
     Demand,
-    /// Compiler-directed aggregation (`Validate`).
+    /// Aggregated prefetch of a whole schedule (`Validate`).
     Aggregated,
-    /// Runtime-adaptive prefetch at a barrier.
+    /// Aggregated prefetch decided by a runtime protocol policy at a
+    /// barrier (no compiler hints): `AdaptRequest`/`AdaptReply`.
     Prefetch,
-    /// Writer-initiated update push.
+    /// Writer-initiated update push decided by a runtime protocol
+    /// policy in push mode: the writers push their diffs in one one-way
+    /// `AdaptPush` message per writer/consumer pair — the request half
+    /// of the exchange does not exist on the wire. Data and application
+    /// order are identical to [`FetchKind::Prefetch`].
     Push,
 }
 
@@ -201,6 +208,27 @@ impl FetchKind {
             FetchKind::Aggregated => "aggregated",
             FetchKind::Prefetch => "prefetch",
             FetchKind::Push => "push",
+        }
+    }
+
+    /// Who the whole exchange is attributed to: demand and
+    /// compiler-aggregated fetches are fault service, predicted
+    /// prefetch/push rounds are the adaptive engine's data motion.
+    pub fn stall_cat(self) -> StallCat {
+        match self {
+            FetchKind::Demand | FetchKind::Aggregated => StallCat::FaultStall,
+            FetchKind::Prefetch | FetchKind::Push => StallCat::PrefetchPush,
+        }
+    }
+
+    /// The `(request, data)` message kinds one peer's share of the
+    /// exchange is accounted as; a push has no request leg.
+    pub fn msg_kinds(self) -> (Option<MsgKind>, MsgKind) {
+        match self {
+            FetchKind::Demand => (Some(MsgKind::DiffRequest), MsgKind::DiffReply),
+            FetchKind::Aggregated => (Some(MsgKind::AggRequest), MsgKind::AggReply),
+            FetchKind::Prefetch => (Some(MsgKind::AdaptRequest), MsgKind::AdaptReply),
+            FetchKind::Push => (None, MsgKind::AdaptPush),
         }
     }
 }

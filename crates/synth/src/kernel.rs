@@ -223,13 +223,20 @@ thread_local! {
     static CLUSTERS: ClusterPool = const { ClusterPool::new() };
 }
 
+/// The cluster shape a scenario's Tmk builds run on.
+pub(crate) fn dsm_config(cfg: &SynthConfig) -> DsmConfig {
+    DsmConfig {
+        nprocs: cfg.nprocs,
+        page_size: cfg.page_size,
+        cost: cfg.cost.clone(),
+    }
+}
+
 /// The kernel on the DSM as one of the [`Variant::TMK`] builds, selected
 /// exactly as in the three classic apps, against a prebuilt [`Plan`]
 /// ([`crate::Prepared`] holds one per scenario). With `reuse`, the
 /// cluster is checked out of (and recycled back into) a thread-local
-/// [`ClusterPool`] instead of being built and dropped per run. The
-/// third result is the timed region's barrier notice-metadata bytes
-/// (see [`crate::notice_meta_probe`]).
+/// [`ClusterPool`] instead of being built and dropped per run.
 pub(crate) fn run_tmk_prepared(
     cfg: &SynthConfig,
     world: &SynthWorld,
@@ -237,12 +244,8 @@ pub(crate) fn run_tmk_prepared(
     variant: Variant,
     seq_time: SimTime,
     reuse: bool,
-) -> (RunReport, Vec<f64>, u64) {
-    let dsm_cfg = DsmConfig {
-        nprocs: cfg.nprocs,
-        page_size: cfg.page_size,
-        cost: cfg.cost.clone(),
-    };
+) -> (RunReport, Vec<f64>) {
+    let dsm_cfg = dsm_config(cfg);
     let cl = if reuse {
         CLUSTERS.with(|p| p.checkout(&dsm_cfg))
     } else {
@@ -256,14 +259,14 @@ pub(crate) fn run_tmk_prepared(
 }
 
 /// [`run_tmk_prepared`] on a given just-built (or recycled) cluster.
-fn run_tmk_on(
+pub(crate) fn run_tmk_on(
     cl: &Cluster,
     cfg: &SynthConfig,
     world: &SynthWorld,
     pl: &Plan,
     variant: Variant,
     seq_time: SimTime,
-) -> (RunReport, Vec<f64>, u64) {
+) -> (RunReport, Vec<f64>) {
     variant.expect_tmk("synth::kernel::run_tmk_prepared");
     let n = cfg.n;
     let nprocs = cfg.nprocs;
@@ -394,9 +397,8 @@ fn run_tmk_on(
 
     let (policy, final_x) = Capture::extract(variant, cl, &x);
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    let notice_bytes = cl.net().notice_meta_bytes();
     let report = Capture::report(variant, ranks, policy, seq_time, checksum);
-    (report, final_x, notice_bytes)
+    (report, final_x)
 }
 
 /// The kernel under CHAOS, against a prebuilt [`Plan`] and its
@@ -597,11 +599,7 @@ mod tests {
             let barriers = cfg.iters as u64 + 4;
             assert_eq!(2 * barriers + 1, tmk_want, "{}", cfg.label());
             for v in Variant::TMK {
-                let cl = Cluster::new(DsmConfig {
-                    nprocs,
-                    page_size: cfg.page_size,
-                    cost: cfg.cost.clone(),
-                });
+                let cl = Cluster::new(dsm_config(cfg));
                 run_tmk_on(&cl, cfg, world, plan, v, SimTime::ZERO);
                 assert_eq!(
                     (

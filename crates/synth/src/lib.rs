@@ -282,17 +282,14 @@ impl Workload for Prepared {
                 &self.ttables,
                 seq_time,
             ),
-            tmk => {
-                let (report, x, _) = kernel::run_tmk_prepared(
-                    &self.cfg,
-                    &self.world,
-                    &self.plan,
-                    tmk,
-                    seq_time,
-                    self.reuse_enabled(),
-                );
-                (report, x)
-            }
+            tmk => kernel::run_tmk_prepared(
+                &self.cfg,
+                &self.world,
+                &self.plan,
+                tmk,
+                seq_time,
+                self.reuse_enabled(),
+            ),
         }
     }
 }
@@ -312,7 +309,9 @@ pub fn notice_meta_probe(nprocs: usize) -> u64 {
     cfg.iters = 6;
     cfg.nprocs = nprocs;
     let p = Prepared::new(cfg);
-    kernel::run_tmk_prepared(&p.cfg, &p.world, &p.plan, Variant::TmkBase, SimTime::ZERO, false).2
+    let cl = sdsm_core::Cluster::new(kernel::dsm_config(&p.cfg));
+    kernel::run_tmk_on(&cl, &p.cfg, &p.world, &p.plan, Variant::TmkBase, SimTime::ZERO);
+    cl.net().notice_meta_bytes()
 }
 
 /// The scenario grid `table_synth` sweeps: structure × dynamics ×

@@ -5,7 +5,7 @@
 //! lossy-link contract on the first of them.
 
 use apps::workload::{run_matrix, run_variants, Variant, Workload};
-use simnet::{with_loss, StallCat};
+use simnet::StallCat;
 use synth::{scenario_grid, Dynamics, Prepared, Structure, SynthConfig};
 
 /// Shrink a quick cell further so each test stays fast in debug builds.
@@ -407,14 +407,18 @@ fn lossy_links_perturb_cost_never_results_and_push_degrades_no_worse() {
     // still conserved, (c) push degrades no worse than request/reply —
     // each lost one-way push retries one message; a request/reply round
     // trip has two legs to lose.
-    let scn = Prepared::new(churn_cells().swap_remove(0));
+    let cfg = churn_cells().swap_remove(0);
+    let mut lossy_cfg = cfg.clone();
+    lossy_cfg.cost.loss_seed = LOSS_SEED;
+    lossy_cfg.cost.loss_per_mille = LOSS_PER_MILLE;
+    let (scn, lossy_scn) = (Prepared::new(cfg), Prepared::new(lossy_cfg));
     let (seq_report, seq_x) = scn.run(Variant::Seq, simnet::SimTime::ZERO);
     let seq_time = seq_report.time;
 
     // Extra messages the drops cost each variant: [adaptive, push].
     let extra = [Variant::TmkAdaptive, Variant::TmkPush].map(|v| {
         let (clean, clean_x) = scn.run(v, seq_time);
-        let (lossy, lossy_x) = with_loss(LOSS_SEED, LOSS_PER_MILLE, || scn.run(v, seq_time));
+        let (lossy, lossy_x) = lossy_scn.run(v, seq_time);
         assert_eq!(
             lossy_x, clean_x,
             "{v:?}: dropped messages must perturb cost, never results"
