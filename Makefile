@@ -19,8 +19,12 @@ clippy:
 # order), so the kernels share nothing that needs a lock;
 # trace::stall_json had no caller; a protocol policy returns its
 # decision and dsm alone counts and traces it (no PolicyStats in adapt,
-# no in-policy log); loss is a CostModel field, not a thread-local; and
-# dsm's fetch classes are simnet::FetchKind, not a mirror enum.
+# no in-policy log); loss is a CostModel field, not a thread-local;
+# dsm's fetch classes are simnet::FetchKind, not a mirror enum; simulated
+# processors are coroutines on the launching thread (simnet::Rendezvous),
+# so nothing under simnet/dsm/chaos spawns a thread or parks on a
+# condvar; and the only unsafe code is the coroutine switch and serve's
+# counting allocator.
 hygiene:
 	@if grep -rn "Mutex" crates/apps/src crates/synth/src; then \
 		echo "hygiene: return per-rank values from the SPMD body instead of locking"; exit 1; fi
@@ -34,6 +38,10 @@ hygiene:
 		echo "hygiene: loss is CostModel::loss_per_mille / loss_seed, not an ambient thread-local"; exit 1; fi
 	@if grep -rn "enum FetchClass" crates/dsm; then \
 		echo "hygiene: dsm::FetchClass is simnet::FetchKind; add tables as methods beside that enum"; exit 1; fi
+	@if grep -rn "thread::spawn\|thread::scope\|Condvar" crates/simnet/src crates/dsm/src crates/chaos/src; then \
+		echo "hygiene: simulated processors are coroutines scheduled by simnet::Rendezvous; block with wait_then/yield_now, not an OS thread or a condvar"; exit 1; fi
+	@if grep -rnw "unsafe" crates/ | grep -v "^crates/simnet/src/coroutine.rs:\|^crates/serve/src/alloc.rs:"; then \
+		echo "hygiene: unsafe lives only in simnet/src/coroutine.rs and serve/src/alloc.rs"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses
@@ -78,7 +86,7 @@ synth:
 
 # The throughput service at quick scale: 200 jobs over the 30-cell grid
 # on a work-stealing pool, every job bitwise-checked against cold
-# goldens (~20 s here). Drop --quick for the nightly 60 s window at
+# goldens (~4 s here). Drop --quick for the nightly 60 s window at
 # paper scale.
 serve:
 	cargo run --release -p bench --bin table_serve -- --quick

@@ -71,8 +71,9 @@ fn main() {
     let cfg = ServeConfig {
         workers,
         stop,
-        // Room for one sparse-clock scale cell (64/256 procs) plus a few
-        // small cells beside it.
+        // OS-thread tokens. A job holds one (its processors are
+        // coroutines on its worker) plus spares for intra-processor
+        // parallelism, so this never makes a worker wait.
         thread_budget: if quick { 96 } else { 288 },
         check_allocs: false,
         trace: tracer.clone(),

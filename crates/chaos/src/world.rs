@@ -57,30 +57,32 @@ impl ChaosWorld {
         self.bar.generation()
     }
 
-    /// [`ChaosWorld::run`] calls since construction (`nprocs` OS-thread
-    /// spawns each) — exact host work, like the crossings.
+    /// [`ChaosWorld::run`] calls since construction — exact host work,
+    /// like the crossings.
     pub fn spmd_launches(&self) -> u64 {
         self.bar.launches()
     }
 
-    /// Run the SPMD body on every processor (one OS thread each) and
-    /// return what each processor's body returned, in rank order — a
+    /// Run the SPMD body on every processor — coroutines on the calling
+    /// thread, scheduled in rank order by the world's [`Rendezvous`] —
+    /// and return what each processor's body returned, in rank order — a
     /// CHAOS program's results live in its processors' private vectors,
     /// so this is how they leave the run.
     ///
-    /// **Panics.** If `f` panics on some processor, the others are
-    /// released from (or turned away at) their next `sync` / `exchange`
-    /// instead of parking forever, every thread is joined, and the
-    /// lowest panicking rank's original payload is re-raised here —
-    /// nothing is returned ([`Rendezvous::run_spmd`]). The world is then
+    /// **Panics.** If `f` panics on some processor, the others unwind
+    /// from the `sync` / `exchange` they are suspended in instead of
+    /// waiting forever, and that processor's original payload is
+    /// re-raised here — nothing is returned ([`Rendezvous::run_spmd`]);
+    /// a processor that returns while others wait for it fails the run
+    /// the same way, with a deadlock message. The world is then
     /// *aborted*: a further `run` panics saying so.
     ///
-    /// The caller's thread allowance (see `vendor/rayon`) is divided
-    /// evenly among the processor threads, so intra-processor
-    /// parallelism (the sharded inspector) is self-limiting: a
-    /// 64-processor cell on an 8-thread allowance leaves every
-    /// processor with exactly its one thread, and a `serve` job never
-    /// exceeds the tokens it holds from the shared `ThreadBudget`.
+    /// All processors share the caller's OS thread, so the caller's
+    /// thread allowance (see `vendor/rayon`) is divided evenly among
+    /// them once, around the launch; intra-processor parallelism (the
+    /// sharded inspector) is self-limiting: a 64-processor cell on an
+    /// 8-thread allowance leaves every processor with an allowance of
+    /// one, the sequential path.
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(&mut ChaosProc) -> R + Sync,
@@ -90,12 +92,13 @@ impl ChaosWorld {
             .num_threads((rayon::current_num_threads() / self.nprocs).max(1))
             .build()
             .expect("shim pools cannot fail to build");
-        self.bar.run_spmd(|rank| {
-            let mut cp = ChaosProc {
-                world: self,
-                me: rank,
-            };
-            share.install(|| f(&mut cp))
+        share.install(|| {
+            self.bar.run_spmd(|rank| {
+                f(&mut ChaosProc {
+                    world: self,
+                    me: rank,
+                })
+            })
         })
     }
 
@@ -248,7 +251,7 @@ impl<'w> ChaosProc<'w> {
     pub fn start_timed_region(&mut self) {
         self.sync();
         // The reset runs at the head of the closing sync's leader
-        // section, with every processor parked — as on the DSM side, so
+        // section, with every processor suspended — as on the DSM side, so
         // nobody can read a clock or emit a traced event mid-reset. (The
         // DSM needs a crossing of its own for this because its barrier
         // does protocol work before arriving; a CHAOS sync does not.)

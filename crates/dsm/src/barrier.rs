@@ -9,8 +9,8 @@
 //! [`simnet::Rendezvous`]:
 //!
 //! 1. *Arrive + leader.* Once everyone has closed and published, the
-//!    last arriver — whoever the host schedule makes it — runs the
-//!    leader section in place while the others stay parked: snapshot the
+//!    last arriver — whoever the schedule makes it — runs the leader
+//!    section in place while the others stay suspended: snapshot the
 //!    global vector clock, charge the 2(n−1) barrier messages, build the
 //!    notice digest, synchronize the simulated clocks, and fold the
 //!    record store. Nobody is released before the snapshot is complete.
@@ -121,7 +121,7 @@ impl TmkProc<'_> {
         let ctl = cl.barrier_ctl();
 
         // Everyone has closed and published; the last arriver leads
-        // while the rest stay parked.
+        // while the rest stay suspended.
         ctl.rendezvous.wait_then(|| {
             let net = cl.net();
             let nprocs = self.nprocs();
@@ -179,9 +179,9 @@ impl TmkProc<'_> {
             st.digest = digest.into();
             st.epoch += 1;
             // The notice is a cluster-wide fact produced by whichever
-            // thread arrived last — pin it to proc 0's lane so the
-            // trace does not depend on the host schedule. Proc 0 is
-            // parked in the rendezvous (or *is* the leader), so its
+            // processor arrived last — pin it to proc 0's lane so the
+            // trace does not depend on the schedule. Proc 0 is
+            // suspended in the rendezvous (or *is* the leader), so its
             // virtual clock is stable here.
             net.trace(
                 0,
@@ -331,7 +331,7 @@ impl TmkProc<'_> {
     pub fn start_timed_region(&mut self) {
         self.barrier();
         // Zero the clocks in a leader section of its own (no protocol
-        // traffic), while every processor is parked: a processor racing
+        // traffic), while every processor is suspended: a processor racing
         // ahead into its next traced event (or clock read) mid-reset
         // would observe pre- or post-zero time depending on the host
         // schedule. The closing protocol barrier below is charged to

@@ -198,26 +198,27 @@ impl Cluster {
         self.alloc_next.lock().div_ceil(self.cfg.page_size)
     }
 
-    /// Run the SPMD body `f` on every simulated processor (one OS thread
-    /// each) and return what each processor's body returned, in rank
-    /// order. May be called repeatedly; processor protocol state persists
-    /// across calls.
+    /// Run the SPMD body `f` on every simulated processor — coroutines on
+    /// the calling thread, scheduled in rank order by the cluster's
+    /// [`simnet::Rendezvous`] — and return what each processor's body
+    /// returned, in rank order. May be called repeatedly; processor
+    /// protocol state persists across calls.
     ///
-    /// **Panics.** If `f` panics on some processor, the others are
-    /// released from (or turned away at) their next barrier instead of
-    /// parking forever, every thread is joined, and the lowest panicking
-    /// rank's original payload is re-raised here — nothing is returned
-    /// ([`simnet::Rendezvous::run_spmd`]). The cluster is then *aborted*:
-    /// its protocol state is torn, and a further `run`,
-    /// [`Cluster::read_back`] or [`Cluster::recycle`] panics saying so.
-    /// Processors blocked in [`TmkProc::lock`] are not abort-aware yet.
+    /// **Panics.** If `f` panics on some processor, the others unwind
+    /// from wherever they are blocked — a barrier or [`TmkProc::lock`] —
+    /// instead of waiting forever, and that processor's original payload
+    /// is re-raised here — nothing is returned
+    /// ([`simnet::Rendezvous::run_spmd`]). A processor that returns while
+    /// others wait for it at a barrier fails the run the same way, with
+    /// a deadlock message. The cluster is then *aborted*: its protocol
+    /// state is torn, and a further `run`, [`Cluster::read_back`] or
+    /// [`Cluster::recycle`] panics saying so.
     ///
-    /// The caller's thread allowance (see `vendor/rayon`) is divided
-    /// evenly among the processor threads, mirroring
-    /// `chaos::ChaosWorld::run`: intra-processor parallelism (the
-    /// sharded `PageSet::finish` bitmap fill) only engages when the
-    /// allowance exceeds the processor count, so a `serve` job never
-    /// uses more OS threads than the tokens it holds.
+    /// All processors share the caller's OS thread, so the caller's
+    /// thread allowance (see `vendor/rayon`) is divided evenly among
+    /// them once, around the launch, mirroring `chaos::ChaosWorld::run`:
+    /// intra-processor parallelism (the sharded `PageSet::finish` bitmap
+    /// fill) only engages when the allowance exceeds the processor count.
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(&mut TmkProc) -> R + Sync,
@@ -227,17 +228,19 @@ impl Cluster {
             .num_threads((rayon::current_num_threads() / self.cfg.nprocs).max(1))
             .build()
             .expect("shim pools cannot fail to build");
-        self.barrier
-            .rendezvous()
-            .run_spmd(|rank| self.enter(rank, |p| share.install(|| f(p))))
+        share.install(|| {
+            self.barrier
+                .rendezvous()
+                .run_spmd(|rank| self.enter(rank, &f))
+        })
     }
 
     /// Read the whole of `x` back through the DSM as processor 0, in
-    /// index order, on the *calling* thread — the untimed result
-    /// extraction after a `run`. No thread is spawned and no other
-    /// processor takes part: rank 0's demand faults are served from the
-    /// shared diff store exactly as inside a `run` (same messages, same
-    /// bytes, same trace events), so nobody else needs to be alive.
+    /// index order — the untimed result extraction after a `run`. No
+    /// launch is made and no other processor takes part: rank 0's demand
+    /// faults are served from the shared diff store exactly as inside a
+    /// `run` (same messages, same bytes, same trace events), so nobody
+    /// else needs to be alive.
     /// Panics "aborted" after a run in which a processor panicked, and
     /// "processor state in use" from inside a `run`.
     pub fn read_back<T: Pod>(&self, x: &SharedSlice<T>) -> Vec<T> {
@@ -261,6 +264,7 @@ impl Cluster {
             me: rank,
             nprocs: self.cfg.nprocs,
             page_size: self.cfg.page_size,
+            page_shift: self.cfg.page_size.trailing_zeros(),
             inner,
         };
         let out = f(&mut p);
@@ -321,9 +325,9 @@ impl Cluster {
         self.barrier.rendezvous().generation()
     }
 
-    /// [`Cluster::run`] calls since construction (`nprocs` OS-thread
-    /// spawns each; [`Cluster::read_back`] spawns none). Exact host work
-    /// like [`Cluster::rendezvous_crossings`], and not reset by
+    /// [`Cluster::run`] calls since construction ([`Cluster::read_back`]
+    /// launches nothing). Exact host work like
+    /// [`Cluster::rendezvous_crossings`], and not reset by
     /// [`Cluster::recycle`] either.
     pub fn spmd_launches(&self) -> u64 {
         self.barrier.rendezvous().launches()

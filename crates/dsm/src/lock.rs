@@ -9,11 +9,20 @@
 //! The applications in the paper are barrier-structured, but locks are
 //! part of the TreadMarks API (§2) and are exercised by tests and the
 //! quickstart example.
+//!
+//! On the host an acquire is a scheduling point of the cluster's
+//! [`simnet::Rendezvous`], not a parked thread: the acquirer first lets
+//! every other runnable processor run to its next blocking point — so a
+//! processor spinning on `lock; test; unlock` cannot starve the one it
+//! waits for, and simultaneous requests are granted round-robin in rank
+//! order — and then yields again for as long as the lock is held. Who
+//! gets a contended lock is therefore a function of the program, never
+//! of a host race, and so are the hops and times billed below.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use simnet::{MsgKind, ProcId, SimTime, StallCat, TraceEvent};
 
 use crate::interval::Vc;
@@ -27,17 +36,11 @@ struct LockSt {
     release_time: SimTime,
 }
 
-#[derive(Debug)]
-struct LockSlot {
-    st: Mutex<LockSt>,
-    cv: Condvar,
-}
-
 /// All locks, created on first use (TreadMarks pre-allocates an array of
 /// lock ids; the observable semantics are the same).
 #[derive(Debug, Default)]
 pub(crate) struct LockMgr {
-    slots: Mutex<HashMap<u32, Arc<LockSlot>>>,
+    slots: Mutex<HashMap<u32, Arc<Mutex<LockSt>>>>,
 }
 
 impl LockMgr {
@@ -46,18 +49,15 @@ impl LockMgr {
         self.slots.lock().clear();
     }
 
-    fn slot(&self, id: u32, nprocs: usize) -> Arc<LockSlot> {
+    fn slot(&self, id: u32, nprocs: usize) -> Arc<Mutex<LockSt>> {
         let mut m = self.slots.lock();
         Arc::clone(m.entry(id).or_insert_with(|| {
-            Arc::new(LockSlot {
-                st: Mutex::new(LockSt {
-                    held_by: None,
-                    last_holder: None,
-                    release_vc: vec![0; nprocs],
-                    release_time: SimTime::ZERO,
-                }),
-                cv: Condvar::new(),
-            })
+            Arc::new(Mutex::new(LockSt {
+                held_by: None,
+                last_holder: None,
+                release_vc: vec![0; nprocs],
+                release_time: SimTime::ZERO,
+            }))
         }))
     }
 }
@@ -65,7 +65,9 @@ impl LockMgr {
 impl TmkProc<'_> {
     /// Acquire lock `id`, blocking until free, then merge the releaser's
     /// consistency information (invalidate pages named in unseen write
-    /// notices).
+    /// notices). Unwinds, like a barrier, if another processor panics
+    /// while this one waits (see [`crate::Cluster::run`]); a lock whose
+    /// holder never releases it is still waited for forever.
     pub fn lock(&mut self, id: u32) {
         let me = self.rank();
         let nprocs = self.nprocs();
@@ -77,9 +79,16 @@ impl TmkProc<'_> {
 
         let target: Vc;
         {
-            let mut st = slot.st.lock();
+            // The scheduling point (module docs). The slot's mutex is
+            // never held across a yield: every processor runs on this
+            // one OS thread.
+            let rendezvous = self.cl.barrier_ctl().rendezvous();
+            rendezvous.yield_now();
+            let mut st = slot.lock();
             while st.held_by.is_some() {
-                slot.cv.wait(&mut st);
+                drop(st);
+                rendezvous.yield_now();
+                st = slot.lock();
             }
             st.held_by = Some(me);
 
@@ -151,7 +160,7 @@ impl TmkProc<'_> {
         let _lw = self.cl.net().scope(me, StallCat::LockWait);
         self.close_interval();
         let slot = self.cl.lock_mgr().slot(id, nprocs);
-        let mut st = slot.st.lock();
+        let mut st = slot.lock();
         assert_eq!(
             st.held_by,
             Some(me),
@@ -161,7 +170,6 @@ impl TmkProc<'_> {
         st.last_holder = Some(me);
         st.release_vc.copy_from_slice(self.vc());
         st.release_time = self.now();
-        slot.cv.notify_one();
         self.cl.net().trace(me, TraceEvent::LockRelease { lock: id });
     }
 }

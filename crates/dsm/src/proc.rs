@@ -240,6 +240,9 @@ pub struct TmkProc<'c> {
     pub(crate) me: ProcId,
     pub(crate) nprocs: usize,
     pub(crate) page_size: usize,
+    /// `log2(page_size)`: the software MMU splits an address with a shift
+    /// and a mask, not a division by a run-time value.
+    pub(crate) page_shift: u32,
     pub(crate) inner: Box<ProcInner>,
 }
 
@@ -287,11 +290,11 @@ impl<'c> TmkProc<'c> {
     #[inline]
     pub fn read<T: Pod>(&mut self, s: &SharedSlice<T>, i: usize) -> T {
         let byte = s.byte_at(i);
-        let page = byte / self.page_size;
+        let page = byte >> self.page_shift;
         if self.inner.frames[page].state == PageState::Invalid {
             self.read_fault(page as u32);
         }
-        let off = byte % self.page_size;
+        let off = byte & (self.page_size - 1);
         let f = &self.inner.frames[page];
         T::load(&f.data.as_ref().unwrap()[off..])
     }
@@ -300,14 +303,14 @@ impl<'c> TmkProc<'c> {
     #[inline]
     pub fn write<T: Pod>(&mut self, s: &SharedSlice<T>, i: usize, v: T) {
         let byte = s.byte_at(i);
-        let page = byte / self.page_size;
+        let page = byte >> self.page_shift;
         {
             let f = &self.inner.frames[page];
             if f.state != PageState::Write || f.watch_protect {
                 self.write_fault(page as u32);
             }
         }
-        let off = byte % self.page_size;
+        let off = byte & (self.page_size - 1);
         let f = &mut self.inner.frames[page];
         v.store(&mut f.data.as_mut().unwrap()[off..]);
     }

@@ -673,3 +673,81 @@ fn a_panicking_processor_fails_the_run_fast_with_its_own_message() {
         assert!(panic_message(again).contains("aborted"));
     }
 }
+
+/// Renders every traced event, in the order the processors emitted
+/// them, into one string.
+#[derive(Debug, Default)]
+struct Transcript(std::sync::Mutex<String>);
+
+impl simnet::TraceSink for Transcript {
+    fn record(&self, p: simnet::ProcId, t: simnet::SimTime, ev: simnet::TraceEvent) {
+        use std::fmt::Write;
+        let _ = writeln!(self.0.lock().unwrap(), "{p} {} {ev:?}", t.as_ns());
+    }
+}
+
+/// Who gets a contended lock is decided by the rank-order schedule, not
+/// by a host race: every processor hammering one lock gives the same
+/// simulated time, messages, bytes and trace — down to the interleaving
+/// of the processors' events — on every run.
+#[test]
+fn a_contended_lock_program_has_one_outcome_and_one_trace() {
+    for (nprocs, rounds) in [(4, 8), (64, 2)] {
+        let mut first = None;
+        for _ in 0..50 {
+            let sink = std::sync::Arc::new(Transcript::default());
+            let cl = simnet::with_trace_sink(sink.clone(), || cluster(nprocs));
+            let s = cl.alloc::<f64>(8);
+            cl.run(|p| {
+                for round in 0..rounds {
+                    p.compute(simnet::SimTime::from_us((7 * p.rank() + round) as f64));
+                    p.lock(7);
+                    p.update(&s, 0, |v| v + 1.0);
+                    p.unlock(7);
+                }
+                p.barrier();
+                assert_eq!(p.read(&s, 0), (nprocs * rounds) as f64);
+            });
+            let rep = cl.report();
+            assert!(rep.messages_per_kind(MsgKind::Lock) > 0);
+            let trace = std::mem::take(&mut *sink.0.lock().unwrap());
+            let outcome = (cl.elapsed(), rep.messages, rep.bytes, trace);
+            let first = first.get_or_insert_with(|| outcome.clone());
+            assert!(*first == outcome, "{nprocs} processors: a run diverged from the first");
+        }
+    }
+}
+
+/// A lock waiter is abort-aware like a barrier waiter: a processor that
+/// panics while the others wait for the lock it holds fails the `run`
+/// with its own message, at once.
+#[test]
+fn a_processor_panicking_while_others_wait_in_lock_fails_the_run_fast() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    for nprocs in [4, 64] {
+        let cl = cluster(nprocs);
+        let t0 = std::time::Instant::now();
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            cl.run(|p| {
+                p.lock(5);
+                if p.rank() == 0 {
+                    // A second acquire lets the others run: they all find
+                    // lock 5 held and wait for it.
+                    p.lock(6);
+                    panic!("processor 0 died holding lock 5");
+                }
+                unreachable!("lock 5 is never released");
+            })
+        }))
+        .expect_err("the holder's panic must reach the caller");
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(1),
+            "{nprocs} processors took {:?} to fail",
+            t0.elapsed()
+        );
+        assert_eq!(panic_message(err), "processor 0 died holding lock 5");
+        let again = catch_unwind(AssertUnwindSafe(|| cl.run(|_| {})))
+            .expect_err("an aborted cluster must refuse to run");
+        assert!(panic_message(again).contains("aborted"));
+    }
+}

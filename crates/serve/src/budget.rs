@@ -1,14 +1,16 @@
-//! The worker-thread budget: a counting semaphore over simulated-
-//! processor tokens.
+//! The worker-thread budget: a counting semaphore over OS-thread
+//! tokens.
 //!
-//! Every cell job runs its cluster portion with `cell.nprocs` OS
-//! threads (one per simulated processor, via `std::thread::scope`), so
-//! the pool's true thread count is `Σ nprocs` over concurrently running
-//! cells — a handful of 64-processor cells would oversubscribe the host
-//! by hundreds of threads. A worker acquires `nprocs` tokens before
-//! running a cell and releases them after; requests larger than the
-//! whole budget are clamped so a single paper-scale cell can always
-//! run (alone), it just cannot run *beside* anything.
+//! A cell job is one OS thread whatever its `nprocs`: its simulated
+//! processors are coroutines on the worker that runs it
+//! (`simnet::Rendezvous`). What can add threads is intra-processor
+//! parallelism — a rayon-shim combinator inside a processor's body
+//! spawns scoped threads up to the job's allowance — so a worker
+//! acquires one token before running a cell, takes whatever *spare*
+//! tokens are free without waiting ([`ThreadBudget::try_acquire_up_to`])
+//! to widen that allowance, and releases both after. Requests larger
+//! than the whole budget are clamped, so a caller asking for more than
+//! there is can still run (alone).
 
 use parking_lot::{Condvar, Mutex};
 
@@ -21,7 +23,7 @@ pub struct ThreadBudget {
 }
 
 impl ThreadBudget {
-    /// A budget of `capacity` simulated-processor tokens.
+    /// A budget of `capacity` OS-thread tokens.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "budget must admit at least one token");
         ThreadBudget {

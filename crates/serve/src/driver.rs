@@ -5,7 +5,9 @@
 //! one grid cell — sequential reference plus the five parallel
 //! variants, cross-checked bitwise — and a bounded pool of executor
 //! threads pulls jobs from a work-stealing [`JobPool`] until either a
-//! job count is exhausted or a wall-clock window closes.
+//! job count is exhausted or a wall-clock window closes. A job is one
+//! OS thread: its simulated processors are coroutines on the worker that
+//! runs it (`simnet::Rendezvous`).
 //!
 //! Correctness is part of the service contract, not a separate test
 //! run: before serving, the driver runs every cell **cold** once and
@@ -50,10 +52,11 @@ pub struct ServeConfig {
     pub workers: usize,
     /// When to stop.
     pub stop: Stop,
-    /// Total simulated-processor tokens live at once. Each job holds
-    /// `cell.nprocs` tokens while running (that is how many OS threads
-    /// its cluster spins up), so this caps the process's true thread
-    /// count at roughly `budget + workers`.
+    /// Total OS-thread tokens live at once. A job holds one token while
+    /// running — its simulated processors are coroutines on the worker's
+    /// own thread — plus whatever spare tokens it found free, which it
+    /// spends on intra-processor parallelism; this caps the threads
+    /// running jobs and their parallel sections at `budget`.
     pub thread_budget: usize,
     /// Debug-only steady-state heap check (needs `workers == 1`, a
     /// [`crate::alloc::Counting`] global allocator, and debug
@@ -341,108 +344,110 @@ pub fn serve(cells: &[SynthConfig], cfg: &ServeConfig) -> ServeOutcome {
     let start = Instant::now();
     let mut steady_growth = None;
     let mut total = Tally::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.workers)
-            .map(|me| {
-                let (pool, budget, preps, goldens, served) =
-                    (&pool, &budget, &preps, &goldens, &served);
-                s.spawn(move || {
-                    let mut tally = Tally::new();
-                    let mut baseline: Option<i64> = None;
-                    let mut jobno: u32 = 0;
-                    loop {
-                        if let Some(d) = deadline {
-                            if Instant::now() >= d {
-                                break;
-                            }
-                        }
-                        let (cell, stolen) = match pool.pop_reporting(me) {
-                            Some(c) => c,
-                            None => match deadline {
-                                // Window mode: the queue ran dry before
-                                // the deadline — refill and go again.
-                                Some(_) => {
-                                    pool.inject(0..preps.len());
-                                    continue;
-                                }
-                                None => break,
-                            },
-                        };
-                        let prep = &preps[cell];
-                        if let Some(t) = tr {
-                            if let Some((victim, moved)) = stolen {
-                                t.record(
-                                    me,
-                                    ServeEvent::Steal {
-                                        victim: victim as u32,
-                                        jobs: moved as u32,
-                                    },
-                                );
-                            }
-                            t.record(
-                                me,
-                                ServeEvent::JobStart {
-                                    job: jobno,
-                                    cell: cell as u32,
-                                },
-                            );
-                        }
-                        let nprocs = prep.cfg().nprocs;
-                        let _tokens = budget.acquire(nprocs);
-                        // Spare tokens (never waited for) widen this
-                        // job's thread allowance: the cluster `run`s
-                        // divide `nprocs + spares` across `nprocs`
-                        // processor threads, so intra-cell parallelism
-                        // engages exactly when the service is
-                        // under-subscribed and idle tokens exist. One
-                        // token ≙ one OS thread either way — the
-                        // budget's cap on true thread count holds.
-                        let spare = budget.try_acquire_up_to(
-                            nprocs.saturating_mul(rayon::current_num_threads().saturating_sub(1)),
-                        );
-                        let pool = rayon::ThreadPoolBuilder::new()
-                            .num_threads(nprocs + spare.tokens())
-                            .build()
-                            .expect("shim pools cannot fail to build");
-                        let t0 = Instant::now();
-                        let matrix = pool.install(|| run_matrix(prep));
-                        drop(spare);
-                        let ns = t0.elapsed().as_nanos() as u64;
-                        goldens[cell].check(&matrix.label, &matrix);
-                        if let Some(t) = tr {
-                            // The job's simulated cost: the slowest
-                            // variant's parallel time.
-                            let sim_ns = matrix
-                                .runs
-                                .iter()
-                                .map(|r| r.report.time.0)
-                                .max()
-                                .unwrap_or(0);
-                            t.record(me, ServeEvent::JobDone { job: jobno, sim_ns });
-                            // Warm jobs run off recycled clusters and
-                            // return them to the pool on completion.
-                            t.record(
-                                me,
-                                ServeEvent::Recycle {
-                                    procs: prep.cfg().nprocs as u32,
-                                },
-                            );
-                            jobno += 1;
-                        }
-                        tally.hist.record(ns);
-                        tally.absorb(&matrix);
-                        let done = served.fetch_add(1, Ordering::Relaxed) + 1;
-                        if track_allocs && alloc::active() && done == warmup_jobs {
-                            baseline = Some(alloc::net_bytes());
-                        }
+    let work = |me: usize| {
+        let mut tally = Tally::new();
+        let mut baseline: Option<i64> = None;
+        let mut jobno: u32 = 0;
+        loop {
+            if let Some(d) = deadline {
+                if Instant::now() >= d {
+                    break;
+                }
+            }
+            let (cell, stolen) = match pool.pop_reporting(me) {
+                Some(c) => c,
+                None => match deadline {
+                    // Window mode: the queue ran dry before
+                    // the deadline — refill and go again.
+                    Some(_) => {
+                        pool.inject(0..preps.len());
+                        continue;
                     }
-                    let growth = baseline.map(|b| alloc::net_bytes() - b);
-                    (tally, growth)
-                })
-            })
+                    None => break,
+                },
+            };
+            let prep = &preps[cell];
+            if let Some(t) = tr {
+                if let Some((victim, moved)) = stolen {
+                    t.record(
+                        me,
+                        ServeEvent::Steal {
+                            victim: victim as u32,
+                            jobs: moved as u32,
+                        },
+                    );
+                }
+                t.record(
+                    me,
+                    ServeEvent::JobStart {
+                        job: jobno,
+                        cell: cell as u32,
+                    },
+                );
+            }
+            // One token ≙ one OS thread: the job's processors all run on
+            // this worker's thread, so the job itself needs one. Spare
+            // tokens (never waited for) widen its thread allowance: the
+            // cluster `run`s divide `nprocs × (1 + spares)` across
+            // `nprocs` processors, of which one runs at a time, so
+            // intra-processor parallelism engages exactly when the
+            // service is under-subscribed and idle tokens exist, and
+            // never uses more threads than the tokens held.
+            let nprocs = prep.cfg().nprocs;
+            let _token = budget.acquire(1);
+            let spare =
+                budget.try_acquire_up_to(rayon::current_num_threads().saturating_sub(1));
+            let allowance = rayon::ThreadPoolBuilder::new()
+                .num_threads(nprocs * (1 + spare.tokens()))
+                .build()
+                .expect("shim pools cannot fail to build");
+            let t0 = Instant::now();
+            let matrix = allowance.install(|| run_matrix(prep));
+            drop(spare);
+            let ns = t0.elapsed().as_nanos() as u64;
+            goldens[cell].check(&matrix.label, &matrix);
+            if let Some(t) = tr {
+                // The job's simulated cost: the slowest
+                // variant's parallel time.
+                let sim_ns = matrix
+                    .runs
+                    .iter()
+                    .map(|r| r.report.time.0)
+                    .max()
+                    .unwrap_or(0);
+                t.record(me, ServeEvent::JobDone { job: jobno, sim_ns });
+                // Warm jobs run off recycled clusters and
+                // return them to the pool on completion.
+                t.record(
+                    me,
+                    ServeEvent::Recycle {
+                        procs: nprocs as u32,
+                    },
+                );
+                jobno += 1;
+            }
+            tally.hist.record(ns);
+            tally.absorb(&matrix);
+            let done = served.fetch_add(1, Ordering::Relaxed) + 1;
+            if track_allocs && alloc::active() && done == warmup_jobs {
+                baseline = Some(alloc::net_bytes());
+            }
+        }
+        let growth = baseline.map(|b| alloc::net_bytes() - b);
+        (tally, growth)
+    };
+    // Worker 0 is the calling thread: what the cold pass above freed is
+    // on this thread's malloc arena, and only this thread can reuse it.
+    std::thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = (1..cfg.workers)
+            .map(|me| s.spawn(move || work(me)))
             .collect();
-        for h in handles {
-            let (tally, growth) = h.join().expect("serve worker panicked");
+        let mine = work(0);
+        let others = handles
+            .into_iter()
+            .map(|h| h.join().expect("serve worker panicked"));
+        for (tally, growth) in std::iter::once(mine).chain(others) {
             total.merge(tally);
             if growth.is_some() {
                 steady_growth = growth;

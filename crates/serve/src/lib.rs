@@ -30,7 +30,8 @@
 //! The moving parts, bottom-up: [`hist::Histogram`] (log-bucketed
 //! mergeable latency percentiles), [`deque::JobPool`] (injector +
 //! per-worker steal queues), [`budget::ThreadBudget`] (a semaphore over
-//! simulated-processor tokens capping true OS-thread count), and
+//! OS-thread tokens: one per running job, plus spares for
+//! intra-processor parallelism), and
 //! [`driver::serve`] (goldens, workers, merged [`ServeOutcome`]).
 
 pub mod alloc;

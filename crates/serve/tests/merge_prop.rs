@@ -57,13 +57,11 @@ fn dynamics() -> impl Strategy<Value = Dynamics> {
 }
 
 /// {4, 8, 64}, weighted toward the cheap draws: a 64-processor case
-/// costs ~1.0 s in a debug build on the 2-core build host (five
-/// 6-variant matrix passes, each spawning 64 OS threads per parallel
-/// run and parking them at every barrier — thread churn, not compute),
-/// still several times a 4-processor one. It gets 1/16 of the draws — ~4
-/// sparse-clock cases at the default 64-case count, ~16 at the CI
-/// soak's 256 — so the scale regime is exercised without dominating
-/// the wall clock.
+/// (five 6-variant matrix passes on 64 coroutines each) still costs
+/// several times a 4-processor one in a debug build. It gets 1/16 of
+/// the draws — ~4 sparse-clock cases at the default 64-case count, ~16
+/// at the CI soak's 256 — so the scale regime is exercised without
+/// dominating the wall clock.
 fn nprocs() -> impl Strategy<Value = usize> {
     let mut pool = vec![4, 4, 4, 4, 8, 8, 8, 8];
     pool.extend([4, 4, 4, 8, 8, 8, 8, 64]);

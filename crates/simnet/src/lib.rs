@@ -6,10 +6,11 @@
 //! (`sdsm-core`), and the CHAOS baseline (`chaos`) all share, so the
 //! comparison between systems is apples-to-apples:
 //!
-//! * **Simulated processors** are OS threads. Each owns a monotone
-//!   *logical clock* ([`Net::clock`]) measured in nanoseconds of simulated
-//!   time. The threads are launched by, and meet on, one host-side
-//!   [`Rendezvous`] — the only thing here that concerns the host clock.
+//! * **Simulated processors** are coroutines on the launching OS thread.
+//!   Each owns a monotone *logical clock* ([`Net::clock`]) measured in
+//!   nanoseconds of simulated time. They are launched by, scheduled by
+//!   and meet on one host-side [`Rendezvous`] — the only thing here that
+//!   concerns the host clock.
 //! * **Every protocol message** is accounted — count and payload bytes —
 //!   per sending processor and per [`MsgKind`]. The paper's "Messages" and
 //!   "Data" columns are read directly from these counters.
@@ -21,6 +22,7 @@
 //! Nothing in this crate knows about pages, diffs, or schedules; it only
 //! moves simulated time forward and counts traffic.
 
+mod coroutine;
 mod cost;
 mod net;
 mod rendezvous;

@@ -12,10 +12,11 @@
 //!   receiver folds in with [`Net::await_until`].
 //! * Barriers synchronize all clocks to the maximum (plus cost) — done by
 //!   the caller (the DSM / CHAOS runtimes) using [`Net::clock_max`] and
-//!   [`Net::set_all_clocks`] between two thread rendezvous.
+//!   [`Net::set_all_clocks`] in a rendezvous leader section.
 //!
 //! All clock updates are commutative atomics (`fetch_add` / `fetch_max`),
-//! so simulated times are independent of OS thread interleaving.
+//! so simulated times are independent of the order in which the host
+//! runs the processors.
 //!
 //! **Stall attribution** rides on the same discipline: every clock
 //! mutation also bills the identical nanoseconds to one [`StallCat`]

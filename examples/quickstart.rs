@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Allocates a shared array, runs an SPMD body on 4 simulated
-//! processors (each an OS thread), exercises barriers, locks, and
+//! processors (coroutines on this thread), exercises barriers, locks, and
 //! demand-paged sharing, then prints the protocol traffic.
 
 use sdsm_repro::core_rt::{Cluster, DsmConfig};
