@@ -23,8 +23,10 @@ clippy:
 # dsm's fetch classes are simnet::FetchKind, not a mirror enum; simulated
 # processors are coroutines on the launching thread (simnet::Rendezvous),
 # so nothing under simnet/dsm/chaos spawns a thread or parks on a
-# condvar; and the only unsafe code is the coroutine switch and serve's
-# counting allocator.
+# condvar; the only unsafe code is the coroutine switch and serve's
+# counting allocator; and the record store is read without allocating
+# (collect_into into the fetch's per-processor scratch, the master copy
+# lent in place by with_master / with_horizon).
 hygiene:
 	@if grep -rn "Mutex" crates/apps/src crates/synth/src; then \
 		echo "hygiene: return per-rank values from the SPMD body instead of locking"; exit 1; fi
@@ -42,6 +44,8 @@ hygiene:
 		echo "hygiene: simulated processors are coroutines scheduled by simnet::Rendezvous; block with wait_then/yield_now, not an OS thread or a condvar"; exit 1; fi
 	@if grep -rnw "unsafe" crates/ | grep -v "^crates/simnet/src/coroutine.rs:\|^crates/serve/src/alloc.rs:"; then \
 		echo "hygiene: unsafe lives only in simnet/src/coroutine.rs and serve/src/alloc.rs"; exit 1; fi
+	@if grep -rn "collect_batch\|master_fetch\b\|master_horizon\|struct Collected" crates/; then \
+		echo "hygiene: read the store with collect_into / with_master / with_horizon into the fetch scratch; nothing on the fault path allocates"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses

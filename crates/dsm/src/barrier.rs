@@ -21,8 +21,6 @@
 //!    or fetching records; dropping it would need a proof that no such
 //!    read can observe the difference.
 
-use std::sync::Arc;
-
 use parking_lot::Mutex;
 use simnet::{MsgKind, Rendezvous, SimTime, StallCat, TraceEvent};
 
@@ -48,8 +46,11 @@ struct BarrierState {
     /// every notice in `(prev target, target]`, built once by the leader
     /// and merged by every processor after the first crossing — the
     /// per-peer board re-walk this replaces was O(nprocs²) work per
-    /// barrier.
-    digest: Arc<[(u32, u32, u32)]>,
+    /// barrier. Processors read it (and `target`) in place; it is
+    /// rebuilt in the same buffer every barrier.
+    digest: Vec<(u32, u32, u32)>,
+    /// Per-processor notice bytes of this barrier (leader scratch).
+    deltas: Vec<usize>,
     epoch: u64,
 }
 
@@ -60,7 +61,8 @@ impl BarrierCtl {
             state: Mutex::new(BarrierState {
                 target: vec![0; nprocs],
                 prev: vec![0; nprocs],
-                digest: Arc::new([]),
+                digest: Vec::new(),
+                deltas: Vec::new(),
                 epoch: 0,
             }),
         }
@@ -80,7 +82,7 @@ impl BarrierCtl {
         let mut st = self.state.lock();
         st.target.fill(0);
         st.prev.fill(0);
-        st.digest = Arc::new([]);
+        st.digest.clear();
         st.epoch = 0;
     }
 }
@@ -125,28 +127,28 @@ impl TmkProc<'_> {
         ctl.rendezvous.wait_then(|| {
             let net = cl.net();
             let nprocs = self.nprocs();
-            let mut st = ctl.state.lock();
-            let new_target: Vc = (0..nprocs).map(|q| cl.board().len(q)).collect();
+            let mut guard = ctl.state.lock();
+            let st = &mut *guard;
 
             // Account the 2(n-1) barrier messages. Arrival messages carry
             // each processor's notices since the last barrier; departure
             // messages carry everyone else's. The same single pass over
             // the new intervals also builds the flat notice digest every
             // processor merges once released.
-            let manager = 0usize;
-            let mut digest: Vec<(u32, u32, u32)> = Vec::new();
-            let deltas: Vec<usize> = (0..nprocs)
-                .map(|q| {
-                    let mut bytes = 0usize;
-                    cl.board().for_range(q, st.target[q], new_target[q], |seq, rec| {
-                        bytes += rec.wire_bytes();
-                        for &page in rec.pages.iter() {
-                            digest.push((page, q as u32, seq));
-                        }
-                    });
-                    bytes
-                })
-                .collect();
+            let (manager, board) = (0usize, cl.board());
+            st.digest.clear();
+            st.deltas.clear();
+            for q in 0..nprocs {
+                let mut bytes = 0usize;
+                board.for_range(q, st.target[q], board.len(q), |seq, rec| {
+                    bytes += rec.wire_bytes();
+                    for &page in rec.pages.iter() {
+                        st.digest.push((page, q as u32, seq));
+                    }
+                });
+                st.deltas.push(bytes);
+            }
+            let deltas = &st.deltas;
             let total: usize = deltas.iter().sum();
             // Metadata-scaling probe: the per-barrier notice payload,
             // counted once (not per fan-in/fan-out copy).
@@ -171,12 +173,11 @@ impl TmkProc<'_> {
             }
 
             // GC: fold records older than the previous barrier.
-            let cur = st.target.clone();
-            let prev = std::mem::replace(&mut st.prev, cur);
-            cl.store().fold(&prev);
-
-            st.target = new_target;
-            st.digest = digest.into();
+            cl.store().fold(&st.prev);
+            st.prev.copy_from_slice(&st.target);
+            for (q, t) in st.target.iter_mut().enumerate() {
+                *t = board.len(q);
+            }
             st.epoch += 1;
             // The notice is a cluster-wide fact produced by whichever
             // processor arrived last — pin it to proc 0's lane so the
@@ -194,14 +195,15 @@ impl TmkProc<'_> {
         });
 
         // The snapshot is ready: merge notices from the shared digest
-        // (one flat pass, no per-peer board walks).
-        let (target, digest, epoch) = {
+        // (one flat pass, no per-peer board walks), read in place.
+        let mut invalidated = std::mem::take(&mut self.inner.invalidated);
+        let epoch = {
             let st = ctl.state.lock();
-            (st.target.clone(), Arc::clone(&st.digest), st.epoch)
+            self.apply_digest(&st.digest, &st.target, &mut invalidated);
+            self.inner.last_barrier_seen.copy_from_slice(&st.target);
+            st.epoch
         };
-        let invalidated = self.apply_digest(&digest, &target);
         self.inner.counters.barriers += 1;
-        self.inner.last_barrier_seen.copy_from_slice(&target);
 
         // A deferred plan whose pages are being re-invalidated is dead:
         // its window — "from the arming barrier to the next invalidation
@@ -279,11 +281,9 @@ impl TmkProc<'_> {
             }
             None => EpochDecision::none(),
         };
-        let todo: Vec<u32> = dec
-            .picks
-            .into_iter()
-            .filter(|&pg| self.page_invalid(pg))
-            .collect();
+        self.inner.invalidated = invalidated;
+        let mut todo = dec.picks;
+        todo.retain(|&pg| self.page_invalid(pg));
         if !todo.is_empty() {
             if dec.defer {
                 // At most one armed plan per phase, by construction:

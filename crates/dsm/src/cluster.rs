@@ -81,8 +81,8 @@ pub struct Cluster {
     /// Free page-sized boxes, fed by [`Cluster::recycle`] and drained by
     /// the fault paths — repeated runs on a recycled cluster stop
     /// allocating page frames and twins. Shared with the diff store, so
-    /// master copies and master-fetch replies cycle through the same
-    /// free-list (see [`crate::pagepool::PagePool`]).
+    /// master copies cycle through the same free-list (see
+    /// [`crate::pagepool::PagePool`]).
     page_pool: Arc<PagePool>,
 }
 
@@ -145,19 +145,9 @@ impl Cluster {
         self.page_pool.trim(cap);
     }
 
-    /// A zeroed page-sized box, reusing a pooled frame when available.
-    pub(crate) fn take_page_zeroed(&self) -> Box<[u8]> {
-        self.page_pool.take_zeroed()
-    }
-
-    /// A page-sized box holding a copy of `src` (twin creation).
-    pub(crate) fn take_page_copy(&self, src: &[u8]) -> Box<[u8]> {
-        self.page_pool.take_copy(src)
-    }
-
-    /// Return a page-sized box to the pool (dropped if mis-sized).
-    pub(crate) fn recycle_page(&self, b: Box<[u8]>) {
-        self.page_pool.give(b);
+    /// The free-list page frames and twins are drawn from and returned to.
+    pub(crate) fn page_pool(&self) -> &PagePool {
+        &self.page_pool
     }
 
     /// Pooled free frames (diagnostics for reuse tests).

@@ -19,12 +19,16 @@ pub const DIFF_WORD: usize = 4;
 const RUN_HEADER: usize = 4;
 const PAYLOAD_HEADER: usize = 8;
 
-/// One page's modifications relative to its twin.
+/// One page's modifications relative to its twin: two buffers however
+/// many runs, not a box per run. The byte buffer is exactly sized — a
+/// diff stays in the record store until the GC folds it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Diff {
-    /// `(byte offset within page, modified bytes)`, offsets ascending,
+    /// `(byte offset within page, byte length)`, offsets ascending,
     /// runs non-adjacent (maximally coalesced).
-    runs: Vec<(u32, Box<[u8]>)>,
+    runs: Vec<(u32, u32)>,
+    /// The runs' modified bytes, back to back in run order.
+    bytes: Box<[u8]>,
 }
 
 impl Diff {
@@ -33,35 +37,48 @@ impl Diff {
     pub fn create(twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), current.len());
         assert_eq!(current.len() % DIFF_WORD, 0);
-        let mut runs = Vec::new();
-        let nwords = current.len() / DIFF_WORD;
-        let mut w = 0;
-        while w < nwords {
-            let off = w * DIFF_WORD;
-            if twin[off..off + DIFF_WORD] != current[off..off + DIFF_WORD] {
-                let start = w;
-                while w < nwords {
-                    let o = w * DIFF_WORD;
-                    if twin[o..o + DIFF_WORD] == current[o..o + DIFF_WORD] {
-                        break;
-                    }
-                    w += 1;
-                }
-                let so = start * DIFF_WORD;
-                let eo = w * DIFF_WORD;
-                runs.push((so as u32, current[so..eo].to_vec().into_boxed_slice()));
-            } else {
-                w += 1;
+        // One pass, two words per compare; `open` starts the current run.
+        let (mut runs, mut open, mut len) = (Vec::new(), None, 0);
+        let mut word = |at: usize, differs: bool| match (differs, open) {
+            (true, None) => open = Some(at),
+            (false, Some(start)) => {
+                runs.push((start as u32, (at - start) as u32));
+                len += at - start;
+                open = None;
             }
+            _ => {}
+        };
+        let pairs = twin.len() / 8 * 8;
+        let le = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("an 8-byte chunk"));
+        let blocks = twin[..pairs]
+            .chunks_exact(8)
+            .zip(current[..pairs].chunks_exact(8));
+        for (b, (t, c)) in blocks.enumerate() {
+            let x = le(t) ^ le(c);
+            word(8 * b, x as u32 != 0);
+            word(8 * b + 4, x >> 32 != 0);
         }
-        Diff { runs }
+        if pairs < twin.len() {
+            word(pairs, twin[pairs..] != current[pairs..]);
+        }
+        word(twin.len(), false);
+        let mut bytes = Vec::with_capacity(len);
+        for &(off, n) in &runs {
+            bytes.extend_from_slice(&current[off as usize..][..n as usize]);
+        }
+        Diff {
+            runs,
+            bytes: bytes.into_boxed_slice(),
+        }
     }
 
     /// Copy the modified runs into `dst` (a page-sized buffer).
     pub fn apply(&self, dst: &mut [u8]) {
-        for (off, bytes) in &self.runs {
-            let o = *off as usize;
-            dst[o..o + bytes.len()].copy_from_slice(bytes);
+        let mut src = &self.bytes[..];
+        for &(off, len) in self.runs.iter() {
+            let (run, rest) = src.split_at(len as usize);
+            dst[off as usize..][..run.len()].copy_from_slice(run);
+            src = rest;
         }
     }
 
@@ -77,17 +94,14 @@ impl Diff {
 
     /// Bytes this diff occupies on the wire (runs + per-run headers).
     pub fn wire_bytes(&self) -> usize {
-        self.runs
-            .iter()
-            .map(|(_, b)| b.len() + RUN_HEADER)
-            .sum::<usize>()
+        self.bytes.len() + RUN_HEADER * self.runs.len()
     }
 
     /// Does any run overlap `[lo, hi)` byte offsets?
     pub fn touches(&self, lo: usize, hi: usize) -> bool {
         self.runs
             .iter()
-            .any(|(off, b)| (*off as usize) < hi && *off as usize + b.len() > lo)
+            .any(|&(off, len)| (off as usize) < hi && (off + len) as usize > lo)
     }
 }
 
@@ -142,6 +156,7 @@ mod tests {
         let d = Diff::create(&a, &a);
         assert!(d.is_empty());
         assert_eq!(d.wire_bytes(), 0);
+        assert!(d.bytes.is_empty());
     }
 
     #[test]
@@ -167,6 +182,13 @@ mod tests {
         let d = Diff::create(&twin, &cur);
         assert_eq!(d.run_count(), 2);
         assert_eq!(d.wire_bytes(), (40 + 4) + (4 + 4));
+        // Exactly the runs' bytes, no slack: a diff stays resident in the
+        // store until folded, so slack would be `peak_rss_mb`.
+        assert_eq!(d.bytes.len(), 40 + 4);
+        // A trailing half block (12 bytes) is compared as one word.
+        let mut tail = page(12);
+        (tail[7], tail[10]) = (1, 2);
+        assert_eq!(Diff::create(&page(12), &tail).runs, [(4, 8)]);
     }
 
     #[test]

@@ -147,7 +147,7 @@ impl TmkProc<'_> {
         }
         // Lock acquires are not policy epoch boundaries (the apps are
         // barrier-structured), so skip the invalidation bookkeeping.
-        let _ = self.apply_notices(&target, false);
+        self.apply_notices(&target);
         self.inner.counters.lock_acquires += 1;
         net.trace(me, TraceEvent::LockAcquired { lock: id });
     }

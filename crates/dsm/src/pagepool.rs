@@ -2,11 +2,11 @@
 //!
 //! One pool per cluster, shared (via `Arc`) with its [`crate::store::DiffStore`]:
 //! every subsystem that materializes a page — frame data, twins, master
-//! copies, master-fetch replies — draws from the same free-list and
-//! returns to it, so a recycled cluster's steady state moves boxes in a
-//! closed loop instead of allocating on one side and pooling on the
-//! other (which would grow the pool without bound, one fresh box per
-//! master fetch).
+//! copies — draws from the same free-list and returns to it, so a
+//! recycled cluster's steady state moves boxes in a closed loop instead
+//! of allocating on one side and pooling on the other. (A master-copy
+//! fetch needs no box of its own: the store lends the master in place
+//! and the fetcher copies it into its frame.)
 
 use parking_lot::Mutex;
 

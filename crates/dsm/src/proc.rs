@@ -16,9 +16,10 @@ use crate::FetchClass;
 
 /// Access state of one page in one processor's view — the analogue of the
 /// `mprotect` setting TreadMarks would have on that page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PageState {
     /// Invalidated by a write notice (or never touched): any access faults.
+    #[default]
     Invalid,
     /// Valid and write-protected: reads proceed, first write faults.
     Read,
@@ -27,7 +28,7 @@ pub enum PageState {
     Write,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Frame {
     state: PageState,
     data: Option<Box<[u8]>>,
@@ -49,19 +50,6 @@ struct Frame {
 }
 
 impl Frame {
-    fn new() -> Self {
-        Frame {
-            state: PageState::Invalid,
-            data: None,
-            twin: None,
-            full_write: false,
-            watch_protect: false,
-            watched: false,
-            applied: Vec::new(),
-            pending: Vec::new(),
-        }
-    }
-
     #[inline]
     fn dirty(&self) -> bool {
         self.twin.is_some() || self.full_write
@@ -81,17 +69,6 @@ impl Frame {
         match self.applied.binary_search_by_key(&(q as u32), |&(p, _)| p) {
             Ok(i) => self.applied[i].1 = seq,
             Err(i) => self.applied.insert(i, (q as u32, seq)),
-        }
-    }
-
-    /// Regress the whole applied map to a master-fold horizon (the page
-    /// data was just replaced by the snapshot taken at that horizon).
-    fn reset_applied_to(&mut self, horizon: &[u32]) {
-        self.applied.clear();
-        for (q, &h) in horizon.iter().enumerate() {
-            if h > 0 {
-                self.applied.push((q as u32, h));
-            }
         }
     }
 }
@@ -171,11 +148,58 @@ pub(crate) struct ProcInner {
     /// peer's known set re-subscribes (one one-way `AdaptSub` message
     /// per grown peer).
     pub(crate) push_scheds: Vec<(u32, PushSched)>,
+    /// The fetch path's temporaries.
+    scratch: FetchScratch,
+    /// The pages the last barrier's write notices invalidated, sorted
+    /// and deduplicated — refilled in place at every barrier.
+    pub(crate) invalidated: Vec<u32>,
+    /// Interval close's non-empty payloads on their way to the store
+    /// (empty between closes; kept for its capacity).
+    payloads: Vec<(u32, Payload)>,
 }
 
 /// One phase's cumulative push subscriptions: each serving peer with
 /// the sorted set of pages it has been taught to push.
 pub(crate) type PushSched = Vec<(ProcId, Vec<u32>)>;
+
+/// Every temporary of one [`TmkProc::fetch_pages`] call, kept per
+/// processor: emptied when the call ends — no [`Record`] outlives its
+/// fetch, so the store's GC still frees what it folds — but kept, with
+/// its capacity, across calls and across [`Cluster::recycle`]. One code
+/// path serves every fetch class, and once warm it allocates nothing.
+#[derive(Debug, Default)]
+struct FetchScratch {
+    /// One entry per invalid page of the fetch, in request order.
+    needs: Vec<Need>,
+    /// Every needed record, grouped by page, each group causally sorted.
+    records: Vec<Record>,
+    /// `(serving peer, page, reply bytes)` per record or master copy,
+    /// sorted — grouped by peer — before billing and subscribing.
+    served: Vec<(ProcId, u32, usize)>,
+    /// The round's legs as `simnet` takes them (pull or push shape).
+    pull: Vec<(ProcId, MsgKind, usize, MsgKind, usize)>,
+    push: Vec<(ProcId, MsgKind, usize)>,
+}
+
+/// One invalid page of a fetch.
+#[derive(Debug)]
+struct Need {
+    page: u32,
+    /// Its records in [`FetchScratch::records`].
+    records: std::ops::Range<usize>,
+    /// Apply the GC master copy before the records.
+    master: bool,
+}
+
+impl FetchScratch {
+    fn clear(&mut self) {
+        self.needs.clear();
+        self.records.clear();
+        self.served.clear();
+        self.pull.clear();
+        self.push.clear();
+    }
+}
 
 impl ProcInner {
     pub(crate) fn new(nprocs: usize) -> Self {
@@ -191,12 +215,15 @@ impl ProcInner {
             policy: None,
             deferred: Vec::new(),
             push_scheds: Vec::new(),
+            scratch: FetchScratch::default(),
+            invalidated: Vec::new(),
+            payloads: Vec::new(),
         }
     }
 
     pub(crate) fn ensure_frames(&mut self, npages: usize) {
-        while self.frames.len() < npages {
-            self.frames.push(Frame::new());
+        if self.frames.len() < npages {
+            self.frames.resize_with(npages, Frame::default);
         }
     }
 
@@ -371,20 +398,17 @@ impl<'c> TmkProc<'c> {
         }
         let mut merged: Vec<u32> = Vec::new();
         for plan in std::mem::take(&mut self.inner.deferred) {
-            let retained: Vec<u32> = plan
-                .pages
-                .iter()
-                .copied()
-                .filter(|&pg| self.page_invalid(pg) && !merged.contains(&pg))
-                .collect();
-            if retained.is_empty() {
-                continue;
+            let before = merged.len();
+            for &pg in &plan.pages {
+                if self.page_invalid(pg) && !merged[..before].contains(&pg) {
+                    merged.push(pg);
+                }
             }
-            self.cl
-                .net()
-                .policy()
-                .record_prefetch(self.me, plan.phase, retained.len());
-            merged.extend(retained);
+            let retained = merged.len() - before;
+            if retained > 0 {
+                let policy = self.cl.net().policy();
+                policy.record_prefetch(self.me, plan.phase, retained);
+            }
         }
         if merged.is_empty() {
             // Every predicted page turned out valid already: nothing of
@@ -420,7 +444,7 @@ impl<'c> TmkProc<'c> {
         let f = &mut self.inner.frames[page as usize];
         if f.state == PageState::Read {
             if !f.full_write && f.twin.is_none() {
-                f.twin = Some(self.cl.take_page_copy(f.data.as_ref().unwrap()));
+                f.twin = Some(self.cl.page_pool().take_copy(f.data.as_ref().unwrap()));
                 self.inner.counters.twins_made += 1;
                 self.inner.dirty.push(page);
                 self.cl.net().advance(self.me, cost.twin(page_size));
@@ -450,7 +474,7 @@ impl<'c> TmkProc<'c> {
                 "pre_twin on invalid page {page}: fetch first"
             );
             if f.state == PageState::Read && !f.full_write && f.twin.is_none() {
-                f.twin = Some(self.cl.take_page_copy(f.data.as_ref().unwrap()));
+                f.twin = Some(self.cl.page_pool().take_copy(f.data.as_ref().unwrap()));
                 self.inner.counters.twins_made += 1;
                 self.inner.dirty.push(page);
                 self.cl.net().advance(self.me, cost.twin(page_size));
@@ -471,7 +495,7 @@ impl<'c> TmkProc<'c> {
             }
             let f = &mut self.inner.frames[page as usize];
             if f.data.is_none() {
-                f.data = Some(self.cl.take_page_zeroed());
+                f.data = Some(self.cl.page_pool().take_zeroed());
             }
             if !f.dirty() {
                 self.inner.dirty.push(page);
@@ -486,7 +510,7 @@ impl<'c> TmkProc<'c> {
             }
             f.full_write = true;
             if let Some(t) = f.twin.take() {
-                self.cl.recycle_page(t);
+                self.cl.page_pool().give(t);
             }
             f.state = PageState::Write;
         }
@@ -517,248 +541,200 @@ impl<'c> TmkProc<'c> {
     fn fetch_pages_impl(&mut self, pages: &[u32], class: FetchClass, push_phase: Option<u32>) {
         // Attribute the whole exchange by who initiated it.
         let _sc = self.cl.net().scope(self.me, class.stall_cat());
-        // Phase 1: figure out what is needed, per page.
-        struct Need {
-            page: u32,
-            records: Vec<Record>,
-            master: bool,
-        }
-        // 1a: per invalid page, the highest pending seq per source —
-        // kept as sparse `(proc, seq)` pairs (one per writer of the
-        // page), not a dense nprocs-slot array per page.
-        let mut needs: Vec<Need> = Vec::new();
-        let mut uptos: Vec<Vec<(ProcId, u32)>> = Vec::new(); // parallel to `needs`
+        let mut s = std::mem::take(&mut self.inner.scratch);
         for &page in pages {
-            let f = &mut self.inner.frames[page as usize];
-            if f.state != PageState::Invalid {
-                continue;
-            }
-            let mut pend: Vec<(ProcId, u32)> = f.pending.drain(..).collect();
-            pend.sort_unstable();
-            pend.dedup_by(|a, b| {
-                if a.0 == b.0 {
-                    b.1 = b.1.max(a.1);
-                    true
-                } else {
-                    false
-                }
-            });
-            pend.retain(|&(q, seq)| seq > f.applied_of(q));
-            needs.push(Need {
-                page,
-                records: Vec::new(),
-                master: false,
-            });
-            uptos.push(pend);
+            self.collect_page(page, &mut s);
         }
-        // 1b: one store-lock round per *serving* processor resolves every
-        // pending record of every page in the fetch (collect_batch),
-        // instead of one lock round per (page, processor) pair. The flat
-        // request list is grouped by server, so a 256-proc fetch visits
-        // only the peers that actually hold records.
-        let mut flat: Vec<(ProcId, usize, u32, u32, u32)> = Vec::new(); // (q, need, page, after, upto)
-        for (i, n) in needs.iter().enumerate() {
-            let f = &self.inner.frames[n.page as usize];
-            for &(q, up) in &uptos[i] {
-                flat.push((q, i, n.page, f.applied_of(q), up));
-            }
+        if !s.needs.is_empty() {
+            self.exchange(&mut s, class, push_phase);
+            self.apply_needs(&s);
         }
-        flat.sort_unstable_by_key(|&(q, i, ..)| (q, i));
-        let mut k = 0;
-        while k < flat.len() {
-            let q = flat[k].0;
-            let end = k + flat[k..].iter().take_while(|e| e.0 == q).count();
-            debug_assert_ne!(q, self.me, "own writes are always applied");
-            let batch: Vec<(u32, u32, u32)> = flat[k..end]
-                .iter()
-                .map(|&(_, _, page, after, upto)| (page, after, upto))
-                .collect();
-            let collected = self.cl.store().collect_batch(q, &batch);
-            for (&(_, i, ..), c) in flat[k..end].iter().zip(collected) {
-                needs[i].records.extend(c.records);
-                needs[i].master |= c.needs_master;
-            }
-            k = end;
-        }
-        // 1c: master-copy resolution (rare GC path) + pruning, per page.
-        for (n, upto) in needs.iter_mut().zip(&uptos) {
-            let page = n.page;
-            let mut records = std::mem::take(&mut n.records);
-            let mut master = n.master;
-            if master {
-                // Some needed records were folded into the master page.
-                // The master snapshot replaces the WHOLE page as of the
-                // fold horizon, so everything newer than the horizon that
-                // this copy already reflected — other processors' applied
-                // records and our own published intervals — must be
-                // re-applied on top. Re-collect from the horizon, from
-                // every processor including ourselves, bounded by our
-                // vector clock (records we have not acquired yet must not
-                // be applied — that would break release consistency).
-                let horizon = self.cl.store().master_horizon();
-                records.clear();
-                let up_of = |q: ProcId| -> u32 {
-                    match upto.binary_search_by_key(&q, |&(p, _)| p) {
-                        Ok(i) => upto[i].1,
-                        Err(_) => 0,
-                    }
-                };
-                for (q, &h) in horizon.iter().enumerate().take(self.nprocs) {
-                    let known = if q == self.me {
-                        self.inner.vc[self.me]
-                    } else {
-                        self.inner.vc[q].max(up_of(q))
-                    };
-                    if known > h {
-                        let c = self.cl.store().collect(q, page, h, known);
-                        records.extend(c.records);
-                    }
-                }
-            }
-            // Prune: a Full snapshot subsumes everything it covers.
-            if let Some(full) = records
-                .iter()
-                .filter(|r| r.payload.is_full())
-                .max_by_key(|r| r.key())
-                .cloned()
-            {
-                let before = records.len();
-                records.retain(|r| {
-                    r.seq > full.vc[r.proc] || (r.proc == full.proc && r.seq == full.seq)
-                });
-                let _ = before;
-                if master {
-                    // The master is needed only if it holds intervals the
-                    // Full does not cover.
-                    let horizon = self.cl.store().master_horizon();
-                    master = !horizon.iter().zip(full.vc.iter()).all(|(&h, &v)| v >= h);
-                }
-            }
-            records.sort_by_key(|r| r.key());
-            n.records = records;
-            n.master = master;
-        }
-        if needs.is_empty() {
+        s.clear();
+        self.inner.scratch = s;
+    }
+
+    /// Fetch phase 1, for one requested page: if it is invalid, append
+    /// the records it misses to `s.records` in causal order and note
+    /// whether the master copy must come first.
+    fn collect_page(&mut self, page: u32, s: &mut FetchScratch) {
+        let (store, me) = (self.cl.store(), self.me);
+        let ProcInner { frames, vc, .. } = &mut *self.inner;
+        let f = &mut frames[page as usize];
+        if f.state != PageState::Invalid {
             return;
         }
+        // The highest pending seq per writer, as sparse `(proc, seq)`
+        // pairs sorted by writer, less what this copy already reflects.
+        let mut pend = std::mem::take(&mut f.pending);
+        pend.sort_unstable_by_key(|&(q, seq)| (q, std::cmp::Reverse(seq)));
+        pend.dedup_by_key(|&mut (q, _)| q);
+        pend.retain(|&(q, seq)| seq > f.applied_of(q));
+        let start = s.records.len();
+        let mut master = false;
+        for &(q, upto) in &pend {
+            debug_assert_ne!(q, me, "own writes are always applied");
+            master |= store.collect_into(q, page, f.applied_of(q), upto, &mut s.records);
+        }
+        if master {
+            // Some needed records were folded into the master page.
+            // The master snapshot replaces the WHOLE page as of the
+            // fold horizon, so everything newer than the horizon that
+            // this copy already reflected — other processors' applied
+            // records and our own published intervals — must be
+            // re-applied on top. Re-collect from the horizon, from
+            // every processor including ourselves, bounded by our
+            // vector clock (records we have not acquired yet must not
+            // be applied — that would break release consistency).
+            s.records.truncate(start);
+            store.with_horizon(|horizon| {
+                for (q, &h) in horizon.iter().enumerate() {
+                    let known = if q == me {
+                        vc[me]
+                    } else {
+                        let up = pend.binary_search_by_key(&q, |&(p, _)| p);
+                        vc[q].max(up.map_or(0, |i| pend[i].1))
+                    };
+                    if known > h {
+                        store.collect_into(q, page, h, known, &mut s.records);
+                    }
+                }
+            });
+        }
+        pend.clear();
+        f.pending = pend;
+        // Prune: a Full snapshot subsumes everything it covers.
+        let records = &mut s.records;
+        let full = records[start..]
+            .iter()
+            .filter(|r| r.payload.is_full())
+            .max_by_key(|r| r.key())
+            .cloned();
+        if let Some(full) = full {
+            let mut kept = start;
+            for i in start..records.len() {
+                let r = &records[i];
+                if r.seq > full.vc[r.proc] || (r.proc == full.proc && r.seq == full.seq) {
+                    records.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            records.truncate(kept);
+            if master {
+                // The master is needed only if it holds intervals the
+                // Full does not cover.
+                let covered = |h: &[u32]| h.iter().zip(full.vc.iter()).all(|(&h, &v)| v >= h);
+                master = !store.with_horizon(covered);
+            }
+        }
+        // Keys are unique per page (one run of seqs per writer), so the
+        // unstable sort is the causal order.
+        records[start..].sort_unstable_by_key(Record::key);
+        let records = start..records.len();
+        s.needs.push(Need {
+            page,
+            records,
+            master,
+        });
+    }
 
-        // Phase 2: message accounting — group by serving processor. The
-        // accumulator is a compact list over the peers actually serving
-        // this exchange (typically a handful), not three dense
-        // nprocs-slot arrays per fetch.
+    /// Fetch phase 2: message accounting — one leg per peer actually
+    /// serving this exchange (typically a handful), not dense
+    /// nprocs-slot arrays.
+    fn exchange(&mut self, s: &mut FetchScratch, class: FetchClass, push_phase: Option<u32>) {
         const REQ_FIXED: usize = 16; // header + vc digest
         const REQ_PER_PAGE: usize = 8; // page id + applied seq
-        struct PeerAcc {
-            q: ProcId,
-            req_pages: usize,
-            resp_bytes: usize,
-            pages: Vec<u32>,
-        }
-        fn acc(peers: &mut Vec<PeerAcc>, q: ProcId) -> &mut PeerAcc {
-            let i = match peers.iter().position(|p| p.q == q) {
-                Some(i) => i,
-                None => {
-                    peers.push(PeerAcc {
-                        q,
-                        req_pages: 0,
-                        resp_bytes: 0,
-                        pages: Vec::new(),
-                    });
-                    peers.len() - 1
-                }
-            };
-            &mut peers[i]
-        }
-        let mut peers: Vec<PeerAcc> = Vec::new();
-        for n in &needs {
-            for r in &n.records {
-                let a = acc(&mut peers, r.proc);
-                a.req_pages += 1;
-                a.resp_bytes += r.payload.wire_bytes();
-                a.pages.push(n.page);
+        let me = self.me;
+        for n in &s.needs {
+            for r in &s.records[n.records.clone()] {
+                s.served.push((r.proc, n.page, r.payload.wire_bytes()));
             }
             if n.master {
-                let mgr = (n.page as usize) % self.nprocs;
-                let a = acc(&mut peers, mgr);
-                a.req_pages += 1;
-                a.resp_bytes += self.page_size + 8 + 4 * self.nprocs;
-                a.pages.push(n.page);
+                let mgr = n.page as usize % self.nprocs;
+                let bytes = self.page_size + 8 + 4 * self.nprocs;
+                s.served.push((mgr, n.page, bytes));
             }
         }
-        // Deterministic leg order regardless of record arrival order.
-        peers.sort_unstable_by_key(|p| p.q);
-        let net = self.cl.net();
-        let me = self.me;
-        let serving = peers.iter().filter(|p| p.q != me && p.req_pages > 0);
-        let npeers = serving.clone().count() as u32;
-        let bytes = serving.clone().map(|p| p.resp_bytes as u64).sum();
-        match class.msg_kinds() {
-            (None, kdata) => {
-                // Update-push: the writers initiate — one one-way data
-                // message per serving peer, no request leg on the wire.
-                if let Some(phase) = push_phase {
-                    self.subscribe(phase, peers.iter().map(|p| (p.q, p.pages.as_slice())));
+        // Grouped by serving peer, in peer order whatever the records'
+        // arrival order: that is the leg order.
+        s.served.sort_unstable();
+        if let Some(phase) = push_phase {
+            self.subscribe(phase, &s.served);
+        }
+        let (kreq, kresp) = class.msg_kinds();
+        let (mut npeers, mut bytes) = (0u32, 0u64);
+        for legs in s.served.chunk_by(|a, b| a.0 == b.0) {
+            let q = legs[0].0;
+            if q == me {
+                continue;
+            }
+            let resp: usize = legs.iter().map(|l| l.2).sum();
+            npeers += 1;
+            bytes += resp as u64;
+            match kreq {
+                Some(kreq) => {
+                    let req = REQ_FIXED + REQ_PER_PAGE * legs.len();
+                    s.pull.push((q, kreq, req, kresp, resp));
                 }
-                let legs: Vec<_> = serving.map(|p| (p.q, kdata, p.resp_bytes)).collect();
-                net.push_round(me, &legs);
+                None => s.push.push((q, kresp, resp)),
             }
-            (Some(kreq), kresp) => {
-                // One parallel exchange round: a demand fault covers one
-                // page; the aggregated classes cover a whole schedule's
-                // worth per peer.
-                let legs: Vec<_> = serving
-                    .map(|p| {
-                        let req_bytes = REQ_FIXED + REQ_PER_PAGE * p.req_pages;
-                        (p.q, kreq, req_bytes, kresp, p.resp_bytes)
-                    })
-                    .collect();
-                net.parallel_round(me, &legs);
-            }
+        }
+        let net = self.cl.net();
+        match kreq {
+            // Update-push: the writers initiate — one one-way data
+            // message per serving peer, no request leg on the wire.
+            None => net.push_round(me, &s.push),
+            // One parallel exchange round: a demand fault covers one
+            // page; the aggregated classes cover a whole schedule's
+            // worth per peer.
+            Some(_) => net.parallel_round(me, &s.pull),
         }
         net.trace(
             me,
             TraceEvent::Fetch {
                 class,
-                pages: needs.len() as u32,
+                pages: s.needs.len() as u32,
                 peers: npeers,
                 bytes,
             },
         );
+    }
 
-        // Phase 3: apply, master copies first, then records causally.
-        let cost = self.cl.net().cost();
+    /// Fetch phase 3: apply, master copies first, then records causally.
+    fn apply_needs(&mut self, s: &FetchScratch) {
+        let cl = self.cl;
+        let cost = cl.net().cost();
         let mut apply_time = SimTime::ZERO;
-        for n in needs {
+        for n in &s.needs {
             let f = &mut self.inner.frames[n.page as usize];
-            if f.data.is_none() {
-                f.data = Some(self.cl.take_page_zeroed());
-            }
+            f.data.get_or_insert_with(|| cl.page_pool().take_zeroed());
             if n.master {
-                let (mdata, horizon) = self.cl.store().master_fetch(n.page);
                 // Uncommitted local writes (open interval) live only in
                 // the data-vs-twin delta; preserve them across the
-                // whole-page overwrite.
-                let own_delta = f
-                    .twin
-                    .as_ref()
-                    .map(|t| crate::diff::Diff::create(t, f.data.as_ref().unwrap()));
-                let data = f.data.as_mut().unwrap();
-                data.copy_from_slice(&mdata);
-                if let Some(t) = f.twin.as_mut() {
-                    t.copy_from_slice(&mdata);
-                }
-                if let Some(d) = own_delta {
+                // whole-page overwrite. (Only a lock acquire can leave a
+                // twinned page invalid, so this diff is rare.)
+                let data = f.data.as_deref().expect("allocated above");
+                let own = f.twin.as_deref().map(|t| Diff::create(t, data));
+                cl.store().with_master(n.page, |master, horizon| {
+                    for buf in [f.data.as_mut(), f.twin.as_mut()].into_iter().flatten() {
+                        match master {
+                            Some(m) => buf.copy_from_slice(m),
+                            None => buf.fill(0),
+                        }
+                    }
+                    // The master is a snapshot *at the horizon*: the page
+                    // regresses to exactly that knowledge; newer records
+                    // (re-collected in phase 1) are applied on top.
+                    let folded = horizon.iter().enumerate().filter(|(_, &h)| h > 0);
+                    f.applied.clear();
+                    f.applied.extend(folded.map(|(q, &h)| (q as u32, h)));
+                });
+                if let Some(d) = own {
                     d.apply(f.data.as_mut().unwrap());
                 }
-                self.cl.recycle_page(mdata);
-                // The master is a snapshot *at the horizon*: the page
-                // regresses to exactly that knowledge; newer records
-                // (re-collected above) are applied on top.
-                f.reset_applied_to(&horizon);
                 apply_time += cost.diff_apply(self.page_size);
                 self.inner.counters.master_fetches += 1;
             }
-            for r in &n.records {
+            for r in &s.records[n.records.clone()] {
                 if r.seq <= f.applied_of(r.proc) {
                     continue; // subsumed by the master copy
                 }
@@ -779,21 +755,22 @@ impl<'c> TmkProc<'c> {
             };
             self.inner.counters.pages_fetched += 1;
         }
-        self.cl.net().advance(self.me, apply_time);
+        cl.net().advance(self.me, apply_time);
     }
 
     /// The update-push subscription cost model. The writers only know
     /// *what* to push because the consumer subscribed them to its
     /// schedule: bill one one-way subscription message per peer whose
-    /// share (`shares`: serving peer, its pages in this round) of
-    /// `phase`'s schedule *grew* beyond what it was already taught (the
-    /// cumulative union). A steady-state plan subscribes once and then
-    /// rides free; a probe — a transient subset of the subscribed
-    /// schedule — costs nothing extra. Unsubscription is lazy and
-    /// unbilled: a writer briefly pushing pages a demoted pattern no
-    /// longer needs shows up as the pull traffic the probe/demand path
-    /// already counts.
-    fn subscribe<'a>(&mut self, phase: u32, shares: impl Iterator<Item = (ProcId, &'a [u32])>) {
+    /// share of `phase`'s schedule *grew* beyond what it was already
+    /// taught (the cumulative union). `served` is this round's
+    /// `(serving peer, page, bytes)` list, sorted. A steady-state plan
+    /// subscribes once and then rides free; a probe — a transient subset
+    /// of the subscribed schedule — costs nothing extra. Unsubscription
+    /// is lazy and unbilled: a writer briefly pushing pages a demoted
+    /// pattern no longer needs shows up as the pull traffic the
+    /// probe/demand path already counts.
+    fn subscribe(&mut self, phase: u32, served: &[(ProcId, u32, usize)]) {
+        let (net, me) = (self.cl.net(), self.me);
         let scheds = &mut self.inner.push_scheds;
         let si = match scheds.iter().position(|(ph, _)| *ph == phase) {
             Some(i) => i,
@@ -803,9 +780,10 @@ impl<'c> TmkProc<'c> {
             }
         };
         let subscribed = &mut scheds[si].1;
-        let mut newly: Vec<(ProcId, usize)> = Vec::new();
-        for (q, pp) in shares {
-            if q == self.me || pp.is_empty() {
+        let mut grown = 0usize;
+        for share in served.chunk_by(|a, b| a.0 == b.0) {
+            let q = share[0].0;
+            if q == me {
                 continue;
             }
             let known = match subscribed.iter_mut().find(|(oq, _)| *oq == q) {
@@ -818,40 +796,38 @@ impl<'c> TmkProc<'c> {
             // `known` stays sorted: membership is a binary search
             // even when a phase's cumulative schedule grows large.
             let mut fresh = 0usize;
-            for &pg in pp {
+            for &(_, pg, _) in share {
                 if let Err(pos) = known.binary_search(&pg) {
                     known.insert(pos, pg);
                     fresh += 1;
                 }
             }
-            if fresh > 0 {
-                newly.push((q, fresh));
+            if fresh == 0 {
+                continue;
             }
-        }
-        if newly.is_empty() {
-            return;
-        }
-        let net = self.cl.net();
-        for &(q, npages) in &newly {
+            grown += 1;
             // One-way teach message: the consumer pays the injection
             // (inside push), the writer absorbs it asynchronously for
             // one interrupt-handler cost. Only commutative clock updates
             // here — folding the arrival time in with a max would make
-            // simulated time depend on OS interleaving (several
-            // consumers subscribe concurrently).
-            let _arrival = net.push(self.me, MsgKind::AdaptSub, 16 + 4 * npages);
+            // simulated time depend on the schedule (several consumers
+            // subscribe in one barrier).
+            let bytes = 16 + 4 * fresh;
+            let _arrival = net.push(me, MsgKind::AdaptSub, bytes);
             net.advance_remote(q, net.cost().handler());
             net.trace(
-                self.me,
+                me,
                 TraceEvent::Msg {
                     kind: MsgKind::AdaptSub,
                     peer: q as u32,
-                    bytes: (16 + 4 * npages) as u32,
+                    bytes: bytes as u32,
                     out: true,
                 },
             );
         }
-        net.policy().record_subscribe(self.me, phase, newly.len());
+        if grown > 0 {
+            net.policy().record_subscribe(me, phase, grown);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -870,7 +846,7 @@ impl<'c> TmkProc<'c> {
         dirty.dedup();
 
         // Build payloads first; only non-empty ones publish.
-        let mut payloads: Vec<(u32, Payload)> = Vec::new();
+        let mut payloads = std::mem::take(&mut self.inner.payloads);
         let mut scan_time = SimTime::ZERO;
         for &page in &dirty {
             let f = &mut self.inner.frames[page as usize];
@@ -895,7 +871,7 @@ impl<'c> TmkProc<'c> {
                 }
             }
             if let Some(t) = f.twin.take() {
-                self.cl.recycle_page(t);
+                self.cl.page_pool().give(t);
             }
             f.full_write = false;
             // Re-protect: the next write in the new interval faults again.
@@ -903,21 +879,25 @@ impl<'c> TmkProc<'c> {
                 f.state = PageState::Read;
             }
         }
+        dirty.clear();
+        self.inner.dirty = dirty;
         self.cl.net().advance(self.me, scan_time);
         if payloads.is_empty() {
+            self.inner.payloads = payloads;
             return;
         }
 
         let seq = self.inner.vc[self.me] + 1;
         self.inner.vc[self.me] = seq;
-        let vc: Arc<[u32]> = self.inner.vc.clone().into();
+        let vc: Arc<[u32]> = Arc::from(&self.inner.vc[..]);
         let pages: Arc<[u32]> = payloads.iter().map(|&(p, _)| p).collect();
-        for (page, payload) in payloads {
+        for (page, payload) in payloads.drain(..) {
             self.inner.frames[page as usize].set_applied(self.me, seq);
             self.cl
                 .store()
                 .publish(self.me, page, seq, Arc::clone(&vc), payload);
         }
+        self.inner.payloads = payloads;
         // The record's clock ships as a delta against the last barrier
         // target — both ends of any later exchange know that base.
         let rec = IntervalRec::new(vc, pages, &self.inner.last_barrier_seen);
@@ -925,15 +905,12 @@ impl<'c> TmkProc<'c> {
         self.inner.counters.intervals_closed += 1;
     }
 
-    /// Merge knowledge up to `target` (an acquire): apply write notices of
-    /// every newly covered interval, invalidating local copies. With
-    /// `collect_invalidated`, returns the pages invalidated by this
-    /// acquire (sorted, deduplicated) for the protocol policy's epoch
-    /// bookkeeping — barriers pass `true`; the lock path passes `false`
-    /// and keeps its old zero-allocation acquire.
-    pub(crate) fn apply_notices(&mut self, target: &[u32], collect_invalidated: bool) -> Vec<u32> {
+    /// Merge knowledge up to `target` (a lock acquire): apply write
+    /// notices of every newly covered interval, invalidating local
+    /// copies. Barriers merge the leader's digest instead
+    /// ([`TmkProc::apply_digest`]).
+    pub(crate) fn apply_notices(&mut self, target: &[u32]) {
         let me = self.me;
-        let mut invalidated: Vec<u32> = Vec::new();
         for (q, &to) in target.iter().enumerate() {
             if q == me || to <= self.inner.vc[q] {
                 continue;
@@ -950,18 +927,12 @@ impl<'c> TmkProc<'c> {
                 let f = &mut self.inner.frames[page as usize];
                 f.pending.push((q, seq));
                 f.state = PageState::Invalid;
-                if collect_invalidated {
-                    invalidated.push(page);
-                }
                 if f.watched {
                     self.fire_watch(page);
                 }
             }
             self.inner.vc[q] = to;
         }
-        invalidated.sort_unstable();
-        invalidated.dedup();
-        invalidated
     }
 
     /// Barrier-path acquire: consume the leader's flat notice digest —
@@ -971,9 +942,16 @@ impl<'c> TmkProc<'c> {
     /// merged through lock acquires (`seq ≤ vc[q]`) are skipped, so this
     /// applies exactly the intervals `apply_notices(target)` would:
     /// `vc[q] ≥ prev_target[q]` always holds after the previous barrier.
-    pub(crate) fn apply_digest(&mut self, digest: &[(u32, u32, u32)], target: &[u32]) -> Vec<u32> {
+    /// Leaves the pages it invalidated, sorted and deduplicated, in
+    /// `invalidated` (cleared first).
+    pub(crate) fn apply_digest(
+        &mut self,
+        digest: &[(u32, u32, u32)],
+        target: &[u32],
+        invalidated: &mut Vec<u32>,
+    ) {
         let me = self.me;
-        let mut invalidated: Vec<u32> = Vec::new();
+        invalidated.clear();
         for &(page, q, seq) in digest {
             let q = q as usize;
             if q == me || seq <= self.inner.vc[q] {
@@ -994,7 +972,6 @@ impl<'c> TmkProc<'c> {
         }
         invalidated.sort_unstable();
         invalidated.dedup();
-        invalidated
     }
 
     pub(crate) fn vc(&self) -> &[u32] {

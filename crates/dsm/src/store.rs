@@ -9,6 +9,14 @@
 //! page's manager (`page % nprocs`). A processor whose copy of a page is
 //! older than the fold horizon fetches the master page plus any newer
 //! records — the analogue of TreadMarks fetching the whole page after GC.
+//!
+//! Reading the store allocates nothing: [`DiffStore::collect_into`]
+//! appends one writer's records of one page to the fetching processor's
+//! reusable buffer (cloning a [`Record`] is two reference-count bumps),
+//! and [`DiffStore::with_master`] / [`DiffStore::with_horizon`] lend the
+//! master copy and the fold horizon in place for the caller to copy
+//! straight into its page frame. That is what lets a warm fault run
+//! without touching the heap.
 
 use std::sync::Arc;
 
@@ -54,6 +62,8 @@ struct Master {
     horizon: Vc,
     /// Master copies indexed by page id (`None` = never folded).
     pages: Vec<Option<Box<[u8]>>>,
+    /// [`DiffStore::fold`]'s `(page, record)` list (empty between folds).
+    folding: Vec<(u32, Record)>,
 }
 
 /// See module docs.
@@ -67,18 +77,10 @@ struct Master {
 pub struct DiffStore {
     per_proc: Vec<RwLock<Vec<Option<PageLog>>>>,
     master: RwLock<Master>,
-    /// Free-list shared with the owning cluster: master copies and
-    /// master-fetch replies cycle through the same boxes as page frames
-    /// and twins, keeping recycled runs allocation-neutral.
+    /// Free-list shared with the owning cluster: master copies cycle
+    /// through the same boxes as page frames and twins, keeping recycled
+    /// runs allocation-neutral.
     pool: Arc<PagePool>,
-}
-
-/// Result of asking for one page's records from one processor.
-pub(crate) struct Collected {
-    pub records: Vec<Record>,
-    /// Some needed records were folded: the caller must fetch the master
-    /// page (and apply it before `records`).
-    pub needs_master: bool,
 }
 
 impl DiffStore {
@@ -96,6 +98,7 @@ impl DiffStore {
             master: RwLock::new(Master {
                 horizon: vec![0; nprocs],
                 pages: Vec::new(),
+                folding: Vec::new(),
             }),
             pool,
         }
@@ -122,106 +125,89 @@ impl DiffStore {
         });
     }
 
-    fn collect_locked(map: &[Option<PageLog>], page: u32, after: u32, upto: u32) -> Collected {
-        match map.get(page as usize).and_then(|s| s.as_ref()) {
-            None => Collected {
-                records: Vec::new(),
-                // A pending notice referenced this record but the whole log
-                // is gone — everything was folded.
-                needs_master: after < upto,
-            },
+    /// Append `proc`'s records of `page` with `after < seq <= upto` to
+    /// `out`, in ascending `seq`. Returns `needs_master`: some of those
+    /// records were already folded, so the caller must fetch the master
+    /// copy (and apply it before the records).
+    pub(crate) fn collect_into(
+        &self,
+        proc: ProcId,
+        page: u32,
+        after: u32,
+        upto: u32,
+        out: &mut Vec<Record>,
+    ) -> bool {
+        match self.per_proc[proc]
+            .read()
+            .get(page as usize)
+            .and_then(Option::as_ref)
+        {
+            // A pending notice referenced a record but the whole log is
+            // gone — everything was folded.
+            None => after < upto,
             Some(log) => {
-                let records = log
+                let wanted = log
                     .records
                     .iter()
-                    .filter(|r| r.seq > after && r.seq <= upto)
-                    .cloned()
-                    .collect();
-                Collected {
-                    records,
-                    needs_master: after < log.folded_upto,
-                }
+                    .filter(|r| r.seq > after && r.seq <= upto);
+                out.extend(wanted.cloned());
+                after < log.folded_upto
             }
         }
     }
 
-    /// Records of `proc` for `page` with `after < seq <= upto`.
-    pub(crate) fn collect(&self, proc: ProcId, page: u32, after: u32, upto: u32) -> Collected {
-        Self::collect_locked(&self.per_proc[proc].read(), page, after, upto)
-    }
-
-    /// Batched [`DiffStore::collect`]: resolve every pending
-    /// `(page, after, upto)` request against `proc`'s log under a
-    /// *single* lock acquisition — one page-fetch round used to take one
-    /// lock round per record.
-    pub(crate) fn collect_batch(&self, proc: ProcId, reqs: &[(u32, u32, u32)]) -> Vec<Collected> {
-        let map = self.per_proc[proc].read();
-        reqs.iter()
-            .map(|&(page, after, upto)| Self::collect_locked(&map, page, after, upto))
-            .collect()
-    }
-
-    /// The master copy of `page` (zeros if never folded) and the fold
-    /// horizon. The caller charges the fetch to the page's manager.
-    pub fn master_fetch(&self, page: u32) -> (Box<[u8]>, Vc) {
+    /// Lend `f` the master copy of `page` (`None`: never folded, i.e. all
+    /// zeros) and the fold horizon it is a snapshot at. The caller copies
+    /// what it needs and charges the fetch to the page's manager.
+    pub fn with_master<R>(&self, page: u32, f: impl FnOnce(Option<&[u8]>, &[u32]) -> R) -> R {
         let m = self.master.read();
-        let data = match m.pages.get(page as usize).and_then(|s| s.as_deref()) {
-            Some(master) => self.pool.take_copy(master),
-            None => self.pool.take_zeroed(),
-        };
-        (data, m.horizon.clone())
+        f(
+            m.pages.get(page as usize).and_then(Option::as_deref),
+            &m.horizon,
+        )
     }
 
-    /// Current fold horizon (no page data) — used to decide whether a
-    /// `Full` snapshot makes a master fetch unnecessary.
-    pub fn master_horizon(&self) -> Vc {
-        self.master.read().horizon.clone()
+    /// Lend `f` the current fold horizon (no page data) — used to
+    /// re-collect everything newer than a master copy, and to decide
+    /// whether a `Full` snapshot makes the master fetch unnecessary.
+    pub fn with_horizon<R>(&self, f: impl FnOnce(&[u32]) -> R) -> R {
+        f(&self.master.read().horizon)
     }
 
     /// Fold every record with `seq <= horizon[proc]` into the master
     /// copies and drop it. Called by the barrier leader while all
     /// processors are parked, so it cannot race with fetches.
     pub fn fold(&self, horizon: &[u32]) {
-        // Collect (key, page, payload) of everything being folded, across
-        // all processors, so application order is a linear extension of
+        let mut m = self.master.write();
+        let Master {
+            horizon: folded_to,
+            pages,
+            folding,
+        } = &mut *m;
+        // Collect (page, record) of everything being folded, across all
+        // processors, so application order is a linear extension of
         // happens-before.
-        let mut folded: Vec<(Record, u32)> = Vec::new();
         for (q, lock) in self.per_proc.iter().enumerate() {
-            let mut map = lock.write();
-            for (page, slot) in map.iter_mut().enumerate() {
-                let page = page as u32;
+            for (page, slot) in lock.write().iter_mut().enumerate() {
                 let Some(log) = slot.as_mut() else { continue };
                 if horizon[q] > log.folded_upto {
-                    let keep = log
-                        .records
-                        .iter()
-                        .position(|r| r.seq > horizon[q])
-                        .unwrap_or(log.records.len());
-                    for r in log.records.drain(..keep) {
-                        folded.push((r, page));
-                    }
+                    let keep = log.records.partition_point(|r| r.seq <= horizon[q]);
+                    folding.extend(log.records.drain(..keep).map(|r| (page as u32, r)));
                     log.folded_upto = horizon[q];
                 }
             }
         }
-        if folded.is_empty() {
-            let mut m = self.master.write();
-            for (h, &n) in m.horizon.iter_mut().zip(horizon) {
-                *h = (*h).max(n);
-            }
-            return;
-        }
-        folded.sort_by_key(|(r, page)| (*page, r.key()));
-        let mut m = self.master.write();
-        for (r, page) in folded {
+        // Keys are unique per page, so the unstable sort is the causal order.
+        folding.sort_unstable_by_key(|(page, r)| (*page, r.key()));
+        for (page, r) in folding.drain(..) {
             let idx = page as usize;
-            if m.pages.len() <= idx {
-                m.pages.resize_with(idx + 1, || None);
+            if pages.len() <= idx {
+                pages.resize_with(idx + 1, || None);
             }
-            let buf = m.pages[idx].get_or_insert_with(|| self.pool.take_zeroed());
-            r.payload.apply(buf);
+            r.payload
+                .apply(pages[idx].get_or_insert_with(|| self.pool.take_zeroed()));
         }
-        for (h, &n) in m.horizon.iter_mut().zip(horizon) {
+        for (h, &n) in folded_to.iter_mut().zip(horizon) {
             *h = (*h).max(n);
         }
     }
@@ -266,50 +252,63 @@ mod tests {
         Payload::Diff(Diff::create(&twin, &cur))
     }
 
+    /// `collect_into` on a fresh buffer: `(needs_master, [(proc, seq)])`.
+    fn collect(s: &DiffStore, q: usize, page: u32, a: u32, u: u32) -> (bool, Vec<(usize, u32)>) {
+        let mut out = Vec::new();
+        let master = s.collect_into(q, page, a, u, &mut out);
+        (master, out.iter().map(|r| (r.proc, r.seq)).collect())
+    }
+
     #[test]
     fn publish_collect_roundtrip() {
         let s = DiffStore::new(2, 64);
         s.publish(0, 7, 1, vec![1, 0].into(), diff_payload(64, 0, 1));
         s.publish(0, 7, 2, vec![2, 0].into(), diff_payload(64, 8, 2));
-        let c = s.collect(0, 7, 0, 2);
-        assert_eq!(c.records.len(), 2);
-        assert!(!c.needs_master);
-        let c = s.collect(0, 7, 1, 2);
-        assert_eq!(c.records.len(), 1);
-        assert_eq!(c.records[0].seq, 2);
+        assert_eq!(collect(&s, 0, 7, 0, 2), (false, vec![(0, 1), (0, 2)]));
+        assert_eq!(collect(&s, 0, 7, 1, 2), (false, vec![(0, 2)]));
     }
 
     #[test]
-    fn collect_batch_matches_per_record_collects() {
+    fn collect_into_matches_a_naive_filter_over_the_log() {
         let s = DiffStore::new(2, 64);
-        s.publish(0, 7, 1, vec![1, 0].into(), diff_payload(64, 0, 1));
-        s.publish(0, 7, 2, vec![2, 0].into(), diff_payload(64, 8, 2));
-        s.publish(0, 9, 1, vec![1, 0].into(), diff_payload(64, 16, 3));
-        let reqs = [(7u32, 0u32, 2u32), (9, 0, 1), (11, 0, 3), (9, 1, 1)];
-        let batch = s.collect_batch(0, &reqs);
-        assert_eq!(batch.len(), reqs.len());
-        for (&(page, after, upto), b) in reqs.iter().zip(&batch) {
-            let single = s.collect(0, page, after, upto);
-            assert_eq!(b.needs_master, single.needs_master, "page {page}");
-            assert_eq!(b.records.len(), single.records.len(), "page {page}");
-            for (x, y) in b.records.iter().zip(&single.records) {
-                assert_eq!((x.proc, x.seq), (y.proc, y.seq));
+        // Per (proc, page): the seqs published. The fold drops proc 0's
+        // seqs ≤ 2; page 11 has no log at all.
+        let logs = [((0, 7), &[1, 2, 3][..]), ((0, 9), &[2, 4]), ((1, 9), &[1])];
+        for &((q, page), seqs) in &logs {
+            for &seq in seqs {
+                s.publish(q, page, seq, vec![seq; 2].into(), diff_payload(64, 0, 3));
             }
         }
-        // The missing-log case still reports needs_master inside a batch.
-        assert!(batch[2].needs_master);
-        assert!(batch[2].records.is_empty());
+        let folded_upto = [2, 0];
+        s.fold(&folded_upto);
+        let mut out = Vec::new(); // one buffer across requests, as a fetch uses it
+        for (q, page) in [(0, 7), (0, 9), (0, 11), (1, 7), (1, 9), (1, 11)] {
+            let log = logs.iter().find(|l| l.0 == (q, page)).map(|l| l.1);
+            for (after, upto) in [(0, 4), (1, 3), (2, 4), (3, 3), (0, 0)] {
+                let live = |&&seq: &&u32| seq > after.max(folded_upto[q]) && seq <= upto;
+                let want: Vec<_> = log
+                    .iter()
+                    .flat_map(|l| l.iter().filter(live).map(|&seq| (q, seq)))
+                    .collect();
+                let want_master = after < log.map_or(upto, |_| folded_upto[q]);
+                let start = out.len();
+                let master = s.collect_into(q, page, after, upto, &mut out);
+                let got: Vec<_> = out[start..].iter().map(|r| (r.proc, r.seq)).collect();
+                assert_eq!(
+                    (master, got),
+                    (want_master, want),
+                    "proc {q} page {page} ({after}, {upto}]"
+                );
+            }
+        }
     }
 
     #[test]
     fn collect_missing_log_wants_master() {
         let s = DiffStore::new(2, 64);
-        let c = s.collect(1, 3, 0, 5);
-        assert!(c.records.is_empty());
-        assert!(c.needs_master);
+        assert_eq!(collect(&s, 1, 3, 0, 5), (true, vec![]));
         // ... but if nothing is actually needed, no master either.
-        let c = s.collect(1, 3, 5, 5);
-        assert!(!c.needs_master);
+        assert_eq!(collect(&s, 1, 3, 5, 5), (false, vec![]));
     }
 
     #[test]
@@ -317,17 +316,27 @@ mod tests {
         let s = DiffStore::new(2, 64);
         s.publish(0, 9, 1, vec![1, 0].into(), diff_payload(64, 0, 0xAA));
         s.publish(0, 9, 2, vec![2, 0].into(), diff_payload(64, 8, 0xBB));
+        // Before any fold the master is absent (all zeros), at horizon 0.
+        s.with_master(9, |data, horizon| {
+            assert!(data.is_none());
+            assert_eq!(horizon, [0, 0]);
+        });
         s.fold(&[1, 0]);
         assert_eq!(s.retained_records(), 1);
+        assert_eq!(
+            collect(&s, 0, 9, 0, 2),
+            (true, vec![(0, 2)]),
+            "record 1 lives in the master now"
+        );
 
-        let c = s.collect(0, 9, 0, 2);
-        assert_eq!(c.records.len(), 1);
-        assert!(c.needs_master, "record 1 lives in the master now");
-
-        let (data, horizon) = s.master_fetch(9);
-        assert_eq!(horizon, vec![1, 0]);
-        assert!(data[0..8].iter().all(|&b| b == 0xAA));
-        assert!(data[8..16].iter().all(|&b| b == 0));
+        s.with_master(9, |data, horizon| {
+            let data = data.expect("page 9 was folded");
+            assert_eq!(horizon, [1, 0]);
+            assert!(data[0..8].iter().all(|&b| b == 0xAA));
+            assert!(data[8..16].iter().all(|&b| b == 0));
+        });
+        s.with_master(8, |data, _| assert!(data.is_none(), "page 8 never folded"));
+        assert_eq!(s.with_horizon(<[u32]>::to_vec), [1, 0]);
     }
 
     #[test]
@@ -350,8 +359,7 @@ mod tests {
             Payload::Full(vec![2u8; 16].into_boxed_slice()),
         );
         s.fold(&[1, 1]);
-        let (data, _) = s.master_fetch(0);
-        assert!(data.iter().all(|&b| b == 2));
+        s.with_master(0, |data, _| assert!(data.unwrap().iter().all(|&b| b == 2)));
     }
 
     #[test]
@@ -361,8 +369,7 @@ mod tests {
         s.fold(&[1]);
         s.fold(&[1]);
         s.fold(&[0]); // cannot lower the horizon
-        let (_, h) = s.master_fetch(0);
-        assert_eq!(h, vec![1]);
+        assert_eq!(s.with_horizon(<[u32]>::to_vec), [1]);
         assert_eq!(s.retained_records(), 0);
     }
 }

@@ -108,52 +108,79 @@ fn fold_sequential(cells: &[SynthConfig], jobs: usize) -> Fold {
     fold
 }
 
-proptest! {
-    #[test]
-    fn concurrent_serve_totals_equal_the_sequential_fold(
-        structure in structures(),
-        dyn_ in dynamics(),
-        np in nprocs(),
-        extra_cell in proptest::sample::select(vec![false, true]),
-        seed in 0u64..1_000_000,
-    ) {
-        let mut cells = vec![cell(structure.clone(), dyn_.clone(), np, seed)];
-        if extra_cell {
-            // A second, always-cheap cell so multi-cell merges (and
-            // label-conflict handling in NetReport::merge) are covered.
-            cells.push(cell(structure, Dynamics::Static, 4, seed ^ 0xA5A5));
-        }
-        // cells + 1 jobs: every cell served at least once, the first
-        // served twice — repeated-cell merging is covered while the
-        // dominant cost (run_matrix passes) stays affordable per case.
-        let jobs = cells.len() + 1;
+/// The property, as shard `shard` of two: together the two test
+/// functions below run exactly the cases of the one property (the
+/// default 64, or `PROPTEST_CASES`), on two test threads instead of one.
+fn concurrent_serve_totals_equal_the_sequential_fold(shard: usize) {
+    let strat = (
+        structures(),
+        dynamics(),
+        nprocs(),
+        proptest::sample::select(vec![false, true]),
+        0u64..1_000_000,
+    );
+    let name = "merge_prop::concurrent_serve_totals_equal_the_sequential_fold";
+    proptest::run_shard(
+        name,
+        shard,
+        2,
+        &strat,
+        |(structure, dyn_, np, extra_cell, seed)| {
+            let mut cells = vec![cell(structure.clone(), dyn_.clone(), np, seed)];
+            if extra_cell {
+                // A second, always-cheap cell so multi-cell merges (and
+                // label-conflict handling in NetReport::merge) are covered.
+                cells.push(cell(structure, Dynamics::Static, 4, seed ^ 0xA5A5));
+            }
+            // cells + 1 jobs: every cell served at least once, the first
+            // served twice — repeated-cell merging is covered while the
+            // dominant cost (run_matrix passes) stays affordable per case.
+            let jobs = cells.len() + 1;
 
-        let out = serve(&cells, &ServeConfig {
-            workers: 2,
-            stop: Stop::Jobs(jobs),
-            thread_budget: 64,
-            check_allocs: false,
-            trace: None,
-        });
-        let want = fold_sequential(&cells, jobs);
+            let out = serve(
+                &cells,
+                &ServeConfig {
+                    workers: 2,
+                    stop: Stop::Jobs(jobs),
+                    thread_budget: 64,
+                    check_allocs: false,
+                    trace: None,
+                },
+            );
+            let want = fold_sequential(&cells, jobs);
 
-        prop_assert_eq!(out.jobs_done, jobs as u64);
-        prop_assert_eq!(out.hist.count(), jobs as u64);
-        for (i, v) in Variant::ALL.into_iter().enumerate() {
-            let got = out.totals(v);
+            prop_assert_eq!(out.jobs_done, jobs as u64);
+            prop_assert_eq!(out.hist.count(), jobs as u64);
+            for (i, v) in Variant::ALL.into_iter().enumerate() {
+                let got = out.totals(v);
+                prop_assert_eq!(
+                    (got.messages, got.bytes),
+                    (want.messages[i], want.bytes[i]),
+                    "{:?}: totals diverged from sequential fold",
+                    v
+                );
+                prop_assert_eq!(
+                    &got.net,
+                    &want.nets[i],
+                    "{:?}: merged NetReport diverged from sequential fold",
+                    v
+                );
+            }
             prop_assert_eq!(
-                (got.messages, got.bytes),
-                (want.messages[i], want.bytes[i]),
-                "{:?}: totals diverged from sequential fold", v
+                &out.policy,
+                &want.policy,
+                "merged PolicyReport diverged from sequential fold"
             );
-            prop_assert_eq!(
-                &got.net, &want.nets[i],
-                "{:?}: merged NetReport diverged from sequential fold", v
-            );
-        }
-        prop_assert_eq!(
-            &out.policy, &want.policy,
-            "merged PolicyReport diverged from sequential fold"
-        );
-    }
+        },
+    );
+}
+
+#[test]
+fn concurrent_serve_totals_equal_the_sequential_fold_even_cases() {
+    concurrent_serve_totals_equal_the_sequential_fold(0);
+}
+
+#[test]
+fn concurrent_serve_totals_equal_the_sequential_fold_odd_cases() {
+    concurrent_serve_totals_equal_the_sequential_fold(1);
 }
