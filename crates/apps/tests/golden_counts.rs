@@ -62,6 +62,11 @@
 //! [`PolicyReport`] field of the adaptive and push builds on moldyn and
 //! nbf, captured from the build before that refactor.
 //!
+//! Each app's `TmkOpt` row also pins its simulated `Validate` scan time
+//! (`RunReport::validate_scan_s`, in nanoseconds), captured before
+//! `Read_indices` became a single walk over the section: a faster scan
+//! on the host must charge the simulation exactly the same entries.
+//!
 //! If a *protocol* change legitimately shifts these numbers, update the
 //! table below in the same commit and say why in its message.
 
@@ -78,7 +83,11 @@ use simnet::{PolicyReport, StallCat, StallRow};
 /// update-push row captured when the variant was introduced (PR 4).
 type Golden = [(Variant, u64, u64); 5];
 
-fn assert_golden(w: &dyn Workload, golden: &Golden) {
+/// `opt_scan_ns` pins the `TmkOpt` row's `validate_scan_s` — simulated
+/// `Read_indices` time per processor, averaged, rounded to the
+/// nanosecond — so a rewrite of the scan must charge exactly the same
+/// entries.
+fn assert_golden(w: &dyn Workload, golden: &Golden, opt_scan_ns: u64) {
     let m = run_matrix(w);
     for &(v, messages, bytes) in golden {
         let r = &m.get(v).report;
@@ -90,6 +99,13 @@ fn assert_golden(w: &dyn Workload, golden: &Golden) {
             v
         );
     }
+    let scan = m.get(Variant::TmkOpt).report.validate_scan_s;
+    assert_eq!(
+        (scan * 1e9).round() as u64,
+        opt_scan_ns,
+        "{}: TmkOpt Validate scan time moved",
+        m.label
+    );
 }
 
 /// The adaptive build's per-processor stall rows, summed over the
@@ -132,6 +148,7 @@ fn moldyn_small_reproduces_pre_refactor_counts() {
             (Variant::TmkPush, 930, 704_048),
             (Variant::Chaos, 180, 167_120),
         ],
+        3_100_050,
     );
 }
 
@@ -162,6 +179,7 @@ fn nbf_small_reproduces_pre_refactor_counts() {
             (Variant::TmkPush, 568, 388_600),
             (Variant::Chaos, 96, 129_216),
         ],
+        921_600,
     );
 }
 
@@ -191,6 +209,7 @@ fn umesh_small_reproduces_pre_refactor_counts() {
             (Variant::TmkPush, 206, 126_112),
             (Variant::Chaos, 78, 11_344),
         ],
+        624_900,
     );
 }
 

@@ -1,8 +1,9 @@
 //! Scenario-level integration tests: the six-variant bitwise contract
 //! and the protocol-shape claims, on representative grid cells (the
 //! full grid sweep lives in `bench`'s `table_synth`), plus the golden
-//! message/byte counts of the quick grid's six churn cells and the
-//! lossy-link contract on the first of them.
+//! message/byte counts of the quick grid's six churn cells, the
+//! lossy-link contract on the first of them, and the `TmkOpt` counts and
+//! Validate scan time of its eighteen steady 4-processor cells.
 
 use apps::workload::{run_matrix, run_variants, Variant, Workload};
 use simnet::StallCat;
@@ -317,6 +318,60 @@ fn churn_cells_reproduce_golden_counts() {
         assert_eq!(got.map(|r| r.messages), messages, "{label}: messages moved");
         assert_eq!(got.map(|r| r.bytes), bytes, "{label}: bytes moved");
     }
+}
+
+/// `(label, messages, bytes, time ns, validate_scan ns)` of the `TmkOpt`
+/// build on each of the quick grid's eighteen steady 4-processor cells,
+/// in grid order — the cells the benchmark's `steady4` workload serves.
+/// The scan column is `RunReport::validate_scan_s` (per processor,
+/// averaged) rounded to the nanosecond. Captured before `Read_indices`
+/// became a single walk over the section: the drift and alternating
+/// cells rescan on most iterations, so a scan rewrite that charges one
+/// entry more or less, or reorders a fault, moves a row here.
+#[rustfmt::skip]
+const OPT_GOLDEN: [(&str, u64, u64, u64, u64); 18] = [
+    ("uniform/static/p4", 306, 254_496, 357_112_200, 917_400),
+    ("uniform/remap3/p4", 330, 260_564, 376_491_960, 3_658_200),
+    ("uniform/remap5/p4", 336, 261_196, 358_789_560, 1_834_200),
+    ("uniform/drift25/p4", 392, 271_672, 426_801_280, 9_189_000),
+    ("uniform/multi3x5/p4", 396, 273_716, 392_745_280, 4_593_000),
+    ("uniform/alt2/p4", 378, 270_612, 423_723_960, 9_175_200),
+    ("powerlaw2/static/p4", 308, 255_056, 504_808_320, 915_300),
+    ("powerlaw2/remap3/p4", 326, 259_448, 522_228_720, 3_651_300),
+    ("powerlaw2/remap5/p4", 316, 257_084, 512_068_240, 1_822_050),
+    ("powerlaw2/drift25/p4", 396, 270_824, 590_614_440, 9_151_950),
+    ("powerlaw2/multi3x5/p4", 342, 262_688, 540_967_000, 4_573_950),
+    ("powerlaw2/alt2/p4", 398, 272_244, 592_600_120, 9_159_000),
+    ("banded128/static/p4", 190, 67_264, 358_756_200, 907_800),
+    ("banded128/remap3/p4", 208, 71_608, 390_430_400, 3_617_850),
+    ("banded128/remap5/p4", 196, 68_728, 391_106_800, 1_821_600),
+    ("banded128/drift25/p4", 244, 80_284, 437_774_800, 9_109_500),
+    ("banded128/multi3x5/p4", 214, 73_048, 397_295_400, 4_543_350),
+    ("banded128/alt2/p4", 244, 80_248, 443_210_800, 9_079_950),
+];
+
+#[test]
+fn steady_cells_reproduce_opt_golden_counts() {
+    let steady = scenario_grid(true)
+        .into_iter()
+        .filter(|cfg| cfg.nprocs == 4 && !cfg.dynamics.is_churn());
+    let mut cells = 0;
+    for (cfg, (label, messages, bytes, time, scan)) in steady.zip(OPT_GOLDEN) {
+        assert_eq!(cfg.label(), label, "the grid's steady cells moved");
+        let (r, _) = Prepared::new(cfg).run(Variant::TmkOpt, simnet::SimTime::ZERO);
+        let got_scan = (r.validate_scan_s * 1e9).round() as u64;
+        assert_eq!(
+            (r.messages, r.bytes, r.time.as_ns(), got_scan),
+            (messages, bytes, time, scan),
+            "{label}: TmkOpt (messages, bytes, time, scan) moved"
+        );
+        cells += 1;
+    }
+    assert_eq!(
+        cells,
+        OPT_GOLDEN.len(),
+        "the grid has 18 steady 4-proc cells"
+    );
 }
 
 /// The first churn cell's full `PolicyReport` under the adaptive and
