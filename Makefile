@@ -24,9 +24,11 @@ clippy:
 # processors are coroutines on the launching thread (simnet::Rendezvous),
 # so nothing under simnet/dsm/chaos spawns a thread or parks on a
 # condvar; the only unsafe code is the coroutine switch and serve's
-# counting allocator; and the record store is read without allocating
+# counting allocator; the record store is read without allocating
 # (collect_into into the fetch's per-processor scratch, the master copy
-# lent in place by with_master / with_horizon).
+# lent in place by with_master / with_horizon); and Validate's
+# Read_indices is one walk over the section (FlatIndices, runs of equal
+# indirection page, one bitmap per page) whose page math is a shift.
 hygiene:
 	@if grep -rn "Mutex" crates/apps/src crates/synth/src; then \
 		echo "hygiene: return per-rank values from the SPMD body instead of locking"; exit 1; fi
@@ -46,6 +48,10 @@ hygiene:
 		echo "hygiene: unsafe lives only in simnet/src/coroutine.rs and serve/src/alloc.rs"; exit 1; fi
 	@if grep -rn "collect_batch\|master_fetch\b\|master_horizon\|struct Collected" crates/; then \
 		echo "hygiene: read the store with collect_into / with_master / with_horizon into the fetch scratch; nothing on the fault path allocates"; exit 1; fi
+	@if grep -rnw "flat_indices" crates/ || grep -rn "HashMap<u32, PageSet>" crates/; then \
+		echo "hygiene: Read_indices walks FlatIndices once and groups entries by run of indirection page; no index Vec, no per-entry hash"; exit 1; fi
+	@if grep -n "/ page_size\|% page_size" crates/core/src/validate.rs; then \
+		echo "hygiene: Validate's page numbers come from a shift (page sizes are powers of two)"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses
@@ -99,7 +105,7 @@ serve:
 # PROPTEST_SEED for exact replay and a shrunk minimal input) + the
 # adaptive, scenario-matrix, and serve acceptance smokes.
 soak:
-	PROPTEST_CASES=512 cargo test -q -p chaos -p dsm -p adapt
+	PROPTEST_CASES=512 cargo test -q -p chaos -p dsm -p adapt -p sdsm-core
 	PROPTEST_CASES=96 cargo test -q -p synth
 	PROPTEST_CASES=256 cargo test -q -p serve
 	cargo run --release -p bench --bin table_adapt -- --quick

@@ -112,35 +112,72 @@ impl Desc {
     }
 }
 
-/// Enumerate the flat (zero-based, column-major) element indices of a
-/// one-based multi-dimensional section over an array of shape `dims`.
+/// Fortran's rank limit: [`FlatIndices`] keeps its odometer inline.
+const MAX_RANK: usize = 7;
+
+/// The flat (zero-based, column-major) element indices of a one-based
+/// multi-dimensional section over an array of shape `shape`, ascending.
 ///
-/// `interaction_list[1:2, 5:6]` over shape `[2, n]` yields `8, 9, 10, 11`.
-pub fn flat_indices(section: &Rsd, dims: &[usize]) -> Vec<usize> {
-    assert_eq!(section.rank(), dims.len(), "section rank != array rank");
-    // Column-major strides.
-    let mut strides = vec![1usize; dims.len()];
-    for k in 1..dims.len() {
-        strides[k] = strides[k - 1] * dims[k - 1];
-    }
-    let mut out = Vec::with_capacity(section.len());
-    // Iterate with the FIRST dimension fastest (column-major enumeration
-    // gives ascending flat indices for dense sections).
-    let dim_lens: Vec<usize> = section.dims.iter().map(|d| d.len()).collect();
-    let total: usize = dim_lens.iter().product();
-    for mut k in 0..total {
-        let mut flat = 0usize;
-        for (dno, d) in section.dims.iter().enumerate() {
-            let l = dim_lens[dno].max(1);
-            let step = k % l;
-            k /= l;
-            let idx1 = d.lo + step as i64 * d.stride; // one-based
-            debug_assert!(idx1 >= 1 && (idx1 as usize) <= dims[dno]);
-            flat += (idx1 as usize - 1) * strides[dno];
+/// An odometer with the first dimension fastest: each step adds that
+/// dimension's flat stride, and a wrap rewinds it and carries into the
+/// next, so no index costs a division. `interaction_list[1:2, 5:6]` over
+/// shape `[2, n]` yields `8, 9, 10, 11`.
+#[derive(Debug, Clone)]
+pub struct FlatIndices {
+    /// Per dimension: odometer digit, element count, and flat distance
+    /// between consecutive elements (all zero past the rank).
+    dims: [(usize, usize, usize); MAX_RANK],
+    next: usize,
+    left: usize,
+}
+
+impl FlatIndices {
+    /// Checks the section against the shape once, O(rank): the ranks
+    /// must agree and, unless the section is empty, every dimension must
+    /// lie inside `1..=shape[k]`. The error names the offending dimension.
+    pub fn new(section: &Rsd, shape: &[usize]) -> Result<Self, String> {
+        let rank = section.rank();
+        if rank != shape.len() || rank > MAX_RANK {
+            return Err(format!(
+                "has rank {rank}, the array {} (at most {MAX_RANK})",
+                shape.len()
+            ));
         }
-        out.push(flat);
+        let (mut dims, mut next, left) = ([(0, 0, 0); MAX_RANK], 0, section.len());
+        let mut extent = 1; // column-major stride of dimension k
+        for (k, (d, &n)) in section.dims.iter().zip(shape).enumerate() {
+            if left > 0 && (d.lo < 1 || d.last().is_some_and(|l| l > n as i64)) {
+                return Err(format!("dimension {} ({d}) lies outside 1:{n}", k + 1));
+            }
+            dims[k] = (0, d.len(), d.stride as usize * extent);
+            next += (d.lo.max(1) as usize - 1) * extent;
+            extent *= n;
+        }
+        Ok(FlatIndices { dims, next, left })
     }
-    out
+}
+
+impl Iterator for FlatIndices {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let out = self.next;
+        for (digit, len, step) in &mut self.dims {
+            if *digit + 1 < *len {
+                *digit += 1;
+                self.next += *step;
+                break;
+            }
+            self.next -= *digit * *step;
+            *digit = 0;
+        }
+        Some(out)
+    }
 }
 
 #[cfg(test)]
@@ -157,23 +194,48 @@ mod tests {
         assert_eq!(AccessType::ReadWrite.fortran_name(), "READ&WRITE");
     }
 
+    fn flat(sec: &Rsd, dims: &[usize]) -> Vec<usize> {
+        FlatIndices::new(sec, dims).unwrap().collect()
+    }
+
     #[test]
     fn flat_indices_2d_column_major() {
         // interaction_list(2, 10): section [1:2, 5:6]
         let sec = Rsd::new(vec![Dim::dense(1, 2), Dim::dense(5, 6)]);
-        let idx = flat_indices(&sec, &[2, 10]);
-        assert_eq!(idx, vec![8, 9, 10, 11]);
+        assert_eq!(flat(&sec, &[2, 10]), vec![8, 9, 10, 11]);
     }
 
     #[test]
     fn flat_indices_1d() {
         let sec = Rsd::new(vec![Dim::dense(3, 6)]);
-        assert_eq!(flat_indices(&sec, &[100]), vec![2, 3, 4, 5]);
+        assert_eq!(flat(&sec, &[100]), vec![2, 3, 4, 5]);
     }
 
     #[test]
     fn flat_indices_strided() {
         let sec = Rsd::new(vec![Dim::new(1, 9, 4)]); // 1,5,9 one-based
-        assert_eq!(flat_indices(&sec, &[10]), vec![0, 4, 8]);
+        assert_eq!(flat(&sec, &[10]), vec![0, 4, 8]);
+    }
+
+    #[test]
+    fn flat_indices_reject_out_of_shape_sections() {
+        let err = |dims, shape: &[usize]| FlatIndices::new(&Rsd::new(dims), shape).unwrap_err();
+        let past_end = vec![Dim::dense(1, 2), Dim::dense(9, 11)];
+        assert_eq!(
+            err(past_end, &[2, 10]),
+            "dimension 2 (9:11) lies outside 1:10"
+        );
+        let zero_based = vec![Dim::dense(0, 3)];
+        assert_eq!(
+            err(zero_based, &[10]),
+            "dimension 1 (0:3) lies outside 1:10"
+        );
+        assert_eq!(
+            err(vec![Dim::dense(1, 3)], &[2, 10]),
+            "has rank 1, the array 2 (at most 7)"
+        );
+        // An empty section reads nothing, so its bounds go unchecked.
+        let empty = Rsd::new(vec![Dim::dense(1, 2), Dim::dense(12, 11)]);
+        assert_eq!(flat(&empty, &[2, 10]), Vec::<usize>::new());
     }
 }

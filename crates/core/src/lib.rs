@@ -37,7 +37,7 @@
 mod descriptor;
 mod validate;
 
-pub use descriptor::{flat_indices, AccessType, Desc, RegionRef};
+pub use descriptor::{AccessType, Desc, FlatIndices, RegionRef};
 pub use validate::{validate, ScheduleInfo, Validator};
 
 pub use dsm::{

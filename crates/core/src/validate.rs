@@ -3,15 +3,15 @@
 
 use std::collections::HashMap;
 
-use dsm::{FetchClass, SimTime, TmkProc};
-use rsd::PageSet;
+use dsm::{FetchClass, SharedSlice, SimTime, TmkProc};
+use rsd::Dim;
 
-use crate::descriptor::{flat_indices, AccessType, Desc};
+use crate::descriptor::{AccessType, Desc, FlatIndices, RegionRef};
 
 /// Cached state for one schedule number: the page set computed by
 /// `Read_indices` (or from a direct section) and, for indirect schedules,
 /// the watch that detects indirection-array modification.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Sched {
     pages: Vec<u32>,
     /// Pages entirely covered by the section (candidates for whole-page
@@ -20,10 +20,18 @@ struct Sched {
     /// Boundary pages only partially covered — the false-sharing frontier.
     partial_pages: Vec<u32>,
     watch: Option<usize>,
+    /// Indirect schedules: the section's indirection pages at the last
+    /// rescan, ascending — the pages the watch is armed on.
+    watched: Vec<u32>,
     recomputes: u64,
-    /// Incremental mode: data pages contributed by each *indirection*
-    /// page, so a partial rescan can replace just the dirty pages' share.
-    by_ind_page: HashMap<u32, Vec<u32>>,
+    /// The data pages contributed by each *indirection* page, sorted by
+    /// that page, as bitmaps over the words `span` — bit `b` of word `w`
+    /// is page `64·w + b` — so an incremental rescan can replace just
+    /// the dirty pages' share. `pages` is their OR.
+    by_ind_page: Vec<(u32, Vec<u64>)>,
+    span: (usize, usize),
+    /// Direct schedules: the `(region, section)` the page sets are for.
+    direct: Option<(RegionRef, Dim)>,
     /// Entries rescanned by partial recomputes (diagnostics).
     partial_scans: u64,
 }
@@ -55,6 +63,8 @@ pub struct Validator {
     /// pages changed, rescan only the section entries on those pages.
     /// Off by default, matching the paper's implementation.
     incremental: bool,
+    /// Pass 2's fetch list, kept as scratch.
+    fetch: Vec<u32>,
 }
 
 impl Validator {
@@ -110,7 +120,6 @@ impl Validator {
 /// (paper §3.2) — indirect descriptors reject them.
 pub fn validate(p: &mut TmkProc, v: &mut Validator, descs: &[Desc]) {
     let page_size = p.page_size();
-    let cost = p.cost().clone();
 
     // Pass 1: determine pages[sch] for every descriptor.
     for d in descs {
@@ -127,15 +136,8 @@ pub fn validate(p: &mut TmkProc, v: &mut Validator, descs: &[Desc]) {
                     !access.whole_pages(),
                     "WRITE_ALL is a direct-access refinement (paper §3.2)"
                 );
-                let entry = v.schedules.entry(*sched).or_insert_with(Sched::empty);
-                let watch = match entry.watch {
-                    Some(w) => w,
-                    None => {
-                        let w = p.new_watch();
-                        entry.watch = Some(w);
-                        w
-                    }
-                };
+                let sch = v.schedules.entry(*sched).or_default();
+                let watch = *sch.watch.get_or_insert_with(|| p.new_watch());
                 // modified()? — set by local protection faults and by
                 // incoming write notices on the watched pages; born true.
                 let dirty = if v.incremental {
@@ -143,81 +145,28 @@ pub fn validate(p: &mut TmkProc, v: &mut Validator, descs: &[Desc]) {
                 } else {
                     p.take_modified(watch).then(Vec::new)
                 };
-                if let Some(dirty_pages) = dirty {
-                    // Read_indices: scan the indirection section and map
-                    // each target element to its page(s). The scan reads
-                    // the indirection array through the DSM, so its pages
-                    // are fetched like any shared data. In incremental
-                    // mode, a non-empty dirty list restricts the rescan
-                    // to entries living on the dirtied indirection pages.
-                    let flats = flat_indices(section, ind_dims);
-                    let partial = v.incremental
-                        && !dirty_pages.is_empty()
-                        && v.schedules[sched].recomputes > 0;
-                    let scan: Vec<usize> = if partial {
-                        flats
-                            .iter()
-                            .copied()
-                            .filter(|&fi| dirty_pages.binary_search(&ind.page_of(fi, page_size)).is_ok())
-                            .collect()
-                    } else {
-                        flats.clone()
-                    };
-
-                    // Map rescanned entries to data pages, grouped by the
-                    // indirection page they live on.
-                    let mut groups: HashMap<u32, PageSet> = HashMap::new();
-                    for &fi in &scan {
-                        let target = p.read(ind, fi);
-                        debug_assert!(target >= 1, "indirection entries are 1-based");
-                        let t = (target - 1) as usize;
-                        debug_assert!(t < data.len, "indirection target out of range");
-                        let b = data.base + t * data.elem;
-                        let set = groups.entry(ind.page_of(fi, page_size)).or_default();
-                        set.insert((b / page_size) as u32);
-                        let last = ((b + data.elem - 1) / page_size) as u32;
-                        if last != (b / page_size) as u32 {
-                            set.insert(last);
-                        }
-                    }
-                    let dt = cost.index_scan(scan.len());
-                    p.compute(dt);
-                    v.scan_time += dt;
-
-                    let sch = v.schedules.get_mut(sched).unwrap();
-                    if !partial {
-                        sch.by_ind_page.clear();
-                    } else {
-                        sch.partial_scans += scan.len() as u64;
-                    }
-                    for (ip, set) in groups {
-                        let mut s = set;
-                        s.finish();
-                        sch.by_ind_page.insert(ip, s.iter().collect());
-                    }
-                    // Union of all groups = pages[sch].
-                    let mut union = PageSet::with_capacity(64);
-                    for pages in sch.by_ind_page.values() {
-                        for &pg in pages {
-                            union.insert(pg);
-                        }
-                    }
-                    union.finish();
-                    sch.pages = union.iter().collect();
-                    sch.full_pages.clear();
-                    sch.partial_pages = sch.pages.clone();
-                    sch.recomputes += 1;
-
-                    // Write_protect(section): arm the watch on the pages
-                    // holding the indirection section.
-                    let ind_pages: Vec<u32> = flats
-                        .iter()
-                        .map(|&fi| ind.page_of(fi, page_size))
-                        .collect::<PageSet>()
-                        .iter()
-                        .collect();
-                    p.watch_pages(watch, ind_pages.into_iter());
-                }
+                let Some(dirty) = dirty else { continue };
+                let entries = FlatIndices::new(section, ind_dims).unwrap_or_else(|e| {
+                    panic!("Validate schedule {sched}: indirection section {section} {e}")
+                });
+                let cells = ind_dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+                assert!(
+                    cells.is_some_and(|n| n <= ind.len()),
+                    "Validate schedule {sched}: shape {ind_dims:?} overruns its indirection array"
+                );
+                // Read_indices: the scan reads the indirection array
+                // through the DSM, so its pages are fetched like any
+                // shared data. In incremental mode, a non-empty dirty
+                // list restricts the rescan to entries living on the
+                // dirtied indirection pages.
+                let partial = v.incremental && !dirty.is_empty() && sch.recomputes > 0;
+                let n = sch.read_indices(p, data, ind, entries, partial.then_some(&dirty[..]));
+                let dt = p.cost().index_scan(n);
+                p.compute(dt);
+                v.scan_time += dt;
+                // Write_protect(section): arm the watch on the pages
+                // holding the indirection section.
+                p.watch_pages(watch, sch.watched.iter().copied());
             }
             Desc::Direct {
                 data,
@@ -226,11 +175,16 @@ pub fn validate(p: &mut TmkProc, v: &mut Validator, descs: &[Desc]) {
                 ..
             } => {
                 // pages[sch] = pages in section (cheap arithmetic), split
-                // into fully- and partially-covered.
+                // into fully- and partially-covered; kept while the
+                // region and section stay the same.
                 debug_assert_eq!(section.rank(), 1, "direct sections are 1-D");
-                let dim = &section.dims[0];
+                let dim = section.dims[0];
+                let entry = v.schedules.entry(*sched).or_default();
+                if entry.direct == Some((*data, dim)) {
+                    continue;
+                }
+                entry.direct = Some((*data, dim));
                 let pages = data.pages_of(dim.lo - 1, dim.hi - 1, dim.stride, page_size);
-                let entry = v.schedules.entry(*sched).or_insert_with(Sched::empty);
                 entry.pages = pages.iter().collect();
                 entry.full_pages.clear();
                 entry.partial_pages.clear();
@@ -257,14 +211,18 @@ pub fn validate(p: &mut TmkProc, v: &mut Validator, descs: &[Desc]) {
     // sections skip the fetch for their fully-covered pages (nothing old
     // is needed); boundary pages still fetch — their other half belongs
     // to someone else.
-    let mut fetch: Vec<u32> = Vec::new();
+    let Validator {
+        schedules, fetch, ..
+    } = v;
+    fetch.clear();
     for d in descs {
-        let sch = &v.schedules[&d.sched()];
+        let sch = &schedules[&d.sched()];
         let candidates: &[u32] = if d.access() == AccessType::WriteAll {
             &sch.partial_pages
         } else {
             &sch.pages
         };
+        fetch.reserve(candidates.len());
         fetch.extend(candidates.iter().copied().filter(|&pg| p.page_invalid(pg)));
     }
     fetch.sort_unstable();
@@ -272,22 +230,17 @@ pub fn validate(p: &mut TmkProc, v: &mut Validator, descs: &[Desc]) {
 
     // Fetch_diffs + Apply_diffs: one aggregated exchange per peer.
     if !fetch.is_empty() {
-        p.fetch_pages(&fetch, FetchClass::Aggregated);
+        p.fetch_pages(fetch, FetchClass::Aggregated);
     }
 
     // Create_twins / whole-page marking.
     for d in descs {
-        let sch = &v.schedules[&d.sched()];
+        let sch = &schedules[&d.sched()];
         match d.access() {
-            AccessType::Write | AccessType::ReadWrite => {
-                let pages = sch.pages.clone();
-                p.pre_twin(&pages);
-            }
+            AccessType::Write | AccessType::ReadWrite => p.pre_twin(&sch.pages),
             AccessType::WriteAll | AccessType::ReadWriteAll => {
-                let full = sch.full_pages.clone();
-                let partial = sch.partial_pages.clone();
-                p.mark_full_write(&full);
-                p.pre_twin(&partial);
+                p.mark_full_write(&sch.full_pages);
+                p.pre_twin(&sch.partial_pages);
             }
             AccessType::Read => {}
         }
@@ -295,15 +248,84 @@ pub fn validate(p: &mut TmkProc, v: &mut Validator, descs: &[Desc]) {
 }
 
 impl Sched {
-    fn empty() -> Self {
-        Sched {
-            pages: Vec::new(),
-            full_pages: Vec::new(),
-            partial_pages: Vec::new(),
-            watch: None,
-            recomputes: 0,
-            by_ind_page: HashMap::new(),
-            partial_scans: 0,
+    /// `Read_indices`: one walk over the indirection section that maps
+    /// each target element to its page(s); returns the entries scanned.
+    /// The walk is ascending, so the entries on one indirection page form
+    /// a run, and a run is rescanned — its page's bitmap refilled — when
+    /// `dirty` is `None` (a full recompute) or lists that page.
+    fn read_indices(
+        &mut self,
+        p: &mut TmkProc,
+        data: &RegionRef,
+        ind: &SharedSlice<i32>,
+        entries: FlatIndices,
+        dirty: Option<&[u32]>,
+    ) -> usize {
+        let shift = p.page_size().trailing_zeros();
+        // The words spanning the data region's pages. A partial rescan
+        // keeps the clean pages' bitmaps, so its span covers theirs too.
+        let end = data.base + data.len * data.elem;
+        let mut span = (data.base >> shift >> 6, (end >> shift >> 6) + 1);
+        let (old, bitmaps) = (self.span, &mut self.by_ind_page);
+        if dirty.is_some() {
+            span = (span.0.min(old.0), span.1.max(old.1));
+            for (_, bits) in bitmaps.iter_mut() {
+                bits.splice(0..0, std::iter::repeat_n(0, old.0 - span.0));
+                bits.resize(span.1 - span.0, 0);
+            }
         }
+        self.span = span;
+        let (first, words) = (span.0 << 6, span.1 - span.0);
+
+        self.watched.clear();
+        let mut run = None; // the bitmap being refilled, None on a clean page
+        let mut n = 0;
+        for fi in entries {
+            let ip = (ind.byte_at(fi) >> shift) as u32;
+            if self.watched.last() != Some(&ip) {
+                self.watched.push(ip);
+                run = dirty.is_none_or(|d| d.binary_search(&ip).is_ok()).then(|| {
+                    let i = bitmaps.partition_point(|e| e.0 < ip);
+                    if bitmaps.get(i).is_none_or(|e| e.0 != ip) {
+                        bitmaps.insert(i, (ip, Vec::new()));
+                    }
+                    bitmaps[i].1.clear();
+                    bitmaps[i].1.resize(words, 0);
+                    i
+                });
+            }
+            let Some(r) = run else { continue };
+            let target = p.read(ind, fi);
+            debug_assert!(target >= 1, "indirection entries are 1-based");
+            let t = (target - 1) as usize;
+            debug_assert!(t < data.len, "indirection target out of range");
+            let b = data.base + t * data.elem;
+            for pg in [b >> shift, (b + data.elem - 1) >> shift] {
+                let i = pg - first;
+                bitmaps[r].1[i >> 6] |= 1 << (i & 63);
+            }
+            n += 1;
+        }
+        if dirty.is_some() {
+            self.partial_scans += n as u64;
+        } else {
+            bitmaps.retain(|e| self.watched.binary_search(&e.0).is_ok());
+        }
+
+        // pages[sch] = the OR of every indirection page's bitmap.
+        self.pages.clear();
+        for w in 0..words {
+            let mut word = bitmaps.iter().fold(0, |acc, (_, bits)| acc | bits[w]);
+            while word != 0 {
+                let pg = first + (w << 6) + word.trailing_zeros() as usize;
+                self.pages.push(pg as u32);
+                word &= word - 1;
+            }
+        }
+        self.full_pages.clear();
+        self.partial_pages.clone_from(&self.pages);
+        self.recomputes += 1;
+        self.direct = None;
+        n
     }
 }

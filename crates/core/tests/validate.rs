@@ -1,6 +1,7 @@
 //! Integration tests for `Validate`: schedule caching, modification
 //! detection, aggregation, and the whole-page write path — the behaviours
-//! paper §3.2 specifies.
+//! paper §3.2 specifies — plus the shape checks that keep a section from
+//! reading past its indirection array.
 
 use rsd::{Dim, Rsd};
 use sdsm_core::{
@@ -354,4 +355,40 @@ fn incremental_and_full_agree_under_repeated_mutation() {
             p.barrier();
         }
     });
+}
+
+/// One `Validate` call of an indirect descriptor over `ind` viewed with
+/// shape `ind_dims`; the array is never read before the shape checks.
+fn validate_shape(ind_len: usize, ind_dims: Vec<usize>, section: Vec<Dim>, sched: u32) {
+    let cl = Cluster::new(DsmConfig::with_nprocs(2));
+    let data = cl.alloc::<f64>(64);
+    let ind = cl.alloc::<i32>(ind_len);
+    cl.run(|p| {
+        let d = Desc::Indirect {
+            data: RegionRef::of(&data),
+            ind,
+            ind_dims: ind_dims.clone(),
+            section: Rsd::new(section.clone()),
+            access: AccessType::Read,
+            sched,
+        };
+        validate(p, &mut Validator::new(), &[d]);
+    });
+}
+
+#[test]
+#[should_panic(
+    expected = "Validate schedule 7: indirection section [1:2, 9:11] dimension 2 (9:11) lies \
+                outside 1:10"
+)]
+fn section_past_the_indirection_shape_is_rejected() {
+    // Column 11 of interaction_list(2, 10) would read the next array.
+    let section = vec![Dim::dense(1, 2), Dim::dense(9, 11)];
+    validate_shape(20, vec![2, 10], section, 7);
+}
+
+#[test]
+#[should_panic(expected = "Validate schedule 8: shape [2, 10] overruns its indirection array")]
+fn shape_larger_than_the_indirection_array_is_rejected() {
+    validate_shape(16, vec![2, 10], vec![Dim::dense(1, 2), Dim::dense(1, 3)], 8);
 }

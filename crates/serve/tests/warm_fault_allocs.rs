@@ -1,5 +1,6 @@
-//! Allocation tripwire for the DSM fetch path: a warm fault allocates
-//! nothing. In its own process so the [`serve::alloc::Counting`]
+//! Allocation tripwire for the DSM fetch path and `Validate`: a warm
+//! fault allocates nothing, and neither does a warm `Validate` whose
+//! schedule is unchanged. In its own process so the [`serve::alloc::Counting`]
 //! counters see only this test's traffic, and one test function because
 //! those counters are process-global. Every simulated processor of a
 //! cluster runs on the calling OS thread, so each delta below is exact.
@@ -8,6 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use apps::workload::{Variant, Workload};
 use dsm::{Cluster, DsmConfig, EpochDecision, FetchClass, ProtocolPolicy, SharedSlice, TmkProc};
+use sdsm_core::{validate, AccessType, Desc, Dim, RegionRef, Rsd, Validator};
 use simnet::SimTime;
 use synth::{Dynamics, Prepared, Structure, SynthConfig};
 
@@ -118,6 +120,85 @@ fn run(cl: &Cluster) -> ([u64; 5], u64) {
     rank0[0]
 }
 
+/// Processors, page size, value-array length and list entries per
+/// processor of the `Validate` case: the quick synth cell's geometry.
+const VPROCS: usize = 4;
+const VPAGE: usize = 512;
+const VN: usize = 1024;
+const CAP: usize = 384;
+
+/// Each rank's allocations in a warm `validate` of the synth kernel's
+/// descriptor pair — endpoint reads through its section of the shared
+/// list, and its `READ&WRITE_ALL` block of the value array — as
+/// `(unchanged schedule, rescan after a list rewrite, indirection pages
+/// in the section)`.
+fn validate_allocs() -> Vec<(u64, u64, usize)> {
+    let cl = Cluster::new(DsmConfig {
+        nprocs: VPROCS,
+        page_size: VPAGE,
+        cost: Default::default(),
+    });
+    let x = cl.alloc::<f64>(VN);
+    let ilist = cl.alloc::<i32>(2 * CAP * VPROCS);
+    cl.run(|p| {
+        let me = p.rank();
+        let (my, start) = (me * VN / VPROCS..(me + 1) * VN / VPROCS, me * CAP);
+        let write_list = |p: &mut TmkProc, salt: usize| {
+            for k in 2 * start..2 * (start + CAP) {
+                p.write(&ilist, k, ((k * 37 + salt) % VN + 1) as i32);
+            }
+        };
+        let section = vec![
+            Dim::dense(1, 2),
+            Dim::dense(start as i64 + 1, (start + CAP) as i64),
+        ];
+        let descs = [
+            Desc::Indirect {
+                data: RegionRef::of(&x),
+                ind: ilist,
+                ind_dims: vec![2, CAP * VPROCS],
+                section: Rsd::new(section),
+                access: AccessType::Read,
+                sched: 1,
+            },
+            Desc::Direct {
+                data: RegionRef::of(&x),
+                section: Rsd::dense1(my.start as i64 + 1, my.end as i64),
+                access: AccessType::ReadWriteAll,
+                sched: 2,
+            },
+        ];
+        // One kernel iteration: Validate, the owner-side update, barrier.
+        let iteration = |p: &mut TmkProc, v: &mut Validator| {
+            let n = allocs(|| validate(p, v, &descs));
+            for i in my.clone() {
+                p.write(&x, i, i as f64);
+            }
+            p.barrier();
+            n
+        };
+        let mut v = Validator::incremental();
+        write_list(p, 0);
+        p.barrier();
+        for _ in 0..3 {
+            iteration(p, &mut v); // the cold scan, then scratch sizing
+        }
+        let unchanged = iteration(p, &mut v);
+        write_list(p, 1);
+        p.barrier();
+        let rescan = iteration(p, &mut v);
+        assert_eq!(
+            v.schedule(1).unwrap().recomputes,
+            2,
+            "one cold scan, one rescan"
+        );
+        let pages = ilist
+            .pages_of_range(2 * start, 2 * (start + CAP), VPAGE)
+            .len();
+        (unchanged, rescan, pages)
+    })
+}
+
 fn static_cell() -> SynthConfig {
     // The quick grid's 64-processor scale cell (`synth::scenario_grid`).
     let mut cfg = SynthConfig::quick(Structure::Uniform, Dynamics::Static);
@@ -161,4 +242,17 @@ fn a_warm_fault_allocates_nothing() {
         base <= 522_753 / 10,
         "warm TmkBase cell allocated {base} times"
     );
+
+    // c0baaf9, before the scan kept its buffers, allocated 6 and 76 times
+    // on each rank here.
+    for (rank, (unchanged, rescan, pages)) in validate_allocs().into_iter().enumerate() {
+        assert_eq!(
+            unchanged, 0,
+            "rank {rank}: Validate on an unchanged schedule"
+        );
+        assert!(
+            rescan <= pages as u64 + 4,
+            "rank {rank}: a rescan of {pages} indirection pages allocated {rescan} times"
+        );
+    }
 }
