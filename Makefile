@@ -23,12 +23,20 @@ clippy:
 # dsm's fetch classes are simnet::FetchKind, not a mirror enum; simulated
 # processors are coroutines on the launching thread (simnet::Rendezvous),
 # so nothing under simnet/dsm/chaos spawns a thread or parks on a
-# condvar; the only unsafe code is the coroutine switch and serve's
+# condvar (comments are exempt: the compile_fail doc examples spawn one
+# to show that the compiler refuses it); the only unsafe code is the coroutine switch and serve's
 # counting allocator; the record store is read without allocating
 # (collect_into into the fetch's per-processor scratch, the master copy
-# lent in place by with_master / with_horizon); and Validate's
+# lent in place by with_master / with_horizon); Validate's
 # Read_indices is one walk over the section (FlatIndices, runs of equal
-# indirection page, one bitmap per page) whose page math is a shift.
+# indirection page, one bitmap per page) whose page math is a shift; and
+# a cluster's state is plain single-thread data (Cell / RefCell / Rc),
+# so simnet/dsm/chaos hold no lock or atomic outside their tests, and
+# dsm/chaos no Arc (simnet's Arc<dyn TraceSink> is shared with the
+# tracer's owner and stays). The awk greps stop at each file's first
+# #[cfg(test)].
+ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
+NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
 hygiene:
 	@if grep -rn "Mutex" crates/apps/src crates/synth/src; then \
 		echo "hygiene: return per-rank values from the SPMD body instead of locking"; exit 1; fi
@@ -42,7 +50,7 @@ hygiene:
 		echo "hygiene: loss is CostModel::loss_per_mille / loss_seed, not an ambient thread-local"; exit 1; fi
 	@if grep -rn "enum FetchClass" crates/dsm; then \
 		echo "hygiene: dsm::FetchClass is simnet::FetchKind; add tables as methods beside that enum"; exit 1; fi
-	@if grep -rn "thread::spawn\|thread::scope\|Condvar" crates/simnet/src crates/dsm/src crates/chaos/src; then \
+	@if grep -rn "thread::spawn\|thread::scope\|Condvar" crates/simnet/src crates/dsm/src crates/chaos/src | grep -v "^[^:]*:[0-9]*: *//"; then \
 		echo "hygiene: simulated processors are coroutines scheduled by simnet::Rendezvous; block with wait_then/yield_now, not an OS thread or a condvar"; exit 1; fi
 	@if grep -rnw "unsafe" crates/ | grep -v "^crates/simnet/src/coroutine.rs:\|^crates/serve/src/alloc.rs:"; then \
 		echo "hygiene: unsafe lives only in simnet/src/coroutine.rs and serve/src/alloc.rs"; exit 1; fi
@@ -52,6 +60,10 @@ hygiene:
 		echo "hygiene: Read_indices walks FlatIndices once and groups entries by run of indirection page; no index Vec, no per-entry hash"; exit 1; fi
 	@if grep -n "/ page_size\|% page_size" crates/core/src/validate.rs; then \
 		echo "hygiene: Validate's page numbers come from a shift (page sizes are powers of two)"; exit 1; fi
+	@if awk '/#\[cfg\(test\)\]/ { nextfile } /Mutex|RwLock|Atomic/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit !bad }' $(ONE_THREAD_SRC); then \
+		echo "hygiene: a cluster runs on one thread; keep its state in Cell / RefCell, not a lock or an atomic"; exit 1; fi
+	@if awk '/#\[cfg\(test\)\]/ { nextfile } /Arc/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit !bad }' $(NO_ARC_SRC); then \
+		echo "hygiene: dsm and chaos share within one thread; use Rc, not Arc"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses

@@ -7,7 +7,8 @@
 //! a bulk point-to-point exchange whose messages and bytes are accounted
 //! on the same [`simnet::Net`] the DSM uses.
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
+
 use simnet::{CostModel, MsgKind, Net, NetReport, ProcId, Rendezvous, SimTime};
 
 /// One deposited message awaiting pickup.
@@ -21,7 +22,7 @@ struct Deposit {
 pub struct ChaosWorld {
     nprocs: usize,
     net: Net,
-    inboxes: Vec<Mutex<Vec<Deposit>>>,
+    inboxes: Vec<RefCell<Vec<Deposit>>>,
     bar: Rendezvous,
 }
 
@@ -30,7 +31,7 @@ impl ChaosWorld {
         ChaosWorld {
             nprocs,
             net: Net::new(nprocs, cost),
-            inboxes: (0..nprocs).map(|_| Mutex::new(Vec::new())).collect(),
+            inboxes: (0..nprocs).map(|_| RefCell::new(Vec::new())).collect(),
             bar: Rendezvous::new(nprocs),
         }
     }
@@ -83,9 +84,19 @@ impl ChaosWorld {
     /// sharded inspector) is self-limiting: a 64-processor cell on an
     /// 8-thread allowance leaves every processor with an allowance of
     /// one, the sequential path.
+    ///
+    /// **One thread.** The world's state is plain single-thread data, so
+    /// a `ChaosWorld` is not `Sync`: a helper thread a processor starts —
+    /// the sharded inspector's included — cannot capture the world. The
+    /// compiler refuses it:
+    ///
+    /// ```compile_fail,E0277
+    /// let w = chaos::ChaosWorld::new(2, Default::default());
+    /// w.run(|_| std::thread::scope(|s| { s.spawn(|| w.nprocs()); }));
+    /// ```
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
-        F: Fn(&mut ChaosProc) -> R + Sync,
+        F: Fn(&mut ChaosProc) -> R,
         R: Send,
     {
         let share = rayon::ThreadPoolBuilder::new()
@@ -178,7 +189,7 @@ impl<'w> ChaosProc<'w> {
                     out: true,
                 },
             );
-            self.world.inboxes[to].lock().push(Deposit {
+            self.world.inboxes[to].borrow_mut().push(Deposit {
                 from: self.me,
                 arrival,
                 bytes,
@@ -186,7 +197,7 @@ impl<'w> ChaosProc<'w> {
         }
         // All deposits in.
         self.world.bar.wait();
-        let mut incoming: Vec<Deposit> = std::mem::take(&mut *self.world.inboxes[self.me].lock());
+        let mut incoming = self.world.inboxes[self.me].take();
         incoming.sort_by_key(|d| d.from);
         for d in &incoming {
             net.await_until(self.me, d.arrival);

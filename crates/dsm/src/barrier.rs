@@ -21,7 +21,8 @@
 //!    or fetching records; dropping it would need a proof that no such
 //!    read can observe the difference.
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
+
 use simnet::{MsgKind, Rendezvous, SimTime, StallCat, TraceEvent};
 
 use crate::cluster::Cluster;
@@ -32,7 +33,7 @@ use crate::proc::TmkProc;
 #[derive(Debug)]
 pub(crate) struct BarrierCtl {
     rendezvous: Rendezvous,
-    state: Mutex<BarrierState>,
+    state: RefCell<BarrierState>,
 }
 
 #[derive(Debug)]
@@ -58,7 +59,7 @@ impl BarrierCtl {
     pub(crate) fn new(nprocs: usize) -> Self {
         BarrierCtl {
             rendezvous: Rendezvous::new(nprocs),
-            state: Mutex::new(BarrierState {
+            state: RefCell::new(BarrierState {
                 target: vec![0; nprocs],
                 prev: vec![0; nprocs],
                 digest: Vec::new(),
@@ -69,7 +70,7 @@ impl BarrierCtl {
     }
 
     pub(crate) fn epoch(&self) -> u64 {
-        self.state.lock().epoch
+        self.state.borrow().epoch
     }
 
     pub(crate) fn rendezvous(&self) -> &Rendezvous {
@@ -79,7 +80,7 @@ impl BarrierCtl {
     /// Back to the just-built state; the rendezvous itself is reusable
     /// (its generation keeps counting).
     pub(crate) fn reset(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.target.fill(0);
         st.prev.fill(0);
         st.digest.clear();
@@ -127,7 +128,7 @@ impl TmkProc<'_> {
         ctl.rendezvous.wait_then(|| {
             let net = cl.net();
             let nprocs = self.nprocs();
-            let mut guard = ctl.state.lock();
+            let mut guard = ctl.state.borrow_mut();
             let st = &mut *guard;
 
             // Account the 2(n-1) barrier messages. Arrival messages carry
@@ -198,7 +199,7 @@ impl TmkProc<'_> {
         // (one flat pass, no per-peer board walks), read in place.
         let mut invalidated = std::mem::take(&mut self.inner.invalidated);
         let epoch = {
-            let st = ctl.state.lock();
+            let st = ctl.state.borrow();
             self.apply_digest(&st.digest, &st.target, &mut invalidated);
             self.inner.last_barrier_seen.copy_from_slice(&st.target);
             st.epoch

@@ -1,9 +1,9 @@
 //! The cluster: configuration, the shared-heap allocator, and the SPMD
 //! launcher.
 
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use simnet::{CostModel, Net, NetReport, SimTime};
 
 use crate::barrier::BarrierCtl;
@@ -76,14 +76,16 @@ pub struct Cluster {
     store: DiffStore,
     barrier: BarrierCtl,
     locks: LockMgr,
-    alloc_next: Mutex<usize>,
-    slots: Vec<Mutex<Option<Box<ProcInner>>>>,
+    alloc_next: Cell<usize>,
+    /// Each processor's protocol state, out of its slot while that
+    /// processor runs.
+    slots: Vec<RefCell<Option<Box<ProcInner>>>>,
     /// Free page-sized boxes, fed by [`Cluster::recycle`] and drained by
     /// the fault paths — repeated runs on a recycled cluster stop
     /// allocating page frames and twins. Shared with the diff store, so
     /// master copies cycle through the same free-list (see
     /// [`crate::pagepool::PagePool`]).
-    page_pool: Arc<PagePool>,
+    page_pool: Rc<PagePool>,
 }
 
 impl Cluster {
@@ -94,17 +96,17 @@ impl Cluster {
         assert!(cfg.page_size >= 64, "page size too small");
         let nprocs = cfg.nprocs;
         let page_size = cfg.page_size;
-        let page_pool = Arc::new(PagePool::new(page_size));
+        let page_pool = Rc::new(PagePool::new(page_size));
         Cluster {
             net: Net::new(nprocs, cfg.cost.clone()),
             board: NoticeBoard::new(nprocs),
-            store: DiffStore::with_pool(nprocs, page_size, Arc::clone(&page_pool)),
+            store: DiffStore::with_pool(nprocs, page_size, Rc::clone(&page_pool)),
             cfg,
             barrier: BarrierCtl::new(nprocs),
             locks: LockMgr::default(),
-            alloc_next: Mutex::new(0),
+            alloc_next: Cell::new(0),
             slots: (0..nprocs)
-                .map(|_| Mutex::new(Some(Box::new(ProcInner::new(nprocs)))))
+                .map(|_| RefCell::new(Some(Box::new(ProcInner::new(nprocs)))))
                 .collect(),
             page_pool,
         }
@@ -123,18 +125,16 @@ impl Cluster {
             !self.barrier.rendezvous().is_aborted(),
             "recycle() on an aborted cluster: a processor panicked in an earlier run() — build a fresh one"
         );
-        let heap_pages = self.alloc_next.lock().div_ceil(self.cfg.page_size);
+        let heap_pages = self.heap_pages();
         self.net.reset();
         self.board.reset();
         self.store.reset();
         self.barrier.reset();
         self.locks.reset();
-        *self.alloc_next.lock() = 0;
+        self.alloc_next.set(0);
         for slot in &self.slots {
-            let mut guard = slot.lock();
-            let inner = guard
-                .as_mut()
-                .expect("recycle() while a run() is in flight");
+            let mut slot = slot.borrow_mut();
+            let inner = slot.as_mut().expect("recycle() while a run() is in flight");
             inner.recycle(&mut |b| self.page_pool.give(b));
         }
         // Backstop: everything a run can hold live is bounded by frames
@@ -177,15 +177,14 @@ impl Cluster {
     /// within* an array not landing on page boundaries (nbf 64×1000),
     /// not from unrelated arrays colliding.
     pub fn alloc<T: Pod>(&self, n: usize) -> SharedSlice<T> {
-        let mut next = self.alloc_next.lock();
-        let base = (*next).next_multiple_of(self.cfg.page_size);
-        *next = base + n * T::SIZE;
+        let base = self.alloc_next.get().next_multiple_of(self.cfg.page_size);
+        self.alloc_next.set(base + n * T::SIZE);
         SharedSlice::new(base, n)
     }
 
     /// Total pages allocated so far.
     pub fn heap_pages(&self) -> usize {
-        self.alloc_next.lock().div_ceil(self.cfg.page_size)
+        self.alloc_next.get().div_ceil(self.cfg.page_size)
     }
 
     /// Run the SPMD body `f` on every simulated processor — coroutines on
@@ -209,9 +208,20 @@ impl Cluster {
     /// them once, around the launch, mirroring `chaos::ChaosWorld::run`:
     /// intra-processor parallelism (the sharded `PageSet::finish` bitmap
     /// fill) only engages when the allowance exceeds the processor count.
+    ///
+    /// **One thread.** The cluster's state is plain single-thread data,
+    /// so a `Cluster` is neither `Sync` nor `Send`: a helper thread a
+    /// processor starts — a rayon-shim closure included — cannot capture
+    /// the cluster, its processors or anything borrowed from them. The
+    /// compiler refuses it:
+    ///
+    /// ```compile_fail,E0277
+    /// let cl = dsm::Cluster::new(dsm::DsmConfig::with_nprocs(2));
+    /// cl.run(|_| std::thread::scope(|s| { s.spawn(|| cl.nprocs()); }));
+    /// ```
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
-        F: Fn(&mut TmkProc) -> R + Sync,
+        F: Fn(&mut TmkProc) -> R,
         R: Send,
     {
         let share = rayon::ThreadPoolBuilder::new()
@@ -245,7 +255,6 @@ impl Cluster {
     /// protocol state out of its slot, run `f`, put it back.
     fn enter<R>(&self, rank: usize, f: impl FnOnce(&mut TmkProc) -> R) -> R {
         let mut inner = self.slots[rank]
-            .lock()
             .take()
             .expect("processor state in use — nested run()?");
         inner.ensure_frames(self.heap_pages());
@@ -267,7 +276,7 @@ impl Cluster {
         for plan in std::mem::take(&mut p.inner.deferred) {
             p.quiesce(plan.phase, &plan.pages);
         }
-        *self.slots[rank].lock() = Some(p.inner);
+        self.slots[rank].replace(Some(p.inner));
         out
     }
 

@@ -80,10 +80,15 @@ impl<T: Pod> SharedSlice<T> {
         self.len == 0
     }
 
-    /// Global byte offset of element `i`.
+    /// Global byte offset of element `i`. Panics, in every build, if
+    /// `i` is past the end: the byte would belong to the next region.
     #[inline]
     pub fn byte_at(&self, i: usize) -> usize {
-        debug_assert!(i < self.len, "index {i} out of bounds ({})", self.len);
+        assert!(
+            i < self.len,
+            "shared-memory index {i} out of bounds for a region of {} elements",
+            self.len
+        );
         self.base + i * T::SIZE
     }
 
@@ -150,6 +155,23 @@ mod tests {
         let sub = s.slice(10, 20);
         assert_eq!(sub.len(), 20);
         assert_eq!(sub.byte_at(0), 80);
+    }
+
+    /// A region that fills its pages exactly ends where the next one
+    /// starts, so an index one past the end would read (and a write
+    /// corrupt, then publish) the next region's first element. Checked
+    /// in release builds too.
+    #[test]
+    #[should_panic(expected = "shared-memory index 512 out of bounds for a region of 512 elements")]
+    fn an_index_past_the_end_panics_instead_of_reaching_the_next_region() {
+        let cl = crate::Cluster::new(crate::DsmConfig::with_nprocs(1));
+        let x = cl.alloc::<f64>(512); // exactly one 4 KiB page
+        let next = cl.alloc::<f64>(1);
+        assert_eq!(x.base_byte() + 512 * 8, next.base_byte());
+        cl.run(|p| {
+            p.write(&next, 0, 7.0);
+            p.read(&x, x.len())
+        });
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! vector clock has its write notices applied, invalidating local copies
 //! of those pages — the *lazy invalidate* protocol of §2.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::RwLock;
 use simnet::ProcId;
 
 /// A vector clock: `vc[q]` = number of processor `q`'s intervals whose
@@ -104,9 +104,9 @@ impl CompactVc {
 pub struct IntervalRec {
     /// The closing processor's vector clock, including this interval
     /// (`vc[self] == seq`).
-    pub vc: Arc<[u32]>,
+    pub vc: Rc<[u32]>,
     /// Write notices: pages dirtied during the interval.
-    pub pages: Arc<[u32]>,
+    pub pages: Rc<[u32]>,
     /// Precomputed wire size of the clock under the [`CompactVc`]
     /// encoding against the closing processor's last barrier snapshot.
     vc_wire: u32,
@@ -117,7 +117,7 @@ impl IntervalRec {
     /// delta against `base` (the closing processor's view of the last
     /// barrier target; ranks advanced since — own component, lock
     /// acquires — form the sparse set).
-    pub fn new(vc: Arc<[u32]>, pages: Arc<[u32]>, base: &[u32]) -> IntervalRec {
+    pub fn new(vc: Rc<[u32]>, pages: Rc<[u32]>, base: &[u32]) -> IntervalRec {
         let vc_wire = CompactVc::encode(&vc, base).wire_bytes() as u32;
         IntervalRec { vc, pages, vc_wire }
     }
@@ -132,25 +132,26 @@ impl IntervalRec {
 /// The global registry of published intervals, indexed `[proc][seq-1]`.
 ///
 /// In real TreadMarks this information is piggybacked on barrier and lock
-/// messages; here it is a shared board read under `RwLock`, with the
-/// equivalent messages/bytes charged by the barrier and lock managers.
+/// messages; here it is a board the cluster's processors share on their
+/// one thread, with the equivalent messages/bytes charged by the barrier
+/// and lock managers.
 #[derive(Debug)]
 pub struct NoticeBoard {
-    boards: Vec<RwLock<Vec<IntervalRec>>>,
+    boards: Vec<RefCell<Vec<IntervalRec>>>,
 }
 
 impl NoticeBoard {
     /// An empty board for `nprocs` processors.
     pub fn new(nprocs: usize) -> Self {
         NoticeBoard {
-            boards: (0..nprocs).map(|_| RwLock::new(Vec::new())).collect(),
+            boards: (0..nprocs).map(|_| RefCell::new(Vec::new())).collect(),
         }
     }
 
     /// Publish `rec` as the next interval of `q`; returns its sequence
     /// number (1-based).
     pub fn publish(&self, q: ProcId, rec: IntervalRec) -> u32 {
-        let mut b = self.boards[q].write();
+        let mut b = self.boards[q].borrow_mut();
         debug_assert_eq!(rec.vc[q] as usize, b.len() + 1, "seq/vc mismatch");
         b.push(rec);
         b.len() as u32
@@ -158,7 +159,7 @@ impl NoticeBoard {
 
     /// Number of intervals `q` has closed so far.
     pub fn len(&self, q: ProcId) -> u32 {
-        self.boards[q].read().len() as u32
+        self.boards[q].borrow().len() as u32
     }
 
     /// Has `q` closed no intervals yet?
@@ -171,7 +172,7 @@ impl NoticeBoard {
         if to <= from {
             return;
         }
-        let b = self.boards[q].read();
+        let b = self.boards[q].borrow();
         for seq in (from + 1)..=to {
             f(seq, &b[(seq - 1) as usize]);
         }
@@ -181,7 +182,7 @@ impl NoticeBoard {
     /// (part of [`crate::Cluster::recycle`]).
     pub fn reset(&self) {
         for b in &self.boards {
-            b.write().clear();
+            b.borrow_mut().clear();
         }
     }
 

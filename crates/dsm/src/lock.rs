@@ -19,10 +19,9 @@
 //! gets a contended lock is therefore a function of the program, never
 //! of a host race, and so are the hops and times billed below.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
 use simnet::{MsgKind, ProcId, SimTime, StallCat, TraceEvent};
 
 use crate::interval::Vc;
@@ -40,24 +39,32 @@ struct LockSt {
 /// lock ids; the observable semantics are the same).
 #[derive(Debug, Default)]
 pub(crate) struct LockMgr {
-    slots: Mutex<HashMap<u32, Arc<Mutex<LockSt>>>>,
+    slots: RefCell<HashMap<u32, LockSt>>,
 }
 
 impl LockMgr {
     /// Forget every lock (fresh-cluster state; no lock may be held).
     pub(crate) fn reset(&self) {
-        self.slots.lock().clear();
+        self.slots.borrow_mut().clear();
     }
 
-    fn slot(&self, id: u32, nprocs: usize) -> Arc<Mutex<LockSt>> {
-        let mut m = self.slots.lock();
-        Arc::clone(m.entry(id).or_insert_with(|| {
-            Arc::new(Mutex::new(LockSt {
-                held_by: None,
-                last_holder: None,
-                release_vc: vec![0; nprocs],
-                release_time: SimTime::ZERO,
-            }))
+    /// Is lock `id` held right now?
+    fn held(&self, id: u32) -> bool {
+        self.slots
+            .borrow()
+            .get(&id)
+            .is_some_and(|st| st.held_by.is_some())
+    }
+
+    /// Run `f` on lock `id`'s state, created free on first use. The
+    /// table is borrowed for `f` only, and `f` must not yield.
+    fn with<R>(&self, id: u32, nprocs: usize, f: impl FnOnce(&mut LockSt) -> R) -> R {
+        let mut slots = self.slots.borrow_mut();
+        f(slots.entry(id).or_insert_with(|| LockSt {
+            held_by: None,
+            last_holder: None,
+            release_vc: vec![0; nprocs],
+            release_time: SimTime::ZERO,
         }))
     }
 }
@@ -71,25 +78,20 @@ impl TmkProc<'_> {
     pub fn lock(&mut self, id: u32) {
         let me = self.rank();
         let nprocs = self.nprocs();
-        let slot = self.cl.lock_mgr().slot(id, nprocs);
-        let net = self.cl.net();
+        let cl = self.cl;
+        let net = cl.net();
         let cost = net.cost();
         let _lw = net.scope(me, StallCat::LockWait);
         net.trace(me, TraceEvent::LockAcquire { lock: id });
 
-        let target: Vc;
-        {
-            // The scheduling point (module docs). The slot's mutex is
-            // never held across a yield: every processor runs on this
-            // one OS thread.
-            let rendezvous = self.cl.barrier_ctl().rendezvous();
+        // The scheduling point (module docs). The lock table is never
+        // borrowed across a yield.
+        let rendezvous = cl.barrier_ctl().rendezvous();
+        rendezvous.yield_now();
+        while cl.lock_mgr().held(id) {
             rendezvous.yield_now();
-            let mut st = slot.lock();
-            while st.held_by.is_some() {
-                drop(st);
-                rendezvous.yield_now();
-                st = slot.lock();
-            }
+        }
+        let target: Vc = cl.lock_mgr().with(id, nprocs, |st| {
             st.held_by = Some(me);
 
             if st.last_holder == Some(me) {
@@ -99,10 +101,7 @@ impl TmkProc<'_> {
                 // Grant carries the notices the acquirer lacks.
                 let mut grant_bytes = 16;
                 for q in 0..nprocs {
-                    grant_bytes +=
-                        self.cl
-                            .board()
-                            .range_bytes(q, self.vc()[q], st.release_vc[q]);
+                    grant_bytes += cl.board().range_bytes(q, self.vc()[q], st.release_vc[q]);
                 }
                 let mut hops = 0u32;
                 if manager != me {
@@ -143,8 +142,8 @@ impl TmkProc<'_> {
                     ),
                 );
             }
-            target = st.release_vc.clone();
-        }
+            st.release_vc.clone()
+        });
         // Lock acquires are not policy epoch boundaries (the apps are
         // barrier-structured), so skip the invalidation bookkeeping.
         self.apply_notices(&target);
@@ -156,20 +155,20 @@ impl TmkProc<'_> {
     /// RC sense) and record our knowledge for the next acquirer.
     pub fn unlock(&mut self, id: u32) {
         let me = self.rank();
-        let nprocs = self.nprocs();
         let _lw = self.cl.net().scope(me, StallCat::LockWait);
         self.close_interval();
-        let slot = self.cl.lock_mgr().slot(id, nprocs);
-        let mut st = slot.lock();
-        assert_eq!(
-            st.held_by,
-            Some(me),
-            "unlock of lock {id} not held by processor {me}"
-        );
-        st.held_by = None;
-        st.last_holder = Some(me);
-        st.release_vc.copy_from_slice(self.vc());
-        st.release_time = self.now();
+        let (vc, now) = (self.vc(), self.now());
+        self.cl.lock_mgr().with(id, self.nprocs(), |st| {
+            assert_eq!(
+                st.held_by,
+                Some(me),
+                "unlock of lock {id} not held by processor {me}"
+            );
+            st.held_by = None;
+            st.last_holder = Some(me);
+            st.release_vc.copy_from_slice(vc);
+            st.release_time = now;
+        });
         self.cl.net().trace(me, TraceEvent::LockRelease { lock: id });
     }
 }

@@ -1,6 +1,6 @@
 //! A shared free-list of page-sized byte boxes.
 //!
-//! One pool per cluster, shared (via `Arc`) with its [`crate::store::DiffStore`]:
+//! One pool per cluster, shared (via `Rc`) with its [`crate::store::DiffStore`]:
 //! every subsystem that materializes a page — frame data, twins, master
 //! copies — draws from the same free-list and returns to it, so a
 //! recycled cluster's steady state moves boxes in a closed loop instead
@@ -8,26 +8,26 @@
 //! fetch needs no box of its own: the store lends the master in place
 //! and the fetcher copies it into its frame.)
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 
 /// See module docs.
 #[derive(Debug)]
 pub(crate) struct PagePool {
     page_size: usize,
-    free: Mutex<Vec<Box<[u8]>>>,
+    free: RefCell<Vec<Box<[u8]>>>,
 }
 
 impl PagePool {
     pub fn new(page_size: usize) -> Self {
         PagePool {
             page_size,
-            free: Mutex::new(Vec::new()),
+            free: RefCell::new(Vec::new()),
         }
     }
 
     /// A zero-filled page box, pooled if one is free.
     pub fn take_zeroed(&self) -> Box<[u8]> {
-        match self.free.lock().pop() {
+        match self.free.borrow_mut().pop() {
             Some(mut b) => {
                 b.fill(0);
                 b
@@ -39,7 +39,7 @@ impl PagePool {
     /// A copy of `src` (which must be page-sized), pooled if one is free.
     pub fn take_copy(&self, src: &[u8]) -> Box<[u8]> {
         debug_assert_eq!(src.len(), self.page_size);
-        match self.free.lock().pop() {
+        match self.free.borrow_mut().pop() {
             Some(mut b) => {
                 b.copy_from_slice(src);
                 b
@@ -52,13 +52,13 @@ impl PagePool {
     /// with another page size) are dropped instead.
     pub fn give(&self, b: Box<[u8]>) {
         if b.len() == self.page_size {
-            self.free.lock().push(b);
+            self.free.borrow_mut().push(b);
         }
     }
 
     /// Return many boxes at once.
     pub fn give_all(&self, boxes: impl IntoIterator<Item = Box<[u8]>>) {
-        let mut free = self.free.lock();
+        let mut free = self.free.borrow_mut();
         free.extend(boxes.into_iter().filter(|b| b.len() == self.page_size));
     }
 
@@ -66,7 +66,7 @@ impl PagePool {
     /// high-water mark (one unusually paging-heavy job) does not pin
     /// its peak footprint forever.
     pub fn trim(&self, cap: usize) {
-        let mut free = self.free.lock();
+        let mut free = self.free.borrow_mut();
         if free.len() > cap {
             free.truncate(cap);
             free.shrink_to_fit();
@@ -75,7 +75,7 @@ impl PagePool {
 
     /// Boxes currently pooled.
     pub fn len(&self) -> usize {
-        self.free.lock().len()
+        self.free.borrow().len()
     }
 }
 

@@ -2,7 +2,7 @@
 //! fault/fetch/apply paths, interval close, and the watch mechanism that
 //! `Validate` uses to detect indirection-array changes.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use simnet::{MsgKind, ProcId, SimTime, StallCat, TraceEvent};
 
@@ -889,13 +889,13 @@ impl<'c> TmkProc<'c> {
 
         let seq = self.inner.vc[self.me] + 1;
         self.inner.vc[self.me] = seq;
-        let vc: Arc<[u32]> = Arc::from(&self.inner.vc[..]);
-        let pages: Arc<[u32]> = payloads.iter().map(|&(p, _)| p).collect();
+        let vc: Rc<[u32]> = Rc::from(&self.inner.vc[..]);
+        let pages: Rc<[u32]> = payloads.iter().map(|&(p, _)| p).collect();
         for (page, payload) in payloads.drain(..) {
             self.inner.frames[page as usize].set_applied(self.me, seq);
             self.cl
                 .store()
-                .publish(self.me, page, seq, Arc::clone(&vc), payload);
+                .publish(self.me, page, seq, Rc::clone(&vc), payload);
         }
         self.inner.payloads = payloads;
         // The record's clock ships as a delta against the last barrier

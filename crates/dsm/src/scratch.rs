@@ -13,7 +13,7 @@
 //! fresh-cluster semantics, and the `serve` driver asserts every job on
 //! a pooled cluster reproduces the cold run's message counts bitwise.
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 
 use crate::cluster::{Cluster, DsmConfig};
 
@@ -23,25 +23,25 @@ const MAX_POOLED: usize = 8;
 
 /// A free-list of recycled clusters, keyed by configuration.
 ///
-/// Cheap enough to sit in a `thread_local!` (one per executor thread —
-/// no cross-worker contention), but `Sync`, so a shared pool also works.
+/// Meant for a `thread_local!`, one per executor thread: like the
+/// clusters it holds, a pool never leaves the thread that made it.
 #[derive(Debug, Default)]
 pub struct ClusterPool {
-    free: Mutex<Vec<Cluster>>,
+    free: RefCell<Vec<Cluster>>,
 }
 
 impl ClusterPool {
     /// An empty pool.
     pub const fn new() -> Self {
         ClusterPool {
-            free: Mutex::new(Vec::new()),
+            free: RefCell::new(Vec::new()),
         }
     }
 
     /// A cluster for `cfg`: a recycled one when the pool holds a
     /// configuration match, else a fresh [`Cluster::new`].
     pub fn checkout(&self, cfg: &DsmConfig) -> Cluster {
-        let mut free = self.free.lock();
+        let mut free = self.free.borrow_mut();
         if let Some(i) = free.iter().position(|c| {
             let have = c.config();
             have.nprocs == cfg.nprocs
@@ -58,7 +58,7 @@ impl ClusterPool {
     /// pool is full). Panics if a `run` is still in flight on it.
     pub fn checkin(&self, cl: Cluster) {
         cl.recycle();
-        let mut free = self.free.lock();
+        let mut free = self.free.borrow_mut();
         if free.len() < MAX_POOLED {
             free.push(cl);
         }
@@ -66,7 +66,7 @@ impl ClusterPool {
 
     /// Clusters currently pooled (diagnostics).
     pub fn len(&self) -> usize {
-        self.free.lock().len()
+        self.free.borrow().len()
     }
 
     /// Is the pool empty?

@@ -12,15 +12,15 @@
 //!
 //! Reading the store allocates nothing: [`DiffStore::collect_into`]
 //! appends one writer's records of one page to the fetching processor's
-//! reusable buffer (cloning a [`Record`] is two reference-count bumps),
-//! and [`DiffStore::with_master`] / [`DiffStore::with_horizon`] lend the
-//! master copy and the fold horizon in place for the caller to copy
-//! straight into its page frame. That is what lets a warm fault run
-//! without touching the heap.
+//! reusable buffer (cloning a [`Record`] is two non-atomic reference
+//! count bumps), and [`DiffStore::with_master`] /
+//! [`DiffStore::with_horizon`] lend the master copy and the fold horizon
+//! in place for the caller to copy straight into its page frame. That is
+//! what lets a warm fault run without touching the heap.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::RwLock;
 use simnet::ProcId;
 
 use crate::diff::Payload;
@@ -35,9 +35,9 @@ pub struct Record {
     /// That processor's interval sequence number (1-based).
     pub seq: u32,
     /// The publishing interval's vector clock.
-    pub vc: Arc<[u32]>,
+    pub vc: Rc<[u32]>,
     /// The page modification itself (diff or full page).
-    pub payload: Arc<Payload>,
+    pub payload: Rc<Payload>,
 }
 
 impl Record {
@@ -75,27 +75,27 @@ struct Master {
 /// from its own [`PageLog::folded_upto`]), so flattening must keep it.
 #[derive(Debug)]
 pub struct DiffStore {
-    per_proc: Vec<RwLock<Vec<Option<PageLog>>>>,
-    master: RwLock<Master>,
+    per_proc: Vec<RefCell<Vec<Option<PageLog>>>>,
+    master: RefCell<Master>,
     /// Free-list shared with the owning cluster: master copies cycle
     /// through the same boxes as page frames and twins, keeping recycled
     /// runs allocation-neutral.
-    pool: Arc<PagePool>,
+    pool: Rc<PagePool>,
 }
 
 impl DiffStore {
     /// An empty store for `nprocs` processors of `page_size`-byte pages,
     /// with a private page free-list.
     pub fn new(nprocs: usize, page_size: usize) -> Self {
-        Self::with_pool(nprocs, page_size, Arc::new(PagePool::new(page_size)))
+        Self::with_pool(nprocs, page_size, Rc::new(PagePool::new(page_size)))
     }
 
     /// An empty store drawing page boxes from `pool` (the owning
     /// cluster's free-list).
-    pub(crate) fn with_pool(nprocs: usize, _page_size: usize, pool: Arc<PagePool>) -> Self {
+    pub(crate) fn with_pool(nprocs: usize, _page_size: usize, pool: Rc<PagePool>) -> Self {
         DiffStore {
-            per_proc: (0..nprocs).map(|_| RwLock::new(Vec::new())).collect(),
-            master: RwLock::new(Master {
+            per_proc: (0..nprocs).map(|_| RefCell::new(Vec::new())).collect(),
+            master: RefCell::new(Master {
                 horizon: vec![0; nprocs],
                 pages: Vec::new(),
                 folding: Vec::new(),
@@ -106,8 +106,8 @@ impl DiffStore {
 
     /// Publish `payload` as processor `proc`'s interval `seq` modification
     /// of `page`.
-    pub fn publish(&self, proc: ProcId, page: u32, seq: u32, vc: Arc<[u32]>, payload: Payload) {
-        let mut map = self.per_proc[proc].write();
+    pub fn publish(&self, proc: ProcId, page: u32, seq: u32, vc: Rc<[u32]>, payload: Payload) {
+        let mut map = self.per_proc[proc].borrow_mut();
         let idx = page as usize;
         if map.len() <= idx {
             map.resize_with(idx + 1, || None);
@@ -121,7 +121,7 @@ impl DiffStore {
             proc,
             seq,
             vc,
-            payload: Arc::new(payload),
+            payload: Rc::new(payload),
         });
     }
 
@@ -138,7 +138,7 @@ impl DiffStore {
         out: &mut Vec<Record>,
     ) -> bool {
         match self.per_proc[proc]
-            .read()
+            .borrow()
             .get(page as usize)
             .and_then(Option::as_ref)
         {
@@ -160,7 +160,7 @@ impl DiffStore {
     /// zeros) and the fold horizon it is a snapshot at. The caller copies
     /// what it needs and charges the fetch to the page's manager.
     pub fn with_master<R>(&self, page: u32, f: impl FnOnce(Option<&[u8]>, &[u32]) -> R) -> R {
-        let m = self.master.read();
+        let m = self.master.borrow();
         f(
             m.pages.get(page as usize).and_then(Option::as_deref),
             &m.horizon,
@@ -171,14 +171,14 @@ impl DiffStore {
     /// re-collect everything newer than a master copy, and to decide
     /// whether a `Full` snapshot makes the master fetch unnecessary.
     pub fn with_horizon<R>(&self, f: impl FnOnce(&[u32]) -> R) -> R {
-        f(&self.master.read().horizon)
+        f(&self.master.borrow().horizon)
     }
 
     /// Fold every record with `seq <= horizon[proc]` into the master
     /// copies and drop it. Called by the barrier leader while all
     /// processors are parked, so it cannot race with fetches.
     pub fn fold(&self, horizon: &[u32]) {
-        let mut m = self.master.write();
+        let mut m = self.master.borrow_mut();
         let Master {
             horizon: folded_to,
             pages,
@@ -187,8 +187,8 @@ impl DiffStore {
         // Collect (page, record) of everything being folded, across all
         // processors, so application order is a linear extension of
         // happens-before.
-        for (q, lock) in self.per_proc.iter().enumerate() {
-            for (page, slot) in lock.write().iter_mut().enumerate() {
+        for (q, log) in self.per_proc.iter().enumerate() {
+            for (page, slot) in log.borrow_mut().iter_mut().enumerate() {
                 let Some(log) = slot.as_mut() else { continue };
                 if horizon[q] > log.folded_upto {
                     let keep = log.records.partition_point(|r| r.seq <= horizon[q]);
@@ -217,10 +217,10 @@ impl DiffStore {
     /// capacity. Part of [`crate::Cluster::recycle`]; must not race
     /// with fetches.
     pub fn reset(&self) {
-        for lock in &self.per_proc {
-            lock.write().clear();
+        for log in &self.per_proc {
+            log.borrow_mut().clear();
         }
-        let mut m = self.master.write();
+        let mut m = self.master.borrow_mut();
         m.horizon.fill(0);
         self.pool.give_all(m.pages.drain(..).flatten());
     }
@@ -230,7 +230,7 @@ impl DiffStore {
         self.per_proc
             .iter()
             .map(|l| {
-                l.read()
+                l.borrow()
                     .iter()
                     .flatten()
                     .map(|g| g.records.len())

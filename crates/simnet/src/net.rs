@@ -2,7 +2,7 @@
 //!
 //! Clock discipline (ARCHITECTURE.md §Simulation honesty rules):
 //!
-//! * A processor's own thread advances its clock with [`Net::advance`]
+//! * A processor advances its own clock with [`Net::advance`]
 //!   (modeled compute) and the `charge_*` helpers (protocol actions).
 //! * A *request/response* exchange charges the full round trip to the
 //!   requester and an interrupt-handler cost to the server (TreadMarks
@@ -14,20 +14,23 @@
 //!   the caller (the DSM / CHAOS runtimes) using [`Net::clock_max`] and
 //!   [`Net::set_all_clocks`] in a rendezvous leader section.
 //!
-//! All clock updates are commutative atomics (`fetch_add` / `fetch_max`),
-//! so simulated times are independent of the order in which the host
-//! runs the processors.
+//! All clock updates are commutative (`add` / `max`), so simulated times
+//! are independent of the order in which the host runs the processors.
+//! Every processor of a cluster is a coroutine on the one OS thread that
+//! launched it (`crate::Rendezvous`), so the state is plain [`Cell`]s and
+//! [`RefCell`]s: a `Net` may move to another thread between runs, but it
+//! is not `Sync`, so no other thread can reach it during one.
 //!
 //! **Stall attribution** rides on the same discipline: every clock
 //! mutation also bills the identical nanoseconds to one [`StallCat`]
 //! bucket of the processor whose clock moved (the current scoped
-//! category for own-thread advances and waits, [`StallCat::BarrierWait`]
+//! category for a processor's own advances and waits, [`StallCat::BarrierWait`]
 //! for the barrier jump, [`StallCat::Handler`] for remote interrupt
 //! service), so per-processor bucket sums equal the clocks *exactly* —
 //! see [`crate::trace`].
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 use crate::stats::{PolicyReport, PolicyStats};
 use crate::trace::{self, StallCat, StallRow, TraceEvent, TraceSink};
@@ -41,29 +44,29 @@ pub type ProcId = usize;
 pub struct Net {
     nprocs: usize,
     cost: CostModel,
-    clocks: Vec<AtomicU64>,
+    clocks: Vec<Cell<u64>>,
     stats: Stats,
     policy: PolicyStats,
     /// Cumulative barrier write-notice payload bytes, counted once per
     /// barrier by the leader (not per fan-in/fan-out copy) — the
     /// metadata-scaling probe `table_synth` asserts on. The per-copy
     /// traffic stays in [`Stats`] under `MsgKind::Barrier`.
-    notice_meta: AtomicU64,
+    notice_meta: Cell<u64>,
     /// Scenario label stamped into every captured [`NetReport`] — set by
     /// scenario-matrix harnesses (`table_synth`) so a report identifies
     /// the workload it measured.
-    label: Mutex<Option<String>>,
+    label: RefCell<Option<String>>,
     /// Per-processor stall-attribution buckets, flat
     /// `[proc][StallCat]`. Every clock mutation adds its exact delta to
     /// one bucket, so `Σ tallies[p] == clocks[p]` at all times.
-    tallies: Vec<AtomicU64>,
+    tallies: Vec<Cell<u64>>,
     /// Per-processor *virtual* clocks: the real clock minus remote
     /// [`StallCat::Handler`] charges. Deterministic for
     /// barrier-structured programs — the timestamp source for traces.
-    vtimes: Vec<AtomicU64>,
-    /// Per-processor current stall category (`StallCat as u8`), scoped
-    /// by the owning thread via [`Net::scope`].
-    cats: Vec<AtomicU8>,
+    vtimes: Vec<Cell<u64>>,
+    /// Per-processor current stall category, scoped by the processor
+    /// itself via [`Net::scope`].
+    cats: Vec<Cell<StallCat>>,
     /// Event sink, adopted at construction from
     /// [`crate::with_trace_sink`] (or set via [`Net::set_trace_sink`]).
     sink: Option<Arc<dyn TraceSink>>,
@@ -73,13 +76,13 @@ pub struct Net {
     /// Per-processor draw counters of the lossy-link model
     /// ([`CostModel::loss_per_mille`]): a drop decision is a pure
     /// function of (seed, calling proc, that proc's draw index), never
-    /// of arrival order, so lossy runs are deterministic across thread
+    /// of arrival order, so lossy runs are deterministic across host
     /// schedules just like loss-free ones.
-    loss_ctr: Vec<AtomicU64>,
+    loss_ctr: Vec<Cell<u64>>,
     /// Collective re-inspection passes (CHAOS re-paying its inspector
     /// after a partition rebalance invalidated the amortized schedule).
     /// Counted once per collective by the rank-0 caller.
-    reinspections: AtomicU64,
+    reinspections: Cell<u64>,
 }
 
 /// SplitMix64-style mixer for the drop stream (self-contained so the
@@ -103,20 +106,18 @@ impl Net {
         Net {
             nprocs,
             cost,
-            clocks: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
+            clocks: vec![Cell::new(0); nprocs],
             stats: Stats::new(nprocs),
             policy: PolicyStats::new(nprocs),
-            notice_meta: AtomicU64::new(0),
-            label: Mutex::new(None),
-            tallies: (0..nprocs * StallCat::COUNT)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            vtimes: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
-            cats: (0..nprocs).map(|_| AtomicU8::new(0)).collect(),
+            notice_meta: Cell::new(0),
+            label: RefCell::new(None),
+            tallies: vec![Cell::new(0); nprocs * StallCat::COUNT],
+            vtimes: vec![Cell::new(0); nprocs],
+            cats: vec![Cell::new(StallCat::Compute); nprocs],
             trace_on: sink.is_some(),
             sink,
-            loss_ctr: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
-            reinspections: AtomicU64::new(0),
+            loss_ctr: vec![Cell::new(0); nprocs],
+            reinspections: Cell::new(0),
         }
     }
 
@@ -126,18 +127,19 @@ impl Net {
     }
 
     /// Deterministic drop decision for the next message attempt made
-    /// from processor `caller`'s thread. Only called when the model is
+    /// by processor `caller`. Only called when the model is
     /// on, so loss-free runs never touch the draw counters.
     #[inline]
     fn loss_dropped(&self, caller: ProcId) -> bool {
-        let k = self.loss_ctr[caller].fetch_add(1, Ordering::Relaxed);
+        let k = self.loss_ctr[caller].get();
+        self.loss_ctr[caller].set(k + 1);
         let stream = self.cost.loss_seed ^ ((caller as u64 + 1) << 32);
         loss_mix(stream, k) % 1000 < u64::from(self.cost.loss_per_mille)
     }
 
     /// Bill one dropped message of `bytes` payload: the original
     /// sender `from` re-sends it (duplicate message + bytes in
-    /// [`Stats`]), and `caller` — the side whose thread is executing
+    /// [`Stats`]), and `caller` — the side that is executing
     /// the exchange — waits out the timeout + retransmission, billed
     /// to [`StallCat::Retry`] on both the real and virtual clock.
     fn bill_retry(&self, caller: ProcId, from: ProcId, kind: MsgKind, bytes: usize) {
@@ -145,8 +147,8 @@ impl Net {
         let dt = SimTime::from_us(
             2.0 * self.cost.msg_latency_us + self.cost.per_byte_us * bytes as f64,
         );
-        self.clocks[caller].fetch_add(dt.0, Ordering::Relaxed);
-        self.vtimes[caller].fetch_add(dt.0, Ordering::Relaxed);
+        add(&self.clocks[caller], dt.0);
+        add(&self.vtimes[caller], dt.0);
         self.bill(caller, StallCat::Retry, dt.0);
     }
 
@@ -154,12 +156,12 @@ impl Net {
     /// the collective, once per stale-schedule event).
     #[inline]
     pub fn add_reinspection(&self) {
-        self.reinspections.fetch_add(1, Ordering::Relaxed);
+        add(&self.reinspections, 1);
     }
 
     /// Collective re-inspection passes since the last reset.
     pub fn reinspections(&self) -> u64 {
-        self.reinspections.load(Ordering::Relaxed)
+        self.reinspections.get()
     }
 
     /// Install (or clear) the event sink. Construction-time adoption
@@ -174,24 +176,24 @@ impl Net {
     /// barrier).
     #[inline]
     pub fn add_notice_meta(&self, bytes: u64) {
-        self.notice_meta.fetch_add(bytes, Ordering::Relaxed);
+        add(&self.notice_meta, bytes);
     }
 
     /// Cumulative barrier notice metadata bytes since the last reset.
     pub fn notice_meta_bytes(&self) -> u64 {
-        self.notice_meta.load(Ordering::Relaxed)
+        self.notice_meta.get()
     }
 
     /// Tag this cluster with a scenario label; subsequent
     /// [`Net::report`] captures carry it. Survives [`Net::reset`] (the
     /// scenario does not change when counters are zeroed).
     pub fn set_label(&self, label: &str) {
-        *self.label.lock().unwrap() = Some(label.to_string());
+        *self.label.borrow_mut() = Some(label.to_string());
     }
 
     /// The current scenario label, if any.
     pub fn label(&self) -> Option<String> {
-        self.label.lock().unwrap().clone()
+        self.label.borrow().clone()
     }
 
     #[inline]
@@ -219,39 +221,38 @@ impl Net {
 
     #[inline]
     pub fn clock(&self, p: ProcId) -> SimTime {
-        SimTime(self.clocks[p].load(Ordering::Relaxed))
+        SimTime(self.clocks[p].get())
     }
 
     /// Bill `dt` nanoseconds to one of `p`'s stall buckets.
     #[inline]
     fn bill(&self, p: ProcId, cat: StallCat, dt: u64) {
-        self.tallies[p * StallCat::COUNT + cat as usize].fetch_add(dt, Ordering::Relaxed);
+        add(&self.tallies[p * StallCat::COUNT + cat as usize], dt);
     }
 
     /// Bill `dt` to `p`'s *current* scoped category.
     #[inline]
     fn bill_current(&self, p: ProcId, dt: u64) {
-        let cat = StallCat::from_u8(self.cats[p].load(Ordering::Relaxed));
-        self.bill(p, cat, dt);
+        self.bill(p, self.cats[p].get(), dt);
     }
 
-    /// Advance `p`'s clock by modeled compute time (own thread only —
+    /// Advance `p`'s clock by modeled compute time (`p` itself only —
     /// billed to the current scoped category and to the deterministic
     /// virtual clock).
     #[inline]
     pub fn advance(&self, p: ProcId, dt: SimTime) {
-        self.clocks[p].fetch_add(dt.0, Ordering::Relaxed);
-        self.vtimes[p].fetch_add(dt.0, Ordering::Relaxed);
+        add(&self.clocks[p], dt.0);
+        add(&self.vtimes[p], dt.0);
         self.bill_current(p, dt.0);
     }
 
-    /// Charge `p` remote interrupt-handler service *from another
-    /// processor's thread* (the SIGIO cost of serving a request).
+    /// Charge `p` remote interrupt-handler service *on another
+    /// processor's behalf* (the SIGIO cost of serving a request).
     /// Billed to [`StallCat::Handler`] and excluded from the virtual
     /// clock, which is what keeps trace timestamps deterministic.
     #[inline]
     pub fn advance_remote(&self, p: ProcId, dt: SimTime) {
-        self.clocks[p].fetch_add(dt.0, Ordering::Relaxed);
+        add(&self.clocks[p], dt.0);
         self.bill(p, StallCat::Handler, dt.0);
     }
 
@@ -259,75 +260,64 @@ impl Net {
     /// The wait (if any) is billed to `p`'s current scoped category.
     #[inline]
     pub fn await_until(&self, p: ProcId, t: SimTime) {
-        let prev = self.clocks[p].fetch_max(t.0, Ordering::Relaxed);
+        let prev = self.clocks[p].get();
         if t.0 > prev {
+            self.clocks[p].set(t.0);
             self.bill_current(p, t.0 - prev);
             // The virtual clock advances by exactly the same delta the
-            // real clock did (not fetch_max: handler charges may already
+            // real clock did (not a max: handler charges may already
             // have pushed the clock past `t` while vtime excludes them).
-            self.vtimes[p].fetch_add(t.0 - prev, Ordering::Relaxed);
+            add(&self.vtimes[p], t.0 - prev);
         }
     }
 
     /// Maximum clock over all processors (the parallel execution time).
     pub fn clock_max(&self) -> SimTime {
-        SimTime(
-            self.clocks
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .max()
-                .unwrap_or(0),
-        )
+        SimTime(self.clocks.iter().map(Cell::get).max().unwrap_or(0))
     }
 
-    /// Set every clock to `t` (barrier departure). Monotone by `fetch_max`
-    /// so a racing `advance` cannot move a clock backwards. Each
+    /// Set every clock to `t` (barrier departure). Monotone — a clock
+    /// already past `t` is left alone, never moved backwards. Each
     /// processor's jump is billed to [`StallCat::BarrierWait`], and the
     /// virtual clocks re-synchronize here — the barrier departure time
     /// is deterministic, because every charge of the closing interval
     /// lands before the rendezvous that computes it.
     pub fn set_all_clocks(&self, t: SimTime) {
         for (p, c) in self.clocks.iter().enumerate() {
-            let prev = c.fetch_max(t.0, Ordering::Relaxed);
+            let prev = c.get();
             if t.0 > prev {
+                c.set(t.0);
                 self.bill(p, StallCat::BarrierWait, t.0 - prev);
             }
-            self.vtimes[p].fetch_max(t.0, Ordering::Relaxed);
+            let v = &self.vtimes[p];
+            v.set(v.get().max(t.0));
         }
     }
 
     pub fn reset(&self) {
-        for c in &self.clocks {
-            c.store(0, Ordering::Relaxed);
-        }
-        for t in &self.tallies {
-            t.store(0, Ordering::Relaxed);
-        }
-        for v in &self.vtimes {
-            v.store(0, Ordering::Relaxed);
+        // The loss draw streams restart too, so a timed region is
+        // deterministic on its own.
+        let counters = self.clocks.iter().chain(&self.tallies).chain(&self.vtimes);
+        for c in counters.chain(&self.loss_ctr) {
+            c.set(0);
         }
         for c in &self.cats {
-            c.store(StallCat::Compute as u8, Ordering::Relaxed);
+            c.set(StallCat::Compute);
         }
         self.stats.reset();
         self.policy.reset();
-        self.notice_meta.store(0, Ordering::Relaxed);
-        // The loss draw streams restart, so a timed region is
-        // deterministic on its own.
-        for c in &self.loss_ctr {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.reinspections.store(0, Ordering::Relaxed);
+        self.notice_meta.set(0);
+        self.reinspections.set(0);
     }
 
     // ---- stall attribution and tracing ----
 
     /// Enter stall category `cat` on processor `p` until the returned
     /// guard drops (categories nest; the guard restores the previous
-    /// one). Call only from `p`'s own thread.
+    /// one). Call only as `p`.
     #[inline]
     pub fn scope(&self, p: ProcId, cat: StallCat) -> CatScope<'_> {
-        let prev = self.cats[p].swap(cat as u8, Ordering::Relaxed);
+        let prev = self.cats[p].replace(cat);
         CatScope { net: self, p, prev }
     }
 
@@ -335,7 +325,7 @@ impl Net {
     /// handler charges) — the trace timestamp source.
     #[inline]
     pub fn vtime(&self, p: ProcId) -> SimTime {
-        SimTime(self.vtimes[p].load(Ordering::Relaxed))
+        SimTime(self.vtimes[p].get())
     }
 
     /// Snapshot every processor's stall-attribution row. Exact (each
@@ -343,14 +333,11 @@ impl Net {
     pub fn stall_rows(&self) -> Vec<StallRow> {
         (0..self.nprocs)
             .map(|p| {
-                let mut row = StallRow {
-                    clock: self.clocks[p].load(Ordering::Relaxed),
-                    ..Default::default()
-                };
-                for (i, c) in row.cats.iter_mut().enumerate() {
-                    *c = self.tallies[p * StallCat::COUNT + i].load(Ordering::Relaxed);
+                let tallies = &self.tallies[p * StallCat::COUNT..][..StallCat::COUNT];
+                StallRow {
+                    cats: std::array::from_fn(|i| tallies[i].get()),
+                    clock: self.clocks[p].get(),
                 }
-                row
             })
             .collect()
     }
@@ -597,13 +584,20 @@ impl Net {
 pub struct CatScope<'a> {
     net: &'a Net,
     p: ProcId,
-    prev: u8,
+    prev: StallCat,
 }
 
 impl Drop for CatScope<'_> {
     fn drop(&mut self) {
-        self.net.cats[self.p].store(self.prev, Ordering::Relaxed);
+        self.net.cats[self.p].set(self.prev);
     }
+}
+
+/// Add `d` to a counter: the one update clocks and tallies take besides
+/// a monotone `max` (commutative, so the host schedule cannot show).
+#[inline]
+fn add(c: &Cell<u64>, d: u64) {
+    c.set(c.get() + d);
 }
 
 #[cfg(test)]

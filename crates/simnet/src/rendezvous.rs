@@ -32,9 +32,8 @@
 //! by every launch, so a pooled cluster never allocates one.
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::panic::resume_unwind;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::coroutine::{self, Coroutine, Resumed, Stack};
 
@@ -74,10 +73,22 @@ struct State {
 /// A reusable, abortable meeting point of `n` ranks whose last arriver
 /// runs a leader section before anyone continues, and the scheduler that
 /// runs those ranks on one OS thread. See the module docs.
+///
+/// Its state is plain single-thread data, so a `Rendezvous` is not
+/// `Sync`: no other OS thread — a spawned one, or a rayon-shim worker
+/// inside a rank — can even borrow it, let alone block on it.
+///
+/// ```compile_fail,E0277
+/// let r = simnet::Rendezvous::new(2);
+/// r.run_spmd(|_| std::thread::scope(|s| { s.spawn(|| r.wait()); }));
+/// ```
 #[derive(Debug)]
 pub struct Rendezvous {
     n: usize,
-    state: Mutex<State>,
+    /// No caller code runs while this is borrowed, and no borrow is held
+    /// across a context switch. A misuse assert that unwinds releases
+    /// it, and each update leaves the fields consistent.
+    state: RefCell<State>,
 }
 
 impl Rendezvous {
@@ -86,7 +97,7 @@ impl Rendezvous {
         assert!(n >= 1, "a rendezvous needs at least one participant");
         Rendezvous {
             n,
-            state: Mutex::new(State {
+            state: RefCell::new(State {
                 arrived: 0,
                 generation: 0,
                 launches: 0,
@@ -99,31 +110,23 @@ impl Rendezvous {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, State> {
-        // No caller code runs under this mutex and no guard is held across
-        // a context switch. Only a misuse assert below can unwind with the
-        // guard held, and as each update leaves the fields consistent,
-        // recovering from that poison is sound.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Crossings completed since construction — one per
     /// [`Rendezvous::wait_then`] generation, whatever the schedule.
     pub fn generation(&self) -> u64 {
-        self.lock().generation
+        self.state.borrow().generation
     }
 
     /// [`Rendezvous::run_spmd`] calls since construction; like the
     /// generation, exact host work.
     pub fn launches(&self) -> u64 {
-        self.lock().launches
+        self.state.borrow().launches
     }
 
     /// Did a rank of an earlier or the current [`Rendezvous::run_spmd`]
     /// panic (or the launch deadlock)? Sticky: the state the ranks shared
     /// is torn.
     pub fn is_aborted(&self) -> bool {
-        self.lock().aborted
+        self.state.borrow().aborted
     }
 
     /// The rank whose coroutine is calling, which must be the one this
@@ -141,7 +144,7 @@ impl Rendezvous {
     /// rendezvous is aborted by the time it is resumed.
     fn suspend(&self) {
         coroutine::suspend();
-        if self.lock().aborted {
+        if self.state.borrow().aborted {
             resume_unwind(Box::new(Aborted));
         }
     }
@@ -161,7 +164,7 @@ impl Rendezvous {
     /// Panics if the caller would have to wait but is not a rank of a
     /// launch in flight (with `n == 1` nobody ever waits).
     pub fn wait_then(&self, leader: impl FnOnce()) {
-        let mut st = self.lock();
+        let mut st = self.state.borrow_mut();
         if st.aborted {
             drop(st);
             resume_unwind(Box::new(Aborted));
@@ -174,11 +177,11 @@ impl Rendezvous {
             return self.suspend();
         }
         // Last in: everyone else is suspended until the scheduler sees
-        // the generation move, so the leader section needs no lock (and
-        // a panic inside it cannot poison one).
+        // the generation move, so the leader section runs with the state
+        // unborrowed.
         drop(st);
         leader();
-        let mut st = self.lock();
+        let mut st = self.state.borrow_mut();
         st.arrived = 0;
         st.generation += 1;
     }
@@ -189,7 +192,7 @@ impl Rendezvous {
     /// [`Rendezvous::wait_then`] if the rendezvous is aborted, and panics
     /// outside a launch.
     pub fn yield_now(&self) {
-        let st = self.lock();
+        let st = self.state.borrow();
         if st.aborted {
             drop(st);
             resume_unwind(Box::new(Aborted));
@@ -233,11 +236,11 @@ impl Rendezvous {
     /// `run_spmd` on *another* rendezvous works; on this one it panics.
     pub fn run_spmd<F, R>(&self, body: F) -> Vec<R>
     where
-        F: Fn(usize) -> R + Sync,
+        F: Fn(usize) -> R,
         R: Send,
     {
         let mut stacks = {
-            let mut st = self.lock();
+            let mut st = self.state.borrow_mut();
             st.launches += 1;
             assert!(
                 !st.aborted,
@@ -255,7 +258,7 @@ impl Rendezvous {
         let failure =
             coroutine::with_coroutines(&mut stacks, self.n, &rank_body, |ranks| self.drive(ranks));
         {
-            let mut st = self.lock();
+            let mut st = self.state.borrow_mut();
             st.ranks.clear();
             st.stacks = stacks;
         }
@@ -275,7 +278,7 @@ impl Rendezvous {
         let mut from = 0;
         loop {
             let rank = {
-                let mut st = self.lock();
+                let mut st = self.state.borrow_mut();
                 let (generation, aborted) = (st.generation, st.aborted);
                 let can_run = |r: &Rank| match *r {
                     Rank::Fresh => !aborted,
@@ -308,7 +311,7 @@ impl Rendezvous {
             if let Resumed::Suspended = outcome {
                 continue;
             }
-            let mut st = self.lock();
+            let mut st = self.state.borrow_mut();
             st.ranks[rank] = Rank::Done;
             if let Resumed::Panicked(payload) = outcome {
                 if !payload.is::<Aborted>() {
@@ -659,7 +662,8 @@ mod tests {
         let r = Rendezvous::new(8);
         r.run_spmd(|_| r.wait());
         let pooled = || {
-            let mut stacks: Vec<String> = r.lock().stacks.iter().map(|s| format!("{s:?}")).collect();
+            let st = r.state.borrow();
+            let mut stacks: Vec<String> = st.stacks.iter().map(|s| format!("{s:?}")).collect();
             stacks.sort();
             stacks
         };

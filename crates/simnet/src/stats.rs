@@ -4,9 +4,8 @@
 //! harnesses can report both the paper's aggregate "Messages"/"Data"
 //! columns and a per-protocol breakdown.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 use crate::{PolicyAct, ProcId};
 
@@ -99,75 +98,56 @@ impl MsgKind {
     }
 }
 
-/// Lock-free counters: `[proc][kind]` message counts and payload bytes.
+/// Plain counters of the cluster's one thread: `[proc][kind]` message
+/// counts and payload bytes.
 #[derive(Debug)]
 pub struct Stats {
-    msgs: Vec<[AtomicU64; MsgKind::COUNT]>,
-    bytes: Vec<[AtomicU64; MsgKind::COUNT]>,
+    msgs: Vec<[Cell<u64>; MsgKind::COUNT]>,
+    bytes: Vec<[Cell<u64>; MsgKind::COUNT]>,
 }
 
 impl Stats {
     pub fn new(nprocs: usize) -> Self {
-        let make = || {
-            (0..nprocs)
-                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                .collect::<Vec<_>>()
-        };
         Stats {
-            msgs: make(),
-            bytes: make(),
+            msgs: vec![Default::default(); nprocs],
+            bytes: vec![Default::default(); nprocs],
         }
     }
 
     /// Record one message of `payload` bytes sent by `from`.
     #[inline]
     pub fn record(&self, from: ProcId, kind: MsgKind, payload: usize) {
-        self.msgs[from][kind.index()].fetch_add(1, Ordering::Relaxed);
-        self.bytes[from][kind.index()].fetch_add(payload as u64, Ordering::Relaxed);
+        self.record_n(from, kind, 1, payload);
     }
 
     /// Record `n` messages totalling `payload` bytes.
     #[inline]
     pub fn record_n(&self, from: ProcId, kind: MsgKind, n: u64, payload: usize) {
-        self.msgs[from][kind.index()].fetch_add(n, Ordering::Relaxed);
-        self.bytes[from][kind.index()].fetch_add(payload as u64, Ordering::Relaxed);
+        let m = &self.msgs[from][kind.index()];
+        let b = &self.bytes[from][kind.index()];
+        m.set(m.get() + n);
+        b.set(b.get() + payload as u64);
     }
 
     pub fn total_messages(&self) -> u64 {
-        self.msgs
-            .iter()
-            .flat_map(|a| a.iter())
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.msgs.iter().flatten().map(Cell::get).sum()
     }
 
     pub fn total_bytes(&self) -> u64 {
-        self.bytes
-            .iter()
-            .flat_map(|a| a.iter())
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.bytes.iter().flatten().map(Cell::get).sum()
     }
 
     pub fn messages_of(&self, kind: MsgKind) -> u64 {
-        self.msgs
-            .iter()
-            .map(|a| a[kind.index()].load(Ordering::Relaxed))
-            .sum()
+        self.msgs.iter().map(|a| a[kind.index()].get()).sum()
     }
 
     pub fn bytes_of(&self, kind: MsgKind) -> u64 {
-        self.bytes
-            .iter()
-            .map(|a| a[kind.index()].load(Ordering::Relaxed))
-            .sum()
+        self.bytes.iter().map(|a| a[kind.index()].get()).sum()
     }
 
     pub fn reset(&self) {
-        for row in self.msgs.iter().chain(self.bytes.iter()) {
-            for c in row {
-                c.store(0, Ordering::Relaxed);
-            }
+        for c in self.msgs.iter().chain(&self.bytes).flatten() {
+            c.set(0);
         }
     }
 }
@@ -180,14 +160,12 @@ impl Stats {
 ///
 /// Every number is kept once: one shard per recording processor holding
 /// that processor's per-**phase** rows (the barrier site that issued
-/// each plan) and its three phase-less mode-flip counters. A shard's
-/// mutex is uncontended (only its own processor locks it), so 256
-/// processors recording an epoch simultaneously never serialize on one
-/// global lock; [`PolicyReport::capture`] merges the shards, and the
-/// whole-run totals are the sum of the merged rows.
+/// each plan) and its three phase-less mode-flip counters; only its own
+/// processor writes a shard, and [`PolicyReport::capture`] merges them.
+/// The whole-run totals are the sum of the merged rows.
 #[derive(Debug)]
 pub struct PolicyStats {
-    shards: Vec<Mutex<PolicyShard>>,
+    shards: Vec<RefCell<PolicyShard>>,
 }
 
 #[derive(Debug, Default)]
@@ -201,17 +179,13 @@ struct PolicyShard {
 impl PolicyStats {
     pub fn new(nprocs: usize) -> Self {
         PolicyStats {
-            shards: (0..nprocs).map(|_| Mutex::default()).collect(),
+            shards: (0..nprocs).map(|_| RefCell::default()).collect(),
         }
-    }
-
-    fn shard(&self, p: ProcId) -> MutexGuard<'_, PolicyShard> {
-        self.shards[p].lock().expect("a recording processor panicked")
     }
 
     /// Add `delta`'s counters to `p`'s row for `delta.phase`.
     fn add(&self, p: ProcId, delta: PhasePolicyRow) {
-        add_row(&mut self.shard(p).rows, delta);
+        add_row(&mut self.shards[p].borrow_mut().rows, delta);
     }
 
     /// One barrier epoch (tagged `phase`) observed by `p`'s policy,
@@ -219,7 +193,7 @@ impl PolicyStats {
     /// [`TraceEvent::Policy`](crate::TraceEvent::Policy)) while
     /// answering it: each promotion, demotion and probe is counted.
     pub fn record_epoch(&self, p: ProcId, phase: u32, acts: &[(u32, PolicyAct)]) {
-        let mut shard = self.shard(p);
+        let mut shard = self.shards[p].borrow_mut();
         let epoch = PhasePolicyRow {
             phase,
             epochs: 1,
@@ -303,8 +277,8 @@ impl PolicyStats {
     }
 
     pub fn reset(&self) {
-        for p in 0..self.shards.len() {
-            *self.shard(p) = PolicyShard::default();
+        for shard in &self.shards {
+            shard.take();
         }
     }
 }
@@ -401,8 +375,8 @@ impl PolicyReport {
         // BTreeMap keeps the merged rows sorted by phase tag, as the
         // report promises.
         let mut merged = BTreeMap::new();
-        for p in 0..stats.shards.len() {
-            let shard = stats.shard(p);
+        for shard in &stats.shards {
+            let shard = shard.borrow();
             for &row in shard.rows.values() {
                 add_row(&mut merged, row);
             }

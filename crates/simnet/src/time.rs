@@ -1,9 +1,9 @@
 //! Simulated time, represented as integer nanoseconds.
 //!
 //! Integer nanoseconds (rather than `f64` seconds) keep the simulation
-//! bit-deterministic under atomic `fetch_max`/`fetch_add` updates from
-//! multiple threads: additions commute exactly, so the per-processor
-//! clocks are independent of thread scheduling.
+//! bit-deterministic under `max`/`add` clock updates made in whatever
+//! order the host schedules the processors: additions commute exactly,
+//! so the per-processor clocks are independent of that order.
 
 use std::fmt;
 use std::iter::Sum;

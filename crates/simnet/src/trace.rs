@@ -104,17 +104,6 @@ impl StallCat {
             StallCat::Retry => "retry",
         }
     }
-
-    #[inline]
-    pub(crate) fn from_u8(v: u8) -> StallCat {
-        // COUNT is not a power of two, so no mask trick: decode by
-        // table lookup, falling back to the default category for any
-        // byte that never came from a valid `StallCat as u8`.
-        Self::ALL
-            .get(v as usize)
-            .copied()
-            .unwrap_or(StallCat::Compute)
-    }
 }
 
 /// One processor's stall-attribution row: nanoseconds per category
@@ -397,8 +386,8 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), StallCat::COUNT);
-        for cat in StallCat::ALL {
-            assert_eq!(StallCat::from_u8(cat as u8), cat);
+        for (i, cat) in StallCat::ALL.into_iter().enumerate() {
+            assert_eq!(cat as usize, i);
         }
     }
 
