@@ -34,7 +34,13 @@ clippy:
 # so simnet/dsm/chaos hold no lock or atomic outside their tests, and
 # dsm/chaos no Arc (simnet's Arc<dyn TraceSink> is shared with the
 # tracer's owner and stays). The awk greps stop at each file's first
-# #[cfg(test)].
+# #[cfg(test)]. A simulated processor is a sequential program, as in
+# the paper: simnet/dsm/chaos/rsd/serve do not use the rayon shim
+# (bench's table bins fan out rows with it), serve and trace lock
+# through std::sync (the vendored parking-lot shim is gone; lockfiles
+# and the history documents may still name it), and a served job takes
+# exactly one ThreadBudget token, never spares.
+SEQUENTIAL_CRATES = crates/simnet crates/dsm crates/chaos crates/rsd crates/serve
 ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
 NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
 hygiene:
@@ -64,6 +70,12 @@ hygiene:
 		echo "hygiene: a cluster runs on one thread; keep its state in Cell / RefCell, not a lock or an atomic"; exit 1; fi
 	@if awk '/#\[cfg\(test\)\]/ { nextfile } /Arc/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit !bad }' $(NO_ARC_SRC); then \
 		echo "hygiene: dsm and chaos share within one thread; use Rc, not Arc"; exit 1; fi
+	@if grep -rn "rayon" $(SEQUENTIAL_CRATES); then \
+		echo "hygiene: a simulated processor is sequential; no rayon in simnet/dsm/chaos/rsd/serve"; exit 1; fi
+	@if grep -rn "parking[_]lot" --exclude-dir=target --exclude-dir=.git --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=Cargo.lock . ; then \
+		echo "hygiene: the vendored parking-lot shim is deleted; lock through std::sync, recovering with PoisonError::into_inner"; exit 1; fi
+	@if grep -rn "try_acquire_up_to" crates/; then \
+		echo "hygiene: a served job takes exactly one ThreadBudget token, no spares"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses

@@ -71,9 +71,8 @@ fn main() {
     let cfg = ServeConfig {
         workers,
         stop,
-        // OS-thread tokens. A job holds one (its processors are
-        // coroutines on its worker) plus spares for intra-processor
-        // parallelism, so this never makes a worker wait.
+        // OS-thread tokens. A job holds exactly one (its processors are
+        // coroutines on its worker), so this never makes a worker wait.
         thread_budget: if quick { 96 } else { 288 },
         check_allocs: false,
         trace: tracer.clone(),

@@ -12,7 +12,6 @@
 //! lookup, plus translation-table traffic — is exactly what the paper's
 //! comparison hinges on.
 
-use rayon::prelude::*;
 use simnet::{MsgKind, ProcId, SpanTag, StallCat, TraceEvent};
 
 use crate::ttable::{TTable, TTableCache};
@@ -108,16 +107,13 @@ impl CommSchedule {
     }
 }
 
-/// Below this many accesses a sharded dedup cannot recoup its scoped
-/// worker spawns; the streaming single-pass loop runs instead (the two
-/// are bitwise-identical — see [`dedup_first_seen`]).
-const PAR_DEDUP_MIN: usize = 16 * 1024;
-
-/// The streaming single-pass dedup: one bitmap test-and-set per
-/// access. Also the allowance-1 code path of [`dedup_first_seen`] —
-/// it consumes the iterator directly, so the sequential case never
-/// materializes the access stream.
-fn dedup_streaming(accesses: impl Iterator<Item = u32>, words: usize) -> (usize, Vec<u32>) {
+/// Duplicate elimination with deterministic first-seen order — the
+/// paper's "hash table whose size is proportional to the size of the
+/// data array", realized as a dense bitmap over element ids: one
+/// test-and-set per access, consuming the iterator directly so the
+/// access stream is never materialized. Returns `(total accesses,
+/// first-seen distinct list)`.
+fn dedup_first_seen(accesses: impl Iterator<Item = u32>, words: usize) -> (usize, Vec<u32>) {
     let mut seen = vec![0u64; words];
     let mut distinct = Vec::new();
     let mut total = 0usize;
@@ -127,58 +123,6 @@ fn dedup_streaming(accesses: impl Iterator<Item = u32>, words: usize) -> (usize,
         if seen[word] & (1 << bit) == 0 {
             seen[word] |= 1 << bit;
             distinct.push(e);
-        }
-    }
-    (total, distinct)
-}
-
-/// Duplicate elimination with deterministic first-seen order — the
-/// paper's "hash table whose size is proportional to the size of the
-/// data array", realized as a dense bitmap over element ids. Returns
-/// `(total accesses, first-seen distinct list)`.
-///
-/// With a thread allowance above 1 and enough accesses, the stream is
-/// cut into chunks, each chunk deduplicates into its own disjoint
-/// `seen` shard (bitmap + first-seen list) on a scoped worker, and the
-/// shards are merged through the global bitmap **in fixed chunk
-/// order** — a chunk's survivor enters `distinct` iff no earlier chunk
-/// saw it, which reproduces the sequential first-seen order exactly,
-/// bit for bit, at any thread count.
-fn dedup_first_seen(accesses: impl Iterator<Item = u32>, words: usize) -> (usize, Vec<u32>) {
-    let threads = rayon::current_num_threads();
-    if threads <= 1 {
-        return dedup_streaming(accesses, words);
-    }
-    let accesses: Vec<u32> = accesses.collect();
-    if accesses.len() < PAR_DEDUP_MIN {
-        return dedup_streaming(accesses.into_iter(), words);
-    }
-    let total = accesses.len();
-    let chunk = total.div_ceil(threads);
-    let shards: Vec<(Vec<u64>, Vec<u32>)> = accesses
-        .par_chunks(chunk)
-        .map(|c| {
-            let mut local = vec![0u64; words];
-            let mut firsts = Vec::new();
-            for &e in c {
-                let (word, bit) = ((e / 64) as usize, e % 64);
-                if local[word] & (1 << bit) == 0 {
-                    local[word] |= 1 << bit;
-                    firsts.push(e);
-                }
-            }
-            (local, firsts)
-        })
-        .collect();
-    let mut seen = vec![0u64; words];
-    let mut distinct = Vec::new();
-    for (_, firsts) in &shards {
-        for &e in firsts {
-            let (word, bit) = ((e / 64) as usize, e % 64);
-            if seen[word] & (1 << bit) == 0 {
-                seen[word] |= 1 << bit;
-                distinct.push(e);
-            }
         }
     }
     (total, distinct)
@@ -224,9 +168,8 @@ pub fn inspector(
     cp.net().trace(me, TraceEvent::SpanBegin { tag: SpanTag::Inspect });
 
     // Duplicate elimination (see `dedup_first_seen`): one O(1) bitmap
-    // test-and-set per access, sharded over scoped workers when the
-    // thread allowance permits. The simulated cost is a function of the
-    // access count alone, so host-side sharding cannot move a clock.
+    // test-and-set per access. The simulated cost is a function of the
+    // access count alone.
     cp.net().trace(me, TraceEvent::SpanBegin { tag: SpanTag::Dedup });
     let (total, distinct) = dedup_first_seen(accesses, ttable.len().div_ceil(64));
     cp.net().trace(me, TraceEvent::SpanEnd { tag: SpanTag::Dedup });
@@ -243,13 +186,12 @@ pub fn inspector(
     // sorted, are already the per-owner segments (ascending offsets
     // within each owner) laid out back to back. The sorted vector is
     // also the ghost directory (slot = position), so nothing else is
-    // built. Values in a sorted `Copy` sequence have one possible
-    // layout, so the parallel sort is bitwise-deterministic too.
+    // built.
     let mut remote: Vec<(ProcId, u32)> = translated
         .into_iter()
         .filter(|&(owner, _)| owner != me)
         .collect();
-    remote.par_sort_unstable();
+    remote.sort_unstable();
     remote.dedup();
     let recv_idx: Vec<u32> = remote.iter().map(|&(_, off)| off).collect();
     let mut ghost_starts = vec![0u32; nprocs + 1];
@@ -379,26 +321,18 @@ mod tests {
     }
 
     #[test]
-    fn dedup_sharded_matches_streaming() {
-        // A stream long enough to trip PAR_DEDUP_MIN, dense in dups and
-        // adversarial about order (descending tail so chunk-local first
-        // positions differ from global ones).
-        let n = PAR_DEDUP_MIN + 1000;
-        let accesses: Vec<u32> = (0..n)
+    fn dedup_matches_the_hashset_oracle() {
+        // Dense in dups and adversarial about order (a descending tail
+        // revisits every id after its first sighting).
+        let accesses: Vec<u32> = (0..17_384usize)
             .map(|i| ((i * 7919 + i / 3) % 4096) as u32)
             .chain((0..4096).rev())
             .collect();
-        let pool1 = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let seq = pool1.install(|| dedup_first_seen(accesses.iter().copied(), 64));
-        assert_eq!(seq.0, accesses.len(), "every access counted, dups included");
-        for threads in [2, 4, 64] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let par = pool.install(|| dedup_first_seen(accesses.iter().copied(), 64));
-            assert_eq!(par, seq, "first-seen order must survive {threads} shards");
-        }
+        let mut seen = std::collections::HashSet::new();
+        let oracle: Vec<u32> = accesses.iter().copied().filter(|&e| seen.insert(e)).collect();
+        let (total, distinct) = dedup_first_seen(accesses.iter().copied(), 64);
+        assert_eq!(total, accesses.len(), "every access counted, dups included");
+        assert_eq!(distinct, oracle, "first-seen order");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use std::collections::HashSet;
 
-use rayon::prelude::*;
 use simnet::{MsgKind, ProcId};
 
 use crate::partition::Partition;
@@ -120,25 +119,15 @@ impl TTable {
     }
 
     /// The pure local map `id → (owner, offset)` every table kind ends
-    /// a lookup batch with. Sharded over scoped workers when the thread
-    /// allowance permits; chunks are collected in order, so the output
-    /// equals the sequential map exactly. (Simulated lookup costs are
-    /// charged by the caller — host-side sharding moves no clock.)
+    /// a lookup batch with. (Simulated lookup costs are charged by the
+    /// caller.)
     fn translate_all(&self, ids: &[u32]) -> Vec<(ProcId, u32)> {
-        const PAR_MIN: usize = 16 * 1024;
-        let one = |&e: &u32| {
-            let (o, off) = self.entries[e as usize];
-            (o as ProcId, off)
-        };
-        let threads = rayon::current_num_threads();
-        if threads <= 1 || ids.len() < PAR_MIN {
-            return ids.iter().map(one).collect();
-        }
-        let shards: Vec<Vec<(ProcId, u32)>> = ids
-            .par_chunks(ids.len().div_ceil(threads))
-            .map(|c| c.iter().map(one).collect())
-            .collect();
-        shards.concat()
+        ids.iter()
+            .map(|&e| {
+                let (o, off) = self.entries[e as usize];
+                (o as ProcId, off)
+            })
+            .collect()
     }
 
     /// Translate a batch of (deduplicated) element ids, charging lookup

@@ -78,17 +78,11 @@ impl ChaosWorld {
     /// the same way, with a deadlock message. The world is then
     /// *aborted*: a further `run` panics saying so.
     ///
-    /// All processors share the caller's OS thread, so the caller's
-    /// thread allowance (see `vendor/rayon`) is divided evenly among
-    /// them once, around the launch; intra-processor parallelism (the
-    /// sharded inspector) is self-limiting: a 64-processor cell on an
-    /// 8-thread allowance leaves every processor with an allowance of
-    /// one, the sequential path.
-    ///
-    /// **One thread.** The world's state is plain single-thread data, so
-    /// a `ChaosWorld` is not `Sync`: a helper thread a processor starts —
-    /// the sharded inspector's included — cannot capture the world. The
-    /// compiler refuses it:
+    /// **One thread.** Every processor is a sequential program, as in
+    /// the paper, and all of them share the caller's OS thread. The
+    /// world's state is plain single-thread data, so a `ChaosWorld` is
+    /// not `Sync`: a helper thread a processor starts cannot capture the
+    /// world. The compiler refuses it:
     ///
     /// ```compile_fail,E0277
     /// let w = chaos::ChaosWorld::new(2, Default::default());
@@ -99,16 +93,10 @@ impl ChaosWorld {
         F: Fn(&mut ChaosProc) -> R,
         R: Send,
     {
-        let share = rayon::ThreadPoolBuilder::new()
-            .num_threads((rayon::current_num_threads() / self.nprocs).max(1))
-            .build()
-            .expect("shim pools cannot fail to build");
-        share.install(|| {
-            self.bar.run_spmd(|rank| {
-                f(&mut ChaosProc {
-                    world: self,
-                    me: rank,
-                })
+        self.bar.run_spmd(|rank| {
+            f(&mut ChaosProc {
+                world: self,
+                me: rank,
             })
         })
     }

@@ -325,61 +325,3 @@ fn executor_roundtrip_counts_references() {
         assert_eq!(g, want, "element {e}");
     }
 }
-
-/// Deterministic per-(seed, rank, position) reference generator for the
-/// thread-invariance property below — proptest picks the seed, the
-/// stream itself is reproducible on both sides of the comparison.
-fn mixed_ref(seed: u64, me: usize, k: usize, n: usize) -> u32 {
-    let mut x = seed
-        ^ (me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (k as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    (x % n as u64) as u32
-}
-
-proptest! {
-    /// The inspector's schedule is a pure function of the access
-    /// streams — the thread allowance (sharded dedup, parallel
-    /// translate map, parallel receive sort) must not show through.
-    /// `long` pushes rank 0 past the sharded-dedup threshold so the
-    /// parallel path actually runs, not just its sequential fallback.
-    #[test]
-    fn inspector_schedule_is_thread_count_invariant(
-        seed in 0u64..1_000_000,
-        nprocs in prop::sample::select(vec![4usize, 4, 8, 8, 64]),
-        kind in prop::sample::select(vec![
-            TTableKind::Replicated,
-            TTableKind::Distributed,
-            TTableKind::Paged { entries_per_page: 64 },
-        ]),
-        long in prop::sample::select(vec![false, true]),
-    ) {
-        use chaos::CommSchedule;
-        let n = 4096usize;
-        let part = block_partition(n, nprocs);
-        let tt = TTable::new(kind, &part);
-        let build = |per_proc_threads: usize| -> (Vec<CommSchedule>, u64) {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(per_proc_threads * nprocs)
-                .build()
-                .unwrap();
-            let w = ChaosWorld::new(nprocs, CostModel::default());
-            let scheds = pool.install(|| {
-                w.run(|cp| {
-                    let me = cp.rank();
-                    let len = if me == 0 && long { 20_000 } else { 384 };
-                    let refs = (0..len).map(|k| mixed_ref(seed, me, k, n));
-                    let mut cache = TTableCache::new();
-                    inspector(cp, &tt, &mut cache, refs)
-                })
-            });
-            (scheds, w.report().messages)
-        };
-        let (seq, seq_msgs) = build(1);
-        let (par, par_msgs) = build(4);
-        prop_assert_eq!(seq, par, "schedules diverged across thread allowances");
-        prop_assert_eq!(seq_msgs, par_msgs, "simulated traffic moved with host threads");
-    }
-}

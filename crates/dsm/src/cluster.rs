@@ -203,17 +203,12 @@ impl Cluster {
     /// state is torn, and a further `run`, [`Cluster::read_back`] or
     /// [`Cluster::recycle`] panics saying so.
     ///
-    /// All processors share the caller's OS thread, so the caller's
-    /// thread allowance (see `vendor/rayon`) is divided evenly among
-    /// them once, around the launch, mirroring `chaos::ChaosWorld::run`:
-    /// intra-processor parallelism (the sharded `PageSet::finish` bitmap
-    /// fill) only engages when the allowance exceeds the processor count.
-    ///
-    /// **One thread.** The cluster's state is plain single-thread data,
-    /// so a `Cluster` is neither `Sync` nor `Send`: a helper thread a
-    /// processor starts — a rayon-shim closure included — cannot capture
-    /// the cluster, its processors or anything borrowed from them. The
-    /// compiler refuses it:
+    /// **One thread.** Every processor is a sequential program, as in
+    /// the paper, and all of them share the caller's OS thread. The
+    /// cluster's state is plain single-thread data, so a `Cluster` is
+    /// neither `Sync` nor `Send`: a helper thread a processor starts
+    /// cannot capture the cluster, its processors or anything borrowed
+    /// from them. The compiler refuses it:
     ///
     /// ```compile_fail,E0277
     /// let cl = dsm::Cluster::new(dsm::DsmConfig::with_nprocs(2));
@@ -224,15 +219,9 @@ impl Cluster {
         F: Fn(&mut TmkProc) -> R,
         R: Send,
     {
-        let share = rayon::ThreadPoolBuilder::new()
-            .num_threads((rayon::current_num_threads() / self.cfg.nprocs).max(1))
-            .build()
-            .expect("shim pools cannot fail to build");
-        share.install(|| {
-            self.barrier
-                .rendezvous()
-                .run_spmd(|rank| self.enter(rank, &f))
-        })
+        self.barrier
+            .rendezvous()
+            .run_spmd(|rank| self.enter(rank, &f))
     }
 
     /// Read the whole of `x` back through the DSM as processor 0, in

@@ -6,8 +6,6 @@
 //! set is built by `Read_indices` folding each indirection target into a
 //! [`PageSet`].
 
-use rayon::prelude::*;
-
 /// An ordered, duplicate-free set of page numbers.
 ///
 /// Page sets in this system are small (hundreds of pages) and are built
@@ -104,7 +102,7 @@ impl PageSet {
             if bitmap_worthwhile(range, self.estimate_distinct(min, range)) {
                 self.bitmap_canonicalize(min, range);
             } else {
-                self.pages.par_sort_unstable();
+                self.pages.sort_unstable();
                 self.pages.dedup();
             }
         } else {
@@ -144,46 +142,12 @@ impl PageSet {
 
     /// The dense-bitmap radix pass of [`PageSet::finish`]: set one bit
     /// per insert, then drain set bits in ascending order.
-    ///
-    /// With a thread allowance above 1 and enough inserts, the fill is
-    /// sharded: each chunk of the insert stream ORs into its own local
-    /// bitmap on a scoped worker and the shards are OR-merged. A bitmap
-    /// is insensitive to fill order and the drain walks words low to
-    /// high, so the result is bitwise-identical to the sequential fill
-    /// at any thread count.
     fn bitmap_canonicalize(&mut self, min: u32, range: usize) {
-        const PAR_FILL_MIN: usize = 64 * 1024;
-        let words = range.div_ceil(64);
-        let threads = rayon::current_num_threads();
-        let bits = if threads <= 1 || self.pages.len() < PAR_FILL_MIN {
-            let mut bits = vec![0u64; words];
-            for &p in &self.pages {
-                let i = (p - min) as usize;
-                bits[i >> 6] |= 1 << (i & 63);
-            }
-            bits
-        } else {
-            let chunk = self.pages.len().div_ceil(threads);
-            let shards: Vec<Vec<u64>> = self
-                .pages
-                .par_chunks(chunk)
-                .map(|c| {
-                    let mut local = vec![0u64; words];
-                    for &p in c {
-                        let i = (p - min) as usize;
-                        local[i >> 6] |= 1 << (i & 63);
-                    }
-                    local
-                })
-                .collect();
-            let mut bits = vec![0u64; words];
-            for shard in shards {
-                for (b, s) in bits.iter_mut().zip(shard) {
-                    *b |= s;
-                }
-            }
-            bits
-        };
+        let mut bits = vec![0u64; range.div_ceil(64)];
+        for &p in &self.pages {
+            let i = (p - min) as usize;
+            bits[i >> 6] |= 1 << (i & 63);
+        }
         self.pages.clear();
         for (w, &word) in bits.iter().enumerate() {
             let mut word = word;
@@ -428,33 +392,6 @@ mod tests {
         assert_eq!(s.len(), 1001);
         assert_eq!(s.as_slice()[1000], u32::MAX);
         assert!(s.contains(999));
-    }
-
-    #[test]
-    fn sharded_bitmap_fill_matches_sequential() {
-        // Enough inserts to trip PAR_FILL_MIN, compact range → bitmap
-        // path; the sharded fill must be bitwise-identical at any
-        // thread count.
-        let pages: Vec<u32> = (0..70_000u32)
-            .map(|k| k.wrapping_mul(2654435761) % 3000)
-            .collect();
-        let build = || {
-            let mut s = PageSet::new();
-            for &p in &pages {
-                s.insert(p);
-            }
-            s.finish();
-            s
-        };
-        let pool1 = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let seq = pool1.install(build);
-        for threads in [2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            assert_eq!(pool.install(build), seq);
-        }
     }
 
     #[test]

@@ -2,17 +2,13 @@
 //! tokens.
 //!
 //! A cell job is one OS thread whatever its `nprocs`: its simulated
-//! processors are coroutines on the worker that runs it
-//! (`simnet::Rendezvous`). What can add threads is intra-processor
-//! parallelism — a rayon-shim combinator inside a processor's body
-//! spawns scoped threads up to the job's allowance — so a worker
-//! acquires one token before running a cell, takes whatever *spare*
-//! tokens are free without waiting ([`ThreadBudget::try_acquire_up_to`])
-//! to widen that allowance, and releases both after. Requests larger
-//! than the whole budget are clamped, so a caller asking for more than
-//! there is can still run (alone).
+//! processors are sequential programs, run as coroutines on the worker
+//! that runs it (`simnet::Rendezvous`). So a worker acquires exactly one
+//! token before running a cell and releases it after; there are no
+//! spares. Requests larger than the whole budget are clamped, so a
+//! caller asking for more than there is can still run (alone).
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// See module docs.
 #[derive(Debug)]
@@ -42,41 +38,28 @@ impl ThreadBudget {
     /// them, and return a guard that releases on drop.
     pub fn acquire(&self, n: usize) -> BudgetGuard<'_> {
         let n = n.clamp(1, self.capacity);
-        let mut free = self.free.lock();
-        while *free < n {
-            self.cv.wait(&mut free);
-        }
+        let mut free = self
+            .cv
+            .wait_while(self.lock(), |free| *free < n)
+            .unwrap_or_else(PoisonError::into_inner);
         *free -= n;
         BudgetGuard { budget: self, n }
     }
 
-    /// Take up to `n` tokens without blocking — whatever is free right
-    /// now, possibly zero. Spare tokens widen a job's thread allowance
-    /// (intra-cell parallelism) opportunistically; a job must never
-    /// *wait* for spares it can run without, so there is no blocking
-    /// variant.
-    pub fn try_acquire_up_to(&self, n: usize) -> BudgetGuard<'_> {
-        let mut free = self.free.lock();
-        let take = n.min(*free);
-        *free -= take;
-        BudgetGuard {
-            budget: self,
-            n: take,
-        }
-    }
-
     /// Tokens currently free (diagnostic snapshot).
     pub fn available(&self) -> usize {
-        *self.free.lock()
+        *self.lock()
+    }
+
+    /// The token count, recovered as-is if a panicking holder poisoned
+    /// the lock: the count is updated in one statement, so it is never
+    /// left half-written.
+    fn lock(&self) -> MutexGuard<'_, usize> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn release(&self, n: usize) {
-        // Empty guards (a `try_acquire_up_to` that found nothing free)
-        // must not wake every waiting worker for no token.
-        if n == 0 {
-            return;
-        }
-        let mut free = self.free.lock();
+        let mut free = self.lock();
         *free += n;
         debug_assert!(*free <= self.capacity, "over-release");
         self.cv.notify_all();
@@ -118,20 +101,6 @@ mod tests {
         drop(g);
         let g = b.acquire(64);
         assert_eq!((g.tokens(), b.available()), (8, 0));
-        drop(g);
-        assert_eq!(b.available(), 8);
-    }
-
-    #[test]
-    fn try_acquire_takes_what_is_free_never_blocks() {
-        let b = ThreadBudget::new(8);
-        let g = b.acquire(6);
-        let spare = b.try_acquire_up_to(4);
-        assert_eq!((spare.tokens(), b.available()), (2, 0));
-        let none = b.try_acquire_up_to(3);
-        assert_eq!(none.tokens(), 0, "empty budget yields an empty guard");
-        drop(spare);
-        drop(none);
         drop(g);
         assert_eq!(b.available(), 8);
     }

@@ -9,11 +9,17 @@
 //! rings would not; the shared injector lock is touched once per batch,
 //! not once per job.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Jobs a worker moves injector → local queue per refill.
 const BATCH: usize = 8;
+
+/// Lock a queue, recovering it as-is if a panicking worker poisoned
+/// it: a `VecDeque` stays valid whatever panicked while it was held.
+fn lock<T>(q: &Mutex<VecDeque<T>>) -> MutexGuard<'_, VecDeque<T>> {
+    q.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// See module docs.
 #[derive(Debug)]
@@ -39,17 +45,17 @@ impl<T> JobPool<T> {
 
     /// Push jobs onto the shared injector.
     pub fn inject(&self, jobs: impl IntoIterator<Item = T>) {
-        self.injector.lock().extend(jobs);
+        lock(&self.injector).extend(jobs);
     }
 
     /// Jobs currently queued anywhere (racy snapshot; exact once all
     /// workers have stopped).
     pub fn queued(&self) -> usize {
-        self.injector.lock().len()
+        lock(&self.injector).len()
             + self
                 .locals
                 .iter()
-                .map(|l| l.lock().len())
+                .map(|l| lock(l).len())
                 .sum::<usize>()
     }
 
@@ -65,12 +71,12 @@ impl<T> JobPool<T> {
     /// injector were both dry and `moved` jobs were stolen from
     /// `victim`'s deque, `None` when the job was local or injected.
     pub fn pop_reporting(&self, me: usize) -> Option<(T, Option<(usize, usize)>)> {
-        if let Some(job) = self.locals[me].lock().pop_front() {
+        if let Some(job) = lock(&self.locals[me]).pop_front() {
             return Some((job, None));
         }
         // Refill from the injector: keep one, queue the rest locally.
         {
-            let mut inj = self.injector.lock();
+            let mut inj = lock(&self.injector);
             if !inj.is_empty() {
                 let take = BATCH.min(inj.len());
                 let mut batch = inj.drain(..take);
@@ -78,7 +84,7 @@ impl<T> JobPool<T> {
                 let rest: Vec<T> = batch.collect();
                 drop(inj);
                 if !rest.is_empty() {
-                    self.locals[me].lock().extend(rest);
+                    lock(&self.locals[me]).extend(rest);
                 }
                 return first.map(|job| (job, None));
             }
@@ -92,9 +98,9 @@ impl<T> JobPool<T> {
     fn steal(&self, me: usize) -> Option<(T, Option<(usize, usize)>)> {
         let victim = (0..self.locals.len())
             .filter(|&q| q != me)
-            .max_by_key(|&q| self.locals[q].lock().len())?;
+            .max_by_key(|&q| lock(&self.locals[q]).len())?;
         let stolen: Vec<T> = {
-            let mut v = self.locals[victim].lock();
+            let mut v = lock(&self.locals[victim]);
             let take = v.len().div_ceil(2);
             v.drain(..take).collect()
         };
@@ -103,7 +109,7 @@ impl<T> JobPool<T> {
         let first = it.next()?;
         let rest: Vec<T> = it.collect();
         if !rest.is_empty() {
-            self.locals[me].lock().extend(rest);
+            lock(&self.locals[me]).extend(rest);
         }
         Some((first, Some((victim, moved))))
     }

@@ -52,11 +52,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// When to stop.
     pub stop: Stop,
-    /// Total OS-thread tokens live at once. A job holds one token while
-    /// running — its simulated processors are coroutines on the worker's
-    /// own thread — plus whatever spare tokens it found free, which it
-    /// spends on intra-processor parallelism; this caps the threads
-    /// running jobs and their parallel sections at `budget`.
+    /// Total OS-thread tokens live at once. A running job holds exactly
+    /// one token — its simulated processors are coroutines on the
+    /// worker's own thread — so this caps the jobs running at once.
     pub thread_budget: usize,
     /// Debug-only steady-state heap check (needs `workers == 1`, a
     /// [`crate::alloc::Counting`] global allocator, and debug
@@ -385,25 +383,13 @@ pub fn serve(cells: &[SynthConfig], cfg: &ServeConfig) -> ServeOutcome {
                     },
                 );
             }
-            // One token ≙ one OS thread: the job's processors all run on
-            // this worker's thread, so the job itself needs one. Spare
-            // tokens (never waited for) widen its thread allowance: the
-            // cluster `run`s divide `nprocs × (1 + spares)` across
-            // `nprocs` processors, of which one runs at a time, so
-            // intra-processor parallelism engages exactly when the
-            // service is under-subscribed and idle tokens exist, and
-            // never uses more threads than the tokens held.
+            // One token ≙ one OS thread: the job's processors are
+            // sequential programs that all run on this worker's thread,
+            // so the job takes exactly one token and no spares.
             let nprocs = prep.cfg().nprocs;
             let _token = budget.acquire(1);
-            let spare =
-                budget.try_acquire_up_to(rayon::current_num_threads().saturating_sub(1));
-            let allowance = rayon::ThreadPoolBuilder::new()
-                .num_threads(nprocs * (1 + spare.tokens()))
-                .build()
-                .expect("shim pools cannot fail to build");
             let t0 = Instant::now();
-            let matrix = allowance.install(|| run_matrix(prep));
-            drop(spare);
+            let matrix = run_matrix(prep);
             let ns = t0.elapsed().as_nanos() as u64;
             goldens[cell].check(&matrix.label, &matrix);
             if let Some(t) = tr {

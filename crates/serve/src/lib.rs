@@ -30,8 +30,7 @@
 //! The moving parts, bottom-up: [`hist::Histogram`] (log-bucketed
 //! mergeable latency percentiles), [`deque::JobPool`] (injector +
 //! per-worker steal queues), [`budget::ThreadBudget`] (a semaphore over
-//! OS-thread tokens: one per running job, plus spares for
-//! intra-processor parallelism), and
+//! OS-thread tokens: one per running job, no spares), and
 //! [`driver::serve`] (goldens, workers, merged [`ServeOutcome`]).
 
 pub mod alloc;

@@ -74,9 +74,10 @@ struct State {
 /// runs a leader section before anyone continues, and the scheduler that
 /// runs those ranks on one OS thread. See the module docs.
 ///
-/// Its state is plain single-thread data, so a `Rendezvous` is not
-/// `Sync`: no other OS thread — a spawned one, or a rayon-shim worker
-/// inside a rank — can even borrow it, let alone block on it.
+/// Each rank is a sequential program, and the rendezvous's state is
+/// plain single-thread data, so a `Rendezvous` is not `Sync`: no other
+/// OS thread — one a rank spawns included — can even borrow it, let
+/// alone block on it.
 ///
 /// ```compile_fail,E0277
 /// let r = simnet::Rendezvous::new(2);

@@ -227,10 +227,7 @@ impl FetchKind {
 pub enum SpanTag {
     /// The whole inspector pass.
     Inspect,
-    /// The duplicate-elimination pass inside it (the section the
-    /// inspector may run on sharded worker threads; the span is one
-    /// event pair per inspection regardless of the thread count, so
-    /// traces stay byte-identical across `RAYON_SHIM_THREADS`).
+    /// The duplicate-elimination pass inside it.
     Dedup,
     /// The global→(owner, offset) translation batch inside it.
     Translate,

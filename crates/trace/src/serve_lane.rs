@@ -9,8 +9,9 @@
 //! counters ([`ServeTrace::totals`]) are still exact.
 
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use crate::sink::lock;
 
 /// One serve-driver event on a worker lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +77,7 @@ impl ServeTrace {
         let Some(lane) = self.lanes.get(worker) else {
             return;
         };
-        let mut l = lane.lock();
+        let mut l = lock(lane);
         if l.events.len() < self.capacity {
             l.events.push(ev);
         } else {
@@ -88,7 +89,7 @@ impl ServeTrace {
     pub fn totals(&self) -> (u64, u64, u64) {
         let (mut jobs, mut steals, mut recycles) = (0, 0, 0);
         for lane in &self.lanes {
-            for ev in &lane.lock().events {
+            for ev in &lock(lane).events {
                 match ev {
                     ServeEvent::JobDone { .. } => jobs += 1,
                     ServeEvent::Steal { .. } => steals += 1,
@@ -118,7 +119,7 @@ impl ServeTrace {
             );
         }
         for (w, lane) in self.lanes.iter().enumerate() {
-            let l = lane.lock();
+            let l = lock(lane);
             for (seq, &ev) in l.events.iter().enumerate() {
                 if !std::mem::take(&mut first) {
                     out.push_str(",\n");
@@ -152,7 +153,7 @@ impl ServeTrace {
                 }
             }
         }
-        let dropped: u64 = self.lanes.iter().map(|l| l.lock().dropped).sum();
+        let dropped: u64 = self.lanes.iter().map(|l| lock(l).dropped).sum();
         let _ = write!(
             out,
             "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{{\"dropped\":{dropped}}}}}\n"

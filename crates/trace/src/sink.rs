@@ -1,9 +1,16 @@
 //! The bounded per-processor ring-buffer sink.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use simnet::{ProcId, SimTime, TraceEvent, TraceSink};
+
+/// Lock a lane, recovering it as-is if a panicking recorder poisoned
+/// it: a lane is plain data that stays readable whatever panicked while
+/// it was held.
+pub(crate) fn lock<T>(lane: &Mutex<T>) -> MutexGuard<'_, T> {
+    lane.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One processor's lane: a fixed-capacity ring that drops the *oldest*
 /// event when full (the tail of a run is what attribution reads, and a
@@ -62,7 +69,7 @@ impl Tracer {
                 .lanes
                 .iter()
                 .map(|lane| {
-                    let l = lane.lock();
+                    let l = lock(lane);
                     let mut events = Vec::with_capacity(l.buf.len());
                     events.extend_from_slice(&l.buf[l.start..]);
                     events.extend_from_slice(&l.buf[..l.start]);
@@ -86,7 +93,7 @@ impl TraceSink for Tracer {
             self.overflow.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let mut l = lane.lock();
+        let mut l = lock(lane);
         let cap = l.buf.capacity();
         if l.buf.len() < cap {
             l.buf.push((t.as_ns(), ev));
