@@ -72,7 +72,7 @@ hygiene:
 		echo "hygiene: dsm and chaos share within one thread; use Rc, not Arc"; exit 1; fi
 	@if grep -rn "rayon" $(SEQUENTIAL_CRATES); then \
 		echo "hygiene: a simulated processor is sequential; no rayon in simnet/dsm/chaos/rsd/serve"; exit 1; fi
-	@if grep -rn "parking[_]lot" --exclude-dir=target --exclude-dir=.git --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=Cargo.lock . ; then \
+	@if grep -rn "parking[_]lot" --exclude-dir=target --exclude=Cargo.lock crates src examples tests vendor benchmark Cargo.toml .github ; then \
 		echo "hygiene: the vendored parking-lot shim is deleted; lock through std::sync, recovering with PoisonError::into_inner"; exit 1; fi
 	@if grep -rn "try_acquire_up_to" crates/; then \
 		echo "hygiene: a served job takes exactly one ThreadBudget token, no spares"; exit 1; fi
