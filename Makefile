@@ -39,7 +39,11 @@ clippy:
 # (bench's table bins fan out rows with it), serve and trace lock
 # through std::sync (the vendored parking-lot shim is gone; lockfiles
 # and the history documents may still name it), and a served job takes
-# exactly one ThreadBudget token, never spares.
+# exactly one ThreadBudget token, never spares. A page's consistency
+# metadata scales with its writers, not the cluster: the diff store is
+# page-major (no per_proc arenas in store.rs), and the fault path walks
+# no horizon per processor (a master refill shares the fold-horizon
+# snapshot as the frame's floor).
 SEQUENTIAL_CRATES = crates/simnet crates/dsm crates/chaos crates/rsd crates/serve
 ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
 NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
@@ -76,6 +80,10 @@ hygiene:
 		echo "hygiene: the vendored parking-lot shim is deleted; lock through std::sync, recovering with PoisonError::into_inner"; exit 1; fi
 	@if grep -rn "try_acquire_up_to" crates/; then \
 		echo "hygiene: a served job takes exactly one ThreadBudget token, no spares"; exit 1; fi
+	@if grep -n "per_proc" crates/dsm/src/store.rs; then \
+		echo "hygiene: the diff store is page-major (logs[page] lists the page's writers), not per-processor arenas"; exit 1; fi
+	@if grep -n "horizon\.iter()\.enumerate()" crates/dsm/src/proc.rs; then \
+		echo "hygiene: no per-processor walk in the fault path; a refilled frame shares the horizon as its floor"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses
@@ -129,7 +137,7 @@ serve:
 # PROPTEST_SEED for exact replay and a shrunk minimal input) + the
 # adaptive, scenario-matrix, and serve acceptance smokes.
 soak:
-	PROPTEST_CASES=512 cargo test -q -p chaos -p dsm -p adapt -p sdsm-core
+	PROPTEST_CASES=512 cargo test -q -p chaos -p dsm -p adapt -p rsd -p sdsm-core
 	PROPTEST_CASES=96 cargo test -q -p synth
 	PROPTEST_CASES=256 cargo test -q -p serve
 	cargo run --release -p bench --bin table_adapt -- --quick

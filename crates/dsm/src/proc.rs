@@ -39,11 +39,14 @@ struct Frame {
     watch_protect: bool,
     /// This page has registered watchers (slow-path lookup on events).
     watched: bool,
+    /// The fold horizon the last master refill regressed this page to:
+    /// the store's snapshot, shared by every frame refilled from it
+    /// (`None`: never refilled, all zeros).
+    floor: Option<Rc<[u32]>>,
     /// Highest interval of each processor whose modification of this page
-    /// is reflected in `data`: sparse `(proc, seq)` pairs sorted by proc
-    /// (absent means 0). A page only ever has a handful of writers, so
-    /// this stays a few entries at 256 processors instead of a dense
-    /// 256-slot array per (page, processor).
+    /// is reflected in `data`, where it is above `floor`: sparse
+    /// `(proc, seq)` pairs sorted by proc — the page's writers since the
+    /// refill, a few entries at any cluster size.
     applied: Vec<(u32, u32)>,
     /// Write notices seen but not yet fetched: `(proc, seq)`.
     pending: Vec<(ProcId, u32)>,
@@ -60,7 +63,7 @@ impl Frame {
     fn applied_of(&self, q: ProcId) -> u32 {
         match self.applied.binary_search_by_key(&(q as u32), |&(p, _)| p) {
             Ok(i) => self.applied[i].1,
-            Err(_) => 0,
+            Err(_) => self.floor.as_ref().map_or(0, |floor| floor[q]),
         }
     }
 
@@ -243,6 +246,7 @@ impl ProcInner {
             f.full_write = false;
             f.watch_protect = false;
             f.watched = false;
+            f.floor = None;
             f.applied.clear();
             f.pending.clear();
         }
@@ -582,23 +586,18 @@ impl<'c> TmkProc<'c> {
             // this copy already reflected — other processors' applied
             // records and our own published intervals — must be
             // re-applied on top. Re-collect from the horizon, from
-            // every processor including ourselves, bounded by our
-            // vector clock (records we have not acquired yet must not
-            // be applied — that would break release consistency).
+            // every writer of the page including ourselves, bounded by
+            // our vector clock (records we have not acquired yet must
+            // not be applied — that would break release consistency).
             s.records.truncate(start);
-            store.with_horizon(|horizon| {
-                for (q, &h) in horizon.iter().enumerate() {
-                    let known = if q == me {
-                        vc[me]
-                    } else {
-                        let up = pend.binary_search_by_key(&q, |&(p, _)| p);
-                        vc[q].max(up.map_or(0, |i| pend[i].1))
-                    };
-                    if known > h {
-                        store.collect_into(q, page, h, known, &mut s.records);
-                    }
+            let known = |q| {
+                if q == me {
+                    return vc[me];
                 }
-            });
+                let up = pend.binary_search_by_key(&q, |&(p, _)| p);
+                vc[q].max(up.map_or(0, |i| pend[i].1))
+            };
+            store.collect_above_horizon(page, known, &mut s.records);
         }
         pend.clear();
         f.pending = pend;
@@ -724,9 +723,8 @@ impl<'c> TmkProc<'c> {
                     // The master is a snapshot *at the horizon*: the page
                     // regresses to exactly that knowledge; newer records
                     // (re-collected in phase 1) are applied on top.
-                    let folded = horizon.iter().enumerate().filter(|(_, &h)| h > 0);
+                    f.floor = Some(Rc::clone(horizon));
                     f.applied.clear();
-                    f.applied.extend(folded.map(|(q, &h)| (q as u32, h)));
                 });
                 if let Some(d) = own {
                     d.apply(f.data.as_mut().unwrap());
@@ -1100,5 +1098,46 @@ impl<'c> TmkProc<'c> {
     /// The cluster's cost model (for charging modeled library work).
     pub fn cost(&self) -> &simnet::CostModel {
         self.cl.net().cost()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Cluster, DsmConfig};
+
+    #[test]
+    fn a_master_refill_shares_the_horizon_as_the_frames_floor() {
+        let cl = Cluster::new(DsmConfig::with_nprocs(64));
+        let a = cl.alloc::<u64>(64); // page 0: one word per processor
+        cl.run(|p| {
+            let me = p.rank();
+            p.write(&a, me, me as u64 + 1);
+            // The third barrier folds at the first one's clock: everyone's
+            // interval 1 goes into the master.
+            for _ in 0..3 {
+                p.barrier();
+            }
+            if me == 0 {
+                assert_eq!(p.read(&a, 5), 6);
+                assert_eq!(p.counters().master_fetches, 1);
+                let folded = p.cl.store().with_horizon(<[u32]>::to_vec);
+                assert_eq!(folded, [1; 64], "all 64 processors advanced the horizon");
+                let f = &p.inner.frames[0];
+                assert!(f.applied.is_empty(), "{:?}", f.applied);
+                for (q, &h) in folded.iter().enumerate() {
+                    assert_eq!(f.applied_of(q), h, "proc {q}");
+                }
+            }
+            p.barrier();
+            if me == 1 {
+                p.write(&a, 1, 100);
+            }
+            p.barrier();
+            if me == 0 {
+                assert_eq!(p.read(&a, 1), 100);
+                assert_eq!(p.counters().master_fetches, 1, "a plain diff fetch");
+                assert_eq!(p.inner.frames[0].applied, [(1, 2)]);
+            }
+        });
     }
 }

@@ -3,20 +3,24 @@
 //!
 //! In real TreadMarks each modifier retains its diffs and serves them on
 //! request; periodically a garbage collection validates every page and
-//! reclaims diff storage. Here the records live in a store partitioned by
-//! creating processor (requests are still *charged* to that processor),
-//! and GC folds old records into a per-page **master copy** held by the
-//! page's manager (`page % nprocs`). A processor whose copy of a page is
-//! older than the fold horizon fetches the master page plus any newer
-//! records — the analogue of TreadMarks fetching the whole page after GC.
+//! reclaims diff storage. Here the records live in a store indexed by
+//! page, then by creating processor (requests are still *charged* to
+//! that processor), and GC folds old records into a per-page **master
+//! copy** held by the page's manager (`page % nprocs`). A processor
+//! whose copy of a page is older than the fold horizon fetches the
+//! master page plus any newer records — the analogue of TreadMarks
+//! fetching the whole page after GC.
 //!
 //! Reading the store allocates nothing: [`DiffStore::collect_into`]
 //! appends one writer's records of one page to the fetching processor's
 //! reusable buffer (cloning a [`Record`] is two non-atomic reference
-//! count bumps), and [`DiffStore::with_master`] /
-//! [`DiffStore::with_horizon`] lend the master copy and the fold horizon
-//! in place for the caller to copy straight into its page frame. That is
-//! what lets a warm fault run without touching the heap.
+//! count bumps), [`DiffStore::collect_above_horizon`] appends what every
+//! writer of a page published after its master copy, and
+//! [`DiffStore::with_master`] / [`DiffStore::with_horizon`] lend the
+//! master copy and the fold horizon in place for the caller to copy
+//! straight into its page frame — the horizon is a shared snapshot, so
+//! keeping it is a reference-count bump. That is what lets a warm fault
+//! run without touching the heap.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -24,7 +28,7 @@ use std::rc::Rc;
 use simnet::ProcId;
 
 use crate::diff::Payload;
-use crate::interval::{vc_key, Vc};
+use crate::interval::vc_key;
 use crate::pagepool::PagePool;
 
 /// One published modification of one page by one interval.
@@ -47,8 +51,11 @@ impl Record {
     }
 }
 
-#[derive(Debug, Default)]
+/// One processor's records of one page.
+#[derive(Debug)]
 struct PageLog {
+    /// The writer.
+    proc: ProcId,
     /// Records with `seq <= folded_upto` have been folded into the master
     /// copy and dropped from `records`.
     folded_upto: u32,
@@ -58,8 +65,10 @@ struct PageLog {
 
 #[derive(Debug)]
 struct Master {
-    /// Pointwise: every record with `seq <= horizon[proc]` is folded.
-    horizon: Vc,
+    /// Pointwise: every record with `seq <= horizon[proc]` is folded. A
+    /// snapshot: a fold that advances it installs a new one, so frames
+    /// refilled from an older one keep reading it unchanged.
+    horizon: Rc<[u32]>,
     /// Master copies indexed by page id (`None` = never folded).
     pages: Vec<Option<Box<[u8]>>>,
     /// [`DiffStore::fold`]'s `(page, record)` list (empty between folds).
@@ -68,14 +77,15 @@ struct Master {
 
 /// See module docs.
 ///
-/// Per-processor logs are flat page-indexed arenas, not hash maps. A
-/// slot stays `None` until that processor first publishes to the page:
-/// the `None`-vs-empty distinction is semantic (a missing log with a
-/// pending notice means "fetch the master"; an existing log answers
-/// from its own [`PageLog::folded_upto`]), so flattening must keep it.
+/// The logs are page-major: `logs[page]` holds the page's writer logs
+/// sorted by processor, so each read walks the page's few writers, not
+/// the cluster. A log appears when its processor first publishes to the
+/// page, and a missing log is semantic: with a pending notice it means
+/// "fetch the master"; an existing log answers from its own
+/// [`PageLog::folded_upto`].
 #[derive(Debug)]
 pub struct DiffStore {
-    per_proc: Vec<RefCell<Vec<Option<PageLog>>>>,
+    logs: RefCell<Vec<Vec<PageLog>>>,
     master: RefCell<Master>,
     /// Free-list shared with the owning cluster: master copies cycle
     /// through the same boxes as page frames and twins, keeping recycled
@@ -94,9 +104,9 @@ impl DiffStore {
     /// cluster's free-list).
     pub(crate) fn with_pool(nprocs: usize, _page_size: usize, pool: Rc<PagePool>) -> Self {
         DiffStore {
-            per_proc: (0..nprocs).map(|_| RefCell::new(Vec::new())).collect(),
+            logs: RefCell::new(Vec::new()),
             master: RefCell::new(Master {
-                horizon: vec![0; nprocs],
+                horizon: std::iter::repeat_n(0, nprocs).collect(),
                 pages: Vec::new(),
                 folding: Vec::new(),
             }),
@@ -107,12 +117,23 @@ impl DiffStore {
     /// Publish `payload` as processor `proc`'s interval `seq` modification
     /// of `page`.
     pub fn publish(&self, proc: ProcId, page: u32, seq: u32, vc: Rc<[u32]>, payload: Payload) {
-        let mut map = self.per_proc[proc].borrow_mut();
+        let mut logs = self.logs.borrow_mut();
         let idx = page as usize;
-        if map.len() <= idx {
-            map.resize_with(idx + 1, || None);
+        if logs.len() <= idx {
+            logs.resize_with(idx + 1, Vec::new);
         }
-        let log = map[idx].get_or_insert_with(PageLog::default);
+        let writers = &mut logs[idx];
+        let i = writers.binary_search_by_key(&proc, |l| l.proc);
+        let i = i.unwrap_or_else(|i| {
+            let log = PageLog {
+                proc,
+                folded_upto: 0,
+                records: Vec::new(),
+            };
+            writers.insert(i, log);
+            i
+        });
+        let log = &mut writers[i];
         debug_assert!(
             log.records.last().is_none_or(|r| r.seq < seq),
             "records must be published in seq order"
@@ -137,15 +158,14 @@ impl DiffStore {
         upto: u32,
         out: &mut Vec<Record>,
     ) -> bool {
-        match self.per_proc[proc]
-            .borrow()
-            .get(page as usize)
-            .and_then(Option::as_ref)
-        {
+        let logs = self.logs.borrow();
+        let writers = logs.get(page as usize).map_or(&[][..], Vec::as_slice);
+        match writers.binary_search_by_key(&proc, |l| l.proc) {
             // A pending notice referenced a record but the whole log is
             // gone — everything was folded.
-            None => after < upto,
-            Some(log) => {
+            Err(_) => after < upto,
+            Ok(i) => {
+                let log = &writers[i];
                 let wanted = log
                     .records
                     .iter()
@@ -156,10 +176,28 @@ impl DiffStore {
         }
     }
 
+    /// Append every writer's records of `page` newer than the fold
+    /// horizon and no newer than `known(writer)` to `out`, writer by
+    /// writer in processor order: what must be re-applied on top of the
+    /// master copy. Walks the page's writers only.
+    pub(crate) fn collect_above_horizon(
+        &self,
+        page: u32,
+        known: impl Fn(ProcId) -> u32,
+        out: &mut Vec<Record>,
+    ) {
+        let (logs, m) = (self.logs.borrow(), self.master.borrow());
+        for log in logs.get(page as usize).into_iter().flatten() {
+            let (h, upto) = (m.horizon[log.proc], known(log.proc));
+            let newer = log.records.iter().filter(|r| r.seq > h && r.seq <= upto);
+            out.extend(newer.cloned());
+        }
+    }
+
     /// Lend `f` the master copy of `page` (`None`: never folded, i.e. all
     /// zeros) and the fold horizon it is a snapshot at. The caller copies
     /// what it needs and charges the fetch to the page's manager.
-    pub fn with_master<R>(&self, page: u32, f: impl FnOnce(Option<&[u8]>, &[u32]) -> R) -> R {
+    pub fn with_master<R>(&self, page: u32, f: impl FnOnce(Option<&[u8]>, &Rc<[u32]>) -> R) -> R {
         let m = self.master.borrow();
         f(
             m.pages.get(page as usize).and_then(Option::as_deref),
@@ -167,8 +205,7 @@ impl DiffStore {
         )
     }
 
-    /// Lend `f` the current fold horizon (no page data) — used to
-    /// re-collect everything newer than a master copy, and to decide
+    /// Lend `f` the current fold horizon (no page data) — used to decide
     /// whether a `Full` snapshot makes the master fetch unnecessary.
     pub fn with_horizon<R>(&self, f: impl FnOnce(&[u32]) -> R) -> R {
         f(&self.master.borrow().horizon)
@@ -185,15 +222,15 @@ impl DiffStore {
             folding,
         } = &mut *m;
         // Collect (page, record) of everything being folded, across all
-        // processors, so application order is a linear extension of
+        // writers, so application order is a linear extension of
         // happens-before.
-        for (q, log) in self.per_proc.iter().enumerate() {
-            for (page, slot) in log.borrow_mut().iter_mut().enumerate() {
-                let Some(log) = slot.as_mut() else { continue };
-                if horizon[q] > log.folded_upto {
-                    let keep = log.records.partition_point(|r| r.seq <= horizon[q]);
+        for (page, writers) in self.logs.borrow_mut().iter_mut().enumerate() {
+            for log in writers {
+                let h = horizon[log.proc];
+                if h > log.folded_upto {
+                    let keep = log.records.partition_point(|r| r.seq <= h);
                     folding.extend(log.records.drain(..keep).map(|r| (page as u32, r)));
-                    log.folded_upto = horizon[q];
+                    log.folded_upto = h;
                 }
             }
         }
@@ -207,36 +244,29 @@ impl DiffStore {
             r.payload
                 .apply(pages[idx].get_or_insert_with(|| self.pool.take_zeroed()));
         }
-        for (h, &n) in folded_to.iter_mut().zip(horizon) {
-            *h = (*h).max(n);
+        if horizon.iter().zip(folded_to.iter()).any(|(&n, &h)| n > h) {
+            let advanced = folded_to.iter().zip(horizon).map(|(&h, &n)| h.max(n));
+            *folded_to = advanced.collect();
         }
     }
 
     /// Drop every record, return every master copy to the page pool,
-    /// and zero the fold horizon, keeping the per-processor arenas'
+    /// and zero the fold horizon, keeping each page's writer list's
     /// capacity. Part of [`crate::Cluster::recycle`]; must not race
     /// with fetches.
     pub fn reset(&self) {
-        for log in &self.per_proc {
-            log.borrow_mut().clear();
+        for writers in self.logs.borrow_mut().iter_mut() {
+            writers.clear();
         }
         let mut m = self.master.borrow_mut();
-        m.horizon.fill(0);
+        m.horizon = std::iter::repeat_n(0, m.horizon.len()).collect();
         self.pool.give_all(m.pages.drain(..).flatten());
     }
 
     /// Number of retained (unfolded) records — memory-bound test hook.
     pub fn retained_records(&self) -> usize {
-        self.per_proc
-            .iter()
-            .map(|l| {
-                l.borrow()
-                    .iter()
-                    .flatten()
-                    .map(|g| g.records.len())
-                    .sum::<usize>()
-            })
-            .sum()
+        let logs = self.logs.borrow();
+        logs.iter().flatten().map(|l| l.records.len()).sum()
     }
 }
 
@@ -319,7 +349,7 @@ mod tests {
         // Before any fold the master is absent (all zeros), at horizon 0.
         s.with_master(9, |data, horizon| {
             assert!(data.is_none());
-            assert_eq!(horizon, [0, 0]);
+            assert_eq!(horizon[..], [0, 0]);
         });
         s.fold(&[1, 0]);
         assert_eq!(s.retained_records(), 1);
@@ -331,7 +361,7 @@ mod tests {
 
         s.with_master(9, |data, horizon| {
             let data = data.expect("page 9 was folded");
-            assert_eq!(horizon, [1, 0]);
+            assert_eq!(horizon[..], [1, 0]);
             assert!(data[0..8].iter().all(|&b| b == 0xAA));
             assert!(data[8..16].iter().all(|&b| b == 0));
         });
@@ -371,5 +401,65 @@ mod tests {
         s.fold(&[0]); // cannot lower the horizon
         assert_eq!(s.with_horizon(<[u32]>::to_vec), [1]);
         assert_eq!(s.retained_records(), 0);
+    }
+
+    #[test]
+    fn only_an_advancing_fold_replaces_the_horizon_snapshot() {
+        let s = DiffStore::new(2, 16);
+        s.publish(0, 0, 1, vec![1, 0].into(), diff_payload(16, 0, 5));
+        s.fold(&[1, 0]);
+        let kept = s.with_master(0, |_, h| Rc::clone(h));
+        s.fold(&[1, 0]);
+        s.fold(&[0, 0]);
+        assert!(
+            s.with_master(0, |_, h| Rc::ptr_eq(h, &kept)),
+            "no advance, same snapshot"
+        );
+        s.fold(&[1, 2]);
+        assert_eq!(s.with_horizon(<[u32]>::to_vec), [1, 2]);
+        assert_eq!(kept[..], [1, 0], "a frame's floor never moves under it");
+    }
+
+    #[test]
+    fn master_recollect_walks_only_the_pages_writers() {
+        // Page 5's only writers are procs 3 and 60 of 64; proc 7 writes
+        // page 6 only.
+        let s = DiffStore::new(64, 64);
+        for seq in 1..=3 {
+            for q in [60, 3] {
+                let payload = diff_payload(64, 8 * (q % 8), seq as u8);
+                s.publish(q, 5, seq, vec![seq; 64].into(), payload);
+            }
+        }
+        s.publish(7, 6, 1, vec![1; 64].into(), diff_payload(64, 0, 1));
+        let mut horizon = vec![0; 64];
+        (horizon[3], horizon[60], horizon[7]) = (1, 2, 1);
+        s.fold(&horizon);
+        let asked = RefCell::new(Vec::new());
+        let mut out = Vec::new();
+        let known = |q| {
+            asked.borrow_mut().push(q);
+            if q == 3 {
+                2
+            } else {
+                3
+            }
+        };
+        s.collect_above_horizon(5, known, &mut out);
+        assert_eq!(
+            asked.into_inner(),
+            [3, 60],
+            "the page's writers, in proc order"
+        );
+        let got: Vec<_> = out.iter().map(|r| (r.proc, r.seq)).collect();
+        assert_eq!(
+            got,
+            [(3, 2), (60, 3)],
+            "above the horizon, up to what is known"
+        );
+        out.clear();
+        s.collect_above_horizon(6, |_| 1, &mut out);
+        assert!(out.is_empty(), "proc 7's one record is folded");
+        s.collect_above_horizon(11, |_| unreachable!("page 11 has no writers"), &mut out);
     }
 }
