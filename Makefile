@@ -43,7 +43,11 @@ clippy:
 # metadata scales with its writers, not the cluster: the diff store is
 # page-major (no per_proc arenas in store.rs), and the fault path walks
 # no horizon per processor (a master refill shares the fold-horizon
-# snapshot as the frame's floor).
+# snapshot as the frame's floor). Barriers are the only synchronization,
+# as in the paper's programs: no lock API, no scheduler yield, no lock
+# stall bucket, message kind, trace event or counter, and none of the
+# consistency paths only a lock acquire reached (apply_notices,
+# range_bytes, CompactVc, last_barrier_seen).
 SEQUENTIAL_CRATES = crates/simnet crates/dsm crates/chaos crates/rsd crates/serve
 ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
 NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
@@ -61,7 +65,7 @@ hygiene:
 	@if grep -rn "enum FetchClass" crates/dsm; then \
 		echo "hygiene: dsm::FetchClass is simnet::FetchKind; add tables as methods beside that enum"; exit 1; fi
 	@if grep -rn "thread::spawn\|thread::scope\|Condvar" crates/simnet/src crates/dsm/src crates/chaos/src | grep -v "^[^:]*:[0-9]*: *//"; then \
-		echo "hygiene: simulated processors are coroutines scheduled by simnet::Rendezvous; block with wait_then/yield_now, not an OS thread or a condvar"; exit 1; fi
+		echo "hygiene: simulated processors are coroutines scheduled by simnet::Rendezvous; block with wait_then, not an OS thread or a condvar"; exit 1; fi
 	@if grep -rnw "unsafe" crates/ | grep -v "^crates/simnet/src/coroutine.rs:\|^crates/serve/src/alloc.rs:"; then \
 		echo "hygiene: unsafe lives only in simnet/src/coroutine.rs and serve/src/alloc.rs"; exit 1; fi
 	@if grep -rn "collect_batch\|master_fetch\b\|master_horizon\|struct Collected" crates/; then \
@@ -84,6 +88,8 @@ hygiene:
 		echo "hygiene: the diff store is page-major (logs[page] lists the page's writers), not per-processor arenas"; exit 1; fi
 	@if grep -n "horizon\.iter()\.enumerate()" crates/dsm/src/proc.rs; then \
 		echo "hygiene: no per-processor walk in the fault path; a refilled frame shares the horizon as its floor"; exit 1; fi
+	@if grep -rnE "yield_now|LockWait|MsgKind::Lock|TraceEvent::Lock|lock_acquires|LockMgr|apply_notices|range_bytes|CompactVc|last_barrier_seen|p\.lock\(|p\.unlock\(" crates examples tests src; then \
+		echo "hygiene: barriers are the only synchronization; locks and the paths only a lock acquire reached are deleted"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses

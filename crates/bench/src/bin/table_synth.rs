@@ -184,8 +184,8 @@ fn print_stall_table(label: &str, rep: &NetReport) {
 }
 
 /// The barrier-metadata scaling check: the same fixed-size workload at
-/// 16 and 64 processors (both past the dense-clock cutoff, so both use
-/// the sparse delta encoding). With the flat digest and delta clocks,
+/// 16 and 64 processors (both past the dense-clock cutoff, so both ship
+/// one-pair clocks). With the flat digest and one-pair clocks,
 /// the per-barrier notice payload is ~`12·nwriters + 4·pages`: the
 /// page term is constant in nprocs for a fixed problem, so quadrupling
 /// the cluster must *not* quadruple the bytes. The dense O(nprocs)

@@ -91,7 +91,6 @@ impl ChaosWorld {
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(&mut ChaosProc) -> R,
-        R: Send,
     {
         self.bar.run_spmd(|rank| {
             f(&mut ChaosProc {

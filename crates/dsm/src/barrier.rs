@@ -201,7 +201,6 @@ impl TmkProc<'_> {
         let epoch = {
             let st = ctl.state.borrow();
             self.apply_digest(&st.digest, &st.target, &mut invalidated);
-            self.inner.last_barrier_seen.copy_from_slice(&st.target);
             st.epoch
         };
         self.inner.counters.barriers += 1;

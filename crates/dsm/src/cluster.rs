@@ -9,7 +9,6 @@ use simnet::{CostModel, Net, NetReport, SimTime};
 use crate::barrier::BarrierCtl;
 use crate::heap::{Pod, SharedSlice};
 use crate::interval::NoticeBoard;
-use crate::lock::LockMgr;
 use crate::pagepool::PagePool;
 use crate::proc::{ProcInner, TmkProc};
 use crate::store::DiffStore;
@@ -75,7 +74,6 @@ pub struct Cluster {
     board: NoticeBoard,
     store: DiffStore,
     barrier: BarrierCtl,
-    locks: LockMgr,
     alloc_next: Cell<usize>,
     /// Each processor's protocol state, out of its slot while that
     /// processor runs.
@@ -103,7 +101,6 @@ impl Cluster {
             store: DiffStore::with_pool(nprocs, page_size, Rc::clone(&page_pool)),
             cfg,
             barrier: BarrierCtl::new(nprocs),
-            locks: LockMgr::default(),
             alloc_next: Cell::new(0),
             slots: (0..nprocs)
                 .map(|_| RefCell::new(Some(Box::new(ProcInner::new(nprocs)))))
@@ -130,7 +127,6 @@ impl Cluster {
         self.board.reset();
         self.store.reset();
         self.barrier.reset();
-        self.locks.reset();
         self.alloc_next.set(0);
         for slot in &self.slots {
             let mut slot = slot.borrow_mut();
@@ -194,10 +190,9 @@ impl Cluster {
     /// protocol state persists across calls.
     ///
     /// **Panics.** If `f` panics on some processor, the others unwind
-    /// from wherever they are blocked — a barrier or [`TmkProc::lock`] —
-    /// instead of waiting forever, and that processor's original payload
-    /// is re-raised here — nothing is returned
-    /// ([`simnet::Rendezvous::run_spmd`]). A processor that returns while
+    /// from the barrier they wait in instead of waiting forever, and that
+    /// processor's original payload is re-raised here — nothing is
+    /// returned ([`simnet::Rendezvous::run_spmd`]). A processor that returns while
     /// others wait for it at a barrier fails the run the same way, with
     /// a deadlock message. The cluster is then *aborted*: its protocol
     /// state is torn, and a further `run`, [`Cluster::read_back`] or
@@ -217,7 +212,6 @@ impl Cluster {
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(&mut TmkProc) -> R,
-        R: Send,
     {
         self.barrier
             .rendezvous()
@@ -294,10 +288,6 @@ impl Cluster {
 
     pub(crate) fn barrier_ctl(&self) -> &BarrierCtl {
         &self.barrier
-    }
-
-    pub(crate) fn lock_mgr(&self) -> &LockMgr {
-        &self.locks
     }
 
     /// Barrier epochs completed (diagnostics).

@@ -1,12 +1,13 @@
 //! Intervals, vector clocks, and the write-notice board.
 //!
 //! A processor's execution is divided into *intervals*, closed at each
-//! release (barrier arrival or lock release). Closing interval `seq`
-//! publishes an [`IntervalRec`]: the processor's vector clock at that
-//! point plus write notices (the pages dirtied). Acquires merge another
-//! processor's knowledge: every interval newly covered by the merged
-//! vector clock has its write notices applied, invalidating local copies
-//! of those pages — the *lazy invalidate* protocol of §2.
+//! release — a barrier arrival, since barriers are the only
+//! synchronization. Closing interval `seq` publishes an [`IntervalRec`]:
+//! the processor's vector clock at that point plus write notices (the
+//! pages dirtied). A barrier departure is the acquire: every interval
+//! newly covered by the barrier's clock has its write notices applied,
+//! invalidating local copies of those pages — the *lazy invalidate*
+//! protocol of §2.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -17,12 +18,6 @@ use simnet::ProcId;
 /// notices this processor has seen (interval sequence numbers are
 /// 1-based; `vc[q] == 0` means "none").
 pub type Vc = Vec<u32>;
-
-/// Does `vc` cover interval `seq` of processor `q`?
-#[inline]
-pub fn covers(vc: &[u32], q: ProcId, seq: u32) -> bool {
-    vc[q] >= seq
-}
 
 /// A deterministic linear extension of happens-before.
 ///
@@ -37,67 +32,13 @@ pub fn vc_key(vc: &[u32], proc: ProcId, seq: u32) -> (u64, usize, u32) {
 }
 
 /// Clusters at or below this size ship the full dense vector clock on
-/// the wire (`4 * nprocs` bytes); larger clusters switch to the sparse
-/// delta encoding of [`CompactVc`]. Eight matches the paper's cluster
-/// size, so the reviewed tables are unaffected by the sparse format.
+/// the wire (`4 * nprocs` bytes). Larger clusters ship one `(rank, seq)`
+/// pair behind a 4-byte count, 12 bytes: every processor adopts the
+/// previous barrier's target clock at departure, and no other acquire
+/// exists, so a closing interval's clock differs from that shared base
+/// in its own component only. Eight matches the paper's cluster size,
+/// so the reviewed tables are unaffected by the sparse format.
 pub const DENSE_VC_MAX: usize = 8;
-
-/// Wire encoding of a vector clock relative to a shared `base` clock.
-///
-/// Both sides of a notice exchange already agree on the previous
-/// barrier's target clock (every processor adopts it at departure), so
-/// an interval only needs to ship the components that advanced past it:
-/// the closing processor's own (always), plus any learned through lock
-/// acquires since. At 256 processors an interval that advanced two
-/// ranks costs 20 bytes instead of 1024.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompactVc {
-    /// Small cluster: the full clock, `4 * nprocs` wire bytes.
-    Dense(Vec<u32>),
-    /// Large cluster: `(rank, seq)` pairs for ranks with
-    /// `vc[rank] > base[rank]`; 4-byte count header + 8 bytes per pair.
-    Sparse(Vec<(u32, u32)>),
-}
-
-impl CompactVc {
-    /// Encode `vc` as a delta against `base` (`base[q] ≤ vc[q]` pointwise).
-    pub fn encode(vc: &[u32], base: &[u32]) -> CompactVc {
-        debug_assert_eq!(vc.len(), base.len());
-        if vc.len() <= DENSE_VC_MAX {
-            return CompactVc::Dense(vc.to_vec());
-        }
-        let pairs = vc
-            .iter()
-            .zip(base)
-            .enumerate()
-            .filter(|(_, (&v, &b))| v > b)
-            .map(|(q, (&v, _))| (q as u32, v))
-            .collect();
-        CompactVc::Sparse(pairs)
-    }
-
-    /// Reconstruct the full clock given the same `base` used to encode.
-    pub fn decode(&self, base: &[u32]) -> Vc {
-        match self {
-            CompactVc::Dense(vc) => vc.clone(),
-            CompactVc::Sparse(pairs) => {
-                let mut vc = base.to_vec();
-                for &(q, seq) in pairs {
-                    vc[q as usize] = seq;
-                }
-                vc
-            }
-        }
-    }
-
-    /// Wire size of this encoding.
-    pub fn wire_bytes(&self) -> usize {
-        match self {
-            CompactVc::Dense(vc) => vc.len() * 4,
-            CompactVc::Sparse(pairs) => 4 + pairs.len() * 8,
-        }
-    }
-}
 
 /// What one closed interval publishes.
 #[derive(Debug, Clone)]
@@ -107,34 +48,28 @@ pub struct IntervalRec {
     pub vc: Rc<[u32]>,
     /// Write notices: pages dirtied during the interval.
     pub pages: Rc<[u32]>,
-    /// Precomputed wire size of the clock under the [`CompactVc`]
-    /// encoding against the closing processor's last barrier snapshot.
-    vc_wire: u32,
 }
 
 impl IntervalRec {
-    /// Build a record, computing the clock's wire size as the compact
-    /// delta against `base` (the closing processor's view of the last
-    /// barrier target; ranks advanced since — own component, lock
-    /// acquires — form the sparse set).
-    pub fn new(vc: Rc<[u32]>, pages: Rc<[u32]>, base: &[u32]) -> IntervalRec {
-        let vc_wire = CompactVc::encode(&vc, base).wire_bytes() as u32;
-        IntervalRec { vc, pages, vc_wire }
-    }
-
     /// Approximate wire size of this record inside a notice exchange:
-    /// the (compactly encoded) vector clock plus one page id per notice.
+    /// the vector clock (see [`DENSE_VC_MAX`]) plus one page id per
+    /// notice.
     pub fn wire_bytes(&self) -> usize {
-        self.vc_wire as usize + self.pages.len() * 4
+        let clock = if self.vc.len() <= DENSE_VC_MAX {
+            4 * self.vc.len()
+        } else {
+            12
+        };
+        clock + self.pages.len() * 4
     }
 }
 
 /// The global registry of published intervals, indexed `[proc][seq-1]`.
 ///
-/// In real TreadMarks this information is piggybacked on barrier and lock
+/// In real TreadMarks this information is piggybacked on barrier
 /// messages; here it is a board the cluster's processors share on their
 /// one thread, with the equivalent messages/bytes charged by the barrier
-/// and lock managers.
+/// manager.
 #[derive(Debug)]
 pub struct NoticeBoard {
     boards: Vec<RefCell<Vec<IntervalRec>>>,
@@ -185,14 +120,6 @@ impl NoticeBoard {
             b.borrow_mut().clear();
         }
     }
-
-    /// Total wire bytes of `q`'s intervals in `(from, to]` — used to
-    /// account barrier/lock message sizes.
-    pub fn range_bytes(&self, q: ProcId, from: u32, to: u32) -> usize {
-        let mut n = 0;
-        self.for_range(q, from, to, |_, rec| n += rec.wire_bytes());
-        n
-    }
 }
 
 #[cfg(test)]
@@ -200,8 +127,10 @@ mod tests {
     use super::*;
 
     fn rec(vc: Vec<u32>, pages: Vec<u32>) -> IntervalRec {
-        let base = vec![0u32; vc.len()];
-        IntervalRec::new(vc.into(), pages.into(), &base)
+        IntervalRec {
+            vc: vc.into(),
+            pages: pages.into(),
+        }
     }
 
     #[test]
@@ -223,15 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn covers_basic() {
-        let vc = vec![3, 0, 7];
-        assert!(covers(&vc, 0, 3));
-        assert!(!covers(&vc, 0, 4));
-        assert!(!covers(&vc, 1, 1));
-        assert!(covers(&vc, 2, 7));
-    }
-
-    #[test]
     fn vc_key_orders_happens_before() {
         // p0 closes interval 1; p1 sees it and closes its interval 1.
         let a = vc_key(&[1, 0], 0, 1);
@@ -247,49 +167,65 @@ mod tests {
     fn wire_bytes_counts_vc_and_pages() {
         let r = rec(vec![1, 0, 0], vec![10, 11]);
         assert_eq!(r.wire_bytes(), 3 * 4 + 2 * 4);
-        let nb = NoticeBoard::new(3);
-        nb.publish(0, r);
-        assert_eq!(nb.range_bytes(0, 0, 1), 20);
-        assert_eq!(nb.range_bytes(0, 1, 1), 0);
     }
 
     #[test]
     fn compact_vc_dense_at_small_nprocs() {
-        // At ≤ DENSE_VC_MAX ranks the encoding is the full clock and the
-        // wire size matches the historical `4 * nprocs` formula exactly.
-        let vc = vec![3, 1, 0, 2];
-        let base = vec![2, 1, 0, 2];
-        let c = CompactVc::encode(&vc, &base);
-        assert_eq!(c.wire_bytes(), 16);
-        assert_eq!(c.decode(&base), vc);
+        // At ≤ DENSE_VC_MAX ranks the clock travels whole, and the wire
+        // size is the historical `4 * nprocs` whatever its entries hold.
+        for vc in [vec![0, 0, 0, 0], vec![3, 1, 0, 2]] {
+            assert_eq!(rec(vc, vec![]).wire_bytes(), 16);
+        }
+        let full = rec(vec![1; DENSE_VC_MAX], vec![]);
+        assert_eq!(full.wire_bytes(), 4 * DENSE_VC_MAX);
     }
 
     #[test]
     fn compact_vc_sparse_above_dense_max() {
+        // The previous barrier's target, shared by every processor.
         let mut base = vec![0u32; 16];
         base[3] = 5;
+        // Rank 0 closes its next interval: only its own component moves.
         let mut vc = base.clone();
-        vc[0] = 2; // own component advanced
-        vc[7] = 9; // learned via a lock acquire
-        let c = CompactVc::encode(&vc, &base);
-        // 4-byte count header + two (rank, seq) pairs.
-        assert_eq!(c.wire_bytes(), 4 + 2 * 8);
-        assert_eq!(c.decode(&base), vc);
-        // Unchanged clock encodes to the bare header.
-        let none = CompactVc::encode(&base, &base);
-        assert_eq!(none.wire_bytes(), 4);
-        assert_eq!(none.decode(&base), base);
+        vc[0] = 1;
+        // 4-byte count header + the one (rank, seq) pair.
+        assert_eq!(rec(vc.clone(), vec![]).wire_bytes(), 4 + 8);
+        // That pair applied to the base recovers the whole clock.
+        let mut decoded = base.clone();
+        decoded[0] = vc[0];
+        assert_eq!(decoded, vc);
+        // The billed clock does not grow with the cluster.
+        let mut wide = vec![0u32; 256];
+        wide[255] = 1;
+        assert_eq!(rec(wide, vec![7]).wire_bytes(), 4 + 8 + 4);
     }
 
     #[test]
     fn interval_rec_wire_uses_sparse_encoding_at_scale() {
-        let nprocs = 64;
-        let mut base = vec![0u32; nprocs];
-        base[10] = 4;
-        let mut vc = base.clone();
-        vc[0] = 1;
-        let r = IntervalRec::new(vc.into(), vec![42u32, 43].into(), &base);
-        // One advanced rank: 4 + 8 clock bytes + 2 page ids.
+        let mut vc = vec![0u32; 64];
+        (vc[0], vc[10]) = (1, 4);
+        let r = rec(vc, vec![42, 43]);
+        // One (rank, seq) pair behind the count: 4 + 8 clock bytes,
+        // whatever the other components hold, plus 2 page ids.
         assert_eq!(r.wire_bytes(), 12 + 8);
+    }
+
+    /// The clock's wire size is a closed form of the cluster size: dense
+    /// up to `DENSE_VC_MAX` processors, one pair behind a count above.
+    #[test]
+    fn wire_bytes_is_the_closed_form_at_every_cluster_size() {
+        for n in [1, 4, 8, 9, 64] {
+            let clock = if n <= DENSE_VC_MAX { 4 * n } else { 4 + 8 };
+            for pages in [0, 3] {
+                let mut vc = vec![0u32; n];
+                vc[n - 1] = 1;
+                let r = rec(vc, (0..pages as u32).collect());
+                assert_eq!(
+                    r.wire_bytes(),
+                    clock + 4 * pages,
+                    "{n} procs, {pages} pages"
+                );
+            }
+        }
     }
 }

@@ -4,13 +4,15 @@
 //! paper describes it (§2):
 //!
 //! * **Lazy-invalidate release consistency**: ordinary shared accesses are
-//!   distinguished from synchronization (barriers, locks). Consistency
-//!   information travels only at acquires; the acquirer invalidates pages
-//!   named in write notices of intervals it has not yet seen.
+//!   distinguished from synchronization. The paper's programs synchronize
+//!   only with barriers, and so does this DSM: a barrier arrival is the
+//!   release and its departure the acquire. Consistency information
+//!   travels only at barriers; each processor invalidates pages named in
+//!   write notices of intervals it has not yet seen.
 //! * **Vector-clock intervals**: each processor's execution is divided
-//!   into intervals closed at every release (barrier arrival / lock
-//!   release). An interval publishes *write notices* — the pages it
-//!   dirtied — tagged with the processor's vector clock.
+//!   into intervals closed at every barrier arrival. An interval
+//!   publishes *write notices* — the pages it dirtied — tagged with the
+//!   processor's vector clock.
 //! * **Multiple-writer protocol**: the first write to a page in an
 //!   interval makes a *twin* (a copy); at interval close the twin is
 //!   compared to the page to produce a run-length-encoded *diff*.
@@ -56,7 +58,6 @@ mod cluster;
 mod diff;
 mod heap;
 mod interval;
-mod lock;
 mod pagepool;
 mod policy;
 mod proc;
@@ -67,7 +68,7 @@ pub use cluster::{Cluster, DsmConfig};
 pub use scratch::ClusterPool;
 pub use diff::{Diff, Payload, DIFF_WORD};
 pub use heap::{Pod, SharedSlice};
-pub use interval::{covers, vc_key, CompactVc, IntervalRec, NoticeBoard, Vc, DENSE_VC_MAX};
+pub use interval::{vc_key, IntervalRec, NoticeBoard, Vc, DENSE_VC_MAX};
 pub use policy::{EpochDecision, ProtocolPolicy};
 pub use proc::{PageState, ProcCounters, TmkProc};
 pub use store::{DiffStore, Record};

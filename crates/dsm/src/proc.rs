@@ -99,8 +99,6 @@ pub struct ProcCounters {
     pub intervals_closed: u64,
     /// Barriers crossed.
     pub barriers: u64,
-    /// Lock acquisitions.
-    pub lock_acquires: u64,
 }
 
 /// A policy-deferred batched fetch: armed at a barrier, owned by the
@@ -137,7 +135,6 @@ pub(crate) struct ProcInner {
     /// paper's future-work extension: incremental page-set recompute).
     watch_dirty: Vec<Vec<u32>>,
     pub(crate) counters: ProcCounters,
-    pub(crate) last_barrier_seen: Vc,
     /// The protocol decision layer (`None`: base TreadMarks — plain
     /// demand paging, no policy counter ever touched).
     pub(crate) policy: Option<Box<dyn ProtocolPolicy>>,
@@ -214,7 +211,6 @@ impl ProcInner {
             watch_flags: Vec::new(),
             watch_dirty: Vec::new(),
             counters: ProcCounters::default(),
-            last_barrier_seen: vec![0; nprocs],
             policy: None,
             deferred: Vec::new(),
             push_scheds: Vec::new(),
@@ -256,7 +252,6 @@ impl ProcInner {
         self.watch_flags.clear();
         self.watch_dirty.clear();
         self.counters = ProcCounters::default();
-        self.last_barrier_seen.fill(0);
         self.policy = None;
         self.deferred.clear();
         self.push_scheds.clear();
@@ -573,6 +568,10 @@ impl<'c> TmkProc<'c> {
         pend.sort_unstable_by_key(|&(q, seq)| (q, std::cmp::Reverse(seq)));
         pend.dedup_by_key(|&mut (q, _)| q);
         pend.retain(|&(q, seq)| seq > f.applied_of(q));
+        debug_assert!(
+            pend.iter().all(|&(q, upto)| upto <= vc[q]),
+            "page {page}: a pending notice above the clock (notices arrive only with a barrier's target)"
+        );
         let start = s.records.len();
         let mut master = false;
         for &(q, upto) in &pend {
@@ -589,15 +588,10 @@ impl<'c> TmkProc<'c> {
             // every writer of the page including ourselves, bounded by
             // our vector clock (records we have not acquired yet must
             // not be applied — that would break release consistency).
+            // Every pending notice is at or below the clock, so the
+            // clock alone is the bound.
             s.records.truncate(start);
-            let known = |q| {
-                if q == me {
-                    return vc[me];
-                }
-                let up = pend.binary_search_by_key(&q, |&(p, _)| p);
-                vc[q].max(up.map_or(0, |i| pend[i].1))
-            };
-            store.collect_above_horizon(page, known, &mut s.records);
+            store.collect_above_horizon(page, |q| vc[q], &mut s.records);
         }
         pend.clear();
         f.pending = pend;
@@ -699,26 +693,21 @@ impl<'c> TmkProc<'c> {
     }
 
     /// Fetch phase 3: apply, master copies first, then records causally.
+    /// A fetched page is never dirty: only a barrier invalidates, after
+    /// its interval close dropped every twin.
     fn apply_needs(&mut self, s: &FetchScratch) {
         let cl = self.cl;
         let cost = cl.net().cost();
         let mut apply_time = SimTime::ZERO;
         for n in &s.needs {
             let f = &mut self.inner.frames[n.page as usize];
-            f.data.get_or_insert_with(|| cl.page_pool().take_zeroed());
+            debug_assert!(!f.dirty(), "page {} fetched with local writes open", n.page);
+            let data = f.data.get_or_insert_with(|| cl.page_pool().take_zeroed());
             if n.master {
-                // Uncommitted local writes (open interval) live only in
-                // the data-vs-twin delta; preserve them across the
-                // whole-page overwrite. (Only a lock acquire can leave a
-                // twinned page invalid, so this diff is rare.)
-                let data = f.data.as_deref().expect("allocated above");
-                let own = f.twin.as_deref().map(|t| Diff::create(t, data));
                 cl.store().with_master(n.page, |master, horizon| {
-                    for buf in [f.data.as_mut(), f.twin.as_mut()].into_iter().flatten() {
-                        match master {
-                            Some(m) => buf.copy_from_slice(m),
-                            None => buf.fill(0),
-                        }
+                    match master {
+                        Some(m) => data.copy_from_slice(m),
+                        None => data.fill(0),
                     }
                     // The master is a snapshot *at the horizon*: the page
                     // regresses to exactly that knowledge; newer records
@@ -726,9 +715,6 @@ impl<'c> TmkProc<'c> {
                     f.floor = Some(Rc::clone(horizon));
                     f.applied.clear();
                 });
-                if let Some(d) = own {
-                    d.apply(f.data.as_mut().unwrap());
-                }
                 apply_time += cost.diff_apply(self.page_size);
                 self.inner.counters.master_fetches += 1;
             }
@@ -737,20 +723,11 @@ impl<'c> TmkProc<'c> {
                     continue; // subsumed by the master copy
                 }
                 r.payload.apply(f.data.as_mut().unwrap());
-                // Multiple-writer merge: keep our in-progress twin in sync
-                // so our eventual diff contains only our own writes.
-                if let Some(t) = f.twin.as_mut() {
-                    r.payload.apply(t);
-                }
                 f.set_applied(r.proc, r.seq);
                 apply_time += cost.diff_apply(r.payload.wire_bytes());
                 self.inner.counters.records_applied += 1;
             }
-            f.state = if f.dirty() {
-                PageState::Write
-            } else {
-                PageState::Read
-            };
+            f.state = PageState::Read;
             self.inner.counters.pages_fetched += 1;
         }
         cl.net().advance(self.me, apply_time);
@@ -829,7 +806,7 @@ impl<'c> TmkProc<'c> {
     }
 
     // ------------------------------------------------------------------
-    // Interval close + notice application (called by barrier/lock code).
+    // Interval close + notice application (called by the barrier).
     // ------------------------------------------------------------------
 
     /// Close the current interval: diff every dirty page, publish the
@@ -896,52 +873,19 @@ impl<'c> TmkProc<'c> {
                 .publish(self.me, page, seq, Rc::clone(&vc), payload);
         }
         self.inner.payloads = payloads;
-        // The record's clock ships as a delta against the last barrier
-        // target — both ends of any later exchange know that base.
-        let rec = IntervalRec::new(vc, pages, &self.inner.last_barrier_seen);
-        self.cl.board().publish(self.me, rec);
+        self.cl.board().publish(self.me, IntervalRec { vc, pages });
         self.inner.counters.intervals_closed += 1;
     }
 
-    /// Merge knowledge up to `target` (a lock acquire): apply write
-    /// notices of every newly covered interval, invalidating local
-    /// copies. Barriers merge the leader's digest instead
-    /// ([`TmkProc::apply_digest`]).
-    pub(crate) fn apply_notices(&mut self, target: &[u32]) {
-        let me = self.me;
-        for (q, &to) in target.iter().enumerate() {
-            if q == me || to <= self.inner.vc[q] {
-                continue;
-            }
-            let from = self.inner.vc[q];
-            // Collect first (board lock), then mutate frames.
-            let mut hits: Vec<(u32, u32)> = Vec::new(); // (page, seq)
-            self.cl.board().for_range(q, from, to, |seq, rec| {
-                for &page in rec.pages.iter() {
-                    hits.push((page, seq));
-                }
-            });
-            for (page, seq) in hits {
-                let f = &mut self.inner.frames[page as usize];
-                f.pending.push((q, seq));
-                f.state = PageState::Invalid;
-                if f.watched {
-                    self.fire_watch(page);
-                }
-            }
-            self.inner.vc[q] = to;
-        }
-    }
-
-    /// Barrier-path acquire: consume the leader's flat notice digest —
-    /// `(page, proc, seq)` entries covering `(previous target, target]`
-    /// across *all* processors, built once per barrier — instead of
-    /// re-walking every peer's board per processor. Entries already
-    /// merged through lock acquires (`seq ≤ vc[q]`) are skipped, so this
-    /// applies exactly the intervals `apply_notices(target)` would:
-    /// `vc[q] ≥ prev_target[q]` always holds after the previous barrier.
-    /// Leaves the pages it invalidated, sorted and deduplicated, in
-    /// `invalidated` (cleared first).
+    /// The acquire half of a barrier: consume the leader's flat notice
+    /// digest — `(page, proc, seq)` entries covering
+    /// `(previous target, target]` across *all* processors, built once
+    /// per barrier — instead of re-walking every peer's board per
+    /// processor, then adopt `target` as the clock. Barriers are the only
+    /// acquires, so the clock is the previous target: every peer entry is
+    /// new, and only this processor's own notices are skipped. Leaves the
+    /// pages it invalidated, sorted and deduplicated, in `invalidated`
+    /// (cleared first).
     pub(crate) fn apply_digest(
         &mut self,
         digest: &[(u32, u32, u32)],
@@ -952,9 +896,13 @@ impl<'c> TmkProc<'c> {
         invalidated.clear();
         for &(page, q, seq) in digest {
             let q = q as usize;
-            if q == me || seq <= self.inner.vc[q] {
+            if q == me {
                 continue;
             }
+            debug_assert!(
+                seq > self.inner.vc[q],
+                "digest entry ({q}, {seq}) already merged: the clock is not the previous barrier's target"
+            );
             let f = &mut self.inner.frames[page as usize];
             f.pending.push((q, seq));
             f.state = PageState::Invalid;
@@ -963,17 +911,9 @@ impl<'c> TmkProc<'c> {
                 self.fire_watch(page);
             }
         }
-        for (q, &to) in target.iter().enumerate() {
-            if self.inner.vc[q] < to {
-                self.inner.vc[q] = to;
-            }
-        }
+        self.inner.vc.copy_from_slice(target);
         invalidated.sort_unstable();
         invalidated.dedup();
-    }
-
-    pub(crate) fn vc(&self) -> &[u32] {
-        &self.inner.vc
     }
 
     // ------------------------------------------------------------------

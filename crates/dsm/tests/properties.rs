@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use dsm::{vc_key, CompactVc, Diff, Payload, DENSE_VC_MAX};
+use dsm::{vc_key, Diff, IntervalRec, Payload, DENSE_VC_MAX};
 
 /// A page mutation: (word-aligned offset, new bytes).
 fn mutations(page: usize) -> impl Strategy<Value = Vec<(usize, u8)>> {
@@ -113,35 +113,40 @@ proptest! {
     }
 
     /// The wire representation of an interval clock round-trips at
-    /// every cluster size: small clocks travel dense (the pre-scaling
-    /// format, byte-identical billing), large clocks travel as sparse
-    /// deltas against the receiver-known base — and decoding recovers
-    /// the exact clock either way.
+    /// every cluster size. Barriers are the only acquire, so a closing
+    /// interval's clock is the previous barrier's target with the
+    /// closer's own component advanced. Small clocks travel dense
+    /// (`4 * nprocs` bytes); large clocks travel as that one
+    /// `(rank, seq)` pair behind a 4-byte count, and applying the pair
+    /// to the receiver-known base recovers the exact clock.
     #[test]
     fn compact_vc_roundtrips_at_all_sizes(
-        nprocs in prop::sample::select(vec![3usize, 16, 64]),
+        nprocs in prop::sample::select(vec![3usize, 8, 9, 16, 64]),
         seed in any::<u64>(),
+        pages in 0usize..5,
     ) {
-        // Deterministic pseudo-random base + advance from the seed (the
-        // strategy samples the size axis; the clock entries just need
-        // coverage of zero/nonzero advances).
         let mut s = seed;
         let mut next = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (s >> 33) as u32
         };
         let base: Vec<u32> = (0..nprocs).map(|_| next() % 100).collect();
-        let vc: Vec<u32> = base.iter().map(|&b| b + next() % 4).collect();
+        let me = next() as usize % nprocs;
+        let mut vc = base.clone();
+        vc[me] += 1;
 
-        let enc = CompactVc::encode(&vc, &base);
-        prop_assert_eq!(enc.decode(&base), vc.clone());
-        let advanced = vc.iter().zip(&base).filter(|(v, b)| v > b).count();
-        if nprocs <= DENSE_VC_MAX {
-            prop_assert_eq!(enc.wire_bytes(), 4 * nprocs, "dense = the old billing");
-        } else {
-            prop_assert_eq!(enc.wire_bytes(), 4 + 8 * advanced);
-            prop_assert!(enc.wire_bytes() <= 4 + 8 * nprocs);
-        }
+        let rec = IntervalRec {
+            vc: vc.clone().into(),
+            pages: (0..pages as u32).collect::<Vec<_>>().into(),
+        };
+        let (q, seq) = (me, rec.vc[me]);
+        let mut decoded = base.clone();
+        decoded[q] = seq;
+        prop_assert_eq!(&decoded, &vc);
+        let clock = if nprocs <= DENSE_VC_MAX { 4 * nprocs } else { 4 + 8 };
+        prop_assert_eq!(rec.wire_bytes(), clock + 4 * pages);
+        // Never more than the dense clock.
+        prop_assert!(rec.wire_bytes() <= 4 * nprocs + 4 * pages);
     }
 
     /// vc_key is a linear extension of happens-before: if a's vc is

@@ -1,6 +1,6 @@
 //! Protocol-level integration tests for the TreadMarks-style DSM:
 //! lazy-invalidate release consistency, the multiple-writer protocol,
-//! garbage collection, locks, and the Validate support hooks.
+//! garbage collection, and the Validate support hooks.
 
 use dsm::{Cluster, DsmConfig, FetchClass, MsgKind, PageState};
 
@@ -116,80 +116,6 @@ fn garbage_collection_folds_and_master_serves_stale_readers() {
     });
     // The fold horizon lags one barrier, so retention stays bounded.
     assert!(cl.retained_records() <= 4, "records leak: {}", cl.retained_records());
-}
-
-#[test]
-fn lock_transfers_consistency() {
-    // Classic lock-protected producer/consumer with no barrier: the
-    // acquirer must see the releaser's writes (notices ride the grant).
-    let cl = cluster(2);
-    let s = cl.alloc::<f64>(8);
-    cl.run(|p| {
-        if p.rank() == 0 {
-            p.lock(1);
-            p.write(&s, 0, 3.5);
-            p.unlock(1);
-            p.barrier();
-        } else {
-            // Spin until the value is visible through the lock.
-            loop {
-                p.lock(1);
-                let v = p.read(&s, 0);
-                p.unlock(1);
-                if v == 3.5 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            p.barrier();
-        }
-    });
-    assert!(cl.report().messages_per_kind(MsgKind::Lock) > 0);
-}
-
-#[test]
-fn lock_mutual_exclusion_counter() {
-    let cl = cluster(4);
-    let s = cl.alloc::<f64>(8);
-    const PER_PROC: usize = 25;
-    cl.run(|p| {
-        for _ in 0..PER_PROC {
-            p.lock(7);
-            let v = p.read(&s, 0);
-            p.write(&s, 0, v + 1.0);
-            p.unlock(7);
-        }
-        p.barrier();
-        assert_eq!(p.read(&s, 0), (4 * PER_PROC) as f64);
-        p.barrier();
-    });
-}
-
-#[test]
-fn reacquiring_own_lock_is_message_free() {
-    let cl = cluster(2);
-    cl.run(|p| {
-        if p.rank() == 0 {
-            p.lock(3);
-            p.unlock(3);
-            let before = p.counters().lock_acquires;
-            assert_eq!(before, 1);
-        }
-        p.barrier();
-    });
-    let msgs_after_first = cl.report().messages_per_kind(MsgKind::Lock);
-    cl.run(|p| {
-        if p.rank() == 0 {
-            p.lock(3); // cached ownership
-            p.unlock(3);
-        }
-        p.barrier();
-    });
-    assert_eq!(
-        cl.report().messages_per_kind(MsgKind::Lock),
-        msgs_after_first,
-        "reacquire must add no lock messages"
-    );
 }
 
 #[test]
@@ -463,35 +389,6 @@ fn write_all_versus_twin_data_volume() {
 }
 
 #[test]
-fn lock_ping_pong_transfers_latest_values() {
-    // Strict alternation through two locks: a token-passing pattern where
-    // every acquire must observe the other side's latest increment.
-    let cl = cluster(2);
-    let s = cl.alloc::<f64>(8);
-    const ROUNDS: usize = 10;
-    cl.run(|p| {
-        let me = p.rank();
-        for round in 0..ROUNDS {
-            loop {
-                p.lock(9);
-                let v = p.read(&s, 0) as usize;
-                // v counts completed half-rounds; it's my turn when
-                // v % 2 == me.
-                if v == 2 * round + me {
-                    p.write(&s, 0, (v + 1) as f64);
-                    p.unlock(9);
-                    break;
-                }
-                p.unlock(9);
-                std::thread::yield_now();
-            }
-        }
-        p.barrier();
-        assert_eq!(p.read(&s, 0), (2 * ROUNDS) as f64);
-    });
-}
-
-#[test]
 fn heap_growth_between_runs() {
     let cl = cluster(2);
     let a = cl.alloc::<f64>(8);
@@ -670,84 +567,6 @@ fn a_panicking_processor_fails_the_run_fast_with_its_own_message() {
         assert!(panic_message(again).contains("aborted"));
         let again = catch_unwind(AssertUnwindSafe(|| cl.read_back(&s)))
             .expect_err("an aborted cluster must refuse a read-back");
-        assert!(panic_message(again).contains("aborted"));
-    }
-}
-
-/// Renders every traced event, in the order the processors emitted
-/// them, into one string.
-#[derive(Debug, Default)]
-struct Transcript(std::sync::Mutex<String>);
-
-impl simnet::TraceSink for Transcript {
-    fn record(&self, p: simnet::ProcId, t: simnet::SimTime, ev: simnet::TraceEvent) {
-        use std::fmt::Write;
-        let _ = writeln!(self.0.lock().unwrap(), "{p} {} {ev:?}", t.as_ns());
-    }
-}
-
-/// Who gets a contended lock is decided by the rank-order schedule, not
-/// by a host race: every processor hammering one lock gives the same
-/// simulated time, messages, bytes and trace — down to the interleaving
-/// of the processors' events — on every run.
-#[test]
-fn a_contended_lock_program_has_one_outcome_and_one_trace() {
-    for (nprocs, rounds) in [(4, 8), (64, 2)] {
-        let mut first = None;
-        for _ in 0..50 {
-            let sink = std::sync::Arc::new(Transcript::default());
-            let cl = simnet::with_trace_sink(sink.clone(), || cluster(nprocs));
-            let s = cl.alloc::<f64>(8);
-            cl.run(|p| {
-                for round in 0..rounds {
-                    p.compute(simnet::SimTime::from_us((7 * p.rank() + round) as f64));
-                    p.lock(7);
-                    p.update(&s, 0, |v| v + 1.0);
-                    p.unlock(7);
-                }
-                p.barrier();
-                assert_eq!(p.read(&s, 0), (nprocs * rounds) as f64);
-            });
-            let rep = cl.report();
-            assert!(rep.messages_per_kind(MsgKind::Lock) > 0);
-            let trace = std::mem::take(&mut *sink.0.lock().unwrap());
-            let outcome = (cl.elapsed(), rep.messages, rep.bytes, trace);
-            let first = first.get_or_insert_with(|| outcome.clone());
-            assert!(*first == outcome, "{nprocs} processors: a run diverged from the first");
-        }
-    }
-}
-
-/// A lock waiter is abort-aware like a barrier waiter: a processor that
-/// panics while the others wait for the lock it holds fails the `run`
-/// with its own message, at once.
-#[test]
-fn a_processor_panicking_while_others_wait_in_lock_fails_the_run_fast() {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    for nprocs in [4, 64] {
-        let cl = cluster(nprocs);
-        let t0 = std::time::Instant::now();
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            cl.run(|p| {
-                p.lock(5);
-                if p.rank() == 0 {
-                    // A second acquire lets the others run: they all find
-                    // lock 5 held and wait for it.
-                    p.lock(6);
-                    panic!("processor 0 died holding lock 5");
-                }
-                unreachable!("lock 5 is never released");
-            })
-        }))
-        .expect_err("the holder's panic must reach the caller");
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(1),
-            "{nprocs} processors took {:?} to fail",
-            t0.elapsed()
-        );
-        assert_eq!(panic_message(err), "processor 0 died holding lock 5");
-        let again = catch_unwind(AssertUnwindSafe(|| cl.run(|_| {})))
-            .expect_err("an aborted cluster must refuse to run");
         assert!(panic_message(again).contains("aborted"));
     }
 }

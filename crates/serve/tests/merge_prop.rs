@@ -7,8 +7,8 @@
 //! partials merged in scheduler-dependent order must lose nothing.
 //!
 //! Cells draw `nprocs` from {4, 8, 64} — the 64-processor draw pushes
-//! interval clocks past `DENSE_VC_MAX` into the sparse delta encoding,
-//! so the merge contract is also soaked on the scale regime. Soak runs
+//! interval clocks past `DENSE_VC_MAX` into the one-pair encoding, so
+//! the merge contract is also soaked on the scale regime. Soak runs
 //! raise the case count with `PROPTEST_CASES` (CI uses ≥ 256); failing
 //! draws replay via `PROPTEST_TEST`/`PROPTEST_SEED`.
 

@@ -10,8 +10,8 @@
 //! * **One deterministic schedule.** Ranks are resumed in cyclic rank
 //!   order, skipping those that cannot run; a rank keeps the thread until
 //!   it waits at a crossing it is not the last to reach
-//!   ([`Rendezvous::wait_then`]), yields ([`Rendezvous::yield_now`]) or
-//!   returns. Who runs when is a pure function of the program.
+//!   ([`Rendezvous::wait_then`]) or returns. Who runs when is a pure
+//!   function of the program.
 //! * **Fused leader.** The last arriver at a crossing runs the leader
 //!   section in place — everyone else is suspended in that crossing — and
 //!   keeps running; "rendezvous, leader works, rendezvous again" is one
@@ -132,10 +132,10 @@ impl Rendezvous {
 
     /// The rank whose coroutine is calling, which must be the one this
     /// rendezvous resumed last: only that code may suspend into it.
-    fn calling_rank(&self, st: &State, what: &str) -> usize {
+    fn calling_rank(&self, st: &State) -> usize {
         assert!(
             !st.ranks.is_empty() && coroutine::current() == Some(st.current_id),
-            "Rendezvous::{what} would block, but the caller is not a rank of a run_spmd \
+            "Rendezvous::wait_then would block, but the caller is not a rank of a run_spmd \
              in flight on this rendezvous (and this thread): nobody could resume it"
         );
         st.current
@@ -171,7 +171,7 @@ impl Rendezvous {
             resume_unwind(Box::new(Aborted));
         }
         if st.arrived + 1 < self.n {
-            let me = self.calling_rank(&st, "wait_then");
+            let me = self.calling_rank(&st);
             st.arrived += 1;
             st.ranks[me] = Rank::Waiting(st.generation);
             drop(st);
@@ -185,22 +185,6 @@ impl Rendezvous {
         let mut st = self.state.borrow_mut();
         st.arrived = 0;
         st.generation += 1;
-    }
-
-    /// Let every other rank that can run do so, then continue: the
-    /// caller stays runnable. For a rank that polls something only
-    /// another rank can change (a held lock). Unwinds like
-    /// [`Rendezvous::wait_then`] if the rendezvous is aborted, and panics
-    /// outside a launch.
-    pub fn yield_now(&self) {
-        let st = self.state.borrow();
-        if st.aborted {
-            drop(st);
-            resume_unwind(Box::new(Aborted));
-        }
-        self.calling_rank(&st, "yield_now");
-        drop(st);
-        self.suspend();
     }
 
     /// Run `body(rank)` for every rank `0..n` as a coroutine on the
@@ -217,18 +201,18 @@ impl Rendezvous {
     /// assert_eq!(squares, [0, 1, 4, 9]);
     /// ```
     ///
-    /// **Schedule.** Rank 0 runs first; whenever the running rank waits,
-    /// yields or returns, the next rank in cyclic order that can run is
-    /// resumed. A body that spins without calling [`Rendezvous::wait_then`]
-    /// or [`Rendezvous::yield_now`] therefore spins forever: nothing
-    /// preempts it. Each rank has 256 KiB of stack.
+    /// **Schedule.** Rank 0 runs first; whenever the running rank waits
+    /// or returns, the next rank in cyclic order that can run is resumed.
+    /// A body that spins without calling [`Rendezvous::wait_then`]
+    /// therefore spins forever: nothing preempts it. Each rank has
+    /// 256 KiB of stack.
     ///
     /// **Failure contract.** A rank's panic is caught on its own
     /// coroutine and the rendezvous marked aborted: every suspended rank
     /// is resumed once and unwinds (silently) from its
-    /// [`Rendezvous::wait_then`] / [`Rendezvous::yield_now`], ranks not
-    /// yet started never start, and the panicking rank's *original*
-    /// payload is re-raised on the caller — no rank's value is returned.
+    /// [`Rendezvous::wait_then`], ranks not yet started never start, and
+    /// the panicking rank's *original* payload is re-raised on the caller
+    /// — no rank's value is returned.
     /// If no rank can run and not all have returned (a rank returned
     /// while others wait at a crossing), the launch is aborted the same
     /// way and panics with a message naming who waits at which crossing
@@ -238,7 +222,6 @@ impl Rendezvous {
     pub fn run_spmd<F, R>(&self, body: F) -> Vec<R>
     where
         F: Fn(usize) -> R,
-        R: Send,
     {
         let mut stacks = {
             let mut st = self.state.borrow_mut();
@@ -374,7 +357,7 @@ mod tests {
             let r = Rendezvous::new(n);
             let got = r.run_spmd(|rank| {
                 r.wait();
-                // Not `Copy`, not `Sync`-dependent: anything `Send` comes back.
+                // Not `Copy`: any value comes back.
                 vec![rank; rank % 3]
             });
             let want: Vec<Vec<usize>> = (0..n).map(|rank| vec![rank; rank % 3]).collect();
@@ -400,9 +383,9 @@ mod tests {
         }
     }
 
-    /// Ranks run in cyclic rank order, each until it waits, yields or
-    /// returns; the last arriver leads and keeps the thread. Pinned for
-    /// one small program, and the same on every launch.
+    /// Ranks run in cyclic rank order, each until it waits or returns;
+    /// the last arriver leads and keeps the thread. Pinned for one small
+    /// program over two crossings, and the same on every launch.
     #[test]
     fn the_schedule_is_pinned_and_repeats_on_every_launch() {
         let r = Rendezvous::new(3);
@@ -414,10 +397,6 @@ mod tests {
                 note(rank, "a");
                 r.wait_then(|| note(rank, "lead 1"));
                 note(rank, "b");
-                if rank == 1 {
-                    r.yield_now();
-                    note(rank, "yielded");
-                }
                 r.wait_then(|| note(rank, "lead 2"));
                 note(rank, "c");
             });
@@ -430,7 +409,6 @@ mod tests {
                 (2, "b"),
                 (0, "b"),
                 (1, "b"),
-                (1, "yielded"),
                 (1, "lead 2"),
                 (1, "c"),
                 (2, "c"),
@@ -583,12 +561,10 @@ mod tests {
     }
 
     #[test]
-    fn waiting_or_yielding_outside_a_launch_is_refused() {
+    fn waiting_outside_a_launch_is_refused() {
         let r = Rendezvous::new(2);
-        for block in [&(|| r.wait()) as &dyn Fn(), &|| r.yield_now()] {
-            let err = catch_unwind(AssertUnwindSafe(block)).expect_err("nobody could resume it");
-            assert!(panic_message(err).contains("not a rank of a run_spmd in flight"));
-        }
+        let err = catch_unwind(AssertUnwindSafe(|| r.wait())).expect_err("nobody could resume it");
+        assert!(panic_message(err).contains("not a rank of a run_spmd in flight"));
     }
 
     /// A launch from inside a rank body works on a rendezvous of its own

@@ -37,8 +37,6 @@ pub enum MsgKind {
     AdaptSub,
     /// DSM: barrier arrival/departure traffic (write notices ride along).
     Barrier,
-    /// DSM: lock acquire/forward/grant traffic.
-    Lock,
     /// CHAOS: inspector translation-table traffic.
     Translate,
     /// CHAOS: inspector schedule exchange.
@@ -52,7 +50,7 @@ pub enum MsgKind {
 }
 
 impl MsgKind {
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 14;
 
     pub const ALL: [MsgKind; MsgKind::COUNT] = [
         MsgKind::DiffRequest,
@@ -64,7 +62,6 @@ impl MsgKind {
         MsgKind::AdaptPush,
         MsgKind::AdaptSub,
         MsgKind::Barrier,
-        MsgKind::Lock,
         MsgKind::Translate,
         MsgKind::Schedule,
         MsgKind::Gather,
@@ -88,7 +85,6 @@ impl MsgKind {
             MsgKind::AdaptPush => "adapt-push",
             MsgKind::AdaptSub => "adapt-sub",
             MsgKind::Barrier => "barrier",
-            MsgKind::Lock => "lock",
             MsgKind::Translate => "translate",
             MsgKind::Schedule => "schedule",
             MsgKind::Gather => "gather",

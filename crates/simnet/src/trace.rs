@@ -24,10 +24,9 @@
 //! service ([`StallCat::Handler`]), which is the one charge another
 //! thread applies at a schedule-dependent instant. The virtual clock
 //! re-synchronizes with the real clock at every barrier (all handler
-//! charges of an interval land before its closing rendezvous), so for
-//! barrier-structured programs a given seed yields byte-identical
-//! traces across runs and thread schedules. Lock-ordering races are
-//! inherently schedule-dependent and excluded from that claim.
+//! charges of an interval land before its closing rendezvous), and
+//! barriers are a program's only synchronization, so a given seed
+//! yields byte-identical traces across runs and thread schedules.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -50,39 +49,35 @@ pub enum StallCat {
     /// Barrier rendezvous: the clock-synchronization jump to the
     /// barrier departure time, plus the scoped digest work around it.
     BarrierWait = 2,
-    /// Lock acquisition: grant forwarding, release-time waits, and the
-    /// interval close on release.
-    LockWait = 3,
     /// Predicted exchanges: adaptive prefetch rounds and update-push
     /// rounds (both directions of the predicted data motion).
-    PrefetchPush = 4,
+    PrefetchPush = 3,
     /// The CHAOS inspector: access dedup, translation, and schedule
     /// exchange.
-    Inspector = 5,
+    Inspector = 4,
     /// CHAOS executor communication: gather/scatter pack, exchange,
     /// and unpack.
-    Exchange = 6,
+    Exchange = 5,
     /// Remote interrupt service billed *to this processor by another's
     /// request* (the TreadMarks SIGIO handler cost). Kept separate so
     /// the remaining categories are deterministic per processor.
-    Handler = 7,
+    Handler = 6,
     /// Lossy-link retransmission: the timeout + resend penalty a
     /// processor pays when the opt-in loss model
     /// ([`crate::CostModel::loss_per_mille`]) drops one of its messages.
     /// Zero on every loss-free run.
-    Retry = 8,
+    Retry = 7,
 }
 
 impl StallCat {
     /// Number of categories (array dimension of [`StallRow::cats`]).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// Every category, in `repr` order.
     pub const ALL: [StallCat; StallCat::COUNT] = [
         StallCat::Compute,
         StallCat::FaultStall,
         StallCat::BarrierWait,
-        StallCat::LockWait,
         StallCat::PrefetchPush,
         StallCat::Inspector,
         StallCat::Exchange,
@@ -96,7 +91,6 @@ impl StallCat {
             StallCat::Compute => "compute",
             StallCat::FaultStall => "fault_stall",
             StallCat::BarrierWait => "barrier_wait",
-            StallCat::LockWait => "lock_wait",
             StallCat::PrefetchPush => "prefetch_push",
             StallCat::Inspector => "inspector",
             StallCat::Exchange => "exchange",
@@ -281,12 +275,6 @@ pub enum TraceEvent {
     BarrierNotice { epoch: u64, phase: u32, bytes: u64 },
     /// This processor departed barrier `epoch`.
     BarrierExit { epoch: u64, phase: u32 },
-    /// Lock acquisition began.
-    LockAcquire { lock: u32 },
-    /// The lock was granted.
-    LockAcquired { lock: u32 },
-    /// The lock was released.
-    LockRelease { lock: u32 },
     /// An adaptive-policy decision on `(page, phase)`.
     Policy { page: u32, phase: u32, act: PolicyAct },
     /// A predicted batch of `pages` pages was deferred to first fault.

@@ -368,7 +368,7 @@ pub fn scenario_grid(quick: bool) -> Vec<SynthConfig> {
     }
     // The scale cells: the same static structures at 64 (quick) / 256
     // (full) processors — past `dsm::DENSE_VC_MAX`, so every interval
-    // clock travels in the sparse delta encoding. The problem grows
+    // clock travels as one 12-byte (rank, seq) pair. The problem grows
     // with the cluster so each peer still owns ≥ 2 value pages
     // (pages-per-peer > 1): with exactly one page per peer, one
     // exchange per peer is already what demand paging does and neither

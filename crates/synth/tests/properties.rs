@@ -1,7 +1,7 @@
 //! Property-based acceptance of the scenario engine across the nprocs
 //! scale axis: on a randomly drawn cell, **all six system variants
 //! agree bitwise** — at 3 processors (dense-clock regime), 16 and 64
-//! (sparse delta clocks + flat barrier digest). `run_matrix` does the
+//! (one-pair clocks + flat barrier digest). `run_matrix` does the
 //! six-way cross-check internally; a disagreement panics with the
 //! variant and scenario label.
 //!

@@ -3,7 +3,7 @@
 //! The output loads directly into Perfetto (<https://ui.perfetto.dev>)
 //! or `chrome://tracing`: one process (`pid` 0, "simulated cluster")
 //! with one named thread per simulated processor. Durations use `B`/`E`
-//! span pairs (faults, barriers, lock waits, inspector/executor spans);
+//! span pairs (faults, barriers, inspector/executor spans);
 //! everything else is a thread-scoped instant (`ph: "i"`).
 //!
 //! Formatting is fully deterministic — integer-only timestamp
@@ -114,18 +114,6 @@ fn event_json(out: &mut String, p: usize, ns: u64, ev: TraceEvent) {
         TraceEvent::BarrierExit { epoch, phase } => {
             head(out, 'E', "barrier", p, ns);
             let _ = write!(out, ",\"args\":{{\"epoch\":{epoch},\"phase\":{phase}}}}}");
-        }
-        TraceEvent::LockAcquire { lock } => {
-            head(out, 'B', "lock", p, ns);
-            let _ = write!(out, ",\"args\":{{\"lock\":{lock}}}}}");
-        }
-        TraceEvent::LockAcquired { lock } => {
-            head(out, 'E', "lock", p, ns);
-            let _ = write!(out, ",\"args\":{{\"lock\":{lock}}}}}");
-        }
-        TraceEvent::LockRelease { lock } => {
-            head(out, 'i', "unlock", p, ns);
-            let _ = write!(out, ",\"args\":{{\"lock\":{lock}}}}}");
         }
         TraceEvent::Policy { page, phase, act } => {
             head(out, 'i', act.name(), p, ns);

@@ -5,15 +5,16 @@
 //! ```
 //!
 //! Allocates a shared array, runs an SPMD body on 4 simulated
-//! processors (coroutines on this thread), exercises barriers, locks, and
-//! demand-paged sharing, then prints the protocol traffic.
+//! processors (coroutines on this thread), exercises barriers,
+//! demand-paged sharing and an owner-computes reduction, then prints the
+//! protocol traffic.
 
 use sdsm_repro::core_rt::{Cluster, DsmConfig};
 
 fn main() {
     let cl = Cluster::new(DsmConfig::with_nprocs(4));
     let data = cl.alloc::<f64>(4096); // 8 pages of shared f64s
-    let total = cl.alloc::<f64>(8);
+    let partials = cl.alloc::<f64>(4);
 
     cl.run(|p| {
         let me = p.rank();
@@ -35,15 +36,14 @@ fn main() {
             sum += p.read(&data, i);
         }
 
-        // A lock-protected global reduction.
-        p.lock(1);
-        let cur = p.read(&total, 0);
-        p.write(&total, 0, cur + sum);
-        p.unlock(1);
+        // An owner-computes global reduction: each processor writes its
+        // own slot (one page, four writers), and after the barrier rank 0
+        // adds them up.
+        p.write(&partials, me, sum);
         p.barrier();
 
         if me == 0 {
-            let grand = p.read(&total, 0);
+            let grand: f64 = (0..p.nprocs()).map(|q| p.read(&partials, q)).sum();
             println!("grand total = {grand}");
             assert_eq!(grand, (0..data.len()).map(|i| (i % 7) as f64).sum());
         }

@@ -131,12 +131,13 @@ fn table2_false_sharing_shape() {
     assert!(misaligned.bytes > aligned.bytes);
 }
 
-/// Locks + barriers + Validate coexist (the full TreadMarks API surface).
+/// Barriers, Validate and an owner-computes reduction coexist (the full
+/// DSM API surface).
 #[test]
 fn full_api_surface() {
     let cl = Cluster::new(DsmConfig::with_nprocs(4));
     let data = cl.alloc::<f64>(1024);
-    let sum = cl.alloc::<f64>(8);
+    let partials = cl.alloc::<f64>(4);
     cl.run(|p| {
         let me = p.rank();
         let chunk = data.len() / p.nprocs();
@@ -160,12 +161,12 @@ fn full_api_surface() {
         for i in 0..data.len() {
             local += p.read(&data, i);
         }
-        p.lock(1);
-        let cur = p.read(&sum, 0);
-        p.write(&sum, 0, cur + local);
-        p.unlock(1);
+        p.write(&partials, me, local);
         p.barrier();
-        assert_eq!(p.read(&sum, 0), (4 * data.len()) as f64);
+        if me == 0 {
+            let sum: f64 = (0..p.nprocs()).map(|q| p.read(&partials, q)).sum();
+            assert_eq!(sum, (4 * data.len()) as f64);
+        }
         p.barrier();
     });
 }

@@ -12,13 +12,14 @@ use sdsm_repro::apps::{moldyn, nbf};
 use sdsm_repro::core_rt::{Cluster, DsmConfig};
 use sdsm_repro::{apps, fcc};
 
-/// `examples/quickstart.rs`: barriers, locks, multiple-writer sharing, and
-/// the traffic report on 4 simulated processors.
+/// `examples/quickstart.rs`: barriers, multiple-writer sharing, an
+/// owner-computes reduction, and the traffic report on 4 simulated
+/// processors.
 #[test]
 fn quickstart_path() {
     let cl = Cluster::new(DsmConfig::with_nprocs(4));
     let data = cl.alloc::<f64>(4096);
-    let total = cl.alloc::<f64>(8);
+    let partials = cl.alloc::<f64>(4);
 
     cl.run(|p| {
         let me = p.rank();
@@ -35,14 +36,11 @@ fn quickstart_path() {
             sum += p.read(&data, i);
         }
 
-        p.lock(1);
-        let cur = p.read(&total, 0);
-        p.write(&total, 0, cur + sum);
-        p.unlock(1);
+        p.write(&partials, me, sum);
         p.barrier();
 
         if me == 0 {
-            let grand = p.read(&total, 0);
+            let grand: f64 = (0..p.nprocs()).map(|q| p.read(&partials, q)).sum();
             assert_eq!(grand, (0..data.len()).map(|i| (i % 7) as f64).sum());
         }
     });
