@@ -1,6 +1,8 @@
 //! Allocation tripwire for the DSM fetch path and `Validate`: a warm
-//! fault allocates nothing, and neither does a warm `Validate` whose
-//! schedule is unchanged. In its own process so the [`serve::alloc::Counting`]
+//! fault allocates nothing, neither does a warm `Validate` whose
+//! schedule is unchanged, and a warm run of each parallel variant on the
+//! quick grid's static uniform cells allocates exactly its pinned count.
+//! In its own process so the [`serve::alloc::Counting`]
 //! counters see only this test's traffic, and one test function because
 //! those counters are process-global. Every simulated processor of a
 //! cluster runs on the calling OS thread, so each delta below is exact.
@@ -209,6 +211,29 @@ fn static_cell() -> SynthConfig {
     cfg
 }
 
+/// Exact allocations of one warm run per `(cell, variant)`, the same in
+/// debug and release builds.
+const WARM_ALLOCS: [(&str, Variant, u64); 7] = [
+    ("uniform/static/p4", Variant::TmkBase, 1_051),
+    ("uniform/static/p4", Variant::TmkOpt, 1_275),
+    ("uniform/static/p4", Variant::TmkAdaptive, 1_557),
+    ("uniform/static/p4", Variant::TmkPush, 1_493),
+    ("uniform/static/p4", Variant::Chaos, 701),
+    ("uniform/static/p64", Variant::TmkBase, 5_818),
+    ("uniform/static/p64", Variant::TmkPush, 30_353),
+];
+
+/// Allocations of a warm run of `v` on `prep` (reuse on): one run warms
+/// the pool and the variant's buffers, and the next two must agree.
+fn warm_run_allocs(prep: &Prepared, v: Variant) -> u64 {
+    prep.run(v, SimTime::ZERO);
+    let first = allocs(|| prep.run(v, SimTime::ZERO));
+    let second = allocs(|| prep.run(v, SimTime::ZERO));
+    let cell = prep.cfg().label();
+    assert_eq!(first, second, "{cell} {}: two warm runs allocated differently", v.label());
+    first
+}
+
 #[test]
 fn a_warm_fault_allocates_nothing() {
     assert!(serve::alloc::active(), "counting allocator not installed");
@@ -230,17 +255,20 @@ fn a_warm_fault_allocates_nothing() {
         "warm allocations per fetch [demand, master, aggregated, prefetch, push]"
     );
 
-    // A whole warm variant: the quick grid's static 64-processor cell,
-    // TmkBase, on a recycled cluster. 1933b6e, before the fetch scratch,
-    // allocated 522 753 times here; the scratch brought it to 6 259. The
-    // bound is a tenth of the former.
-    let prep = Prepared::new(static_cell());
-    prep.set_reuse(true);
-    prep.run(Variant::TmkBase, SimTime::ZERO);
-    let base = allocs(|| prep.run(Variant::TmkBase, SimTime::ZERO));
+    // Whole warm variants on recycled clusters. 1933b6e, before the
+    // fetch scratch, allocated 522 753 times in a warm p64 TmkBase run.
+    let p4 = Prepared::new(SynthConfig::quick(Structure::Uniform, Dynamics::Static));
+    let p64 = Prepared::new(static_cell());
+    let mut got = Vec::new();
+    for (cell, v, pin) in WARM_ALLOCS {
+        let prep = if cell == p4.cfg().label() { &p4 } else { &p64 };
+        assert_eq!(prep.cfg().label(), cell);
+        prep.set_reuse(true);
+        got.push((cell, v.label(), warm_run_allocs(prep, v), pin));
+    }
     assert!(
-        base <= 522_753 / 10,
-        "warm TmkBase cell allocated {base} times"
+        got.iter().all(|&(_, _, n, pin)| n == pin),
+        "warm allocations per run (cell, variant, measured, pinned): {got:#?}"
     );
 
     // c0baaf9, before the scan kept its buffers, allocated 6 and 76 times
