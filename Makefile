@@ -27,7 +27,7 @@ clippy:
 # to show that the compiler refuses it); the only unsafe code is the coroutine switch and serve's
 # counting allocator; the record store is read without allocating
 # (collect_into into the fetch's per-processor scratch, the master copy
-# lent in place by with_master / with_horizon); Validate's
+# lent in place by with_master); Validate's
 # Read_indices is one walk over the section (FlatIndices, runs of equal
 # indirection page, one bitmap per page) whose page math is a shift; and
 # a cluster's state is plain single-thread data (Cell / RefCell / Rc),
@@ -42,12 +42,16 @@ clippy:
 # exactly one ThreadBudget token, never spares. A page's consistency
 # metadata scales with its writers, not the cluster: the diff store is
 # page-major (no per_proc arenas in store.rs), and the fault path walks
-# no horizon per processor (a master refill shares the fold-horizon
-# snapshot as the frame's floor). Barriers are the only synchronization,
-# as in the paper's programs: no lock API, no scheduler yield, no lock
-# stall bucket, message kind, trace event or counter, and none of the
+# no horizon per processor. Barriers are the only synchronization, as in
+# the paper's programs: no lock API, no scheduler yield, no lock stall
+# bucket, message kind, trace event or counter, and none of the
 # consistency paths only a lock acquire reached (apply_notices,
-# range_bytes, CompactVc, last_barrier_seen).
+# range_bytes, CompactVc, last_barrier_seen). With barriers the only
+# acquire, dsm names an interval by writer and barrier epoch: no vector
+# clock on the host (vc_key, Rc<[u32]> clocks and horizon snapshots,
+# with_horizon) and no per-writer applied pairs or floor in a page
+# frame (applied_of, floor:); the wire still bills TreadMarks's vector
+# timestamps.
 SEQUENTIAL_CRATES = crates/simnet crates/dsm crates/chaos crates/rsd crates/serve
 ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
 NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
@@ -69,7 +73,7 @@ hygiene:
 	@if grep -rnw "unsafe" crates/ | grep -v "^crates/simnet/src/coroutine.rs:\|^crates/serve/src/alloc.rs:"; then \
 		echo "hygiene: unsafe lives only in simnet/src/coroutine.rs and serve/src/alloc.rs"; exit 1; fi
 	@if grep -rn "collect_batch\|master_fetch\b\|master_horizon\|struct Collected" crates/; then \
-		echo "hygiene: read the store with collect_into / with_master / with_horizon into the fetch scratch; nothing on the fault path allocates"; exit 1; fi
+		echo "hygiene: read the store with collect_into / with_master into the fetch scratch; nothing on the fault path allocates"; exit 1; fi
 	@if grep -rnw "flat_indices" crates/ || grep -rn "HashMap<u32, PageSet>" crates/; then \
 		echo "hygiene: Read_indices walks FlatIndices once and groups entries by run of indirection page; no index Vec, no per-entry hash"; exit 1; fi
 	@if grep -n "/ page_size\|% page_size" crates/core/src/validate.rs; then \
@@ -87,9 +91,11 @@ hygiene:
 	@if grep -n "per_proc" crates/dsm/src/store.rs; then \
 		echo "hygiene: the diff store is page-major (logs[page] lists the page's writers), not per-processor arenas"; exit 1; fi
 	@if grep -n "horizon\.iter()\.enumerate()" crates/dsm/src/proc.rs; then \
-		echo "hygiene: no per-processor walk in the fault path; a refilled frame shares the horizon as its floor"; exit 1; fi
+		echo "hygiene: no per-processor walk in the fault path; a frame's consistency state is its synced epoch"; exit 1; fi
 	@if grep -rnE "yield_now|LockWait|MsgKind::Lock|TraceEvent::Lock|lock_acquires|LockMgr|apply_notices|range_bytes|CompactVc|last_barrier_seen|p\.lock\(|p\.unlock\(" crates examples tests src; then \
 		echo "hygiene: barriers are the only synchronization; locks and the paths only a lock acquire reached are deleted"; exit 1; fi
+	@if grep -rnE "vc_key|applied_of|floor:|with_horizon|Rc<\[u32\]>" crates/dsm/src; then \
+		echo "hygiene: dsm names an interval by writer and barrier epoch; no host vector clocks, horizon snapshots or per-writer frame pairs"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses

@@ -3,74 +3,55 @@
 //! A TreadMarks barrier is a total exchange of consistency information:
 //! every arriving processor closes its interval and sends its new write
 //! notices to the barrier manager; the departure message carries everyone
-//! else's notices. After a barrier, all vector clocks are equal.
+//! else's notices. After a barrier, every processor knows every interval
+//! closed before it — so the barrier's *epoch* (barriers completed so
+//! far) is the whole of a processor's consistency knowledge.
 //!
 //! On the host, one barrier is **two crossings** of the cluster's
 //! [`simnet::Rendezvous`]:
 //!
 //! 1. *Arrive + leader.* Once everyone has closed and published, the
 //!    last arriver — whoever the schedule makes it — runs the leader
-//!    section in place while the others stay suspended: snapshot the
-//!    global vector clock, charge the 2(n−1) barrier messages, build the
-//!    notice digest, synchronize the simulated clocks, and fold the
-//!    record store. Nobody is released before the snapshot is complete.
+//!    section in place while the others stay suspended: seal the
+//!    epoch's write notices into the digest, charge the 2(n−1) barrier
+//!    messages, synchronize the simulated clocks, fold the record store,
+//!    and advance the epoch. Nobody is released before it is complete.
 //! 2. *Merged.* Each processor merges the digest (and may prefetch
 //!    against the stable store), then crosses again. This crossing is
 //!    what keeps a fast processor's next `close_interval` from publishing
-//!    new intervals under a straggler that is still reading the snapshot
+//!    new intervals under a straggler that is still reading the digest
 //!    or fetching records; dropping it would need a proof that no such
 //!    read can observe the difference.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use simnet::{MsgKind, Rendezvous, SimTime, StallCat, TraceEvent};
 
 use crate::cluster::Cluster;
-use crate::interval::Vc;
+use crate::interval::wire_bytes;
 use crate::policy::EpochDecision;
 use crate::proc::TmkProc;
 
 #[derive(Debug)]
 pub(crate) struct BarrierCtl {
     rendezvous: Rendezvous,
-    state: RefCell<BarrierState>,
-}
-
-#[derive(Debug)]
-struct BarrierState {
-    /// Vector clock all processors adopt at this barrier.
-    target: Vc,
-    /// Vector clock of the *previous* barrier — the GC fold horizon
-    /// (records older than one full barrier epoch go to the master).
-    prev: Vc,
-    /// Flat write-notice digest of this barrier: `(page, proc, seq)` for
-    /// every notice in `(prev target, target]`, built once by the leader
-    /// and merged by every processor after the first crossing — the
-    /// per-peer board re-walk this replaces was O(nprocs²) work per
-    /// barrier. Processors read it (and `target`) in place; it is
-    /// rebuilt in the same buffer every barrier.
-    digest: Vec<(u32, u32, u32)>,
+    /// Barriers completed: the epoch every running processor is in.
+    epoch: Cell<u64>,
     /// Per-processor notice bytes of this barrier (leader scratch).
-    deltas: Vec<usize>,
-    epoch: u64,
+    deltas: RefCell<Vec<usize>>,
 }
 
 impl BarrierCtl {
     pub(crate) fn new(nprocs: usize) -> Self {
         BarrierCtl {
             rendezvous: Rendezvous::new(nprocs),
-            state: RefCell::new(BarrierState {
-                target: vec![0; nprocs],
-                prev: vec![0; nprocs],
-                digest: Vec::new(),
-                deltas: Vec::new(),
-                epoch: 0,
-            }),
+            epoch: Cell::new(0),
+            deltas: RefCell::new(Vec::new()),
         }
     }
 
     pub(crate) fn epoch(&self) -> u64 {
-        self.state.borrow().epoch
+        self.epoch.get()
     }
 
     pub(crate) fn rendezvous(&self) -> &Rendezvous {
@@ -80,11 +61,7 @@ impl BarrierCtl {
     /// Back to the just-built state; the rendezvous itself is reusable
     /// (its generation keeps counting).
     pub(crate) fn reset(&self) {
-        let mut st = self.state.borrow_mut();
-        st.target.fill(0);
-        st.prev.fill(0);
-        st.digest.clear();
-        st.epoch = 0;
+        self.epoch.set(0);
     }
 }
 
@@ -128,28 +105,21 @@ impl TmkProc<'_> {
         ctl.rendezvous.wait_then(|| {
             let net = cl.net();
             let nprocs = self.nprocs();
-            let mut guard = ctl.state.borrow_mut();
-            let st = &mut *guard;
+            let mut deltas = ctl.deltas.borrow_mut();
 
             // Account the 2(n-1) barrier messages. Arrival messages carry
-            // each processor's notices since the last barrier; departure
-            // messages carry everyone else's. The same single pass over
-            // the new intervals also builds the flat notice digest every
+            // each processor's notices of this epoch — at most one
+            // interval each; departure messages carry everyone else's.
+            // Sealing sorts the epoch's notices into the flat digest every
             // processor merges once released.
-            let (manager, board) = (0usize, cl.board());
-            st.digest.clear();
-            st.deltas.clear();
-            for q in 0..nprocs {
-                let mut bytes = 0usize;
-                board.for_range(q, st.target[q], board.len(q), |seq, rec| {
-                    bytes += rec.wire_bytes();
-                    for &page in rec.pages.iter() {
-                        st.digest.push((page, q as u32, seq));
-                    }
-                });
-                st.deltas.push(bytes);
-            }
-            let deltas = &st.deltas;
+            let (manager, closing) = (0usize, ctl.epoch() as u32);
+            deltas.clear();
+            deltas.resize(nprocs, 0);
+            cl.store().seal(closing, |notices| {
+                for interval in notices.chunk_by(|a, b| a.1 == b.1) {
+                    deltas[interval[0].1 as usize] = wire_bytes(nprocs, interval.len());
+                }
+            });
             let total: usize = deltas.iter().sum();
             // Metadata-scaling probe: the per-barrier notice payload,
             // counted once (not per fan-in/fan-out copy).
@@ -173,13 +143,9 @@ impl TmkProc<'_> {
                 net.set_all_clocks(t);
             }
 
-            // GC: fold records older than the previous barrier.
-            cl.store().fold(&st.prev);
-            st.prev.copy_from_slice(&st.target);
-            for (q, t) in st.target.iter_mut().enumerate() {
-                *t = board.len(q);
-            }
-            st.epoch += 1;
+            // GC: fold the records of epochs before the previous one.
+            cl.store().fold(closing.saturating_sub(1));
+            ctl.epoch.set(closing as u64 + 1);
             // The notice is a cluster-wide fact produced by whichever
             // processor arrived last — pin it to proc 0's lane so the
             // trace does not depend on the schedule. Proc 0 is
@@ -188,21 +154,19 @@ impl TmkProc<'_> {
             net.trace(
                 0,
                 TraceEvent::BarrierNotice {
-                    epoch: st.epoch,
+                    epoch: ctl.epoch(),
                     phase,
                     bytes: total as u64,
                 },
             );
         });
 
-        // The snapshot is ready: merge notices from the shared digest
-        // (one flat pass, no per-peer board walks), read in place.
+        // The digest is sealed: merge it in one flat pass, read in place.
         let mut invalidated = std::mem::take(&mut self.inner.invalidated);
-        let epoch = {
-            let st = ctl.state.borrow();
-            self.apply_digest(&st.digest, &st.target, &mut invalidated);
-            st.epoch
-        };
+        let epoch = ctl.epoch();
+        cl.store().with_notices(epoch as u32 - 1, |digest| {
+            self.apply_digest(digest, &mut invalidated)
+        });
         self.inner.counters.barriers += 1;
 
         // A deferred plan whose pages are being re-invalidated is dead:

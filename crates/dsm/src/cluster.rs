@@ -8,7 +8,6 @@ use simnet::{CostModel, Net, NetReport, SimTime};
 
 use crate::barrier::BarrierCtl;
 use crate::heap::{Pod, SharedSlice};
-use crate::interval::NoticeBoard;
 use crate::pagepool::PagePool;
 use crate::proc::{ProcInner, TmkProc};
 use crate::store::DiffStore;
@@ -71,7 +70,6 @@ impl DsmConfig {
 pub struct Cluster {
     cfg: DsmConfig,
     net: Net,
-    board: NoticeBoard,
     store: DiffStore,
     barrier: BarrierCtl,
     alloc_next: Cell<usize>,
@@ -97,13 +95,12 @@ impl Cluster {
         let page_pool = Rc::new(PagePool::new(page_size));
         Cluster {
             net: Net::new(nprocs, cfg.cost.clone()),
-            board: NoticeBoard::new(nprocs),
-            store: DiffStore::with_pool(nprocs, page_size, Rc::clone(&page_pool)),
+            store: DiffStore::with_pool(nprocs, Rc::clone(&page_pool)),
             cfg,
             barrier: BarrierCtl::new(nprocs),
             alloc_next: Cell::new(0),
             slots: (0..nprocs)
-                .map(|_| RefCell::new(Some(Box::new(ProcInner::new(nprocs)))))
+                .map(|_| RefCell::new(Some(Box::default())))
                 .collect(),
             page_pool,
         }
@@ -112,7 +109,7 @@ impl Cluster {
     /// Reset all protocol, heap, and accounting state so the cluster is
     /// observably indistinguishable from a fresh [`Cluster::new`] with
     /// the same configuration — but with every page frame, twin, diff
-    /// store, and barrier board allocation retained for reuse. Panics if
+    /// store, and notice list allocation retained for reuse. Panics if
     /// called while a [`Cluster::run`] is in flight, or after one in
     /// which a processor panicked (that cluster is torn; drop it). The
     /// scenario label survives (callers re-stamp it per run anyway), and
@@ -124,7 +121,6 @@ impl Cluster {
         );
         let heap_pages = self.heap_pages();
         self.net.reset();
-        self.board.reset();
         self.store.reset();
         self.barrier.reset();
         self.alloc_next.set(0);
@@ -276,10 +272,6 @@ impl Cluster {
     /// The simulated interconnect (clocks, counters, cost model).
     pub fn net(&self) -> &Net {
         &self.net
-    }
-
-    pub(crate) fn board(&self) -> &NoticeBoard {
-        &self.board
     }
 
     pub(crate) fn store(&self) -> &DiffStore {

@@ -1,35 +1,23 @@
-//! Intervals, vector clocks, and the write-notice board.
+//! Intervals, epochs, and the write-notice list.
 //!
 //! A processor's execution is divided into *intervals*, closed at each
 //! release — a barrier arrival, since barriers are the only
-//! synchronization. Closing interval `seq` publishes an [`IntervalRec`]:
-//! the processor's vector clock at that point plus write notices (the
-//! pages dirtied). A barrier departure is the acquire: every interval
-//! newly covered by the barrier's clock has its write notices applied,
-//! invalidating local copies of those pages — the *lazy invalidate*
-//! protocol of §2.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! synchronization. Closing an interval publishes write notices (the
+//! pages dirtied) and their records. A barrier departure is the acquire:
+//! every notice of the epoch the barrier ends invalidates the local copy
+//! of its page — the *lazy invalidate* protocol of §2.
+//!
+//! TreadMarks orders intervals with vector timestamps, because a lock
+//! acquire can see some processors' intervals and not others'. Here a
+//! barrier is the only acquire, so every processor leaves barrier `e`
+//! knowing exactly the intervals closed before it: an interval is named
+//! by its writer and the *epoch* it closed in (the number of barriers
+//! completed before it), each processor closes at most one per epoch,
+//! and `(epoch, writer)` is a linear extension of happens-before. The
+//! bytes billed for a notice are still TreadMarks's: [`wire_bytes`]
+//! counts the vector timestamp the paper's system sends.
 
 use simnet::ProcId;
-
-/// A vector clock: `vc[q]` = number of processor `q`'s intervals whose
-/// notices this processor has seen (interval sequence numbers are
-/// 1-based; `vc[q] == 0` means "none").
-pub type Vc = Vec<u32>;
-
-/// A deterministic linear extension of happens-before.
-///
-/// If interval `a` happens-before `b` then `a.vc ≤ b.vc` pointwise and
-/// strictly in `b`'s own component, so `Σ vc` strictly increases; sorting
-/// records by `(Σ vc, proc, seq)` therefore orders causally-related
-/// records correctly, and concurrent records (which under the
-/// multiple-writer protocol touch disjoint words) deterministically.
-#[inline]
-pub fn vc_key(vc: &[u32], proc: ProcId, seq: u32) -> (u64, usize, u32) {
-    (vc.iter().map(|&v| v as u64).sum(), proc, seq)
-}
 
 /// Clusters at or below this size ship the full dense vector clock on
 /// the wire (`4 * nprocs` bytes). Larger clusters ship one `(rank, seq)`
@@ -40,174 +28,133 @@ pub fn vc_key(vc: &[u32], proc: ProcId, seq: u32) -> (u64, usize, u32) {
 /// so the reviewed tables are unaffected by the sparse format.
 pub const DENSE_VC_MAX: usize = 8;
 
-/// What one closed interval publishes.
-#[derive(Debug, Clone)]
-pub struct IntervalRec {
-    /// The closing processor's vector clock, including this interval
-    /// (`vc[self] == seq`).
-    pub vc: Rc<[u32]>,
-    /// Write notices: pages dirtied during the interval.
-    pub pages: Rc<[u32]>,
+/// Wire size of one closed interval inside a barrier's notice exchange
+/// on `nprocs` processors: its vector timestamp (see [`DENSE_VC_MAX`])
+/// plus one page id per write notice.
+pub(crate) fn wire_bytes(nprocs: usize, pages: usize) -> usize {
+    let clock = if nprocs <= DENSE_VC_MAX {
+        4 * nprocs
+    } else {
+        12
+    };
+    clock + pages * 4
 }
 
-impl IntervalRec {
-    /// Approximate wire size of this record inside a notice exchange:
-    /// the vector clock (see [`DENSE_VC_MAX`]) plus one page id per
-    /// notice.
-    pub fn wire_bytes(&self) -> usize {
-        let clock = if self.vc.len() <= DENSE_VC_MAX {
-            4 * self.vc.len()
-        } else {
-            12
-        };
-        clock + self.pages.len() * 4
-    }
+/// One write notice: `(epoch, writer, page)`.
+pub(crate) type Notice = (u32, u32, u32);
+
+/// The write notices of every interval whose records are not folded
+/// into the master copies yet, in epoch order. The barrier that ends an
+/// epoch sorts that epoch's notices by writer and page ([`Notices::seal`])
+/// and lends them to every processor as its digest; the fold drains the
+/// oldest epochs ([`Notices::drain_below`]). Sealed, the list is in
+/// `(epoch, writer, page)` order: each page's records in causal order.
+#[derive(Debug, Default)]
+pub(crate) struct Notices {
+    list: Vec<Notice>,
 }
 
-/// The global registry of published intervals, indexed `[proc][seq-1]`.
-///
-/// In real TreadMarks this information is piggybacked on barrier
-/// messages; here it is a board the cluster's processors share on their
-/// one thread, with the equivalent messages/bytes charged by the barrier
-/// manager.
-#[derive(Debug)]
-pub struct NoticeBoard {
-    boards: Vec<RefCell<Vec<IntervalRec>>>,
-}
-
-impl NoticeBoard {
-    /// An empty board for `nprocs` processors.
-    pub fn new(nprocs: usize) -> Self {
-        NoticeBoard {
-            boards: (0..nprocs).map(|_| RefCell::new(Vec::new())).collect(),
-        }
+impl Notices {
+    /// `writer` dirtied `page` in its interval of `epoch`.
+    pub(crate) fn publish(&mut self, epoch: u32, writer: ProcId, page: u32) {
+        debug_assert!(
+            self.list.last().is_none_or(|&(e, ..)| e <= epoch),
+            "notices are published epoch by epoch"
+        );
+        self.list.push((epoch, writer as u32, page));
     }
 
-    /// Publish `rec` as the next interval of `q`; returns its sequence
-    /// number (1-based).
-    pub fn publish(&self, q: ProcId, rec: IntervalRec) -> u32 {
-        let mut b = self.boards[q].borrow_mut();
-        debug_assert_eq!(rec.vc[q] as usize, b.len() + 1, "seq/vc mismatch");
-        b.push(rec);
-        b.len() as u32
+    /// Sort `epoch`'s notices — the last epoch published — by writer and
+    /// page.
+    pub(crate) fn seal(&mut self, epoch: u32) {
+        let start = self.list.partition_point(|&(e, ..)| e < epoch);
+        self.list[start..].sort_unstable();
     }
 
-    /// Number of intervals `q` has closed so far.
-    pub fn len(&self, q: ProcId) -> u32 {
-        self.boards[q].borrow().len() as u32
+    /// `epoch`'s notices.
+    pub(crate) fn of_epoch(&self, epoch: u32) -> &[Notice] {
+        let start = self.list.partition_point(|&(e, ..)| e < epoch);
+        let end = self.list.partition_point(|&(e, ..)| e <= epoch);
+        &self.list[start..end]
     }
 
-    /// Has `q` closed no intervals yet?
-    pub fn is_empty(&self, q: ProcId) -> bool {
-        self.len(q) == 0
+    /// Remove and yield the notices of epochs below `horizon`, oldest
+    /// first.
+    pub(crate) fn drain_below(&mut self, horizon: u32) -> impl Iterator<Item = Notice> + '_ {
+        let end = self.list.partition_point(|&(e, ..)| e < horizon);
+        self.list.drain(..end)
     }
 
-    /// Visit `q`'s intervals with `from < seq ≤ to` in order.
-    pub fn for_range(&self, q: ProcId, from: u32, to: u32, mut f: impl FnMut(u32, &IntervalRec)) {
-        if to <= from {
-            return;
-        }
-        let b = self.boards[q].borrow();
-        for seq in (from + 1)..=to {
-            f(seq, &b[(seq - 1) as usize]);
-        }
+    /// Number of notices held: one per unfolded record.
+    pub(crate) fn len(&self) -> usize {
+        self.list.len()
     }
 
-    /// Drop every published interval, keeping the boards' capacity
-    /// (part of [`crate::Cluster::recycle`]).
-    pub fn reset(&self) {
-        for b in &self.boards {
-            b.borrow_mut().clear();
-        }
+    /// Drop every notice, keeping the capacity (part of
+    /// [`crate::Cluster::recycle`]).
+    pub(crate) fn clear(&mut self) {
+        self.list.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(vc: Vec<u32>, pages: Vec<u32>) -> IntervalRec {
-        IntervalRec {
-            vc: vc.into(),
-            pages: pages.into(),
-        }
-    }
+    use proptest::prelude::*;
 
     #[test]
     fn publish_and_read_back() {
-        let nb = NoticeBoard::new(2);
-        assert_eq!(nb.len(0), 0);
-        let s1 = nb.publish(0, rec(vec![1, 0], vec![3, 4]));
-        let s2 = nb.publish(0, rec(vec![2, 0], vec![5]));
-        assert_eq!((s1, s2), (1, 2));
-        assert_eq!(nb.len(0), 2);
+        let mut n = Notices::default();
+        assert!(n.of_epoch(0).is_empty());
+        // Epoch 0: processor 1 arrives first, then processor 0.
+        for (q, page) in [(1, 9), (0, 3), (0, 4)] {
+            n.publish(0, q, page);
+        }
+        n.seal(0);
+        assert_eq!(n.of_epoch(0), [(0, 0, 3), (0, 0, 4), (0, 1, 9)]);
+        n.publish(1, 0, 5);
+        n.seal(1);
+        // An epoch nobody wrote in has no notices.
+        n.seal(2);
+        assert!(n.of_epoch(2).is_empty());
+        assert_eq!(n.of_epoch(1), [(1, 0, 5)]);
+        assert_eq!(n.len(), 4);
 
-        let mut seen = Vec::new();
-        nb.for_range(0, 0, 2, |seq, r| seen.push((seq, r.pages.to_vec())));
-        assert_eq!(seen, vec![(1, vec![3, 4]), (2, vec![5])]);
-
-        let mut seen2 = Vec::new();
-        nb.for_range(0, 1, 2, |seq, _| seen2.push(seq));
-        assert_eq!(seen2, vec![2]);
-    }
-
-    #[test]
-    fn vc_key_orders_happens_before() {
-        // p0 closes interval 1; p1 sees it and closes its interval 1.
-        let a = vc_key(&[1, 0], 0, 1);
-        let b = vc_key(&[1, 1], 1, 1);
-        assert!(a < b);
-        // Concurrent intervals order deterministically by proc.
-        let c = vc_key(&[1, 0], 0, 1);
-        let d = vc_key(&[0, 1], 1, 1);
-        assert!(c < d);
+        let folded: Vec<_> = n.drain_below(1).collect();
+        assert_eq!(folded, [(0, 0, 3), (0, 0, 4), (0, 1, 9)]);
+        assert!(n.of_epoch(0).is_empty());
+        assert_eq!(n.of_epoch(1), [(1, 0, 5)]);
+        assert_eq!(n.drain_below(1).count(), 0, "draining is idempotent");
     }
 
     #[test]
     fn wire_bytes_counts_vc_and_pages() {
-        let r = rec(vec![1, 0, 0], vec![10, 11]);
-        assert_eq!(r.wire_bytes(), 3 * 4 + 2 * 4);
+        assert_eq!(wire_bytes(3, 2), 3 * 4 + 2 * 4);
     }
 
     #[test]
     fn compact_vc_dense_at_small_nprocs() {
-        // At ≤ DENSE_VC_MAX ranks the clock travels whole, and the wire
-        // size is the historical `4 * nprocs` whatever its entries hold.
-        for vc in [vec![0, 0, 0, 0], vec![3, 1, 0, 2]] {
-            assert_eq!(rec(vc, vec![]).wire_bytes(), 16);
-        }
-        let full = rec(vec![1; DENSE_VC_MAX], vec![]);
-        assert_eq!(full.wire_bytes(), 4 * DENSE_VC_MAX);
+        // At ≤ DENSE_VC_MAX ranks the clock travels whole: the historical
+        // `4 * nprocs` bytes.
+        assert_eq!(wire_bytes(4, 0), 16);
+        assert_eq!(wire_bytes(DENSE_VC_MAX, 0), 4 * DENSE_VC_MAX);
     }
 
     #[test]
     fn compact_vc_sparse_above_dense_max() {
-        // The previous barrier's target, shared by every processor.
-        let mut base = vec![0u32; 16];
-        base[3] = 5;
-        // Rank 0 closes its next interval: only its own component moves.
-        let mut vc = base.clone();
-        vc[0] = 1;
-        // 4-byte count header + the one (rank, seq) pair.
-        assert_eq!(rec(vc.clone(), vec![]).wire_bytes(), 4 + 8);
-        // That pair applied to the base recovers the whole clock.
-        let mut decoded = base.clone();
-        decoded[0] = vc[0];
-        assert_eq!(decoded, vc);
+        // 4-byte count header + the closer's one (rank, seq) pair: the
+        // rest of its clock is the previous barrier's target, which every
+        // processor already holds.
+        assert_eq!(wire_bytes(16, 0), 4 + 8);
         // The billed clock does not grow with the cluster.
-        let mut wide = vec![0u32; 256];
-        wide[255] = 1;
-        assert_eq!(rec(wide, vec![7]).wire_bytes(), 4 + 8 + 4);
+        assert_eq!(wire_bytes(256, 1), 4 + 8 + 4);
     }
 
     #[test]
     fn interval_rec_wire_uses_sparse_encoding_at_scale() {
-        let mut vc = vec![0u32; 64];
-        (vc[0], vc[10]) = (1, 4);
-        let r = rec(vc, vec![42, 43]);
-        // One (rank, seq) pair behind the count: 4 + 8 clock bytes,
-        // whatever the other components hold, plus 2 page ids.
-        assert_eq!(r.wire_bytes(), 12 + 8);
+        // One (rank, seq) pair behind the count at 64 ranks, plus 2 page
+        // ids.
+        assert_eq!(wire_bytes(64, 2), 12 + 8);
     }
 
     /// The clock's wire size is a closed form of the cluster size: dense
@@ -217,15 +164,45 @@ mod tests {
         for n in [1, 4, 8, 9, 64] {
             let clock = if n <= DENSE_VC_MAX { 4 * n } else { 4 + 8 };
             for pages in [0, 3] {
-                let mut vc = vec![0u32; n];
-                vc[n - 1] = 1;
-                let r = rec(vc, (0..pages as u32).collect());
                 assert_eq!(
-                    r.wire_bytes(),
+                    wire_bytes(n, pages),
                     clock + 4 * pages,
                     "{n} procs, {pages} pages"
                 );
             }
+        }
+    }
+
+    proptest! {
+        /// The vector timestamp TreadMarks ships round-trips at every
+        /// cluster size. A closing interval's clock is the previous
+        /// barrier's target with the closer's own component advanced.
+        /// Small clocks travel dense (`4 * nprocs` bytes); large clocks
+        /// travel as that one `(rank, seq)` pair behind a 4-byte count,
+        /// and applying the pair to the receiver-known base recovers the
+        /// exact clock.
+        #[test]
+        fn compact_vc_roundtrips_at_all_sizes(
+            nprocs in prop::sample::select(vec![3usize, 8, 9, 16, 64]),
+            seed in any::<u64>(),
+            pages in 0usize..5,
+        ) {
+            let mut s = seed;
+            let mut next = move || {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (s >> 33) as u32
+            };
+            let base: Vec<u32> = (0..nprocs).map(|_| next() % 100).collect();
+            let me = next() as usize % nprocs;
+            let mut vc = base.clone();
+            vc[me] += 1;
+            let mut decoded = base.clone();
+            decoded[me] = vc[me];
+            prop_assert_eq!(&decoded, &vc);
+            let clock = if nprocs <= DENSE_VC_MAX { 4 * nprocs } else { 4 + 8 };
+            prop_assert_eq!(wire_bytes(nprocs, pages), clock + 4 * pages);
+            // Never more than the dense clock.
+            prop_assert!(wire_bytes(nprocs, pages) <= 4 * nprocs + 4 * pages);
         }
     }
 }

@@ -9,10 +9,13 @@
 //!   release and its departure the acquire. Consistency information
 //!   travels only at barriers; each processor invalidates pages named in
 //!   write notices of intervals it has not yet seen.
-//! * **Vector-clock intervals**: each processor's execution is divided
-//!   into intervals closed at every barrier arrival. An interval
-//!   publishes *write notices* — the pages it dirtied — tagged with the
-//!   processor's vector clock.
+//! * **Intervals named by barrier epoch**: each processor's execution is
+//!   divided into intervals closed at every barrier arrival. An interval
+//!   publishes *write notices* — the pages it dirtied. TreadMarks tags
+//!   them with vector timestamps; with barriers the only acquire, every
+//!   processor knows exactly the intervals of the epochs before its own,
+//!   so an interval is named by its writer and epoch, and the wire still
+//!   bills the vector timestamp the paper's system sends.
 //! * **Multiple-writer protocol**: the first write to a page in an
 //!   interval makes a *twin* (a copy); at interval close the twin is
 //!   compared to the page to produce a run-length-encoded *diff*.
@@ -34,7 +37,7 @@
 //! 1. **Eager diffing at interval close** instead of lazy diffing on first
 //!    request. Same diffs, same messages; only the *moment* diff-creation
 //!    time is charged moves, and it is still charged to the modifier.
-//! 2. **A published-record store** ([`DiffStore`]) stands in for
+//! 2. **A published-record store** (`store::DiffStore`) stands in for
 //!    peer-to-peer request service. Message counts/bytes are charged
 //!    exactly as the real request/reply pairs would be, via [`simnet`].
 //!
@@ -68,10 +71,9 @@ pub use cluster::{Cluster, DsmConfig};
 pub use scratch::ClusterPool;
 pub use diff::{Diff, Payload, DIFF_WORD};
 pub use heap::{Pod, SharedSlice};
-pub use interval::{vc_key, IntervalRec, NoticeBoard, Vc, DENSE_VC_MAX};
+pub use interval::DENSE_VC_MAX;
 pub use policy::{EpochDecision, ProtocolPolicy};
 pub use proc::{PageState, ProcCounters, TmkProc};
-pub use store::{DiffStore, Record};
 
 pub use simnet::{
     CostModel, FetchKind as FetchClass, MsgKind, Net, NetReport, PolicyReport, ProcId, SimTime,

@@ -2,14 +2,12 @@
 //! fault/fetch/apply paths, interval close, and the watch mechanism that
 //! `Validate` uses to detect indirection-array changes.
 
-use std::rc::Rc;
-
 use simnet::{MsgKind, ProcId, SimTime, StallCat, TraceEvent};
 
 use crate::cluster::Cluster;
 use crate::diff::{Diff, Payload};
 use crate::heap::{Pod, SharedSlice};
-use crate::interval::{IntervalRec, Vc};
+use crate::interval::Notice;
 use crate::policy::ProtocolPolicy;
 use crate::store::Record;
 use crate::FetchClass;
@@ -39,40 +37,21 @@ struct Frame {
     watch_protect: bool,
     /// This page has registered watchers (slow-path lookup on events).
     watched: bool,
-    /// The fold horizon the last master refill regressed this page to:
-    /// the store's snapshot, shared by every frame refilled from it
-    /// (`None`: never refilled, all zeros).
-    floor: Option<Rc<[u32]>>,
-    /// Highest interval of each processor whose modification of this page
-    /// is reflected in `data`, where it is above `floor`: sparse
-    /// `(proc, seq)` pairs sorted by proc — the page's writers since the
-    /// refill, a few entries at any cluster size.
-    applied: Vec<(u32, u32)>,
-    /// Write notices seen but not yet fetched: `(proc, seq)`.
-    pending: Vec<(ProcId, u32)>,
+    /// `data` reflects every other processor's records of this page from
+    /// epochs below this one (a record a newer `Full` subsumed counts as
+    /// reflected); this processor's own records are always reflected.
+    /// Write notices of later epochs are what an invalid page misses.
+    synced: u32,
+    /// The fold horizon of the last master refill (0: never refilled).
+    /// It stands for the writer intervals the master copy carried, which
+    /// TreadMarks's rule for the next master fetch counts.
+    refill: u32,
 }
 
 impl Frame {
     #[inline]
     fn dirty(&self) -> bool {
         self.twin.is_some() || self.full_write
-    }
-
-    /// Highest applied interval of `q` (0 if none).
-    #[inline]
-    fn applied_of(&self, q: ProcId) -> u32 {
-        match self.applied.binary_search_by_key(&(q as u32), |&(p, _)| p) {
-            Ok(i) => self.applied[i].1,
-            Err(_) => self.floor.as_ref().map_or(0, |floor| floor[q]),
-        }
-    }
-
-    #[inline]
-    fn set_applied(&mut self, q: ProcId, seq: u32) {
-        match self.applied.binary_search_by_key(&(q as u32), |&(p, _)| p) {
-            Ok(i) => self.applied[i].1 = seq,
-            Err(i) => self.applied.insert(i, (q as u32, seq)),
-        }
     }
 }
 
@@ -122,10 +101,9 @@ impl DeferredPlan {
 }
 
 /// Persistent per-processor state (survives across [`Cluster::run`] calls).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ProcInner {
     frames: Vec<Frame>,
-    vc: Vc,
     dirty: Vec<u32>,
     /// Watch keys registered per page, indexed by page id (empty for
     /// unwatched pages; lookups are gated by `Frame::watched` anyway).
@@ -171,7 +149,8 @@ pub(crate) type PushSched = Vec<(ProcId, Vec<u32>)>;
 struct FetchScratch {
     /// One entry per invalid page of the fetch, in request order.
     needs: Vec<Need>,
-    /// Every needed record, grouped by page, each group causally sorted.
+    /// Every needed record, grouped by page, each group in causal
+    /// `(epoch, writer)` order.
     records: Vec<Record>,
     /// `(serving peer, page, reply bytes)` per record or master copy,
     /// sorted — grouped by peer — before billing and subscribing.
@@ -189,6 +168,10 @@ struct Need {
     records: std::ops::Range<usize>,
     /// Apply the GC master copy before the records.
     master: bool,
+    /// The frame's `synced` epoch before this fetch: without a master
+    /// copy, records of other writers below it, and all of this
+    /// processor's own, are already in the page.
+    synced: u32,
 }
 
 impl FetchScratch {
@@ -202,24 +185,6 @@ impl FetchScratch {
 }
 
 impl ProcInner {
-    pub(crate) fn new(nprocs: usize) -> Self {
-        ProcInner {
-            frames: Vec::new(),
-            vc: vec![0; nprocs],
-            dirty: Vec::new(),
-            watchers: Vec::new(),
-            watch_flags: Vec::new(),
-            watch_dirty: Vec::new(),
-            counters: ProcCounters::default(),
-            policy: None,
-            deferred: Vec::new(),
-            push_scheds: Vec::new(),
-            scratch: FetchScratch::default(),
-            invalidated: Vec::new(),
-            payloads: Vec::new(),
-        }
-    }
-
     pub(crate) fn ensure_frames(&mut self, npages: usize) {
         if self.frames.len() < npages {
             self.frames.resize_with(npages, Frame::default);
@@ -232,21 +197,11 @@ impl ProcInner {
     /// [`crate::Cluster::recycle`].
     pub(crate) fn recycle(&mut self, give: &mut dyn FnMut(Box<[u8]>)) {
         for f in &mut self.frames {
-            f.state = PageState::Invalid;
-            if let Some(b) = f.data.take() {
+            for b in f.data.take().into_iter().chain(f.twin.take()) {
                 give(b);
             }
-            if let Some(b) = f.twin.take() {
-                give(b);
-            }
-            f.full_write = false;
-            f.watch_protect = false;
-            f.watched = false;
-            f.floor = None;
-            f.applied.clear();
-            f.pending.clear();
+            *f = Frame::default();
         }
-        self.vc.fill(0);
         self.dirty.clear();
         self.watchers.clear();
         self.watch_flags.clear();
@@ -487,6 +442,7 @@ impl<'c> TmkProc<'c> {
     /// before the next release (`WRITE_ALL`): no twin is kept, no fetch is
     /// needed, and interval close publishes the whole page (paper §3.2).
     pub fn mark_full_write(&mut self, pages: &[u32]) {
+        let now = self.epoch();
         for &page in pages {
             if self.inner.frames[page as usize].watch_protect {
                 self.fire_watch(page);
@@ -499,14 +455,10 @@ impl<'c> TmkProc<'c> {
             if !f.dirty() {
                 self.inner.dirty.push(page);
             }
-            // Whatever was pending is irrelevant: every byte will be
-            // overwritten locally. Mark it applied so no fetch happens.
-            let pending = std::mem::take(&mut f.pending);
-            for (q, seq) in pending {
-                if f.applied_of(q) < seq {
-                    f.set_applied(q, seq);
-                }
-            }
+            // Whatever notices arrived are irrelevant: every byte will be
+            // overwritten locally. Count them as reflected so no fetch
+            // happens.
+            f.synced = now;
             f.full_write = true;
             if let Some(t) = f.twin.take() {
                 self.cl.page_pool().give(t);
@@ -541,8 +493,9 @@ impl<'c> TmkProc<'c> {
         // Attribute the whole exchange by who initiated it.
         let _sc = self.cl.net().scope(self.me, class.stall_cat());
         let mut s = std::mem::take(&mut self.inner.scratch);
+        let now = self.epoch();
         for &page in pages {
-            self.collect_page(page, &mut s);
+            self.collect_page(page, now, &mut s);
         }
         if !s.needs.is_empty() {
             self.exchange(&mut s, class, push_phase);
@@ -553,80 +506,58 @@ impl<'c> TmkProc<'c> {
     }
 
     /// Fetch phase 1, for one requested page: if it is invalid, append
-    /// the records it misses to `s.records` in causal order and note
-    /// whether the master copy must come first.
-    fn collect_page(&mut self, page: u32, s: &mut FetchScratch) {
-        let (store, me) = (self.cl.store(), self.me);
-        let ProcInner { frames, vc, .. } = &mut *self.inner;
-        let f = &mut frames[page as usize];
+    /// the records it misses at epoch `now` to `s.records` in causal
+    /// order and note whether the master copy must come first.
+    fn collect_page(&mut self, page: u32, now: u32, s: &mut FetchScratch) {
+        let store = self.cl.store();
+        let f = &mut self.inner.frames[page as usize];
         if f.state != PageState::Invalid {
             return;
         }
-        // The highest pending seq per writer, as sparse `(proc, seq)`
-        // pairs sorted by writer, less what this copy already reflects.
-        let mut pend = std::mem::take(&mut f.pending);
-        pend.sort_unstable_by_key(|&(q, seq)| (q, std::cmp::Reverse(seq)));
-        pend.dedup_by_key(|&mut (q, _)| q);
-        pend.retain(|&(q, seq)| seq > f.applied_of(q));
-        debug_assert!(
-            pend.iter().all(|&(q, upto)| upto <= vc[q]),
-            "page {page}: a pending notice above the clock (notices arrive only with a barrier's target)"
-        );
         let start = s.records.len();
-        let mut master = false;
-        for &(q, upto) in &pend {
-            debug_assert_ne!(q, me, "own writes are always applied");
-            master |= store.collect_into(q, page, f.applied_of(q), upto, &mut s.records);
-        }
+        let seen = (f.synced, f.refill);
+        let mut master = store.collect_into(page, self.me, seen, now, &mut s.records);
         if master {
             // Some needed records were folded into the master page.
             // The master snapshot replaces the WHOLE page as of the
             // fold horizon, so everything newer than the horizon that
-            // this copy already reflected — other processors' applied
-            // records and our own published intervals — must be
-            // re-applied on top. Re-collect from the horizon, from
-            // every writer of the page including ourselves, bounded by
-            // our vector clock (records we have not acquired yet must
-            // not be applied — that would break release consistency).
-            // Every pending notice is at or below the clock, so the
-            // clock alone is the bound.
+            // this copy already reflected — other processors' records
+            // and our own — must be re-applied on top. Re-collect from
+            // the horizon, from every writer of the page including
+            // ourselves, up to the current epoch (records of an epoch
+            // not yet ended must not be applied — that would break
+            // release consistency).
             s.records.truncate(start);
-            store.collect_above_horizon(page, |q| vc[q], &mut s.records);
+            store.collect_above_horizon(page, now, &mut s.records);
         }
-        pend.clear();
-        f.pending = pend;
-        // Prune: a Full snapshot subsumes everything it covers.
+        // Prune: a Full snapshot subsumes everything before its epoch.
         let records = &mut s.records;
         let full = records[start..]
             .iter()
             .filter(|r| r.payload.is_full())
-            .max_by_key(|r| r.key())
-            .cloned();
+            .map(|r| r.epoch)
+            .max();
         if let Some(full) = full {
             let mut kept = start;
             for i in start..records.len() {
-                let r = &records[i];
-                if r.seq > full.vc[r.proc] || (r.proc == full.proc && r.seq == full.seq) {
+                if records[i].epoch >= full {
                     records.swap(kept, i);
                     kept += 1;
                 }
             }
             records.truncate(kept);
-            if master {
-                // The master is needed only if it holds intervals the
-                // Full does not cover.
-                let covered = |h: &[u32]| h.iter().zip(full.vc.iter()).all(|(&h, &v)| v >= h);
-                master = !store.with_horizon(covered);
-            }
+            // Every collected record is above the fold horizon, the Full
+            // included, so it covers whatever the master copy holds.
+            master = false;
         }
-        // Keys are unique per page (one run of seqs per writer), so the
-        // unstable sort is the causal order.
-        records[start..].sort_unstable_by_key(Record::key);
-        let records = start..records.len();
+        // `(epoch, writer)` is unique per page and a linear extension of
+        // happens-before, so the unstable sort is the causal order.
+        records[start..].sort_unstable_by_key(|r| (r.epoch, r.proc));
         s.needs.push(Need {
             page,
-            records,
+            records: start..records.len(),
             master,
+            synced: std::mem::replace(&mut f.synced, now),
         });
     }
 
@@ -634,6 +565,8 @@ impl<'c> TmkProc<'c> {
     /// serving this exchange (typically a handful), not dense
     /// nprocs-slot arrays.
     fn exchange(&mut self, s: &mut FetchScratch, class: FetchClass, push_phase: Option<u32>) {
+        // TreadMarks's wire format, vector timestamps included, whatever
+        // the host keeps: the bytes are the paper's system's.
         const REQ_FIXED: usize = 16; // header + vc digest
         const REQ_PER_PAGE: usize = 8; // page id + applied seq
         let me = self.me;
@@ -643,6 +576,7 @@ impl<'c> TmkProc<'c> {
             }
             if n.master {
                 let mgr = n.page as usize % self.nprocs;
+                // The page, a header and the horizon's vector timestamp.
                 let bytes = self.page_size + 8 + 4 * self.nprocs;
                 s.served.push((mgr, n.page, bytes));
             }
@@ -696,7 +630,7 @@ impl<'c> TmkProc<'c> {
     /// A fetched page is never dirty: only a barrier invalidates, after
     /// its interval close dropped every twin.
     fn apply_needs(&mut self, s: &FetchScratch) {
-        let cl = self.cl;
+        let (cl, me) = (self.cl, self.me);
         let cost = cl.net().cost();
         let mut apply_time = SimTime::ZERO;
         for n in &s.needs {
@@ -712,18 +646,18 @@ impl<'c> TmkProc<'c> {
                     // The master is a snapshot *at the horizon*: the page
                     // regresses to exactly that knowledge; newer records
                     // (re-collected in phase 1) are applied on top.
-                    f.floor = Some(Rc::clone(horizon));
-                    f.applied.clear();
+                    f.refill = horizon;
                 });
                 apply_time += cost.diff_apply(self.page_size);
                 self.inner.counters.master_fetches += 1;
             }
             for r in &s.records[n.records.clone()] {
-                if r.seq <= f.applied_of(r.proc) {
-                    continue; // subsumed by the master copy
+                if !n.master && (r.proc == me || r.epoch < n.synced) {
+                    // Re-collected for a master copy that a Full made
+                    // unnecessary (still billed), and already here.
+                    continue;
                 }
                 r.payload.apply(f.data.as_mut().unwrap());
-                f.set_applied(r.proc, r.seq);
                 apply_time += cost.diff_apply(r.payload.wire_bytes());
                 self.inner.counters.records_applied += 1;
             }
@@ -862,58 +796,41 @@ impl<'c> TmkProc<'c> {
             return;
         }
 
-        let seq = self.inner.vc[self.me] + 1;
-        self.inner.vc[self.me] = seq;
-        let vc: Rc<[u32]> = Rc::from(&self.inner.vc[..]);
-        let pages: Rc<[u32]> = payloads.iter().map(|&(p, _)| p).collect();
+        let epoch = self.epoch();
         for (page, payload) in payloads.drain(..) {
-            self.inner.frames[page as usize].set_applied(self.me, seq);
-            self.cl
-                .store()
-                .publish(self.me, page, seq, Rc::clone(&vc), payload);
+            self.cl.store().publish(self.me, page, epoch, payload);
         }
         self.inner.payloads = payloads;
-        self.cl.board().publish(self.me, IntervalRec { vc, pages });
         self.inner.counters.intervals_closed += 1;
     }
 
     /// The acquire half of a barrier: consume the leader's flat notice
-    /// digest — `(page, proc, seq)` entries covering
-    /// `(previous target, target]` across *all* processors, built once
-    /// per barrier — instead of re-walking every peer's board per
-    /// processor, then adopt `target` as the clock. Barriers are the only
-    /// acquires, so the clock is the previous target: every peer entry is
-    /// new, and only this processor's own notices are skipped. Leaves the
+    /// digest — the `(epoch, writer, page)` notices of the epoch the
+    /// barrier ended, across *all* processors — instead of re-walking
+    /// every peer's intervals. Every peer notice is new (barriers are the
+    /// only acquires); only this processor's own are skipped. Leaves the
     /// pages it invalidated, sorted and deduplicated, in `invalidated`
     /// (cleared first).
-    pub(crate) fn apply_digest(
-        &mut self,
-        digest: &[(u32, u32, u32)],
-        target: &[u32],
-        invalidated: &mut Vec<u32>,
-    ) {
-        let me = self.me;
+    pub(crate) fn apply_digest(&mut self, digest: &[Notice], invalidated: &mut Vec<u32>) {
         invalidated.clear();
-        for &(page, q, seq) in digest {
-            let q = q as usize;
-            if q == me {
+        for &(_, q, page) in digest {
+            if q as usize == self.me {
                 continue;
             }
-            debug_assert!(
-                seq > self.inner.vc[q],
-                "digest entry ({q}, {seq}) already merged: the clock is not the previous barrier's target"
-            );
             let f = &mut self.inner.frames[page as usize];
-            f.pending.push((q, seq));
             f.state = PageState::Invalid;
             invalidated.push(page);
             if f.watched {
                 self.fire_watch(page);
             }
         }
-        self.inner.vc.copy_from_slice(target);
         invalidated.sort_unstable();
         invalidated.dedup();
+    }
+
+    /// The barrier epoch this processor is in.
+    fn epoch(&self) -> u32 {
+        self.cl.barrier_ctl().epoch() as u32
     }
 
     // ------------------------------------------------------------------
@@ -1052,21 +969,17 @@ mod tests {
         cl.run(|p| {
             let me = p.rank();
             p.write(&a, me, me as u64 + 1);
-            // The third barrier folds at the first one's clock: everyone's
-            // interval 1 goes into the master.
+            // The third barrier folds the first epoch: everyone's first
+            // interval goes into the master.
             for _ in 0..3 {
                 p.barrier();
             }
             if me == 0 {
                 assert_eq!(p.read(&a, 5), 6);
                 assert_eq!(p.counters().master_fetches, 1);
-                let folded = p.cl.store().with_horizon(<[u32]>::to_vec);
-                assert_eq!(folded, [1; 64], "all 64 processors advanced the horizon");
                 let f = &p.inner.frames[0];
-                assert!(f.applied.is_empty(), "{:?}", f.applied);
-                for (q, &h) in folded.iter().enumerate() {
-                    assert_eq!(f.applied_of(q), h, "proc {q}");
-                }
+                let (synced, refill) = (f.synced, f.refill);
+                assert_eq!((synced, refill), (3, 1), "synced, floored at the horizon");
             }
             p.barrier();
             if me == 1 {
@@ -1076,7 +989,8 @@ mod tests {
             if me == 0 {
                 assert_eq!(p.read(&a, 1), 100);
                 assert_eq!(p.counters().master_fetches, 1, "a plain diff fetch");
-                assert_eq!(p.inner.frames[0].applied, [(1, 2)]);
+                let f = &p.inner.frames[0];
+                assert_eq!((f.synced, f.refill), (5, 1));
             }
         });
     }

@@ -1,9 +1,9 @@
-//! Property-based tests of the diff machinery and the interval algebra —
-//! the invariants the multiple-writer protocol rests on.
+//! Property-based tests of the diff machinery — the invariants the
+//! multiple-writer protocol rests on.
 
 use proptest::prelude::*;
 
-use dsm::{vc_key, Diff, IntervalRec, Payload, DENSE_VC_MAX};
+use dsm::{Diff, Payload};
 
 /// A page mutation: (word-aligned offset, new bytes).
 fn mutations(page: usize) -> impl Strategy<Value = Vec<(usize, u8)>> {
@@ -110,63 +110,5 @@ proptest! {
             .count()
             * 4;
         prop_assert!(d.wire_bytes() >= payload);
-    }
-
-    /// The wire representation of an interval clock round-trips at
-    /// every cluster size. Barriers are the only acquire, so a closing
-    /// interval's clock is the previous barrier's target with the
-    /// closer's own component advanced. Small clocks travel dense
-    /// (`4 * nprocs` bytes); large clocks travel as that one
-    /// `(rank, seq)` pair behind a 4-byte count, and applying the pair
-    /// to the receiver-known base recovers the exact clock.
-    #[test]
-    fn compact_vc_roundtrips_at_all_sizes(
-        nprocs in prop::sample::select(vec![3usize, 8, 9, 16, 64]),
-        seed in any::<u64>(),
-        pages in 0usize..5,
-    ) {
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) as u32
-        };
-        let base: Vec<u32> = (0..nprocs).map(|_| next() % 100).collect();
-        let me = next() as usize % nprocs;
-        let mut vc = base.clone();
-        vc[me] += 1;
-
-        let rec = IntervalRec {
-            vc: vc.clone().into(),
-            pages: (0..pages as u32).collect::<Vec<_>>().into(),
-        };
-        let (q, seq) = (me, rec.vc[me]);
-        let mut decoded = base.clone();
-        decoded[q] = seq;
-        prop_assert_eq!(&decoded, &vc);
-        let clock = if nprocs <= DENSE_VC_MAX { 4 * nprocs } else { 4 + 8 };
-        prop_assert_eq!(rec.wire_bytes(), clock + 4 * pages);
-        // Never more than the dense clock.
-        prop_assert!(rec.wire_bytes() <= 4 * nprocs + 4 * pages);
-    }
-
-    /// vc_key is a linear extension of happens-before: if a's vc is
-    /// dominated by b's (and b includes its own later increment), a's key
-    /// sorts first.
-    #[test]
-    fn vc_key_respects_dominance(
-        base in proptest::collection::vec(0u32..20, 4),
-        bumps in proptest::collection::vec(0u32..5, 4),
-        p in 0usize..4,
-        q in 0usize..4,
-    ) {
-        let vc_a = base.clone();
-        let seq_a = vc_a[p];
-        // b saw a and then closed its own interval.
-        let mut vc_b: Vec<u32> = base.iter().zip(&bumps).map(|(&v, &d)| v + d).collect();
-        vc_b[q] += 1;
-        let seq_b = vc_b[q];
-        let ka = vc_key(&vc_a, p, seq_a);
-        let kb = vc_key(&vc_b, q, seq_b);
-        prop_assert!(ka < kb, "{ka:?} !< {kb:?}");
     }
 }

@@ -212,15 +212,18 @@ fn static_cell() -> SynthConfig {
 }
 
 /// Exact allocations of one warm run per `(cell, variant)`, the same in
-/// debug and release builds.
+/// debug and release builds. Keying intervals by barrier epoch took 99
+/// from each Tmk variant at 4 processors and 903 at 64 — one vector
+/// clock and one notice page list per interval, and one fold-horizon
+/// snapshot per barrier that advanced it.
 const WARM_ALLOCS: [(&str, Variant, u64); 7] = [
-    ("uniform/static/p4", Variant::TmkBase, 1_051),
-    ("uniform/static/p4", Variant::TmkOpt, 1_275),
-    ("uniform/static/p4", Variant::TmkAdaptive, 1_557),
-    ("uniform/static/p4", Variant::TmkPush, 1_493),
+    ("uniform/static/p4", Variant::TmkBase, 952),
+    ("uniform/static/p4", Variant::TmkOpt, 1_176),
+    ("uniform/static/p4", Variant::TmkAdaptive, 1_458),
+    ("uniform/static/p4", Variant::TmkPush, 1_394),
     ("uniform/static/p4", Variant::Chaos, 701),
-    ("uniform/static/p64", Variant::TmkBase, 5_818),
-    ("uniform/static/p64", Variant::TmkPush, 30_353),
+    ("uniform/static/p64", Variant::TmkBase, 4_915),
+    ("uniform/static/p64", Variant::TmkPush, 29_450),
 ];
 
 /// Allocations of a warm run of `v` on `prep` (reuse on): one run warms

@@ -49,7 +49,11 @@ impl Counts {
             .find(|&i| self.result_bits.get(i) != other.result_bits.get(i))
         {
             let bits = |c: &Counts| c.result_bits.get(i).map(|&b| f64::from_bits(b));
-            return Some(format!("result[{i}]: {:?} vs {:?}", bits(self), bits(other)));
+            return Some(format!(
+                "result[{i}]: {:?} vs {:?}",
+                bits(self),
+                bits(other)
+            ));
         }
         field("messages", &self.messages, &other.messages)
             .or_else(|| field("bytes", &self.bytes, &other.bytes))
