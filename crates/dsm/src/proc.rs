@@ -518,7 +518,7 @@ impl<'c> TmkProc<'c> {
         let seen = (f.synced, f.refill);
         let mut master = store.collect_into(page, self.me, seen, now, &mut s.records);
         if master {
-            // Some needed records were folded into the master page.
+            // The master copy is needed (see `DiffStore::collect_into`).
             // The master snapshot replaces the WHOLE page as of the
             // fold horizon, so everything newer than the horizon that
             // this copy already reflected — other processors' records

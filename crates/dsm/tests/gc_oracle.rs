@@ -71,8 +71,8 @@ impl Program {
             let mut f_e = Vec::new();
             for w in &writers {
                 let rewrite = (!quiet && below(4) == 0).then(|| below(w.len()));
-                let diffs = w.iter().map(|_| !quiet && rewrite.is_none() && below(2) == 0);
-                w_e.push(diffs.collect());
+                let diff = |_| !quiet && rewrite.is_none() && below(2) == 0;
+                w_e.push(w.iter().map(diff).collect());
                 f_e.push(rewrite);
             }
             writes.push(w_e);

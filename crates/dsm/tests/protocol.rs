@@ -143,6 +143,52 @@ fn full_write_publishes_whole_page_and_skips_twin() {
 }
 
 #[test]
+fn a_full_rewrite_covers_its_co_writers_older_records() {
+    // Page 0 has two writers. Proc 1 writes its word, then proc 2
+    // rewrites the whole page; a reader that fetched the rewrite holds
+    // proc 1's older record through it. When proc 1 writes again, the
+    // reader fetches that one diff — not the rewrite again, and not the
+    // master copy, though proc 1's first record is folded by then.
+    let cl = Cluster::new(DsmConfig {
+        nprocs: 3,
+        page_size: 64,
+        ..DsmConfig::default()
+    });
+    let s = cl.alloc::<u64>(8); // one page
+    cl.run(|p| {
+        let me = p.rank();
+        if me == 1 {
+            p.write(&s, 1, 1);
+        }
+        p.barrier();
+        if me == 2 {
+            p.mark_full_write(&[0]);
+            for w in 0..8 {
+                p.write(&s, w, 10 + w as u64);
+            }
+        }
+        p.barrier();
+        match me {
+            0 => assert_eq!(p.read(&s, 1), 11, "the rewrite is newer"),
+            1 => p.write(&s, 1, 2),
+            _ => {}
+        }
+        p.barrier();
+        if me == 0 {
+            let before = cl.report().messages;
+            assert_eq!(p.read(&s, 1), 2);
+            let messages = cl.report().messages - before;
+            assert_eq!(messages, 2, "one request/reply, to proc 1");
+            assert_eq!(p.counters().master_fetches, 0);
+            for w in [0, 2, 7] {
+                assert_eq!(p.read(&s, w), 10 + w as u64);
+            }
+        }
+        p.barrier();
+    });
+}
+
+#[test]
 fn pre_twin_eliminates_write_faults() {
     let cl = cluster(1);
     let s = cl.alloc::<f64>(2048); // 4 pages

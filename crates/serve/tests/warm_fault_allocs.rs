@@ -232,8 +232,8 @@ fn warm_run_allocs(prep: &Prepared, v: Variant) -> u64 {
     prep.run(v, SimTime::ZERO);
     let first = allocs(|| prep.run(v, SimTime::ZERO));
     let second = allocs(|| prep.run(v, SimTime::ZERO));
-    let cell = prep.cfg().label();
-    assert_eq!(first, second, "{cell} {}: two warm runs allocated differently", v.label());
+    let (cell, v) = (prep.cfg().label(), v.label());
+    assert_eq!(first, second, "{cell} {v}: two warm runs disagree");
     first
 }
 
