@@ -51,7 +51,12 @@ clippy:
 # clock on the host (vc_key, Rc<[u32]> clocks and horizon snapshots,
 # with_horizon) and no per-writer applied pairs or floor in a page
 # frame (applied_of, floor:); the wire still bills TreadMarks's vector
-# timestamps.
+# timestamps. There is one wire encoding, simnet::Pod (dsm and sdsm_core
+# re-export it), and one CHAOS exchange, ChaosProc::exchange, which
+# stores Pod values straight into the receiver's reused inbox: no
+# per-type entry points (exchange_f64, exchange_u32), no byte round trip
+# (encode_f64/decode_f64, encode_u32/decode_u32), no per-peer grouping
+# into vectors (group_csr), and no second trait Pod.
 SEQUENTIAL_CRATES = crates/simnet crates/dsm crates/chaos crates/rsd crates/serve
 ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
 NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
@@ -96,6 +101,10 @@ hygiene:
 		echo "hygiene: barriers are the only synchronization; locks and the paths only a lock acquire reached are deleted"; exit 1; fi
 	@if grep -rnE "vc_key|applied_of|floor:|with_horizon|Rc<\[u32\]>" crates/dsm/src; then \
 		echo "hygiene: dsm names an interval by writer and barrier epoch; no host vector clocks, horizon snapshots or per-writer frame pairs"; exit 1; fi
+	@if grep -rnE "exchange_f64|exchange_u32|encode_f64|decode_f64|encode_u32|decode_u32|group_csr" crates/; then \
+		echo "hygiene: ChaosProc::exchange is the one CHAOS exchange; it stores simnet::Pod values straight into the receiver's inbox"; exit 1; fi
+	@if grep -rn "trait Pod\b" crates/ | grep -v "^crates/simnet/src/pod.rs:"; then \
+		echo "hygiene: Pod is defined once, in simnet; dsm and sdsm_core re-export it"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses

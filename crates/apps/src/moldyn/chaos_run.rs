@@ -210,59 +210,45 @@ fn flatten(v: &[[f64; 3]]) -> Vec<f64> {
 fn gather3(cp: &mut chaos::ChaosProc, sched: &chaos::CommSchedule, data: &mut Ghosted) {
     // Expand ghost storage to triples.
     data.ghosts.resize(3 * sched.ghost_count(), 0.0);
-    let me = cp.rank();
     let cost = cp.net().cost().clone();
-    let mut out = Vec::new();
-    let mut packed = 0usize;
-    for q in 0..cp.nprocs() {
-        let list = sched.send(q);
-        if q == me || list.is_empty() {
-            continue;
-        }
-        let mut vals = Vec::with_capacity(3 * list.len());
-        for &o in list {
-            let b = 3 * o as usize;
-            vals.extend_from_slice(&data.owned[b..b + 3]);
-        }
-        packed += vals.len() * 8;
-        out.push((q, vals));
-    }
+    let packed = 3 * 8 * sched.traffic_elems();
     cp.compute(cost.pack(packed));
-    let incoming = cp.exchange_f64(MsgKind::Gather, out);
-    for (from, vals) in incoming {
+    let (owned, ghosts) = (&data.owned, &mut data.ghosts);
+    let out = (0..cp.nprocs())
+        .filter(|&q| !sched.send(q).is_empty())
+        .map(|q| {
+            let vals = sched.send(q).iter().flat_map(|&o| &owned[3 * o as usize..][..3]);
+            (q, vals.copied())
+        });
+    cp.exchange(MsgKind::Gather, out, |from, vals| {
         let start = 3 * sched.ghost_starts[from] as usize;
-        data.ghosts[start..start + vals.len()].copy_from_slice(&vals);
-    }
+        for (g, v) in ghosts[start..].iter_mut().zip(vals) {
+            *g = v;
+        }
+    });
     cp.compute(cost.pack(packed));
 }
 
 /// Scatter-add molecule triples back to their owners.
 fn scatter3(cp: &mut chaos::ChaosProc, sched: &chaos::CommSchedule, data: &mut Ghosted) {
-    let me = cp.rank();
     let cost = cp.net().cost().clone();
-    let mut out = Vec::new();
-    let mut packed = 0usize;
-    for q in 0..cp.nprocs() {
-        let list = sched.recv(q);
-        if q == me || list.is_empty() {
-            continue;
-        }
-        let start = 3 * sched.ghost_starts[q] as usize;
-        let vals: Vec<f64> = data.ghosts[start..start + 3 * list.len()].to_vec();
-        packed += vals.len() * 8;
-        out.push((q, vals));
-    }
+    let packed = 3 * 8 * sched.ghost_count();
     cp.compute(cost.pack(packed));
-    let incoming = cp.exchange_f64(MsgKind::Scatter, out);
-    for (from, vals) in incoming {
-        let list = sched.send(from);
-        for (k, &o) in list.iter().enumerate() {
+    let (owned, ghosts) = (&mut data.owned, &data.ghosts);
+    let out = (0..cp.nprocs())
+        .filter(|&q| !sched.recv(q).is_empty())
+        .map(|q| {
+            let start = 3 * sched.ghost_starts[q] as usize;
+            (q, ghosts[start..start + 3 * sched.recv(q).len()].iter().copied())
+        });
+    cp.exchange(MsgKind::Scatter, out, |from, mut vals| {
+        for &o in sched.send(from) {
             let b = 3 * o as usize;
-            for d in 0..3 {
-                data.owned[b + d] += vals[3 * k + d];
+            for (c, v) in owned[b..b + 3].iter_mut().zip(&mut vals) {
+                *c += v;
             }
         }
-    }
+    });
     cp.compute(cost.pack(packed));
 }
 
@@ -275,19 +261,14 @@ fn allgather_x(
     snap: &mut [[f64; 3]],
 ) {
     let me = cp.rank();
-    let flat = flatten(x_own);
-    let out: Vec<(usize, Vec<f64>)> = (0..cp.nprocs())
+    let out = (0..cp.nprocs())
         .filter(|&q| q != me)
-        .map(|q| (q, flat.clone()))
-        .collect();
-    let incoming = cp.exchange_f64(MsgKind::Gather, out);
-    // Own block.
-    let r = part.range_of(me);
-    snap[r.clone()].copy_from_slice(x_own);
-    for (from, vals) in incoming {
-        let r = part.range_of(from);
-        for (off, chunk) in vals.chunks_exact(3).enumerate() {
-            snap[r.start + off] = [chunk[0], chunk[1], chunk[2]];
+        .map(|q| (q, x_own.iter().flatten().copied()));
+    cp.exchange(MsgKind::Gather, out, |from, vals| {
+        for (c, v) in snap[part.range_of(from)].iter_mut().flatten().zip(vals) {
+            *c = v;
         }
-    }
+    });
+    // Own block.
+    snap[part.range_of(me)].copy_from_slice(x_own);
 }

@@ -65,26 +65,20 @@ pub fn gather(cp: &mut ChaosProc, sched: &CommSchedule, data: &mut Ghosted) {
     let me = cp.rank();
     let _ex = cp.net().scope(me, StallCat::Exchange);
     cp.net().trace(me, TraceEvent::SpanBegin { tag: SpanTag::Gather });
-    let mut out = Vec::new();
-    let mut packed = 0usize;
-    for q in 0..cp.nprocs() {
-        let list = sched.send(q);
-        if q == me || list.is_empty() {
-            continue;
-        }
-        let vals: Vec<f64> = list.iter().map(|&o| data.owned[o as usize]).collect();
-        packed += vals.len() * 8;
-        out.push((q, vals));
-    }
-    cp.compute(cost.pack(packed));
-    let incoming = cp.exchange_f64(MsgKind::Gather, out);
+    cp.compute(cost.pack(sched.traffic_elems() * 8));
+    let (owned, ghosts) = (&data.owned, &mut data.ghosts);
+    let out = (0..cp.nprocs())
+        .filter(|&q| !sched.send(q).is_empty())
+        .map(|q| (q, sched.send(q).iter().map(|&o| owned[o as usize])));
     let mut unpacked = 0usize;
-    for (from, vals) in incoming {
+    cp.exchange(MsgKind::Gather, out, |from, vals| {
         let start = sched.ghost_starts[from] as usize;
         debug_assert_eq!(vals.len(), sched.recv(from).len());
-        data.ghosts[start..start + vals.len()].copy_from_slice(&vals);
         unpacked += vals.len() * 8;
-    }
+        for (g, v) in ghosts[start..].iter_mut().zip(vals) {
+            *g = v;
+        }
+    });
     cp.compute(cost.pack(unpacked));
     cp.net().trace(me, TraceEvent::SpanEnd { tag: SpanTag::Gather });
 }
@@ -96,30 +90,24 @@ pub fn scatter_add(cp: &mut ChaosProc, sched: &CommSchedule, data: &mut Ghosted)
     let me = cp.rank();
     let _ex = cp.net().scope(me, StallCat::Exchange);
     cp.net().trace(me, TraceEvent::SpanBegin { tag: SpanTag::Scatter });
-    let mut out = Vec::new();
-    let mut packed = 0usize;
-    for q in 0..cp.nprocs() {
-        let list = sched.recv(q);
-        if q == me || list.is_empty() {
-            continue;
-        }
-        let start = sched.ghost_starts[q] as usize;
-        let vals: Vec<f64> = data.ghosts[start..start + list.len()].to_vec();
-        packed += vals.len() * 8;
-        out.push((q, vals));
-    }
-    cp.compute(cost.pack(packed));
-    let incoming = cp.exchange_f64(MsgKind::Scatter, out);
+    cp.compute(cost.pack(sched.ghost_count() * 8));
+    let (owned, ghosts) = (&mut data.owned, &data.ghosts);
+    let out = (0..cp.nprocs())
+        .filter(|&q| !sched.recv(q).is_empty())
+        .map(|q| {
+            let start = sched.ghost_starts[q] as usize;
+            (q, ghosts[start..start + sched.recv(q).len()].iter().copied())
+        });
     let mut unpacked = 0usize;
-    for (from, vals) in incoming {
+    cp.exchange(MsgKind::Scatter, out, |from, vals| {
         // Their recv list from us == our send list to them.
         let list = sched.send(from);
         debug_assert_eq!(vals.len(), list.len());
         for (&off, v) in list.iter().zip(vals) {
-            data.owned[off as usize] += v;
+            owned[off as usize] += v;
         }
         unpacked += list.len() * 8;
-    }
+    });
     cp.compute(cost.pack(unpacked));
     cp.net().trace(me, TraceEvent::SpanEnd { tag: SpanTag::Scatter });
 }

@@ -128,21 +128,25 @@ fn dedup_first_seen(accesses: impl Iterator<Item = u32>, words: usize) -> (usize
     (total, distinct)
 }
 
-/// Fold the schedule-exchange replies into the send-list CSR.
+/// The schedule exchange: send each owner the offsets we want from it;
+/// the wants we receive are our send lists, folded into CSR form.
 ///
-/// Accumulates with `+=`, not assignment: the exchange contract sorts
-/// `incoming` by sender but does **not** promise each sender appears
-/// once — a peer that deposited two messages in the superstep yields
-/// two adjacent entries, and the former `send_starts[from + 1] =
-/// wants.len()` silently dropped all but the last one.
-fn build_send_csr(nprocs: usize, incoming: &[(ProcId, Vec<u32>)]) -> (Vec<u32>, Vec<u32>) {
-    debug_assert!(incoming.windows(2).all(|w| w[0].0 <= w[1].0), "sorted by sender");
+/// Accumulates with `+=`, not assignment: the exchange delivers by
+/// sender but does **not** promise each sender appears once — a peer
+/// that deposited two messages in the superstep delivers two in a row,
+/// and an assignment would keep only the last one.
+fn exchange_wants<'a>(
+    cp: &mut ChaosProc,
+    wants: impl IntoIterator<Item = (ProcId, &'a [u32])>,
+) -> (Vec<u32>, Vec<u32>) {
+    let nprocs = cp.nprocs();
     let mut send_starts = vec![0u32; nprocs + 1];
-    let mut send_idx = Vec::with_capacity(incoming.iter().map(|(_, w)| w.len()).sum());
-    for (from, wants) in incoming {
-        send_starts[from + 1] += wants.len() as u32;
-        send_idx.extend_from_slice(wants);
-    }
+    let mut send_idx = Vec::new();
+    let out = wants.into_iter().map(|(q, w)| (q, w.iter().copied()));
+    cp.exchange(MsgKind::Schedule, out, |from, w| {
+        send_starts[from + 1] += w.len() as u32;
+        send_idx.extend(w);
+    });
     for q in 0..nprocs {
         send_starts[q + 1] += send_starts[q];
     }
@@ -204,18 +208,10 @@ pub fn inspector(
 
     // Schedule exchange: tell each owner what we need; what we receive
     // back (as requests from others) becomes our send lists.
-    let out: Vec<(ProcId, Vec<u32>)> = (0..nprocs)
-        .filter(|&q| q != me && ghost_starts[q] != ghost_starts[q + 1])
-        .map(|q| {
-            let seg = ghost_starts[q] as usize..ghost_starts[q + 1] as usize;
-            (q, recv_idx[seg].to_vec())
-        })
-        .collect();
-    let mut incoming = cp.exchange_u32(MsgKind::Schedule, out);
-    // Stable: a duplicated sender's messages must keep arrival order so
-    // `build_send_csr` concatenates its segment deterministically.
-    incoming.sort_by_key(|&(from, _)| from);
-    let (send_starts, send_idx) = build_send_csr(nprocs, &incoming);
+    let wants = (0..nprocs)
+        .map(|q| (q, &recv_idx[ghost_starts[q] as usize..ghost_starts[q + 1] as usize]))
+        .filter(|(_, w)| !w.is_empty());
+    let (send_starts, send_idx) = exchange_wants(cp, wants);
 
     cp.net().trace(me, TraceEvent::SpanEnd { tag: SpanTag::Inspect });
     CommSchedule {
@@ -313,11 +309,17 @@ mod tests {
         // appear twice; the old `send_starts[from + 1] = wants.len()`
         // assignment kept only the last message (starts [0,1,1,2],
         // idx [1,2,3,7] — a corrupt CSR).
-        let incoming: Vec<(ProcId, Vec<u32>)> =
-            vec![(0, vec![1, 2]), (0, vec![3]), (2, vec![7])];
-        let (starts, idx) = build_send_csr(3, &incoming);
-        assert_eq!(starts, [0, 3, 3, 4]);
-        assert_eq!(idx, [1, 2, 3, 7]);
+        let w = ChaosWorld::new(3, CostModel::default());
+        let csr = w.run(|cp| {
+            let wants: &[(ProcId, &[u32])] = match cp.rank() {
+                0 => &[(1, &[1, 2]), (1, &[3])],
+                2 => &[(1, &[7])],
+                _ => &[],
+            };
+            exchange_wants(cp, wants.iter().copied())
+        });
+        assert_eq!(csr[1], (vec![0, 3, 3, 4], vec![1, 2, 3, 7]));
+        assert_eq!(csr[0], (vec![0; 4], vec![]));
     }
 
     #[test]

@@ -21,6 +21,11 @@
 //!    back to the owners after it. Each communicating pair exchanges
 //!    *one* message per operation — CHAOS's advantage over demand paging.
 //!
+//! All data movement in all three steps is [`ChaosProc::exchange`], a
+//! BSP superstep generic over [`Pod`], the wire encoding the DSM's pages
+//! use: senders store values straight into each receiver's reused inbox
+//! and receivers read them straight out, one message per deposit.
+//!
 //! The expensive part is step 2: the paper measures 4.6–9.2 s per
 //! processor per inspector call on moldyn, which is why the DSM approach
 //! (whose `Validate` merely rescans the indirection array) wins whenever
@@ -38,6 +43,6 @@ pub use partition::{
     assign_iterations_almost_owner, block_partition, cyclic_partition, rcb_partition, Partition,
 };
 pub use ttable::{TTable, TTableCache, TTableKind};
-pub use world::{ChaosProc, ChaosWorld};
+pub use world::{ChaosProc, ChaosWorld, Values};
 
-pub use simnet::{CostModel, MsgKind, Net, NetReport, ProcId, SimTime};
+pub use simnet::{CostModel, MsgKind, Net, NetReport, Pod, ProcId, SimTime};

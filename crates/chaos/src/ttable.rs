@@ -45,19 +45,22 @@ impl TTableCache {
     }
 }
 
-/// Group storer-sorted `(storer, value)` pairs into the per-peer
-/// message lists an exchange wants — the flat replacement for the old
-/// `Vec<Vec<u32>>` scratch indexed by processor.
-fn group_csr(flat: &[(ProcId, u32)]) -> Vec<(ProcId, Vec<u32>)> {
-    let mut out = Vec::new();
-    let mut k = 0;
-    while k < flat.len() {
-        let s = flat[k].0;
-        let end = k + flat[k..].iter().take_while(|e| e.0 == s).count();
-        out.push((s, flat[k..end].iter().map(|e| e.1).collect()));
-        k = end;
-    }
-    out
+/// One request message per storer from storer-sorted `(storer, value)`
+/// pairs: each run of equal storers, its values in `flat`'s order.
+fn by_storer(
+    flat: &[(ProcId, u32)],
+) -> impl Iterator<Item = (ProcId, impl Iterator<Item = u32> + '_)> {
+    flat.chunk_by(|a, b| a.0 == b.0)
+        .map(|run| (run[0].0, run.iter().map(|e| e.1)))
+}
+
+/// A reply of `n` table words (8 B each). Its content is never read:
+/// every kind answers from the same local entries, so only the traffic
+/// differs.
+fn reply_words(
+    asked: &[(ProcId, usize)],
+) -> impl Iterator<Item = (ProcId, impl Iterator<Item = u64>)> + '_ {
+    asked.iter().map(|&(q, n)| (q, std::iter::repeat_n(0u64, n)))
 }
 
 /// The translation table.
@@ -163,17 +166,16 @@ impl TTable {
                     .filter(|&(s, _)| s != me)
                     .collect();
                 flat.sort_by_key(|&(s, _)| s);
-                let requests = cp.exchange_u32(MsgKind::Translate, group_csr(&flat));
+                let mut asked = Vec::new();
+                cp.exchange(MsgKind::Translate, by_storer(&flat), |from, req| {
+                    asked.push((from, req.len()));
+                });
                 // Superstep 2 — replies: each storer answers with 8 B per
                 // requested entry (owner + offset), charging its own
                 // lookup work.
-                let served: usize = requests.iter().map(|(_, r)| r.len()).sum();
+                let served: usize = asked.iter().map(|&(_, n)| n).sum();
                 cp.compute(cost.translate(served));
-                let replies: Vec<(ProcId, Vec<u8>)> = requests
-                    .into_iter()
-                    .map(|(from, req)| (from, vec![0u8; req.len() * 8]))
-                    .collect();
-                cp.exchange(MsgKind::Translate, replies);
+                cp.exchange(MsgKind::Translate, reply_words(&asked), |_, _| {});
                 cp.compute(cost.translate(ids.len()));
                 self.translate_all(ids)
             }
@@ -189,13 +191,12 @@ impl TTable {
                     }
                 }
                 flat.sort_by_key(|&(s, _)| s);
-                let requests = cp.exchange_u32(MsgKind::Translate, group_csr(&flat));
+                let mut asked = Vec::new();
+                cp.exchange(MsgKind::Translate, by_storer(&flat), |from, pages| {
+                    asked.push((from, pages.len() * entries_per_page));
+                });
                 // Superstep 2 — whole table pages come back.
-                let replies: Vec<(ProcId, Vec<u8>)> = requests
-                    .into_iter()
-                    .map(|(from, pages)| (from, vec![0u8; pages.len() * entries_per_page * 8]))
-                    .collect();
-                cp.exchange(MsgKind::Translate, replies);
+                cp.exchange(MsgKind::Translate, reply_words(&asked), |_, _| {});
                 cp.compute(cost.translate(ids.len()));
                 self.translate_all(ids)
             }

@@ -6,23 +6,41 @@
 //! inter-processor data movement goes through [`ChaosProc::exchange`] —
 //! a bulk point-to-point exchange whose messages and bytes are accounted
 //! on the same [`simnet::Net`] the DSM uses.
+//!
+//! A message is a run of [`Pod`] values in the one wire encoding the
+//! DSM's pages use. The sender stores them straight into the
+//! receiver's inbox — one byte arena plus an index per processor, which
+//! the world clears after every pickup and never drops — and the
+//! receiver loads them straight out of it.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
-use simnet::{CostModel, MsgKind, Net, NetReport, ProcId, Rendezvous, SimTime};
+use simnet::{CostModel, MsgKind, Net, NetReport, Pod, ProcId, Rendezvous, SimTime, TraceEvent};
 
-/// One deposited message awaiting pickup.
+/// One deposited message awaiting pickup: its bytes are `range` of the
+/// receiver's arena.
 struct Deposit {
     from: ProcId,
     arrival: SimTime,
-    bytes: Vec<u8>,
+    range: Range<usize>,
 }
+
+/// A processor's messages of the current superstep.
+#[derive(Default)]
+struct Inbox {
+    bytes: Vec<u8>,
+    index: Vec<Deposit>,
+}
+
+/// The values of one received message, decoded as they are read.
+pub type Values<'a, T> = std::iter::Map<std::slice::ChunksExact<'a, u8>, fn(&[u8]) -> T>;
 
 /// The CHAOS "cluster": processors, inboxes, and the rendezvous.
 pub struct ChaosWorld {
     nprocs: usize,
     net: Net,
-    inboxes: Vec<RefCell<Vec<Deposit>>>,
+    inboxes: Vec<RefCell<Inbox>>,
     bar: Rendezvous,
 }
 
@@ -31,7 +49,7 @@ impl ChaosWorld {
         ChaosWorld {
             nprocs,
             net: Net::new(nprocs, cost),
-            inboxes: (0..nprocs).map(|_| RefCell::new(Vec::new())).collect(),
+            inboxes: (0..nprocs).map(|_| RefCell::default()).collect(),
             bar: Rendezvous::new(nprocs),
         }
     }
@@ -150,91 +168,91 @@ impl<'w> ChaosProc<'w> {
         self.world.net.advance(self.me, dt);
     }
 
-    /// Bulk point-to-point exchange (BSP superstep): send `outgoing`
-    /// byte payloads, receive everything addressed to this processor.
-    /// Returns messages sorted by sender for determinism.
+    /// Bulk point-to-point exchange (BSP superstep): send each
+    /// `(peer, values)` of `outgoing` as one message, then hand every
+    /// message addressed to this processor to `recv`, sorted by sender
+    /// and in deposit order within a sender.
     ///
+    /// Each message is billed `len × T::SIZE` bytes, even when empty.
     /// Senders are charged injection + per-byte costs; receivers wait for
-    /// the latest arrival among their incoming messages. This is CHAOS's
+    /// each arrival and pay a handler per message. This is CHAOS's
     /// one-message-per-pair "push" pattern — no request leg, which the
     /// paper credits for part of CHAOS's edge on nbf (§5.2.1).
-    pub fn exchange(
+    ///
+    /// Collective, and two rendezvous crossings: one after the deposits,
+    /// one after the pickups. `recv` runs between them and must not
+    /// suspend. Panics, naming the ranks, if a peer is this processor or
+    /// not below `nprocs` — a self-send is a local copy, not a message.
+    pub fn exchange<T, V>(
         &mut self,
         kind: MsgKind,
-        outgoing: Vec<(ProcId, Vec<u8>)>,
-    ) -> Vec<(ProcId, Vec<u8>)> {
-        let net = &self.world.net;
-        for (to, bytes) in outgoing {
-            assert_ne!(to, self.me, "self-sends are local copies, not messages");
-            let arrival = net.push(self.me, kind, bytes.len());
+        outgoing: impl IntoIterator<Item = (ProcId, V)>,
+        mut recv: impl FnMut(ProcId, Values<'_, T>),
+    ) where
+        T: Pod,
+        V: IntoIterator<Item = T>,
+    {
+        let (world, me) = (self.world, self.me);
+        let net = &world.net;
+        for (to, vals) in outgoing {
+            assert!(
+                to != me && to < world.nprocs,
+                "chaos exchange from rank {me} to rank {to}: the target must be another rank \
+                 below nprocs = {}",
+                world.nprocs
+            );
+            let inbox = &mut *world.inboxes[to].borrow_mut();
+            let start = inbox.bytes.len();
+            for v in vals {
+                let at = inbox.bytes.len();
+                inbox.bytes.resize(at + T::SIZE, 0);
+                v.store(&mut inbox.bytes[at..]);
+            }
+            let range = start..inbox.bytes.len();
+            let arrival = net.push(me, kind, range.len());
             net.trace(
-                self.me,
-                simnet::TraceEvent::Msg {
+                me,
+                TraceEvent::Msg {
                     kind,
                     peer: to as u32,
-                    bytes: bytes.len() as u32,
+                    bytes: range.len() as u32,
                     out: true,
                 },
             );
-            self.world.inboxes[to].borrow_mut().push(Deposit {
-                from: self.me,
+            inbox.index.push(Deposit {
+                from: me,
                 arrival,
-                bytes,
+                range,
             });
         }
         // All deposits in.
-        self.world.bar.wait();
-        let mut incoming = self.world.inboxes[self.me].take();
-        incoming.sort_by_key(|d| d.from);
-        for d in &incoming {
-            net.await_until(self.me, d.arrival);
-            // Receive-side handler/unpack overhead.
-            net.advance(self.me, net.cost().handler());
-            net.trace(
-                self.me,
-                simnet::TraceEvent::Msg {
-                    kind,
-                    peer: d.from as u32,
-                    bytes: d.bytes.len() as u32,
-                    out: false,
-                },
-            );
+        world.bar.wait();
+        {
+            let inbox = &mut *world.inboxes[me].borrow_mut();
+            // A sender's deposits ascend in the arena, so this is sender
+            // order, then deposit order.
+            inbox.index.sort_unstable_by_key(|d| (d.from, d.range.start));
+            for d in &inbox.index {
+                net.await_until(me, d.arrival);
+                // Receive-side handler/unpack overhead.
+                net.advance(me, net.cost().handler());
+                net.trace(
+                    me,
+                    TraceEvent::Msg {
+                        kind,
+                        peer: d.from as u32,
+                        bytes: d.range.len() as u32,
+                        out: false,
+                    },
+                );
+                let load: fn(&[u8]) -> T = T::load;
+                recv(d.from, inbox.bytes[d.range.clone()].chunks_exact(T::SIZE).map(load));
+            }
+            inbox.bytes.clear();
+            inbox.index.clear();
         }
         // All inboxes drained before anyone deposits for the next round.
-        self.world.bar.wait();
-        incoming.into_iter().map(|d| (d.from, d.bytes)).collect()
-    }
-
-    /// Exchange of `f64` payloads (the executor's currency).
-    pub fn exchange_f64(
-        &mut self,
-        kind: MsgKind,
-        outgoing: Vec<(ProcId, Vec<f64>)>,
-    ) -> Vec<(ProcId, Vec<f64>)> {
-        let out = outgoing
-            .into_iter()
-            .map(|(to, v)| (to, encode_f64(&v)))
-            .collect();
-        self.exchange(kind, out)
-            .into_iter()
-            .map(|(from, b)| (from, decode_f64(&b)))
-            .collect()
-    }
-
-    /// Exchange of `u32` payloads (index lists during inspection).
-    pub fn exchange_u32(
-        &mut self,
-        kind: MsgKind,
-        outgoing: Vec<(ProcId, Vec<u32>)>,
-    ) -> Vec<(ProcId, Vec<u32>)> {
-        let out = outgoing
-            .into_iter()
-            .map(|(to, v)| (to, encode_u32(&v)))
-            .collect();
-        self.exchange(kind, out)
-            .into_iter()
-            .map(|(from, b)| (from, decode_u32(&b)))
-            .collect()
+        world.bar.wait();
     }
 
     /// Global synchronization (timestep boundary): rendezvous, align the
@@ -261,34 +279,6 @@ impl<'w> ChaosProc<'w> {
     }
 }
 
-fn encode_f64(v: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-fn decode_f64(b: &[u8]) -> Vec<f64> {
-    b.chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
-fn encode_u32(v: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-fn decode_u32(b: &[u8]) -> Vec<u32> {
-    b.chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,17 +289,14 @@ mod tests {
         w.run(|cp| {
             let me = cp.rank();
             // Everyone sends their rank to everyone else.
-            let out: Vec<(usize, Vec<u8>)> = (0..3)
-                .filter(|&q| q != me)
-                .map(|q| (q, vec![me as u8]))
-                .collect();
-            let incoming = cp.exchange(MsgKind::Gather, out);
-            let froms: Vec<usize> = incoming.iter().map(|&(f, _)| f).collect();
+            let out = (0..3).filter(|&q| q != me).map(|q| (q, [me as u32]));
+            let mut froms = Vec::new();
+            cp.exchange(MsgKind::Gather, out, |from, vals| {
+                froms.push(from);
+                assert_eq!(vals.collect::<Vec<u32>>(), [from as u32]);
+            });
             let expect: Vec<usize> = (0..3).filter(|&q| q != me).collect();
             assert_eq!(froms, expect);
-            for (f, b) in incoming {
-                assert_eq!(b, vec![f as u8]);
-            }
         });
         assert_eq!(w.report().messages, 6);
     }
@@ -318,13 +305,16 @@ mod tests {
     fn f64_and_u32_roundtrip() {
         let w = ChaosWorld::new(2, CostModel::default());
         w.run(|cp| {
-            if cp.rank() == 0 {
-                cp.exchange_f64(MsgKind::Gather, vec![(1, vec![1.5, -2.25])]);
-                cp.exchange_u32(MsgKind::Schedule, vec![(1, vec![7, 8, 9])]);
-            } else {
-                let f = cp.exchange_f64(MsgKind::Gather, vec![]);
+            let (mut f, mut u) = (Vec::new(), Vec::new());
+            let to_1 = (cp.rank() == 0).then_some(1);
+            cp.exchange(MsgKind::Gather, to_1.map(|q| (q, [1.5, -2.25])), |from, vals| {
+                f.push((from, vals.collect::<Vec<f64>>()))
+            });
+            cp.exchange(MsgKind::Schedule, to_1.map(|q| (q, [7u32, 8, 9])), |from, vals| {
+                u.push((from, vals.collect::<Vec<u32>>()))
+            });
+            if cp.rank() == 1 {
                 assert_eq!(f, vec![(0, vec![1.5, -2.25])]);
-                let u = cp.exchange_u32(MsgKind::Schedule, vec![]);
                 assert_eq!(u, vec![(0, vec![7, 8, 9])]);
             }
         });
@@ -348,8 +338,9 @@ mod tests {
     fn empty_exchange_costs_nothing() {
         let w = ChaosWorld::new(2, CostModel::default());
         w.run(|cp| {
-            let r = cp.exchange(MsgKind::Gather, vec![]);
-            assert!(r.is_empty());
+            cp.exchange(MsgKind::Gather, [] as [(ProcId, [f64; 0]); 0], |_, _| {
+                panic!("nothing was sent")
+            });
         });
         assert_eq!(w.report().messages, 0);
         assert_eq!(w.elapsed(), SimTime::ZERO);
@@ -396,7 +387,7 @@ mod tests {
                             return 0; // returns normally; still not handed back
                         }
                         if via_exchange {
-                            cp.exchange(MsgKind::Gather, vec![]);
+                            cp.exchange(MsgKind::Gather, [] as [(ProcId, [u32; 0]); 0], |_, _| {});
                         } else {
                             cp.sync();
                         }
@@ -424,12 +415,35 @@ mod tests {
         let w = ChaosWorld::new(3, CostModel::default());
         w.run(|cp| {
             cp.sync();
-            cp.exchange(MsgKind::Gather, vec![]);
+            cp.exchange(MsgKind::Gather, [] as [(ProcId, [u32; 0]); 0], |_, _| {});
             cp.start_timed_region();
         });
         assert_eq!(w.rendezvous_crossings(), 1 + 2 + 2);
         // The closing sync of the timed-region boundary is billed to the
         // freshly zeroed counters.
         assert_eq!(w.report().messages, 4);
+    }
+
+    /// An exchange addressed to the sender itself or past the last rank
+    /// names the sender, the target and nprocs.
+    #[test]
+    #[should_panic(expected = "chaos exchange from rank 2 to rank 2: the target must be another \
+                               rank below nprocs = 4")]
+    fn an_exchange_to_itself_panics_naming_the_ranks() {
+        ChaosWorld::new(4, CostModel::default()).run(|cp| {
+            let me = cp.rank();
+            let to = if me == 2 { 2 } else { (me + 1) % 4 };
+            cp.exchange(MsgKind::Gather, [(to, [1.0f64])], |_, _| {});
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "chaos exchange from rank 0 to rank 4: the target must be another \
+                               rank below nprocs = 4")]
+    fn an_exchange_past_the_last_rank_panics_naming_the_ranks() {
+        ChaosWorld::new(4, CostModel::default()).run(|cp| {
+            let to = cp.rank() + 4;
+            cp.exchange(MsgKind::Gather, [(to, [1u32])], |_, _| {});
+        });
     }
 }

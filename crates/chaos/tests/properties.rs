@@ -204,35 +204,25 @@ fn rebalance_matches_fresh_inspection_and_bills_reinspect_once() {
 
             // Rebalance: ship each owned value to its new owner …
             let new_my = part_b.range_of(me);
-            let out: Vec<(usize, Vec<f64>)> = (0..nprocs)
-                .filter(|&q| q != me)
-                .map(|q| {
-                    let vals: Vec<f64> = my
-                        .clone()
-                        .filter(|&e| part_b.owner[e] == q)
-                        .map(|e| x_own[e - my.start])
-                        .collect();
-                    (q, vals)
-                })
-                .filter(|(_, vals)| !vals.is_empty())
-                .collect();
-            let incoming = cp.exchange_f64(MsgKind::Scatter, out);
+            let (part_b, my) = (&part_b, &my);
+            let moving = move |q: usize| my.clone().filter(move |&e| part_b.owner[e] == q);
+            let out = (0..nprocs)
+                .filter(|&q| q != me && moving(q).next().is_some())
+                .map(|q| (q, moving(q).map(|e| x_own[e - my.start])));
             let mut new_x = vec![0.0f64; new_my.len()];
             for e in new_my.clone() {
                 if part_a.owner[e] == me {
                     new_x[e - new_my.start] = x_own[e - my.start];
                 }
             }
-            for (from, vals) in incoming {
-                let mut vi = 0;
+            cp.exchange(MsgKind::Scatter, out, |from, mut vals| {
                 for e in new_my.clone() {
                     if part_a.owner[e] == from {
-                        new_x[e - new_my.start] = vals[vi];
-                        vi += 1;
+                        new_x[e - new_my.start] = vals.next().expect("a value per moved element");
                     }
                 }
-                assert_eq!(vi, vals.len(), "migration payload fully consumed");
-            }
+                assert_eq!(vals.len(), 0, "migration payload fully consumed");
+            });
             x_own = new_x;
 
             // … and re-run the inspector against the new partition.
@@ -323,5 +313,120 @@ fn executor_roundtrip_counts_references() {
             }
         }
         assert_eq!(g, want, "element {e}");
+    }
+}
+
+/// One superstep's traffic: `plan[s]` is sender `s`'s deposits in
+/// order, `(receiver, values)`.
+type Plan<T> = Vec<Vec<(ProcId, Vec<T>)>>;
+
+/// A random plan with up to five deposits per sender and up to four
+/// values per deposit. Empty payloads and a receiver named twice by one
+/// sender are forced into every plan with two or more processors.
+fn random_plan<T>(
+    rng: &mut proptest::TestRng,
+    nprocs: usize,
+    mut value: impl FnMut(&mut proptest::TestRng) -> T,
+) -> Plan<T> {
+    let mut plan: Plan<T> = (0..nprocs).map(|_| Vec::new()).collect();
+    if nprocs < 2 {
+        return plan;
+    }
+    for (s, deposits) in plan.iter_mut().enumerate() {
+        for _ in 0..rng.below(6) {
+            let to = (s + 1 + rng.below(nprocs as u64 - 1) as usize) % nprocs;
+            let len = rng.below(5);
+            deposits.push((to, (0..len).map(|_| value(&mut *rng)).collect()));
+        }
+    }
+    plan[0].push((1, Vec::new()));
+    plan[0].push((1, vec![value(&mut *rng)]));
+    plan
+}
+
+/// `f64` values weighted toward the bit patterns a numeric round trip
+/// could lose: NaNs with payloads, both zeros, infinities, subnormals.
+fn wire_f64(rng: &mut proptest::TestRng) -> f64 {
+    const SPECIAL: [u64; 7] = [
+        0x7ff8_0000_0000_0001, // quiet NaN with a payload
+        0xfff4_0000_dead_beef, // negative signalling NaN
+        0x8000_0000_0000_0000, // -0.0
+        0x0000_0000_0000_0000,
+        0x7ff0_0000_0000_0000, // +inf
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x800f_ffff_ffff_ffff, // largest negative subnormal
+    ];
+    match rng.below(3) {
+        0 => f64::from_bits(SPECIAL[rng.below(SPECIAL.len() as u64) as usize]),
+        _ => f64::from_bits(rng.next_u64()),
+    }
+}
+
+/// What receiver `r` should get: every deposit addressed to it, by
+/// sender, and in deposit order within a sender.
+fn delivered<T: Copy, B>(
+    plan: &Plan<T>,
+    r: ProcId,
+    bits: impl Fn(T) -> B,
+) -> Vec<(ProcId, Vec<B>)> {
+    plan.iter()
+        .enumerate()
+        .flat_map(|(s, deposits)| deposits.iter().map(move |d| (s, d)))
+        .filter(|(_, (to, _))| *to == r)
+        .map(|(s, (_, vals))| (s, vals.iter().map(|&v| bits(v)).collect()))
+        .collect()
+}
+
+/// `(messages, values)` a plan sends.
+fn traffic<T>(plan: &Plan<T>) -> (u64, u64) {
+    let deposits = plan.iter().flatten();
+    let values = deposits.clone().map(|(_, v)| v.len() as u64).sum();
+    (deposits.count() as u64, values)
+}
+
+/// `ChaosProc::exchange` against a naive model, for `f64` and `u32`
+/// payloads at 1, 2, 4 and 64 processors: each receiver gets every
+/// message addressed to it by sender, then in deposit order, with its
+/// values bit for bit; each deposit, empty or not, is one message of
+/// `len × SIZE` bytes of its exchange's kind; and an exchange is two
+/// rendezvous crossings.
+#[test]
+fn exchange_matches_a_naive_model() {
+    for nprocs in [1usize, 2, 4, 64] {
+        let name = format!("exchange_matches_a_naive_model/p{nprocs}");
+        proptest::run_cases(&name, |rng| {
+            let floats = random_plan(rng, nprocs, wire_f64);
+            let words = random_plan(rng, nprocs, |rng| rng.next_u64() as u32);
+            let w = ChaosWorld::new(nprocs, CostModel::default());
+            let got = w.run(|cp| {
+                let me = cp.rank();
+                let (mut f, mut u) = (Vec::new(), Vec::new());
+                let out = floats[me].iter().map(|(q, v)| (*q, v.iter().copied()));
+                cp.exchange(MsgKind::Gather, out, |from, vals| {
+                    f.push((from, vals.map(f64::to_bits).collect::<Vec<_>>()))
+                });
+                let out = words[me].iter().map(|(q, v)| (*q, v.iter().copied()));
+                cp.exchange(MsgKind::Schedule, out, |from, vals| {
+                    u.push((from, vals.collect::<Vec<u32>>()))
+                });
+                (f, u)
+            });
+            for (r, (f, u)) in got.iter().enumerate() {
+                assert_eq!(
+                    *f,
+                    delivered(&floats, r, f64::to_bits),
+                    "f64 to rank {r}/{nprocs}"
+                );
+                assert_eq!(*u, delivered(&words, r, |x| x), "u32 to rank {r}/{nprocs}");
+            }
+            let rep = w.report();
+            let ((fm, fv), (um, uv)) = (traffic(&floats), traffic(&words));
+            assert_eq!(rep.messages_per_kind(MsgKind::Gather), fm);
+            assert_eq!(rep.bytes_per_kind(MsgKind::Gather), 8 * fv);
+            assert_eq!(rep.messages_per_kind(MsgKind::Schedule), um);
+            assert_eq!(rep.bytes_per_kind(MsgKind::Schedule), 4 * uv);
+            assert_eq!((rep.messages, rep.bytes), (fm + um, 8 * fv + 4 * uv));
+            assert_eq!(w.rendezvous_crossings(), 4, "two crossings per exchange");
+        });
     }
 }

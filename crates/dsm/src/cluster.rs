@@ -4,10 +4,10 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use simnet::{CostModel, Net, NetReport, SimTime};
+use simnet::{CostModel, Net, NetReport, Pod, SimTime};
 
 use crate::barrier::BarrierCtl;
-use crate::heap::{Pod, SharedSlice};
+use crate::heap::SharedSlice;
 use crate::pagepool::PagePool;
 use crate::proc::{ProcInner, TmkProc};
 use crate::store::DiffStore;

@@ -11,37 +11,7 @@
 
 use std::marker::PhantomData;
 
-/// Plain-old-data element types storable in shared memory.
-///
-/// Elements are fixed-size and encoded little-endian, so pages are just
-/// byte arrays and diffs are representation-level — the same property the
-/// real system gets from raw memory.
-pub trait Pod: Copy + Send + Sync + 'static {
-    /// Encoded size in bytes.
-    const SIZE: usize;
-    /// Encode `self` little-endian into the first `SIZE` bytes of `dst`.
-    fn store(self, dst: &mut [u8]);
-    /// Decode a value from the first `SIZE` bytes of `src`.
-    fn load(src: &[u8]) -> Self;
-}
-
-macro_rules! impl_pod {
-    ($($t:ty),*) => {$(
-        impl Pod for $t {
-            const SIZE: usize = std::mem::size_of::<$t>();
-            #[inline(always)]
-            fn store(self, dst: &mut [u8]) {
-                dst[..Self::SIZE].copy_from_slice(&self.to_le_bytes());
-            }
-            #[inline(always)]
-            fn load(src: &[u8]) -> Self {
-                <$t>::from_le_bytes(src[..Self::SIZE].try_into().unwrap())
-            }
-        }
-    )*};
-}
-
-impl_pod!(f64, f32, i64, u64, i32, u32);
+use simnet::Pod;
 
 /// A typed region of shared memory: `len` elements of `T` starting at
 /// byte `base` of the global shared address space.
@@ -125,16 +95,6 @@ impl<T: Pod> SharedSlice<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pod_roundtrip() {
-        let mut buf = [0u8; 8];
-        3.25f64.store(&mut buf);
-        assert_eq!(f64::load(&buf), 3.25);
-        let mut b4 = [0u8; 4];
-        (-7i32).store(&mut b4);
-        assert_eq!(i32::load(&b4), -7);
-    }
 
     #[test]
     fn byte_and_page_math() {

@@ -70,11 +70,12 @@ mod store;
 pub use cluster::{Cluster, DsmConfig};
 pub use scratch::ClusterPool;
 pub use diff::{Diff, Payload, DIFF_WORD};
-pub use heap::{Pod, SharedSlice};
+pub use heap::SharedSlice;
 pub use interval::DENSE_VC_MAX;
 pub use policy::{EpochDecision, ProtocolPolicy};
 pub use proc::{PageState, ProcCounters, TmkProc};
 
 pub use simnet::{
-    CostModel, FetchKind as FetchClass, MsgKind, Net, NetReport, PolicyReport, ProcId, SimTime,
+    CostModel, FetchKind as FetchClass, MsgKind, Net, NetReport, Pod, PolicyReport, ProcId,
+    SimTime,
 };

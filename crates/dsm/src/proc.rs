@@ -2,11 +2,11 @@
 //! fault/fetch/apply paths, interval close, and the watch mechanism that
 //! `Validate` uses to detect indirection-array changes.
 
-use simnet::{MsgKind, ProcId, SimTime, StallCat, TraceEvent};
+use simnet::{MsgKind, Pod, ProcId, SimTime, StallCat, TraceEvent};
 
 use crate::cluster::Cluster;
 use crate::diff::{Diff, Payload};
-use crate::heap::{Pod, SharedSlice};
+use crate::heap::SharedSlice;
 use crate::interval::Notice;
 use crate::policy::ProtocolPolicy;
 use crate::store::Record;

@@ -25,6 +25,7 @@
 mod coroutine;
 mod cost;
 mod net;
+mod pod;
 mod rendezvous;
 mod stats;
 mod time;
@@ -32,6 +33,7 @@ pub mod trace;
 
 pub use cost::CostModel;
 pub use net::{CatScope, Net, ProcId};
+pub use pod::Pod;
 pub use rendezvous::Rendezvous;
 pub use stats::{MsgKind, NetReport, PhasePolicyRow, PolicyReport, PolicyStats, Stats};
 pub use time::SimTime;

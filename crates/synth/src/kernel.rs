@@ -16,6 +16,7 @@
 //! across the whole grid.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use rsd::{Dim, Rsd};
 use sdsm_core::{
@@ -419,6 +420,12 @@ pub(crate) fn run_chaos_prepared(
 }
 
 /// [`run_chaos_prepared`] on a given just-built world.
+/// The elements two ranges share (empty, possibly with `start > end`,
+/// if none).
+fn overlap(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
+    a.start.max(b.start)..a.end.min(b.end)
+}
+
 fn run_chaos_on(
     w: &ChaosWorld,
     cfg: &SynthConfig,
@@ -436,7 +443,6 @@ fn run_chaos_on(
         let mut pe = pl.sv_part[cur_sv];
         let mut my = pl.parts[pe].range_of(me);
         let mut cache = TTableCache::new();
-        let mut x_own: Vec<f64> = world.x0[my.clone()].to_vec();
 
         let resolve = |sec: &[(u32, u32)], sched: &chaos::CommSchedule, tt: &TTable| {
             sec.iter()
@@ -458,6 +464,12 @@ fn run_chaos_on(
         );
         let untimed_inspector_s = (cp.now() - t0).as_secs_f64();
         let mut locs = resolve(&pl.flat[cur_sv][me], &sched, &tts[pe]);
+        // One ghosted array and one accumulator per rank for the whole
+        // run: the owned block is `x.owned`, and a gather refills every
+        // ghost slot, so both are only resized when the schedule or the
+        // partition changes.
+        let mut x = Ghosted::new(world.x0[my.clone()].to_vec(), &sched);
+        let mut acc = vec![0.0f64; my.len()];
 
         cp.start_timed_region();
         let mut insp_in_region = 0.0f64;
@@ -480,36 +492,32 @@ fn run_chaos_on(
                     let old_part = &pl.parts[pe];
                     let new_part = &pl.parts[new_pe];
                     let new_my = new_part.range_of(me);
-                    let out: Vec<(usize, Vec<f64>)> = (0..nprocs)
+                    // Both partitions are ascending-contiguous, so what
+                    // moves from `p` to `q` is `p`'s old range overlapped
+                    // with `q`'s new one.
+                    let out = (0..nprocs)
                         .filter(|&q| q != me)
-                        .map(|q| {
-                            let vals: Vec<f64> = my
-                                .clone()
-                                .filter(|&e| new_part.owner[e] == q)
-                                .map(|e| x_own[e - my.start])
-                                .collect();
-                            (q, vals)
-                        })
-                        .filter(|(_, vals)| !vals.is_empty())
-                        .collect();
-                    let incoming = cp.exchange_f64(MsgKind::Scatter, out);
+                        .map(|q| (q, overlap(&my, &new_part.range_of(q))))
+                        .filter(|(_, r)| !r.is_empty())
+                        .map(|(q, r)| {
+                            let (a, b) = (r.start - my.start, r.end - my.start);
+                            (q, x.owned[a..b].iter().copied())
+                        });
                     let mut new_x = vec![0.0f64; new_my.len()];
-                    for e in new_my.clone() {
-                        if old_part.owner[e] == me {
-                            new_x[e - new_my.start] = x_own[e - my.start];
-                        }
+                    let kept = overlap(&new_my, &my);
+                    if !kept.is_empty() {
+                        let (a, b) = (kept.start - new_my.start, kept.start - my.start);
+                        new_x[a..a + kept.len()].copy_from_slice(&x.owned[b..b + kept.len()]);
                     }
-                    for (from, vals) in incoming {
-                        let mut vi = 0;
-                        for e in new_my.clone() {
-                            if old_part.owner[e] == from {
-                                new_x[e - new_my.start] = vals[vi];
-                                vi += 1;
-                            }
+                    cp.exchange(MsgKind::Scatter, out, |from, vals| {
+                        let r = overlap(&new_my, &old_part.range_of(from));
+                        debug_assert_eq!(vals.len(), r.len());
+                        for (xi, v) in new_x[r.start - new_my.start..].iter_mut().zip(vals) {
+                            *xi = v;
                         }
-                        debug_assert_eq!(vi, vals.len());
-                    }
-                    x_own = new_x;
+                    });
+                    x.owned = new_x;
+                    acc.resize(new_my.len(), 0.0);
                     my = new_my;
                     // Then pay inspection again, auditable as such.
                     let t0 = cp.now();
@@ -532,33 +540,33 @@ fn run_chaos_on(
                     insp_in_region += (cp.now() - t0).as_secs_f64();
                 }
                 locs = resolve(&pl.flat[sv][me], &sched, &tts[pe]);
+                x.ghosts.resize(sched.ghost_count(), 0.0);
                 cur_sv = sv;
             }
             let my_flat = pl.flat[sv][me].len();
 
-            let mut xg = Ghosted::new(x_own.clone(), &sched);
-            gather(cp, &sched, &mut xg);
+            gather(cp, &sched, &mut x);
 
-            let mut acc = vec![0.0f64; my.len()];
+            acc.fill(0.0);
             let mut k = 0usize;
             for (li, i) in my.clone().enumerate() {
                 for _ in 0..pl.deg[sv][me][li] {
                     let (la, lb) = locs[k];
                     let (a, _) = pl.flat[sv][me][k];
-                    let flux = (xg.get(la) - xg.get(lb)) * world.kappa;
+                    let flux = (x.get(la) - x.get(lb)) * world.kappa;
                     accumulate(&mut acc[li], i as u32, a, flux);
                     k += 1;
                 }
             }
             cp.compute(work::t(REF_US, my_flat) + work::t(work::ZERO_US, 2 * my.len()));
-            for (xi, a) in x_own.iter_mut().zip(&acc) {
+            for (xi, a) in x.owned.iter_mut().zip(&acc) {
                 *xi += a;
             }
             cp.sync();
         }
 
         let rank = Capture::chaos(cp, untimed_inspector_s, insp_in_region);
-        (rank, x_own)
+        (rank, x.owned)
     });
 
     // Every partition is ascending-contiguous (see [`Plan::parts`]), so
