@@ -419,13 +419,13 @@ pub(crate) fn run_chaos_prepared(
     run_chaos_on(&w, cfg, world, pl, tts, seq_time)
 }
 
-/// [`run_chaos_prepared`] on a given just-built world.
 /// The elements two ranges share (empty, possibly with `start > end`,
 /// if none).
 fn overlap(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
     a.start.max(b.start)..a.end.min(b.end)
 }
 
+/// [`run_chaos_prepared`] on a given just-built world.
 fn run_chaos_on(
     w: &ChaosWorld,
     cfg: &SynthConfig,
