@@ -1,7 +1,7 @@
 # Tier-1 verification and common entry points. CI (.github/workflows/ci.yml)
 # runs the same commands; `make tier1` is the local equivalent.
 
-.PHONY: tier1 build test clippy hygiene benchmark-check bench examples tables soak synth serve clean
+.PHONY: tier1 build test clippy doc hygiene benchmark-check bench examples tables soak synth serve clean
 
 tier1: build test
 
@@ -13,6 +13,11 @@ test:
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# The API docs build without a warning: no broken or private intra-doc
+# link.
+doc:
+	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # Idioms that were deleted and must not grow back: an SPMD body returns
 # its per-rank values (`cl.run` / `w.run` hand back a Vec in rank
@@ -56,7 +61,13 @@ clippy:
 # stores Pod values straight into the receiver's reused inbox: no
 # per-type entry points (exchange_f64, exchange_u32), no byte round trip
 # (encode_f64/decode_f64, encode_u32/decode_u32), no per-peer grouping
-# into vectors (group_csr), and no second trait Pod.
+# into vectors (group_csr), and no second trait Pod. Both runtimes run
+# on one simulated machine: Net::new builds the cluster's one Rendezvous
+# (no Rendezvous::new outside simnet), Net::bill_barrier bills every
+# barrier (no bill_sync, no count_only loop), a fetch is a
+# parallel_round (no request_response or CostModel::round_trip), and
+# host counts are read as net().rendezvous().generation() / launches()
+# (no rendezvous_crossings or spmd_launches).
 SEQUENTIAL_CRATES = crates/simnet crates/dsm crates/chaos crates/rsd crates/serve
 ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
 NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
@@ -105,6 +116,10 @@ hygiene:
 		echo "hygiene: ChaosProc::exchange is the one CHAOS exchange; it stores simnet::Pod values straight into the receiver's inbox"; exit 1; fi
 	@if grep -rn "trait Pod\b" crates/ | grep -v "^crates/simnet/src/pod.rs:"; then \
 		echo "hygiene: Pod is defined once, in simnet; dsm and sdsm_core re-export it"; exit 1; fi
+	@if grep -rn "Rendezvous::new(" crates examples tests src | grep -v "^crates/simnet/src/"; then \
+		echo "hygiene: Net::new builds a cluster's one Rendezvous; reach it through net().rendezvous()"; exit 1; fi
+	@if grep -rnwE "bill_sync|count_only|request_response|round_trip|rendezvous_crossings|spmd_launches" crates/; then \
+		echo "hygiene: Net::bill_barrier bills every barrier, a fetch is a parallel_round, and host counts are net().rendezvous().generation() / launches()"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses

@@ -315,8 +315,8 @@ impl PhaseState {
 
 /// The runtime-adaptive protocol engine (one per processor).
 ///
-/// See the [module docs](self) for the prediction model and the phase
-/// keying. The engine never changes what data a page holds — only when
+/// See `adapt/src/policy.rs`'s module docs for the prediction model
+/// and the phase keying. The engine never changes what data a page holds — only when
 /// it is fetched — so program results are bitwise identical to base
 /// TreadMarks under any knob setting, including update-push mode.
 #[derive(Debug)]

@@ -55,7 +55,7 @@ pub struct CommSchedule {
     /// receive-and-accumulate in a scatter).
     send_idx: Vec<u32>,
     /// Start of each peer's segment in the ghost area — also the CSR
-    /// offsets of [`CommSchedule::recv_idx`].
+    /// offsets of `CommSchedule::recv_idx`.
     pub ghost_starts: Vec<u32>,
 }
 
@@ -85,7 +85,7 @@ impl CommSchedule {
 
     /// Resolve a `(owner, offset)` pair to a local location: binary
     /// search within the owner's (sorted) receive segment; the ghost
-    /// slot is the hit's global position in [`CommSchedule::recv_idx`].
+    /// slot is the hit's global position in `CommSchedule::recv_idx`.
     #[inline]
     pub fn locate(&self, me: ProcId, owner: ProcId, off: u32) -> Loc {
         if owner == me {

@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::ops::Range;
 
-use simnet::{CostModel, MsgKind, Net, NetReport, Pod, ProcId, Rendezvous, SimTime, TraceEvent};
+use simnet::{CostModel, MsgKind, Net, NetReport, Pod, ProcId, SimTime, TraceEvent};
 
 /// One deposited message awaiting pickup: its bytes are `range` of the
 /// receiver's arena.
@@ -36,26 +36,23 @@ struct Inbox {
 /// The values of one received message, decoded as they are read.
 pub type Values<'a, T> = std::iter::Map<std::slice::ChunksExact<'a, u8>, fn(&[u8]) -> T>;
 
-/// The CHAOS "cluster": processors, inboxes, and the rendezvous.
+/// The CHAOS "cluster": the simulated machine and the processors'
+/// inboxes.
 pub struct ChaosWorld {
-    nprocs: usize,
     net: Net,
     inboxes: Vec<RefCell<Inbox>>,
-    bar: Rendezvous,
 }
 
 impl ChaosWorld {
     pub fn new(nprocs: usize, cost: CostModel) -> Self {
         ChaosWorld {
-            nprocs,
             net: Net::new(nprocs, cost),
             inboxes: (0..nprocs).map(|_| RefCell::default()).collect(),
-            bar: Rendezvous::new(nprocs),
         }
     }
 
     pub fn nprocs(&self) -> usize {
-        self.nprocs
+        self.net.nprocs()
     }
 
     pub fn net(&self) -> &Net {
@@ -70,20 +67,8 @@ impl ChaosWorld {
         self.net.clock_max()
     }
 
-    /// Host rendezvous crossings since construction (one per `sync`, two
-    /// per `exchange`) — exact, independent of the host schedule.
-    pub fn rendezvous_crossings(&self) -> u64 {
-        self.bar.generation()
-    }
-
-    /// [`ChaosWorld::run`] calls since construction — exact host work,
-    /// like the crossings.
-    pub fn spmd_launches(&self) -> u64 {
-        self.bar.launches()
-    }
-
     /// Run the SPMD body on every processor — coroutines on the calling
-    /// thread, scheduled in rank order by the world's [`Rendezvous`] —
+    /// thread, scheduled in rank order by the net's [`simnet::Rendezvous`] —
     /// and return what each processor's body returned, in rank order — a
     /// CHAOS program's results live in its processors' private vectors,
     /// so this is how they leave the run.
@@ -91,7 +76,7 @@ impl ChaosWorld {
     /// **Panics.** If `f` panics on some processor, the others unwind
     /// from the `sync` / `exchange` they are suspended in instead of
     /// waiting forever, and that processor's original payload is
-    /// re-raised here — nothing is returned ([`Rendezvous::run_spmd`]);
+    /// re-raised here — nothing is returned ([`simnet::Rendezvous::run_spmd`]);
     /// a processor that returns while others wait for it fails the run
     /// the same way, with a deadlock message. The world is then
     /// *aborted*: a further `run` panics saying so.
@@ -110,27 +95,12 @@ impl ChaosWorld {
     where
         F: Fn(&mut ChaosProc) -> R,
     {
-        self.bar.run_spmd(|rank| {
+        self.net.rendezvous().run_spmd(|rank| {
             f(&mut ChaosProc {
                 world: self,
                 me: rank,
             })
         })
-    }
-
-    /// The leader section of a `sync`: count the 2(n−1) barrier
-    /// messages and align the simulated clocks.
-    fn bill_sync(&self) {
-        if self.nprocs > 1 {
-            let net = &self.net;
-            let cost = net.cost();
-            for p in 1..self.nprocs {
-                net.count_only(p, MsgKind::Other, 1, 8);
-                net.count_only(0, MsgKind::Other, 1, 8);
-            }
-            let t = net.clock_max() + SimTime::from_us(2.0 * cost.msg_latency_us + cost.barrier_us);
-            net.set_all_clocks(t);
-        }
     }
 }
 
@@ -148,7 +118,7 @@ impl<'w> ChaosProc<'w> {
 
     #[inline]
     pub fn nprocs(&self) -> usize {
-        self.world.nprocs
+        self.world.nprocs()
     }
 
     /// The simulated interconnect. Borrowed for the *world's* lifetime,
@@ -196,10 +166,10 @@ impl<'w> ChaosProc<'w> {
         let net = &world.net;
         for (to, vals) in outgoing {
             assert!(
-                to != me && to < world.nprocs,
+                to != me && to < net.nprocs(),
                 "chaos exchange from rank {me} to rank {to}: the target must be another rank \
                  below nprocs = {}",
-                world.nprocs
+                net.nprocs()
             );
             let inbox = &mut *world.inboxes[to].borrow_mut();
             let start = inbox.bytes.len();
@@ -226,7 +196,7 @@ impl<'w> ChaosProc<'w> {
             });
         }
         // All deposits in.
-        world.bar.wait();
+        net.rendezvous().wait();
         {
             let inbox = &mut *world.inboxes[me].borrow_mut();
             // A sender's deposits ascend in the arena, so this is sender
@@ -252,14 +222,14 @@ impl<'w> ChaosProc<'w> {
             inbox.index.clear();
         }
         // All inboxes drained before anyone deposits for the next round.
-        world.bar.wait();
+        net.rendezvous().wait();
     }
 
-    /// Global synchronization (timestep boundary): rendezvous, align the
-    /// simulated clocks, count the 2(n−1) barrier messages.
+    /// Global synchronization (timestep boundary): rendezvous, then
+    /// bill a barrier that carries no data ([`Net::bill_barrier`]).
     pub fn sync(&mut self) {
-        let world = self.world;
-        world.bar.wait_then(|| world.bill_sync());
+        let net = self.net();
+        net.rendezvous().wait_then(|| net.bill_barrier(MsgKind::Other, 8, |_| 0));
     }
 
     /// Collectively zero clocks and counters (untimed-initialization
@@ -271,10 +241,10 @@ impl<'w> ChaosProc<'w> {
         // nobody can read a clock or emit a traced event mid-reset. (The
         // DSM needs a crossing of its own for this because its barrier
         // does protocol work before arriving; a CHAOS sync does not.)
-        let world = self.world;
-        world.bar.wait_then(|| {
-            world.net.reset();
-            world.bill_sync();
+        let net = self.net();
+        net.rendezvous().wait_then(|| {
+            net.reset();
+            net.bill_barrier(MsgKind::Other, 8, |_| 0);
         });
     }
 }
@@ -356,7 +326,7 @@ mod tests {
             });
             let want: Vec<_> = (0..nprocs).map(|r| vec![r as f64; 2]).collect();
             assert_eq!(got, want);
-            assert_eq!(w.spmd_launches(), 1);
+            assert_eq!(w.net().rendezvous().launches(), 1);
         }
     }
 
@@ -418,7 +388,7 @@ mod tests {
             cp.exchange(MsgKind::Gather, [] as [(ProcId, [u32; 0]); 0], |_, _| {});
             cp.start_timed_region();
         });
-        assert_eq!(w.rendezvous_crossings(), 1 + 2 + 2);
+        assert_eq!(w.net().rendezvous().generation(), 1 + 2 + 2);
         // The closing sync of the timed-region boundary is billed to the
         // freshly zeroed counters.
         assert_eq!(w.report().messages, 4);

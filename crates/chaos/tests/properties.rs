@@ -426,7 +426,7 @@ fn exchange_matches_a_naive_model() {
             assert_eq!(rep.messages_per_kind(MsgKind::Schedule), um);
             assert_eq!(rep.bytes_per_kind(MsgKind::Schedule), 4 * uv);
             assert_eq!((rep.messages, rep.bytes), (fm + um, 8 * fv + 4 * uv));
-            assert_eq!(w.rendezvous_crossings(), 4, "two crossings per exchange");
+            assert_eq!(w.net().rendezvous().generation(), 4, "two crossings per exchange");
         });
     }
 }

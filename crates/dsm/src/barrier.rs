@@ -7,14 +7,14 @@
 //! closed before it — so the barrier's *epoch* (barriers completed so
 //! far) is the whole of a processor's consistency knowledge.
 //!
-//! On the host, one barrier is **two crossings** of the cluster's
+//! On the host, one barrier is **two crossings** of the net's
 //! [`simnet::Rendezvous`]:
 //!
 //! 1. *Arrive + leader.* Once everyone has closed and published, the
 //!    last arriver — whoever the schedule makes it — runs the leader
 //!    section in place while the others stay suspended: seal the
-//!    epoch's write notices into the digest, charge the 2(n−1) barrier
-//!    messages, synchronize the simulated clocks, fold the record store,
+//!    epoch's write notices into the digest, bill the barrier
+//!    ([`simnet::Net::bill_barrier`]), fold the record store,
 //!    and advance the epoch. Nobody is released before it is complete.
 //! 2. *Merged.* Each processor merges the digest (and may prefetch
 //!    against the stable store), then crosses again. This crossing is
@@ -23,47 +23,12 @@
 //!    or fetching records; dropping it would need a proof that no such
 //!    read can observe the difference.
 
-use std::cell::{Cell, RefCell};
-
-use simnet::{MsgKind, Rendezvous, SimTime, StallCat, TraceEvent};
+use simnet::{MsgKind, StallCat, TraceEvent};
 
 use crate::cluster::Cluster;
 use crate::interval::wire_bytes;
 use crate::policy::EpochDecision;
 use crate::proc::TmkProc;
-
-#[derive(Debug)]
-pub(crate) struct BarrierCtl {
-    rendezvous: Rendezvous,
-    /// Barriers completed: the epoch every running processor is in.
-    epoch: Cell<u64>,
-    /// Per-processor notice bytes of this barrier (leader scratch).
-    deltas: RefCell<Vec<usize>>,
-}
-
-impl BarrierCtl {
-    pub(crate) fn new(nprocs: usize) -> Self {
-        BarrierCtl {
-            rendezvous: Rendezvous::new(nprocs),
-            epoch: Cell::new(0),
-            deltas: RefCell::new(Vec::new()),
-        }
-    }
-
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.get()
-    }
-
-    pub(crate) fn rendezvous(&self) -> &Rendezvous {
-        &self.rendezvous
-    }
-
-    /// Back to the just-built state; the rendezvous itself is reusable
-    /// (its generation keeps counting).
-    pub(crate) fn reset(&self) {
-        self.epoch.set(0);
-    }
-}
 
 impl TmkProc<'_> {
     /// TreadMarks barrier: release (close interval), rendezvous, acquire
@@ -91,28 +56,26 @@ impl TmkProc<'_> {
         // boundary re-scopes itself to PrefetchPush underneath.
         let _bw = self.cl.net().scope(self.me, StallCat::BarrierWait);
         if self.cl.net().tracing() {
-            let epoch = self.cl.barrier_ctl().epoch();
+            let epoch = self.cl.barrier_epoch();
             self.cl
                 .net()
                 .trace(self.me, TraceEvent::BarrierEnter { epoch, phase });
         }
         self.close_interval();
         let cl: &Cluster = self.cl;
-        let ctl = cl.barrier_ctl();
+        let net = cl.net();
 
         // Everyone has closed and published; the last arriver leads
         // while the rest stay suspended.
-        ctl.rendezvous.wait_then(|| {
-            let net = cl.net();
+        net.rendezvous().wait_then(|| {
             let nprocs = self.nprocs();
-            let mut deltas = ctl.deltas.borrow_mut();
+            let mut deltas = cl.deltas.borrow_mut();
 
-            // Account the 2(n-1) barrier messages. Arrival messages carry
-            // each processor's notices of this epoch — at most one
-            // interval each; departure messages carry everyone else's.
-            // Sealing sorts the epoch's notices into the flat digest every
-            // processor merges once released.
-            let (manager, closing) = (0usize, ctl.epoch() as u32);
+            // Arrival messages carry each processor's notices of this
+            // epoch — at most one interval each; departure messages carry
+            // everyone else's. Sealing sorts the epoch's notices into the
+            // flat digest every processor merges once released.
+            let closing = cl.barrier_epoch() as u32;
             deltas.clear();
             deltas.resize(nprocs, 0);
             cl.store().seal(closing, |notices| {
@@ -124,28 +87,11 @@ impl TmkProc<'_> {
             // Metadata-scaling probe: the per-barrier notice payload,
             // counted once (not per fan-in/fan-out copy).
             net.add_notice_meta(total as u64);
-            for (p, &delta) in deltas.iter().enumerate() {
-                if p == manager {
-                    continue;
-                }
-                net.count_only(p, MsgKind::Barrier, 1, 16 + delta);
-                net.count_only(manager, MsgKind::Barrier, 1, 16 + (total - delta));
-            }
-
-            // Synchronize simulated clocks: everyone leaves at
-            // max(arrivals) + one gather/scatter round + manager work.
-            // (A one-processor "barrier" exchanges nothing.)
-            if nprocs > 1 {
-                let cost = net.cost();
-                let t = net.clock_max()
-                    + SimTime::from_us(2.0 * cost.msg_latency_us + cost.barrier_us)
-                    + SimTime::from_us(cost.per_byte_us * total as f64);
-                net.set_all_clocks(t);
-            }
+            net.bill_barrier(MsgKind::Barrier, 16, |p| deltas[p]);
 
             // GC: fold the records of epochs before the previous one.
             cl.store().fold(closing.saturating_sub(1));
-            ctl.epoch.set(closing as u64 + 1);
+            cl.epoch.set(closing as u64 + 1);
             // The notice is a cluster-wide fact produced by whichever
             // processor arrived last — pin it to proc 0's lane so the
             // trace does not depend on the schedule. Proc 0 is
@@ -154,7 +100,7 @@ impl TmkProc<'_> {
             net.trace(
                 0,
                 TraceEvent::BarrierNotice {
-                    epoch: ctl.epoch(),
+                    epoch: cl.barrier_epoch(),
                     phase,
                     bytes: total as u64,
                 },
@@ -163,7 +109,7 @@ impl TmkProc<'_> {
 
         // The digest is sealed: merge it in one flat pass, read in place.
         let mut invalidated = std::mem::take(&mut self.inner.invalidated);
-        let epoch = ctl.epoch();
+        let epoch = cl.barrier_epoch();
         cl.store().with_notices(epoch as u32 - 1, |digest| {
             self.apply_digest(digest, &mut invalidated)
         });
@@ -282,7 +228,7 @@ impl TmkProc<'_> {
         }
 
         // Nobody publishes new intervals until all have merged.
-        ctl.rendezvous.wait();
+        net.rendezvous().wait();
         cl.net()
             .trace(self.me, TraceEvent::BarrierExit { epoch, phase });
     }
@@ -300,8 +246,8 @@ impl TmkProc<'_> {
         // would observe pre- or post-zero time depending on the host
         // schedule. The closing protocol barrier below is charged to
         // the freshly zeroed counters.
-        let cl = self.cl;
-        cl.barrier_ctl().rendezvous.wait_then(|| cl.net().reset());
+        let net = self.cl.net();
+        net.rendezvous().wait_then(|| net.reset());
         self.barrier();
     }
 

@@ -6,7 +6,6 @@ use std::rc::Rc;
 
 use simnet::{CostModel, Net, NetReport, Pod, SimTime};
 
-use crate::barrier::BarrierCtl;
 use crate::heap::SharedSlice;
 use crate::pagepool::PagePool;
 use crate::proc::{ProcInner, TmkProc};
@@ -71,7 +70,10 @@ pub struct Cluster {
     cfg: DsmConfig,
     net: Net,
     store: DiffStore,
-    barrier: BarrierCtl,
+    /// Barriers completed: the epoch every running processor is in.
+    pub(crate) epoch: Cell<u64>,
+    /// Per-processor notice bytes of the barrier being led (scratch).
+    pub(crate) deltas: RefCell<Vec<usize>>,
     alloc_next: Cell<usize>,
     /// Each processor's protocol state, out of its slot while that
     /// processor runs.
@@ -97,7 +99,8 @@ impl Cluster {
             net: Net::new(nprocs, cfg.cost.clone()),
             store: DiffStore::with_pool(nprocs, Rc::clone(&page_pool)),
             cfg,
-            barrier: BarrierCtl::new(nprocs),
+            epoch: Cell::new(0),
+            deltas: RefCell::new(Vec::new()),
             alloc_next: Cell::new(0),
             slots: (0..nprocs)
                 .map(|_| RefCell::new(Some(Box::default())))
@@ -113,16 +116,16 @@ impl Cluster {
     /// called while a [`Cluster::run`] is in flight, or after one in
     /// which a processor panicked (that cluster is torn; drop it). The
     /// scenario label survives (callers re-stamp it per run anyway), and
-    /// [`Cluster::rendezvous_crossings`] keeps counting.
+    /// so do the rendezvous's crossing and launch counts.
     pub fn recycle(&self) {
         assert!(
-            !self.barrier.rendezvous().is_aborted(),
+            !self.net.rendezvous().is_aborted(),
             "recycle() on an aborted cluster: a processor panicked in an earlier run() — build a fresh one"
         );
         let heap_pages = self.heap_pages();
         self.net.reset();
         self.store.reset();
-        self.barrier.reset();
+        self.epoch.set(0);
         self.alloc_next.set(0);
         for slot in &self.slots {
             let mut slot = slot.borrow_mut();
@@ -180,7 +183,7 @@ impl Cluster {
     }
 
     /// Run the SPMD body `f` on every simulated processor — coroutines on
-    /// the calling thread, scheduled in rank order by the cluster's
+    /// the calling thread, scheduled in rank order by the net's
     /// [`simnet::Rendezvous`] — and return what each processor's body
     /// returned, in rank order. May be called repeatedly; processor
     /// protocol state persists across calls.
@@ -209,9 +212,7 @@ impl Cluster {
     where
         F: Fn(&mut TmkProc) -> R,
     {
-        self.barrier
-            .rendezvous()
-            .run_spmd(|rank| self.enter(rank, &f))
+        self.net.rendezvous().run_spmd(|rank| self.enter(rank, &f))
     }
 
     /// Read the whole of `x` back through the DSM as processor 0, in
@@ -224,7 +225,7 @@ impl Cluster {
     /// "processor state in use" from inside a `run`.
     pub fn read_back<T: Pod>(&self, x: &SharedSlice<T>) -> Vec<T> {
         assert!(
-            !self.barrier.rendezvous().is_aborted(),
+            !self.net.rendezvous().is_aborted(),
             "read_back() on an aborted cluster: a processor panicked in an earlier run() — build a fresh one"
         );
         self.enter(0, |p| (0..x.len()).map(|i| p.read(x, i)).collect())
@@ -278,29 +279,9 @@ impl Cluster {
         &self.store
     }
 
-    pub(crate) fn barrier_ctl(&self) -> &BarrierCtl {
-        &self.barrier
-    }
-
-    /// Barrier epochs completed (diagnostics).
+    /// Barrier epochs completed.
     pub fn barrier_epoch(&self) -> u64 {
-        self.barrier.epoch()
-    }
-
-    /// Host rendezvous crossings since construction (two per barrier,
-    /// five per `start_timed_region`). Exact and independent of the host
-    /// schedule, and — unlike [`Cluster::barrier_epoch`] — not reset by
-    /// [`Cluster::recycle`]: it counts host work, not protocol state.
-    pub fn rendezvous_crossings(&self) -> u64 {
-        self.barrier.rendezvous().generation()
-    }
-
-    /// [`Cluster::run`] calls since construction ([`Cluster::read_back`]
-    /// launches nothing). Exact host work like
-    /// [`Cluster::rendezvous_crossings`], and not reset by
-    /// [`Cluster::recycle`] either.
-    pub fn spmd_launches(&self) -> u64 {
-        self.barrier.rendezvous().launches()
+        self.epoch.get()
     }
 
     /// Retained (unfolded) diff records (memory-bound diagnostics).

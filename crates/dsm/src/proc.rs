@@ -830,7 +830,7 @@ impl<'c> TmkProc<'c> {
 
     /// The barrier epoch this processor is in.
     fn epoch(&self) -> u32 {
-        self.cl.barrier_ctl().epoch() as u32
+        self.cl.barrier_epoch() as u32
     }
 
     // ------------------------------------------------------------------

@@ -140,7 +140,7 @@ mod tests {
         });
         assert!(cl.heap_pages() > 0);
         assert!(cl.barrier_epoch() > 0);
-        assert_eq!(cl.rendezvous_crossings(), 2);
+        assert_eq!(cl.net().rendezvous().generation(), 2);
         cl.recycle();
         assert_eq!(cl.heap_pages(), 0);
         assert_eq!(cl.barrier_epoch(), 0);
@@ -153,6 +153,6 @@ mod tests {
             p.barrier();
         });
         assert_eq!(cl.barrier_epoch(), 1);
-        assert_eq!(cl.rendezvous_crossings(), 4);
+        assert_eq!(cl.net().rendezvous().generation(), 4);
     }
 }

@@ -484,7 +484,7 @@ fn run_returns_each_processors_value_in_rank_order() {
             .map(|r| (r, ((r + 1) % nprocs) as f64))
             .collect();
         assert_eq!(got, want);
-        assert_eq!(cl.spmd_launches(), 1);
+        assert_eq!(cl.net().rendezvous().launches(), 1);
     }
 }
 
@@ -550,7 +550,8 @@ fn read_back_costs_exactly_what_rank_0_reading_in_a_second_run_costs() {
     let new_data = [new.read_back(&shared), new.read_back(&folded)].concat();
     assert_eq!(&new_data, old_data);
     assert_eq!(cost(&new, &before), old_cost);
-    assert_eq!((old.spmd_launches(), new.spmd_launches()), (2, 1));
+    let launches = |cl: &Cluster| cl.net().rendezvous().launches();
+    assert_eq!((launches(&old), launches(&new)), (2, 1));
 }
 
 #[test]

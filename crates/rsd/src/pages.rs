@@ -87,7 +87,7 @@ impl PageSet {
     /// insert count: a heavily-duplicated wide-range set (say two pages
     /// a megapage apart, referenced 100k times) used to satisfy
     /// `range <= 64 * inserts` and drain a multi-megabit bitmap for a
-    /// handful of survivors. [`PageSet::estimate_distinct`] bounds the
+    /// handful of survivors. `PageSet::estimate_distinct` bounds the
     /// survivor count with a coarse occupancy probe first, and all
     /// threshold arithmetic saturates so a full-`u32` range cannot wrap
     /// on 32-bit hosts.

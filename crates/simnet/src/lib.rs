@@ -9,8 +9,11 @@
 //! * **Simulated processors** are coroutines on the launching OS thread.
 //!   Each owns a monotone *logical clock* ([`Net::clock`]) measured in
 //!   nanoseconds of simulated time. They are launched by, scheduled by
-//!   and meet on one host-side [`Rendezvous`] — the only thing here that
-//!   concerns the host clock.
+//!   and meet on the net's one host-side [`Rendezvous`]
+//!   ([`Net::rendezvous`]) — the only thing here that concerns the host
+//!   clock.
+//! * **Every barrier** — the DSM's and CHAOS's alike — is billed by
+//!   [`Net::bill_barrier`]: 2(n−1) manager messages and one clock jump.
 //! * **Every protocol message** is accounted — count and payload bytes —
 //!   per sending processor and per [`MsgKind`]. The paper's "Messages" and
 //!   "Data" columns are read directly from these counters.

@@ -4,20 +4,21 @@
 //!
 //! * A processor advances its own clock with [`Net::advance`]
 //!   (modeled compute) and the `charge_*` helpers (protocol actions).
-//! * A *request/response* exchange charges the full round trip to the
-//!   requester and an interrupt-handler cost to the server (TreadMarks
-//!   services requests in a SIGIO handler, stealing cycles from whatever
-//!   the server was computing).
+//! * A fetch round ([`Net::parallel_round`]) charges the requester one
+//!   round trip plus the per-byte cost of everything it moves, and each
+//!   server an interrupt-handler cost (TreadMarks services requests in
+//!   a SIGIO handler, stealing cycles from whatever the server was
+//!   computing).
 //! * One-way pushes (CHAOS gather/scatter) produce an *arrival time* the
 //!   receiver folds in with [`Net::await_until`].
-//! * Barriers synchronize all clocks to the maximum (plus cost) — done by
-//!   the caller (the DSM / CHAOS runtimes) using [`Net::clock_max`] and
-//!   [`Net::set_all_clocks`] in a rendezvous leader section.
+//! * A barrier synchronizes all clocks to the maximum plus cost: both
+//!   runtimes call [`Net::bill_barrier`] in a leader section of the
+//!   net's own [`Rendezvous`] ([`Net::rendezvous`]).
 //!
 //! All clock updates are commutative (`add` / `max`), so simulated times
 //! are independent of the order in which the host runs the processors.
 //! Every processor of a cluster is a coroutine on the one OS thread that
-//! launched it (`crate::Rendezvous`), so the state is plain [`Cell`]s and
+//! launched it (the [`Rendezvous`]), so the state is plain [`Cell`]s and
 //! [`RefCell`]s: a `Net` may move to another thread between runs, but it
 //! is not `Sync`, so no other thread can reach it during one.
 //!
@@ -34,7 +35,7 @@ use std::sync::Arc;
 
 use crate::stats::{PolicyReport, PolicyStats};
 use crate::trace::{self, StallCat, StallRow, TraceEvent, TraceSink};
-use crate::{CostModel, MsgKind, NetReport, SimTime, Stats};
+use crate::{CostModel, MsgKind, NetReport, Rendezvous, SimTime, Stats};
 
 /// A simulated processor's rank, `0..nprocs`.
 pub type ProcId = usize;
@@ -83,6 +84,10 @@ pub struct Net {
     /// after a partition rebalance invalidated the amortized schedule).
     /// Counted once per collective by the rank-0 caller.
     reinspections: Cell<u64>,
+    /// The host scheduler and meeting point of the processors. Its
+    /// crossing and launch counts are host work, so [`Net::reset`]
+    /// leaves it alone.
+    rendezvous: Rendezvous,
 }
 
 /// SplitMix64-style mixer for the drop stream (self-contained so the
@@ -118,7 +123,15 @@ impl Net {
             sink,
             loss_ctr: vec![Cell::new(0); nprocs],
             reinspections: Cell::new(0),
+            rendezvous: Rendezvous::new(nprocs),
         }
+    }
+
+    /// The rendezvous that launches, schedules and synchronizes this
+    /// cluster's processors.
+    #[inline]
+    pub fn rendezvous(&self) -> &Rendezvous {
+        &self.rendezvous
     }
 
     #[inline]
@@ -282,7 +295,7 @@ impl Net {
     /// virtual clocks re-synchronize here — the barrier departure time
     /// is deterministic, because every charge of the closing interval
     /// lands before the rendezvous that computes it.
-    pub fn set_all_clocks(&self, t: SimTime) {
+    fn set_all_clocks(&self, t: SimTime) {
         for (p, c) in self.clocks.iter().enumerate() {
             let prev = c.get();
             if t.0 > prev {
@@ -294,6 +307,33 @@ impl Net {
         }
     }
 
+    /// Bill one barrier, managed by processor 0 (TreadMarks's
+    /// centralized barrier): each other processor `p` sends an arrival
+    /// of `header + delta(p)` bytes and receives a departure of
+    /// `header + total − delta(p)`, where `total` sums `delta` over
+    /// every processor. Every clock then jumps to the latest arrival
+    /// plus one gather/scatter round, the manager's work and the
+    /// per-byte cost of `total`. One processor exchanges nothing.
+    /// Called in a leader section, with every processor suspended.
+    pub fn bill_barrier(&self, kind: MsgKind, header: usize, delta: impl Fn(ProcId) -> usize) {
+        if self.nprocs == 1 {
+            return;
+        }
+        let total: usize = (0..self.nprocs).map(&delta).sum();
+        for p in 1..self.nprocs {
+            self.stats.record(p, kind, header + delta(p));
+            self.stats.record(0, kind, header + total - delta(p));
+        }
+        let cost = &self.cost;
+        self.set_all_clocks(
+            self.clock_max()
+                + SimTime::from_us(2.0 * cost.msg_latency_us + cost.barrier_us)
+                + SimTime::from_us(cost.per_byte_us * total as f64),
+        );
+    }
+
+    /// Zero the clocks, counters and stall buckets. The scenario label
+    /// and the rendezvous's host counts survive.
     pub fn reset(&self) {
         // The loss draw streams restart too, so a timed region is
         // deterministic on its own.
@@ -366,59 +406,6 @@ impl Net {
 
     // ---- traffic ----
 
-    /// A request/response pair between `requester` and `server`.
-    ///
-    /// Charges the requester the round trip plus `server_work`, charges the
-    /// server the interrupt-handler cost, and counts two messages. This is
-    /// TreadMarks' demand-fetch shape: the paper (§5.2.1) attributes part
-    /// of CHAOS's edge on nbf exactly to this two-message pattern.
-    #[allow(clippy::too_many_arguments)]
-    pub fn request_response(
-        &self,
-        requester: ProcId,
-        server: ProcId,
-        kind_req: MsgKind,
-        req_bytes: usize,
-        kind_resp: MsgKind,
-        resp_bytes: usize,
-        server_work: SimTime,
-    ) {
-        debug_assert_ne!(requester, server, "local access is not a message");
-        self.stats.record(requester, kind_req, req_bytes);
-        self.stats.record(server, kind_resp, resp_bytes);
-        let rt = self.cost.round_trip(req_bytes, resp_bytes) + server_work;
-        self.advance(requester, rt);
-        self.advance_remote(server, self.cost.handler());
-        if self.loss_on() {
-            if self.loss_dropped(requester) {
-                self.bill_retry(requester, requester, kind_req, req_bytes);
-            }
-            if self.loss_dropped(requester) {
-                self.bill_retry(requester, server, kind_resp, resp_bytes);
-            }
-        }
-        if self.trace_on {
-            self.trace_slow(
-                requester,
-                TraceEvent::Msg {
-                    kind: kind_req,
-                    peer: server as u32,
-                    bytes: req_bytes as u32,
-                    out: true,
-                },
-            );
-            self.trace_slow(
-                requester,
-                TraceEvent::Msg {
-                    kind: kind_resp,
-                    peer: server as u32,
-                    bytes: resp_bytes as u32,
-                    out: false,
-                },
-            );
-        }
-    }
-
     /// A one-way push from `from`; returns the arrival time at the
     /// destination. The receiver should fold this in via [`Net::await_until`]
     /// at its matching receive point. Charges the sender the injection
@@ -437,13 +424,6 @@ impl Net {
             self.bill_retry(from, from, kind, bytes);
         }
         self.clock(from) + SimTime::from_us(0.5 * self.cost.msg_latency_us)
-    }
-
-    /// Count messages without clock effects (used where the caller has
-    /// already charged an aggregate time, e.g. barrier traffic).
-    #[inline]
-    pub fn count_only(&self, from: ProcId, kind: MsgKind, n: u64, bytes: usize) {
-        self.stats.record_n(from, kind, n, bytes);
     }
 
     /// One *parallel* fetch round: the requester sends requests to several
@@ -631,24 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn request_response_charges_both_sides() {
-        let n = net(2);
-        n.request_response(
-            0,
-            1,
-            MsgKind::DiffRequest,
-            16,
-            MsgKind::DiffReply,
-            4096,
-            SimTime::ZERO,
-        );
-        assert_eq!(n.stats().total_messages(), 2);
-        assert_eq!(n.stats().total_bytes(), 16 + 4096);
-        assert_eq!(n.clock(0), n.cost().round_trip(16, 4096));
-        assert_eq!(n.clock(1), n.cost().handler());
-    }
-
-    #[test]
     fn push_and_await() {
         let n = net(2);
         let arrival = n.push(0, MsgKind::Gather, 1000);
@@ -680,7 +642,7 @@ mod tests {
     fn reset_zeroes_everything() {
         let n = net(2);
         n.advance(0, SimTime(5));
-        n.count_only(1, MsgKind::Other, 4, 40);
+        n.stats().record(1, MsgKind::Other, 40);
         n.reset();
         assert_eq!(n.clock_max(), SimTime::ZERO);
         assert_eq!(n.stats().total_messages(), 0);
@@ -753,7 +715,7 @@ mod tests {
     #[test]
     fn traffic_helpers_conserve_and_split_handler_from_vtime() {
         let n = net(4);
-        n.request_response(0, 1, MsgKind::DiffRequest, 16, MsgKind::DiffReply, 4096, SimTime::ZERO);
+        n.parallel_round(0, &[(1, MsgKind::DiffRequest, 16, MsgKind::DiffReply, 4096)]);
         n.parallel_round(
             2,
             &[
@@ -796,12 +758,12 @@ mod tests {
         assert!(n.tracing());
         n.advance(0, SimTime(50));
         n.trace(0, TraceEvent::FaultBegin { page: 3, write: true });
-        n.request_response(0, 1, MsgKind::DiffRequest, 16, MsgKind::DiffReply, 512, SimTime::ZERO);
+        n.parallel_round(0, &[(1, MsgKind::DiffRequest, 16, MsgKind::DiffReply, 512)]);
         let got = sink.0.lock().unwrap();
         assert_eq!(got[0].0, 0);
         assert_eq!(got[0].1, 50, "stamped with the virtual clock");
         assert_eq!(got[0].2, TraceEvent::FaultBegin { page: 3, write: true });
-        // The request/response emitted both legs on the requester lane.
+        // The round emitted both legs on the requester lane.
         assert_eq!(got.len(), 3);
         assert!(matches!(got[1].2, TraceEvent::Msg { out: true, peer: 1, .. }));
         assert!(matches!(got[2].2, TraceEvent::Msg { out: false, peer: 1, .. }));
@@ -813,6 +775,60 @@ mod tests {
         assert!(!n.tracing());
         n.trace(0, TraceEvent::FaultEnd { page: 1 }); // must be a no-op
         assert_eq!(n.clock(0), SimTime::ZERO);
+    }
+
+    /// The barrier billing both runtimes once wrote by hand, restated
+    /// naively: manager 0 skips itself, every other processor sends an
+    /// arrival and receives a departure, and the clocks jump together.
+    fn hand_billed_barrier(n: &Net, kind: MsgKind, header: usize, deltas: &[usize]) {
+        let total: usize = deltas.iter().sum();
+        for (p, &delta) in deltas.iter().enumerate() {
+            if p == 0 {
+                continue;
+            }
+            n.stats().record(p, kind, header + delta);
+            n.stats().record(0, kind, header + (total - delta));
+        }
+        if n.nprocs() > 1 {
+            let cost = n.cost();
+            let t = n.clock_max()
+                + SimTime::from_us(2.0 * cost.msg_latency_us + cost.barrier_us)
+                + SimTime::from_us(cost.per_byte_us * total as f64);
+            n.set_all_clocks(t);
+        }
+    }
+
+    #[test]
+    fn bill_barrier_matches_the_hand_billed_barrier() {
+        for nprocs in [1usize, 2, 64] {
+            // Uneven notice bytes, the manager's own nonzero, and the
+            // CHAOS shape: no notices at all.
+            let uneven: Vec<usize> = (0..nprocs).map(|p| 40 + 24 * (p % 5) + p * p).collect();
+            for (kind, header, deltas) in [
+                (MsgKind::Barrier, 16, uneven),
+                (MsgKind::Other, 8, vec![0; nprocs]),
+            ] {
+                let (got, want) = (net(nprocs), net(nprocs));
+                for n in [&got, &want] {
+                    for p in 0..nprocs {
+                        n.advance(p, SimTime(1_000 * (p as u64 % 7) + 13));
+                    }
+                }
+                got.bill_barrier(kind, header, |p| deltas[p]);
+                hand_billed_barrier(&want, kind, header, &deltas);
+                assert_eq!(got.stats(), want.stats(), "{nprocs} procs, {kind:?}");
+                assert_eq!(got.stall_rows(), want.stall_rows(), "{nprocs} procs, {kind:?}");
+                for p in 0..nprocs {
+                    assert_eq!(got.vtime(p), want.vtime(p), "{nprocs} procs, proc {p}");
+                }
+                got.assert_conserved();
+                let msgs = got.stats().messages_of(kind);
+                assert_eq!(msgs, 2 * (nprocs as u64 - 1), "{nprocs} procs, {kind:?}");
+                if nprocs == 1 {
+                    assert_eq!(got.clock(0), SimTime(13), "one processor bills nothing");
+                }
+            }
+        }
     }
 }
 
@@ -844,7 +860,8 @@ mod parallel_round_tests {
                 (3, MsgKind::AggRequest, 0, MsgKind::AggReply, 0),
             ],
         );
-        assert_eq!(n.clock(0), n.cost().round_trip(0, 0));
+        let c = n.cost();
+        assert_eq!(n.clock(0), SimTime::from_us(2.0 * c.msg_latency_us + c.handler_us));
         // Each server paid one handler.
         for q in 1..4 {
             assert_eq!(n.clock(q), n.cost().handler());
@@ -948,15 +965,7 @@ mod loss_tests {
         for _ in 0..4 {
             for p in 0..np {
                 let q = (p + 1) % np;
-                n.request_response(
-                    p,
-                    q,
-                    MsgKind::DiffRequest,
-                    16,
-                    MsgKind::DiffReply,
-                    4096,
-                    SimTime::ZERO,
-                );
+                n.parallel_round(p, &[(q, MsgKind::DiffRequest, 16, MsgKind::DiffReply, 4096)]);
             }
             n.parallel_round(
                 0,

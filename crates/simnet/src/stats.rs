@@ -96,7 +96,7 @@ impl MsgKind {
 
 /// Plain counters of the cluster's one thread: `[proc][kind]` message
 /// counts and payload bytes.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct Stats {
     msgs: Vec<[Cell<u64>; MsgKind::COUNT]>,
     bytes: Vec<[Cell<u64>; MsgKind::COUNT]>,
@@ -113,15 +113,9 @@ impl Stats {
     /// Record one message of `payload` bytes sent by `from`.
     #[inline]
     pub fn record(&self, from: ProcId, kind: MsgKind, payload: usize) {
-        self.record_n(from, kind, 1, payload);
-    }
-
-    /// Record `n` messages totalling `payload` bytes.
-    #[inline]
-    pub fn record_n(&self, from: ProcId, kind: MsgKind, n: u64, payload: usize) {
         let m = &self.msgs[from][kind.index()];
         let b = &self.bytes[from][kind.index()];
-        m.set(m.get() + n);
+        m.set(m.get() + 1);
         b.set(b.get() + payload as u64);
     }
 
@@ -561,7 +555,9 @@ mod tests {
         let s = Stats::new(2);
         s.record(0, MsgKind::DiffRequest, 16);
         s.record(1, MsgKind::DiffReply, 4096);
-        s.record_n(0, MsgKind::Barrier, 3, 120);
+        for bytes in [40, 40, 40] {
+            s.record(0, MsgKind::Barrier, bytes);
+        }
         assert_eq!(s.total_messages(), 5);
         assert_eq!(s.total_bytes(), 16 + 4096 + 120);
         assert_eq!(s.messages_of(MsgKind::Barrier), 3);

@@ -612,8 +612,8 @@ mod tests {
                 assert_eq!(
                     (
                         cl.barrier_epoch(),
-                        cl.rendezvous_crossings(),
-                        cl.spmd_launches()
+                        cl.net().rendezvous().generation(),
+                        cl.net().rendezvous().launches()
                     ),
                     (barriers, tmk_want, 1),
                     "{} {v:?}",
@@ -623,7 +623,7 @@ mod tests {
             let w = ChaosWorld::new(nprocs, cfg.cost.clone());
             run_chaos_on(&w, cfg, world, plan, &p.ttables, SimTime::ZERO);
             assert_eq!(
-                (w.rendezvous_crossings(), w.spmd_launches()),
+                (w.net().rendezvous().generation(), w.net().rendezvous().launches()),
                 (chaos_want, 1),
                 "{} CHAOS",
                 cfg.label()

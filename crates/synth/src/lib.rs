@@ -202,7 +202,7 @@ pub fn gen_world(cfg: &SynthConfig) -> SynthWorld {
 
 /// One runnable scenario, with every piece of variant-independent setup
 /// built once and shared: the generated world, the per-version
-/// owner-side work [`kernel::Plan`], and the CHAOS translation tables.
+/// owner-side work `kernel::Plan`, and the CHAOS translation tables.
 /// Implements [`Workload`], so `apps::workload::run_matrix` runs and
 /// cross-checks all six variants; the shared state is immutable and the
 /// kernels consume it read-only, so a serving workload can run the same

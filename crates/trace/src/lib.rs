@@ -10,7 +10,7 @@
 //!   ring buffers. Recording never allocates (lanes are sized at
 //!   construction) and never orders across lanes; [`Tracer::capture`]
 //!   folds the lanes into an immutable [`Trace`].
-//! * [`Trace::to_chrome_json`] — Chrome trace-event JSON (one "thread"
+//! * [`chrome_trace_json`] — Chrome trace-event JSON (one "thread"
 //!   per simulated processor), viewable in Perfetto or
 //!   `chrome://tracing`.
 //! * [`check_conservation`] — the exact conservation law over
