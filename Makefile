@@ -24,8 +24,8 @@ doc:
 # order), so the kernels share nothing that needs a lock;
 # trace::stall_json had no caller; a protocol policy returns its
 # decision and dsm alone counts and traces it (no PolicyStats in adapt,
-# no in-policy log); loss is a CostModel field, not a thread-local;
-# dsm's fetch classes are simnet::FetchKind, not a mirror enum; simulated
+# no in-policy log); a Net's state is its own fields, not a
+# thread-local; dsm's fetch classes are simnet::FetchKind, not a mirror enum; simulated
 # processors are coroutines on the launching thread (simnet::Rendezvous),
 # so nothing under simnet/dsm/chaos spawns a thread or parks on a
 # condvar (comments are exempt: the compile_fail doc examples spawn one
@@ -67,7 +67,12 @@ doc:
 # barrier (no bill_sync, no count_only loop), a fetch is a
 # parallel_round (no request_response or CostModel::round_trip), and
 # host counts are read as net().rendezvous().generation() / launches()
-# (no rendezvous_crossings or spmd_launches).
+# (no rendezvous_crossings or spmd_launches). CostModel is a pure timing
+# model: no workload dropped a message, so the lossy-link model is gone
+# (no loss_per_mille, loss_seed, bill_retry or StallCat::Retry); a
+# report carries no scenario label (set_label); and the adaptive
+# engine promotes after two agreeing gaps and demotes on the first clean
+# probe, fixed (no promote_after or demote_after knob).
 SEQUENTIAL_CRATES = crates/simnet crates/dsm crates/chaos crates/rsd crates/serve
 ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
 NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
@@ -81,7 +86,7 @@ hygiene:
 	@if grep -rn "EpochLog\|page_history" crates/; then \
 		echo "hygiene: the policy keeps no flight recorder; PolicyReport and the trace are the record"; exit 1; fi
 	@if grep -n "thread_local" crates/simnet/src/net.rs; then \
-		echo "hygiene: loss is CostModel::loss_per_mille / loss_seed, not an ambient thread-local"; exit 1; fi
+		echo "hygiene: a Net's state lives in its own fields, not an ambient thread-local"; exit 1; fi
 	@if grep -rn "enum FetchClass" crates/dsm; then \
 		echo "hygiene: dsm::FetchClass is simnet::FetchKind; add tables as methods beside that enum"; exit 1; fi
 	@if grep -rn "thread::spawn\|thread::scope\|Condvar" crates/simnet/src crates/dsm/src crates/chaos/src | grep -v "^[^:]*:[0-9]*: *//"; then \
@@ -120,6 +125,8 @@ hygiene:
 		echo "hygiene: Net::new builds a cluster's one Rendezvous; reach it through net().rendezvous()"; exit 1; fi
 	@if grep -rnwE "bill_sync|count_only|request_response|round_trip|rendezvous_crossings|spmd_launches" crates/; then \
 		echo "hygiene: Net::bill_barrier bills every barrier, a fetch is a parallel_round, and host counts are net().rendezvous().generation() / launches()"; exit 1; fi
+	@if grep -rnE "\b(loss_per_mille|loss_seed|bill_retry|set_label|promote_after|demote_after)\b|StallCat::Retry\b" crates examples tests src; then \
+		echo "hygiene: CostModel is a pure timing model (no lossy links or Retry stall), a report has no scenario label, and the adaptive engine's promote/demote thresholds are fixed"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses

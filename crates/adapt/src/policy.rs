@@ -23,8 +23,9 @@
 //!
 //! The predictor promotes a page when its gap history locks onto the
 //! **smallest period `L`** whose last full cycle is verified: the
-//! trailing `max(L, promote_after)` gaps each match the gap `L`
-//! positions earlier. `L = 1` reproduces PR 2's one-gap predictor
+//! trailing `L` gaps each match the gap `L` positions earlier (so a
+//! constant gap locks once two consecutive gaps agree, after the third
+//! need). `L = 1` reproduces PR 2's one-gap predictor
 //! exactly; larger `L` captures unions of periods the one-gap predictor
 //! provably degraded on (`crates/adapt/tests/multi_periodic.rs`). The
 //! predicted next gap is the one `L` positions back, so prefetches fire
@@ -36,8 +37,8 @@
 //! and the page falls back to demand paging until the history
 //! re-stabilizes. Pages that stop being used entirely are caught by
 //! probes ([`AdaptConfig::probe_every`]): every n-th prediction is
-//! withheld at exactly base-TreadMarks cost, and a clean probe resets
-//! the predictor.
+//! withheld at exactly base-TreadMarks cost, and the first clean probe
+//! resets the predictor.
 //!
 //! ## Phase identity
 //!
@@ -94,36 +95,21 @@ const NO_PHASE: u32 = u32::MAX;
 
 /// Per-(page, phase) gap-history depth. The longest recognizable
 /// need-period cycle is half this (a cycle must be seen twice to be
-/// verified), and it exceeds every legal
-/// [`AdaptConfig::promote_after`], so a constant gap can always lock.
+/// verified).
 const HISTORY_WINDOW: usize = 16;
 
 /// Tuning knobs of the adaptive engine.
 #[derive(Debug, Clone)]
 pub struct AdaptConfig {
-    /// Consecutive verified gap repeats required before a page is
-    /// promoted (the verified span is `max(L, promote_after)` for a
-    /// cycle of length `L`; with `L = 1` this is PR 2's knob exactly:
-    /// 1 = promote once two consecutive gaps agree, i.e. after the
-    /// third confirmed need). Range 1–8.
-    pub promote_after: u32,
     /// Every `probe_every`-th prediction of a promoted page is a
     /// *probe*: the prefetch is withheld, and if no demand miss follows
-    /// before the page's next invalidation the predictor is reset.
+    /// before the page's next invalidation the predictor is reset — the
+    /// fast retreat an unannounced mid-run regime break demands.
     /// This bounds how long a dead pattern can waste prefetch traffic
     /// (a gap-1 page that quietly leaves the working set has no other
     /// honest signal — its prefetches mask every would-be miss), at
     /// exactly base-TreadMarks cost during the probe itself.
     pub probe_every: u64,
-    /// Consecutive *clean* probes — withheld predictions whose window
-    /// then closed without a demand miss — before the predictor is
-    /// fully reset. This is the break-detection demotion knob: 1 (the
-    /// default) demotes on the first contradicting probe, the fast
-    /// retreat an unannounced mid-run regime break demands; larger
-    /// values tolerate isolated quiet windows before declaring the
-    /// pattern dead. Any probe that *does* demand-fault clears the
-    /// streak. Range 1–8.
-    pub demote_after: u32,
     /// Consecutive identical-pick epochs *of one phase* before the
     /// batched fetch is deferred to the epoch's first demand fault (the
     /// final-barrier quiesce heuristic). 0 disables deferral entirely
@@ -152,9 +138,7 @@ pub struct AdaptConfig {
 impl Default for AdaptConfig {
     fn default() -> Self {
         AdaptConfig {
-            promote_after: 1,
             probe_every: 8,
-            demote_after: 1,
             quiesce_after: 2,
             push: false,
         }
@@ -178,8 +162,7 @@ impl AdaptConfig {
 /// The argument: a broken plan's prefetches *mask* the misses that
 /// would expose it, so the only honest death signal is a probe, and the
 /// probe cadence guarantees one within [`AdaptConfig::probe_every`]
-/// predictions (with [`AdaptConfig::demote_after`] `= 1` the first
-/// clean probe demotes). Until then each stale promoted page wastes at
+/// predictions, and the first clean probe demotes. Until then each stale promoted page wastes at
 /// most one prefetch exchange per epoch, and one wasted page-exchange
 /// costs at most 2 messages (a request/reply pull; a push costs 1).
 /// A run of `epochs` epochs cannot waste more epochs than it has, so
@@ -209,23 +192,14 @@ pub enum PageMode {
 
 /// The smallest verified need-period cycle in `gaps`, if any.
 ///
-/// A period `L` is verified when the trailing `max(L, promote_after)`
-/// gaps each equal the gap `L` positions earlier — i.e. the last full
-/// cycle repeats the one before it. Smallest `L` wins: the most
+/// A period `L` is verified when the trailing `L` gaps each equal the
+/// gap `L` positions earlier — i.e. the last full cycle repeats the one
+/// before it. Smallest `L` wins: the most
 /// parsimonious explanation of the history is the one predicted from,
 /// and `L = 1` (a constant gap) reproduces the PR 2 one-gap predictor.
-fn locked_period(gaps: &[u32], promote_after: u32) -> Option<usize> {
+fn locked_period(gaps: &[u32]) -> Option<usize> {
     let n = gaps.len();
-    for l in 1..=n / 2 {
-        let span = l.max(promote_after as usize);
-        if span > n - l {
-            continue;
-        }
-        if (0..span).all(|i| gaps[n - 1 - i] == gaps[n - 1 - i - l]) {
-            return Some(l);
-        }
-    }
-    None
+    (1..=n / 2).find(|&l| (0..l).all(|i| gaps[n - 1 - i] == gaps[n - 1 - i - l]))
 }
 
 #[derive(Debug, Clone)]
@@ -246,8 +220,6 @@ struct PageEntry {
     gaps: Vec<u32>,
     /// Predictions issued (drives the probe cadence).
     predictions: u64,
-    /// Consecutive clean probes (see [`AdaptConfig::demote_after`]).
-    clean_probes: u32,
     /// Currently promoted? (tracked to count mode flips)
     promoted: bool,
 }
@@ -262,7 +234,6 @@ impl PageEntry {
             last_need: 0,
             gaps: Vec::new(),
             predictions: 0,
-            clean_probes: 0,
             promoted: false,
         }
     }
@@ -334,12 +305,10 @@ pub struct AdaptivePolicy {
 }
 
 impl AdaptivePolicy {
-    /// Build an engine with the given knobs (panics on out-of-range
-    /// knob values — see each [`AdaptConfig`] field's range).
+    /// Build an engine with the given knobs (panics unless
+    /// [`AdaptConfig::probe_every`] is at least 2).
     pub fn new(cfg: AdaptConfig) -> Self {
-        assert!((1..=8).contains(&cfg.promote_after), "promote_after: 1–8");
         assert!(cfg.probe_every >= 2, "probe_every: at least 2");
-        assert!((1..=8).contains(&cfg.demote_after), "demote_after: 1–8");
         AdaptivePolicy {
             cfg,
             phases: Vec::new(),
@@ -380,11 +349,11 @@ impl AdaptivePolicy {
         }
     }
 
-    fn gap_of(e: &PageEntry, promote_after: u32) -> Option<u32> {
+    fn gap_of(e: &PageEntry) -> Option<u32> {
         if !e.promoted {
             return None;
         }
-        locked_period(&e.gaps, promote_after).map(|l| e.gaps[e.gaps.len() - l])
+        locked_period(&e.gaps).map(|l| e.gaps[e.gaps.len() - l])
     }
 
     /// Current mode of `page` across all phases (pages never seen are
@@ -417,7 +386,7 @@ impl AdaptivePolicy {
     pub fn page_gap(&self, page: u32) -> Option<u32> {
         self.phases
             .iter()
-            .find_map(|st| st.entry(page).and_then(|e| Self::gap_of(e, self.cfg.promote_after)))
+            .find_map(|st| st.entry(page).and_then(Self::gap_of))
     }
 
     /// The page's predicted next need gap within `phase`, if promoted
@@ -425,18 +394,17 @@ impl AdaptivePolicy {
     pub fn page_gap_in(&self, page: u32, phase: u32) -> Option<u32> {
         self.phase_pos(phase)
             .and_then(|i| self.phases[i].entry(page))
-            .and_then(|e| Self::gap_of(e, self.cfg.promote_after))
+            .and_then(Self::gap_of)
     }
 
     /// The page's locked need-period cycle length in the first phase
     /// that promoted it: 1 for a constant gap, longer for a union of
     /// periods.
     pub fn page_period(&self, page: u32) -> Option<u32> {
-        let pa = self.cfg.promote_after;
         self.phases.iter().find_map(|st| {
             st.entry(page)
                 .filter(|e| e.promoted)
-                .and_then(|e| locked_period(&e.gaps, pa).map(|l| l as u32))
+                .and_then(|e| locked_period(&e.gaps).map(|l| l as u32))
         })
     }
 }
@@ -473,9 +441,7 @@ impl ProtocolPolicy for AdaptivePolicy {
             self.ensure_page(max);
         }
 
-        let promote_after = self.cfg.promote_after;
         let probe_every = self.cfg.probe_every;
-        let demote_after = self.cfg.demote_after;
         let mut picks = Vec::new();
         // The picks plus any probe-withheld pages: the quiesce streak
         // compares *plans*, and a probe deliberately thinning one epoch
@@ -513,42 +479,20 @@ impl ProtocolPolicy for AdaptivePolicy {
                     e.gaps.push(g);
                 }
                 e.last_need = t;
-                if e.missed {
-                    // Only a real demand miss is evidence of life — a
-                    // prefetch-covered window proves nothing (the
-                    // prefetch masks every would-be miss), so it leaves
-                    // the clean-probe streak alone.
-                    e.clean_probes = 0;
-                }
             } else if was_probe {
-                // Clean probe: the withheld prefetch was contradicted.
-                // After `demote_after` consecutive clean probes the
-                // pattern is declared dead: full reset — the page must
-                // re-earn promotion from live misses.
-                e.clean_probes += 1;
-                if e.clean_probes >= demote_after {
-                    e.gaps.clear();
-                    e.last_need = 0;
-                    e.predictions = 0;
-                    e.clean_probes = 0;
-                } else if e.last_need > 0 {
-                    // Tolerated: the withheld window stands in as a
-                    // virtual need so the cadence stays on schedule and
-                    // the *next* probe gets to decide.
-                    let g = (t - e.last_need).min(u32::MAX as u64) as u32;
-                    if e.gaps.len() == HISTORY_WINDOW {
-                        e.gaps.remove(0);
-                    }
-                    e.gaps.push(g);
-                    e.last_need = t;
-                }
+                // Clean probe: the withheld prefetch was contradicted,
+                // so the pattern is declared dead: full reset — the
+                // page must re-earn promotion from live misses.
+                e.gaps.clear();
+                e.last_need = 0;
+                e.predictions = 0;
             }
             e.probing = false;
             e.missed = false;
             e.prefetched = false;
 
             // Promotion state: does the gap history lock onto a cycle?
-            let locked = locked_period(&e.gaps, promote_after);
+            let locked = locked_period(&e.gaps);
             let now_promoted = locked.is_some();
             if now_promoted != e.promoted {
                 e.promoted = now_promoted;
@@ -755,7 +699,6 @@ mod tests {
     fn clean_probe_resets_a_dead_pattern() {
         let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig {
-            promote_after: 1,
             probe_every: 4,
             ..Default::default()
         });
@@ -781,63 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn demote_after_tolerates_isolated_clean_probes() {
-        let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig {
-            promote_after: 1,
-            probe_every: 3,
-            demote_after: 2,
-            ..Default::default()
-        });
-        // Promote page 9 (gap 1), then let the page go quiet.
-        for _ in 0..3 {
-            p.note_miss(9);
-            drive(&mut p, &mut tally, &[9]);
-        }
-        // Predictions 2, 3 = prefetch, probe. One clean probe is below
-        // the demote threshold, so the prediction stream continues...
-        assert_eq!(drive(&mut p, &mut tally, &[9]), vec![9]);
-        assert!(drive(&mut p, &mut tally, &[9]).is_empty()); // probe 1
-        assert_eq!(drive(&mut p, &mut tally, &[9]), vec![9], "one clean probe tolerated");
-        // ...until the second consecutive clean probe resets it.
-        assert_eq!(drive(&mut p, &mut tally, &[9]), vec![9]);
-        assert!(drive(&mut p, &mut tally, &[9]).is_empty()); // probe 2
-        drive(&mut p, &mut tally, &[9]); // clean again → reset
-        assert_eq!(p.page_mode(9), PageMode::Demand);
-        for _ in 0..6 {
-            assert!(drive(&mut p, &mut tally, &[9]).is_empty());
-        }
-    }
-
-    #[test]
-    fn probe_that_faults_clears_the_clean_streak() {
-        let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig {
-            promote_after: 1,
-            probe_every: 2,
-            demote_after: 2,
-            ..Default::default()
-        });
-        for _ in 0..3 {
-            p.note_miss(4);
-            drive(&mut p, &mut tally, &[4]);
-        }
-        // Every second prediction probes; the page stays live, so each
-        // probe demand-faults and the clean streak never reaches 2.
-        for round in 0..6 {
-            let picks = drive(&mut p, &mut tally, &[4]);
-            if picks.is_empty() {
-                p.note_miss(4); // the probe window's real miss
-            }
-            assert_eq!(
-                p.page_mode(4),
-                PageMode::Prefetch,
-                "round {round}: a live pattern must survive its probes"
-            );
-        }
-    }
-
-    #[test]
     fn probe_budget_formula() {
         // Bounded by the probe cadence...
         assert_eq!(probe_budget(8, 3, 100), 2 * 3 * 8);
@@ -850,7 +736,6 @@ mod tests {
     fn probe_miss_keeps_the_page_promoted() {
         let mut tally = Tally::default();
         let mut p = AdaptivePolicy::new(AdaptConfig {
-            promote_after: 1,
             probe_every: 2,
             ..Default::default()
         });
@@ -870,25 +755,22 @@ mod tests {
     #[test]
     fn locked_period_prefers_the_smallest_cycle() {
         // A constant tail is a 1-cycle even when longer cycles also fit.
-        assert_eq!(locked_period(&[4, 4, 4, 4], 1), Some(1));
+        assert_eq!(locked_period(&[4, 4, 4, 4]), Some(1));
         // One deviation breaks every cycle the window can verify.
-        assert_eq!(locked_period(&[4, 4, 4, 5], 1), None);
+        assert_eq!(locked_period(&[4, 4, 4, 5]), None);
         // The 3∪5 union's gap cycle locks at length 7 once seen twice
         // (at a tail position where no shorter cycle fits).
         let cycle = [2u32, 1, 3, 1, 2, 3, 3];
         let mut twice: Vec<u32> = cycle.iter().chain(cycle.iter()).copied().collect();
         twice.push(2); // one step into the third cycle: tail ...3,3,2
-        assert_eq!(locked_period(&twice, 1), Some(7));
+        assert_eq!(locked_period(&twice), Some(7));
         // One repetition is not verification (tail chosen so the
         // harmless "3,3" 1-cycle doesn't fire either).
-        assert_eq!(locked_period(&[2, 1, 3, 1, 2], 1), None);
+        assert_eq!(locked_period(&[2, 1, 3, 1, 2]), None);
         // The trailing "3,3" run *does* lock a 1-cycle — the spurious
         // lock the union stream tolerates because the period-5 need
         // breaks it one event before its prediction would fire.
-        assert_eq!(locked_period(&cycle, 1), Some(1));
-        // promote_after lengthens the verified span for short cycles.
-        assert_eq!(locked_period(&[1, 1], 2), None);
-        assert_eq!(locked_period(&[1, 1, 1], 2), Some(1));
+        assert_eq!(locked_period(&cycle), Some(1));
     }
 
     #[test]
@@ -958,12 +840,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "promote_after: 1–8")]
+    #[should_panic(expected = "probe_every: at least 2")]
     fn unsatisfiable_knobs_are_rejected() {
-        // The gap ring holds HISTORY_WINDOW = 16 gaps; a span of nine
-        // verified repeats is out of the knob's range.
+        // A probe on every prediction would withhold them all: the page
+        // could never be prefetched.
         let _ = AdaptivePolicy::new(AdaptConfig {
-            promote_after: 9,
+            probe_every: 1,
             ..Default::default()
         });
     }

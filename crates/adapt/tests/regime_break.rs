@@ -1,8 +1,8 @@
 //! Regime breaks: the pattern the predictor locked onto **dies or
 //! changes mid-run**, at an event no learner was told about. The
 //! engine's answer is the probe cadence — every `probe_every`-th
-//! prediction is withheld at base cost, and `demote_after` consecutive
-//! clean probes declare the pattern dead — which makes the damage a
+//! prediction is withheld at base cost, and the first clean probe
+//! declares the pattern dead — which makes the damage a
 //! stale plan can do *bounded*, and the bound falsifiable:
 //!
 //! * at policy level, a dead pattern is demoted within one probe
@@ -63,8 +63,7 @@ fn dead_pattern_demotes_within_one_probe_interval() {
 
     // The break: the page is never needed again. Predictions keep
     // firing on the learned cadence until a probe lands in a window
-    // with no demand miss — with `demote_after = 1` (the default) that
-    // first contradicting probe demotes. The probe cadence guarantees
+    // with no demand miss, and that first contradicting probe demotes. The probe cadence guarantees
     // one within `probe_every` predictions, i.e. `period · probe_every`
     // epochs; every prediction before it wastes at most one prefetch.
     let mut wasted = 0u64;

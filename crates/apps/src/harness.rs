@@ -137,7 +137,6 @@ mod tests {
             messages: 100,
             bytes: 2000,
             per_kind: Vec::new(),
-            label: None,
             stalls: Vec::new(),
         };
         ranks[0].frozen = Some((SimTime::from_us(5e6), net));

@@ -16,7 +16,7 @@
 //!
 //! nbf is the adaptive engine's best case: the partner list is
 //! *static*, so the set of coordinate pages each processor reads
-//! through it never changes. After `promote_after` steps the whole
+//! through it never changes. After three steps the whole
 //! remote read set is promoted and every step's page-at-a-time demand
 //! traffic collapses into one exchange per peer — the same shape
 //! `Validate` reaches, but learned instead of compiled. (This is the

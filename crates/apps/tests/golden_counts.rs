@@ -36,18 +36,13 @@
 //! sparse regime is covered by the `nprocs ∈ {16, 64}` properties in
 //! `synth/tests/properties.rs` and the `table_synth` scale cells.
 //!
-//! PR 9 opened the churn axis (mid-run regime breaks, partition
-//! rebalances, lossy links) and the expected stance here is **no row
-//! changes at all** — asserted first, before anything churn-specific:
-//! the break detector's [`adapt::AdaptConfig::demote_after`] defaults
-//! to 1, which by construction reproduces the previous
-//! first-clean-probe demotion exactly (tolerated clean probes only
-//! exist at ≥ 2); the loss model is opt-in per cost model
-//! (`simnet::CostModel::loss_per_mille`, default 0) and no app harness
-//! sets it; and the rebalance
+//! The churn axis (mid-run regime breaks and partition rebalances)
+//! changes **no row** here — asserted first, before anything
+//! churn-specific: the break detector demotes a page on its first
+//! clean probe, the demotion these rows always had; and the rebalance
 //! machinery only engages on `Dynamics::Rebalance` scenarios, which no
-//! classic app uses. A diff in any row below means one of those
-//! defaults leaked into the steady-state path.
+//! classic app uses. A diff in any row below means churn machinery
+//! leaked into the steady-state path.
 //!
 //! PR 15 retired the committed benchmark snapshot; the one exact
 //! section of it that nothing else asserted — where the adaptive

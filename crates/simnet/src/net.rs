@@ -18,8 +18,8 @@
 //! All clock updates are commutative (`add` / `max`), so simulated times
 //! are independent of the order in which the host runs the processors.
 //! Every processor of a cluster is a coroutine on the one OS thread that
-//! launched it (the [`Rendezvous`]), so the state is plain [`Cell`]s and
-//! [`RefCell`]s: a `Net` may move to another thread between runs, but it
+//! launched it (the [`Rendezvous`]), so the state is plain [`Cell`]s:
+//! a `Net` may move to another thread between runs, but it
 //! is not `Sync`, so no other thread can reach it during one.
 //!
 //! **Stall attribution** rides on the same discipline: every clock
@@ -30,7 +30,7 @@
 //! service), so per-processor bucket sums equal the clocks *exactly* —
 //! see [`crate::trace`].
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::stats::{PolicyReport, PolicyStats};
@@ -53,10 +53,6 @@ pub struct Net {
     /// metadata-scaling probe `table_synth` asserts on. The per-copy
     /// traffic stays in [`Stats`] under `MsgKind::Barrier`.
     notice_meta: Cell<u64>,
-    /// Scenario label stamped into every captured [`NetReport`] — set by
-    /// scenario-matrix harnesses (`table_synth`) so a report identifies
-    /// the workload it measured.
-    label: RefCell<Option<String>>,
     /// Per-processor stall-attribution buckets, flat
     /// `[proc][StallCat]`. Every clock mutation adds its exact delta to
     /// one bucket, so `Σ tallies[p] == clocks[p]` at all times.
@@ -74,12 +70,6 @@ pub struct Net {
     /// `sink.is_some()`, cached so the disabled [`Net::trace`] path is
     /// a single predictable branch.
     trace_on: bool,
-    /// Per-processor draw counters of the lossy-link model
-    /// ([`CostModel::loss_per_mille`]): a drop decision is a pure
-    /// function of (seed, calling proc, that proc's draw index), never
-    /// of arrival order, so lossy runs are deterministic across host
-    /// schedules just like loss-free ones.
-    loss_ctr: Vec<Cell<u64>>,
     /// Collective re-inspection passes (CHAOS re-paying its inspector
     /// after a partition rebalance invalidated the amortized schedule).
     /// Counted once per collective by the rank-0 caller.
@@ -90,24 +80,10 @@ pub struct Net {
     rendezvous: Rendezvous,
 }
 
-/// SplitMix64-style mixer for the drop stream (self-contained so the
-/// loss model shares no state with the workload RNGs).
-#[inline]
-fn loss_mix(seed: u64, k: u64) -> u64 {
-    let mut z = seed.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl Net {
     pub fn new(nprocs: usize, cost: CostModel) -> Self {
         assert!(nprocs >= 1, "need at least one processor");
         let sink = trace::pending_sink();
-        assert!(
-            cost.loss_per_mille <= 1000,
-            "loss probability is per-mille (0..=1000)"
-        );
         Net {
             nprocs,
             cost,
@@ -115,13 +91,11 @@ impl Net {
             stats: Stats::new(nprocs),
             policy: PolicyStats::new(nprocs),
             notice_meta: Cell::new(0),
-            label: RefCell::new(None),
             tallies: vec![Cell::new(0); nprocs * StallCat::COUNT],
             vtimes: vec![Cell::new(0); nprocs],
             cats: vec![Cell::new(StallCat::Compute); nprocs],
             trace_on: sink.is_some(),
             sink,
-            loss_ctr: vec![Cell::new(0); nprocs],
             reinspections: Cell::new(0),
             rendezvous: Rendezvous::new(nprocs),
         }
@@ -132,37 +106,6 @@ impl Net {
     #[inline]
     pub fn rendezvous(&self) -> &Rendezvous {
         &self.rendezvous
-    }
-
-    #[inline]
-    fn loss_on(&self) -> bool {
-        self.cost.loss_per_mille != 0
-    }
-
-    /// Deterministic drop decision for the next message attempt made
-    /// by processor `caller`. Only called when the model is
-    /// on, so loss-free runs never touch the draw counters.
-    #[inline]
-    fn loss_dropped(&self, caller: ProcId) -> bool {
-        let k = self.loss_ctr[caller].get();
-        self.loss_ctr[caller].set(k + 1);
-        let stream = self.cost.loss_seed ^ ((caller as u64 + 1) << 32);
-        loss_mix(stream, k) % 1000 < u64::from(self.cost.loss_per_mille)
-    }
-
-    /// Bill one dropped message of `bytes` payload: the original
-    /// sender `from` re-sends it (duplicate message + bytes in
-    /// [`Stats`]), and `caller` — the side that is executing
-    /// the exchange — waits out the timeout + retransmission, billed
-    /// to [`StallCat::Retry`] on both the real and virtual clock.
-    fn bill_retry(&self, caller: ProcId, from: ProcId, kind: MsgKind, bytes: usize) {
-        self.stats.record(from, kind, bytes);
-        let dt = SimTime::from_us(
-            2.0 * self.cost.msg_latency_us + self.cost.per_byte_us * bytes as f64,
-        );
-        add(&self.clocks[caller], dt.0);
-        add(&self.vtimes[caller], dt.0);
-        self.bill(caller, StallCat::Retry, dt.0);
     }
 
     /// Count one collective re-inspection pass (called by rank 0 of
@@ -195,18 +138,6 @@ impl Net {
     /// Cumulative barrier notice metadata bytes since the last reset.
     pub fn notice_meta_bytes(&self) -> u64 {
         self.notice_meta.get()
-    }
-
-    /// Tag this cluster with a scenario label; subsequent
-    /// [`Net::report`] captures carry it. Survives [`Net::reset`] (the
-    /// scenario does not change when counters are zeroed).
-    pub fn set_label(&self, label: &str) {
-        *self.label.borrow_mut() = Some(label.to_string());
-    }
-
-    /// The current scenario label, if any.
-    pub fn label(&self) -> Option<String> {
-        self.label.borrow().clone()
     }
 
     #[inline]
@@ -332,13 +263,10 @@ impl Net {
         );
     }
 
-    /// Zero the clocks, counters and stall buckets. The scenario label
-    /// and the rendezvous's host counts survive.
+    /// Zero the clocks, counters and stall buckets. The rendezvous's
+    /// host counts survive.
     pub fn reset(&self) {
-        // The loss draw streams restart too, so a timed region is
-        // deterministic on its own.
-        let counters = self.clocks.iter().chain(&self.tallies).chain(&self.vtimes);
-        for c in counters.chain(&self.loss_ctr) {
+        for c in self.clocks.iter().chain(&self.tallies).chain(&self.vtimes) {
             c.set(0);
         }
         for c in &self.cats {
@@ -418,11 +346,6 @@ impl Net {
             0.5 * self.cost.msg_latency_us + self.cost.per_byte_us * bytes as f64,
         );
         self.advance(from, inject);
-        if self.loss_on() && self.loss_dropped(from) {
-            // The drop delays the sender's injection point, so the
-            // arrival computed below already includes the resend.
-            self.bill_retry(from, from, kind, bytes);
-        }
         self.clock(from) + SimTime::from_us(0.5 * self.cost.msg_latency_us)
     }
 
@@ -458,16 +381,6 @@ impl Net {
                     + self.cost.per_byte_us * bytes as f64,
             ),
         );
-        if self.loss_on() {
-            for &(server, kreq, breq, kresp, bresp) in legs {
-                if self.loss_dropped(requester) {
-                    self.bill_retry(requester, requester, kreq, breq);
-                }
-                if self.loss_dropped(requester) {
-                    self.bill_retry(requester, server, kresp, bresp);
-                }
-            }
-        }
         if self.trace_on {
             for &(server, kreq, breq, kresp, bresp) in legs {
                 self.trace_slow(
@@ -520,13 +433,6 @@ impl Net {
                     + self.cost.per_byte_us * bytes as f64,
             ),
         );
-        if self.loss_on() {
-            for &(from, kind, b) in legs {
-                if self.loss_dropped(to) {
-                    self.bill_retry(to, from, kind, b);
-                }
-            }
-        }
         if self.trace_on {
             for &(from, kind, b) in legs {
                 self.trace_slow(
@@ -547,7 +453,6 @@ impl Net {
     /// and leaves them empty).
     pub fn report(&self) -> NetReport {
         let mut rep = NetReport::capture(&self.stats);
-        rep.label = self.label();
         rep.stalls = self.stall_rows();
         rep
     }
@@ -629,16 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_label_stamps_reports_and_survives_reset() {
-        let n = net(1);
-        assert_eq!(n.report().label, None);
-        n.set_label("uniform/static/p4");
-        n.reset();
-        assert_eq!(n.report().label.as_deref(), Some("uniform/static/p4"));
-        assert_eq!(n.label().as_deref(), Some("uniform/static/p4"));
-    }
-
-    #[test]
     fn reset_zeroes_everything() {
         let n = net(2);
         n.advance(0, SimTime(5));
@@ -650,6 +545,43 @@ mod tests {
             assert_eq!(row.total(), 0);
             assert_eq!(row.clock, 0);
         }
+    }
+
+    /// A fixed traffic pattern through every traffic helper and a
+    /// barrier jump.
+    fn drive(n: &Net) {
+        let np = n.nprocs();
+        for _ in 0..4 {
+            for p in 0..np {
+                let q = (p + 1) % np;
+                n.parallel_round(p, &[(q, MsgKind::DiffRequest, 16, MsgKind::DiffReply, 4096)]);
+            }
+            n.push_round(1, &[(0, MsgKind::AdaptPush, 256)]);
+            let arrival = n.push(0, MsgKind::Gather, 128);
+            n.await_until(1, arrival);
+            n.set_all_clocks(n.clock_max());
+        }
+    }
+
+    #[test]
+    fn replay_after_reset_is_identical() {
+        let n = net(2);
+        let fingerprint = |n: &Net| (n.report(), n.vtime(0), n.vtime(1));
+        drive(&n);
+        let first = fingerprint(&n);
+        n.reset();
+        drive(&n);
+        assert_eq!(fingerprint(&n), first, "replay after reset is identical");
+    }
+
+    #[test]
+    fn reinspection_counter_counts_and_resets() {
+        let n = net(2);
+        n.add_reinspection();
+        n.add_reinspection();
+        assert_eq!(n.reinspections(), 2);
+        n.reset();
+        assert_eq!(n.reinspections(), 0);
     }
 
     impl Net {
@@ -832,17 +764,6 @@ mod tests {
     }
 }
 
-/// Test helper: a cluster whose links drop `per_mille` ‰ of messages.
-#[cfg(test)]
-fn lossy(nprocs: usize, loss_seed: u64, loss_per_mille: u32) -> Net {
-    let cost = CostModel {
-        loss_seed,
-        loss_per_mille,
-        ..CostModel::default()
-    };
-    Net::new(nprocs, cost)
-}
-
 #[cfg(test)]
 mod parallel_round_tests {
     use super::*;
@@ -898,32 +819,6 @@ mod parallel_round_tests {
     }
 
     #[test]
-    fn lossy_push_round_still_counts_fewer_messages_than_lossy_pull() {
-        // Half the droppable messages means push cannot degrade past
-        // request/reply under the same loss stream shape.
-        let pull = lossy(3, 7, 500);
-        let push = lossy(3, 7, 500);
-        for _ in 0..50 {
-            pull.parallel_round(
-                0,
-                &[
-                    (1, MsgKind::AdaptRequest, 24, MsgKind::AdaptReply, 4096),
-                    (2, MsgKind::AdaptRequest, 24, MsgKind::AdaptReply, 4096),
-                ],
-            );
-            push.push_round(
-                0,
-                &[(1, MsgKind::AdaptPush, 4096), (2, MsgKind::AdaptPush, 4096)],
-            );
-        }
-        assert!(pull.stats().total_messages() > 200, "pull retries happened");
-        assert!(push.stats().total_messages() > 100, "push retries happened");
-        assert!(push.stats().total_messages() < pull.stats().total_messages());
-        pull.assert_conserved();
-        push.assert_conserved();
-    }
-
-    #[test]
     fn push_round_counts_half_the_messages_of_a_parallel_round() {
         let pull = Net::new(3, CostModel::default());
         pull.parallel_round(
@@ -952,125 +847,5 @@ mod parallel_round_tests {
         // Empty rounds stay free.
         push.push_round(0, &[]);
         assert_eq!(push.stats().total_messages(), 2);
-    }
-}
-
-#[cfg(test)]
-mod loss_tests {
-    use super::*;
-
-    /// A fixed traffic pattern exercising every droppable primitive.
-    fn drive(n: &Net) {
-        let np = n.nprocs();
-        for _ in 0..4 {
-            for p in 0..np {
-                let q = (p + 1) % np;
-                n.parallel_round(p, &[(q, MsgKind::DiffRequest, 16, MsgKind::DiffReply, 4096)]);
-            }
-            n.parallel_round(
-                0,
-                &[(1, MsgKind::AggRequest, 8, MsgKind::AggReply, 512)],
-            );
-            n.push_round(1, &[(0, MsgKind::AdaptPush, 256)]);
-            let arrival = n.push(0, MsgKind::Gather, 128);
-            n.await_until(1, arrival);
-            n.set_all_clocks(n.clock_max());
-        }
-    }
-
-    fn fingerprint(n: &Net) -> (u64, u64, Vec<StallRow>) {
-        (
-            n.stats().total_messages(),
-            n.stats().total_bytes(),
-            n.stall_rows(),
-        )
-    }
-
-    #[test]
-    fn retry_billing_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let n = lossy(4, seed, 250);
-            drive(&n);
-            fingerprint(&n)
-        };
-        assert_eq!(run(42), run(42), "same seed, same bills");
-        assert_ne!(run(42), run(43), "the seed actually steers the drops");
-    }
-
-    #[test]
-    fn retry_conservation_holds_across_cluster_sizes() {
-        for np in [4usize, 8, 64] {
-            let n = lossy(np, 9, 300);
-            drive(&n);
-            n.assert_conserved();
-            let retry: u64 = n
-                .stall_rows()
-                .iter()
-                .map(|r| r.get(StallCat::Retry))
-                .sum();
-            assert!(retry > 0, "p{np}: no retries billed at 30% loss");
-        }
-    }
-
-    #[test]
-    fn a_dropped_message_is_retried_exactly_once() {
-        // At 1000‰ every first attempt is dropped. The model retries
-        // once and the retry always lands — it is *not* re-drawn — so
-        // the run terminates and bills exactly one duplicate per
-        // message: 2× the loss-free traffic, with conservation intact.
-        let clean = Net::new(4, CostModel::default());
-        drive(&clean);
-        let all_dropped = lossy(4, 7, 1000);
-        drive(&all_dropped);
-        all_dropped.assert_conserved();
-        assert_eq!(
-            all_dropped.stats().total_messages(),
-            2 * clean.stats().total_messages()
-        );
-        assert_eq!(
-            all_dropped.stats().total_bytes(),
-            2 * clean.stats().total_bytes()
-        );
-    }
-
-    #[test]
-    fn zero_loss_is_byte_identical_to_the_no_loss_path() {
-        let bare = Net::new(4, CostModel::default());
-        drive(&bare);
-        let zeroed = lossy(4, 12345, 0);
-        drive(&zeroed);
-        assert_eq!(fingerprint(&bare), fingerprint(&zeroed));
-        for p in 0..4 {
-            assert_eq!(bare.clock(p), zeroed.clock(p));
-            assert_eq!(bare.vtime(p), zeroed.vtime(p));
-        }
-        assert_eq!(
-            bare.stall_rows()
-                .iter()
-                .map(|r| r.get(StallCat::Retry))
-                .sum::<u64>(),
-            0
-        );
-    }
-
-    #[test]
-    fn reset_restarts_the_drop_stream_but_keeps_the_setting() {
-        let n = lossy(2, 5, 400);
-        drive(&n);
-        let first = fingerprint(&n);
-        n.reset();
-        assert_eq!(n.reinspections(), 0);
-        drive(&n);
-        assert_eq!(fingerprint(&n), first, "replay after reset is identical");
-    }
-
-    #[test]
-    fn reinspection_counter_counts_and_resets() {
-        let n = Net::new(2, CostModel::default());
-        n.add_reinspection();
-        n.add_reinspection();
-        assert_eq!(n.reinspections(), 2);
-        n.reset();
-        assert_eq!(n.reinspections(), 0);
     }
 }

@@ -431,9 +431,6 @@ pub struct NetReport {
     pub messages: u64,
     pub bytes: u64,
     pub per_kind: Vec<(MsgKind, u64, u64)>,
-    /// Scenario label of the cluster the snapshot came from (set via
-    /// `Net::set_label` by scenario-matrix harnesses), `None` elsewhere.
-    pub label: Option<String>,
     /// Per-proc stall-attribution rows (one per rank, indexed by
     /// `ProcId`), filled by [`crate::Net::report`]; empty when the
     /// snapshot was assembled from bare [`Stats`] counters.
@@ -450,7 +447,6 @@ impl NetReport {
                 .map(|&k| (k, stats.messages_of(k), stats.bytes_of(k)))
                 .filter(|&(_, m, b)| m > 0 || b > 0)
                 .collect(),
-            label: None,
             stalls: Vec::new(),
         }
     }
@@ -474,10 +470,7 @@ impl NetReport {
     }
 
     /// Accumulate `other` into `self`: totals add, per-kind rows merge
-    /// by kind (kept in [`MsgKind::ALL`] order). Labels: a merged report
-    /// keeps its own label only while every contribution agrees —
-    /// merging reports of different scenarios produces an unlabelled
-    /// aggregate rather than mislabelling it. Associative and
+    /// by kind (kept in [`MsgKind::ALL`] order). Associative and
     /// commutative, so concurrent runs can be folded worker-locally and
     /// the partials merged in any order without a global lock.
     pub fn merge(&mut self, other: &NetReport) {
@@ -499,9 +492,6 @@ impl NetReport {
                 }
             }
         }
-        if self.label != other.label {
-            self.label = None;
-        }
         // Stall rows merge rank-wise (element-wise bucket adds), extending
         // to the longer cluster — commutative and associative like the
         // per-kind rows, so worker-local partial folds stay order-free.
@@ -511,37 +501,6 @@ impl NetReport {
         }
         for (row, o) in self.stalls.iter_mut().zip(&other.stalls) {
             row.merge(o);
-        }
-    }
-
-    /// Difference between two snapshots (for per-phase accounting).
-    pub fn delta(&self, earlier: &NetReport) -> NetReport {
-        let mut per_kind = Vec::new();
-        for &(k, m, b) in &self.per_kind {
-            let (m0, b0) = earlier
-                .per_kind
-                .iter()
-                .find(|&&(k0, _, _)| k0 == k)
-                .map(|&(_, m0, b0)| (m0, b0))
-                .unwrap_or((0, 0));
-            if m > m0 || b > b0 {
-                per_kind.push((k, m - m0, b - b0));
-            }
-        }
-        NetReport {
-            messages: self.messages - earlier.messages,
-            bytes: self.bytes - earlier.bytes,
-            per_kind,
-            label: self.label.clone(),
-            stalls: self
-                .stalls
-                .iter()
-                .enumerate()
-                .map(|(p, row)| match earlier.stalls.get(p) {
-                    Some(e) => row.delta(e),
-                    None => *row,
-                })
-                .collect(),
         }
     }
 }
@@ -562,20 +521,6 @@ mod tests {
         assert_eq!(s.total_bytes(), 16 + 4096 + 120);
         assert_eq!(s.messages_of(MsgKind::Barrier), 3);
         assert_eq!(s.bytes_of(MsgKind::DiffReply), 4096);
-    }
-
-    #[test]
-    fn report_delta() {
-        let s = Stats::new(1);
-        s.record(0, MsgKind::Gather, 100);
-        let before = NetReport::capture(&s);
-        s.record(0, MsgKind::Gather, 50);
-        s.record(0, MsgKind::Scatter, 10);
-        let after = NetReport::capture(&s);
-        let d = after.delta(&before);
-        assert_eq!(d.messages, 2);
-        assert_eq!(d.bytes, 60);
-        assert_eq!(d.per_kind.len(), 2);
     }
 
     #[test]
@@ -638,13 +583,11 @@ mod tests {
         let s = Stats::new(1);
         s.record(0, MsgKind::DiffRequest, 16);
         s.record(0, MsgKind::Barrier, 8);
-        let mut a = NetReport::capture(&s);
-        a.label = Some("cell-a".into());
+        let a = NetReport::capture(&s);
         let t = Stats::new(1);
         t.record(0, MsgKind::DiffRequest, 4);
         t.record(0, MsgKind::AggReply, 100);
-        let mut b = NetReport::capture(&t);
-        b.label = Some("cell-a".into());
+        let b = NetReport::capture(&t);
         let mut ab = a.clone();
         ab.merge(&b);
         assert_eq!(ab.messages, 4);
@@ -654,16 +597,10 @@ mod tests {
         // Rows stay in MsgKind::ALL order after an out-of-order insert.
         let idx: Vec<usize> = ab.per_kind.iter().map(|&(k, _, _)| k.index()).collect();
         assert!(idx.windows(2).all(|w| w[0] < w[1]));
-        // Same label: kept. Commutativity: b.merge(a) gives equal totals.
-        assert_eq!(ab.label.as_deref(), Some("cell-a"));
+        // Commutativity: b.merge(a) gives the same report.
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!((ba.messages, ba.bytes, ba.per_kind), (ab.messages, ab.bytes, ab.per_kind));
-        // Conflicting labels merge to None.
-        let mut c = a.clone();
-        c.label = Some("cell-b".into());
-        c.merge(&b);
-        assert_eq!(c.label, None);
+        assert_eq!(ba, ab);
     }
 
     #[test]

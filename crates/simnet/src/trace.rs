@@ -62,16 +62,11 @@ pub enum StallCat {
     /// request* (the TreadMarks SIGIO handler cost). Kept separate so
     /// the remaining categories are deterministic per processor.
     Handler = 6,
-    /// Lossy-link retransmission: the timeout + resend penalty a
-    /// processor pays when the opt-in loss model
-    /// ([`crate::CostModel::loss_per_mille`]) drops one of its messages.
-    /// Zero on every loss-free run.
-    Retry = 7,
 }
 
 impl StallCat {
     /// Number of categories (array dimension of [`StallRow::cats`]).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// Every category, in `repr` order.
     pub const ALL: [StallCat; StallCat::COUNT] = [
@@ -82,7 +77,6 @@ impl StallCat {
         StallCat::Inspector,
         StallCat::Exchange,
         StallCat::Handler,
-        StallCat::Retry,
     ];
 
     /// Stable snake_case name (used by the JSON reports).
@@ -95,7 +89,6 @@ impl StallCat {
             StallCat::Inspector => "inspector",
             StallCat::Exchange => "exchange",
             StallCat::Handler => "handler",
-            StallCat::Retry => "retry",
         }
     }
 }
@@ -130,16 +123,6 @@ impl StallRow {
             *a += b;
         }
         self.clock += other.clock;
-    }
-
-    /// Element-wise saturating difference (interval deltas).
-    pub fn delta(&self, earlier: &StallRow) -> StallRow {
-        let mut out = StallRow::default();
-        for (i, o) in out.cats.iter_mut().enumerate() {
-            *o = self.cats[i].saturating_sub(earlier.cats[i]);
-        }
-        out.clock = self.clock.saturating_sub(earlier.clock);
-        out
     }
 }
 
@@ -347,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn stall_row_merge_and_delta_preserve_conservation() {
+    fn stall_row_merge_preserves_conservation() {
         let mut a = StallRow::default();
         a.cats[StallCat::Compute as usize] = 70;
         a.cats[StallCat::FaultStall as usize] = 30;
@@ -356,13 +339,10 @@ mod tests {
         b.cats[StallCat::BarrierWait as usize] = 40;
         b.clock = 40;
         assert_eq!(a.total(), a.clock);
-        let snap = a;
         a.merge(&b);
         assert_eq!(a.total(), 140);
         assert_eq!(a.total(), a.clock);
-        let d = a.delta(&snap);
-        assert_eq!(d.get(StallCat::BarrierWait), 40);
-        assert_eq!(d.total(), d.clock);
+        assert_eq!(a.get(StallCat::BarrierWait), 40);
     }
 
     #[test]

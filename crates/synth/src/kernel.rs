@@ -273,7 +273,6 @@ pub(crate) fn run_tmk_on(
     let nprocs = cfg.nprocs;
     let cap_pp = pl.cap_pp;
 
-    cl.net().set_label(&cfg.label());
     let x = cl.alloc::<f64>(n);
     let ilist = cl.alloc::<i32>(2 * cap_pp * nprocs);
 
@@ -436,7 +435,6 @@ fn run_chaos_on(
 ) -> (RunReport, Vec<f64>) {
     let nprocs = cfg.nprocs;
 
-    w.net().set_label(&cfg.label());
     let out = w.run(|cp| {
         let me = cp.rank();
         let mut cur_sv = pl.sv_of_iter[0];

@@ -3,11 +3,15 @@
 //! synchronizes only at barriers, so a count that moves when only the
 //! cost model, the cluster pool or the tracer changes is a bug. Each
 //! cell and parallel variant runs under `CostModel::default()` and two
-//! perturbed models (every timing field the protocol charges, except
-//! `loss_per_mille`, which changes counts by design; the second run is
-//! also traced), and on a recycled cluster; messages, bytes, per-kind
-//! counts, result bits and the adaptive `PolicyReport` must be identical
-//! to the fresh, untraced default run.
+//! perturbed models (every field scaled; the second run is also traced),
+//! and on a recycled cluster; messages, bytes, per-kind counts, result
+//! bits and the adaptive `PolicyReport` must be identical to the fresh,
+//! untraced default run.
+//!
+//! The converse keeps the oracle honest: every `CostModel` field is a
+//! timing field, so doubling any one of them alone must move the
+//! simulated time or the inspector seconds of some cell and variant. A
+//! field that moves nothing is read by nothing the runs bill.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,21 +76,47 @@ impl TraceSink for CountingSink {
     }
 }
 
-/// `base` with every timing field the protocol charges scaled: network
-/// latency, per-byte, handler, page fault, barrier, `Validate` index
-/// scan, CHAOS translation and diff creation.
+/// Every field of `c`, named, with the factor [`perturbed`] scales it
+/// by. The pattern names each field, so a new one fails to compile here
+/// until it joins both oracles.
+fn fields(c: &mut CostModel) -> [(&'static str, &mut f64, f64); 12] {
+    let CostModel {
+        msg_latency_us,
+        per_byte_us,
+        handler_us,
+        page_fault_us,
+        twin_per_byte_us,
+        diff_create_per_byte_us,
+        diff_apply_per_byte_us,
+        barrier_us,
+        index_scan_us,
+        hash_us,
+        translate_us,
+        pack_per_byte_us,
+    } = c;
+    [
+        ("msg_latency_us", msg_latency_us, 7.0),
+        ("per_byte_us", per_byte_us, 3.0),
+        ("handler_us", handler_us, 0.5),
+        ("page_fault_us", page_fault_us, 2.0),
+        ("twin_per_byte_us", twin_per_byte_us, 3.0),
+        ("diff_create_per_byte_us", diff_create_per_byte_us, 2.0),
+        ("diff_apply_per_byte_us", diff_apply_per_byte_us, 0.5),
+        ("barrier_us", barrier_us, 5.0),
+        ("index_scan_us", index_scan_us, 0.25),
+        ("hash_us", hash_us, 0.25),
+        ("translate_us", translate_us, 3.0),
+        ("pack_per_byte_us", pack_per_byte_us, 4.0),
+    ]
+}
+
+/// `base` with every field scaled by its factor in [`fields`] times `k`.
 fn perturbed(base: &CostModel, k: f64) -> CostModel {
-    CostModel {
-        msg_latency_us: base.msg_latency_us * 7.0 * k,
-        per_byte_us: base.per_byte_us * 3.0 * k,
-        handler_us: base.handler_us * 0.5 * k,
-        page_fault_us: base.page_fault_us * 2.0 * k,
-        barrier_us: base.barrier_us * 5.0 * k,
-        index_scan_us: base.index_scan_us * 0.25 * k,
-        translate_us: base.translate_us * 3.0 * k,
-        diff_create_per_byte_us: base.diff_create_per_byte_us * 2.0 * k,
-        ..base.clone()
+    let mut c = base.clone();
+    for (_, f, factor) in fields(&mut c) {
+        *f *= factor * k;
     }
+    c
 }
 
 /// The quick grid's static cell of `structure` at 4 processors.
@@ -163,4 +193,55 @@ fn p64_adaptive_and_push_counts_ignore_cost_pool_and_tracer() {
 #[test]
 fn p64_chaos_counts_ignore_cost_pool_and_tracer() {
     check(p64(), &[Variant::Chaos]);
+}
+
+/// The 4-processor cell whose list is remapped every third iteration
+/// (the quick grid's `uniform/remap3/p4`): CHAOS re-runs its inspector
+/// inside the timed region.
+fn remap_p4() -> SynthConfig {
+    SynthConfig::quick(Structure::Uniform, Dynamics::PeriodicRemap { period: 3 })
+}
+
+/// What a `CostModel` field may move: the parallel time and the timed
+/// and untimed inspector seconds.
+fn timing(prep: &Prepared, v: Variant) -> (SimTime, f64, f64) {
+    let (rep, _) = prep.run(v, SimTime::ZERO);
+    (rep.time, rep.inspector_s, rep.untimed_inspector_s)
+}
+
+#[test]
+fn every_cost_field_moves_a_time() {
+    // Searched in order, stopping at the first run a field moves. The
+    // static cell's variants reach every field today; the remap cell
+    // stands behind them for a cost billed only when CHAOS re-inspects
+    // inside the timed region. Cells are built when the search first
+    // reaches them.
+    let cells = [p4(Structure::Uniform), remap_p4()];
+    let runs: Vec<(usize, Variant)> = (0..cells.len())
+        .flat_map(|c| Variant::PARALLEL.map(|v| (c, v)))
+        .collect();
+    let mut defaults: [Option<Prepared>; 2] = Default::default();
+    let mut want = vec![None; runs.len()];
+    let names = fields(&mut CostModel::default()).map(|(name, ..)| name);
+    for (i, name) in names.into_iter().enumerate() {
+        let mut doubled: [Option<Prepared>; 2] = Default::default();
+        let moved = runs.iter().enumerate().any(|(r, &(c, v))| {
+            let base = *want[r].get_or_insert_with(|| {
+                let prep = defaults[c].get_or_insert_with(|| Prepared::new(cells[c].clone()));
+                timing(prep, v)
+            });
+            let prep = doubled[c].get_or_insert_with(|| {
+                let mut cfg = cells[c].clone();
+                *fields(&mut cfg.cost)[i].1 *= 2.0;
+                Prepared::new(cfg)
+            });
+            timing(prep, v) != base
+        });
+        assert!(
+            moved,
+            "doubling CostModel::{name} moved no time, inspector or untimed \
+             inspector second of {} under any parallel variant",
+            cells.map(|c| c.label()).join(", ")
+        );
+    }
 }

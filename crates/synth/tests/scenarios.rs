@@ -2,11 +2,11 @@
 //! and the protocol-shape claims, on representative grid cells (the
 //! full grid sweep lives in `bench`'s `table_synth`), plus the golden
 //! message/byte counts of the quick grid's six churn cells, the
-//! lossy-link contract on the first of them, and the `TmkOpt` counts and
-//! Validate scan time of its eighteen steady 4-processor cells.
+//! adaptive builds' policy reports on the first of them, and the
+//! `TmkOpt` counts and Validate scan time of its eighteen steady
+//! 4-processor cells.
 
 use apps::workload::{run_matrix, run_variants, Variant, Workload};
-use simnet::StallCat;
 use synth::{scenario_grid, Dynamics, Prepared, Structure, SynthConfig};
 
 /// Shrink a quick cell further so each test stays fast in debug builds.
@@ -445,70 +445,4 @@ fn first_churn_cell_policy_reports_are_pinned() {
             "{v:?}: policy report moved"
         );
     }
-}
-
-/// Deterministic loss-model seed/rate: ~5% per-message drops, heavy
-/// enough that every variant retries, light enough that the quick cell
-/// still finishes in milliseconds.
-const LOSS_SEED: u64 = 0x0C4A_0515;
-const LOSS_PER_MILLE: u32 = 50;
-
-#[test]
-fn lossy_links_perturb_cost_never_results_and_push_degrades_no_worse() {
-    // The first churn cell's adaptive and push variants re-run under
-    // deterministic message loss: (a) results stay bitwise-identical to
-    // the clean and sequential runs, (b) retries are billed and
-    // attributed to the `Retry` stall category with simulated time
-    // still conserved, (c) push degrades no worse than request/reply —
-    // each lost one-way push retries one message; a request/reply round
-    // trip has two legs to lose.
-    let cfg = churn_cells().swap_remove(0);
-    let mut lossy_cfg = cfg.clone();
-    lossy_cfg.cost.loss_seed = LOSS_SEED;
-    lossy_cfg.cost.loss_per_mille = LOSS_PER_MILLE;
-    let (scn, lossy_scn) = (Prepared::new(cfg), Prepared::new(lossy_cfg));
-    let (seq_report, seq_x) = scn.run(Variant::Seq, simnet::SimTime::ZERO);
-    let seq_time = seq_report.time;
-
-    // Extra messages the drops cost each variant: [adaptive, push].
-    let extra = [Variant::TmkAdaptive, Variant::TmkPush].map(|v| {
-        let (clean, clean_x) = scn.run(v, seq_time);
-        let (lossy, lossy_x) = lossy_scn.run(v, seq_time);
-        assert_eq!(
-            lossy_x, clean_x,
-            "{v:?}: dropped messages must perturb cost, never results"
-        );
-        assert_eq!(lossy_x, seq_x, "{v:?}: lossy run diverged from sequential");
-        assert!(
-            lossy.messages > clean.messages,
-            "{v:?}: {LOSS_PER_MILLE}‰ loss billed no retries ({} msgs clean and lossy)",
-            clean.messages
-        );
-
-        let net = lossy
-            .net
-            .as_ref()
-            .expect("synth kernels freeze a NetReport");
-        let mut retry_stall = 0u64;
-        for (rank, row) in net.stalls.iter().enumerate() {
-            assert_eq!(
-                row.total(),
-                row.clock,
-                "{v:?} p{rank}: stall categories must conserve the simulated clock"
-            );
-            retry_stall += row.get(StallCat::Retry);
-        }
-        assert!(
-            retry_stall > 0,
-            "{v:?}: loss run attributed no stall time to Retry"
-        );
-        lossy.messages - clean.messages
-    });
-    // (+18 and +16 messages at this seed and rate.)
-    let [adaptive_extra, push_extra] = extra;
-    assert!(
-        push_extra <= adaptive_extra,
-        "push must degrade no worse than request/reply under loss \
-         (push +{push_extra} vs adaptive +{adaptive_extra} msgs)"
-    );
 }

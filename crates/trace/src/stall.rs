@@ -43,7 +43,6 @@ mod tests {
             messages: 0,
             bytes: 0,
             per_kind: Vec::new(),
-            label: None,
             stalls: rows,
         }
     }
