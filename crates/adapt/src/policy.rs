@@ -162,9 +162,10 @@ impl AdaptConfig {
 /// The argument: a broken plan's prefetches *mask* the misses that
 /// would expose it, so the only honest death signal is a probe, and the
 /// probe cadence guarantees one within [`AdaptConfig::probe_every`]
-/// predictions, and the first clean probe demotes. Until then each stale promoted page wastes at
-/// most one prefetch exchange per epoch, and one wasted page-exchange
-/// costs at most 2 messages (a request/reply pull; a push costs 1).
+/// predictions, and the first clean probe demotes. Until then each
+/// stale promoted page wastes at most one prefetch exchange per epoch,
+/// and one wasted page-exchange costs at most 2 messages (a
+/// request/reply pull; a push costs 1).
 /// A run of `epochs` epochs cannot waste more epochs than it has, so
 /// each of the `pages` ever-promoted pages wastes at most
 /// `min(probe_every, epochs)` exchanges:
