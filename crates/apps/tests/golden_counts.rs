@@ -62,6 +62,12 @@
 //! `Read_indices` became a single walk over the section: a faster scan
 //! on the host must charge the simulation exactly the same entries.
 //!
+//! umesh additionally pins every variant's simulated `time`, its
+//! adaptive and push builds' `PolicyReport`s and its adaptive stall
+//! total, captured before umesh's own seq / Tmk / CHAOS runners were
+//! replaced by the owner-side relaxation kernel synth's cells run: the
+//! move must reproduce umesh to the nanosecond, not only its counts.
+//!
 //! If a *protocol* change legitimately shifts these numbers, update the
 //! table below in the same commit and say why in its message.
 
@@ -208,6 +214,36 @@ fn umesh_small_reproduces_pre_refactor_counts() {
     );
 }
 
+#[test]
+fn umesh_small_simulated_times_are_pinned() {
+    let m = run_matrix(&UmeshWorkload::new(UmeshConfig::small()));
+    for (v, ns) in [
+        (Variant::Seq, 208_365_536),
+        (Variant::TmkBase, 154_084_384),
+        (Variant::TmkOpt, 125_589_384),
+        (Variant::TmkAdaptive, 148_459_744),
+        (Variant::TmkPush, 148_603_744),
+        (Variant::Chaos, 118_816_832),
+    ] {
+        assert_eq!(m.get(v).report.time.as_ns(), ns, "{} {v:?}: simulated time moved", m.label);
+    }
+}
+
+#[test]
+fn umesh_small_adaptive_stall_total_is_pinned() {
+    assert_adaptive_stall_total(
+        &UmeshWorkload::new(UmeshConfig::small()),
+        593_838_976,
+        &[
+            (StallCat::Compute, 416_665_536),
+            (StallCat::FaultStall, 110_134_880),
+            (StallCat::BarrierWait, 39_116_480),
+            (StallCat::PrefetchPush, 13_822_080),
+            (StallCat::Handler, 14_100_000),
+        ],
+    );
+}
+
 /// One adaptive build's full [`PolicyReport`], flattened: the twelve
 /// whole-run totals in field order (`epochs`, `prefetch_rounds`,
 /// `prefetch_pages`, `push_rounds`, `push_pages`, `deferred_plans`,
@@ -249,13 +285,15 @@ fn flatten(r: &PolicyReport) -> ([u64; 12], Vec<[u64; 10]>) {
 }
 
 /// Every decision counter of the adaptive and push builds, per-phase
-/// rows included — captured from the build *before* `epoch_end` became
-/// a pure function and `dsm` the only writer of `PolicyStats`. No other
+/// rows included — moldyn's and nbf's captured from the build *before*
+/// `epoch_end` became a pure function and `dsm` the only writer of
+/// `PolicyStats`, umesh's before its runners moved onto the shared
+/// relaxation kernel. No other
 /// test compares a `PolicyReport` by equality; this table (with its
 /// churn-cell sibling in `synth/tests/scenarios.rs`, which adds
 /// demotions and probes) is what says the single record of the engine's
 /// decisions equals the four it replaced.
-const POLICY_GOLDEN: [(&str, [PolicyGolden; 2]); 2] = [
+const POLICY_GOLDEN: [(&str, [PolicyGolden; 2]); 3] = [
     (
         "moldyn",
         [
@@ -316,19 +354,45 @@ const POLICY_GOLDEN: [(&str, [PolicyGolden; 2]); 2] = [
             ),
         ],
     ),
+    (
+        "umesh",
+        [
+            (
+                Variant::TmkAdaptive,
+                [24, 8, 48, 0, 0, 0, 0, 0, 0, 24, 0, 0],
+                &[
+                    [0, 8, 0, 0, 0, 0, 0, 0, 0, 0],
+                    [1, 16, 8, 48, 0, 0, 0, 0, 0, 0],
+                ],
+            ),
+            (
+                Variant::TmkPush,
+                [24, 0, 0, 8, 48, 0, 0, 0, 12, 24, 0, 0],
+                &[
+                    [0, 8, 0, 0, 0, 0, 0, 0, 0, 0],
+                    [1, 16, 0, 0, 8, 48, 0, 0, 0, 12],
+                ],
+            ),
+        ],
+    ),
 ];
+
+fn assert_policy_golden(w: &dyn Workload, (app, rows): (&str, [PolicyGolden; 2])) {
+    let m = run_variants(w, &rows.map(|(v, ..)| v));
+    for (v, totals, per_phase) in rows {
+        let got = m.get(v).report.policy.as_ref();
+        let got = flatten(got.expect("adaptive builds carry a policy report"));
+        assert_eq!(got, (totals, per_phase.to_vec()), "{app} {v:?}: policy report moved");
+    }
+}
 
 #[test]
 fn moldyn_and_nbf_small_policy_reports_are_pinned() {
-    let moldyn = MoldynWorkload::new(MoldynConfig::small());
-    let nbf = NbfWorkload::new(NbfConfig::small());
-    let apps: [&dyn Workload; 2] = [&moldyn, &nbf];
-    for (w, (app, rows)) in apps.into_iter().zip(POLICY_GOLDEN) {
-        let m = run_variants(w, &rows.map(|(v, ..)| v));
-        for (v, totals, per_phase) in rows {
-            let got = m.get(v).report.policy.as_ref();
-            let got = flatten(got.expect("adaptive builds carry a policy report"));
-            assert_eq!(got, (totals, per_phase.to_vec()), "{app} {v:?}: policy report moved");
-        }
-    }
+    assert_policy_golden(&MoldynWorkload::new(MoldynConfig::small()), POLICY_GOLDEN[0]);
+    assert_policy_golden(&NbfWorkload::new(NbfConfig::small()), POLICY_GOLDEN[1]);
+}
+
+#[test]
+fn umesh_small_policy_reports_are_pinned() {
+    assert_policy_golden(&UmeshWorkload::new(UmeshConfig::small()), POLICY_GOLDEN[2]);
 }
