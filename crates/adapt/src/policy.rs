@@ -457,8 +457,7 @@ impl ProtocolPolicy for AdaptivePolicy {
             let idx = page as usize;
             // A page's first-ever invalidation consumes its cold mark
             // (a miss before any phase owned the page).
-            let cold_m =
-                self.last_inv[idx] == NO_PHASE && std::mem::take(&mut self.cold_miss[idx]);
+            let cold_m = self.last_inv[idx] == NO_PHASE && std::mem::take(&mut self.cold_miss[idx]);
             // From here on, misses on this page belong to this phase:
             // only this phase's prefetch could cover them.
             self.last_inv[idx] = phase;
@@ -609,7 +608,11 @@ mod tests {
         assert_eq!(p.page_mode(7), PageMode::Prefetch);
         assert_eq!(p.page_gap(7), Some(1));
         assert_eq!(p.page_period(7), Some(1));
-        assert_eq!(picks, vec![7], "promoted and prefetched for the next window");
+        assert_eq!(
+            picks,
+            vec![7],
+            "promoted and prefetched for the next window"
+        );
 
         // Steady state: keeps prefetching with no further misses (the
         // prefetch itself counts as the predicted need).

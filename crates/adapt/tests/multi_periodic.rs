@@ -128,5 +128,8 @@ fn interleaved_remap_shifts_keep_probe_economy() {
     }
     // 90 events, 30 needs; one misprediction per phase shift (6 shifts)
     // is the self-correction cost.
-    assert!(wasted <= 6, "wasted {wasted} prefetches across phase shifts");
+    assert!(
+        wasted <= 6,
+        "wasted {wasted} prefetches across phase shifts"
+    );
 }

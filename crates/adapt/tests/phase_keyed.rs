@@ -91,7 +91,11 @@ fn phase_keyed_streaks_build_and_quiesce_both_sites() {
     let (defers_a, defers_b, p) = run_alternating((A, B), 32);
     assert_eq!(p.page_mode_in(1, A), PageMode::Prefetch);
     assert_eq!(p.page_mode_in(2, B), PageMode::Prefetch);
-    assert_eq!(p.page_mode_in(1, B), PageMode::Demand, "no cross-phase bleed");
+    assert_eq!(
+        p.page_mode_in(1, B),
+        PageMode::Demand,
+        "no cross-phase bleed"
+    );
     assert_eq!(p.page_mode_in(2, A), PageMode::Demand);
     // quiesce_after = 2: picks at epochs k, k+1 confirm; k+2 defers.
     for (site, defers) in [("A", &defers_a), ("B", &defers_b)] {

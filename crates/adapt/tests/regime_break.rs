@@ -21,8 +21,8 @@
 
 use adapt::{probe_budget, AdaptConfig, AdaptivePolicy, PageMode, PolicyReport, ProtocolPolicy};
 use apps::workload::{run_matrix, Variant};
-use simnet::PolicyStats;
 use proptest::prelude::*;
+use simnet::PolicyStats;
 use synth::{Dynamics, Prepared, Structure, SynthConfig};
 
 /// One phase-0 epoch, driven the way `dsm::TmkProc::barrier_tagged`

@@ -43,8 +43,8 @@ pub mod harness;
 pub mod moldyn;
 pub mod nbf;
 pub mod phases;
-pub mod umesh;
 pub mod report;
+pub mod umesh;
 pub mod work;
 pub mod workload;
 

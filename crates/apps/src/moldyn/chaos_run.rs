@@ -58,15 +58,15 @@ pub fn run_chaos(
         let mut pos_snap = pos_new.clone();
 
         // --- untimed: initial list + inspector ---
-        let mut pairs =
-            build_interaction_list_for(&pos_snap, world.cutoff, world.box_l, my_range.start, my_range.end);
-        let t0 = cp.now();
-        let mut sched = inspector(
-            cp,
-            &tt,
-            &mut cache,
-            pairs.iter().flat_map(|&(i, j)| [i, j]),
+        let mut pairs = build_interaction_list_for(
+            &pos_snap,
+            world.cutoff,
+            world.box_l,
+            my_range.start,
+            my_range.end,
         );
+        let t0 = cp.now();
+        let mut sched = inspector(cp, &tt, &mut cache, pairs.iter().flat_map(|&(i, j)| [i, j]));
         let untimed_inspector_s = (cp.now() - t0).as_secs_f64();
         let mut locs: Vec<(chaos::Loc, chaos::Loc)> = resolve(&pairs, &tt, &sched, me);
 
@@ -155,7 +155,10 @@ pub fn run_chaos(
     }
 
     let checksum = final_x.iter().flatten().map(|v| v.abs()).sum();
-    (Capture::report(Variant::Chaos, ranks, None, seq_time, checksum), final_x)
+    (
+        Capture::report(Variant::Chaos, ranks, None, seq_time, checksum),
+        final_x,
+    )
 }
 
 /// Pre-resolve every pair's two molecule locations (owned / ghost).
@@ -217,7 +220,10 @@ fn gather3(cp: &mut chaos::ChaosProc, sched: &chaos::CommSchedule, data: &mut Gh
     let out = (0..cp.nprocs())
         .filter(|&q| !sched.send(q).is_empty())
         .map(|q| {
-            let vals = sched.send(q).iter().flat_map(|&o| &owned[3 * o as usize..][..3]);
+            let vals = sched
+                .send(q)
+                .iter()
+                .flat_map(|&o| &owned[3 * o as usize..][..3]);
             (q, vals.copied())
         });
     cp.exchange(MsgKind::Gather, out, |from, vals| {
@@ -239,7 +245,12 @@ fn scatter3(cp: &mut chaos::ChaosProc, sched: &chaos::CommSchedule, data: &mut G
         .filter(|&q| !sched.recv(q).is_empty())
         .map(|q| {
             let start = 3 * sched.ghost_starts[q] as usize;
-            (q, ghosts[start..start + 3 * sched.recv(q).len()].iter().copied())
+            (
+                q,
+                ghosts[start..start + 3 * sched.recv(q).len()]
+                    .iter()
+                    .copied(),
+            )
         });
     cp.exchange(MsgKind::Scatter, out, |from, mut vals| {
         for &o in sched.send(from) {

@@ -171,7 +171,13 @@ mod tests {
         let mut parts = Vec::new();
         for k in 0..4 {
             let lo = k * 128;
-            parts.extend(build_interaction_list_for(&w.pos, w.cutoff, w.box_l, lo, lo + 128));
+            parts.extend(build_interaction_list_for(
+                &w.pos,
+                w.cutoff,
+                w.box_l,
+                lo,
+                lo + 128,
+            ));
         }
         assert_eq!(whole, parts);
     }

@@ -80,12 +80,7 @@ mod tests {
         let cfg = MoldynConfig::small();
         let w = gen_positions(&cfg);
         let r = run_seq(&cfg, &w);
-        let moved = r
-            .x
-            .iter()
-            .zip(&w.pos)
-            .filter(|(a, b)| a != b)
-            .count();
+        let moved = r.x.iter().zip(&w.pos).filter(|(a, b)| a != b).count();
         assert!(
             moved > cfg.n / 2,
             "most molecules must move ({moved}/{})",

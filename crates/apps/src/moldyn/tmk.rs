@@ -133,8 +133,7 @@ pub fn run_tmk(
             // ---- (maybe) rebuild the interaction list ----
             if rebuilds.contains(&step) {
                 my_npairs = rebuild_list(
-                    p, &part, me, &x, &ilist, &npairs, cap_pp, world, &mut xbuf, variant, &mut v,
-                    n,
+                    p, &part, me, &x, &ilist, &npairs, cap_pp, world, &mut xbuf, variant, &mut v, n,
                 );
                 p.barrier_tagged(crate::phases::REBUILD);
             }
@@ -255,7 +254,10 @@ pub fn run_tmk(
     }
 
     let checksum = final_x.iter().flatten().map(|v| v.abs()).sum();
-    (Capture::report(variant, ranks, policy, seq_time, checksum), final_x)
+    (
+        Capture::report(variant, ranks, policy, seq_time, checksum),
+        final_x,
+    )
 }
 
 /// One processor's share of a list (re)build: read every position
@@ -296,7 +298,8 @@ fn rebuild_list(
     let pos: Vec<[f64; 3]> = (0..n)
         .map(|i| [xbuf[3 * i], xbuf[3 * i + 1], xbuf[3 * i + 2]])
         .collect();
-    let list = build_interaction_list_for(&pos, world.cutoff, world.box_l, my_mols.start, my_mols.end);
+    let list =
+        build_interaction_list_for(&pos, world.cutoff, world.box_l, my_mols.start, my_mols.end);
     // Charged at the 1997 naive O(N²/2) scan, divided evenly: production
     // triangular loops balance the rows (Newton's-third-law pairing), so
     // every processor performs ~N²/2P pair tests regardless of which
@@ -338,11 +341,7 @@ fn rebuild_list(
 
 #[inline]
 fn read3(p: &mut sdsm_core::TmkProc, x: &sdsm_core::SharedSlice<f64>, i: usize) -> [f64; 3] {
-    [
-        p.read(x, 3 * i),
-        p.read(x, 3 * i + 1),
-        p.read(x, 3 * i + 2),
-    ]
+    [p.read(x, 3 * i), p.read(x, 3 * i + 1), p.read(x, 3 * i + 2)]
 }
 
 /// Element view of the coordinate array (for DIRECT sections).

@@ -19,11 +19,7 @@ use crate::report::{RunReport, Variant};
 use crate::work;
 
 /// Run nbf under CHAOS. Returns the Table-2 row and final coordinates.
-pub fn run_chaos(
-    cfg: &NbfConfig,
-    world: &NbfWorld,
-    seq_time: SimTime,
-) -> (RunReport, Vec<f64>) {
+pub fn run_chaos(cfg: &NbfConfig, world: &NbfWorld, seq_time: SimTime) -> (RunReport, Vec<f64>) {
     let nprocs = cfg.nprocs;
     let n = cfg.n;
     let part = block_partition(n, nprocs);
@@ -106,5 +102,8 @@ pub fn run_chaos(
     let final_x = blocks.concat();
 
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (Capture::report(Variant::Chaos, ranks, None, seq_time, checksum), final_x)
+    (
+        Capture::report(Variant::Chaos, ranks, None, seq_time, checksum),
+        final_x,
+    )
 }

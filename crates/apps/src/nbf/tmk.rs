@@ -86,10 +86,7 @@ pub fn run_tmk(
         for i in my.clone() {
             p.write(&x, i, world.x0[i]);
         }
-        let (klo, khi) = (
-            world.last[my.start] as usize,
-            world.last[my.end] as usize,
-        );
+        let (klo, khi) = (world.last[my.start] as usize, world.last[my.end] as usize);
         for k in klo..khi {
             p.write(&partners, k, world.partners[k]);
         }
@@ -182,10 +179,7 @@ pub fn run_tmk(
                         &mut v,
                         &[Desc::Direct {
                             data: RegionRef::of(&forces),
-                            section: Rsd::new(vec![Dim::dense(
-                                cr.start as i64 + 1,
-                                cr.end as i64,
-                            )]),
+                            section: Rsd::new(vec![Dim::dense(cr.start as i64 + 1, cr.end as i64)]),
                             access,
                             sched: 100 + chunk as u32,
                         }],
@@ -237,5 +231,8 @@ pub fn run_tmk(
     let (policy, final_x) = Capture::extract(variant, &cl, &x);
 
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (Capture::report(variant, ranks, policy, seq_time, checksum), final_x)
+    (
+        Capture::report(variant, ranks, policy, seq_time, checksum),
+        final_x,
+    )
 }

@@ -172,7 +172,14 @@ mod tests {
         let labels: Vec<_> = Variant::ALL.iter().map(|v| v.label()).collect();
         assert_eq!(
             labels,
-            ["seq", "Tmk base", "Tmk optimized", "Tmk adaptive", "Tmk push", "CHAOS"]
+            [
+                "seq",
+                "Tmk base",
+                "Tmk optimized",
+                "Tmk adaptive",
+                "Tmk push",
+                "CHAOS"
+            ]
         );
         for v in Variant::ALL {
             assert_eq!(

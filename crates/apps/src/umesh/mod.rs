@@ -31,7 +31,9 @@ use rsd::{Dim, Rsd};
 use sdsm_core::{validate, AccessType, Cluster, Desc, DsmConfig, RegionRef, Validator};
 use simnet::{CostModel, SimTime};
 
-use chaos::{block_partition, gather, inspector, ChaosWorld, Ghosted, TTable, TTableCache, TTableKind};
+use chaos::{
+    block_partition, gather, inspector, ChaosWorld, Ghosted, TTable, TTableCache, TTableKind,
+};
 
 use crate::harness::{install_policy, Capture};
 use crate::report::{RunReport, Variant};
@@ -323,7 +325,10 @@ pub fn run_tmk(
 
     let (policy, final_x) = Capture::extract(variant, &cl, &x);
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (Capture::report(variant, ranks, policy, seq_time, checksum), final_x)
+    (
+        Capture::report(variant, ranks, policy, seq_time, checksum),
+        final_x,
+    )
 }
 
 /// umesh under CHAOS: inspector once (static mesh), gather endpoint
@@ -392,7 +397,10 @@ pub fn run_chaos(cfg: &UmeshConfig, mesh: &Mesh, seq_time: SimTime) -> (RunRepor
     let (ranks, blocks): (Vec<_>, Vec<_>) = out.into_iter().unzip();
     let final_x = blocks.concat();
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (Capture::report(Variant::Chaos, ranks, None, seq_time, checksum), final_x)
+    (
+        Capture::report(Variant::Chaos, ranks, None, seq_time, checksum),
+        final_x,
+    )
 }
 
 #[cfg(test)]

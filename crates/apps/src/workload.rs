@@ -263,7 +263,10 @@ impl UmeshWorkload {
 
 impl Workload for UmeshWorkload {
     fn label(&self) -> String {
-        format!("umesh {}x{} p{}", self.cfg.side, self.cfg.side, self.cfg.nprocs)
+        format!(
+            "umesh {}x{} p{}",
+            self.cfg.side, self.cfg.side, self.cfg.nprocs
+        )
     }
 
     fn check_mode(&self) -> CheckMode {
@@ -305,7 +308,12 @@ mod tests {
         let w = UmeshWorkload::new(UmeshConfig::small());
         let m = run_variants(&w, &Variant::TMK);
         for r in &m.runs {
-            assert_eq!(r.report.policy.is_some(), r.variant.is_adaptive(), "{:?}", r.variant);
+            assert_eq!(
+                r.report.policy.is_some(),
+                r.variant.is_adaptive(),
+                "{:?}",
+                r.variant
+            );
         }
         let pushes = |v| m.get(v).report.policy.as_ref().unwrap().push_rounds;
         assert_eq!(pushes(Variant::TmkAdaptive), 0);

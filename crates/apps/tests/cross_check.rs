@@ -110,7 +110,10 @@ fn moldyn_adaptive_agrees_bitwise_and_cuts_messages() {
 
 #[test]
 fn nbf_adaptive_agrees_bitwise_and_cuts_messages() {
-    let (base, ad) = (NBF.report(Variant::TmkBase), NBF.report(Variant::TmkAdaptive));
+    let (base, ad) = (
+        NBF.report(Variant::TmkBase),
+        NBF.report(Variant::TmkAdaptive),
+    );
     assert!(ad.messages < base.messages);
     assert!(ad.time < base.time);
     let pol = ad.policy.as_ref().expect("adaptive policy report");
@@ -171,8 +174,14 @@ fn moldyn_update_frequency_hurts_chaos_more() {
     };
     let rare = at_interval(5); // 1 rebuild over 6 steps
     let often = at_interval(2); // 2 rebuilds
-    let (c_rare, c_often) = (&rare.get(Variant::Chaos).report, &often.get(Variant::Chaos).report);
-    let (o_rare, o_often) = (&rare.get(Variant::TmkOpt).report, &often.get(Variant::TmkOpt).report);
+    let (c_rare, c_often) = (
+        &rare.get(Variant::Chaos).report,
+        &often.get(Variant::Chaos).report,
+    );
+    let (o_rare, o_often) = (
+        &rare.get(Variant::TmkOpt).report,
+        &often.get(Variant::TmkOpt).report,
+    );
 
     // CHAOS pays the inspector inside the loop; Validate pays a rescan.
     assert!(c_often.inspector_s > c_rare.inspector_s);
@@ -190,7 +199,10 @@ fn nbf_one_processor_matches_sequential_closely() {
     // identical to that of the sequential program."
     let mut cfg = NbfConfig::small();
     cfg.nprocs = 1;
-    let m = run_variants(&NbfWorkload::new(cfg), &[Variant::TmkOpt, Variant::TmkAdaptive]);
+    let m = run_variants(
+        &NbfWorkload::new(cfg),
+        &[Variant::TmkOpt, Variant::TmkAdaptive],
+    );
     let [seq, opt, ad] = [0, 1, 2].map(|i| &m.runs[i].report);
     assert_eq!(opt.messages, 0, "one processor never communicates");
     let ratio = opt.time.as_secs_f64() / seq.time.as_secs_f64();
@@ -207,7 +219,10 @@ fn nbf_one_processor_matches_sequential_closely() {
 
 #[test]
 fn validate_scan_time_is_reported() {
-    let (opt, chaos) = (MOLDYN.report(Variant::TmkOpt), MOLDYN.report(Variant::Chaos));
+    let (opt, chaos) = (
+        MOLDYN.report(Variant::TmkOpt),
+        MOLDYN.report(Variant::Chaos),
+    );
     assert!(opt.validate_scan_s > 0.0);
     assert!(chaos.untimed_inspector_s > 0.0);
     // The paper's asymmetry: inspector work dwarfs the Validate scan.

@@ -225,7 +225,12 @@ fn umesh_small_simulated_times_are_pinned() {
         (Variant::TmkPush, 148_603_744),
         (Variant::Chaos, 118_816_832),
     ] {
-        assert_eq!(m.get(v).report.time.as_ns(), ns, "{} {v:?}: simulated time moved", m.label);
+        assert_eq!(
+            m.get(v).report.time.as_ns(),
+            ns,
+            "{} {v:?}: simulated time moved",
+            m.label
+        );
     }
 }
 
@@ -382,13 +387,20 @@ fn assert_policy_golden(w: &dyn Workload, (app, rows): (&str, [PolicyGolden; 2])
     for (v, totals, per_phase) in rows {
         let got = m.get(v).report.policy.as_ref();
         let got = flatten(got.expect("adaptive builds carry a policy report"));
-        assert_eq!(got, (totals, per_phase.to_vec()), "{app} {v:?}: policy report moved");
+        assert_eq!(
+            got,
+            (totals, per_phase.to_vec()),
+            "{app} {v:?}: policy report moved"
+        );
     }
 }
 
 #[test]
 fn moldyn_and_nbf_small_policy_reports_are_pinned() {
-    assert_policy_golden(&MoldynWorkload::new(MoldynConfig::small()), POLICY_GOLDEN[0]);
+    assert_policy_golden(
+        &MoldynWorkload::new(MoldynConfig::small()),
+        POLICY_GOLDEN[0],
+    );
     assert_policy_golden(&NbfWorkload::new(NbfConfig::small()), POLICY_GOLDEN[1]);
 }
 

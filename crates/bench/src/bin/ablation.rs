@@ -61,7 +61,10 @@ fn update_freq(scale: Scale) {
     for interval in [40usize, 20, 10, 5, 3] {
         let w = MoldynWorkload::new(moldyn_cfg(scale, interval));
         let m = run_variants(&w, &[Variant::Chaos, Variant::TmkOpt]);
-        let (c, o) = (&m.get(Variant::Chaos).report, &m.get(Variant::TmkOpt).report);
+        let (c, o) = (
+            &m.get(Variant::Chaos).report,
+            &m.get(Variant::TmkOpt).report,
+        );
         println!(
             "{:<10} {:>10.1} {:>10.1} {:>12.2} {:>14.1}",
             interval,
@@ -109,7 +112,12 @@ fn ttable_study(scale: Scale) {
     for (label, kind) in [
         ("replicated", TTableKind::Replicated),
         ("distributed", TTableKind::Distributed),
-        ("paged(512)", TTableKind::Paged { entries_per_page: 512 }),
+        (
+            "paged(512)",
+            TTableKind::Paged {
+                entries_per_page: 512,
+            },
+        ),
     ] {
         let tt = TTable::new(kind, &part);
         let w = ChaosWorld::new(nprocs, Default::default());
@@ -163,9 +171,22 @@ fn opt_levels(scale: Scale) {
     println!("\n=== Ablation: optimization levels (moldyn) ===");
     let w = MoldynWorkload::new(moldyn_cfg(scale, 20));
     let m = run_variants(&w, &[Variant::TmkBase, Variant::TmkOpt]);
-    let (b, o) = (&m.get(Variant::TmkBase).report, &m.get(Variant::TmkOpt).report);
-    println!("base:      {:>8.1} s  {:>9} msgs  {:>7.1} MB", b.time.as_secs_f64(), b.messages, b.megabytes());
-    println!("optimized: {:>8.1} s  {:>9} msgs  {:>7.1} MB", o.time.as_secs_f64(), o.messages, o.megabytes());
+    let (b, o) = (
+        &m.get(Variant::TmkBase).report,
+        &m.get(Variant::TmkOpt).report,
+    );
+    println!(
+        "base:      {:>8.1} s  {:>9} msgs  {:>7.1} MB",
+        b.time.as_secs_f64(),
+        b.messages,
+        b.megabytes()
+    );
+    println!(
+        "optimized: {:>8.1} s  {:>9} msgs  {:>7.1} MB",
+        o.time.as_secs_f64(),
+        o.messages,
+        o.megabytes()
+    );
     println!(
         "improvement: {:.0}% time, {:.1}x fewer messages",
         100.0 * (1.0 - o.time.as_secs_f64() / b.time.as_secs_f64()),

@@ -19,14 +19,21 @@ fn main() {
     // One run is one OS thread (its processors are coroutines on the
     // caller), so the independent configurations run side by side
     // through the rayon shim and are printed afterwards, in order.
-    let sizes = [("64 x 1024", 65536usize), ("64 x 1000", 64000), ("32 x 1024", 32768)];
+    let sizes = [
+        ("64 x 1024", 65536usize),
+        ("64 x 1000", 64000),
+        ("32 x 1024", 32768),
+    ];
     let rows: Vec<_> = sizes
         .par_chunks(1)
         .map(|s| run_variants(&NbfWorkload::new(scale.nbf(s[0].1)), &Variant::PAPER))
         .collect();
     for ((label, _), m) in sizes.iter().zip(&rows) {
         m.print_titled(&format!("Problem size {label}"));
-        let (chaos, opt) = (&m.get(Variant::Chaos).report, &m.get(Variant::TmkOpt).report);
+        let (chaos, opt) = (
+            &m.get(Variant::Chaos).report,
+            &m.get(Variant::TmkOpt).report,
+        );
         println!(
             "  in-text: CHAOS inspector (untimed) {:.1}s/proc; \
              Tmk indirection scan {:.3}s/proc",

@@ -209,7 +209,11 @@ fn main() {
         // build per-site streaks and the final exchanges go untriggered
         // — a globally-keyed streak never fires here, because the
         // alternating barrier sites reset it every epoch.
-        let pol = g.report(adaptive).policy.as_ref().expect("adaptive policy report");
+        let pol = g
+            .report(adaptive)
+            .policy
+            .as_ref()
+            .expect("adaptive policy report");
         assert!(
             pol.deferred_plans > 0,
             "{}: phase-keyed streaks must defer steady plans",
@@ -237,9 +241,7 @@ fn main() {
 fn write_trace(path: &str) {
     let w = moldyn_workload(Scale::Quick);
     let tracer = Arc::new(Tracer::new(w.cfg.nprocs, 1 << 16));
-    let _ = with_trace_sink(tracer.clone(), || {
-        run_variants(&w, &[Variant::TmkAdaptive])
-    });
+    let _ = with_trace_sink(tracer.clone(), || run_variants(&w, &[Variant::TmkAdaptive]));
     let trace = tracer.capture();
     let json = chrome_trace_json(&trace);
     assert!(json_well_formed(&json), "trace JSON malformed");

@@ -131,7 +131,10 @@ fn main() {
         );
         assert!(json_well_formed(&report), "--json report malformed");
         let bucket_total: u64 = out.hist.nonzero_buckets().iter().map(|&(_, _, n)| n).sum();
-        assert_eq!(bucket_total, out.jobs_done, "histogram buckets must cover every job");
+        assert_eq!(
+            bucket_total, out.jobs_done,
+            "histogram buckets must cover every job"
+        );
         std::fs::write(path, report).expect("write --json report");
         println!("wrote {path}");
     }

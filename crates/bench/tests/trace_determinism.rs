@@ -54,12 +54,24 @@ fn traced_json(cfg: &SynthConfig) -> String {
 
 #[test]
 fn same_seed_twice_yields_byte_identical_trace() {
-    let cfg = cell(Structure::Uniform, Dynamics::PeriodicRemap { period: 3 }, 8, 42);
+    let cfg = cell(
+        Structure::Uniform,
+        Dynamics::PeriodicRemap { period: 3 },
+        8,
+        42,
+    );
     let a = traced_json(&cfg);
     let b = traced_json(&cfg);
     assert!(json_well_formed(&a), "trace JSON malformed");
-    assert!(a.len() > 1024, "trace suspiciously empty ({} bytes)", a.len());
-    assert_eq!(a, b, "same seed, two passes: trace JSON must be byte-identical");
+    assert!(
+        a.len() > 1024,
+        "trace suspiciously empty ({} bytes)",
+        a.len()
+    );
+    assert_eq!(
+        a, b,
+        "same seed, two passes: trace JSON must be byte-identical"
+    );
 }
 
 /// The conservation identity on deterministic pinned cells, including
@@ -69,14 +81,18 @@ fn same_seed_twice_yields_byte_identical_trace() {
 #[test]
 fn stall_categories_sum_to_final_clock_on_pinned_cells() {
     for &nprocs in &[4usize, 8, 64] {
-        let cfg = cell(Structure::Banded { width: 16 }, Dynamics::Alternating, nprocs, 7);
+        let cfg = cell(
+            Structure::Banded { width: 16 },
+            Dynamics::Alternating,
+            nprocs,
+            7,
+        );
         let m = run_matrix(&Prepared::new(cfg));
         let mut checked = 0;
         for run in &m.runs {
             let Some(net) = &run.report.net else { continue };
-            check_conservation(net).unwrap_or_else(|e| {
-                panic!("{} p{nprocs} {:?}: {e}", m.label, run.variant)
-            });
+            check_conservation(net)
+                .unwrap_or_else(|e| panic!("{} p{nprocs} {:?}: {e}", m.label, run.variant));
             for (p, row) in net.stalls.iter().enumerate() {
                 assert_eq!(
                     row.total(),
@@ -88,7 +104,10 @@ fn stall_categories_sum_to_final_clock_on_pinned_cells() {
             }
             checked += 1;
         }
-        assert!(checked >= 5, "only {checked} variants carried stall rows at p{nprocs}");
+        assert!(
+            checked >= 5,
+            "only {checked} variants carried stall rows at p{nprocs}"
+        );
     }
 }
 

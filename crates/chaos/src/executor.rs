@@ -64,7 +64,12 @@ pub fn gather(cp: &mut ChaosProc, sched: &CommSchedule, data: &mut Ghosted) {
     let cost = cp.net().cost().clone();
     let me = cp.rank();
     let _ex = cp.net().scope(me, StallCat::Exchange);
-    cp.net().trace(me, TraceEvent::SpanBegin { tag: SpanTag::Gather });
+    cp.net().trace(
+        me,
+        TraceEvent::SpanBegin {
+            tag: SpanTag::Gather,
+        },
+    );
     cp.compute(cost.pack(sched.traffic_elems() * 8));
     let (owned, ghosts) = (&data.owned, &mut data.ghosts);
     let out = (0..cp.nprocs())
@@ -80,7 +85,12 @@ pub fn gather(cp: &mut ChaosProc, sched: &CommSchedule, data: &mut Ghosted) {
         }
     });
     cp.compute(cost.pack(unpacked));
-    cp.net().trace(me, TraceEvent::SpanEnd { tag: SpanTag::Gather });
+    cp.net().trace(
+        me,
+        TraceEvent::SpanEnd {
+            tag: SpanTag::Gather,
+        },
+    );
 }
 
 /// Scatter-add: push accumulated ghost contributions back to the owners,
@@ -89,14 +99,22 @@ pub fn scatter_add(cp: &mut ChaosProc, sched: &CommSchedule, data: &mut Ghosted)
     let cost = cp.net().cost().clone();
     let me = cp.rank();
     let _ex = cp.net().scope(me, StallCat::Exchange);
-    cp.net().trace(me, TraceEvent::SpanBegin { tag: SpanTag::Scatter });
+    cp.net().trace(
+        me,
+        TraceEvent::SpanBegin {
+            tag: SpanTag::Scatter,
+        },
+    );
     cp.compute(cost.pack(sched.ghost_count() * 8));
     let (owned, ghosts) = (&mut data.owned, &data.ghosts);
     let out = (0..cp.nprocs())
         .filter(|&q| !sched.recv(q).is_empty())
         .map(|q| {
             let start = sched.ghost_starts[q] as usize;
-            (q, ghosts[start..start + sched.recv(q).len()].iter().copied())
+            (
+                q,
+                ghosts[start..start + sched.recv(q).len()].iter().copied(),
+            )
         });
     let mut unpacked = 0usize;
     cp.exchange(MsgKind::Scatter, out, |from, vals| {
@@ -109,7 +127,12 @@ pub fn scatter_add(cp: &mut ChaosProc, sched: &CommSchedule, data: &mut Ghosted)
         unpacked += list.len() * 8;
     });
     cp.compute(cost.pack(unpacked));
-    cp.net().trace(me, TraceEvent::SpanEnd { tag: SpanTag::Scatter });
+    cp.net().trace(
+        me,
+        TraceEvent::SpanEnd {
+            tag: SpanTag::Scatter,
+        },
+    );
 }
 
 #[cfg(test)]

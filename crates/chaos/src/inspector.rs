@@ -169,22 +169,45 @@ pub fn inspector(
     let nprocs = cp.nprocs();
     let cost = cp.net().cost().clone();
     let _ins = cp.net().scope(me, StallCat::Inspector);
-    cp.net().trace(me, TraceEvent::SpanBegin { tag: SpanTag::Inspect });
+    cp.net().trace(
+        me,
+        TraceEvent::SpanBegin {
+            tag: SpanTag::Inspect,
+        },
+    );
 
     // Duplicate elimination (see `dedup_first_seen`): one O(1) bitmap
     // test-and-set per access. The simulated cost is a function of the
     // access count alone.
-    cp.net().trace(me, TraceEvent::SpanBegin { tag: SpanTag::Dedup });
+    cp.net().trace(
+        me,
+        TraceEvent::SpanBegin {
+            tag: SpanTag::Dedup,
+        },
+    );
     let (total, distinct) = dedup_first_seen(accesses, ttable.len().div_ceil(64));
-    cp.net().trace(me, TraceEvent::SpanEnd { tag: SpanTag::Dedup });
+    cp.net().trace(
+        me,
+        TraceEvent::SpanEnd {
+            tag: SpanTag::Dedup,
+        },
+    );
     cp.compute(cost.inspector_hash(total));
 
     // Translate (collective for non-replicated tables).
-    cp.net()
-        .trace(me, TraceEvent::SpanBegin { tag: SpanTag::Translate });
+    cp.net().trace(
+        me,
+        TraceEvent::SpanBegin {
+            tag: SpanTag::Translate,
+        },
+    );
     let translated = ttable.lookup_batch(cp, &distinct, cache);
-    cp.net()
-        .trace(me, TraceEvent::SpanEnd { tag: SpanTag::Translate });
+    cp.net().trace(
+        me,
+        TraceEvent::SpanEnd {
+            tag: SpanTag::Translate,
+        },
+    );
 
     // Receive lists in CSR form: the remote (owner, offset) pairs,
     // sorted, are already the per-owner segments (ascending offsets
@@ -209,11 +232,21 @@ pub fn inspector(
     // Schedule exchange: tell each owner what we need; what we receive
     // back (as requests from others) becomes our send lists.
     let wants = (0..nprocs)
-        .map(|q| (q, &recv_idx[ghost_starts[q] as usize..ghost_starts[q + 1] as usize]))
+        .map(|q| {
+            (
+                q,
+                &recv_idx[ghost_starts[q] as usize..ghost_starts[q + 1] as usize],
+            )
+        })
         .filter(|(_, w)| !w.is_empty());
     let (send_starts, send_idx) = exchange_wants(cp, wants);
 
-    cp.net().trace(me, TraceEvent::SpanEnd { tag: SpanTag::Inspect });
+    cp.net().trace(
+        me,
+        TraceEvent::SpanEnd {
+            tag: SpanTag::Inspect,
+        },
+    );
     CommSchedule {
         recv_idx,
         send_starts,
@@ -238,16 +271,24 @@ pub fn reinspect(
     accesses: impl Iterator<Item = u32>,
 ) -> CommSchedule {
     let me = cp.rank();
-    cp.net()
-        .trace(me, TraceEvent::SpanBegin { tag: SpanTag::Reinspect });
+    cp.net().trace(
+        me,
+        TraceEvent::SpanBegin {
+            tag: SpanTag::Reinspect,
+        },
+    );
     if me == 0 {
         cp.net().add_reinspection();
     }
     // Translations cached against the old partition are wrong now.
     *cache = TTableCache::new();
     let sched = inspector(cp, ttable, cache, accesses);
-    cp.net()
-        .trace(me, TraceEvent::SpanEnd { tag: SpanTag::Reinspect });
+    cp.net().trace(
+        me,
+        TraceEvent::SpanEnd {
+            tag: SpanTag::Reinspect,
+        },
+    );
     sched
 }
 
@@ -331,7 +372,11 @@ mod tests {
             .chain((0..4096).rev())
             .collect();
         let mut seen = std::collections::HashSet::new();
-        let oracle: Vec<u32> = accesses.iter().copied().filter(|&e| seen.insert(e)).collect();
+        let oracle: Vec<u32> = accesses
+            .iter()
+            .copied()
+            .filter(|&e| seen.insert(e))
+            .collect();
         let (total, distinct) = dedup_first_seen(accesses.iter().copied(), 64);
         assert_eq!(total, accesses.len(), "every access counted, dups included");
         assert_eq!(distinct, oracle, "first-seen order");

@@ -126,7 +126,13 @@ pub fn rcb_partition(pos: &[[f64; 3]], nprocs: usize) -> Partition {
     Partition::from_owners(owner, nprocs)
 }
 
-fn rcb_rec(pos: &[[f64; 3]], idx: &mut [u32], first_proc: usize, nprocs: usize, owner: &mut [usize]) {
+fn rcb_rec(
+    pos: &[[f64; 3]],
+    idx: &mut [u32],
+    first_proc: usize,
+    nprocs: usize,
+    owner: &mut [usize],
+) {
     if nprocs == 1 {
         for &e in idx.iter() {
             owner[e as usize] = first_proc;
@@ -270,7 +276,11 @@ mod tests {
         let pos: Vec<[f64; 3]> = (0..500)
             .map(|i| {
                 let f = i as f64;
-                [f.sin() * 10.0, (f * 0.7).cos() * 10.0, (f * 1.3).sin() * 10.0]
+                [
+                    f.sin() * 10.0,
+                    (f * 0.7).cos() * 10.0,
+                    (f * 1.3).sin() * 10.0,
+                ]
             })
             .collect();
         assert_eq!(rcb_partition(&pos, 8), rcb_partition(&pos, 8));

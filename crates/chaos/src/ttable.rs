@@ -60,7 +60,9 @@ fn by_storer(
 fn reply_words(
     asked: &[(ProcId, usize)],
 ) -> impl Iterator<Item = (ProcId, impl Iterator<Item = u64>)> + '_ {
-    asked.iter().map(|&(q, n)| (q, std::iter::repeat_n(0u64, n)))
+    asked
+        .iter()
+        .map(|&(q, n)| (q, std::iter::repeat_n(0u64, n)))
 }
 
 /// The translation table.
@@ -275,7 +277,11 @@ mod tests {
         let w = ChaosWorld::new(2, CostModel::default());
         w.run(|cp| {
             let mut cache = TTableCache::new();
-            let ids: Vec<u32> = if cp.rank() == 0 { vec![40, 41, 42] } else { vec![1] };
+            let ids: Vec<u32> = if cp.rank() == 0 {
+                vec![40, 41, 42]
+            } else {
+                vec![1]
+            };
             t.lookup_batch(cp, &ids, &mut cache);
             if cp.rank() == 0 {
                 assert_eq!(cache.cached_pages(), 1, "one page covers 40-42");

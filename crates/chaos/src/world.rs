@@ -201,7 +201,9 @@ impl<'w> ChaosProc<'w> {
             let inbox = &mut *world.inboxes[me].borrow_mut();
             // A sender's deposits ascend in the arena, so this is sender
             // order, then deposit order.
-            inbox.index.sort_unstable_by_key(|d| (d.from, d.range.start));
+            inbox
+                .index
+                .sort_unstable_by_key(|d| (d.from, d.range.start));
             for d in &inbox.index {
                 net.await_until(me, d.arrival);
                 // Receive-side handler/unpack overhead.
@@ -216,7 +218,10 @@ impl<'w> ChaosProc<'w> {
                     },
                 );
                 let load: fn(&[u8]) -> T = T::load;
-                recv(d.from, inbox.bytes[d.range.clone()].chunks_exact(T::SIZE).map(load));
+                recv(
+                    d.from,
+                    inbox.bytes[d.range.clone()].chunks_exact(T::SIZE).map(load),
+                );
             }
             inbox.bytes.clear();
             inbox.index.clear();
@@ -229,7 +234,8 @@ impl<'w> ChaosProc<'w> {
     /// bill a barrier that carries no data ([`Net::bill_barrier`]).
     pub fn sync(&mut self) {
         let net = self.net();
-        net.rendezvous().wait_then(|| net.bill_barrier(MsgKind::Other, 8, |_| 0));
+        net.rendezvous()
+            .wait_then(|| net.bill_barrier(MsgKind::Other, 8, |_| 0));
     }
 
     /// Collectively zero clocks and counters (untimed-initialization
@@ -277,12 +283,16 @@ mod tests {
         w.run(|cp| {
             let (mut f, mut u) = (Vec::new(), Vec::new());
             let to_1 = (cp.rank() == 0).then_some(1);
-            cp.exchange(MsgKind::Gather, to_1.map(|q| (q, [1.5, -2.25])), |from, vals| {
-                f.push((from, vals.collect::<Vec<f64>>()))
-            });
-            cp.exchange(MsgKind::Schedule, to_1.map(|q| (q, [7u32, 8, 9])), |from, vals| {
-                u.push((from, vals.collect::<Vec<u32>>()))
-            });
+            cp.exchange(
+                MsgKind::Gather,
+                to_1.map(|q| (q, [1.5, -2.25])),
+                |from, vals| f.push((from, vals.collect::<Vec<f64>>())),
+            );
+            cp.exchange(
+                MsgKind::Schedule,
+                to_1.map(|q| (q, [7u32, 8, 9])),
+                |from, vals| u.push((from, vals.collect::<Vec<u32>>())),
+            );
             if cp.rank() == 1 {
                 assert_eq!(f, vec![(0, vec![1.5, -2.25])]);
                 assert_eq!(u, vec![(0, vec![7, 8, 9])]);
@@ -397,8 +407,10 @@ mod tests {
     /// An exchange addressed to the sender itself or past the last rank
     /// names the sender, the target and nprocs.
     #[test]
-    #[should_panic(expected = "chaos exchange from rank 2 to rank 2: the target must be another \
-                               rank below nprocs = 4")]
+    #[should_panic(
+        expected = "chaos exchange from rank 2 to rank 2: the target must be another \
+                               rank below nprocs = 4"
+    )]
     fn an_exchange_to_itself_panics_naming_the_ranks() {
         ChaosWorld::new(4, CostModel::default()).run(|cp| {
             let me = cp.rank();
@@ -408,8 +420,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "chaos exchange from rank 0 to rank 4: the target must be another \
-                               rank below nprocs = 4")]
+    #[should_panic(
+        expected = "chaos exchange from rank 0 to rank 4: the target must be another \
+                               rank below nprocs = 4"
+    )]
     fn an_exchange_past_the_last_rank_panics_naming_the_ranks() {
         ChaosWorld::new(4, CostModel::default()).run(|cp| {
             let to = cp.rank() + 4;

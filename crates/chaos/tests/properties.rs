@@ -126,7 +126,11 @@ impl TraceSink for ReinspectSpans {
 
 /// Gather every processor's refs against `part` on a fresh world and
 /// return the values read, in ref order per processor.
-fn fresh_gather(refs: &[Vec<u32>], part: &Partition, value: impl Fn(usize) -> f64 + Sync) -> Vec<Vec<f64>> {
+fn fresh_gather(
+    refs: &[Vec<u32>],
+    part: &Partition,
+    value: impl Fn(usize) -> f64 + Sync,
+) -> Vec<Vec<f64>> {
     let nprocs = part.counts.len();
     let tt = TTable::new(TTableKind::Replicated, part);
     let w = ChaosWorld::new(nprocs, CostModel::default());
@@ -178,7 +182,9 @@ fn rebalance_matches_fresh_inspection_and_bills_reinspect_once() {
     // The re-cut: every interior boundary shifted forward half a block.
     let shift = n / nprocs / 2;
     let part_b = Partition::from_owners(
-        (0..n).map(|e| (e.saturating_sub(shift) * nprocs / n).min(nprocs - 1)).collect(),
+        (0..n)
+            .map(|e| (e.saturating_sub(shift) * nprocs / n).min(nprocs - 1))
+            .collect(),
         nprocs,
     );
     assert_ne!(part_a.owner, part_b.owner, "the re-cut must move elements");
@@ -248,7 +254,10 @@ fn rebalance_matches_fresh_inspection_and_bills_reinspect_once() {
 
     // (1) bitwise equal to a run fresh-inspected on B from the start.
     let fresh = fresh_gather(&refs, &part_b, value);
-    assert_eq!(rebalanced, fresh, "rebalanced reads must match fresh-inspected reads bitwise");
+    assert_eq!(
+        rebalanced, fresh,
+        "rebalanced reads must match fresh-inspected reads bitwise"
+    );
 }
 
 /// Gather/scatter round-trip under arbitrary cross-references: the sum
@@ -426,7 +435,11 @@ fn exchange_matches_a_naive_model() {
             assert_eq!(rep.messages_per_kind(MsgKind::Schedule), um);
             assert_eq!(rep.bytes_per_kind(MsgKind::Schedule), 4 * uv);
             assert_eq!((rep.messages, rep.bytes), (fm + um, 8 * fv + 4 * uv));
-            assert_eq!(w.net().rendezvous().generation(), 4, "two crossings per exchange");
+            assert_eq!(
+                w.net().rendezvous().generation(),
+                4,
+                "two crossings per exchange"
+            );
         });
     }
 }

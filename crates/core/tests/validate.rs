@@ -312,7 +312,10 @@ fn incremental_recompute_rescans_only_dirty_pages() {
         let full1 = v_full.schedule(1).unwrap();
         let inc1 = v_inc.schedule(2).unwrap();
         assert_eq!(full1.pages, inc1.pages, "identical page sets either way");
-        assert_eq!(inc1.partial_scans, 256, "one ind page = 256 entries rescanned");
+        assert_eq!(
+            inc1.partial_scans, 256,
+            "one ind page = 256 entries rescanned"
+        );
         assert_eq!(full1.partial_scans, 0);
         // The incremental rescan is ~4x cheaper (256 vs 1024 entries).
         assert!(
@@ -345,8 +348,16 @@ fn incremental_and_full_agree_under_repeated_mutation() {
                 }
             }
             p.barrier();
-            validate(p, &mut v_full, &[indirect_desc(&data, &ind, 512, AccessType::Read, 1)]);
-            validate(p, &mut v_inc, &[indirect_desc(&data, &ind, 512, AccessType::Read, 2)]);
+            validate(
+                p,
+                &mut v_full,
+                &[indirect_desc(&data, &ind, 512, AccessType::Read, 1)],
+            );
+            validate(
+                p,
+                &mut v_inc,
+                &[indirect_desc(&data, &ind, 512, AccessType::Read, 2)],
+            );
             assert_eq!(
                 v_full.schedule(1).unwrap().pages,
                 v_inc.schedule(2).unwrap().pages,

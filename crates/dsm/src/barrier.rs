@@ -133,8 +133,8 @@ impl TmkProc<'_> {
         if !self.inner.deferred.is_empty() {
             let plans = std::mem::take(&mut self.inner.deferred);
             for mut plan in plans {
-                let stale = epoch.saturating_sub(plan.armed_at)
-                    >= crate::proc::DeferredPlan::STALE_EPOCHS;
+                let stale =
+                    epoch.saturating_sub(plan.armed_at) >= crate::proc::DeferredPlan::STALE_EPOCHS;
                 if plan.phase == phase || stale {
                     self.quiesce(plan.phase, &plan.pages);
                     continue;
@@ -217,7 +217,9 @@ impl TmkProc<'_> {
                     armed_at: epoch,
                 });
             } else if dec.push {
-                cl.net().policy().record_push(self.me, dec.phase, todo.len());
+                cl.net()
+                    .policy()
+                    .record_push(self.me, dec.phase, todo.len());
                 self.fetch_pages_push(&todo, dec.phase);
             } else {
                 cl.net()

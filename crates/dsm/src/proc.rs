@@ -402,7 +402,9 @@ impl<'c> TmkProc<'c> {
                 self.inner.counters.twins_made += 1;
                 self.inner.dirty.push(page);
                 self.cl.net().advance(self.me, cost.twin(page_size));
-                self.cl.net().trace(self.me, TraceEvent::TwinCreate { page });
+                self.cl
+                    .net()
+                    .trace(self.me, TraceEvent::TwinCreate { page });
             }
             f.state = PageState::Write;
         }
@@ -432,7 +434,9 @@ impl<'c> TmkProc<'c> {
                 self.inner.counters.twins_made += 1;
                 self.inner.dirty.push(page);
                 self.cl.net().advance(self.me, cost.twin(page_size));
-                self.cl.net().trace(self.me, TraceEvent::TwinCreate { page });
+                self.cl
+                    .net()
+                    .trace(self.me, TraceEvent::TwinCreate { page });
                 f.state = PageState::Write;
             }
         }

@@ -44,9 +44,7 @@ impl ClusterPool {
         let mut free = self.free.borrow_mut();
         if let Some(i) = free.iter().position(|c| {
             let have = c.config();
-            have.nprocs == cfg.nprocs
-                && have.page_size == cfg.page_size
-                && have.cost == cfg.cost
+            have.nprocs == cfg.nprocs && have.page_size == cfg.page_size && have.cost == cfg.cost
         }) {
             return free.swap_remove(i);
         }

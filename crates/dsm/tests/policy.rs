@@ -154,7 +154,12 @@ fn policy_hooks_observe_misses_and_epochs() {
         let dbg = format!("{:?}", p.policy());
         let grab = |k: &str| -> usize {
             let at = dbg.find(k).unwrap() + k.len() + 2;
-            dbg[at..].chars().take_while(|c| c.is_ascii_digit()).collect::<String>().parse().unwrap()
+            dbg[at..]
+                .chars()
+                .take_while(|c| c.is_ascii_digit())
+                .collect::<String>()
+                .parse()
+                .unwrap()
         };
         (grab("misses"), grab("epochs"))
     });

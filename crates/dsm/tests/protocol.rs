@@ -60,7 +60,10 @@ fn invalidation_only_at_acquire() {
             p.barrier();
             // After the barrier (acquire) the page is invalid; a read
             // faults and fetches the diff.
-            assert_eq!(p.page_state(s.pages(p.page_size()).start), PageState::Invalid);
+            assert_eq!(
+                p.page_state(s.pages(p.page_size()).start),
+                PageState::Invalid
+            );
             let v1 = p.read(&s, 0);
             assert_eq!(v0, 0.0, "no consistency action before the acquire");
             assert_eq!(v1, 9.0, "diff fetched after the acquire");
@@ -115,7 +118,11 @@ fn garbage_collection_folds_and_master_serves_stale_readers() {
         p.barrier();
     });
     // The fold horizon lags one barrier, so retention stays bounded.
-    assert!(cl.retained_records() <= 4, "records leak: {}", cl.retained_records());
+    assert!(
+        cl.retained_records() <= 4,
+        "records leak: {}",
+        cl.retained_records()
+    );
 }
 
 #[test]

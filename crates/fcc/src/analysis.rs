@@ -133,7 +133,9 @@ impl Analyzer<'_> {
 
     fn stmt(&mut self, s: &Stmt) {
         match s {
-            Stmt::Do { var, lo, hi, body, .. } => {
+            Stmt::Do {
+                var, lo, hi, body, ..
+            } => {
                 // Substitute enclosing loop extremes into the bounds so
                 // deeper levels can evaluate their ranges (standard
                 // monotone-bounds assumption of section analysis).
@@ -352,7 +354,11 @@ impl Analyzer<'_> {
         let stride = innermost_coeff(sub, &self.loops).unwrap_or(1).abs().max(1);
         // A subscript *decreasing* in the loop variable swaps bounds.
         if innermost_coeff(sub, &self.loops).unwrap_or(1) < 0 {
-            SymDim { lo: hi, hi: lo, stride }
+            SymDim {
+                lo: hi,
+                hi: lo,
+                stride,
+            }
         } else {
             SymDim { lo, hi, stride }
         }
@@ -382,9 +388,10 @@ pub(crate) fn subst(e: &Expr, var: &str, repl: &Expr) -> Expr {
     match e {
         Expr::Var(v) if v == var => repl.clone(),
         Expr::Var(_) | Expr::Int(_) | Expr::Real(_) => e.clone(),
-        Expr::ArrayRef(a, subs) => {
-            Expr::ArrayRef(a.clone(), subs.iter().map(|s| subst(s, var, repl)).collect())
-        }
+        Expr::ArrayRef(a, subs) => Expr::ArrayRef(
+            a.clone(),
+            subs.iter().map(|s| subst(s, var, repl)).collect(),
+        ),
         Expr::Intrinsic(f, args) => Expr::Intrinsic(
             f.clone(),
             args.iter().map(|s| subst(s, var, repl)).collect(),
@@ -498,7 +505,11 @@ fn min_affine(a: &Affine, b: &Affine) -> Option<Affine> {
         _ => {
             // Same symbolic part, different constants: comparable.
             if a.terms == b.terms {
-                Some(if a.constant <= b.constant { a.clone() } else { b.clone() })
+                Some(if a.constant <= b.constant {
+                    a.clone()
+                } else {
+                    b.clone()
+                })
             } else {
                 None
             }
@@ -514,7 +525,11 @@ fn max_affine(a: &Affine, b: &Affine) -> Option<Affine> {
         (true, true) => Some(Affine::constant(a.constant.max(b.constant))),
         _ => {
             if a.terms == b.terms {
-                Some(if a.constant >= b.constant { a.clone() } else { b.clone() })
+                Some(if a.constant >= b.constant {
+                    a.clone()
+                } else {
+                    b.clone()
+                })
             } else {
                 None
             }
@@ -577,7 +592,9 @@ mod tests {
             .find(|s| s.array == "x" && matches!(s.kind, AccessKind::Indirect { .. }))
             .unwrap();
         match &x.kind {
-            AccessKind::Indirect { ind, ind_section, .. } => {
+            AccessKind::Indirect {
+                ind, ind_section, ..
+            } => {
                 assert_eq!(ind, "partners");
                 // k runs from last(0)+1 to last(num_molecules): opaque
                 // symbols carry the array-valued bounds.
@@ -598,7 +615,8 @@ mod tests {
 
     #[test]
     fn direct_strided_section() {
-        let src = "PROGRAM t\n!$SHARED a\nDIMENSION a(n)\nDO i = 1, n, 1\na(2*i) = 0.0\nENDDO\nEND\n";
+        let src =
+            "PROGRAM t\n!$SHARED a\nDIMENSION a(n)\nDO i = 1, n, 1\na(2*i) = 0.0\nENDDO\nEND\n";
         let a = analyze(src, "t");
         let s = &a.accesses[0];
         assert_eq!(s.acc, Acc::Write);
@@ -616,7 +634,10 @@ mod tests {
             "PROGRAM t\n!$SHARED a\nDIMENSION a(n)\nDO i = 1, n\nb = a(i)\na(i) = b + 1\nENDDO\nEND\n";
         let a = analyze(src, "t");
         assert_eq!(a.accesses[0].acc, Acc::ReadWrite);
-        assert!(a.reductions.is_empty(), "regular self-update is not an irregular reduction");
+        assert!(
+            a.reductions.is_empty(),
+            "regular self-update is not an irregular reduction"
+        );
     }
 
     #[test]

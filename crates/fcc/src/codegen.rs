@@ -19,7 +19,11 @@ pub fn emit_program(p: &Program) -> String {
 
 /// Emit one unit.
 pub fn emit_unit(u: &Unit, out: &mut String) {
-    let kw = if u.is_program { "PROGRAM" } else { "SUBROUTINE" };
+    let kw = if u.is_program {
+        "PROGRAM"
+    } else {
+        "SUBROUTINE"
+    };
     let name = pretty_name(&u.name);
     if u.is_program {
         out.push_str(&format!("{kw} {}\n", name.to_uppercase()));

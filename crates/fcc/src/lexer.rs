@@ -141,7 +141,9 @@ pub fn lex(src: &str) -> Result<Vec<Tok>, String> {
                         (".ge.", Tok::Ge),
                     ]
                     .into_iter()
-                    .find(|(s, _)| rest.len() >= s.len() && rest[..s.len()].eq_ignore_ascii_case(s));
+                    .find(|(s, _)| {
+                        rest.len() >= s.len() && rest[..s.len()].eq_ignore_ascii_case(s)
+                    });
                     if let Some((s, t)) = rel {
                         toks.push(t);
                         for _ in 0..s.len() {
@@ -176,7 +178,11 @@ pub fn lex(src: &str) -> Result<Vec<Tok>, String> {
                     }
                 }
                 other => {
-                    return Err(format!("line {}: unexpected character '{}'", lno + 1, other));
+                    return Err(format!(
+                        "line {}: unexpected character '{}'",
+                        lno + 1,
+                        other
+                    ));
                 }
             }
         }
@@ -281,11 +287,7 @@ mod tests {
         let t = lex("!$SHARED x, forces, interaction_list").unwrap();
         assert_eq!(
             t[0],
-            Tok::SharedDirective(vec![
-                "x".into(),
-                "forces".into(),
-                "interaction_list".into()
-            ])
+            Tok::SharedDirective(vec!["x".into(), "forces".into(), "interaction_list".into()])
         );
     }
 
@@ -294,7 +296,12 @@ mod tests {
         let t = lex("! a comment\nC classic comment\n  x = 1 ! trailing\n").unwrap();
         assert_eq!(
             t,
-            vec![Tok::Ident("x".into()), Tok::Assign, Tok::Int(1), Tok::Newline]
+            vec![
+                Tok::Ident("x".into()),
+                Tok::Assign,
+                Tok::Int(1),
+                Tok::Newline
+            ]
         );
     }
 

@@ -151,7 +151,10 @@ impl Parser {
         }
     }
 
-    fn statement(&mut self, dims: &mut BTreeMap<String, Vec<Expr>>) -> Result<Option<Stmt>, String> {
+    fn statement(
+        &mut self,
+        dims: &mut BTreeMap<String, Vec<Expr>>,
+    ) -> Result<Option<Stmt>, String> {
         if self.at_keyword("dimension") {
             self.ident()?;
             loop {
@@ -398,7 +401,9 @@ mod tests {
         let src = "PROGRAM t\nIF (mod(step, 20) .eq. 0) THEN\ncall foo()\nENDIF\nEND\n";
         let p = parse(src).unwrap();
         match &p.units[0].body[0] {
-            Stmt::If { cond, then_body, .. } => {
+            Stmt::If {
+                cond, then_body, ..
+            } => {
                 assert!(matches!(cond, Expr::Bin(BinOp::Eq, _, _)));
                 assert_eq!(then_body.len(), 1);
             }

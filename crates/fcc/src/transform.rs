@@ -293,8 +293,12 @@ mod tests {
     fn reduction_statements_renamed() {
         let p = parse(crate::fixtures::MOLDYN_SOURCE).unwrap();
         let r = transform(&p);
-        assert!(r.source.contains("local_forces(n1) = local_forces(n1) + force"));
-        assert!(r.source.contains("local_forces(n2) = local_forces(n2) - force"));
+        assert!(r
+            .source
+            .contains("local_forces(n1) = local_forces(n1) + force"));
+        assert!(r
+            .source
+            .contains("local_forces(n2) = local_forces(n2) - force"));
         // the reads of x are untouched
         assert!(r.source.contains("force = x(n1) - x(n2)"));
     }

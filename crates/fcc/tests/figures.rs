@@ -61,7 +61,9 @@ fn nbf_transformation_handles_nested_loops() {
         "{}",
         r.source
     );
-    assert!(r.source.contains("local_forces(n2) = local_forces(n2) - force"));
+    assert!(r
+        .source
+        .contains("local_forces(n2) = local_forces(n2) - force"));
     // The site list carries the same information machine-readably.
     let site = r
         .sites

@@ -69,7 +69,8 @@ fn non_reduction_indirect_write_gets_descriptor() {
 
 #[test]
 fn do_with_explicit_step() {
-    let src = "PROGRAM t\n!$SHARED a\n  DIMENSION a(n)\n  DO i = 1, n, 2\n    a(i) = 0.0\n  ENDDO\nEND\n";
+    let src =
+        "PROGRAM t\n!$SHARED a\n  DIMENSION a(n)\n  DO i = 1, n, 2\n    a(i) = 0.0\n  ENDDO\nEND\n";
     let p = parse(src).unwrap();
     match &p.units[0].body[0] {
         Stmt::Do { step, .. } => assert!(step.is_some()),

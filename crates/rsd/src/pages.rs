@@ -152,7 +152,8 @@ impl PageSet {
         for (w, &word) in bits.iter().enumerate() {
             let mut word = word;
             while word != 0 {
-                self.pages.push(min + (w as u32) * 64 + word.trailing_zeros());
+                self.pages
+                    .push(min + (w as u32) * 64 + word.trailing_zeros());
                 word &= word - 1;
             }
         }

@@ -174,7 +174,11 @@ impl SymDim {
     }
 
     pub fn eval(&self, env: &Env) -> Option<Dim> {
-        Some(Dim::new(self.lo.eval(env)?, self.hi.eval(env)?, self.stride))
+        Some(Dim::new(
+            self.lo.eval(env)?,
+            self.hi.eval(env)?,
+            self.stride,
+        ))
     }
 }
 

@@ -5,8 +5,7 @@ use proptest::prelude::*;
 use rsd::{pages_of_bytes, pages_of_section, Affine, Dim, Env, PageSet, Rsd, SymDim, SymRsd};
 
 fn dim_strategy() -> impl Strategy<Value = Dim> {
-    (-100i64..100, 0i64..200, 1i64..12)
-        .prop_map(|(lo, len, stride)| Dim::new(lo, lo + len, stride))
+    (-100i64..100, 0i64..200, 1i64..12).prop_map(|(lo, len, stride)| Dim::new(lo, lo + len, stride))
 }
 
 proptest! {

@@ -51,12 +51,7 @@ impl<T> JobPool<T> {
     /// Jobs currently queued anywhere (racy snapshot; exact once all
     /// workers have stopped).
     pub fn queued(&self) -> usize {
-        lock(&self.injector).len()
-            + self
-                .locals
-                .iter()
-                .map(|l| lock(l).len())
-                .sum::<usize>()
+        lock(&self.injector).len() + self.locals.iter().map(|l| lock(l).len()).sum::<usize>()
     }
 
     /// Next job for worker `me`: own queue, else a batch from the

@@ -21,7 +21,10 @@ fn quick_cell() -> SynthConfig {
 
 #[test]
 fn warm_cells_are_strictly_cheaper_than_cold() {
-    assert!(serve::alloc::allocations() > 0, "counting allocator not installed");
+    assert!(
+        serve::alloc::allocations() > 0,
+        "counting allocator not installed"
+    );
     let prep = Prepared::new(quick_cell());
 
     // Cold reference: reuse off, every run builds fresh clusters. The

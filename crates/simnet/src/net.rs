@@ -342,9 +342,8 @@ impl Net {
     /// runtimes that route pushes emit it at their send sites.
     pub fn push(&self, from: ProcId, kind: MsgKind, bytes: usize) -> SimTime {
         self.stats.record(from, kind, bytes);
-        let inject = SimTime::from_us(
-            0.5 * self.cost.msg_latency_us + self.cost.per_byte_us * bytes as f64,
-        );
+        let inject =
+            SimTime::from_us(0.5 * self.cost.msg_latency_us + self.cost.per_byte_us * bytes as f64);
         self.advance(from, inject);
         self.clock(from) + SimTime::from_us(0.5 * self.cost.msg_latency_us)
     }
@@ -554,7 +553,10 @@ mod tests {
         for _ in 0..4 {
             for p in 0..np {
                 let q = (p + 1) % np;
-                n.parallel_round(p, &[(q, MsgKind::DiffRequest, 16, MsgKind::DiffReply, 4096)]);
+                n.parallel_round(
+                    p,
+                    &[(q, MsgKind::DiffRequest, 16, MsgKind::DiffReply, 4096)],
+                );
             }
             n.push_round(1, &[(0, MsgKind::AdaptPush, 256)]);
             let arrival = n.push(0, MsgKind::Gather, 128);
@@ -647,7 +649,10 @@ mod tests {
     #[test]
     fn traffic_helpers_conserve_and_split_handler_from_vtime() {
         let n = net(4);
-        n.parallel_round(0, &[(1, MsgKind::DiffRequest, 16, MsgKind::DiffReply, 4096)]);
+        n.parallel_round(
+            0,
+            &[(1, MsgKind::DiffRequest, 16, MsgKind::DiffReply, 4096)],
+        );
         n.parallel_round(
             2,
             &[
@@ -689,16 +694,42 @@ mod tests {
         let n = with_trace_sink(sink.clone(), || net(2));
         assert!(n.tracing());
         n.advance(0, SimTime(50));
-        n.trace(0, TraceEvent::FaultBegin { page: 3, write: true });
+        n.trace(
+            0,
+            TraceEvent::FaultBegin {
+                page: 3,
+                write: true,
+            },
+        );
         n.parallel_round(0, &[(1, MsgKind::DiffRequest, 16, MsgKind::DiffReply, 512)]);
         let got = sink.0.lock().unwrap();
         assert_eq!(got[0].0, 0);
         assert_eq!(got[0].1, 50, "stamped with the virtual clock");
-        assert_eq!(got[0].2, TraceEvent::FaultBegin { page: 3, write: true });
+        assert_eq!(
+            got[0].2,
+            TraceEvent::FaultBegin {
+                page: 3,
+                write: true
+            }
+        );
         // The round emitted both legs on the requester lane.
         assert_eq!(got.len(), 3);
-        assert!(matches!(got[1].2, TraceEvent::Msg { out: true, peer: 1, .. }));
-        assert!(matches!(got[2].2, TraceEvent::Msg { out: false, peer: 1, .. }));
+        assert!(matches!(
+            got[1].2,
+            TraceEvent::Msg {
+                out: true,
+                peer: 1,
+                ..
+            }
+        ));
+        assert!(matches!(
+            got[2].2,
+            TraceEvent::Msg {
+                out: false,
+                peer: 1,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -749,7 +780,11 @@ mod tests {
                 got.bill_barrier(kind, header, |p| deltas[p]);
                 hand_billed_barrier(&want, kind, header, &deltas);
                 assert_eq!(got.stats(), want.stats(), "{nprocs} procs, {kind:?}");
-                assert_eq!(got.stall_rows(), want.stall_rows(), "{nprocs} procs, {kind:?}");
+                assert_eq!(
+                    got.stall_rows(),
+                    want.stall_rows(),
+                    "{nprocs} procs, {kind:?}"
+                );
                 for p in 0..nprocs {
                     assert_eq!(got.vtime(p), want.vtime(p), "{nprocs} procs, proc {p}");
                 }
@@ -782,7 +817,10 @@ mod parallel_round_tests {
             ],
         );
         let c = n.cost();
-        assert_eq!(n.clock(0), SimTime::from_us(2.0 * c.msg_latency_us + c.handler_us));
+        assert_eq!(
+            n.clock(0),
+            SimTime::from_us(2.0 * c.msg_latency_us + c.handler_us)
+        );
         // Each server paid one handler.
         for q in 1..4 {
             assert_eq!(n.clock(q), n.cost().handler());
@@ -831,10 +869,7 @@ mod parallel_round_tests {
         let push = Net::new(3, CostModel::default());
         push.push_round(
             0,
-            &[
-                (1, MsgKind::AdaptPush, 4096),
-                (2, MsgKind::AdaptPush, 4096),
-            ],
+            &[(1, MsgKind::AdaptPush, 4096), (2, MsgKind::AdaptPush, 4096)],
         );
         assert_eq!(pull.stats().total_messages(), 4);
         assert_eq!(push.stats().total_messages(), 2);

@@ -251,7 +251,10 @@ impl Rendezvous {
             Some(Failure::Deadlock(message)) => panic!("{message}"),
             None => returned
                 .into_iter()
-                .map(|slot| slot.into_inner().expect("no rank panicked, so every rank returned"))
+                .map(|slot| {
+                    slot.into_inner()
+                        .expect("no rank panicked, so every rank returned")
+                })
                 .collect(),
         }
     }
@@ -552,9 +555,15 @@ mod tests {
             .expect_err("a launch that cannot finish must fail");
             assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
             let message = panic_message(err);
-            assert!(message.starts_with("deadlock: no rank can run"), "{message}");
+            assert!(
+                message.starts_with("deadlock: no rank can run"),
+                "{message}"
+            );
             assert!(message.contains("wait at crossing 1"), "{message}");
-            assert!(message.contains("rank(s) 2 returned and will never arrive"), "{message}");
+            assert!(
+                message.contains("rank(s) 2 returned and will never arrive"),
+                "{message}"
+            );
             assert_eq!(r.generation(), 1);
             assert!(r.is_aborted());
         }
@@ -586,8 +595,10 @@ mod tests {
         assert_eq!(sums, [1, 21, 41]);
         assert_eq!(outer.generation(), 2);
 
-        let err = catch_unwind(AssertUnwindSafe(|| outer.run_spmd(|_| outer.run_spmd(|_| ()))))
-            .expect_err("one launch at a time");
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            outer.run_spmd(|_| outer.run_spmd(|_| ()))
+        }))
+        .expect_err("one launch at a time");
         assert!(panic_message(err).contains("still in flight"));
     }
 

@@ -563,12 +563,23 @@ mod tests {
         assert_eq!(r.per_phase.len(), 2);
         let p1 = r.phase(1).unwrap();
         assert_eq!(
-            (p1.epochs, p1.prefetch_rounds, p1.prefetch_pages, p1.push_rounds, p1.subscriptions),
+            (
+                p1.epochs,
+                p1.prefetch_rounds,
+                p1.prefetch_pages,
+                p1.push_rounds,
+                p1.subscriptions
+            ),
             (1, 1, 12, 1, 3)
         );
         let p2 = r.phase(2).unwrap();
         assert_eq!(
-            (p2.prefetch_pages, p2.deferred_plans, p2.quiesced_plans, p2.quiesced_pages),
+            (
+                p2.prefetch_pages,
+                p2.deferred_plans,
+                p2.quiesced_plans,
+                p2.quiesced_pages
+            ),
             (3, 1, 1, 4)
         );
         assert!(r.phase(7).is_none());

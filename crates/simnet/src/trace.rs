@@ -259,7 +259,11 @@ pub enum TraceEvent {
     /// This processor departed barrier `epoch`.
     BarrierExit { epoch: u64, phase: u32 },
     /// An adaptive-policy decision on `(page, phase)`.
-    Policy { page: u32, phase: u32, act: PolicyAct },
+    Policy {
+        page: u32,
+        phase: u32,
+        act: PolicyAct,
+    },
     /// A predicted batch of `pages` pages was deferred to first fault.
     PlanDefer { phase: u32, pages: u32 },
     /// A deferred plan of `pages` pages was discarded untriggered.

@@ -87,9 +87,7 @@ impl Dynamics {
             Dynamics::Static => 0,
             Dynamics::PeriodicRemap { period } => (iter / period) as u64,
             Dynamics::Drift { .. } => iter as u64,
-            Dynamics::MultiPeriodic { p1, p2 } => {
-                (((iter / p1) as u64) << 32) | (iter / p2) as u64
-            }
+            Dynamics::MultiPeriodic { p1, p2 } => (((iter / p1) as u64) << 32) | (iter / p2) as u64,
             Dynamics::Alternating => (iter % 2) as u64,
             // The high bit separates the two sides' version spaces, so
             // the break is a version change even when `to` restarts its
@@ -202,18 +200,11 @@ pub fn raw_for_iter(
         }
         Dynamics::MultiPeriodic { p1, p2 } => {
             let half = refs / 2;
-            let mut raw =
-                structure.gen_raw(n, half, mix(seed ^ 0x5150, (iter / p1) as u64));
-            raw.extend(structure.gen_raw(
-                n,
-                refs - half,
-                mix(seed ^ 0xA0A0, (iter / p2) as u64),
-            ));
+            let mut raw = structure.gen_raw(n, half, mix(seed ^ 0x5150, (iter / p1) as u64));
+            raw.extend(structure.gen_raw(n, refs - half, mix(seed ^ 0xA0A0, (iter / p2) as u64)));
             raw
         }
-        Dynamics::Alternating => {
-            structure.gen_raw(n, refs, mix(seed ^ 0xA172, (iter % 2) as u64))
-        }
+        Dynamics::Alternating => structure.gen_raw(n, refs, mix(seed ^ 0xA172, (iter % 2) as u64)),
         Dynamics::RegimeShift { at, from, to } => {
             if iter < *at as usize {
                 raw_for_iter(structure, from, n, refs, seed, iter)

@@ -573,7 +573,10 @@ fn run_chaos_on(
     let (ranks, blocks): (Vec<_>, Vec<_>) = out.into_iter().unzip();
     let final_x = blocks.concat();
     let checksum = final_x.iter().map(|v| v.abs()).sum();
-    (Capture::report(Variant::Chaos, ranks, None, seq_time, checksum), final_x)
+    (
+        Capture::report(Variant::Chaos, ranks, None, seq_time, checksum),
+        final_x,
+    )
 }
 
 #[cfg(test)]
@@ -621,7 +624,10 @@ mod tests {
             let w = ChaosWorld::new(nprocs, cfg.cost.clone());
             run_chaos_on(&w, cfg, world, plan, &p.ttables, SimTime::ZERO);
             assert_eq!(
-                (w.net().rendezvous().generation(), w.net().rendezvous().launches()),
+                (
+                    w.net().rendezvous().generation(),
+                    w.net().rendezvous().launches()
+                ),
                 (chaos_want, 1),
                 "{} CHAOS",
                 cfg.label()

@@ -310,7 +310,14 @@ pub fn notice_meta_probe(nprocs: usize) -> u64 {
     cfg.nprocs = nprocs;
     let p = Prepared::new(cfg);
     let cl = sdsm_core::Cluster::new(kernel::dsm_config(&p.cfg));
-    kernel::run_tmk_on(&cl, &p.cfg, &p.world, &p.plan, Variant::TmkBase, SimTime::ZERO);
+    kernel::run_tmk_on(
+        &cl,
+        &p.cfg,
+        &p.world,
+        &p.plan,
+        Variant::TmkBase,
+        SimTime::ZERO,
+    );
     cl.net().notice_meta_bytes()
 }
 
@@ -411,7 +418,9 @@ pub fn scenario_grid(quick: bool) -> Vec<SynthConfig> {
             shift(Dynamics::PeriodicRemap { period: 3 }, Dynamics::Static),
         ),
         (
-            Structure::Banded { width: 2 * page_elems },
+            Structure::Banded {
+                width: 2 * page_elems,
+            },
             shift(Dynamics::Static, Dynamics::Static),
         ),
         (
@@ -423,7 +432,9 @@ pub fn scenario_grid(quick: bool) -> Vec<SynthConfig> {
         ),
         (Structure::Uniform, Dynamics::Rebalance { at: brk }),
         (
-            Structure::Banded { width: 2 * page_elems },
+            Structure::Banded {
+                width: 2 * page_elems,
+            },
             Dynamics::Rebalance { at: brk },
         ),
     ];
@@ -456,7 +467,11 @@ mod tests {
         for m in [&warm, &warm2] {
             for (a, b) in cold.runs.iter().zip(&m.runs) {
                 assert_eq!(a.report.system, b.report.system);
-                assert_eq!(a.report.messages, b.report.messages, "{:?}", a.report.system);
+                assert_eq!(
+                    a.report.messages, b.report.messages,
+                    "{:?}",
+                    a.report.system
+                );
                 assert_eq!(a.report.bytes, b.report.bytes, "{:?}", a.report.system);
                 assert_eq!(a.report.time, b.report.time, "{:?}", a.report.system);
                 assert_eq!(a.x, b.x, "{:?}", a.report.system);
@@ -574,7 +589,11 @@ mod tests {
                     Dynamics::RegimeShift { at, .. } | Dynamics::Rebalance { at } => *at as usize,
                     _ => unreachable!(),
                 };
-                assert!(at > 0 && at < c.iters, "{}: break outside the run", c.label());
+                assert!(
+                    at > 0 && at < c.iters,
+                    "{}: break outside the run",
+                    c.label()
+                );
             }
             let mut labels: Vec<String> = grid.iter().map(|c| c.label()).collect();
             labels.sort();

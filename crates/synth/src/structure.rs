@@ -149,7 +149,8 @@ mod tests {
             let list = normalize(&Structure::Banded { width }.gen_raw(n, 2048, 11));
             let w = width.min((n - 1) / 2).max(1);
             assert!(
-                list.iter().all(|&(a, b)| (b as usize) < n && (b - a) as usize <= w),
+                list.iter()
+                    .all(|&(a, b)| (b as usize) < n && (b - a) as usize <= w),
                 "n={n} width={width}"
             );
         }

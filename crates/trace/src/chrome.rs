@@ -104,7 +104,11 @@ fn event_json(out: &mut String, p: usize, ns: u64, ev: TraceEvent) {
             head(out, 'B', "barrier", p, ns);
             let _ = write!(out, ",\"args\":{{\"epoch\":{epoch},\"phase\":{phase}}}}}");
         }
-        TraceEvent::BarrierNotice { epoch, phase, bytes } => {
+        TraceEvent::BarrierNotice {
+            epoch,
+            phase,
+            bytes,
+        } => {
             head(out, 'i', "notice", p, ns);
             let _ = write!(
                 out,
@@ -161,7 +165,14 @@ mod tests {
 
     fn sample() -> Trace {
         let t = Tracer::new(2, 64);
-        t.record(0, SimTime(100), TraceEvent::FaultBegin { page: 3, write: true });
+        t.record(
+            0,
+            SimTime(100),
+            TraceEvent::FaultBegin {
+                page: 3,
+                write: true,
+            },
+        );
         t.record(0, SimTime(1234), TraceEvent::FaultEnd { page: 3 });
         t.record(
             0,
@@ -173,7 +184,13 @@ mod tests {
                 bytes: 16384,
             },
         );
-        t.record(1, SimTime(200), TraceEvent::SpanBegin { tag: SpanTag::Gather });
+        t.record(
+            1,
+            SimTime(200),
+            TraceEvent::SpanBegin {
+                tag: SpanTag::Gather,
+            },
+        );
         t.record(
             1,
             SimTime(250),
@@ -184,7 +201,13 @@ mod tests {
                 out: true,
             },
         );
-        t.record(1, SimTime(900), TraceEvent::SpanEnd { tag: SpanTag::Gather });
+        t.record(
+            1,
+            SimTime(900),
+            TraceEvent::SpanEnd {
+                tag: SpanTag::Gather,
+            },
+        );
         t.capture()
     }
 

@@ -171,7 +171,13 @@ mod tests {
     fn totals_count_event_classes() {
         let t = ServeTrace::new(2, 16);
         t.record(0, ServeEvent::JobStart { job: 0, cell: 3 });
-        t.record(0, ServeEvent::JobDone { job: 0, sim_ns: 500 });
+        t.record(
+            0,
+            ServeEvent::JobDone {
+                job: 0,
+                sim_ns: 500,
+            },
+        );
         t.record(1, ServeEvent::Steal { victim: 0, jobs: 4 });
         t.record(1, ServeEvent::Recycle { procs: 8 });
         assert_eq!(t.totals(), (1, 1, 1));
@@ -191,7 +197,13 @@ mod tests {
     fn chrome_export_is_well_formed() {
         let t = ServeTrace::new(2, 16);
         t.record(0, ServeEvent::JobStart { job: 0, cell: 3 });
-        t.record(0, ServeEvent::JobDone { job: 0, sim_ns: 500 });
+        t.record(
+            0,
+            ServeEvent::JobDone {
+                job: 0,
+                sim_ns: 500,
+            },
+        );
         t.record(1, ServeEvent::Steal { victim: 0, jobs: 2 });
         let json = t.to_chrome_json();
         assert!(json_well_formed(&json), "malformed:\n{json}");

@@ -11,10 +11,16 @@ use sdsm_repro::apps::workload::{run_variants, NbfWorkload, Variant};
 
 fn main() {
     // 8192 molecules × 8B = 16 pages exactly; 8000 molecules misalign.
-    for (label, n) in [("aligned (8x1024)", 8192usize), ("misaligned (8x1000)", 8000)] {
+    for (label, n) in [
+        ("aligned (8x1024)", 8192usize),
+        ("misaligned (8x1000)", 8000),
+    ] {
         let mut cfg = NbfConfig::paper(n);
         cfg.partners = 60;
-        println!("\nnbf {label}: {} molecules, {} partners each", cfg.n, cfg.partners);
+        println!(
+            "\nnbf {label}: {} molecules, {} partners each",
+            cfg.n, cfg.partners
+        );
         run_variants(&NbfWorkload::new(cfg), &Variant::PAPER).print();
     }
     println!("\nThe misaligned size sends extra messages and data purely from");

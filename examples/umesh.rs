@@ -29,7 +29,10 @@ fn main() {
     // against it (umesh's fixed-order owner-side reduction).
     let m = run_variants(&w, &Variant::PAPER);
     m.print();
-    let (chaos, opt) = (&m.get(Variant::Chaos).report, &m.get(Variant::TmkOpt).report);
+    let (chaos, opt) = (
+        &m.get(Variant::Chaos).report,
+        &m.get(Variant::TmkOpt).report,
+    );
     println!(
         "\nStatic mesh: CHAOS's inspector ran once ({:.2} s/proc, untimed);\n\
          Validate scanned the edge list once ({:.3} s/proc) and reused the\n\

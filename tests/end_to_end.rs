@@ -3,8 +3,8 @@
 //! paper's qualitative results at test scale.
 
 use sdsm_repro::apps::moldyn::{self, MoldynConfig};
-use sdsm_repro::apps::Variant;
 use sdsm_repro::apps::nbf::{self, NbfConfig};
+use sdsm_repro::apps::Variant;
 use sdsm_repro::core_rt::{validate, AccessType, Cluster, Desc, DsmConfig, RegionRef, Validator};
 use sdsm_repro::fcc;
 use sdsm_repro::rsd::Env;
@@ -76,7 +76,9 @@ fn figures_regenerate() {
     assert!(r.source.contains(
         "call Validate(1, INDIRECT, x, interaction_list[1:2, 1:num_interactions], READ, 1)"
     ));
-    assert!(r.source.contains("local_forces(n1) = local_forces(n1) + force"));
+    assert!(r
+        .source
+        .contains("local_forces(n1) = local_forces(n1) + force"));
 }
 
 /// The paper's Table-1 shape at reduced scale: the optimized build beats
@@ -94,7 +96,10 @@ fn table1_shape_reduced_scale() {
     let (base, _) = moldyn::run_tmk(&cfg, &world, Variant::TmkBase, seq.report.time);
     let (opt, _) = moldyn::run_tmk(&cfg, &world, Variant::TmkOpt, seq.report.time);
 
-    assert!(opt.time < base.time, "aggregation must win over demand paging");
+    assert!(
+        opt.time < base.time,
+        "aggregation must win over demand paging"
+    );
     assert!(opt.messages * 2 < base.messages);
     // "the software DSM-based approach is always faster than CHAOS" once
     // the inspector is included.
