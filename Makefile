@@ -1,7 +1,7 @@
 # Tier-1 verification and common entry points. CI (.github/workflows/ci.yml)
 # runs the same commands; `make tier1` is the local equivalent.
 
-.PHONY: tier1 build test clippy doc hygiene benchmark-check bench examples tables soak synth serve clean
+.PHONY: tier1 build test clippy doc fmt-check hygiene benchmark-check bench examples tables soak synth serve clean
 
 tier1: build test
 
@@ -18,6 +18,11 @@ clippy:
 # link.
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
+# The tree is rustfmt's output (default settings, every workspace
+# member, vendor/ included; benchmark/ is not a member).
+fmt-check:
+	cargo fmt --all --check
 
 # Idioms that were deleted and must not grow back: an SPMD body returns
 # its per-rank values (`cl.run` / `w.run` hand back a Vec in rank
