@@ -8,12 +8,14 @@
 //!
 //! A third workload, **umesh** (unstructured-mesh edge relaxation),
 //! fills the remaining corner of the design space: a static *pair*
-//! list.
+//! list. It runs on [`relax`], the owner-side relaxation kernel every
+//! `synth` scenario runs too: one gather–compute–scatter reduction,
+//! in all six variants, over any list of pairs.
 //!
 //! Each application comes as the six [`Variant`]s:
 //!
 //! 1. `Seq` — a **sequential** reference ([`moldyn::run_seq`],
-//!    [`nbf::run_seq`], [`umesh::run_seq`]),
+//!    [`nbf::run_seq`], [`relax::Kernel::run`] for umesh),
 //! 2. `TmkBase` — plain demand-paged DSM,
 //! 3. `TmkOpt` — compiler-inserted `Validate` (the descriptors come
 //!    from `fcc` compiling the paper's Figure-1 sources),
@@ -23,8 +25,9 @@
 //! 6. `Chaos` — hand-coded inspector/executor (`run_chaos`).
 //!
 //! The four Tmk builds are one SPMD program per app — `run_tmk(cfg,
-//! world, variant, seq_time)` — and [`Workload::run`] is the only place
-//! a variant is mapped to a kernel; [`run_variants`] / [`run_matrix`]
+//! world, variant, seq_time)` for moldyn and nbf,
+//! [`relax::Kernel::run_tmk_on`] for umesh — and [`Workload::run`] is
+//! the only place a variant is mapped to a kernel; [`run_variants`] / [`run_matrix`]
 //! run and cross-check any subset.
 //!
 //! All six compute identical physics from identical seeded workloads, so
@@ -43,6 +46,7 @@ pub mod harness;
 pub mod moldyn;
 pub mod nbf;
 pub mod phases;
+pub mod relax;
 pub mod report;
 pub mod umesh;
 pub mod work;

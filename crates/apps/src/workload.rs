@@ -21,10 +21,15 @@
 //!   `Tolerance` where a pipelined reduction reassociates floating-point
 //!   addition (moldyn, nbf).
 
+use adapt::AdaptConfig;
+use chaos::block_partition;
+use sdsm_core::DsmConfig;
 use simnet::SimTime;
 
 use crate::moldyn::{self, MoldynConfig, MoldynWorld};
 use crate::nbf::{self, NbfConfig, NbfWorld};
+use crate::phases;
+use crate::relax::{Kernel, Params, World};
 pub use crate::report::Variant;
 use crate::report::{table_header, RunReport};
 use crate::umesh::{self, Mesh, UmeshConfig};
@@ -172,9 +177,10 @@ fn flatten3(x: &[[f64; 3]]) -> Vec<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// The three classic applications as workloads, each three arms: the
-// sequential reference, CHAOS, and the app's `run_tmk`, which takes the
-// Tmk-family variant as is.
+// The three classic applications as workloads. moldyn and nbf have
+// three arms each: the sequential reference, CHAOS, and the app's
+// `run_tmk`, which takes the Tmk-family variant as is; umesh hands every
+// variant to the relaxation kernel.
 
 /// moldyn as a [`Workload`].
 pub struct MoldynWorkload {
@@ -247,17 +253,39 @@ impl Workload for NbfWorkload {
     }
 }
 
-/// umesh as a [`Workload`]. Its fixed-order owner-side reduction makes
-/// the contract bitwise against the sequential reference.
+/// umesh as a [`Workload`]: the mesh as the relaxation kernel's
+/// one-version world, BLOCK-partitioned by grid row. Its fixed-order
+/// owner-side reduction makes the contract bitwise against the
+/// sequential reference.
 pub struct UmeshWorkload {
     pub cfg: UmeshConfig,
-    pub mesh: Mesh,
+    pub kernel: Kernel,
 }
 
 impl UmeshWorkload {
     pub fn new(cfg: UmeshConfig) -> Self {
-        let mesh = umesh::gen_mesh(&cfg);
-        UmeshWorkload { cfg, mesh }
+        let Mesh { x0, edges } = umesh::gen_mesh(&cfg);
+        let world = World {
+            x0,
+            version_of_iter: vec![0; cfg.sweeps],
+            lists: vec![edges],
+            kappa: umesh::KAPPA,
+        };
+        let params = Params {
+            dsm: DsmConfig {
+                nprocs: cfg.nprocs,
+                page_size: cfg.page_size,
+                cost: cfg.cost.clone(),
+            },
+            adapt: AdaptConfig::default(),
+            visit_us: umesh::EDGE_US,
+            iter_tag: phases::UPDATE,
+            parity_split: false,
+            rebuild: None,
+        };
+        let part = block_partition(cfg.n(), cfg.nprocs);
+        let kernel = Kernel::new(world, vec![part], |_| 0, params);
+        UmeshWorkload { cfg, kernel }
     }
 }
 
@@ -274,15 +302,7 @@ impl Workload for UmeshWorkload {
     }
 
     fn run(&self, v: Variant, seq_time: SimTime) -> (RunReport, Vec<f64>) {
-        match v {
-            Variant::Seq => {
-                let r = umesh::run_seq(&self.cfg, &self.mesh);
-                let x = r.x.clone();
-                (r.report, x)
-            }
-            Variant::Chaos => umesh::run_chaos(&self.cfg, &self.mesh, seq_time),
-            tmk => umesh::run_tmk(&self.cfg, &self.mesh, tmk, seq_time),
-        }
+        self.kernel.run(v, seq_time)
     }
 }
 
@@ -318,13 +338,6 @@ mod tests {
         let pushes = |v| m.get(v).report.policy.as_ref().unwrap().push_rounds;
         assert_eq!(pushes(Variant::TmkAdaptive), 0);
         assert!(pushes(Variant::TmkPush) > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "umesh::run_tmk: Chaos is not a Tmk build")]
-    fn run_tmk_rejects_a_non_tmk_variant() {
-        let w = UmeshWorkload::new(UmeshConfig::small());
-        let _ = umesh::run_tmk(&w.cfg, &w.mesh, Variant::Chaos, SimTime::ZERO);
     }
 
     #[test]

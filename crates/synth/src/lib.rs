@@ -15,8 +15,9 @@
 //!   *alternating* two-list iterations (the classic apps' two-phase
 //!   barrier structure in isolation — the phase-keyed quiesce regime).
 //!
-//! Every `(structure, dynamics, nprocs)` cell drives the same generic
-//! gather–compute–scatter reduction kernel ([`kernel`]) with
+//! Every `(structure, dynamics, nprocs)` cell drives umesh's
+//! gather–compute–scatter reduction kernel (`apps::relax`; this crate
+//! supplies the lists, partition epochs and rebuild costs) with
 //! deterministic seeded output, implements the `apps::Workload` trait,
 //! and therefore runs as all **six** system variants — sequential,
 //! Tmk base, Tmk optimized (`Validate`), Tmk adaptive, Tmk push, and
@@ -42,22 +43,45 @@
 //! ```
 
 pub mod dynamics;
-pub mod kernel;
 pub mod structure;
 
+/// The generated workload: initial values plus every distinct effective
+/// (normalized) list the run will use. Its flux weight is sized from the
+/// hottest element so the relaxation is a contraction for every
+/// structure: `kappa = 0.25 / max_degree`.
+pub use apps::relax::World as SynthWorld;
 pub use dynamics::{drift_round, raw_for_iter, Dynamics};
-pub use kernel::{run_seq, PHASE_ITER, PHASE_REMAP, REF_US, REMAP_US};
 pub use structure::{degrees, normalize, Structure};
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use apps::relax::{Kernel, Params, Rebuild};
 use apps::report::RunReport;
 use apps::workload::{CheckMode, Variant, Workload};
-use chaos::{TTable, TTableKind};
+use chaos::{block_partition, Partition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sdsm_core::{Cluster, ClusterPool, DsmConfig};
 use simnet::{CostModel, SimTime};
+
+/// Barrier-site phase tag of the end-of-iteration barrier (see
+/// `apps::phases` for the idea). Under [`Dynamics::Alternating`] the
+/// tag is split by iteration parity — the two interleaved lists are two
+/// distinct sites, exactly like a classic app's alternating barriers.
+pub const PHASE_ITER: u32 = 2;
+
+/// Barrier-site phase tag of the post-rebuild barrier (parity-split
+/// under [`Dynamics::Alternating`], like [`PHASE_ITER`]).
+pub const PHASE_REMAP: u32 = 4;
+
+/// Modeled cost of one incident-flux evaluation (per visit; cross-block
+/// pairs are evaluated by both endpoint owners, as in umesh).
+pub const REF_US: f64 = 20.0;
+
+/// Modeled cost of scanning one raw candidate during a list rebuild
+/// (divided evenly across processors in the parallel builds).
+pub const REMAP_US: f64 = 2.0;
 
 /// Configuration of one synthetic scenario.
 #[derive(Debug, Clone)]
@@ -128,21 +152,6 @@ impl SynthConfig {
     }
 }
 
-/// The generated workload: initial values plus every distinct effective
-/// list the run will use — a pure function of the config, so all six
-/// variants see identical structure with no shared mutable state.
-#[derive(Debug, Clone)]
-pub struct SynthWorld {
-    pub x0: Vec<f64>,
-    /// Per iteration, an index into [`SynthWorld::lists`].
-    pub version_of_iter: Vec<usize>,
-    /// Distinct effective (normalized) lists, in first-use order.
-    pub lists: Vec<Vec<(u32, u32)>>,
-    /// Flux weight, sized from the hottest element so the relaxation is
-    /// a contraction for every structure: `0.25 / max_degree`.
-    pub kappa: f64,
-}
-
 pub fn gen_world(cfg: &SynthConfig) -> SynthWorld {
     assert!(cfg.iters >= 1, "need at least one iteration");
     cfg.dynamics.validate();
@@ -200,13 +209,44 @@ pub fn gen_world(cfg: &SynthConfig) -> SynthWorld {
     }
 }
 
+/// The re-cut partition a [`Dynamics::Rebalance`] switches to: every
+/// interior block boundary slides forward by half a block, so roughly
+/// half of each processor's elements change owner while ownership stays
+/// ascending-contiguous (identity remap — the kernel's indexing
+/// contract, see `apps::relax::Plan::parts`).
+fn rebalanced_partition(n: usize, nprocs: usize) -> Partition {
+    let base = block_partition(n, nprocs);
+    let shift = ((n / nprocs) / 2).max(1);
+    let mut starts = base.starts.clone();
+    for (s, &b) in starts[1..nprocs].iter_mut().zip(&base.starts[1..nprocs]) {
+        *s = (b + shift).min(n);
+    }
+    for p in 1..=nprocs {
+        starts[p] = starts[p].max(starts[p - 1]);
+    }
+    let mut owner = vec![0usize; n];
+    for p in 0..nprocs {
+        owner[starts[p]..starts[p + 1]].fill(p);
+    }
+    Partition::from_owners(owner, nprocs)
+}
+
+thread_local! {
+    /// Recycled clusters for the reusable-scratch path (one pool per
+    /// executor thread, so serving workers never contend on it). Only a
+    /// Tmk run of a [`Prepared`] with reuse on touches it; otherwise
+    /// every run builds a cold cluster.
+    static CLUSTERS: ClusterPool = const { ClusterPool::new() };
+}
+
 /// One runnable scenario, with every piece of variant-independent setup
-/// built once and shared: the generated world, the per-version
-/// owner-side work `kernel::Plan`, and the CHAOS translation tables.
-/// Implements [`Workload`], so `apps::workload::run_matrix` runs and
-/// cross-checks all six variants; the shared state is immutable and the
-/// kernels consume it read-only, so a serving workload can run the same
-/// cell hundreds of times behind one `Arc`.
+/// built once and shared: the generated world, its owner-side work
+/// plan and the CHAOS translation tables, as one `apps::relax::Kernel`
+/// (partition epochs from the scenario's [`Dynamics`]). Implements
+/// [`Workload`], so `apps::workload::run_matrix` runs and cross-checks
+/// all six variants; the shared state is immutable and the kernel
+/// consumes it read-only, so a serving workload can run the same cell
+/// hundreds of times behind one `Arc`.
 ///
 /// With [`Prepared::set_reuse`], the Tmk variants additionally check
 /// their simulated cluster out of a thread-local recycled-cluster pool
@@ -216,9 +256,7 @@ pub fn gen_world(cfg: &SynthConfig) -> SynthWorld {
 /// message counts exactly.
 pub struct Prepared {
     cfg: SynthConfig,
-    world: SynthWorld,
-    plan: kernel::Plan,
-    ttables: Vec<TTable>,
+    kernel: Kernel,
     reuse: AtomicBool,
 }
 
@@ -226,17 +264,30 @@ impl Prepared {
     /// Generate the world and precompute all shared setup for `cfg`.
     pub fn new(cfg: SynthConfig) -> Self {
         let world = gen_world(&cfg);
-        let plan = kernel::plan(&cfg, &world);
-        let ttables = plan
-            .parts
-            .iter()
-            .map(|part| TTable::new(TTableKind::Replicated, part))
-            .collect();
+        let mut parts = vec![block_partition(cfg.n, cfg.nprocs)];
+        if cfg.dynamics.partition_epochs(cfg.iters) == 2 {
+            parts.push(rebalanced_partition(cfg.n, cfg.nprocs));
+        }
+        let params = Params {
+            dsm: DsmConfig {
+                nprocs: cfg.nprocs,
+                page_size: cfg.page_size,
+                cost: cfg.cost.clone(),
+            },
+            adapt: cfg.adapt.clone(),
+            visit_us: REF_US,
+            iter_tag: PHASE_ITER,
+            parity_split: cfg.dynamics == Dynamics::Alternating,
+            rebuild: Some(Rebuild {
+                us: REMAP_US,
+                candidates: cfg.refs,
+                tag: PHASE_REMAP,
+            }),
+        };
+        let kernel = Kernel::new(world, parts, |it| cfg.dynamics.partition_epoch(it), params);
         Prepared {
             cfg,
-            world,
-            plan,
-            ttables,
+            kernel,
             reuse: AtomicBool::new(false),
         }
     }
@@ -248,7 +299,7 @@ impl Prepared {
 
     /// The generated world (initial values + lists).
     pub fn world(&self) -> &SynthWorld {
-        &self.world
+        &self.kernel.world
     }
 
     /// Enable or disable the recycled-cluster scratch path for
@@ -273,24 +324,13 @@ impl Workload for Prepared {
     }
 
     fn run(&self, v: Variant, seq_time: SimTime) -> (RunReport, Vec<f64>) {
-        match v {
-            Variant::Seq => run_seq(&self.cfg, &self.world),
-            Variant::Chaos => kernel::run_chaos_prepared(
-                &self.cfg,
-                &self.world,
-                &self.plan,
-                &self.ttables,
-                seq_time,
-            ),
-            tmk => kernel::run_tmk_prepared(
-                &self.cfg,
-                &self.world,
-                &self.plan,
-                tmk,
-                seq_time,
-                self.reuse_enabled(),
-            ),
+        if !(Variant::TMK.contains(&v) && self.reuse_enabled()) {
+            return self.kernel.run(v, seq_time);
         }
+        let cl = CLUSTERS.with(|p| p.checkout(&self.kernel.params.dsm));
+        let out = self.kernel.run_tmk_on(&cl, v, seq_time);
+        CLUSTERS.with(|p| p.checkin(cl));
+        out
     }
 }
 
@@ -308,16 +348,9 @@ pub fn notice_meta_probe(nprocs: usize) -> u64 {
     cfg.refs = 12288;
     cfg.iters = 6;
     cfg.nprocs = nprocs;
-    let p = Prepared::new(cfg);
-    let cl = sdsm_core::Cluster::new(kernel::dsm_config(&p.cfg));
-    kernel::run_tmk_on(
-        &cl,
-        &p.cfg,
-        &p.world,
-        &p.plan,
-        Variant::TmkBase,
-        SimTime::ZERO,
-    );
+    let kernel = Prepared::new(cfg).kernel;
+    let cl = Cluster::new(kernel.params.dsm.clone());
+    kernel.run_tmk_on(&cl, Variant::TmkBase, SimTime::ZERO);
     cl.net().notice_meta_bytes()
 }
 
@@ -451,7 +484,106 @@ pub fn scenario_grid(quick: bool) -> Vec<SynthConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apps::workload::run_matrix;
+    use apps::umesh::UmeshConfig;
+    use apps::workload::{run_matrix, UmeshWorkload};
+    use chaos::ChaosWorld;
+
+    /// Every processor's section of every schedule version lists each
+    /// owned element's incident pairs in global list order — the order
+    /// the sequential sweep applies them, which is what makes the
+    /// owner-side reduction bitwise — and the sections together hold
+    /// each pair twice, once per endpoint.
+    fn assert_sections_in_global_order(kernel: &Kernel) {
+        let (world, plan) = (&kernel.world, &kernel.plan);
+        for (sv, (flat, deg)) in plan.flat.iter().zip(&plan.deg).enumerate() {
+            let it = plan.sv_of_iter.iter().position(|&s| s == sv).unwrap();
+            let list = &world.lists[world.version_of_iter[it]];
+            let part = &plan.parts[plan.sv_part[sv]];
+            let mut visits = 0;
+            for (q, (sec, d)) in flat.iter().zip(deg).enumerate() {
+                let mut k = 0;
+                for (i, &di) in part.range_of(q).zip(d) {
+                    let run = &sec[k..k + di];
+                    assert!(run.windows(2).all(|w| w[0] < w[1]), "sv {sv} element {i}");
+                    for &(a, b) in run {
+                        assert!(a as usize == i || b as usize == i, "sv {sv} element {i}");
+                        assert!(
+                            list.binary_search(&(a, b)).is_ok(),
+                            "sv {sv}: not in the list"
+                        );
+                    }
+                    k += di;
+                }
+                assert_eq!(k, sec.len(), "sv {sv} proc {q}: degrees cover the section");
+                visits += k;
+            }
+            assert_eq!(visits, 2 * list.len(), "sv {sv}");
+        }
+    }
+
+    #[test]
+    fn plan_sections_keep_global_list_order() {
+        assert_sections_in_global_order(&UmeshWorkload::new(UmeshConfig::small()).kernel);
+        // A rebalance re-cuts the partition under an unchanged list: two
+        // schedule versions over one list.
+        let mut cfg = SynthConfig::quick(Structure::Uniform, Dynamics::Rebalance { at: 5 });
+        cfg.n = 512;
+        cfg.refs = 1024;
+        let kernel = Prepared::new(cfg).kernel;
+        assert_eq!(kernel.plan.sv_part, [0, 1]);
+        assert_sections_in_global_order(&kernel);
+    }
+
+    /// Host rendezvous crossings are exact host *work*: they depend on
+    /// the program's barrier structure, never on the host schedule. Pin
+    /// them for one 4-processor and one 64-processor static cell so a
+    /// refactor that re-adds a crossing fails here with a number instead
+    /// of hiding inside the host clock's noise band. A Tmk variant is
+    /// init + `start_timed_region` + one per iteration + final =
+    /// `iters + 4` barriers at two crossings each, plus the one bare
+    /// crossing that zeroes the clocks. CHAOS, as measured: the
+    /// inspector's one exchange and a gather per iteration at two each,
+    /// one per `sync`, two for `start_timed_region`. And every variant
+    /// is exactly one SPMD launch (`nprocs` thread spawns): the result
+    /// read-back happens on the calling thread.
+    #[test]
+    fn static_cells_cross_the_host_rendezvous_an_exact_number_of_times() {
+        for (nprocs, tmk_want, chaos_want) in [(4, 29, 34), (64, 21, 22)] {
+            let cfg = scenario_grid(true)
+                .into_iter()
+                .find(|c| c.nprocs == nprocs && c.dynamics == Dynamics::Static)
+                .expect("the quick grid has a static cell at this size");
+            let p = Prepared::new(cfg);
+            let (cfg, kernel) = (p.cfg(), &p.kernel);
+            let barriers = cfg.iters as u64 + 4;
+            assert_eq!(2 * barriers + 1, tmk_want, "{}", cfg.label());
+            for v in Variant::TMK {
+                let cl = Cluster::new(kernel.params.dsm.clone());
+                kernel.run_tmk_on(&cl, v, SimTime::ZERO);
+                assert_eq!(
+                    (
+                        cl.barrier_epoch(),
+                        cl.net().rendezvous().generation(),
+                        cl.net().rendezvous().launches()
+                    ),
+                    (barriers, tmk_want, 1),
+                    "{} {v:?}",
+                    cfg.label()
+                );
+            }
+            let w = ChaosWorld::new(nprocs, cfg.cost.clone());
+            kernel.run_chaos_on(&w, SimTime::ZERO);
+            assert_eq!(
+                (
+                    w.net().rendezvous().generation(),
+                    w.net().rendezvous().launches()
+                ),
+                (chaos_want, 1),
+                "{} CHAOS",
+                cfg.label()
+            );
+        }
+    }
 
     #[test]
     fn recycled_clusters_match_cold_runs() {
@@ -611,8 +743,7 @@ mod tests {
         // The hottest structure (power-law hubs) must still contract.
         let mut cfg = SynthConfig::quick(Structure::PowerLaw { alpha: 2.0 }, Dynamics::Static);
         cfg.iters = 30;
-        let world = gen_world(&cfg);
-        let (_, x) = run_seq(&cfg, &world);
+        let (_, x) = Prepared::new(cfg).run(Variant::Seq, SimTime::ZERO);
         let bound = 100.0 * 1.5;
         assert!(
             x.iter().all(|v| v.abs() < bound),

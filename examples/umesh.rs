@@ -20,10 +20,9 @@ fn main() {
         cfg.nprocs
     );
     let w = UmeshWorkload::new(cfg);
-    println!("{} edges ({} long-range)", w.mesh.edges.len(), {
-        let grid = 2 * w.cfg.side * (w.cfg.side - 1);
-        w.mesh.edges.len() - grid
-    });
+    let edges = w.kernel.world.lists[0].len();
+    let grid = 2 * w.cfg.side * (w.cfg.side - 1);
+    println!("{edges} edges ({} long-range)", edges - grid);
 
     // Sequential first, then the three systems — each checked bitwise
     // against it (umesh's fixed-order owner-side reduction).
