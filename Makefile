@@ -77,7 +77,11 @@ fmt-check:
 # (no loss_per_mille, loss_seed, bill_retry or StallCat::Retry); a
 # report carries no scenario label (set_label); and the adaptive
 # engine promotes after two agreeing gaps and demotes on the first clean
-# probe, fixed (no promote_after or demote_after knob).
+# probe, fixed (no promote_after or demote_after knob). umesh and every
+# synth cell run one owner-side relaxation kernel, apps::relax: umesh
+# builds no cluster or CHAOS world and calls neither validate nor the
+# inspector itself, and no second accumulate or incident_lists grows
+# back outside crates/apps/src/relax.rs.
 SEQUENTIAL_CRATES = crates/simnet crates/dsm crates/chaos crates/rsd crates/serve
 ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
 NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
@@ -132,6 +136,10 @@ hygiene:
 		echo "hygiene: Net::bill_barrier bills every barrier, a fetch is a parallel_round, and host counts are net().rendezvous().generation() / launches()"; exit 1; fi
 	@if grep -rnE "\b(loss_per_mille|loss_seed|bill_retry|set_label|promote_after|demote_after)\b|StallCat::Retry\b" crates examples tests src; then \
 		echo "hygiene: CostModel is a pure timing model (no lossy links or Retry stall), a report has no scenario label, and the adaptive engine's promote/demote thresholds are fixed"; exit 1; fi
+	@if grep -rnE "Cluster::new|ChaosWorld::new|validate\(|inspector\(" crates/apps/src/umesh/; then \
+		echo "hygiene: umesh runs on apps::relax, the one owner-side relaxation kernel; it has no runner of its own"; exit 1; fi
+	@if grep -rnE "fn (accumulate|incident_lists)\b" crates/ | grep -v "^crates/apps/src/relax.rs:"; then \
+		echo "hygiene: the owner-side accumulation and incident lists live only in apps::relax"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses
