@@ -79,9 +79,49 @@ pub struct Params {
     pub rebuild: Option<Rebuild>,
 }
 
-/// Per-schedule-version, per-processor owner-side work plan,
-/// precomputed once (untimed setup) and shared by the Tmk and CHAOS
-/// builds.
+/// One list's incident pairs, grouped by element in compressed rows:
+/// element `i`'s are `pairs[start[i]..start[i + 1]]`, in global list
+/// order — the order in which the sequential sweep touches `i`'s
+/// accumulator. Each pair appears twice, once per endpoint.
+pub struct Incidence {
+    pub start: Vec<u32>,
+    pub pairs: Vec<(u32, u32)>,
+}
+
+impl Incidence {
+    fn new(n: usize, list: &[(u32, u32)]) -> Incidence {
+        let mut start = vec![0u32; n + 1];
+        for &(a, b) in list {
+            start[a as usize + 1] += 1;
+            start[b as usize + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut pairs = vec![(0, 0); start[n] as usize];
+        for &(a, b) in list {
+            for e in [a, b] {
+                pairs[fill[e as usize] as usize] = (a, b);
+                fill[e as usize] += 1;
+            }
+        }
+        Incidence { start, pairs }
+    }
+
+    /// Element `i`'s pair count.
+    pub fn degree(&self, i: usize) -> usize {
+        (self.start[i + 1] - self.start[i]) as usize
+    }
+
+    /// The pairs of the elements in `r`, element by element.
+    pub fn of(&self, r: Range<usize>) -> &[(u32, u32)] {
+        &self.pairs[self.start[r.start] as usize..self.start[r.end] as usize]
+    }
+}
+
+/// The owner-side work plan, precomputed once (untimed setup) and
+/// shared by the Tmk and CHAOS builds.
 ///
 /// A *schedule version* (`sv`) is one distinct (partition epoch, list
 /// version) pair, enumerated in first-use order. With one partition,
@@ -98,11 +138,11 @@ pub struct Plan {
     pub sv_of_iter: Vec<usize>,
     /// Per schedule version: index into [`Plan::parts`].
     pub sv_part: Vec<usize>,
-    /// `flat[sv][q]`: proc `q`'s owned incident pairs under schedule
-    /// version `sv`, concatenated in global list order.
-    pub flat: Vec<Vec<Vec<(u32, u32)>>>,
-    /// `deg[sv][q][li]`: incident count of `q`'s `li`-th owned element.
-    pub deg: Vec<Vec<Vec<usize>>>,
+    /// Per schedule version: index into [`Plan::incidence`] (and the
+    /// world's lists).
+    pub sv_list: Vec<usize>,
+    /// Per list version, its [`Incidence`].
+    pub incidence: Vec<Incidence>,
     /// Capacity of one processor's shared-list section, in pairs.
     pub cap_pp: usize,
 }
@@ -111,8 +151,6 @@ impl Plan {
     /// The plan for `world` when iteration `it` runs under partition
     /// `parts[epoch_of_iter(it)]`.
     fn new(world: &World, parts: Vec<Partition>, epoch_of_iter: impl Fn(usize) -> usize) -> Plan {
-        let n = world.x0.len();
-        let nprocs = parts[0].nprocs();
         // Schedule versions: distinct (partition epoch, list version)
         // pairs in first-use order.
         let mut sv_of_iter = Vec::with_capacity(world.version_of_iter.len());
@@ -128,52 +166,41 @@ impl Plan {
             });
             sv_of_iter.push(sv);
         }
-
-        // Per element, its incident pairs in global list order — the
-        // order in which the sequential sweep touches its accumulator.
-        let mut incidents: Vec<Vec<Vec<(u32, u32)>>> = Vec::with_capacity(world.lists.len());
-        for list in &world.lists {
-            let mut incident: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-            for &(a, b) in list {
-                incident[a as usize].push((a, b));
-                incident[b as usize].push((a, b));
-            }
-            incidents.push(incident);
-        }
-        let mut flat = Vec::with_capacity(sv_part.len());
-        let mut deg = Vec::with_capacity(sv_part.len());
-        for (&pe, &lv) in sv_part.iter().zip(&sv_list) {
-            let incident = &incidents[lv];
-            let mut vflat = Vec::with_capacity(nprocs);
-            let mut vdeg = Vec::with_capacity(nprocs);
-            for q in 0..nprocs {
-                let r = parts[pe].range_of(q);
-                let mut f = Vec::new();
-                let mut d = Vec::with_capacity(r.len());
-                for i in r {
-                    d.push(incident[i].len());
-                    f.extend_from_slice(&incident[i]);
-                }
-                vflat.push(f);
-                vdeg.push(d);
-            }
-            flat.push(vflat);
-            deg.push(vdeg);
-        }
-        let cap_pp = flat
-            .iter()
-            .flat_map(|v| v.iter().map(Vec::len))
-            .max()
-            .unwrap_or(0)
-            + 1;
-        Plan {
+        let n = world.x0.len();
+        let incidence = world.lists.iter().map(|l| Incidence::new(n, l)).collect();
+        let mut plan = Plan {
             parts,
             sv_of_iter,
             sv_part,
-            flat,
-            deg,
-            cap_pp,
-        }
+            sv_list,
+            incidence,
+            cap_pp: 0,
+        };
+        let nprocs = plan.parts[0].nprocs();
+        let longest = (0..plan.sv_part.len())
+            .flat_map(|sv| (0..nprocs).map(move |q| (sv, q)))
+            .map(|(sv, q)| plan.section(sv, q).len())
+            .max();
+        plan.cap_pp = longest.unwrap_or(0) + 1;
+        plan
+    }
+
+    /// Processor `q`'s owned elements under schedule version `sv`.
+    pub fn owned(&self, sv: usize, q: usize) -> Range<usize> {
+        self.parts[self.sv_part[sv]].range_of(q)
+    }
+
+    /// `sv`'s list version's incidence.
+    pub fn incidence_of(&self, sv: usize) -> &Incidence {
+        &self.incidence[self.sv_list[sv]]
+    }
+
+    /// Processor `q`'s section under schedule version `sv`: its owned
+    /// elements' incident pairs, element by element, each element's in
+    /// global list order. An owned range is contiguous, so this is one
+    /// run of [`Incidence::pairs`].
+    pub fn section(&self, sv: usize, q: usize) -> &[(u32, u32)] {
+        self.incidence_of(sv).of(self.owned(sv, q))
     }
 }
 
@@ -323,7 +350,7 @@ impl Kernel {
             install_policy(p, variant, &self.params.adapt);
             let me = p.rank();
             let mut cur_sv = pl.sv_of_iter[0];
-            let mut my = pl.parts[pl.sv_part[cur_sv]].range_of(me);
+            let mut my = pl.owned(cur_sv, me);
             let my_start = me * cap_pp;
             let mut v = if variant == Variant::TmkOpt {
                 Validator::incremental()
@@ -346,7 +373,7 @@ impl Kernel {
             for i in my.clone() {
                 p.write(&x, i, world.x0[i]);
             }
-            write_section(p, &pl.flat[cur_sv][me]);
+            write_section(p, pl.section(cur_sv, me));
             // The init barrier covers iteration 0's reads, i.e. it stands
             // where the end-of-iteration barrier of a (virtual) iteration
             // −1 would: same site, so that phase's event axis starts here.
@@ -362,17 +389,17 @@ impl Kernel {
                     // A partition re-cut (rebalance) lands here too: the
                     // owned ranges move, but the DSM keeps the value array
                     // coherent, so only the local views change hands.
-                    write_section(p, &pl.flat[sv][me]);
+                    write_section(p, pl.section(sv, me));
                     let rb = self.rebuild();
                     p.compute(work::t(rb.us, rb.candidates / nprocs));
                     p.barrier_tagged(self.site(rb.tag, it));
                     if pl.sv_part[sv] != pl.sv_part[cur_sv] {
-                        my = pl.parts[pl.sv_part[sv]].range_of(me);
+                        my = pl.owned(sv, me);
                         acc = vec![0.0f64; my.len()];
                     }
                     cur_sv = sv;
                 }
-                let my_flat = pl.flat[sv][me].len();
+                let my_flat = pl.section(sv, me).len();
                 if variant == Variant::TmkOpt && my_flat > 0 {
                     validate(
                         p,
@@ -404,7 +431,7 @@ impl Kernel {
                 acc.iter_mut().for_each(|a| *a = 0.0);
                 let mut k = my_start;
                 for (li, i) in my.clone().enumerate() {
-                    for _ in 0..pl.deg[sv][me][li] {
+                    for _ in 0..pl.incidence_of(sv).degree(i) {
                         let a = p.read(&ilist, 2 * k) as u32 - 1;
                         let b = p.read(&ilist, 2 * k + 1) as u32 - 1;
                         let flux = (p.read(&x, a as usize) - p.read(&x, b as usize)) * world.kappa;
@@ -447,7 +474,7 @@ impl Kernel {
             let me = cp.rank();
             let mut cur_sv = pl.sv_of_iter[0];
             let mut pe = pl.sv_part[cur_sv];
-            let mut my = pl.parts[pe].range_of(me);
+            let mut my = pl.owned(cur_sv, me);
             let mut cache = TTableCache::new();
 
             let resolve = |sec: &[(u32, u32)], sched: &chaos::CommSchedule, tt: &TTable| {
@@ -466,10 +493,10 @@ impl Kernel {
                 cp,
                 &tts[pe],
                 &mut cache,
-                pl.flat[cur_sv][me].iter().flat_map(|&(a, b)| [a, b]),
+                pl.section(cur_sv, me).iter().flat_map(|&(a, b)| [a, b]),
             );
             let untimed_inspector_s = (cp.now() - t0).as_secs_f64();
-            let mut locs = resolve(&pl.flat[cur_sv][me], &sched, &tts[pe]);
+            let mut locs = resolve(pl.section(cur_sv, me), &sched, &tts[pe]);
             // One ghosted array and one accumulator per rank for the whole
             // run: the owned block is `x.owned`, and a gather refills every
             // ghost slot, so both are only resized when the schedule or the
@@ -532,7 +559,7 @@ impl Kernel {
                             cp,
                             &tts[new_pe],
                             &mut cache,
-                            pl.flat[sv][me].iter().flat_map(|&(a, b)| [a, b]),
+                            pl.section(sv, me).iter().flat_map(|&(a, b)| [a, b]),
                         );
                         insp_in_region += (cp.now() - t0).as_secs_f64();
                         pe = new_pe;
@@ -542,24 +569,25 @@ impl Kernel {
                             cp,
                             &tts[pe],
                             &mut cache,
-                            pl.flat[sv][me].iter().flat_map(|&(a, b)| [a, b]),
+                            pl.section(sv, me).iter().flat_map(|&(a, b)| [a, b]),
                         );
                         insp_in_region += (cp.now() - t0).as_secs_f64();
                     }
-                    locs = resolve(&pl.flat[sv][me], &sched, &tts[pe]);
+                    locs = resolve(pl.section(sv, me), &sched, &tts[pe]);
                     x.ghosts.resize(sched.ghost_count(), 0.0);
                     cur_sv = sv;
                 }
-                let my_flat = pl.flat[sv][me].len();
+                let my_flat = pl.section(sv, me).len();
 
                 gather(cp, &sched, &mut x);
 
                 acc.fill(0.0);
                 let mut k = 0usize;
+                let sec = pl.section(sv, me);
                 for (li, i) in my.clone().enumerate() {
-                    for _ in 0..pl.deg[sv][me][li] {
+                    for _ in 0..pl.incidence_of(sv).degree(i) {
                         let (la, lb) = locs[k];
-                        let (a, _) = pl.flat[sv][me][k];
+                        let (a, _) = sec[k];
                         let flux = (x.get(la) - x.get(lb)) * world.kappa;
                         accumulate(&mut acc[li], i as u32, a, flux);
                         k += 1;

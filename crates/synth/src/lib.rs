@@ -489,32 +489,37 @@ mod tests {
     use chaos::ChaosWorld;
 
     /// Every processor's section of every schedule version lists each
-    /// owned element's incident pairs in global list order — the order
-    /// the sequential sweep applies them, which is what makes the
-    /// owner-side reduction bitwise — and the sections together hold
+    /// owned element's incident pairs exactly as the list orders them —
+    /// the order the sequential sweep applies them, which is what makes
+    /// the owner-side reduction bitwise — and the sections together hold
     /// each pair twice, once per endpoint.
     fn assert_sections_in_global_order(kernel: &Kernel) {
         let (world, plan) = (&kernel.world, &kernel.plan);
-        for (sv, (flat, deg)) in plan.flat.iter().zip(&plan.deg).enumerate() {
-            let it = plan.sv_of_iter.iter().position(|&s| s == sv).unwrap();
-            let list = &world.lists[world.version_of_iter[it]];
-            let part = &plan.parts[plan.sv_part[sv]];
+        for sv in 0..plan.sv_part.len() {
+            let list = &world.lists[plan.sv_list[sv]];
             let mut visits = 0;
-            for (q, (sec, d)) in flat.iter().zip(deg).enumerate() {
+            for q in 0..plan.parts[0].nprocs() {
+                let sec = plan.section(sv, q);
                 let mut k = 0;
-                for (i, &di) in part.range_of(q).zip(d) {
-                    let run = &sec[k..k + di];
-                    assert!(run.windows(2).all(|w| w[0] < w[1]), "sv {sv} element {i}");
-                    for &(a, b) in run {
-                        assert!(a as usize == i || b as usize == i, "sv {sv} element {i}");
-                        assert!(
-                            list.binary_search(&(a, b)).is_ok(),
-                            "sv {sv}: not in the list"
-                        );
-                    }
-                    k += di;
+                for i in plan.owned(sv, q) {
+                    let want: Vec<(u32, u32)> = list
+                        .iter()
+                        .filter(|&&(a, b)| a as usize == i || b as usize == i)
+                        .copied()
+                        .collect();
+                    assert_eq!(
+                        plan.incidence_of(sv).degree(i),
+                        want.len(),
+                        "sv {sv} element {i}"
+                    );
+                    assert_eq!(sec[k..k + want.len()], want, "sv {sv} element {i}");
+                    k += want.len();
                 }
-                assert_eq!(k, sec.len(), "sv {sv} proc {q}: degrees cover the section");
+                assert_eq!(
+                    k,
+                    sec.len(),
+                    "sv {sv} proc {q}: the section is its elements'"
+                );
                 visits += k;
             }
             assert_eq!(visits, 2 * list.len(), "sv {sv}");
