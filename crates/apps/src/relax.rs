@@ -152,11 +152,16 @@ impl Plan {
     /// `parts[epoch_of_iter(it)]`.
     fn new(world: &World, parts: Vec<Partition>, epoch_of_iter: impl Fn(usize) -> usize) -> Plan {
         // Schedule versions: distinct (partition epoch, list version)
-        // pairs in first-use order.
+        // pairs in first-use order. Version 0 is the one initialization
+        // sets up, so a run of zero iterations still has one.
+        let first = (
+            epoch_of_iter(0),
+            world.version_of_iter.first().map_or(0, |&v| v),
+        );
         let mut sv_of_iter = Vec::with_capacity(world.version_of_iter.len());
-        let mut sv_part: Vec<usize> = Vec::new();
-        let mut sv_list: Vec<usize> = Vec::new();
-        let mut seen: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut sv_part = vec![first.0];
+        let mut sv_list = vec![first.1];
+        let mut seen = HashMap::from([(first, 0)]);
         for (it, &lv) in world.version_of_iter.iter().enumerate() {
             let pe = epoch_of_iter(it);
             let sv = *seen.entry((pe, lv)).or_insert_with(|| {
@@ -296,7 +301,7 @@ impl Kernel {
         let mut x = world.x0.clone();
         let mut acc = vec![0.0f64; x.len()];
         let mut time = SimTime::ZERO;
-        let mut cur_ver = world.version_of_iter[0];
+        let mut cur_ver = self.plan.sv_list[0];
         for &ver in &world.version_of_iter {
             if ver != cur_ver {
                 let rb = self.rebuild();
@@ -349,7 +354,7 @@ impl Kernel {
         let ranks = cl.run(|p| {
             install_policy(p, variant, &self.params.adapt);
             let me = p.rank();
-            let mut cur_sv = pl.sv_of_iter[0];
+            let mut cur_sv = 0;
             let mut my = pl.owned(cur_sv, me);
             let my_start = me * cap_pp;
             let mut v = if variant == Variant::TmkOpt {
@@ -472,7 +477,7 @@ impl Kernel {
 
         let out = w.run(|cp| {
             let me = cp.rank();
-            let mut cur_sv = pl.sv_of_iter[0];
+            let mut cur_sv = 0;
             let mut pe = pl.sv_part[cur_sv];
             let mut my = pl.owned(cur_sv, me);
             let mut cache = TTableCache::new();

@@ -153,6 +153,15 @@ mod tests {
     }
 
     #[test]
+    fn zero_sweeps_leave_the_initial_values() {
+        let mut cfg = UmeshConfig::small();
+        cfg.sweeps = 0;
+        let x0 = gen_mesh(&cfg).x0;
+        let m = crate::workload::run_matrix(&UmeshWorkload::new(cfg));
+        assert!(m.runs.iter().all(|r| r.x == x0));
+    }
+
+    #[test]
     fn relaxation_converges() {
         // Diffusion must shrink the value spread monotonically-ish.
         let mut cfg = UmeshConfig::small();

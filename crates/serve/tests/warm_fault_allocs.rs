@@ -129,7 +129,7 @@ const VPAGE: usize = 512;
 const VN: usize = 1024;
 const CAP: usize = 384;
 
-/// Each rank's allocations in a warm `validate` of the synth kernel's
+/// Each rank's allocations in a warm `validate` of the relaxation kernel's
 /// descriptor pair — endpoint reads through its section of the shared
 /// list, and its `READ&WRITE_ALL` block of the value array — as
 /// `(unchanged schedule, rescan after a list rewrite, indirection pages
@@ -217,7 +217,7 @@ fn static_cell() -> SynthConfig {
 /// clock and one notice page list per interval, and one fold-horizon
 /// snapshot per barrier that advanced it. CHAOS storing its values
 /// straight into reused inboxes, instead of a value, a byte and a
-/// decoded vector per message, and the synth kernel keeping one ghosted
+/// decoded vector per message, and the relaxation kernel keeping one ghosted
 /// array and accumulator per rank took a warm CHAOS run from 701 to 161
 /// at 4 processors and from 91 390 to 2 628 at 64. Dropping the
 /// scenario label each run stamped on its `Net` and copied into its

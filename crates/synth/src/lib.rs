@@ -307,11 +307,6 @@ impl Prepared {
     pub fn set_reuse(&self, on: bool) {
         self.reuse.store(on, Ordering::Relaxed);
     }
-
-    /// Is the recycled-cluster scratch path on?
-    pub fn reuse_enabled(&self) -> bool {
-        self.reuse.load(Ordering::Relaxed)
-    }
 }
 
 impl Workload for Prepared {
@@ -324,7 +319,7 @@ impl Workload for Prepared {
     }
 
     fn run(&self, v: Variant, seq_time: SimTime) -> (RunReport, Vec<f64>) {
-        if !(Variant::TMK.contains(&v) && self.reuse_enabled()) {
+        if !(Variant::TMK.contains(&v) && self.reuse.load(Ordering::Relaxed)) {
             return self.kernel.run(v, seq_time);
         }
         let cl = CLUSTERS.with(|p| p.checkout(&self.kernel.params.dsm));
