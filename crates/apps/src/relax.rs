@@ -84,8 +84,8 @@ pub struct Params {
 /// order — the order in which the sequential sweep touches `i`'s
 /// accumulator. Each pair appears twice, once per endpoint.
 pub struct Incidence {
-    pub start: Vec<u32>,
-    pub pairs: Vec<(u32, u32)>,
+    start: Vec<u32>,
+    pairs: Vec<(u32, u32)>,
 }
 
 impl Incidence {
@@ -203,7 +203,7 @@ impl Plan {
     /// Processor `q`'s section under schedule version `sv`: its owned
     /// elements' incident pairs, element by element, each element's in
     /// global list order. An owned range is contiguous, so this is one
-    /// run of [`Incidence::pairs`].
+    /// run of its list's [`Incidence`].
     pub fn section(&self, sv: usize, q: usize) -> &[(u32, u32)] {
         self.incidence_of(sv).of(self.owned(sv, q))
     }
