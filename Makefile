@@ -45,8 +45,9 @@ fmt-check:
 # dsm/chaos no Arc (simnet's Arc<dyn TraceSink> is shared with the
 # tracer's owner and stays). The awk greps stop at each file's first
 # #[cfg(test)]. A simulated processor is a sequential program, as in
-# the paper: simnet/dsm/chaos/rsd/serve do not use the rayon shim
-# (bench's table bins fan out rows with it), serve and trace lock
+# the paper, and bench's table bins fan out row groups with
+# std::thread::scope: no crate depends on the rayon shim (benchmark/
+# still does until it drops it), serve and trace lock
 # through std::sync (the vendored parking-lot shim is gone; lockfiles
 # and the history documents may still name it), and a served job takes
 # exactly one ThreadBudget token, never spares. A page's consistency
@@ -81,8 +82,12 @@ fmt-check:
 # synth cell run one owner-side relaxation kernel, apps::relax: umesh
 # builds no cluster or CHAOS world and calls neither validate nor the
 # inspector itself, and no second accumulate or incident_lists grows
-# back outside crates/apps/src/relax.rs.
-SEQUENTIAL_CRATES = crates/simnet crates/dsm crates/chaos crates/rsd crates/serve
+# back outside crates/apps/src/relax.rs. CHAOS keeps what the paper's
+# programs run: a partition is a block layout (BLOCK, and RCB with its
+# renumbering), a translation table is replicated or distributed, and
+# the CYCLIC partitioner, the almost-owner-computes rule, the owner
+# vector's remap (from_owners, owner_of_new) and the paged table are
+# gone.
 ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
 NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
 hygiene:
@@ -112,8 +117,8 @@ hygiene:
 		echo "hygiene: a cluster runs on one thread; keep its state in Cell / RefCell, not a lock or an atomic"; exit 1; fi
 	@if awk '/#\[cfg\(test\)\]/ { nextfile } /Arc/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit !bad }' $(NO_ARC_SRC); then \
 		echo "hygiene: dsm and chaos share within one thread; use Rc, not Arc"; exit 1; fi
-	@if grep -rn "rayon" $(SEQUENTIAL_CRATES); then \
-		echo "hygiene: a simulated processor is sequential; no rayon in simnet/dsm/chaos/rsd/serve"; exit 1; fi
+	@if grep -rn "rayon" crates/; then \
+		echo "hygiene: no crate depends on the rayon shim; a simulated processor is sequential, and bench fans row groups out with std::thread::scope"; exit 1; fi
 	@if grep -rn "parking[_]lot" --exclude-dir=target --exclude=Cargo.lock crates src examples tests vendor benchmark Cargo.toml .github ; then \
 		echo "hygiene: the vendored parking-lot shim is deleted; lock through std::sync, recovering with PoisonError::into_inner"; exit 1; fi
 	@if grep -rn "try_acquire_up_to" crates/; then \
@@ -140,6 +145,8 @@ hygiene:
 		echo "hygiene: umesh runs on apps::relax, the one owner-side relaxation kernel; it has no runner of its own"; exit 1; fi
 	@if grep -rnE "fn (accumulate|incident_lists)\b" crates/ | grep -v "^crates/apps/src/relax.rs:"; then \
 		echo "hygiene: the owner-side accumulation and incident lists live only in apps::relax"; exit 1; fi
+	@if grep -rnwE "Paged|from_owners|owner_of_new|cyclic_partition|assign_iterations_almost_owner" crates/; then \
+		echo "hygiene: a chaos::Partition is a block layout (block_partition, rcb_partition, Partition::from_starts) and a TTable is Replicated or Distributed"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses
@@ -172,9 +179,7 @@ tables:
 	cargo run --release -p bench --bin table2 -- --quick
 	cargo run --release -p bench --bin table_adapt -- --quick
 	cargo run --release -p bench --bin table_synth -- --quick
-	cargo run --release -p bench --bin overhead1p -- --quick
 	cargo run --release -p bench --bin figures
-	cargo run --release -p bench --bin ablation -- --quick
 
 # The full synthetic scenario grid at paper scale, churn cells (regime
 # breaks, rebalances) included (minutes; the --quick form runs in

@@ -31,15 +31,11 @@ pub fn run_chaos(
     let n = cfg.n;
 
     // Partition + remap (untimed, as in the paper).
-    let part = rcb_partition(&world.pos, nprocs);
-    let pos_new: Vec<[f64; 3]> = (0..n).map(|k| world.pos[part.old_of[k] as usize]).collect();
-    // Build the table over the *remapped* block layout: element k (new
-    // numbering) lives on its owner at offset k - start.
-    let remapped_part = {
-        let owner: Vec<usize> = (0..n).map(|k| part.owner_of_new(k)).collect();
-        chaos::Partition::from_owners(owner, nprocs)
-    };
-    let tt = TTable::new(TTableKind::Distributed, &remapped_part);
+    let (part, old_of) = rcb_partition(&world.pos, nprocs);
+    let pos_new: Vec<[f64; 3]> = old_of.iter().map(|&e| world.pos[e as usize]).collect();
+    // The table is over the renumbered block layout: element k lives on
+    // its owner at offset k - start.
+    let tt = TTable::new(TTableKind::Distributed, &part);
 
     let w = ChaosWorld::new(nprocs, cfg.cost.clone());
     let rebuilds = cfg.rebuild_steps();
@@ -118,15 +114,13 @@ pub fn run_chaos(
             // ghost slots must be (re)zeroed before accumulation either
             // way.
             gather3(cp, &sched, &mut fg);
-            fg.ghosts.iter_mut().for_each(|g| *g = 0.0);
-            for (k, &(i, j)) in pairs.iter().enumerate() {
-                let (li, lj) = locs[k];
+            fg.clear_ghosts();
+            for &(li, lj) in &locs {
                 let xi = get3(&xg, li);
                 let xj = get3(&xg, lj);
                 let f = pair_force(&xi, &xj, rc2);
                 add3(&mut fg, li, f, 1.0);
                 add3(&mut fg, lj, f, -1.0);
-                let _ = (i, j);
             }
             cp.compute(work::t(work::MOLDYN_PAIR_US, pairs.len()));
             scatter3(cp, &sched, &mut fg);
@@ -151,7 +145,7 @@ pub fn run_chaos(
     let (ranks, blocks): (Vec<_>, Vec<_>) = out.into_iter().unzip();
     let mut final_x = vec![[0.0f64; 3]; n];
     for (k, v) in blocks.into_iter().flatten().enumerate() {
-        final_x[part.old_of[k] as usize] = v;
+        final_x[old_of[k] as usize] = v;
     }
 
     let checksum = final_x.iter().flatten().map(|v| v.abs()).sum();
@@ -180,28 +174,22 @@ fn resolve(
 
 #[inline]
 fn get3(g: &Ghosted, loc: chaos::Loc) -> [f64; 3] {
-    let b = match loc {
-        chaos::Loc::Own(o) => 3 * o as usize,
-        chaos::Loc::Ghost(gi) => 3 * gi as usize,
+    let (v, k) = match loc {
+        chaos::Loc::Own(k) => (&g.owned, k),
+        chaos::Loc::Ghost(k) => (&g.ghosts, k),
     };
-    match loc {
-        chaos::Loc::Own(_) => [g.owned[b], g.owned[b + 1], g.owned[b + 2]],
-        chaos::Loc::Ghost(_) => [g.ghosts[b], g.ghosts[b + 1], g.ghosts[b + 2]],
-    }
+    let b = 3 * k as usize;
+    [v[b], v[b + 1], v[b + 2]]
 }
 
 #[inline]
 fn add3(g: &mut Ghosted, loc: chaos::Loc, f: [f64; 3], sign: f64) {
-    let b = match loc {
-        chaos::Loc::Own(o) => 3 * o as usize,
-        chaos::Loc::Ghost(gi) => 3 * gi as usize,
+    let (v, k) = match loc {
+        chaos::Loc::Own(k) => (&mut g.owned, k),
+        chaos::Loc::Ghost(k) => (&mut g.ghosts, k),
     };
-    let dst = match loc {
-        chaos::Loc::Own(_) => &mut g.owned,
-        chaos::Loc::Ghost(_) => &mut g.ghosts,
-    };
-    for d in 0..3 {
-        dst[b + d] += sign * f[d];
+    for (c, fd) in v[3 * k as usize..][..3].iter_mut().zip(f) {
+        *c += sign * fd;
     }
 }
 

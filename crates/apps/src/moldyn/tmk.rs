@@ -63,8 +63,8 @@ pub fn run_tmk(
     let n = cfg.n;
 
     // --- untimed setup: partition, remap, compile ---
-    let part = rcb_partition(&world.pos, nprocs);
-    let pos_new: Vec<[f64; 3]> = (0..n).map(|k| world.pos[part.old_of[k] as usize]).collect();
+    let (part, old_of) = rcb_partition(&world.pos, nprocs);
+    let pos_new: Vec<[f64; 3]> = old_of.iter().map(|&e| world.pos[e as usize]).collect();
 
     // Compile Figure 1; the optimized build uses the emitted site.
     let compiled = fcc::compile(fcc::fixtures::MOLDYN_SOURCE).expect("figure-1 source compiles");
@@ -250,7 +250,7 @@ pub fn run_tmk(
     let (policy, remapped) = Capture::extract(variant, &cl, &x);
     let mut final_x = vec![[0.0; 3]; n];
     for (k, xyz) in remapped.chunks_exact(3).enumerate() {
-        final_x[part.old_of[k] as usize].copy_from_slice(xyz);
+        final_x[old_of[k] as usize].copy_from_slice(xyz);
     }
 
     let checksum = final_x.iter().flatten().map(|v| v.abs()).sum();

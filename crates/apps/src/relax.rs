@@ -130,9 +130,9 @@ impl Incidence {
 /// over the *same* list — the stale-schedule case CHAOS must detect and
 /// re-inspect its way out of.
 pub struct Plan {
-    /// Distinct data partitions, in epoch order. All ascending-
-    /// contiguous (identity remap), so `range_of` speaks original
-    /// element ids — the kernels index the shared array with it.
+    /// Distinct data partitions, in epoch order. A partition is a block
+    /// layout, so `range_of` speaks element ids — the kernels index the
+    /// shared array with it.
     pub parts: Vec<Partition>,
     /// Per iteration: its schedule version.
     pub sv_of_iter: Vec<usize>,
@@ -531,9 +531,9 @@ impl Kernel {
                         let old_part = &pl.parts[pe];
                         let new_part = &pl.parts[new_pe];
                         let new_my = new_part.range_of(me);
-                        // Both partitions are ascending-contiguous, so what
-                        // moves from `p` to `q` is `p`'s old range overlapped
-                        // with `q`'s new one.
+                        // Both partitions are block layouts, so what moves
+                        // from `p` to `q` is `p`'s old range overlapped with
+                        // `q`'s new one.
                         let out = (0..nprocs)
                             .filter(|&q| q != me)
                             .map(|q| (q, overlap(&my, &new_part.range_of(q))))
@@ -611,9 +611,9 @@ impl Kernel {
             (rank, x.owned)
         });
 
-        // Every partition is ascending-contiguous (see [`Plan::parts`]), so
-        // the owned blocks in rank order are the whole array — whichever
-        // partition the run *ended* on.
+        // Every partition is a block layout, so the owned blocks in rank
+        // order are the whole array — whichever partition the run *ended*
+        // on.
         let (ranks, blocks): (Vec<_>, Vec<_>) = out.into_iter().unzip();
         let final_x = blocks.concat();
         let checksum = final_x.iter().map(|v| v.abs()).sum();

@@ -44,14 +44,6 @@ impl Ghosted {
         }
     }
 
-    #[inline]
-    pub fn set(&mut self, loc: Loc, v: f64) {
-        match loc {
-            Loc::Own(o) => self.owned[o as usize] = v,
-            Loc::Ghost(g) => self.ghosts[g as usize] = v,
-        }
-    }
-
     /// Zero the ghost slots (before an accumulate phase).
     pub fn clear_ghosts(&mut self) {
         self.ghosts.iter_mut().for_each(|g| *g = 0.0);

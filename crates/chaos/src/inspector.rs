@@ -159,10 +159,11 @@ fn exchange_wants<'a>(
 /// Charges: one hash per access (including duplicates — that is the
 /// point of the hash table), translation lookups/traffic per the table
 /// kind, and one schedule-exchange message per communicating pair.
+/// The cache is unused (see [`TTableCache`]).
 pub fn inspector(
     cp: &mut ChaosProc,
     ttable: &TTable,
-    cache: &mut TTableCache,
+    _cache: &mut TTableCache,
     accesses: impl Iterator<Item = u32>,
 ) -> CommSchedule {
     let me = cp.rank();
@@ -201,7 +202,7 @@ pub fn inspector(
             tag: SpanTag::Translate,
         },
     );
-    let translated = ttable.lookup_batch(cp, &distinct, cache);
+    let translated = ttable.lookup_batch(cp, &distinct);
     cp.net().trace(
         me,
         TraceEvent::SpanEnd {
@@ -257,13 +258,12 @@ pub fn inspector(
 
 /// Re-run the inspector because the *partition* moved under the
 /// schedule — a mid-run rebalance re-cut data ownership, so the old
-/// [`CommSchedule`] (and every cached translation) went stale with no
-/// list change of its own. CHAOS must detect this and pay inspection
-/// again; this wrapper makes that payment auditable: the whole
-/// collective sits inside a `Reinspect` trace span on every lane, and
-/// rank 0 bills it once on the shared re-inspection counter
-/// ([`simnet::Net::reinspections`]) so tests can assert "billed exactly
-/// once" against the span count.
+/// [`CommSchedule`] went stale with no list change of its own. CHAOS
+/// must detect this and pay inspection again; this wrapper makes that
+/// payment auditable: the whole collective sits inside a `Reinspect`
+/// trace span on every lane, and rank 0 bills it once on the shared
+/// re-inspection counter ([`simnet::Net::reinspections`]) so tests can
+/// assert "billed exactly once" against the span count.
 pub fn reinspect(
     cp: &mut ChaosProc,
     ttable: &TTable,
@@ -280,8 +280,6 @@ pub fn reinspect(
     if me == 0 {
         cp.net().add_reinspection();
     }
-    // Translations cached against the old partition are wrong now.
-    *cache = TTableCache::new();
     let sched = inspector(cp, ttable, cache, accesses);
     cp.net().trace(
         me,

@@ -5,12 +5,12 @@
 //! two approaches are compared under one cost model. The three steps of
 //! solving an irregular problem in CHAOS:
 //!
-//! 1. **Data and iteration partitioning** ([`Partition`]): BLOCK, CYCLIC,
-//!    and Recursive Coordinate Bisection partitioners; iterations are
-//!    assigned by the *almost-owner-computes* rule. Data is
-//!    **remapped** so each processor's elements are contiguous, and a
-//!    **translation table** (replicated, block-distributed, or paged)
-//!    records every element's home processor and offset.
+//! 1. **Data partitioning** ([`Partition`]): the BLOCK and Recursive
+//!    Coordinate Bisection partitioners the paper's programs use. RCB
+//!    **renumbers** the data so each processor's elements are
+//!    contiguous, so a partition is a block layout, and a **translation
+//!    table** (replicated or block-distributed) records every element's
+//!    home processor and offset.
 //! 2. **The inspector** ([`inspector`]): executed per processor, it hashes
 //!    the indirection array to eliminate duplicates, consults the
 //!    translation table (communicating if the table is not replicated),
@@ -39,9 +39,7 @@ mod world;
 
 pub use executor::{gather, scatter_add, Ghosted};
 pub use inspector::{inspector, reinspect, CommSchedule, Loc};
-pub use partition::{
-    assign_iterations_almost_owner, block_partition, cyclic_partition, rcb_partition, Partition,
-};
+pub use partition::{block_partition, rcb_partition, Partition};
 pub use ttable::{TTable, TTableCache, TTableKind};
 pub use world::{ChaosProc, ChaosWorld, Values};
 

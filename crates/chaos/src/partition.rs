@@ -1,90 +1,56 @@
-//! Data and iteration partitioners (paper §4).
+//! Data partitioners (paper §4).
 //!
 //! CHAOS "supports a number of parallel partitioners that partition data
 //! arrays using heuristics based on spatial position, computational load,
-//! etc." We implement the three the paper uses or names: BLOCK, CYCLIC,
-//! and the Recursive Coordinate Bisection (RCB) partitioner that both the
-//! CHAOS *and* TreadMarks moldyn programs rely on for locality.
+//! etc." The paper's programs use two: BLOCK (nbf) and the Recursive
+//! Coordinate Bisection (RCB) partitioner that both the CHAOS *and*
+//! TreadMarks moldyn programs rely on for locality. RCB renumbers the
+//! elements so each processor's are contiguous; after that, every
+//! runtime indexes by a block layout, which is all a [`Partition`] is.
+
+use std::ops::Range;
 
 use simnet::ProcId;
 
-/// A data partition: every element's home processor, plus the derived
-/// remap (elements of one processor contiguous, processors ascending).
+/// A block layout: processor `p` owns elements `starts[p]..starts[p + 1]`,
+/// so ownership is ascending-contiguous by construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
-    /// `owner[e]` = home processor of (original) element `e`.
-    pub owner: Vec<ProcId>,
-    /// Elements per processor.
-    pub counts: Vec<usize>,
-    /// Remap permutation: `new_of[e]` = position of original element `e`
-    /// in the remapped (owner-contiguous) ordering.
-    pub new_of: Vec<u32>,
-    /// Inverse: `old_of[k]` = original element at remapped position `k`.
-    pub old_of: Vec<u32>,
-    /// Start of each processor's block in the remapped ordering
-    /// (length `nprocs + 1`).
-    pub starts: Vec<usize>,
+    /// Start of each processor's block (length `nprocs + 1`, from 0,
+    /// never decreasing).
+    starts: Vec<usize>,
 }
 
 impl Partition {
-    /// Build the remap tables from an ownership vector.
-    pub fn from_owners(owner: Vec<ProcId>, nprocs: usize) -> Self {
-        let n = owner.len();
-        let mut counts = vec![0usize; nprocs];
-        for &o in &owner {
-            assert!(o < nprocs, "owner {o} out of range");
-            counts[o] += 1;
-        }
-        let mut starts = vec![0usize; nprocs + 1];
-        for p in 0..nprocs {
-            starts[p + 1] = starts[p] + counts[p];
-        }
-        let mut cursor = starts.clone();
-        let mut new_of = vec![0u32; n];
-        let mut old_of = vec![0u32; n];
-        for (e, &o) in owner.iter().enumerate() {
-            let k = cursor[o];
-            cursor[o] += 1;
-            new_of[e] = k as u32;
-            old_of[k] = e as u32;
-        }
-        Partition {
-            owner,
-            counts,
-            new_of,
-            old_of,
-            starts,
-        }
+    /// The layout whose processor `p` owns `starts[p]..starts[p + 1]`.
+    /// Panics unless `starts` names at least one processor, begins at 0
+    /// and never decreases.
+    pub fn from_starts(starts: Vec<usize>) -> Self {
+        assert!(
+            starts.len() >= 2 && starts[0] == 0,
+            "a layout starts at 0 and names a processor: {starts:?}"
+        );
+        assert!(
+            starts.windows(2).all(|w| w[0] <= w[1]),
+            "block starts never decrease: {starts:?}"
+        );
+        Partition { starts }
     }
 
     pub fn nprocs(&self) -> usize {
-        self.counts.len()
+        self.starts.len() - 1
     }
 
     pub fn len(&self) -> usize {
-        self.owner.len()
+        self.starts[self.nprocs()]
     }
 
     pub fn is_empty(&self) -> bool {
-        self.owner.is_empty()
+        self.len() == 0
     }
 
-    /// Home processor of a *remapped* element index.
-    pub fn owner_of_new(&self, k: usize) -> ProcId {
-        match self.starts.binary_search(&k) {
-            Ok(p) if p < self.nprocs() => p,
-            Ok(p) => p - 1,
-            Err(p) => p - 1,
-        }
-    }
-
-    /// Local offset (within the owner's block) of a remapped index.
-    pub fn local_off_of_new(&self, k: usize) -> u32 {
-        (k - self.starts[self.owner_of_new(k)]) as u32
-    }
-
-    /// The remapped index range owned by `p`.
-    pub fn range_of(&self, p: ProcId) -> std::ops::Range<usize> {
+    /// The element range owned by `p`.
+    pub fn range_of(&self, p: ProcId) -> Range<usize> {
         self.starts[p]..self.starts[p + 1]
     }
 }
@@ -93,23 +59,8 @@ impl Partition {
 /// (the nbf experiments use this — "a simple BLOCK partition suffices to
 /// balance the load").
 pub fn block_partition(n: usize, nprocs: usize) -> Partition {
-    let mut owner = vec![0; n];
-    let base = n / nprocs;
-    let extra = n % nprocs;
-    let mut e = 0;
-    for p in 0..nprocs {
-        let sz = base + usize::from(p < extra);
-        for _ in 0..sz {
-            owner[e] = p;
-            e += 1;
-        }
-    }
-    Partition::from_owners(owner, nprocs)
-}
-
-/// CYCLIC partition: element `e` to processor `e mod nprocs`.
-pub fn cyclic_partition(n: usize, nprocs: usize) -> Partition {
-    Partition::from_owners((0..n).map(|e| e % nprocs).collect(), nprocs)
+    let (base, extra) = (n / nprocs, n % nprocs);
+    Partition::from_starts((0..=nprocs).map(|p| p * base + p.min(extra)).collect())
 }
 
 /// Recursive Coordinate Bisection over 3-D positions: split the element
@@ -118,25 +69,32 @@ pub fn cyclic_partition(n: usize, nprocs: usize) -> Partition {
 /// are more likely to interact", so RCB minimizes cross-processor
 /// interactions (paper §4).
 ///
+/// Returns the block layout over the renumbered elements and `old_of`,
+/// each position's original element id: processor `p`'s elements are
+/// `old_of[range_of(p)]`, in ascending original id.
+///
 /// `nprocs` may be any positive count (uneven splits weight the halves).
-pub fn rcb_partition(pos: &[[f64; 3]], nprocs: usize) -> Partition {
-    let mut owner = vec![0usize; pos.len()];
-    let mut idx: Vec<u32> = (0..pos.len() as u32).collect();
-    rcb_rec(pos, &mut idx, 0, nprocs, &mut owner);
-    Partition::from_owners(owner, nprocs)
+pub fn rcb_partition(pos: &[[f64; 3]], nprocs: usize) -> (Partition, Vec<u32>) {
+    let mut old_of: Vec<u32> = (0..pos.len() as u32).collect();
+    let mut starts = vec![0usize; nprocs + 1];
+    rcb_rec(pos, &mut old_of, 0, 0, nprocs, &mut starts);
+    (Partition::from_starts(starts), old_of)
 }
 
+/// Bisect `idx` (positions `offset..` of the renumbering) among
+/// processors `first_proc..first_proc + nprocs`, recording each
+/// processor's block end in `starts`.
 fn rcb_rec(
     pos: &[[f64; 3]],
     idx: &mut [u32],
+    offset: usize,
     first_proc: usize,
     nprocs: usize,
-    owner: &mut [usize],
+    starts: &mut [usize],
 ) {
     if nprocs == 1 {
-        for &e in idx.iter() {
-            owner[e as usize] = first_proc;
-        }
+        idx.sort_unstable();
+        starts[first_proc + 1] = offset + idx.len();
         return;
     }
     // Widest dimension of the bounding box.
@@ -167,33 +125,15 @@ fn rcb_rec(
             .then(a.cmp(&b))
     });
     let (l, r) = idx.split_at_mut(split);
-    rcb_rec(pos, l, first_proc, left_procs, owner);
-    rcb_rec(pos, r, first_proc + left_procs, right_procs, owner);
-}
-
-/// Iteration partitioning by the *almost-owner-computes* rule: each
-/// iteration goes to the processor owning the majority of the elements it
-/// accesses (ties to the first element's owner).
-pub fn assign_iterations_almost_owner(
-    partition: &Partition,
-    accesses_per_iter: impl Iterator<Item = Vec<u32>>,
-) -> Vec<ProcId> {
-    let nprocs = partition.nprocs();
-    accesses_per_iter
-        .map(|elems| {
-            debug_assert!(!elems.is_empty());
-            let mut votes = vec![0u32; nprocs];
-            for &e in &elems {
-                votes[partition.owner[e as usize]] += 1;
-            }
-            let best = *votes.iter().max().unwrap();
-            if votes[partition.owner[elems[0] as usize]] == best {
-                partition.owner[elems[0] as usize]
-            } else {
-                votes.iter().position(|&v| v == best).unwrap()
-            }
-        })
-        .collect()
+    rcb_rec(pos, l, offset, first_proc, left_procs, starts);
+    rcb_rec(
+        pos,
+        r,
+        offset + split,
+        first_proc + left_procs,
+        right_procs,
+        starts,
+    );
 }
 
 #[cfg(test)]
@@ -203,40 +143,9 @@ mod tests {
     #[test]
     fn block_sizes_balanced() {
         let p = block_partition(10, 3);
-        assert_eq!(p.counts, vec![4, 3, 3]);
-        assert_eq!(p.owner[0..4], [0, 0, 0, 0]);
-        assert_eq!(p.starts, vec![0, 4, 7, 10]);
-    }
-
-    #[test]
-    fn cyclic_roundrobin() {
-        let p = cyclic_partition(7, 3);
-        assert_eq!(p.owner, vec![0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(p.counts, vec![3, 2, 2]);
-    }
-
-    #[test]
-    fn remap_is_a_permutation() {
-        let p = cyclic_partition(100, 7);
-        let mut seen = [false; 100];
-        for e in 0..100 {
-            let k = p.new_of[e] as usize;
-            assert!(!seen[k]);
-            seen[k] = true;
-            assert_eq!(p.old_of[k] as usize, e);
-            assert_eq!(p.owner_of_new(k), p.owner[e]);
-        }
-    }
-
-    #[test]
-    fn local_offsets_dense() {
-        let p = block_partition(12, 4);
-        for proc in 0..4 {
-            let r = p.range_of(proc);
-            for (off, k) in r.enumerate() {
-                assert_eq!(p.local_off_of_new(k) as usize, off);
-            }
-        }
+        assert_eq!(p, Partition::from_starts(vec![0, 4, 7, 10]));
+        assert_eq!((p.nprocs(), p.len()), (3, 10));
+        assert_eq!(p.range_of(0), 0..4);
     }
 
     #[test]
@@ -250,19 +159,17 @@ mod tests {
                 }
             }
         }
-        let p = rcb_partition(&pos, 8);
-        assert!(p.counts.iter().all(|&c| c == 64), "{:?}", p.counts);
+        let (p, old_of) = rcb_partition(&pos, 8);
+        assert_eq!(p, block_partition(512, 8));
         // Locality: elements of one processor span at most half the box
         // in every dimension.
         for proc in 0..8 {
             let mut lo = [f64::INFINITY; 3];
             let mut hi = [f64::NEG_INFINITY; 3];
-            for (e, &o) in p.owner.iter().enumerate() {
-                if o == proc {
-                    for d in 0..3 {
-                        lo[d] = lo[d].min(pos[e][d]);
-                        hi[d] = hi[d].max(pos[e][d]);
-                    }
+            for &e in &old_of[p.range_of(proc)] {
+                for d in 0..3 {
+                    lo[d] = lo[d].min(pos[e as usize][d]);
+                    hi[d] = hi[d].max(pos[e as usize][d]);
                 }
             }
             for d in 0..3 {
@@ -289,19 +196,9 @@ mod tests {
     #[test]
     fn rcb_uneven_proc_count() {
         let pos: Vec<[f64; 3]> = (0..90).map(|i| [i as f64, 0.0, 0.0]).collect();
-        let p = rcb_partition(&pos, 3);
-        assert_eq!(p.counts, vec![30, 30, 30]);
+        let (p, old_of) = rcb_partition(&pos, 3);
+        assert_eq!(p, block_partition(90, 3));
         // Line split into thirds, in order.
-        assert!(p.owner[0..30].iter().all(|&o| o == 0));
-        assert!(p.owner[60..90].iter().all(|&o| o == 2));
-    }
-
-    #[test]
-    fn almost_owner_computes() {
-        let p = block_partition(8, 2); // 0-3 → p0, 4-7 → p1
-        let iters = vec![vec![0u32, 1], vec![0, 5], vec![5, 0], vec![6, 7]];
-        let a = assign_iterations_almost_owner(&p, iters.into_iter());
-        // Tie (one element each) goes to the first element's owner.
-        assert_eq!(a, vec![0, 0, 1, 1]);
+        assert!(old_of.iter().copied().eq(0..90));
     }
 }

@@ -3,13 +3,11 @@
 //!
 //! "Depending on storage requirements, the translation table can be
 //! replicated, distributed regularly, or stored in a paged fashion."
-//! The *contents* are identical either way; what differs is the cost of a
-//! lookup: replicated tables answer locally, distributed tables answer
-//! remote lookups with batched request/reply messages (this is why the
-//! paper's moldyn inspector moves 85 MB — they could not afford the
-//! replicated table), and paged tables fetch and cache whole table pages.
-
-use std::collections::HashSet;
+//! The paper's programs use the first two. The *contents* are identical
+//! either way; what differs is the cost of a lookup: replicated tables
+//! answer locally, distributed tables answer remote lookups with batched
+//! request/reply messages (this is why the paper's moldyn inspector
+//! moves 85 MB — they could not afford the replicated table).
 
 use simnet::{MsgKind, ProcId};
 
@@ -24,24 +22,17 @@ pub enum TTableKind {
     /// Entry `e` stored on processor `e / block`: remote lookups batch
     /// one request/reply per owning processor.
     Distributed,
-    /// Like `Distributed`, but lookups fetch and cache whole pages of
-    /// `entries_per_page` entries.
-    Paged { entries_per_page: usize },
 }
 
-/// Per-processor lookup cache (meaningful for `Paged`).
+/// A per-processor lookup cache with nothing to cache: neither table
+/// kind keeps one. Kept only so callers of [`crate::inspector`] keep
+/// their call surface.
 #[derive(Debug, Default)]
-pub struct TTableCache {
-    pages: HashSet<u32>,
-}
+pub struct TTableCache;
 
 impl TTableCache {
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn cached_pages(&self) -> usize {
-        self.pages.len()
+        Self
     }
 }
 
@@ -69,25 +60,19 @@ fn reply_words(
 #[derive(Debug, Clone)]
 pub struct TTable {
     kind: TTableKind,
-    /// `(owner, local offset)` per original element id.
-    entries: Vec<(u8, u32)>,
+    /// `(owner, local offset)` per element id.
+    entries: Vec<(u32, u32)>,
     nprocs: usize,
-    /// For Distributed/Paged: entries per storing processor.
+    /// For `Distributed`: entries per storing processor.
     block: usize,
 }
 
 impl TTable {
-    /// Build from a partition (owner + dense local offsets).
+    /// Build from a block layout: element `e` of processor `p`'s block
+    /// lives at offset `e - range_of(p).start`.
     pub fn new(kind: TTableKind, part: &Partition) -> Self {
-        let mut next = vec![0u32; part.nprocs()];
-        let entries = part
-            .owner
-            .iter()
-            .map(|&o| {
-                let off = next[o];
-                next[o] += 1;
-                (o as u8, off)
-            })
+        let entries = (0..part.nprocs())
+            .flat_map(|p| (0..part.range_of(p).len() as u32).map(move |off| (p as u32, off)))
             .collect();
         TTable {
             kind,
@@ -97,28 +82,11 @@ impl TTable {
         }
     }
 
-    pub fn kind(&self) -> TTableKind {
-        self.kind
-    }
-
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Memory footprint per processor, in bytes (the reason the paper
-    /// could not replicate moldyn's table).
-    pub fn bytes_per_proc(&self) -> usize {
-        match self.kind {
-            TTableKind::Replicated => self.entries.len() * 8,
-            _ => self.block * 8,
-        }
-    }
-
-    /// Which processor stores entry `e` (non-replicated kinds).
+    /// Which processor stores entry `e` (`Distributed`).
     fn storer(&self, e: u32) -> ProcId {
         ((e as usize) / self.block).min(self.nprocs - 1)
     }
@@ -127,12 +95,7 @@ impl TTable {
     /// a lookup batch with. (Simulated lookup costs are charged by the
     /// caller.)
     fn translate_all(&self, ids: &[u32]) -> Vec<(ProcId, u32)> {
-        ids.iter()
-            .map(|&e| {
-                let (o, off) = self.entries[e as usize];
-                (o as ProcId, off)
-            })
-            .collect()
+        ids.iter().map(|&e| self.translate_free(e)).collect()
     }
 
     /// Translate a batch of (deduplicated) element ids, charging lookup
@@ -140,12 +103,7 @@ impl TTable {
     ///
     /// All processors participating in an inspection must call this
     /// collectively (the underlying exchange is a BSP superstep).
-    pub fn lookup_batch(
-        &self,
-        cp: &mut ChaosProc,
-        ids: &[u32],
-        cache: &mut TTableCache,
-    ) -> Vec<(ProcId, u32)> {
+    pub fn lookup_batch(&self, cp: &mut ChaosProc, ids: &[u32]) -> Vec<(ProcId, u32)> {
         let me = cp.rank();
         let cost = cp.net().cost().clone();
         match self.kind {
@@ -181,27 +139,6 @@ impl TTable {
                 cp.compute(cost.translate(ids.len()));
                 self.translate_all(ids)
             }
-            TTableKind::Paged { entries_per_page } => {
-                // Superstep 1 — page requests for uncached table pages,
-                // grouped by storer the same flat way as `Distributed`.
-                let mut flat: Vec<(ProcId, u32)> = Vec::new();
-                for &e in ids {
-                    let page = e / entries_per_page as u32;
-                    let s = self.storer(e);
-                    if s != me && cache.pages.insert(page) {
-                        flat.push((s, page));
-                    }
-                }
-                flat.sort_by_key(|&(s, _)| s);
-                let mut asked = Vec::new();
-                cp.exchange(MsgKind::Translate, by_storer(&flat), |from, pages| {
-                    asked.push((from, pages.len() * entries_per_page));
-                });
-                // Superstep 2 — whole table pages come back.
-                cp.exchange(MsgKind::Translate, reply_words(&asked), |_, _| {});
-                cp.compute(cost.translate(ids.len()));
-                self.translate_all(ids)
-            }
         }
     }
 
@@ -227,7 +164,12 @@ mod tests {
         assert_eq!(t.translate_free(3), (0, 3));
         assert_eq!(t.translate_free(4), (1, 0));
         assert_eq!(t.translate_free(9), (2, 2));
-        assert!(t.bytes_per_proc() > TTable::new(TTableKind::Distributed, &part).bytes_per_proc());
+    }
+
+    #[test]
+    fn owners_past_256_processors_do_not_wrap() {
+        let t = TTable::new(TTableKind::Replicated, &block_partition(600, 300));
+        assert_eq!(t.translate_free(599), (299, 1));
     }
 
     #[test]
@@ -236,9 +178,8 @@ mod tests {
         let t = TTable::new(TTableKind::Replicated, &part);
         let w = ChaosWorld::new(2, CostModel::default());
         w.run(|cp| {
-            let mut cache = TTableCache::new();
             let ids: Vec<u32> = (0..64).collect();
-            let r = t.lookup_batch(cp, &ids, &mut cache);
+            let r = t.lookup_batch(cp, &ids);
             assert_eq!(r[40], (1, 8));
         });
         assert_eq!(w.report().messages_per_kind(MsgKind::Translate), 0);
@@ -250,46 +191,17 @@ mod tests {
         let t = TTable::new(TTableKind::Distributed, &part);
         let w = ChaosWorld::new(2, CostModel::default());
         w.run(|cp| {
-            let mut cache = TTableCache::new();
             // Each proc asks about 8 entries stored on the other side.
             let ids: Vec<u32> = if cp.rank() == 0 {
                 (32..40).collect()
             } else {
                 (0..8).collect()
             };
-            let r = t.lookup_batch(cp, &ids, &mut cache);
+            let r = t.lookup_batch(cp, &ids);
             assert_eq!(r.len(), 8);
         });
         let rep = w.report();
         // One request + one reply per direction.
-        assert_eq!(rep.messages_per_kind(MsgKind::Translate), 4);
-    }
-
-    #[test]
-    fn paged_lookup_caches() {
-        let part = block_partition(64, 2);
-        let t = TTable::new(
-            TTableKind::Paged {
-                entries_per_page: 16,
-            },
-            &part,
-        );
-        let w = ChaosWorld::new(2, CostModel::default());
-        w.run(|cp| {
-            let mut cache = TTableCache::new();
-            let ids: Vec<u32> = if cp.rank() == 0 {
-                vec![40, 41, 42]
-            } else {
-                vec![1]
-            };
-            t.lookup_batch(cp, &ids, &mut cache);
-            if cp.rank() == 0 {
-                assert_eq!(cache.cached_pages(), 1, "one page covers 40-42");
-            }
-            // Second lookup: everything cached, empty superstep.
-            t.lookup_batch(cp, &ids, &mut cache);
-        });
-        let rep = w.report();
         assert_eq!(rep.messages_per_kind(MsgKind::Translate), 4);
     }
 }

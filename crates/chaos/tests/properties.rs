@@ -7,46 +7,62 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use chaos::{
-    assign_iterations_almost_owner, block_partition, cyclic_partition, gather, inspector,
-    rcb_partition, reinspect, scatter_add, ChaosWorld, Ghosted, Partition, TTable, TTableCache,
-    TTableKind,
+    block_partition, gather, inspector, rcb_partition, reinspect, scatter_add, ChaosWorld, Ghosted,
+    Partition, TTable, TTableCache, TTableKind,
 };
 use simnet::{
     with_trace_sink, CostModel, MsgKind, ProcId, SimTime, SpanTag, TraceEvent, TraceSink,
 };
 
-fn owners(n: usize, nprocs: usize) -> impl Strategy<Value = Vec<usize>> {
-    proptest::collection::vec(0..nprocs, n)
+/// Positions with many ties (few distinct coordinates), so the
+/// id tie-break of RCB's median split is exercised.
+fn positions(n: usize) -> impl Strategy<Value = Vec<[f64; 3]>> {
+    proptest::collection::vec((0u8..6, 0u8..6, 0u8..6), n).prop_map(|v| {
+        v.into_iter()
+            .map(|(x, y, z)| [x as f64, y as f64, z as f64])
+            .collect()
+    })
+}
+
+/// Block lengths of `part`, in processor order.
+fn counts(part: &Partition) -> Vec<usize> {
+    (0..part.nprocs()).map(|p| part.range_of(p).len()).collect()
+}
+
+/// A layout over `n` elements with arbitrary (possibly empty) blocks.
+fn layouts(n: usize, nprocs: usize) -> impl Strategy<Value = Partition> {
+    proptest::collection::vec(0..n + 1, nprocs - 1).prop_map(move |mut cuts| {
+        cuts.sort_unstable();
+        Partition::from_starts(std::iter::once(0).chain(cuts).chain([n]).collect())
+    })
 }
 
 proptest! {
     #[test]
-    fn partition_remap_is_bijective(o in owners(64, 4)) {
-        let p = Partition::from_owners(o, 4);
+    fn partition_remap_is_bijective(pos in positions(64), nprocs in 1usize..9) {
+        let (p, old_of) = rcb_partition(&pos, nprocs);
+        prop_assert_eq!((p.nprocs(), p.len()), (nprocs, 64));
+        // `old_of` is a permutation of the original ids …
         let mut seen = [false; 64];
-        for e in 0..64 {
-            let k = p.new_of[e] as usize;
-            prop_assert!(!seen[k]);
-            seen[k] = true;
-            prop_assert_eq!(p.old_of[k] as usize, e);
-            prop_assert_eq!(p.owner_of_new(k), p.owner[e]);
+        for &e in &old_of {
+            prop_assert!(!std::mem::replace(&mut seen[e as usize], true));
         }
-        prop_assert_eq!(p.counts.iter().sum::<usize>(), 64);
-        // Remapped blocks are owner-contiguous and ascending.
-        for proc in 0..4 {
-            for k in p.range_of(proc) {
-                prop_assert_eq!(p.owner_of_new(k), proc);
-            }
+        // … ascending within each processor's block.
+        for proc in 0..nprocs {
+            let ids = &old_of[p.range_of(proc)];
+            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "{:?}", ids);
         }
     }
 
     #[test]
     fn block_and_cyclic_are_balanced(n in 1usize..200, nprocs in 1usize..9) {
-        for part in [block_partition(n, nprocs), cyclic_partition(n, nprocs)] {
-            let max = part.counts.iter().max().unwrap();
-            let min = part.counts.iter().min().unwrap();
-            prop_assert!(max - min <= 1, "{:?}", part.counts);
-        }
+        let part = block_partition(n, nprocs);
+        prop_assert_eq!(part.len(), n);
+        let c = counts(&part);
+        let (max, min) = (c.iter().max().unwrap(), c.iter().min().unwrap());
+        prop_assert!(max - min <= 1, "{:?}", c);
+        // The larger blocks come first.
+        prop_assert!(c.windows(2).all(|w| w[0] >= w[1]), "{:?}", c);
     }
 
     #[test]
@@ -64,35 +80,20 @@ proptest! {
         let a = rcb_partition(&pos, nprocs);
         let b = rcb_partition(&pos, nprocs);
         prop_assert_eq!(&a, &b);
-        let max = a.counts.iter().max().unwrap();
-        let min = a.counts.iter().min().unwrap();
-        prop_assert!(max - min <= nprocs, "counts {:?}", a.counts);
+        let c = counts(&a.0);
+        let max = c.iter().max().unwrap();
+        let min = c.iter().min().unwrap();
+        prop_assert!(max - min <= nprocs, "counts {:?}", c);
     }
 
     #[test]
-    fn translation_table_agrees_with_partition(o in owners(48, 3)) {
-        let part = Partition::from_owners(o, 3);
-        let tt = TTable::new(TTableKind::Replicated, &part);
-        let mut next = [0u32; 3];
-        for e in 0..48u32 {
-            let (owner, off) = tt.translate_free(e);
-            prop_assert_eq!(owner, part.owner[e as usize]);
-            prop_assert_eq!(off, next[owner]);
-            next[owner] += 1;
-        }
-    }
-
-    #[test]
-    fn almost_owner_computes_majority(o in owners(32, 4), iters in proptest::collection::vec(proptest::collection::vec(0u32..32, 1..5), 1..20)) {
-        let part = Partition::from_owners(o, 4);
-        let assign = assign_iterations_almost_owner(&part, iters.clone().into_iter());
-        for (it, a) in iters.iter().zip(&assign) {
-            // The chosen processor owns at least as many accessed
-            // elements as any other processor.
-            let count = |p: usize| it.iter().filter(|&&e| part.owner[e as usize] == p).count();
-            let chosen = count(*a);
-            for p in 0..4 {
-                prop_assert!(chosen >= count(p));
+    fn translation_table_agrees_with_partition(part in layouts(48, 3)) {
+        for kind in [TTableKind::Replicated, TTableKind::Distributed] {
+            let tt = TTable::new(kind, &part);
+            for p in 0..3 {
+                for (off, e) in part.range_of(p).enumerate() {
+                    prop_assert_eq!(tt.translate_free(e as u32), (p, off as u32));
+                }
             }
         }
     }
@@ -131,7 +132,7 @@ fn fresh_gather(
     part: &Partition,
     value: impl Fn(usize) -> f64 + Sync,
 ) -> Vec<Vec<f64>> {
-    let nprocs = part.counts.len();
+    let nprocs = part.nprocs();
     let tt = TTable::new(TTableKind::Replicated, part);
     let w = ChaosWorld::new(nprocs, CostModel::default());
     w.run(|cp| {
@@ -181,13 +182,10 @@ fn rebalance_matches_fresh_inspection_and_bills_reinspect_once() {
     let part_a = block_partition(n, nprocs);
     // The re-cut: every interior boundary shifted forward half a block.
     let shift = n / nprocs / 2;
-    let part_b = Partition::from_owners(
-        (0..n)
-            .map(|e| (e.saturating_sub(shift) * nprocs / n).min(nprocs - 1))
-            .collect(),
-        nprocs,
-    );
-    assert_ne!(part_a.owner, part_b.owner, "the re-cut must move elements");
+    let interior = (1..nprocs).map(|p| part_a.range_of(p).start + shift);
+    let part_b = Partition::from_starts(std::iter::once(0).chain(interior).chain([n]).collect());
+    assert_ne!(part_a, part_b, "the re-cut must move elements");
+    let owner_a = |e: usize| (0..nprocs).find(|&p| part_a.range_of(p).contains(&e));
 
     let tt_a = TTable::new(TTableKind::Replicated, &part_a);
     let tt_b = TTable::new(TTableKind::Replicated, &part_b);
@@ -211,19 +209,20 @@ fn rebalance_matches_fresh_inspection_and_bills_reinspect_once() {
             // Rebalance: ship each owned value to its new owner …
             let new_my = part_b.range_of(me);
             let (part_b, my) = (&part_b, &my);
-            let moving = move |q: usize| my.clone().filter(move |&e| part_b.owner[e] == q);
+            let moving =
+                move |q: usize| my.clone().filter(move |&e| part_b.range_of(q).contains(&e));
             let out = (0..nprocs)
                 .filter(|&q| q != me && moving(q).next().is_some())
                 .map(|q| (q, moving(q).map(|e| x_own[e - my.start])));
             let mut new_x = vec![0.0f64; new_my.len()];
             for e in new_my.clone() {
-                if part_a.owner[e] == me {
+                if owner_a(e) == Some(me) {
                     new_x[e - new_my.start] = x_own[e - my.start];
                 }
             }
             cp.exchange(MsgKind::Scatter, out, |from, mut vals| {
                 for e in new_my.clone() {
-                    if part_a.owner[e] == from {
+                    if owner_a(e) == Some(from) {
                         new_x[e - new_my.start] = vals.next().expect("a value per moved element");
                     }
                 }

@@ -10,8 +10,8 @@
 //!
 //! Absolute values are *modeled*, not measured; the reproduction targets
 //! the shape of the comparison (see ARCHITECTURE.md §Simulation honesty
-//! rules). All constants are public so benches can run ablations over
-//! them.
+//! rules). All constants are public, so a caller can scale any of them
+//! (`synth/tests/invariance.rs` perturbs every field).
 
 use crate::SimTime;
 

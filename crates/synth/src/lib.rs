@@ -211,24 +211,12 @@ pub fn gen_world(cfg: &SynthConfig) -> SynthWorld {
 
 /// The re-cut partition a [`Dynamics::Rebalance`] switches to: every
 /// interior block boundary slides forward by half a block, so roughly
-/// half of each processor's elements change owner while ownership stays
-/// ascending-contiguous (identity remap — the kernel's indexing
-/// contract, see `apps::relax::Plan::parts`).
+/// half of each processor's elements change owner.
 fn rebalanced_partition(n: usize, nprocs: usize) -> Partition {
     let base = block_partition(n, nprocs);
     let shift = ((n / nprocs) / 2).max(1);
-    let mut starts = base.starts.clone();
-    for (s, &b) in starts[1..nprocs].iter_mut().zip(&base.starts[1..nprocs]) {
-        *s = (b + shift).min(n);
-    }
-    for p in 1..=nprocs {
-        starts[p] = starts[p].max(starts[p - 1]);
-    }
-    let mut owner = vec![0usize; n];
-    for p in 0..nprocs {
-        owner[starts[p]..starts[p + 1]].fill(p);
-    }
-    Partition::from_owners(owner, nprocs)
+    let interior = (1..nprocs).map(|p| (base.range_of(p).start + shift).min(n));
+    Partition::from_starts(std::iter::once(0).chain(interior).chain([n]).collect())
 }
 
 thread_local! {
