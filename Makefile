@@ -87,7 +87,11 @@ fmt-check:
 # renumbering), a translation table is replicated or distributed, and
 # the CYCLIC partitioner, the almost-owner-computes rule, the owner
 # vector's remap (from_owners, owner_of_new) and the paged table are
-# gone.
+# gone. CHAOS has one executor, as the paper's CHAOS localizes: a local
+# array is the owned block then the ghosts (no two-vector Ghosted, no
+# Loc enum, no per-app gather3/scatter3), a reference is one
+# CommSchedule::localize index, and only chaos itself translates an
+# element to its (owner, offset) pair (translate_free).
 ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
 NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
 hygiene:
@@ -147,6 +151,10 @@ hygiene:
 		echo "hygiene: the owner-side accumulation and incident lists live only in apps::relax"; exit 1; fi
 	@if grep -rnwE "Paged|from_owners|owner_of_new|cyclic_partition|assign_iterations_almost_owner" crates/; then \
 		echo "hygiene: a chaos::Partition is a block layout (block_partition, rcb_partition, Partition::from_starts) and a TTable is Replicated or Distributed"; exit 1; fi
+	@if grep -rnE "\bGhosted\b|enum Loc\b|\bLoc::|fn (gather3|scatter3)\b" crates/; then \
+		echo "hygiene: a CHAOS local array is the owned block then the ghosts, indexed by CommSchedule::localize; chaos::gather / scatter_add with a width are the one executor"; exit 1; fi
+	@if grep -rn "translate_free" crates/ | grep -v "^crates/chaos/"; then \
+		echo "hygiene: outside chaos a reference is CommSchedule::localize's local index, not an (owner, offset) translation"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses

@@ -12,7 +12,9 @@
 
 use simnet::{MsgKind, SimTime};
 
-use chaos::{inspector, rcb_partition, ChaosWorld, Ghosted, TTable, TTableCache, TTableKind};
+use chaos::{
+    gather, inspector, rcb_partition, scatter_add, ChaosWorld, TTable, TTableCache, TTableKind,
+};
 
 use super::geometry::{build_interaction_list_for, pair_force, MoldynWorld};
 use super::{MoldynConfig, DT};
@@ -46,9 +48,11 @@ pub fn run_chaos(
         let rc2 = world.cutoff * world.cutoff;
         let mut cache = TTableCache::new();
 
-        // Owned blocks (remapped/new numbering, locally dense).
-        let mut x_own: Vec<[f64; 3]> = pos_new[my_range.clone()].to_vec();
-        let nloc = x_own.len();
+        // Local positions and forces (remapped numbering): the owned
+        // block, then one ghost triple per scheduled remote molecule.
+        let mut x: Vec<[f64; 3]> = pos_new[my_range.clone()].to_vec();
+        let mut f: Vec<[f64; 3]> = Vec::new();
+        let nloc = x.len();
 
         // Position snapshot used for list building (allgather).
         let mut pos_snap = pos_new.clone();
@@ -64,7 +68,10 @@ pub fn run_chaos(
         let t0 = cp.now();
         let mut sched = inspector(cp, &tt, &mut cache, pairs.iter().flat_map(|&(i, j)| [i, j]));
         let untimed_inspector_s = (cp.now() - t0).as_secs_f64();
-        let mut locs: Vec<(chaos::Loc, chaos::Loc)> = resolve(&pairs, &tt, &sched, me);
+        let mut locs: Vec<(u32, u32)> = pairs
+            .iter()
+            .map(|&(i, j)| (sched.localize(&tt, i), sched.localize(&tt, j)))
+            .collect();
 
         cp.start_timed_region();
         let mut inspector_in_region = 0.0f64;
@@ -75,7 +82,7 @@ pub fn run_chaos(
                 // the inspector (this is what the paper charges CHAOS
                 // for: "CHAOS suffers from having to rerun the
                 // inspector").
-                allgather_x(cp, &part, &x_own, &mut pos_snap);
+                allgather_x(cp, &part, &x[..nloc], &mut pos_snap);
                 pairs = build_interaction_list_for(
                     &pos_snap,
                     world.cutoff,
@@ -89,21 +96,20 @@ pub fn run_chaos(
                 let t0 = cp.now();
                 sched = inspector(cp, &tt, &mut cache, pairs.iter().flat_map(|&(i, j)| [i, j]));
                 inspector_in_region += (cp.now() - t0).as_secs_f64();
-                locs = resolve(&pairs, &tt, &sched, me);
+                locs = pairs
+                    .iter()
+                    .map(|&(i, j)| (sched.localize(&tt, i), sched.localize(&tt, j)))
+                    .collect();
             }
+            // Room for this schedule's ghosts (a no-op between rebuilds).
+            x.resize(sched.local_len(), [0.0; 3]);
+            f.resize(sched.local_len(), [0.0; 3]);
 
             // --- gather remote x; zero forces; compute; scatter ---
             // The schedule is molecule-granular; payloads are triples.
-            let mut xg = Ghosted {
-                owned: flatten(&x_own),
-                ghosts: vec![0.0; 3 * sched.ghost_count()],
-            };
-            gather3(cp, &sched, &mut xg);
+            gather(cp, &sched, 3, x.as_flattened_mut());
 
-            let mut fg = Ghosted {
-                owned: vec![0.0; 3 * nloc],
-                ghosts: vec![0.0; 3 * sched.ghost_count()],
-            };
+            f.fill([0.0; 3]);
             // Paper §5.1: "each processor uses the schedule created by
             // the inspector to gather remote values of x and forces
             // before the main loop. Both x and forces are modified
@@ -113,22 +119,23 @@ pub fn run_chaos(
             // part of the CHAOS program the paper measures, and the
             // ghost slots must be (re)zeroed before accumulation either
             // way.
-            gather3(cp, &sched, &mut fg);
-            fg.clear_ghosts();
+            gather(cp, &sched, 3, f.as_flattened_mut());
+            f[nloc..].fill([0.0; 3]);
             for &(li, lj) in &locs {
-                let xi = get3(&xg, li);
-                let xj = get3(&xg, lj);
-                let f = pair_force(&xi, &xj, rc2);
-                add3(&mut fg, li, f, 1.0);
-                add3(&mut fg, lj, f, -1.0);
+                let (li, lj) = (li as usize, lj as usize);
+                let fij = pair_force(&x[li], &x[lj], rc2);
+                for d in 0..3 {
+                    f[li][d] += fij[d];
+                    f[lj][d] -= fij[d];
+                }
             }
             cp.compute(work::t(work::MOLDYN_PAIR_US, pairs.len()));
-            scatter3(cp, &sched, &mut fg);
+            scatter_add(cp, &sched, 3, f.as_flattened_mut());
 
             // --- owner integrates positions ---
-            for (l, xi) in x_own.iter_mut().enumerate() {
-                for (d, c) in xi.iter_mut().enumerate() {
-                    *c += DT * fg.owned[3 * l + d];
+            for (xi, fi) in x[..nloc].iter_mut().zip(&f) {
+                for (c, fd) in xi.iter_mut().zip(fi) {
+                    *c += DT * fd;
                 }
             }
             cp.compute(work::t(work::MOLDYN_UPDATE_US, nloc));
@@ -136,7 +143,8 @@ pub fn run_chaos(
         }
 
         let rank = Capture::chaos(cp, untimed_inspector_s, inspector_in_region);
-        (rank, x_own)
+        x.truncate(nloc);
+        (rank, x)
     });
 
     // The owned blocks in rank order are the remapped array (a
@@ -153,102 +161,6 @@ pub fn run_chaos(
         Capture::report(Variant::Chaos, ranks, None, seq_time, checksum),
         final_x,
     )
-}
-
-/// Pre-resolve every pair's two molecule locations (owned / ghost).
-fn resolve(
-    pairs: &[(u32, u32)],
-    tt: &TTable,
-    sched: &chaos::CommSchedule,
-    me: usize,
-) -> Vec<(chaos::Loc, chaos::Loc)> {
-    pairs
-        .iter()
-        .map(|&(i, j)| {
-            let (oi, offi) = tt.translate_free(i);
-            let (oj, offj) = tt.translate_free(j);
-            (sched.locate(me, oi, offi), sched.locate(me, oj, offj))
-        })
-        .collect()
-}
-
-#[inline]
-fn get3(g: &Ghosted, loc: chaos::Loc) -> [f64; 3] {
-    let (v, k) = match loc {
-        chaos::Loc::Own(k) => (&g.owned, k),
-        chaos::Loc::Ghost(k) => (&g.ghosts, k),
-    };
-    let b = 3 * k as usize;
-    [v[b], v[b + 1], v[b + 2]]
-}
-
-#[inline]
-fn add3(g: &mut Ghosted, loc: chaos::Loc, f: [f64; 3], sign: f64) {
-    let (v, k) = match loc {
-        chaos::Loc::Own(k) => (&mut g.owned, k),
-        chaos::Loc::Ghost(k) => (&mut g.ghosts, k),
-    };
-    for (c, fd) in v[3 * k as usize..][..3].iter_mut().zip(f) {
-        *c += sign * fd;
-    }
-}
-
-fn flatten(v: &[[f64; 3]]) -> Vec<f64> {
-    v.iter().flatten().copied().collect()
-}
-
-/// Gather molecule triples according to the (molecule-granular) schedule.
-fn gather3(cp: &mut chaos::ChaosProc, sched: &chaos::CommSchedule, data: &mut Ghosted) {
-    // Expand ghost storage to triples.
-    data.ghosts.resize(3 * sched.ghost_count(), 0.0);
-    let cost = cp.net().cost().clone();
-    let packed = 3 * 8 * sched.traffic_elems();
-    cp.compute(cost.pack(packed));
-    let (owned, ghosts) = (&data.owned, &mut data.ghosts);
-    let out = (0..cp.nprocs())
-        .filter(|&q| !sched.send(q).is_empty())
-        .map(|q| {
-            let vals = sched
-                .send(q)
-                .iter()
-                .flat_map(|&o| &owned[3 * o as usize..][..3]);
-            (q, vals.copied())
-        });
-    cp.exchange(MsgKind::Gather, out, |from, vals| {
-        let start = 3 * sched.ghost_starts[from] as usize;
-        for (g, v) in ghosts[start..].iter_mut().zip(vals) {
-            *g = v;
-        }
-    });
-    cp.compute(cost.pack(packed));
-}
-
-/// Scatter-add molecule triples back to their owners.
-fn scatter3(cp: &mut chaos::ChaosProc, sched: &chaos::CommSchedule, data: &mut Ghosted) {
-    let cost = cp.net().cost().clone();
-    let packed = 3 * 8 * sched.ghost_count();
-    cp.compute(cost.pack(packed));
-    let (owned, ghosts) = (&mut data.owned, &data.ghosts);
-    let out = (0..cp.nprocs())
-        .filter(|&q| !sched.recv(q).is_empty())
-        .map(|q| {
-            let start = 3 * sched.ghost_starts[q] as usize;
-            (
-                q,
-                ghosts[start..start + 3 * sched.recv(q).len()]
-                    .iter()
-                    .copied(),
-            )
-        });
-    cp.exchange(MsgKind::Scatter, out, |from, mut vals| {
-        for &o in sched.send(from) {
-            let b = 3 * o as usize;
-            for (c, v) in owned[b..b + 3].iter_mut().zip(&mut vals) {
-                *c += v;
-            }
-        }
-    });
-    cp.compute(cost.pack(packed));
 }
 
 /// All-to-all broadcast of owned position blocks (used by the rebuild:

@@ -9,8 +9,7 @@
 use simnet::SimTime;
 
 use chaos::{
-    block_partition, gather, inspector, scatter_add, ChaosWorld, Ghosted, TTable, TTableCache,
-    TTableKind,
+    block_partition, gather, inspector, scatter_add, ChaosWorld, TTable, TTableCache, TTableKind,
 };
 
 use super::{nbf_force, NbfConfig, NbfWorld, DT};
@@ -33,8 +32,7 @@ pub fn run_chaos(cfg: &NbfConfig, world: &NbfWorld, seq_time: SimTime) -> (RunRe
         let my = part.range_of(me);
         let mut cache = TTableCache::new();
 
-        let mut x_own: Vec<f64> = world.x0[my.clone()].to_vec();
-        let nloc = x_own.len();
+        let nloc = my.len();
         let (klo, khi) = (world.last[my.start] as usize, world.last[my.end] as usize);
 
         // --- untimed: the inspector, once, outside the time-step loop ---
@@ -47,14 +45,16 @@ pub fn run_chaos(cfg: &NbfConfig, world: &NbfWorld, seq_time: SimTime) -> (RunRe
         );
         let untimed_inspector_s = (cp.now() - t0).as_secs_f64();
 
-        // Pre-resolve each partner reference.
-        let locs: Vec<chaos::Loc> = world.partners[klo..khi]
+        // Each partner reference's local slot.
+        let locs: Vec<u32> = world.partners[klo..khi]
             .iter()
-            .map(|&j| {
-                let (o, off) = tt.translate_free(j as u32 - 1);
-                sched.locate(me, o, off)
-            })
+            .map(|&j| sched.localize(&tt, j as u32 - 1))
             .collect();
+
+        // Local coordinates and forces: owned block, then ghosts.
+        let mut x: Vec<f64> = world.x0[my.clone()].to_vec();
+        x.resize(sched.local_len(), 0.0);
+        let mut f = vec![0.0; sched.local_len()];
 
         for step in 1..=(cfg.warmup + cfg.steps) {
             if step == cfg.warmup + 1 {
@@ -62,38 +62,36 @@ pub fn run_chaos(cfg: &NbfConfig, world: &NbfWorld, seq_time: SimTime) -> (RunRe
             }
 
             // gather updated coordinates
-            let mut xg = Ghosted::new(x_own.clone(), &sched);
-            gather(cp, &sched, &mut xg);
+            gather(cp, &sched, 1, &mut x);
 
             // accumulate forces (owned + ghost contributions)
-            let mut fg = Ghosted::new(vec![0.0; nloc], &sched);
+            f.fill(0.0);
             let mut pairs = 0usize;
             for (li, i) in my.clone().enumerate() {
-                let xi = xg.owned[li];
+                let xi = x[li];
                 let (lo, hi) = (world.last[i] as usize, world.last[i + 1] as usize);
-                for k in lo..hi {
-                    let loc = locs[k - klo];
-                    let xj = xg.get(loc);
-                    let f = nbf_force(xi, xj);
-                    fg.owned[li] += f;
-                    fg.add(loc, -f);
+                for &loc in &locs[lo - klo..hi - klo] {
+                    let fij = nbf_force(xi, x[loc as usize]);
+                    f[li] += fij;
+                    f[loc as usize] -= fij;
                 }
                 pairs += hi - lo;
             }
             cp.compute(work::t(work::ZERO_US, nloc) + work::t(work::NBF_PAIR_US, pairs));
 
             // scatter force contributions back to the owners
-            scatter_add(cp, &sched, &mut fg);
+            scatter_add(cp, &sched, 1, &mut f);
 
             // owner integrates
-            for (li, xi) in x_own.iter_mut().enumerate() {
-                *xi += DT * fg.owned[li];
+            for (xi, fi) in x[..nloc].iter_mut().zip(&f) {
+                *xi += DT * fi;
             }
             cp.compute(work::t(work::NBF_UPDATE_US, nloc));
             cp.sync();
         }
 
-        (Capture::chaos(cp, untimed_inspector_s, 0.0), x_own)
+        x.truncate(nloc);
+        (Capture::chaos(cp, untimed_inspector_s, 0.0), x)
     });
 
     // BLOCK ranges ascend with the rank, so the owned blocks in rank

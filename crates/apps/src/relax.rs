@@ -28,7 +28,7 @@ use simnet::{MsgKind, SimTime};
 use crate::harness::{install_policy, Capture};
 use crate::report::{RunReport, Variant};
 use crate::work;
-use chaos::{gather, inspector, ChaosWorld, Ghosted, Partition, TTable, TTableCache, TTableKind};
+use chaos::{gather, inspector, ChaosWorld, Partition, TTable, TTableCache, TTableKind};
 
 /// The kernel's input: initial values plus every distinct list the run
 /// will use — a pure function of the caller's config, so all six
@@ -482,16 +482,6 @@ impl Kernel {
             let mut my = pl.owned(cur_sv, me);
             let mut cache = TTableCache::new();
 
-            let resolve = |sec: &[(u32, u32)], sched: &chaos::CommSchedule, tt: &TTable| {
-                sec.iter()
-                    .map(|&(a, b)| {
-                        let (oa, fa) = tt.translate_free(a);
-                        let (ob, fb) = tt.translate_free(b);
-                        (sched.locate(me, oa, fa), sched.locate(me, ob, fb))
-                    })
-                    .collect::<Vec<_>>()
-            };
-
             // --- untimed: the inspector for the initial list ---
             let t0 = cp.now();
             let mut sched = inspector(
@@ -501,12 +491,17 @@ impl Kernel {
                 pl.section(cur_sv, me).iter().flat_map(|&(a, b)| [a, b]),
             );
             let untimed_inspector_s = (cp.now() - t0).as_secs_f64();
-            let mut locs = resolve(pl.section(cur_sv, me), &sched, &tts[pe]);
-            // One ghosted array and one accumulator per rank for the whole
-            // run: the owned block is `x.owned`, and a gather refills every
-            // ghost slot, so both are only resized when the schedule or the
-            // partition changes.
-            let mut x = Ghosted::new(world.x0[my.clone()].to_vec(), &sched);
+            let mut locs: Vec<(u32, u32)> = pl
+                .section(cur_sv, me)
+                .iter()
+                .map(|&(a, b)| (sched.localize(&tts[pe], a), sched.localize(&tts[pe], b)))
+                .collect();
+            // One local array and one accumulator per rank for the whole
+            // run: the owned block is `x[..my.len()]`, and a gather
+            // refills every ghost slot after it, so both are only resized
+            // when the schedule or the partition changes.
+            let mut x = world.x0[my.clone()].to_vec();
+            x.resize(sched.local_len(), 0.0);
             let mut acc = vec![0.0f64; my.len()];
 
             cp.start_timed_region();
@@ -540,13 +535,13 @@ impl Kernel {
                             .filter(|(_, r)| !r.is_empty())
                             .map(|(q, r)| {
                                 let (a, b) = (r.start - my.start, r.end - my.start);
-                                (q, x.owned[a..b].iter().copied())
+                                (q, x[a..b].iter().copied())
                             });
                         let mut new_x = vec![0.0f64; new_my.len()];
                         let kept = overlap(&new_my, &my);
                         if !kept.is_empty() {
                             let (a, b) = (kept.start - new_my.start, kept.start - my.start);
-                            new_x[a..a + kept.len()].copy_from_slice(&x.owned[b..b + kept.len()]);
+                            new_x[a..a + kept.len()].copy_from_slice(&x[b..b + kept.len()]);
                         }
                         cp.exchange(MsgKind::Scatter, out, |from, vals| {
                             let r = overlap(&new_my, &old_part.range_of(from));
@@ -555,7 +550,7 @@ impl Kernel {
                                 *xi = v;
                             }
                         });
-                        x.owned = new_x;
+                        x = new_x;
                         acc.resize(new_my.len(), 0.0);
                         my = new_my;
                         // Then pay inspection again, auditable as such.
@@ -578,13 +573,17 @@ impl Kernel {
                         );
                         insp_in_region += (cp.now() - t0).as_secs_f64();
                     }
-                    locs = resolve(pl.section(sv, me), &sched, &tts[pe]);
-                    x.ghosts.resize(sched.ghost_count(), 0.0);
+                    locs = pl
+                        .section(sv, me)
+                        .iter()
+                        .map(|&(a, b)| (sched.localize(&tts[pe], a), sched.localize(&tts[pe], b)))
+                        .collect();
+                    x.resize(sched.local_len(), 0.0);
                     cur_sv = sv;
                 }
                 let my_flat = pl.section(sv, me).len();
 
-                gather(cp, &sched, &mut x);
+                gather(cp, &sched, 1, &mut x);
 
                 acc.fill(0.0);
                 let mut k = 0usize;
@@ -593,7 +592,7 @@ impl Kernel {
                     for _ in 0..pl.incidence_of(sv).degree(i) {
                         let (la, lb) = locs[k];
                         let (a, _) = sec[k];
-                        let flux = (x.get(la) - x.get(lb)) * world.kappa;
+                        let flux = (x[la as usize] - x[lb as usize]) * world.kappa;
                         accumulate(&mut acc[li], i as u32, a, flux);
                         k += 1;
                     }
@@ -601,14 +600,15 @@ impl Kernel {
                 cp.compute(
                     work::t(self.params.visit_us, my_flat) + work::t(work::ZERO_US, 2 * my.len()),
                 );
-                for (xi, a) in x.owned.iter_mut().zip(&acc) {
+                for (xi, a) in x.iter_mut().zip(&acc) {
                     *xi += a;
                 }
                 cp.sync();
             }
 
             let rank = Capture::chaos(cp, untimed_inspector_s, insp_in_region);
-            (rank, x.owned)
+            x.truncate(my.len());
+            (rank, x)
         });
 
         // Every partition is a block layout, so the owned blocks in rank

@@ -109,12 +109,12 @@ fn assert_golden(w: &dyn Workload, golden: &Golden, opt_scan_ns: u64) {
     );
 }
 
-/// The adaptive build's per-processor stall rows, summed over the
-/// cluster, must equal `clock` and `cats` exactly (categories not
-/// listed must be zero) — and each row must conserve (categories sum
-/// to the clock), so the pinned total cannot be met by two errors
-/// cancelling across processors.
-fn assert_adaptive_stall_total(w: &dyn Workload, clock: u64, cats: &[(StallCat, u64)]) {
+/// Variant `v`'s per-processor stall rows, summed over the cluster,
+/// must equal `clock` and `cats` exactly (categories not listed must be
+/// zero) — and each row must conserve (categories sum to the clock), so
+/// the pinned total cannot be met by two errors cancelling across
+/// processors.
+fn assert_stall_total(w: &dyn Workload, v: Variant, clock: u64, cats: &[(StallCat, u64)]) {
     let mut want = StallRow {
         clock,
         ..StallRow::default()
@@ -122,9 +122,9 @@ fn assert_adaptive_stall_total(w: &dyn Workload, clock: u64, cats: &[(StallCat, 
     for &(cat, ns) in cats {
         want.cats[cat as usize] = ns;
     }
-    let m = run_variants(w, &[Variant::TmkAdaptive]);
-    let net = m.get(Variant::TmkAdaptive).report.net.as_ref();
-    let net = net.expect("the adaptive build carries a net report");
+    let m = run_variants(w, &[v]);
+    let net = m.get(v).report.net.as_ref();
+    let net = net.expect("a parallel build carries a net report");
     let mut total = StallRow::default();
     for (p, row) in net.stalls.iter().enumerate() {
         assert_eq!(
@@ -135,7 +135,7 @@ fn assert_adaptive_stall_total(w: &dyn Workload, clock: u64, cats: &[(StallCat, 
         );
         total.merge(row);
     }
-    assert_eq!(total, want, "{}: adaptive stall attribution moved", m.label);
+    assert_eq!(total, want, "{} {v:?}: stall attribution moved", m.label);
 }
 
 #[test]
@@ -156,8 +156,9 @@ fn moldyn_small_reproduces_pre_refactor_counts() {
 #[test]
 fn moldyn_small_adaptive_stall_total_is_pinned() {
     // Barrier wait is moldyn's largest bucket (346 of 1143 ms).
-    assert_adaptive_stall_total(
+    assert_stall_total(
         &MoldynWorkload::new(MoldynConfig::small()),
+        Variant::TmkAdaptive,
         1_143_093_312,
         &[
             (StallCat::Compute, 335_239_512),
@@ -186,8 +187,9 @@ fn nbf_small_reproduces_pre_refactor_counts() {
 
 #[test]
 fn nbf_small_adaptive_stall_total_is_pinned() {
-    assert_adaptive_stall_total(
+    assert_stall_total(
         &NbfWorkload::new(NbfConfig::small()),
+        Variant::TmkAdaptive,
         405_916_224,
         &[
             (StallCat::Compute, 44_427_264),
@@ -195,6 +197,33 @@ fn nbf_small_adaptive_stall_total_is_pinned() {
             (StallCat::BarrierWait, 95_322_400),
             (StallCat::PrefetchPush, 42_574_400),
             (StallCat::Handler, 36_300_000),
+        ],
+    );
+}
+
+/// The CHAOS builds' simulated time, and moldyn's CHAOS stall total.
+/// moldyn's coordinate triples go through the same `chaos::gather` /
+/// `scatter_add` as nbf's scalars (width 3 against width 1), so its
+/// executor bills the `Exchange` category and unpacks the bytes it
+/// received, not the bytes it sent.
+#[test]
+fn moldyn_and_nbf_small_chaos_times_are_pinned() {
+    let moldyn = MoldynWorkload::new(MoldynConfig::small());
+    let nbf = NbfWorkload::new(NbfConfig::small());
+    for (w, ns) in [(&moldyn as &dyn Workload, 189_664_650), (&nbf, 27_159_232)] {
+        let m = run_variants(w, &[Variant::Chaos]);
+        let time = m.get(Variant::Chaos).report.time.as_ns();
+        assert_eq!(time, ns, "{} CHAOS: simulated time moved", m.label);
+    }
+    assert_stall_total(
+        &moldyn,
+        Variant::Chaos,
+        758_658_600,
+        &[
+            (StallCat::Compute, 342_487_800),
+            (StallCat::BarrierWait, 50_052_352),
+            (StallCat::Inspector, 218_613_350),
+            (StallCat::Exchange, 147_505_098),
         ],
     );
 }
@@ -236,8 +265,9 @@ fn umesh_small_simulated_times_are_pinned() {
 
 #[test]
 fn umesh_small_adaptive_stall_total_is_pinned() {
-    assert_adaptive_stall_total(
+    assert_stall_total(
         &UmeshWorkload::new(UmeshConfig::small()),
+        Variant::TmkAdaptive,
         593_838_976,
         &[
             (StallCat::Compute, 416_665_536),

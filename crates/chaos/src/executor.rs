@@ -4,127 +4,100 @@
 //! inspector to gather and scatter data. Gather fetches off-processor
 //! data, and scatter propagates modifications to off-processor data back
 //! to their owners."
+//!
+//! Both work on a processor's local array of a distributed array — the
+//! owned block, then the ghosts, in the order
+//! [`CommSchedule::localize`] numbers them — of `width` values per
+//! element (1 for a scalar array, 3 for moldyn's coordinate triples).
+//! Each runs inside [`StallCat::Exchange`] and its trace span, and bills
+//! one rule: pack what is sent, unpack what is received.
 
-use simnet::{MsgKind, SpanTag, StallCat, TraceEvent};
+use simnet::{MsgKind, SpanTag, StallCat};
 
-use crate::inspector::{CommSchedule, Loc};
+use crate::inspector::CommSchedule;
 use crate::world::ChaosProc;
 
-/// A processor's view of one distributed data array: the owned block
-/// plus ghost slots laid out by the schedule.
-#[derive(Debug, Clone)]
-pub struct Ghosted {
-    pub owned: Vec<f64>,
-    pub ghosts: Vec<f64>,
-}
-
-impl Ghosted {
-    pub fn new(owned: Vec<f64>, sched: &CommSchedule) -> Self {
-        Ghosted {
-            owned,
-            ghosts: vec![0.0; sched.ghost_count()],
-        }
-    }
-
-    /// Read via a resolved location.
-    #[inline]
-    pub fn get(&self, loc: Loc) -> f64 {
-        match loc {
-            Loc::Own(o) => self.owned[o as usize],
-            Loc::Ghost(g) => self.ghosts[g as usize],
-        }
-    }
-
-    /// Accumulate into a resolved location (reduction pattern).
-    #[inline]
-    pub fn add(&mut self, loc: Loc, v: f64) {
-        match loc {
-            Loc::Own(o) => self.owned[o as usize] += v,
-            Loc::Ghost(g) => self.ghosts[g as usize] += v,
-        }
-    }
-
-    /// Zero the ghost slots (before an accumulate phase).
-    pub fn clear_ghosts(&mut self) {
-        self.ghosts.iter_mut().for_each(|g| *g = 0.0);
-    }
+/// Split `local` at the end of the owned block, checking its length.
+fn split<'a>(
+    sched: &CommSchedule,
+    width: usize,
+    local: &'a mut [f64],
+) -> (&'a mut [f64], &'a mut [f64]) {
+    assert_eq!(
+        local.len(),
+        width * sched.local_len(),
+        "a local array holds {width} values per owned and ghost element"
+    );
+    local.split_at_mut(width * sched.owned())
 }
 
 /// Gather: owners push the elements named in the schedule; ghosts fill.
 /// One message per communicating pair (collective).
-pub fn gather(cp: &mut ChaosProc, sched: &CommSchedule, data: &mut Ghosted) {
+pub fn gather(cp: &mut ChaosProc, sched: &CommSchedule, width: usize, local: &mut [f64]) {
     let cost = cp.net().cost().clone();
     let me = cp.rank();
     let _ex = cp.net().scope(me, StallCat::Exchange);
-    cp.net().trace(
-        me,
-        TraceEvent::SpanBegin {
-            tag: SpanTag::Gather,
-        },
-    );
-    cp.compute(cost.pack(sched.traffic_elems() * 8));
-    let (owned, ghosts) = (&data.owned, &mut data.ghosts);
+    cp.span_begin(SpanTag::Gather);
+    cp.compute(cost.pack(width * sched.traffic_elems() * 8));
+    let (owned, ghosts) = split(sched, width, local);
     let out = (0..cp.nprocs())
         .filter(|&q| !sched.send(q).is_empty())
-        .map(|q| (q, sched.send(q).iter().map(|&o| owned[o as usize])));
+        .map(|q| {
+            let vals = sched
+                .send(q)
+                .iter()
+                .flat_map(|&o| &owned[width * o as usize..][..width]);
+            (q, vals.copied())
+        });
     let mut unpacked = 0usize;
     cp.exchange(MsgKind::Gather, out, |from, vals| {
-        let start = sched.ghost_starts[from] as usize;
-        debug_assert_eq!(vals.len(), sched.recv(from).len());
+        let slots = sched.ghost_range(from);
+        debug_assert_eq!(vals.len(), width * slots.len());
         unpacked += vals.len() * 8;
-        for (g, v) in ghosts[start..].iter_mut().zip(vals) {
+        for (g, v) in ghosts[width * slots.start..].iter_mut().zip(vals) {
             *g = v;
         }
     });
     cp.compute(cost.pack(unpacked));
-    cp.net().trace(
-        me,
-        TraceEvent::SpanEnd {
-            tag: SpanTag::Gather,
-        },
-    );
+    cp.span_end(SpanTag::Gather);
 }
 
 /// Scatter-add: push accumulated ghost contributions back to the owners,
 /// which add them into their owned elements. One message per pair.
-pub fn scatter_add(cp: &mut ChaosProc, sched: &CommSchedule, data: &mut Ghosted) {
+pub fn scatter_add(cp: &mut ChaosProc, sched: &CommSchedule, width: usize, local: &mut [f64]) {
     let cost = cp.net().cost().clone();
     let me = cp.rank();
     let _ex = cp.net().scope(me, StallCat::Exchange);
-    cp.net().trace(
-        me,
-        TraceEvent::SpanBegin {
-            tag: SpanTag::Scatter,
-        },
-    );
-    cp.compute(cost.pack(sched.ghost_count() * 8));
-    let (owned, ghosts) = (&mut data.owned, &data.ghosts);
+    cp.span_begin(SpanTag::Scatter);
+    cp.compute(cost.pack(width * sched.ghost_count() * 8));
+    let (owned, ghosts) = split(sched, width, local);
+    let ghosts = &*ghosts;
     let out = (0..cp.nprocs())
         .filter(|&q| !sched.recv(q).is_empty())
         .map(|q| {
-            let start = sched.ghost_starts[q] as usize;
+            let slots = sched.ghost_range(q);
             (
                 q,
-                ghosts[start..start + sched.recv(q).len()].iter().copied(),
+                ghosts[width * slots.start..width * slots.end]
+                    .iter()
+                    .copied(),
             )
         });
     let mut unpacked = 0usize;
     cp.exchange(MsgKind::Scatter, out, |from, vals| {
         // Their recv list from us == our send list to them.
         let list = sched.send(from);
-        debug_assert_eq!(vals.len(), list.len());
-        for (&off, v) in list.iter().zip(vals) {
-            owned[off as usize] += v;
+        debug_assert_eq!(vals.len(), width * list.len());
+        unpacked += vals.len() * 8;
+        let slots = list
+            .iter()
+            .flat_map(|&o| width * o as usize..width * (o as usize + 1));
+        for (i, v) in slots.zip(vals) {
+            owned[i] += v;
         }
-        unpacked += list.len() * 8;
     });
     cp.compute(cost.pack(unpacked));
-    cp.net().trace(
-        me,
-        TraceEvent::SpanEnd {
-            tag: SpanTag::Scatter,
-        },
-    );
+    cp.span_end(SpanTag::Scatter);
 }
 
 #[cfg(test)]
@@ -153,25 +126,23 @@ mod tests {
             let sched = inspector(cp, &tt, &mut cache, refs.iter().copied());
 
             // owned values: global id as f64
-            let owned: Vec<f64> = mine.iter().map(|&g| g as f64).collect();
-            let mut x = Ghosted::new(owned, &sched);
-            gather(cp, &sched, &mut x);
+            let mut x: Vec<f64> = mine.iter().map(|&g| g as f64).collect();
+            x.resize(sched.local_len(), 0.0);
+            gather(cp, &sched, 1, &mut x);
             // Ghosts now hold the remote values.
             for &g in &theirs {
-                let (o, off) = tt.translate_free(g);
-                assert_eq!(x.get(sched.locate(me, o, off)), g as f64);
+                assert_eq!(x[sched.localize(&tt, g) as usize], g as f64);
             }
 
             // Accumulate +10 into every referenced element, then scatter.
-            let mut f = Ghosted::new(vec![0.0; 4], &sched);
+            let mut f = vec![0.0; sched.local_len()];
             for &g in &refs {
-                let (o, off) = tt.translate_free(g);
-                f.add(sched.locate(me, o, off), 10.0);
+                f[sched.localize(&tt, g) as usize] += 10.0;
             }
-            scatter_add(cp, &sched, &mut f);
+            scatter_add(cp, &sched, 1, &mut f);
             // My elements 0,1 (locally) were touched by me once and by the
             // remote side once; elements 2,3 only by me.
-            assert_eq!(f.owned, vec![20.0, 20.0, 10.0, 10.0]);
+            assert_eq!(f[..4], [20.0, 20.0, 10.0, 10.0]);
             cp.sync();
         });
         let rep = w.report();
@@ -181,12 +152,41 @@ mod tests {
         assert_eq!(rep.bytes_per_kind(simnet::MsgKind::Gather), 2 * 2 * 8);
     }
 
+    /// Width 3: 3 procs × 3 triples each; every processor references
+    /// every element, so each gathers and scatters whole triples to both
+    /// peers, in one message per pair and direction.
     #[test]
-    fn ghost_clear() {
-        let sched = CommSchedule::default();
-        let mut g = Ghosted::new(vec![1.0], &sched);
-        assert!(g.ghosts.is_empty());
-        g.clear_ghosts();
-        assert_eq!(g.owned, vec![1.0]);
+    fn triples_gather_and_scatter_whole() {
+        let w = ChaosWorld::new(3, CostModel::default());
+        let part = block_partition(9, 3);
+        let tt = TTable::new(TTableKind::Replicated, &part);
+        let triple = |e: u32| [e as f64, 10.0 * e as f64, 100.0 * e as f64];
+        let owned = w.run(|cp| {
+            let me = cp.rank();
+            let sched = inspector(cp, &tt, &mut TTableCache::new(), 0..9);
+            assert_eq!((sched.owned(), sched.local_len()), (3, 9));
+            let mut x = vec![[0.0; 3]; sched.local_len()];
+            for (slot, e) in x.iter_mut().zip(part.range_of(me)) {
+                *slot = triple(e as u32);
+            }
+            gather(cp, &sched, 3, x.as_flattened_mut());
+            for e in 0..9 {
+                assert_eq!(x[sched.localize(&tt, e) as usize], triple(e));
+            }
+
+            // Every processor adds its rank + 1 to every coordinate of
+            // every element; each owner ends with 1 + 2 + 3 = 6.
+            let mut f = vec![[me as f64 + 1.0; 3]; sched.local_len()];
+            scatter_add(cp, &sched, 3, f.as_flattened_mut());
+            f.truncate(sched.owned());
+            f
+        });
+        assert!(owned.concat().iter().all(|&t| t == [6.0; 3]), "{owned:?}");
+        let rep = w.report();
+        // 6 ordered pairs, 3 triples of 8 B each per message.
+        for kind in [MsgKind::Gather, MsgKind::Scatter] {
+            assert_eq!(rep.messages_per_kind(kind), 6);
+            assert_eq!(rep.bytes_per_kind(kind), 6 * 3 * 3 * 8);
+        }
     }
 }

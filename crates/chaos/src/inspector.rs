@@ -12,23 +12,19 @@
 //! lookup, plus translation-table traffic — is exactly what the paper's
 //! comparison hinges on.
 
-use simnet::{MsgKind, ProcId, SpanTag, StallCat, TraceEvent};
+use std::ops::Range;
+
+use simnet::{MsgKind, ProcId, SpanTag, StallCat};
 
 use crate::ttable::{TTable, TTableCache};
 use crate::world::ChaosProc;
 
-/// Where a referenced element lives locally after a gather.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Loc {
-    /// Offset into this processor's owned block.
-    Own(u32),
-    /// Offset into this processor's ghost area.
-    Ghost(u32),
-}
-
 /// A communication schedule: for each peer, which of *its* elements we
-/// receive (gather) and which of *ours* we send (the mirror lists), plus
-/// the ghost-slot directory.
+/// receive (gather) and which of *ours* we send (the mirror lists), and
+/// the local layout they imply. A processor's local copy of a
+/// distributed array is its owned block followed by one ghost slot per
+/// received element, in receive-list order, and
+/// [`CommSchedule::localize`] maps every reference to one index into it.
 ///
 /// Both per-peer list families are flat CSR (one offsets array + one
 /// backing array), not `Vec<Vec<u32>>`: a 256-processor schedule with a
@@ -36,42 +32,60 @@ pub enum Loc {
 /// direction; now it carries two.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommSchedule {
+    /// The elements this processor owned at inspection: local slots
+    /// `0..owned()`.
+    owned: Range<u32>,
     /// Backing array of receive lists: local offsets (at the owner) of
     /// the elements we receive, ascending per owner, concatenated in
-    /// owner order. [`CommSchedule::ghost_starts`] is its CSR offsets
-    /// array — the ghost area and the receive lists correspond slot for
-    /// slot by construction, which also makes `recv_idx` the whole
-    /// ghost directory: a remote element's ghost slot is its position
-    /// here, recovered by binary search within its owner's segment
-    /// (each segment is sorted). The former `ghost_of: HashMap` stored
-    /// the same mapping a second time — one extra allocation per
-    /// inspection and a latent iteration-order hazard.
+    /// owner order. `ghost_starts` is its CSR offsets array — the ghost
+    /// area and the receive lists correspond slot for slot by
+    /// construction, which also makes `recv_idx` the whole ghost
+    /// directory: a remote element's ghost slot is its position here,
+    /// recovered by binary search within its owner's segment (each
+    /// segment is sorted).
     recv_idx: Vec<u32>,
-    /// CSR offsets into [`CommSchedule::send_idx`]: peer `q`'s segment
-    /// is `send_idx[send_starts[q]..send_starts[q+1]]`.
+    /// CSR offsets into `send_idx`: peer `q`'s segment is
+    /// `send_idx[send_starts[q]..send_starts[q+1]]`.
     send_starts: Vec<u32>,
     /// Backing array of send lists: local offsets (ours) of the
     /// elements we send to each peer in a gather (and
     /// receive-and-accumulate in a scatter).
     send_idx: Vec<u32>,
     /// Start of each peer's segment in the ghost area — also the CSR
-    /// offsets of `CommSchedule::recv_idx`.
-    pub ghost_starts: Vec<u32>,
+    /// offsets of `recv_idx`.
+    ghost_starts: Vec<u32>,
 }
 
 impl CommSchedule {
+    /// Elements this processor owns: the first `owned()` local slots.
+    pub fn owned(&self) -> usize {
+        self.owned.len()
+    }
+
     pub fn ghost_count(&self) -> usize {
         self.recv_idx.len()
     }
 
+    /// Slots in a local array: the owned block, then the ghosts.
+    pub fn local_len(&self) -> usize {
+        self.owned() + self.ghost_count()
+    }
+
+    /// Positions in the ghost area of the elements we receive from `q`.
+    /// Empty for unknown peers (e.g. a default schedule).
+    #[inline]
+    pub(crate) fn ghost_range(&self, q: ProcId) -> Range<usize> {
+        match self.ghost_starts.get(q..=q + 1) {
+            Some(&[a, b]) => a as usize..b as usize,
+            _ => 0..0,
+        }
+    }
+
     /// Local offsets (at `q`) of the elements we receive from `q`,
-    /// ascending. Empty for unknown peers (e.g. a default schedule).
+    /// ascending.
     #[inline]
     pub fn recv(&self, q: ProcId) -> &[u32] {
-        match self.ghost_starts.get(q..=q + 1) {
-            Some(&[a, b]) => &self.recv_idx[a as usize..b as usize],
-            _ => &[],
-        }
+        &self.recv_idx[self.ghost_range(q)]
     }
 
     /// Local offsets (ours) of the elements we send to `q`.
@@ -83,21 +97,21 @@ impl CommSchedule {
         }
     }
 
-    /// Resolve a `(owner, offset)` pair to a local location: binary
-    /// search within the owner's (sorted) receive segment; the ghost
-    /// slot is the hit's global position in `CommSchedule::recv_idx`.
+    /// The local slot of element `e` (a global id under `tt`, the table
+    /// the schedule was inspected with): its offset in the owned block,
+    /// or `owned()` plus its ghost slot — a binary search within its
+    /// owner's (sorted) receive segment. Panics if `e` is neither owned
+    /// nor scheduled.
     #[inline]
-    pub fn locate(&self, me: ProcId, owner: ProcId, off: u32) -> Loc {
-        if owner == me {
-            return Loc::Own(off);
+    pub fn localize(&self, tt: &TTable, e: u32) -> u32 {
+        if self.owned.contains(&e) {
+            return e - self.owned.start;
         }
-        let (a, b) = match self.ghost_starts.get(owner..=owner + 1) {
-            Some(&[a, b]) => (a as usize, b as usize),
-            _ => panic!("locate: peer {owner} not in schedule"),
-        };
-        match self.recv_idx[a..b].binary_search(&off) {
-            Ok(pos) => Loc::Ghost((a + pos) as u32),
-            Err(_) => panic!("locate: ({owner}, {off}) not in schedule"),
+        let (owner, off) = tt.translate_free(e);
+        let seg = self.ghost_range(owner);
+        match self.recv_idx[seg.clone()].binary_search(&off) {
+            Ok(pos) => (self.owned() + seg.start + pos) as u32,
+            Err(_) => panic!("localize: element {e} ({owner}, {off}) not in schedule"),
         }
     }
 
@@ -170,45 +184,20 @@ pub fn inspector(
     let nprocs = cp.nprocs();
     let cost = cp.net().cost().clone();
     let _ins = cp.net().scope(me, StallCat::Inspector);
-    cp.net().trace(
-        me,
-        TraceEvent::SpanBegin {
-            tag: SpanTag::Inspect,
-        },
-    );
+    cp.span_begin(SpanTag::Inspect);
 
     // Duplicate elimination (see `dedup_first_seen`): one O(1) bitmap
     // test-and-set per access. The simulated cost is a function of the
     // access count alone.
-    cp.net().trace(
-        me,
-        TraceEvent::SpanBegin {
-            tag: SpanTag::Dedup,
-        },
-    );
+    cp.span_begin(SpanTag::Dedup);
     let (total, distinct) = dedup_first_seen(accesses, ttable.len().div_ceil(64));
-    cp.net().trace(
-        me,
-        TraceEvent::SpanEnd {
-            tag: SpanTag::Dedup,
-        },
-    );
+    cp.span_end(SpanTag::Dedup);
     cp.compute(cost.inspector_hash(total));
 
     // Translate (collective for non-replicated tables).
-    cp.net().trace(
-        me,
-        TraceEvent::SpanBegin {
-            tag: SpanTag::Translate,
-        },
-    );
+    cp.span_begin(SpanTag::Translate);
     let translated = ttable.lookup_batch(cp, &distinct);
-    cp.net().trace(
-        me,
-        TraceEvent::SpanEnd {
-            tag: SpanTag::Translate,
-        },
-    );
+    cp.span_end(SpanTag::Translate);
 
     // Receive lists in CSR form: the remote (owner, offset) pairs,
     // sorted, are already the per-owner segments (ascending offsets
@@ -242,13 +231,10 @@ pub fn inspector(
         .filter(|(_, w)| !w.is_empty());
     let (send_starts, send_idx) = exchange_wants(cp, wants);
 
-    cp.net().trace(
-        me,
-        TraceEvent::SpanEnd {
-            tag: SpanTag::Inspect,
-        },
-    );
+    cp.span_end(SpanTag::Inspect);
+    let owned = ttable.range_of(me);
     CommSchedule {
+        owned: owned.start as u32..owned.end as u32,
         recv_idx,
         send_starts,
         send_idx,
@@ -270,23 +256,12 @@ pub fn reinspect(
     cache: &mut TTableCache,
     accesses: impl Iterator<Item = u32>,
 ) -> CommSchedule {
-    let me = cp.rank();
-    cp.net().trace(
-        me,
-        TraceEvent::SpanBegin {
-            tag: SpanTag::Reinspect,
-        },
-    );
-    if me == 0 {
+    cp.span_begin(SpanTag::Reinspect);
+    if cp.rank() == 0 {
         cp.net().add_reinspection();
     }
     let sched = inspector(cp, ttable, cache, accesses);
-    cp.net().trace(
-        me,
-        TraceEvent::SpanEnd {
-            tag: SpanTag::Reinspect,
-        },
-    );
+    cp.span_end(SpanTag::Reinspect);
     sched
 }
 
@@ -317,9 +292,10 @@ mod tests {
             if me == 0 {
                 assert_eq!(sched.recv(1), [0, 1]); // q1-local offsets of 4,5
                 assert_eq!(sched.send(1), [0, 1]); // my 0,1 (q1 wants)
-                assert_eq!(sched.locate(0, 0, 2), Loc::Own(2));
-                assert_eq!(sched.locate(0, 1, 0), Loc::Ghost(0));
-                assert_eq!(sched.locate(0, 1, 1), Loc::Ghost(1));
+                assert_eq!((sched.owned(), sched.local_len()), (4, 6));
+                assert_eq!(sched.localize(&tt, 2), 2);
+                assert_eq!(sched.localize(&tt, 4), 4); // first ghost slot
+                assert_eq!(sched.localize(&tt, 5), 5);
             } else {
                 assert_eq!(sched.recv(0), [0, 1]);
                 assert_eq!(sched.traffic_elems(), 2);
@@ -382,7 +358,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "not in schedule")]
-    fn locate_rejects_unscheduled_element() {
+    fn localize_rejects_unscheduled_element() {
         let w = ChaosWorld::new(2, CostModel::default());
         let part = block_partition(8, 2);
         let tt = TTable::new(TTableKind::Replicated, &part);
@@ -394,8 +370,8 @@ mod tests {
                 *sched.lock().unwrap() = s;
             }
         });
-        // Rank 0 scheduled q1's offset 0 (element 4), never offset 3.
-        sched.into_inner().unwrap().locate(0, 1, 3);
+        // Rank 0 scheduled element 4 (q1's offset 0), never element 7.
+        sched.into_inner().unwrap().localize(&tt, 7);
     }
 
     #[test]

@@ -9,17 +9,21 @@
 //!    Coordinate Bisection partitioners the paper's programs use. RCB
 //!    **renumbers** the data so each processor's elements are
 //!    contiguous, so a partition is a block layout, and a **translation
-//!    table** (replicated or block-distributed) records every element's
-//!    home processor and offset.
+//!    table** (replicated or block-distributed) answers every element's
+//!    home processor and offset by arithmetic on that layout.
 //! 2. **The inspector** ([`inspector`]): executed per processor, it hashes
 //!    the indirection array to eliminate duplicates, consults the
 //!    translation table (communicating if the table is not replicated),
 //!    and builds a [`CommSchedule`] — who sends which elements to whom.
 //! 3. **The executor** ([`gather`]/[`scatter_add`]): schedule-driven bulk
-//!    transfers. `gather` fetches off-processor data into ghost slots
-//!    before the loop; `scatter_add` pushes accumulated contributions
-//!    back to the owners after it. Each communicating pair exchanges
-//!    *one* message per operation — CHAOS's advantage over demand paging.
+//!    transfers on a processor's *local array* — its owned block, then
+//!    one ghost slot per off-processor element, `width` values each —
+//!    where [`CommSchedule::localize`] turns every reference into one
+//!    local index, as CHAOS localizes. `gather` fetches off-processor
+//!    data into the ghost slots before the loop; `scatter_add` pushes
+//!    accumulated contributions back to the owners after it. Each
+//!    communicating pair exchanges *one* message per operation —
+//!    CHAOS's advantage over demand paging.
 //!
 //! All data movement in all three steps is [`ChaosProc::exchange`], a
 //! BSP superstep generic over [`Pod`], the wire encoding the DSM's pages
@@ -37,8 +41,8 @@ mod partition;
 mod ttable;
 mod world;
 
-pub use executor::{gather, scatter_add, Ghosted};
-pub use inspector::{inspector, reinspect, CommSchedule, Loc};
+pub use executor::{gather, scatter_add};
+pub use inspector::{inspector, reinspect, CommSchedule};
 pub use partition::{block_partition, rcb_partition, Partition};
 pub use ttable::{TTable, TTableCache, TTableKind};
 pub use world::{ChaosProc, ChaosWorld, Values};

@@ -53,6 +53,14 @@ impl Partition {
     pub fn range_of(&self, p: ProcId) -> Range<usize> {
         self.starts[p]..self.starts[p + 1]
     }
+
+    /// The processor whose block holds element `e`: the last block
+    /// starting at or before `e`, which skips empty blocks. Panics
+    /// unless `e < len()`.
+    pub(crate) fn owner_of(&self, e: usize) -> ProcId {
+        assert!(e < self.len(), "element {e} past the layout's end");
+        self.starts.partition_point(|&s| s <= e) - 1
+    }
 }
 
 /// BLOCK partition: contiguous slabs, sizes differing by at most one

@@ -8,6 +8,13 @@
 //! answer locally, distributed tables answer remote lookups with batched
 //! request/reply messages (this is why the paper's moldyn inspector
 //! moves 85 MB — they could not afford the replicated table).
+//!
+//! Every partition is a block layout, so an entry is arithmetic on it
+//! (owner by binary search over the block starts, offset by
+//! subtraction): the table keeps the layout, not one entry per element,
+//! and bills its lookups as if it stored them.
+
+use std::ops::Range;
 
 use simnet::{MsgKind, ProcId};
 
@@ -46,7 +53,7 @@ fn by_storer(
 }
 
 /// A reply of `n` table words (8 B each). Its content is never read:
-/// every kind answers from the same local entries, so only the traffic
+/// every kind answers from the same layout, so only the traffic
 /// differs.
 fn reply_words(
     asked: &[(ProcId, usize)],
@@ -60,35 +67,34 @@ fn reply_words(
 #[derive(Debug, Clone)]
 pub struct TTable {
     kind: TTableKind,
-    /// `(owner, local offset)` per element id.
-    entries: Vec<(u32, u32)>,
-    nprocs: usize,
+    /// The layout: element `e` of processor `p`'s block lives at offset
+    /// `e - range_of(p).start`.
+    part: Partition,
     /// For `Distributed`: entries per storing processor.
     block: usize,
 }
 
 impl TTable {
-    /// Build from a block layout: element `e` of processor `p`'s block
-    /// lives at offset `e - range_of(p).start`.
     pub fn new(kind: TTableKind, part: &Partition) -> Self {
-        let entries = (0..part.nprocs())
-            .flat_map(|p| (0..part.range_of(p).len() as u32).map(move |off| (p as u32, off)))
-            .collect();
         TTable {
             kind,
-            entries,
-            nprocs: part.nprocs(),
+            part: part.clone(),
             block: part.len().div_ceil(part.nprocs()),
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.part.len()
+    }
+
+    /// The elements processor `p` owns.
+    pub(crate) fn range_of(&self, p: ProcId) -> Range<usize> {
+        self.part.range_of(p)
     }
 
     /// Which processor stores entry `e` (`Distributed`).
     fn storer(&self, e: u32) -> ProcId {
-        ((e as usize) / self.block).min(self.nprocs - 1)
+        ((e as usize) / self.block).min(self.part.nprocs() - 1)
     }
 
     /// The pure local map `id → (owner, offset)` every table kind ends
@@ -144,8 +150,8 @@ impl TTable {
 
     /// Direct (uncosted) translation — for verification and test oracles.
     pub fn translate_free(&self, e: u32) -> (ProcId, u32) {
-        let (o, off) = self.entries[e as usize];
-        (o as ProcId, off)
+        let p = self.part.owner_of(e as usize);
+        (p, e - self.part.range_of(p).start as u32)
     }
 }
 

@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::ops::Range;
 
-use simnet::{CostModel, MsgKind, Net, NetReport, Pod, ProcId, SimTime, TraceEvent};
+use simnet::{CostModel, MsgKind, Net, NetReport, Pod, ProcId, SimTime, SpanTag, TraceEvent};
 
 /// One deposited message awaiting pickup: its bytes are `range` of the
 /// receiver's arena.
@@ -136,6 +136,16 @@ impl<'w> ChaosProc<'w> {
     #[inline]
     pub fn compute(&self, dt: SimTime) {
         self.world.net.advance(self.me, dt);
+    }
+
+    /// Open trace span `tag` on this processor's lane.
+    pub(crate) fn span_begin(&self, tag: SpanTag) {
+        self.net().trace(self.me, TraceEvent::SpanBegin { tag });
+    }
+
+    /// Close trace span `tag` on this processor's lane.
+    pub(crate) fn span_end(&self, tag: SpanTag) {
+        self.net().trace(self.me, TraceEvent::SpanEnd { tag });
     }
 
     /// Bulk point-to-point exchange (BSP superstep): send each

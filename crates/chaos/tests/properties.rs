@@ -7,7 +7,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use chaos::{
-    block_partition, gather, inspector, rcb_partition, reinspect, scatter_add, ChaosWorld, Ghosted,
+    block_partition, gather, inspector, rcb_partition, reinspect, scatter_add, ChaosWorld,
     Partition, TTable, TTableCache, TTableKind,
 };
 use simnet::{
@@ -140,15 +140,12 @@ fn fresh_gather(
         let my = part.range_of(me);
         let mut cache = TTableCache::new();
         let sched = inspector(cp, &tt, &mut cache, refs[me].iter().copied());
-        let owned: Vec<f64> = my.map(&value).collect();
-        let mut x = Ghosted::new(owned, &sched);
-        gather(cp, &sched, &mut x);
+        let mut x: Vec<f64> = my.map(&value).collect();
+        x.resize(sched.local_len(), 0.0);
+        gather(cp, &sched, 1, &mut x);
         refs[me]
             .iter()
-            .map(|&r| {
-                let (o, off) = tt.translate_free(r);
-                x.get(sched.locate(me, o, off))
-            })
+            .map(|&r| x[sched.localize(&tt, r) as usize])
             .collect()
     })
 }
@@ -199,11 +196,11 @@ fn rebalance_matches_fresh_inspection_and_bills_reinspect_once() {
             let mut cache = TTableCache::new();
             let sched = inspector(cp, &tt_a, &mut cache, refs[me].iter().copied());
             let mut x_own: Vec<f64> = my.clone().map(value).collect();
-            let mut x = Ghosted::new(x_own.clone(), &sched);
-            gather(cp, &sched, &mut x);
+            let mut x = x_own.clone();
+            x.resize(sched.local_len(), 0.0);
+            gather(cp, &sched, 1, &mut x);
             for &r in &refs[me] {
-                let (o, off) = tt_a.translate_free(r);
-                assert_eq!(x.get(sched.locate(me, o, off)), value(r as usize));
+                assert_eq!(x[sched.localize(&tt_a, r) as usize], value(r as usize));
             }
 
             // Rebalance: ship each owned value to its new owner …
@@ -232,14 +229,12 @@ fn rebalance_matches_fresh_inspection_and_bills_reinspect_once() {
 
             // … and re-run the inspector against the new partition.
             let sched_b = reinspect(cp, &tt_b, &mut cache, refs[me].iter().copied());
-            let mut x = Ghosted::new(x_own, &sched_b);
-            gather(cp, &sched_b, &mut x);
+            let mut x = x_own;
+            x.resize(sched_b.local_len(), 0.0);
+            gather(cp, &sched_b, 1, &mut x);
             refs[me]
                 .iter()
-                .map(|&r| {
-                    let (o, off) = tt_b.translate_free(r);
-                    x.get(sched_b.locate(me, o, off))
-                })
+                .map(|&r| x[sched_b.localize(&tt_b, r) as usize])
                 .collect()
         });
         (reads, w.net().reinspections())
@@ -279,22 +274,21 @@ fn executor_roundtrip_counts_references() {
         let sched = inspector(cp, &tt, &mut cache, refs.iter().copied());
 
         // Gather: values = global id.
-        let owned: Vec<f64> = my.clone().map(|e| e as f64).collect();
-        let mut x = Ghosted::new(owned, &sched);
-        gather(cp, &sched, &mut x);
+        let mut x: Vec<f64> = my.clone().map(|e| e as f64).collect();
+        x.resize(sched.local_len(), 0.0);
+        gather(cp, &sched, 1, &mut x);
         for &r in &refs {
-            let (o, off) = tt.translate_free(r);
-            assert_eq!(x.get(sched.locate(me, o, off)), r as f64);
+            assert_eq!(x[sched.localize(&tt, r) as usize], r as f64);
         }
 
         // Scatter: +1 per reference.
-        let mut f = Ghosted::new(vec![0.0; my.len()], &sched);
+        let mut f = vec![0.0; sched.local_len()];
         for &r in &refs {
-            let (o, off) = tt.translate_free(r);
-            f.add(sched.locate(me, o, off), 1.0);
+            f[sched.localize(&tt, r) as usize] += 1.0;
         }
-        scatter_add(cp, &sched, &mut f);
-        f.owned
+        scatter_add(cp, &sched, 1, &mut f);
+        f.truncate(my.len());
+        f
     });
     // Block partition: the owned blocks in rank order are the array.
     let got = blocks.concat();
@@ -310,7 +304,7 @@ fn executor_roundtrip_counts_references() {
         }
         // own duplicates: (me+5k)%n may also hit own range — those were
         // deduplicated by the schedule but still contributed 1.0 each
-        // via `f.add`.
+        // via the local array.
         for me in 0..nprocs {
             if part.range_of(me).contains(&e) {
                 for k in 0..12 {
