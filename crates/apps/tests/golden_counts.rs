@@ -228,6 +228,66 @@ fn moldyn_and_nbf_small_chaos_times_are_pinned() {
     );
 }
 
+/// FNV-1a 64 over each value's `to_bits().to_le_bytes()`, in order: a
+/// digest of a run's final state, bit for bit.
+fn digest(x: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in x.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `(variant, simulated ns, final-state digest)` for every variant.
+type TimeGolden = [(Variant, u64, u64); 6];
+
+fn assert_times_and_bits(w: &dyn Workload, golden: &TimeGolden) {
+    let m = run_matrix(w);
+    for &(v, ns, bits) in golden {
+        let r = m.get(v);
+        assert_eq!(
+            r.report.time.as_ns(),
+            ns,
+            "{} {v:?}: simulated time moved",
+            m.label
+        );
+        assert_eq!(digest(&r.x), bits, "{} {v:?}: final state moved", m.label);
+    }
+}
+
+/// Every variant's simulated time and final-state bits on moldyn and
+/// nbf, captured before both apps' runners became one pair-force
+/// kernel: the move must reproduce each run to the nanosecond and the
+/// bit. On nbf the pipelined Tmk reduction reassociates the sequential
+/// sums, so seq has a digest of its own, and CHAOS's scatter adds in a
+/// third order.
+#[test]
+fn moldyn_and_nbf_small_times_and_result_bits_are_pinned() {
+    assert_times_and_bits(
+        &MoldynWorkload::new(MoldynConfig::small()),
+        &[
+            (Variant::Seq, 335_018_328, 0x3eb7_a695_9cc7_273a),
+            (Variant::TmkBase, 332_472_888, 0x3eb7_a695_9cc7_273a),
+            (Variant::TmkOpt, 185_969_688, 0x3eb7_a695_9cc7_273a),
+            (Variant::TmkAdaptive, 285_773_328, 0x3eb7_a695_9cc7_273a),
+            (Variant::TmkPush, 287_187_288, 0x3eb7_a695_9cc7_273a),
+            (Variant::Chaos, 189_664_650, 0x3eb7_a695_9cc7_273a),
+        ],
+    );
+    assert_times_and_bits(
+        &NbfWorkload::new(NbfConfig::small()),
+        &[
+            (Variant::Seq, 44_353_536, 0x2369_62e7_446f_bb90),
+            (Variant::TmkBase, 110_571_216, 0xe7c8_2a9e_5113_b0a2),
+            (Variant::TmkOpt, 53_395_456, 0xe7c8_2a9e_5113_b0a2),
+            (Variant::TmkAdaptive, 101_505_456, 0xe7c8_2a9e_5113_b0a2),
+            (Variant::TmkPush, 104_491_256, 0xe7c8_2a9e_5113_b0a2),
+            (Variant::Chaos, 27_159_232, 0x9abf_bccf_fe6d_6d83),
+        ],
+    );
+}
+
 #[test]
 fn umesh_small_reproduces_pre_refactor_counts() {
     assert_golden(
