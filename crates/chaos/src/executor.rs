@@ -63,39 +63,62 @@ pub fn gather(cp: &mut ChaosProc, sched: &CommSchedule, width: usize, local: &mu
 }
 
 /// Scatter-add: push accumulated ghost contributions back to the owners,
-/// which add them into their owned elements. One message per pair.
+/// which reduce them into their owned elements. One message per pair.
+///
+/// The owner reduces in the order of the pipelined owner-last reduction
+/// the Tmk builds run over the same per-processor partials: on owner
+/// `c`, each owned value starts from +0.0, adds what peers `c − 1`,
+/// `c − 2`, …, `c + 1` (mod `nprocs`) sent, and adds the owner's own
+/// partial last. So CHAOS and the Tmk builds agree bit for bit. Where a
+/// peer referenced no copy of an element, it sends nothing and the Tmk
+/// reduction adds that peer's untouched +0.0; a partial accumulated from
+/// +0.0 never becomes −0.0 under round-to-nearest, so adding +0.0
+/// changes no value and skipping it is exact. Messages are still picked
+/// up in sender order, as the receiver's clock awaits them, and reduced
+/// once all have arrived.
 pub fn scatter_add(cp: &mut ChaosProc, sched: &CommSchedule, width: usize, local: &mut [f64]) {
     let cost = cp.net().cost().clone();
-    let me = cp.rank();
+    let (me, nprocs) = (cp.rank(), cp.nprocs());
     let _ex = cp.net().scope(me, StallCat::Exchange);
     cp.span_begin(SpanTag::Scatter);
     cp.compute(cost.pack(width * sched.ghost_count() * 8));
     let (owned, ghosts) = split(sched, width, local);
     let ghosts = &*ghosts;
-    let out = (0..cp.nprocs())
-        .filter(|&q| !sched.recv(q).is_empty())
-        .map(|q| {
-            let slots = sched.ghost_range(q);
-            (
-                q,
-                ghosts[width * slots.start..width * slots.end]
-                    .iter()
-                    .copied(),
-            )
-        });
+    let out = (0..nprocs).filter(|&q| !sched.recv(q).is_empty()).map(|q| {
+        let slots = sched.ghost_range(q);
+        (
+            q,
+            ghosts[width * slots.start..width * slots.end]
+                .iter()
+                .copied(),
+        )
+    });
+    // What each peer sent lands beside our send list to it (their recv
+    // list from us == our send list to them); `sum` is the reduction.
+    let mut scratch = vec![0.0; owned.len() + width * sched.traffic_elems()];
+    let (sum, recvd) = scratch.split_at_mut(owned.len());
     let mut unpacked = 0usize;
     cp.exchange(MsgKind::Scatter, out, |from, vals| {
-        // Their recv list from us == our send list to them.
-        let list = sched.send(from);
-        debug_assert_eq!(vals.len(), width * list.len());
+        let seg = sched.send_range(from);
+        debug_assert_eq!(vals.len(), width * seg.len());
         unpacked += vals.len() * 8;
-        let slots = list
-            .iter()
-            .flat_map(|&o| width * o as usize..width * (o as usize + 1));
-        for (i, v) in slots.zip(vals) {
-            owned[i] += v;
+        for (r, v) in recvd[width * seg.start..].iter_mut().zip(vals) {
+            *r = v;
         }
     });
+    for q in (1..nprocs).map(|k| (me + nprocs - k) % nprocs) {
+        let seg = sched.send_range(q);
+        let slots = sched
+            .send(q)
+            .iter()
+            .flat_map(|&o| width * o as usize..width * (o as usize + 1));
+        for (i, &v) in slots.zip(&recvd[width * seg.start..width * seg.end]) {
+            sum[i] += v;
+        }
+    }
+    for (o, s) in owned.iter_mut().zip(sum) {
+        *o = *s + *o;
+    }
     cp.compute(cost.pack(unpacked));
     cp.span_end(SpanTag::Scatter);
 }

@@ -88,13 +88,20 @@ impl CommSchedule {
         &self.recv_idx[self.ghost_range(q)]
     }
 
+    /// Positions in the concatenated send lists of the elements we send
+    /// to `q`. Empty for unknown peers.
+    #[inline]
+    pub(crate) fn send_range(&self, q: ProcId) -> Range<usize> {
+        match self.send_starts.get(q..=q + 1) {
+            Some(&[a, b]) => a as usize..b as usize,
+            _ => 0..0,
+        }
+    }
+
     /// Local offsets (ours) of the elements we send to `q`.
     #[inline]
     pub fn send(&self, q: ProcId) -> &[u32] {
-        match self.send_starts.get(q..=q + 1) {
-            Some(&[a, b]) => &self.send_idx[a as usize..b as usize],
-            _ => &[],
-        }
+        &self.send_idx[self.send_range(q)]
     }
 
     /// The local slot of element `e` (a global id under `tt`, the table
