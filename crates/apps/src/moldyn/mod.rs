@@ -1,15 +1,12 @@
 //! moldyn — molecular dynamics with a periodically rebuilt interaction
-//! list (paper §5.1, Figure 1, Table 1).
+//! list (paper §5.1, Figure 1, Table 1). Every variant runs on
+//! [`crate::pair`], with [`crate::workload::MoldynWorkload::new`]'s data.
 
-mod chaos_run;
 mod geometry;
-mod seq;
-mod tmk;
 
-pub use chaos_run::run_chaos;
-pub use geometry::{build_interaction_list, gen_positions, pair_force, MoldynWorld};
-pub use seq::run_seq;
-pub use tmk::run_tmk;
+pub use geometry::{
+    build_interaction_list, build_interaction_list_for, gen_positions, pair_force, MoldynWorld,
+};
 
 use simnet::CostModel;
 
@@ -82,6 +79,54 @@ impl MoldynConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{MoldynWorkload, Variant, Workload};
+    use simnet::SimTime;
+
+    fn seq(cfg: MoldynConfig) -> (crate::RunReport, Vec<f64>) {
+        MoldynWorkload::new(cfg).run(Variant::Seq, SimTime::ZERO)
+    }
+
+    #[test]
+    fn sequential_is_deterministic() {
+        let (a, xa) = seq(MoldynConfig::small());
+        let (b, xb) = seq(MoldynConfig::small());
+        assert_eq!(xa, xb);
+        assert_eq!(a.time, b.time);
+        assert!(a.checksum > 0.0);
+    }
+
+    #[test]
+    fn molecules_actually_move() {
+        let cfg = MoldynConfig::small();
+        let pos = gen_positions(&cfg).pos;
+        let (_, x) = seq(cfg.clone());
+        let moved = x.chunks_exact(3).zip(&pos).filter(|(a, b)| a != b).count();
+        assert!(
+            moved > cfg.n / 2,
+            "most molecules must move ({moved}/{})",
+            cfg.n
+        );
+    }
+
+    #[test]
+    fn more_rebuilds_cost_more_time() {
+        let at_interval = |update_interval| MoldynConfig {
+            update_interval,
+            ..MoldynConfig::small()
+        };
+        let t1 = seq(at_interval(5)).0.time; // 1 rebuild over 6 steps
+        let t3 = seq(at_interval(2)).0.time; // rebuilds at 3, 5
+        assert!(t3 > t1);
+    }
+
+    #[test]
+    fn paper_scale_sequential_time() {
+        // The time formula is exact (counts × constants), so the model's
+        // composition is checked at small scale.
+        let (r, _) = seq(MoldynConfig::small());
+        assert!(r.time > SimTime::ZERO);
+        assert_eq!(r.messages, 0);
+    }
 
     #[test]
     fn rebuild_schedule_matches_table1() {

@@ -6,15 +6,8 @@
 //! list pointing to the end of each molecule's partners in the partner
 //! list." The partner list is *static*; each molecule has ~100 partners
 //! spread evenly over about 2/3 of the total space, so "a simple BLOCK
-//! partition suffices to balance the load."
-
-mod chaos_run;
-mod seq;
-mod tmk;
-
-pub use chaos_run::run_chaos;
-pub use seq::run_seq;
-pub use tmk::run_tmk;
+//! partition suffices to balance the load." Every variant runs on
+//! [`crate::pair`], with [`crate::workload::NbfWorkload::new`]'s data.
 
 use simnet::CostModel;
 
@@ -120,6 +113,29 @@ pub fn nbf_force(xi: f64, xj: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::work;
+    use crate::workload::{NbfWorkload, Variant, Workload};
+    use simnet::SimTime;
+
+    #[test]
+    fn deterministic_and_moving() {
+        let cfg = NbfConfig::small();
+        let w = NbfWorkload::new(cfg.clone());
+        let (_, a) = w.run(Variant::Seq, SimTime::ZERO);
+        let (_, b) = w.run(Variant::Seq, SimTime::ZERO);
+        assert_eq!(a, b);
+        let x0 = gen_world(&cfg).x0;
+        let moved = a.iter().zip(&x0).filter(|(p, q)| p != q).count();
+        assert!(moved > cfg.n / 2);
+    }
+
+    #[test]
+    fn paper_scale_time_formula() {
+        // 64×1024: 10 × 6.55M pairs × 1.19 µs ≈ 78 s (paper: 78.3 s) —
+        // verified on the formula, not by running the full size.
+        let t = work::t(work::NBF_PAIR_US, 65536 * 100 * 10);
+        assert!((70.0..90.0).contains(&t.as_secs_f64()));
+    }
 
     #[test]
     fn world_structure() {

@@ -11,10 +11,10 @@
 //! first, feeds its simulated time to the requested parallel variants,
 //! and enforces the repo's agreement contract:
 //!
-//! * the four Tmk builds (base / optimized / adaptive / update-push)
-//!   are **always** bitwise identical — the protocol layers only move
-//!   fetches earlier or later (or flip who initiates the exchange),
-//!   never change data;
+//! * the Tmk builds and CHAOS are **always** bitwise identical — the
+//!   protocol layers only move fetches (or flip who initiates the
+//!   exchange), never change data, and CHAOS's scatter reduces in the
+//!   Tmk pipeline's order;
 //! * against the sequential reference, each workload declares its
 //!   [`CheckMode`]: `Bitwise` where the parallel reduction replays the
 //!   sequential accumulation order (umesh, all synth scenarios),
@@ -22,17 +22,19 @@
 //!   addition (moldyn, nbf).
 
 use adapt::AdaptConfig;
-use chaos::block_partition;
+use chaos::{block_partition, rcb_partition, TTableKind};
 use sdsm_core::DsmConfig;
 use simnet::SimTime;
 
 use crate::moldyn::{self, MoldynConfig, MoldynWorld};
 use crate::nbf::{self, NbfConfig, NbfWorld};
+use crate::pair;
 use crate::phases;
 use crate::relax::{Kernel, Params, World};
 pub use crate::report::Variant;
 use crate::report::{table_header, RunReport};
 use crate::umesh::{self, Mesh, UmeshConfig};
+use crate::work;
 
 /// Agreement contract between a parallel variant and the sequential
 /// reference.
@@ -173,26 +175,53 @@ pub fn run_matrix(w: &(impl Workload + ?Sized)) -> WorkloadMatrix {
     run_variants(w, &Variant::PARALLEL)
 }
 
-fn flatten3(x: &[[f64; 3]]) -> Vec<f64> {
-    x.iter().flatten().copied().collect()
-}
+// The three classic applications as workloads: each `new` is its
+// kernel's data, and `run` hands every variant to that kernel.
 
-// ---------------------------------------------------------------------------
-// The three classic applications as workloads. moldyn and nbf have
-// three arms each: the sequential reference, CHAOS, and the app's
-// `run_tmk`, which takes the Tmk-family variant as is; umesh hands every
-// variant to the relaxation kernel.
-
-/// moldyn as a [`Workload`].
+/// moldyn as a [`Workload`] (§5.1): RCB-partitioned, renumbered
+/// molecules, a rebuilt interaction list, and a distributed CHAOS table
+/// ("We were unable to use a replicated translation table").
 pub struct MoldynWorkload {
     pub cfg: MoldynConfig,
-    pub world: MoldynWorld,
+    pub kernel: pair::Kernel<3>,
 }
 
 impl MoldynWorkload {
     pub fn new(cfg: MoldynConfig) -> Self {
-        let world = moldyn::gen_positions(&cfg);
-        MoldynWorkload { cfg, world }
+        let MoldynWorld { pos, box_l, cutoff } = moldyn::gen_positions(&cfg);
+        let (part, old_of) = rcb_partition(&pos, cfg.nprocs);
+        let rc2 = cutoff * cutoff;
+        let list = pair::PairList {
+            section: Box::new(move |x, r| {
+                let list = moldyn::build_interaction_list_for(x, cutoff, box_l, r.start, r.end);
+                list.into_iter().flat_map(|(i, j)| [i, j]).collect()
+            }),
+            rebuild_steps: cfg.rebuild_steps(),
+            test_us: work::MOLDYN_PAIRTEST_US,
+        };
+        let params = pair::Params {
+            dsm: dsm_config(cfg.nprocs, cfg.page_size, &cfg.cost),
+            warmup: 0,
+            steps: cfg.steps,
+            dt: moldyn::DT,
+            pair_us: work::MOLDYN_PAIR_US,
+            update_us: work::MOLDYN_UPDATE_US,
+            fixture: (fcc::fixtures::MOLDYN_SOURCE, "computeforces"),
+            table: TTableKind::Distributed,
+            // §5.1: "Both x and forces are modified elsewhere,
+            // necessitating the gather."
+            gather_forces: true,
+            chaos_zero_us: 0.0,
+        };
+        let kernel = pair::Kernel::new(
+            pos,
+            part,
+            Some(old_of),
+            Box::new(move |xi, xj| moldyn::pair_force(xi, xj, rc2)),
+            pair::Indirection::PairList(list),
+            params,
+        );
+        MoldynWorkload { cfg, kernel }
     }
 }
 
@@ -205,34 +234,45 @@ impl Workload for MoldynWorkload {
     }
 
     fn run(&self, v: Variant, seq_time: SimTime) -> (RunReport, Vec<f64>) {
-        match v {
-            Variant::Seq => {
-                let r = moldyn::run_seq(&self.cfg, &self.world);
-                let x = flatten3(&r.x);
-                (r.report, x)
-            }
-            Variant::Chaos => {
-                let (r, x) = moldyn::run_chaos(&self.cfg, &self.world, seq_time);
-                (r, flatten3(&x))
-            }
-            tmk => {
-                let (r, x) = moldyn::run_tmk(&self.cfg, &self.world, tmk, seq_time);
-                (r, flatten3(&x))
-            }
-        }
+        self.kernel.run(v, seq_time)
     }
 }
 
-/// nbf as a [`Workload`].
+/// nbf as a [`Workload`] (§5.2): static partner lists over a BLOCK
+/// partition, a replicated CHAOS table, untimed warm-up steps.
 pub struct NbfWorkload {
     pub cfg: NbfConfig,
-    pub world: NbfWorld,
+    pub kernel: pair::Kernel<1>,
 }
 
 impl NbfWorkload {
     pub fn new(cfg: NbfConfig) -> Self {
-        let world = nbf::gen_world(&cfg);
-        NbfWorkload { cfg, world }
+        let NbfWorld { x0, partners, last } = nbf::gen_world(&cfg);
+        let params = pair::Params {
+            dsm: dsm_config(cfg.nprocs, cfg.page_size, &cfg.cost),
+            warmup: cfg.warmup,
+            steps: cfg.steps,
+            dt: nbf::DT,
+            pair_us: work::NBF_PAIR_US,
+            update_us: work::NBF_UPDATE_US,
+            fixture: (fcc::fixtures::NBF_SOURCE, "computenbfforces"),
+            table: TTableKind::Replicated,
+            gather_forces: false,
+            chaos_zero_us: work::ZERO_US,
+        };
+        let kernel = pair::Kernel::new(
+            x0.into_iter().map(|v| [v]).collect(),
+            block_partition(cfg.n, cfg.nprocs),
+            None,
+            Box::new(|xi, xj| [nbf::nbf_force(xi[0], xj[0])]),
+            pair::Indirection::Partners {
+                last,
+                // 0-based, converted in place.
+                partners: partners.into_iter().map(|j| j as u32 - 1).collect(),
+            },
+            params,
+        );
+        NbfWorkload { cfg, kernel }
     }
 }
 
@@ -242,15 +282,15 @@ impl Workload for NbfWorkload {
     }
 
     fn run(&self, v: Variant, seq_time: SimTime) -> (RunReport, Vec<f64>) {
-        match v {
-            Variant::Seq => {
-                let r = nbf::run_seq(&self.cfg, &self.world);
-                let x = r.x.clone();
-                (r.report, x)
-            }
-            Variant::Chaos => nbf::run_chaos(&self.cfg, &self.world, seq_time),
-            tmk => nbf::run_tmk(&self.cfg, &self.world, tmk, seq_time),
-        }
+        self.kernel.run(v, seq_time)
+    }
+}
+
+fn dsm_config(nprocs: usize, page_size: usize, cost: &simnet::CostModel) -> DsmConfig {
+    DsmConfig {
+        nprocs,
+        page_size,
+        cost: cost.clone(),
     }
 }
 
@@ -273,11 +313,7 @@ impl UmeshWorkload {
             kappa: umesh::KAPPA,
         };
         let params = Params {
-            dsm: DsmConfig {
-                nprocs: cfg.nprocs,
-                page_size: cfg.page_size,
-                cost: cfg.cost.clone(),
-            },
+            dsm: dsm_config(cfg.nprocs, cfg.page_size, &cfg.cost),
             adapt: AdaptConfig::default(),
             visit_us: umesh::EDGE_US,
             iter_tag: phases::UPDATE,

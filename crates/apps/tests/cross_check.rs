@@ -163,13 +163,10 @@ fn moldyn_update_frequency_hurts_chaos_more() {
     // approach gains on CHAOS because the inspector re-runs (in the
     // timed region) while Validate merely rescans.
     let at_interval = |update_interval| {
-        let w = MoldynWorkload {
-            cfg: MoldynConfig {
-                update_interval,
-                ..MoldynConfig::small()
-            },
-            world: MOLDYN.w.world.clone(),
-        };
+        let w = MoldynWorkload::new(MoldynConfig {
+            update_interval,
+            ..MoldynConfig::small()
+        });
         run_variants(&w, &[Variant::Chaos, Variant::TmkOpt])
     };
     let rare = at_interval(5); // 1 rebuild over 6 steps

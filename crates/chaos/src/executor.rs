@@ -117,7 +117,7 @@ pub fn scatter_add(cp: &mut ChaosProc, sched: &CommSchedule, width: usize, local
         }
     }
     for (o, s) in owned.iter_mut().zip(sum) {
-        *o = *s + *o;
+        *o += *s;
     }
     cp.compute(cost.pack(unpacked));
     cp.span_end(SpanTag::Scatter);

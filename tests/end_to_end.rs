@@ -2,8 +2,9 @@
 //! run-time drives the DSM, and the whole pipeline reproduces the
 //! paper's qualitative results at test scale.
 
-use sdsm_repro::apps::moldyn::{self, MoldynConfig};
-use sdsm_repro::apps::nbf::{self, NbfConfig};
+use sdsm_repro::apps::moldyn::MoldynConfig;
+use sdsm_repro::apps::nbf::NbfConfig;
+use sdsm_repro::apps::workload::{run_variants, MoldynWorkload, NbfWorkload};
 use sdsm_repro::apps::Variant;
 use sdsm_repro::core_rt::{validate, AccessType, Cluster, Desc, DsmConfig, RegionRef, Validator};
 use sdsm_repro::fcc;
@@ -90,11 +91,14 @@ fn table1_shape_reduced_scale() {
     cfg.n = 1024;
     cfg.steps = 8;
     cfg.update_interval = 4;
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-    let (chaos, _) = moldyn::run_chaos(&cfg, &world, seq.report.time);
-    let (base, _) = moldyn::run_tmk(&cfg, &world, Variant::TmkBase, seq.report.time);
-    let (opt, _) = moldyn::run_tmk(&cfg, &world, Variant::TmkOpt, seq.report.time);
+    let m = run_variants(&MoldynWorkload::new(cfg), &Variant::PAPER);
+    let [seq, chaos, base, opt] = [
+        Variant::Seq,
+        Variant::Chaos,
+        Variant::TmkBase,
+        Variant::TmkOpt,
+    ]
+    .map(|v| &m.get(v).report);
 
     assert!(
         opt.time < base.time,
@@ -106,8 +110,8 @@ fn table1_shape_reduced_scale() {
     let chaos_total = chaos.time.as_secs_f64() + chaos.untimed_inspector_s;
     assert!(opt.time.as_secs_f64() < chaos_total);
     // All three scale: nobody slower than sequential.
-    for r in [&chaos, &base, &opt] {
-        assert!(r.time < seq.report.time);
+    for r in [chaos, base, opt] {
+        assert!(r.time < seq.time);
     }
 }
 
@@ -121,9 +125,8 @@ fn table2_false_sharing_shape() {
         cfg.partners = 24;
         cfg.steps = 4;
         cfg.page_size = 1024;
-        let world = nbf::gen_world(&cfg);
-        let seq = nbf::run_seq(&cfg, &world);
-        nbf::run_tmk(&cfg, &world, Variant::TmkOpt, seq.report.time).0
+        let m = run_variants(&NbfWorkload::new(cfg), &[Variant::TmkOpt]);
+        m.get(Variant::TmkOpt).report.clone()
     };
     let aligned = run(8192); // 8192/8 procs = 1024 f64 = 8 KB: page aligned
     let misaligned = run(8000); // 1000 f64 = 7.8125 pages
