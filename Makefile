@@ -82,7 +82,9 @@ fmt-check:
 # synth cell run one owner-side relaxation kernel, apps::relax: umesh
 # builds no cluster or CHAOS world and calls neither validate nor the
 # inspector itself, and no second accumulate or incident_lists grows
-# back outside crates/apps/src/relax.rs. CHAOS keeps what the paper's
+# back outside crates/apps/src/relax.rs. moldyn and nbf run one
+# pair-force kernel, apps::pair: neither builds a cluster or CHAOS
+# world nor calls validate, the inspector or scatter_add itself. CHAOS keeps what the paper's
 # programs run: a partition is a block layout (BLOCK, and RCB with its
 # renumbering), a translation table is replicated or distributed, and
 # the CYCLIC partitioner, the almost-owner-computes rule, the owner
@@ -147,6 +149,8 @@ hygiene:
 		echo "hygiene: CostModel is a pure timing model (no lossy links or Retry stall), a report has no scenario label, and the adaptive engine's promote/demote thresholds are fixed"; exit 1; fi
 	@if grep -rnE "Cluster::new|ChaosWorld::new|validate\(|inspector\(" crates/apps/src/umesh/; then \
 		echo "hygiene: umesh runs on apps::relax, the one owner-side relaxation kernel; it has no runner of its own"; exit 1; fi
+	@if grep -rnE "Cluster::new|ChaosWorld::new|validate\(|inspector\(|scatter_add\(" crates/apps/src/moldyn/ crates/apps/src/nbf/; then \
+		echo "hygiene: moldyn and nbf run on apps::pair, the one pair-force kernel; they have no runner of their own"; exit 1; fi
 	@if grep -rnE "fn (accumulate|incident_lists)\b" crates/ | grep -v "^crates/apps/src/relax.rs:"; then \
 		echo "hygiene: the owner-side accumulation and incident lists live only in apps::relax"; exit 1; fi
 	@if grep -rnwE "Paged|from_owners|owner_of_new|cyclic_partition|assign_iterations_almost_owner" crates/; then \
