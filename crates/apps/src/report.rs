@@ -4,7 +4,7 @@ use simnet::{NetReport, PolicyReport, SimTime};
 
 /// The six system variants of the comparison — the one spelling of the
 /// system axis: it selects the kernel in [`crate::Workload::run`], names
-/// the Tmk build inside each `run_tmk`, and labels the [`RunReport`].
+/// the Tmk build inside each kernel, and labels the [`RunReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
     Seq,
@@ -43,8 +43,7 @@ impl Variant {
         Variant::Chaos,
     ];
 
-    /// The Tmk protocol family — always bitwise-identical to each
-    /// other, whatever the workload's contract vs sequential.
+    /// The Tmk protocol family: one program each, the protocol varied.
     pub const TMK: [Variant; 4] = [
         Variant::TmkBase,
         Variant::TmkOpt,

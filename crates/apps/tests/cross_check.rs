@@ -1,9 +1,10 @@
 //! Cross-variant verification: all builds of each application must
 //! compute the same physics — to floating-point reordering tolerance
 //! against the sequential reference (whose accumulation order the
-//! pipelined reduction reassociates), and **bitwise** among the DSM
-//! builds (base / optimized / adaptive / push run the same program; the
-//! protocol layers only move data earlier or later). `run_variants`
+//! pipelined reduction reassociates), and **bitwise** among the parallel
+//! builds (base / optimized / adaptive / push run the same program, the
+//! protocol layers only move data earlier or later, and CHAOS's scatter
+//! reduces in the Tmk pipeline's order). `run_variants`
 //! asserts exactly that contract on every run it returns, so each test
 //! here starts from a cross-checked matrix and pins the protocol-level
 //! shape of the paper's comparison, which must hold even at test scale:

@@ -38,8 +38,8 @@ use bench::Scale;
 use trace::{chrome_trace_json, json_well_formed, with_trace_sink, Tracer};
 
 /// One app's seq + four Tmk builds, cross-checked by `run_variants`
-/// (each against sequential per the app's contract, and bitwise among
-/// themselves).
+/// (each against sequential per the app's contract, and the parallel
+/// builds bitwise among themselves).
 struct Group {
     app: &'static str,
     m: WorkloadMatrix,
