@@ -48,19 +48,11 @@ pub fn gen_positions(cfg: &MoldynConfig) -> MoldynWorld {
     }
 }
 
-/// Build the interaction list: all pairs `(i, j)`, `i < j`, within the
-/// cutoff. Cell-list construction keeps the *wall-clock* cost near
-/// O(N); the 1997 code's O(N²/2) pair scan is what the *simulated* cost
-/// model charges (see `work::MOLDYN_PAIRTEST_US`). Pairs come out sorted
-/// by `(i, j)` — deterministic for every consumer.
-pub fn build_interaction_list(pos: &[[f64; 3]], cutoff: f64, box_l: f64) -> Vec<(u32, u32)> {
-    build_interaction_list_for(pos, cutoff, box_l, 0, pos.len())
-}
-
-/// The sub-list of interactions whose first (lower-numbered) molecule
-/// lies in `[first, last)` — what one processor builds in the parallel
-/// versions. Concatenating the per-processor lists over a partition of
-/// the index space equals [`build_interaction_list`].
+/// The interaction list's pairs `(i, j)`, `i < j`, within the cutoff
+/// whose first molecule lies in `[first, last)`, sorted by `(i, j)` —
+/// one processor's section; over `0..n`, the whole list. Cell lists keep
+/// the *wall-clock* cost near O(N); the 1997 code's O(N²/2) pair scan
+/// is what the *simulated* cost model charges (`work::MOLDYN_PAIRTEST_US`).
 pub fn build_interaction_list_for(
     pos: &[[f64; 3]],
     cutoff: f64,
@@ -149,7 +141,7 @@ mod tests {
     #[test]
     fn cell_list_matches_naive() {
         let w = small_world();
-        let fast = build_interaction_list(&w.pos, w.cutoff, w.box_l);
+        let fast = build_interaction_list_for(&w.pos, w.cutoff, w.box_l, 0, w.pos.len());
         let rc2 = w.cutoff * w.cutoff;
         let mut naive = Vec::new();
         for i in 0..w.pos.len() {
@@ -167,7 +159,7 @@ mod tests {
     #[test]
     fn per_range_lists_concatenate() {
         let w = small_world();
-        let whole = build_interaction_list(&w.pos, w.cutoff, w.box_l);
+        let whole = build_interaction_list_for(&w.pos, w.cutoff, w.box_l, 0, w.pos.len());
         let mut parts = Vec::new();
         for k in 0..4 {
             let lo = k * 128;
@@ -203,7 +195,7 @@ mod tests {
         // (that is what the cost calibration assumes) — checked here at
         // reduced scale via density: partners/molecule ≈ (4/3)π rc³.
         let w = small_world();
-        let list = build_interaction_list(&w.pos, w.cutoff, w.box_l);
+        let list = build_interaction_list_for(&w.pos, w.cutoff, w.box_l, 0, w.pos.len());
         let per_mol = 2.0 * list.len() as f64 / w.pos.len() as f64;
         let expect = 4.0 / 3.0 * std::f64::consts::PI * w.cutoff.powi(3);
         assert!(

@@ -4,11 +4,18 @@
 
 mod geometry;
 
-pub use geometry::{
-    build_interaction_list, build_interaction_list_for, gen_positions, pair_force, MoldynWorld,
-};
+pub use geometry::{build_interaction_list_for, gen_positions, pair_force, MoldynWorld};
 
 use simnet::CostModel;
+
+/// [`pair_force`] with its squared cutoff: the pair kernel's law.
+pub struct Force(pub f64);
+
+impl crate::pair::Law<3> for Force {
+    fn force(&self, xi: &[f64; 3], xj: &[f64; 3]) -> [f64; 3] {
+        pair_force(xi, xj, self.0)
+    }
+}
 
 /// Integration step size: small enough that the stale interaction list
 /// stays physically sensible between rebuilds, large enough that every

@@ -110,6 +110,15 @@ pub fn nbf_force(xi: f64, xj: f64) -> f64 {
     (xi - xj) * 1e-4
 }
 
+/// [`nbf_force`]: the pair kernel's law.
+pub struct Force;
+
+impl crate::pair::Law<1> for Force {
+    fn force(&self, xi: &[f64; 1], xj: &[f64; 1]) -> [f64; 1] {
+        [nbf_force(xi[0], xj[0])]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,9 @@ use crate::work;
 
 /// A pair-force law over elements of `W` values: the force `j` exerts
 /// on `i`, added to `i` and subtracted from `j`.
-pub type Force<const W: usize> = Box<dyn Fn(&[f64; W], &[f64; W]) -> [f64; W] + Send + Sync>;
+pub trait Law<const W: usize>: Send + Sync {
+    fn force(&self, xi: &[f64; W], xj: &[f64; W]) -> [f64; W];
+}
 
 /// A processor's section of a pair list, from every element's current
 /// value and the elements it owns: both ends of each pair, flat.
@@ -68,8 +70,7 @@ pub struct Params {
     /// Modeled costs of one pair interaction and one element's update.
     pub pair_us: f64,
     pub update_us: f64,
-    /// The Figure-1 source the optimized build compiles, and the unit
-    /// whose `Validate` site it binds.
+    /// The Figure-1 source the optimized build compiles, and its unit.
     pub fixture: (&'static str, &'static str),
     /// The CHAOS build's translation table.
     pub table: TTableKind,
@@ -81,7 +82,7 @@ pub struct Params {
 
 /// One runnable instance of the kernel, built once per workload and
 /// read-only: one `Kernel` serves any number of runs of any variant.
-pub struct Kernel<const W: usize> {
+pub struct Kernel<const W: usize, L> {
     /// Initial values, in the application's numbering.
     x0: Vec<[f64; W]>,
     /// Kernel element `k` (each processor owns a block of them) is
@@ -89,12 +90,11 @@ pub struct Kernel<const W: usize> {
     old_of: Option<Vec<u32>>,
     part: Partition,
     ttable: TTable,
-    force: Force<W>,
+    law: L,
     indirection: Indirection<W>,
     /// The compiled `Validate` site's INDIRECT section over `x`.
     section: SymRsd,
-    /// Capacity of one processor's section of the shared pair list, in
-    /// pairs (0 for partner lists).
+    /// Capacity of one processor's pair-list section (0 for partners).
     cap_pp: usize,
     pub params: Params,
 }
@@ -102,14 +102,10 @@ pub struct Kernel<const W: usize> {
 /// A Tmk run's shared indirection, 1-based: `cap_pp` pairs per processor
 /// and each one's count, or the partner lists and their end pointers.
 enum Shared {
-    Pairs {
-        ilist: SharedSlice<i32>,
-        npairs: SharedSlice<i64>,
-    },
-    Partners {
-        partners: SharedSlice<i32>,
-        last: SharedSlice<i32>,
-    },
+    /// `ilist`, `npairs`.
+    Pairs(SharedSlice<i32>, SharedSlice<i64>),
+    /// `partners`, `last`.
+    Partners(SharedSlice<i32>, SharedSlice<i32>),
 }
 
 /// Newton's third law: `fij` into `i`, `-fij` into `j`.
@@ -151,7 +147,7 @@ fn indirect(data: RegionRef, ind: SharedSlice<i32>, ind_dims: Vec<usize>, sectio
     }
 }
 
-impl<const W: usize> Kernel<W> {
+impl<const W: usize, L: Law<W>> Kernel<W, L> {
     /// Take `x0` in the application's numbering and kernel element `k`
     /// from application element `old_of[k]`; size the shared pair list,
     /// compile the fixture and build the translation table.
@@ -159,7 +155,7 @@ impl<const W: usize> Kernel<W> {
         x0: Vec<[f64; W]>,
         part: Partition,
         old_of: Option<Vec<u32>>,
-        force: Force<W>,
+        law: L,
         indirection: Indirection<W>,
         params: Params,
     ) -> Self {
@@ -175,7 +171,7 @@ impl<const W: usize> Kernel<W> {
             old_of,
             ttable: TTable::new(params.table, &part),
             part,
-            force,
+            law,
             indirection,
             section: desc.expect("an INDIRECT descriptor on x").section,
             cap_pp: 0,
@@ -231,8 +227,7 @@ impl<const W: usize> Kernel<W> {
         }
     }
 
-    /// A processor's share of a rebuild's balanced triangular scan,
-    /// whichever rows' pairs it records.
+    /// A processor's even share of a rebuild's O(N²/2) pair tests.
     fn tested_per_proc(&self) -> usize {
         let n = self.x0.len();
         n * (n - 1) / 2 / self.params.dsm.nprocs
@@ -268,7 +263,7 @@ impl<const W: usize> Kernel<W> {
         rows: Range<usize>,
         slots: &[u32],
     ) -> usize {
-        let mut interact = |i: usize, j: usize| newton3(f, i, j, (self.force)(&x[i], &x[j]));
+        let mut interact = |i: usize, j: usize| newton3(f, i, j, self.law.force(&x[i], &x[j]));
         match &self.indirection {
             Indirection::PairList(_) => {
                 for ij in slots.chunks_exact(2) {
@@ -336,14 +331,13 @@ impl<const W: usize> Kernel<W> {
         let x = cl.alloc::<f64>(W * n);
         let forces = cl.alloc::<f64>(W * n);
         let shared = match &self.indirection {
-            Indirection::PairList(_) => Shared::Pairs {
-                ilist: cl.alloc::<i32>(2 * self.cap_pp * nprocs),
-                npairs: cl.alloc::<i64>(nprocs),
-            },
-            Indirection::Partners { partners, .. } => Shared::Partners {
-                partners: cl.alloc::<i32>(partners.len()),
-                last: cl.alloc::<i32>(n + 1),
-            },
+            Indirection::PairList(_) => Shared::Pairs(
+                cl.alloc::<i32>(2 * self.cap_pp * nprocs),
+                cl.alloc::<i64>(nprocs),
+            ),
+            Indirection::Partners { partners, .. } => {
+                Shared::Partners(cl.alloc::<i32>(partners.len()), cl.alloc::<i32>(n + 1))
+            }
         };
 
         let ranks = cl.run(|p| {
@@ -361,7 +355,7 @@ impl<const W: usize> Kernel<W> {
                     p.write(&x, W * i + d, c);
                 }
             }
-            if let (Shared::Partners { partners, last }, Indirection::Partners { last: l, .. }) =
+            if let (Shared::Partners(partners, last), Indirection::Partners { last: l, .. }) =
                 (&shared, &self.indirection)
             {
                 let mine = self.extent(&my);
@@ -375,7 +369,7 @@ impl<const W: usize> Kernel<W> {
             // First invalidation of the value pages, which the update
             // barrier re-invalidates every step: same site, same tag.
             p.barrier_tagged(phases::UPDATE);
-            if let Shared::Pairs { ilist, npairs } = &shared {
+            if let Shared::Pairs(ilist, npairs) = &shared {
                 my_npairs = self.rebuild_tmk(p, &mut v, opt, &x, ilist, npairs);
                 // The init-time rebuild barrier shares the in-loop site.
                 p.barrier_tagged(phases::REBUILD);
@@ -386,8 +380,7 @@ impl<const W: usize> Kernel<W> {
                     p.start_timed_region();
                     p.reset_counters();
                 }
-                if let (Some(_), Shared::Pairs { ilist, npairs }) = (self.rebuild_at(step), &shared)
-                {
+                if let (Some(_), Shared::Pairs(ilist, npairs)) = (self.rebuild_at(step), &shared) {
                     my_npairs = self.rebuild_tmk(p, &mut v, opt, &x, ilist, npairs);
                     p.barrier_tagged(phases::REBUILD);
                 }
@@ -403,7 +396,7 @@ impl<const W: usize> Kernel<W> {
                     elem: 8 * W,
                 };
                 let pairs = match shared {
-                    Shared::Pairs { ilist, .. } => {
+                    Shared::Pairs(ilist, _) => {
                         let my_start = me * self.cap_pp;
                         if opt {
                             let env = Env::new().bind("num_interactions", my_npairs as i64);
@@ -420,11 +413,11 @@ impl<const W: usize> Kernel<W> {
                             let j = p.read(&ilist, flat + 1) as usize - 1;
                             let xi = read_elem::<W>(p, &x, i);
                             let xj = read_elem::<W>(p, &x, j);
-                            newton3(&mut local, i, j, (self.force)(&xi, &xj));
+                            newton3(&mut local, i, j, self.law.force(&xi, &xj));
                         }
                         my_npairs
                     }
-                    Shared::Partners { partners, last } => {
+                    Shared::Partners(partners, last) => {
                         let mine = self.extent(&my);
                         if opt {
                             let env = Env::new().bind("last(0)", mine.start as i64);
@@ -446,7 +439,7 @@ impl<const W: usize> Kernel<W> {
                             for k in lo..hi {
                                 let j = p.read(&partners, k) as usize - 1;
                                 let xj = read_elem::<W>(p, &x, j);
-                                newton3(&mut local, i, j, (self.force)(&xi, &xj));
+                                newton3(&mut local, i, j, self.law.force(&xi, &xj));
                             }
                         }
                         mine.len()

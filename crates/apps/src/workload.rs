@@ -183,14 +183,13 @@ pub fn run_matrix(w: &(impl Workload + ?Sized)) -> WorkloadMatrix {
 /// ("We were unable to use a replicated translation table").
 pub struct MoldynWorkload {
     pub cfg: MoldynConfig,
-    pub kernel: pair::Kernel<3>,
+    pub kernel: pair::Kernel<3, moldyn::Force>,
 }
 
 impl MoldynWorkload {
     pub fn new(cfg: MoldynConfig) -> Self {
         let MoldynWorld { pos, box_l, cutoff } = moldyn::gen_positions(&cfg);
         let (part, old_of) = rcb_partition(&pos, cfg.nprocs);
-        let rc2 = cutoff * cutoff;
         let list = pair::PairList {
             section: Box::new(move |x, r| {
                 let list = moldyn::build_interaction_list_for(x, cutoff, box_l, r.start, r.end);
@@ -217,7 +216,7 @@ impl MoldynWorkload {
             pos,
             part,
             Some(old_of),
-            Box::new(move |xi, xj| moldyn::pair_force(xi, xj, rc2)),
+            moldyn::Force(cutoff * cutoff),
             pair::Indirection::PairList(list),
             params,
         );
@@ -242,7 +241,7 @@ impl Workload for MoldynWorkload {
 /// partition, a replicated CHAOS table, untimed warm-up steps.
 pub struct NbfWorkload {
     pub cfg: NbfConfig,
-    pub kernel: pair::Kernel<1>,
+    pub kernel: pair::Kernel<1, nbf::Force>,
 }
 
 impl NbfWorkload {
@@ -264,7 +263,7 @@ impl NbfWorkload {
             x0.into_iter().map(|v| [v]).collect(),
             block_partition(cfg.n, cfg.nprocs),
             None,
-            Box::new(|xi, xj| [nbf::nbf_force(xi[0], xj[0])]),
+            nbf::Force,
             pair::Indirection::Partners {
                 last,
                 // 0-based, converted in place.
