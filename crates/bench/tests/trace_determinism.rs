@@ -13,13 +13,22 @@
 //!    accounting identity holds for every billing path the scenario
 //!    space can reach, not just the ones the pinned cells exercise.
 //!
+//! 3. **Pinned fault order on the applications** — the golden counts
+//!    survive a reordering of faults, trace bytes do not, so the Tmk
+//!    builds of moldyn, nbf and umesh have their trace digests pinned.
+//!
 //! Soak runs raise the proptest case count with `PROPTEST_CASES`;
 //! failing draws replay via `PROPTEST_TEST`/`PROPTEST_SEED`.
 
 use std::sync::Arc;
 
-use apps::workload::run_matrix;
+use apps::moldyn::MoldynConfig;
+use apps::nbf::NbfConfig;
+use apps::umesh::UmeshConfig;
+use apps::workload::{run_matrix, MoldynWorkload, NbfWorkload, UmeshWorkload};
+use apps::{Variant, Workload};
 use proptest::prelude::*;
+use simnet::SimTime;
 use synth::{Dynamics, Prepared, Structure, SynthConfig};
 use trace::{check_conservation, chrome_trace_json, json_well_formed, with_trace_sink, Tracer};
 
@@ -71,6 +80,64 @@ fn same_seed_twice_yields_byte_identical_trace() {
     assert_eq!(
         a, b,
         "same seed, two passes: trace JSON must be byte-identical"
+    );
+}
+
+/// FNV-1a 64 over the bytes of `s`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One variant of `w` under a sink that drops nothing, as Chrome trace
+/// JSON.
+fn app_trace(w: &dyn Workload, nprocs: usize, v: Variant) -> String {
+    let tracer = Arc::new(Tracer::new(nprocs, 1 << 16));
+    let _ = with_trace_sink(tracer.clone(), || w.run(v, SimTime::ZERO));
+    let trace = tracer.capture();
+    assert_eq!(
+        trace.dropped(),
+        0,
+        "{} {v:?}: the sink dropped events",
+        w.label()
+    );
+    chrome_trace_json(&trace)
+}
+
+/// Every fault, fetch, twin, message and barrier of the Tmk builds of
+/// moldyn and nbf (base, optimized, adaptive) and of umesh (base), in
+/// order and with its virtual timestamp: a change to how the kernels
+/// touch shared memory that moves one fault moves a digest.
+#[test]
+fn app_trace_digests_are_pinned() {
+    let moldyn = MoldynWorkload::new(MoldynConfig::small());
+    let nbf = NbfWorkload::new(NbfConfig::small());
+    let umesh = UmeshWorkload::new(UmeshConfig::small());
+    let (base, opt, adaptive) = (Variant::TmkBase, Variant::TmkOpt, Variant::TmkAdaptive);
+    let golden: [(&dyn Workload, usize, Variant, u64); 7] = [
+        (&moldyn, moldyn.cfg.nprocs, base, 0x9e32_edc4_2f12_e578),
+        (&moldyn, moldyn.cfg.nprocs, opt, 0xe49a_e41d_be03_8ed7),
+        (&moldyn, moldyn.cfg.nprocs, adaptive, 0x4e19_9a46_5034_169d),
+        (&nbf, nbf.cfg.nprocs, base, 0x3369_7697_efdd_dea4),
+        (&nbf, nbf.cfg.nprocs, opt, 0xc20e_dab2_ea7b_b676),
+        (&nbf, nbf.cfg.nprocs, adaptive, 0x4621_82e6_ef16_f84b),
+        (&umesh, umesh.cfg.nprocs, base, 0x8748_64be_4be6_7b51),
+    ];
+    let mut moved = Vec::new();
+    for (w, nprocs, v, pinned) in golden {
+        let digest = fnv1a(&app_trace(w, nprocs, v));
+        if digest != pinned {
+            moved.push(format!(
+                "{} {v:?}: {digest:#018x} (pinned {pinned:#018x})",
+                w.label()
+            ));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "trace digests moved:\n{}",
+        moved.join("\n")
     );
 }
 
