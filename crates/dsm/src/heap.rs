@@ -10,6 +10,7 @@
 //! SPMD closure for all processors, exactly like a shared pointer.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 
 use simnet::Pod;
 
@@ -85,10 +86,59 @@ impl<T: Pod> SharedSlice<T> {
         rsd::pages_of_bytes(self.base + lo * T::SIZE, (hi - lo) * T::SIZE, page_size)
     }
 
+    /// The *page runs* of elements `r`: its maximal sub-ranges that lie
+    /// on one page each, in order. Panics, in every build, if `r` reaches
+    /// past the end of the region.
+    pub fn page_runs(&self, r: Range<usize>, page_size: usize) -> PageRuns {
+        assert!(
+            r.start <= r.end && r.end <= self.len,
+            "shared-memory range {}..{} out of bounds for a region of {} elements",
+            r.start,
+            r.end,
+            self.len
+        );
+        debug_assert!(page_size.is_power_of_two());
+        PageRuns {
+            next: r.start,
+            end: r.end,
+            base: self.base,
+            size: T::SIZE,
+            mask: page_size - 1,
+        }
+    }
+
     /// A sub-slice of `n` elements starting at `off`.
     pub fn slice(&self, off: usize, n: usize) -> SharedSlice<T> {
         assert!(off + n <= self.len, "sub-slice out of bounds");
         SharedSlice::new(self.base + off * T::SIZE, n)
+    }
+}
+
+/// The page runs of a range of a [`SharedSlice`]
+/// ([`SharedSlice::page_runs`]).
+#[derive(Debug, Clone)]
+pub struct PageRuns {
+    next: usize,
+    end: usize,
+    base: usize,
+    size: usize,
+    /// `page_size - 1`.
+    mask: usize,
+}
+
+impl Iterator for PageRuns {
+    type Item = Range<usize>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Range<usize>> {
+        if self.next >= self.end {
+            return None;
+        }
+        let lo = self.next;
+        let byte = self.base + lo * self.size;
+        let to_next_page = (byte | self.mask) + 1 - byte;
+        self.next = (lo + to_next_page.div_ceil(self.size)).min(self.end);
+        Some(lo..self.next)
     }
 }
 
@@ -107,6 +157,30 @@ mod tests {
         assert_eq!(s.pages_of_range(0, 512, 4096), 2..3);
         assert_eq!(s.pages_of_range(0, 513, 4096), 2..4);
         assert_eq!(s.pages_of_range(0, 0, 4096), 0..0);
+    }
+
+    #[test]
+    fn page_runs_split_at_page_boundaries() {
+        let s: SharedSlice<f64> = SharedSlice::new(8192, 1024); // pages 2..4
+        let runs = |lo, hi| s.page_runs(lo..hi, 4096).collect::<Vec<_>>();
+        assert_eq!(runs(0, 1024), [0..512, 512..1024]);
+        assert_eq!(runs(500, 600), [500..512, 512..600]);
+        assert_eq!(runs(511, 513), [511..512, 512..513]);
+        assert!(runs(7, 7).is_empty());
+        let sub = s.slice(10, 1000);
+        assert_eq!(
+            sub.page_runs(0..1000, 4096).collect::<Vec<_>>(),
+            [0..502, 502..1000]
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "shared-memory range 3..11 out of bounds for a region of 10 elements"
+    )]
+    fn page_runs_are_bounds_checked() {
+        let s: SharedSlice<i32> = SharedSlice::new(0, 10);
+        let _ = s.page_runs(3..11, 64);
     }
 
     #[test]

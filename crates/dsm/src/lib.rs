@@ -31,7 +31,18 @@
 //! remote requests in a SIGIO handler. Here the shared heap is a software
 //! MMU ([`SharedSlice`] + the typed accessors on [`TmkProc`]): they check a
 //! per-page state machine and run the identical protocol transitions
-//! (fault → fetch → apply → validate). Two deliberate deviations, both
+//! (fault → fetch → apply → validate). Like the hardware MMU, which
+//! charges nothing for an access to a valid page, the bulk accessors
+//! ([`TmkProc::read_array`], [`TmkProc::read_slice`],
+//! [`TmkProc::write_slice`], [`TmkProc::update_slice`]) check a page once
+//! per *page run* — the consecutive elements of one region on one page
+//! ([`SharedSlice::page_runs`]) — not once per element. This is exact:
+//! the check they make is the one an element loop makes on the run's
+//! first element, a fault only ever raises page states (only a barrier
+//! lowers one), and the accessor holds `&mut TmkProc` for the whole run,
+//! so no barrier or `Validate` can run mid-run. Every fault, fetch, twin
+//! and trace event happens as the element loop would make it. Two
+//! deliberate deviations, both
 //! metric-preserving (ARCHITECTURE.md §Simulation honesty rules):
 //!
 //! 1. **Eager diffing at interval close** instead of lazy diffing on first
@@ -69,7 +80,7 @@ mod store;
 
 pub use cluster::{Cluster, DsmConfig};
 pub use diff::{Diff, Payload, DIFF_WORD};
-pub use heap::SharedSlice;
+pub use heap::{PageRuns, SharedSlice};
 pub use interval::DENSE_VC_MAX;
 pub use policy::{EpochDecision, ProtocolPolicy};
 pub use proc::{PageState, ProcCounters, TmkProc};

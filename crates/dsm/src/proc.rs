@@ -2,6 +2,8 @@
 //! fault/fetch/apply paths, interval close, and the watch mechanism that
 //! `Validate` uses to detect indirection-array changes.
 
+use std::ops::Range;
+
 use simnet::{MsgKind, Pod, ProcId, SimTime, StallCat, TraceEvent};
 
 use crate::cluster::Cluster;
@@ -165,7 +167,7 @@ struct FetchScratch {
 struct Need {
     page: u32,
     /// Its records in [`FetchScratch::records`].
-    records: std::ops::Range<usize>,
+    records: Range<usize>,
     /// Apply the GC master copy before the records.
     master: bool,
     /// The frame's `synced` epoch before this fetch: without a master
@@ -263,8 +265,26 @@ impl<'c> TmkProc<'c> {
     }
 
     // ------------------------------------------------------------------
-    // Typed accessors: the software MMU.
+    // Typed accessors: the software MMU. The bulk ones check a page once
+    // per page run; the crate doc says why that is exact.
     // ------------------------------------------------------------------
+
+    /// Fault `page` in for reading if it is invalid.
+    #[inline]
+    fn readable(&mut self, page: usize) {
+        if self.inner.frames[page].state == PageState::Invalid {
+            self.read_fault(page as u32);
+        }
+    }
+
+    /// Fault `page` in for writing unless it is writable and unwatched.
+    #[inline]
+    fn writable(&mut self, page: usize) {
+        let f = &self.inner.frames[page];
+        if f.state != PageState::Write || f.watch_protect {
+            self.write_fault(page as u32);
+        }
+    }
 
     /// Read element `i` of `s`, faulting (and fetching) if the page is
     /// invalid.
@@ -272,9 +292,7 @@ impl<'c> TmkProc<'c> {
     pub fn read<T: Pod>(&mut self, s: &SharedSlice<T>, i: usize) -> T {
         let byte = s.byte_at(i);
         let page = byte >> self.page_shift;
-        if self.inner.frames[page].state == PageState::Invalid {
-            self.read_fault(page as u32);
-        }
+        self.readable(page);
         let off = byte & (self.page_size - 1);
         let f = &self.inner.frames[page];
         T::load(&f.data.as_ref().unwrap()[off..])
@@ -285,12 +303,7 @@ impl<'c> TmkProc<'c> {
     pub fn write<T: Pod>(&mut self, s: &SharedSlice<T>, i: usize, v: T) {
         let byte = s.byte_at(i);
         let page = byte >> self.page_shift;
-        {
-            let f = &self.inner.frames[page];
-            if f.state != PageState::Write || f.watch_protect {
-                self.write_fault(page as u32);
-            }
-        }
+        self.writable(page);
         let off = byte & (self.page_size - 1);
         let f = &mut self.inner.frames[page];
         v.store(&mut f.data.as_mut().unwrap()[off..]);
@@ -303,17 +316,74 @@ impl<'c> TmkProc<'c> {
         self.write(s, i, f(v));
     }
 
-    /// Bulk read `s[lo..lo+out.len()]` into `out`.
+    /// Read the `N` elements `s[i..i + N]`: one page check when they
+    /// share a page, element by element when they straddle a boundary.
+    #[inline]
+    pub fn read_array<T: Pod, const N: usize>(&mut self, s: &SharedSlice<T>, i: usize) -> [T; N] {
+        let byte = s.byte_at(i);
+        let page = byte >> self.page_shift;
+        if N == 0 || s.byte_at(i + N - 1) >> self.page_shift != page {
+            return std::array::from_fn(|k| self.read(s, i + k));
+        }
+        self.readable(page);
+        let off = byte & (self.page_size - 1);
+        let data = &self.inner.frames[page].data.as_ref().unwrap()[off..];
+        std::array::from_fn(|k| T::load(&data[k * T::SIZE..]))
+    }
+
+    /// The page of page run `run` of `s`, and the run's bytes in that
+    /// page's frame.
+    #[inline]
+    fn locate<T: Pod>(&self, s: &SharedSlice<T>, run: &Range<usize>) -> (usize, Range<usize>) {
+        let byte = s.byte_at(run.start);
+        let off = byte & (self.page_size - 1);
+        (byte >> self.page_shift, off..off + run.len() * T::SIZE)
+    }
+
+    /// Bulk read `s[lo..lo+out.len()]` into `out`, one page check per
+    /// page run.
     pub fn read_slice<T: Pod>(&mut self, s: &SharedSlice<T>, lo: usize, out: &mut [T]) {
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = self.read(s, lo + k);
+        for run in s.page_runs(lo..lo + out.len(), self.page_size) {
+            let (page, bytes) = self.locate(s, &run);
+            self.readable(page);
+            let src = &self.inner.frames[page].data.as_ref().unwrap()[bytes];
+            let dst = &mut out[run.start - lo..run.end - lo];
+            for (v, b) in dst.iter_mut().zip(src.chunks_exact(T::SIZE)) {
+                *v = T::load(b);
+            }
         }
     }
 
-    /// Bulk write `src` into `s[lo..]`.
+    /// Bulk write `src` into `s[lo..]`, one page check per page run.
     pub fn write_slice<T: Pod>(&mut self, s: &SharedSlice<T>, lo: usize, src: &[T]) {
-        for (k, &v) in src.iter().enumerate() {
-            self.write(s, lo + k, v);
+        for run in s.page_runs(lo..lo + src.len(), self.page_size) {
+            let (page, bytes) = self.locate(s, &run);
+            self.writable(page);
+            let dst = &mut self.inner.frames[page].data.as_mut().unwrap()[bytes];
+            let vals = &src[run.start - lo..run.end - lo];
+            for (&v, b) in vals.iter().zip(dst.chunks_exact_mut(T::SIZE)) {
+                v.store(b);
+            }
+        }
+    }
+
+    /// Read-modify-write `s[i] = f(i, s[i])` for every `i` in `r`, in
+    /// order: per page run one read check, one write check, then the
+    /// frame's bytes in place.
+    pub fn update_slice<T: Pod>(
+        &mut self,
+        s: &SharedSlice<T>,
+        r: Range<usize>,
+        mut f: impl FnMut(usize, T) -> T,
+    ) {
+        for run in s.page_runs(r, self.page_size) {
+            let (page, bytes) = self.locate(s, &run);
+            self.readable(page);
+            self.writable(page);
+            let dst = &mut self.inner.frames[page].data.as_mut().unwrap()[bytes];
+            for (i, b) in run.zip(dst.chunks_exact_mut(T::SIZE)) {
+                f(i, T::load(b)).store(b);
+            }
         }
     }
 

@@ -374,6 +374,55 @@ fn update_and_bulk_accessors() {
         }
         p.barrier();
     });
+
+    // A range over three pages whose first is writable, second invalid
+    // and third read-only: the bulk accessors fault exactly where an
+    // element loop would, once per page that needs it.
+    let s = cl.alloc::<f64>(3 * 512); // three 4 KiB pages
+    let page = |k: usize| s.page_of(512 * k, 4096);
+    let range = 500..1030; // the last 12 of page 0, all of page 1, 6 of page 2
+    cl.run(|p| {
+        if p.rank() == 0 {
+            let all: Vec<f64> = (0..s.len()).map(|i| i as f64).collect();
+            p.write_slice(&s, 0, &all);
+        }
+        p.barrier();
+        if p.rank() == 1 {
+            let mut all = vec![0.0; s.len()];
+            p.read_slice(&s, 0, &mut all);
+        }
+        p.barrier();
+        if p.rank() == 0 {
+            p.write(&s, 600, -1.0);
+        }
+        p.barrier();
+        if p.rank() == 1 {
+            p.write(&s, 0, 0.5);
+            let states = [0, 1, 2].map(|k| p.page_state(page(k)));
+            assert_eq!(
+                states,
+                [PageState::Write, PageState::Invalid, PageState::Read]
+            );
+            let before = p.counters().clone();
+            p.update_slice(&s, range.clone(), |i, v| v + i as f64);
+            let c = p.counters();
+            assert_eq!(c.read_faults - before.read_faults, 1, "page 1 only");
+            assert_eq!(c.write_faults - before.write_faults, 2, "pages 1 and 2");
+            assert_eq!(c.twins_made - before.twins_made, 2);
+            let before = c.clone();
+            let mut got = vec![0.0; range.len()];
+            p.read_slice(&s, range.start, &mut got);
+            p.write_slice(&s, range.start, &got);
+            assert_eq!(*p.counters(), before, "every page of the range is writable");
+            let want: Vec<f64> = range
+                .clone()
+                .map(|i| if i == 600 { -1.0 } else { i as f64 } + i as f64)
+                .collect();
+            assert_eq!(got, want);
+            assert_eq!(p.read_array::<f64, 3>(&s, 510), [1020.0, 1022.0, 1024.0]);
+        }
+        p.barrier();
+    });
 }
 
 #[test]
