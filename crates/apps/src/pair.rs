@@ -117,12 +117,6 @@ fn newton3<const W: usize>(f: &mut [[f64; W]], i: usize, j: usize, fij: [f64; W]
     }
 }
 
-/// Element `i` of `x` read through the DSM, one value at a time.
-#[inline]
-fn read_elem<const W: usize>(p: &mut TmkProc, x: &SharedSlice<f64>, i: usize) -> [f64; W] {
-    std::array::from_fn(|d| p.read(x, W * i + d))
-}
-
 /// A DIRECT descriptor over the 1-based values `lo..=hi` of `data`.
 fn direct(data: RegionRef, lo: usize, hi: usize, access: AccessType, sched: u32) -> Desc {
     let section = Rsd::dense1(lo as i64, hi as i64);
@@ -344,27 +338,25 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
             install_policy(p, variant, &AdaptConfig::default());
             let me = p.rank();
             let my = part.range_of(me);
+            let page = p.page_size();
             let mut v = Validator::new();
             let mut local = vec![[0.0f64; W]; n]; // private local_forces (Figure 2)
             let mut my_npairs = 0;
+            // One page run of partner entries, and of forces.
+            let mut run_partners = vec![0i32; page / 4];
+            let mut run_forces = vec![0.0f64; page / 8];
 
             // --- untimed init: owners write their values and partner
             // lists, or build the pair list after the barrier ---
-            for i in my.clone() {
-                for (d, &c) in self.x0[self.app(i)].iter().enumerate() {
-                    p.write(&x, W * i + d, c);
-                }
-            }
+            let mine: Vec<f64> = my.clone().flat_map(|i| self.x0[self.app(i)]).collect();
+            p.write_slice(&x, W * my.start, &mine);
             if let (Shared::Partners(partners, last), Indirection::Partners { last: l, .. }) =
                 (&shared, &self.indirection)
             {
-                let mine = self.extent(&my);
-                for (k, &j) in mine.clone().zip(self.refs(&my, &[])) {
-                    p.write(partners, k, j as i32 + 1); // 1-based
-                }
-                for (i, &e) in (my.start..).zip(&l[my.start..=my.end]) {
-                    p.write(last, i, e);
-                }
+                let refs = self.refs(&my, &[]);
+                let entries: Vec<i32> = refs.iter().map(|&j| j as i32 + 1).collect(); // 1-based
+                p.write_slice(partners, self.extent(&my).start, &entries);
+                p.write_slice(last, my.start, &l[my.start..=my.end]);
             }
             // First invalidation of the value pages, which the update
             // barrier re-invalidates every step: same site, same tag.
@@ -408,11 +400,10 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
                         }
                         zero(p, &mut local);
                         for k in 0..my_npairs {
-                            let flat = 2 * (my_start + k);
-                            let i = p.read(&ilist, flat) as usize - 1;
-                            let j = p.read(&ilist, flat + 1) as usize - 1;
-                            let xi = read_elem::<W>(p, &x, i);
-                            let xj = read_elem::<W>(p, &x, j);
+                            let [i, j] = p.read_array::<i32, 2>(&ilist, 2 * (my_start + k));
+                            let (i, j) = (i as usize - 1, j as usize - 1);
+                            let xi = p.read_array::<f64, W>(&x, W * i);
+                            let xj = p.read_array::<f64, W>(&x, W * j);
                             newton3(&mut local, i, j, self.law.force(&xi, &xj));
                         }
                         my_npairs
@@ -433,13 +424,18 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
                         }
                         zero(p, &mut local);
                         for i in my.clone() {
-                            let lo = p.read(&last, i) as usize;
-                            let hi = p.read(&last, i + 1) as usize;
-                            let xi = read_elem::<W>(p, &x, i);
-                            for k in lo..hi {
-                                let j = p.read(&partners, k) as usize - 1;
-                                let xj = read_elem::<W>(p, &x, j);
-                                newton3(&mut local, i, j, self.law.force(&xi, &xj));
+                            let [lo, hi] = p.read_array::<i32, 2>(&last, i);
+                            let xi = p.read_array::<f64, W>(&x, W * i);
+                            // A run's x(j) reads follow its entries, as
+                            // the element loop orders them.
+                            for run in partners.page_runs(lo as usize..hi as usize, page) {
+                                let js = &mut run_partners[..run.len()];
+                                p.read_slice(&partners, run.start, js);
+                                for &j in &*js {
+                                    let j = j as usize - 1;
+                                    let xj = p.read_array::<f64, W>(&x, W * j);
+                                    newton3(&mut local, i, j, self.law.force(&xi, &xj));
+                                }
                             }
                         }
                         mine.len()
@@ -464,17 +460,11 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
                         validate(p, &mut v, &descs);
                     }
                     // `e` indexes both the shared and the private array
-                    // (owner-computes): the range loop is the honest form.
-                    #[allow(clippy::needless_range_loop)]
+                    // (owner-computes).
                     if s == 0 {
-                        for e in elo..ehi {
-                            p.write(&forces, e, local[e]);
-                        }
+                        p.write_slice(&forces, elo, &local[elo..ehi]);
                     } else {
-                        for e in elo..ehi {
-                            let cur = p.read(&forces, e);
-                            p.write(&forces, e, cur + local[e]);
-                        }
+                        p.update_slice(&forces, elo..ehi, |e, cur| cur + local[e]);
                     }
                     // Each round is its own barrier site, so the
                     // adaptive engine keeps one chunk plan per round.
@@ -493,10 +483,13 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
                     );
                     validate(p, &mut v, &[mine]);
                 }
-                for e in elo..ehi {
-                    let f = p.read(&forces, e);
-                    let cur = p.read(&x, e);
-                    p.write(&x, e, cur + prm.dt * f);
+                // Per page run of both arrays: the forces, then x.
+                for xr in x.page_runs(elo..ehi, page) {
+                    for r in forces.page_runs(xr, page) {
+                        let f = &mut run_forces[..r.len()];
+                        p.read_slice(&forces, r.start, f);
+                        p.update_slice(&x, r.clone(), |e, cur| cur + prm.dt * f[e - r.start]);
+                    }
                 }
                 p.compute(work::t(prm.update_us, my.len()));
                 p.barrier_tagged(phases::UPDATE);
@@ -534,7 +527,8 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
             let all = direct(RegionRef::of(x), 1, x.len(), AccessType::Read, 300);
             validate(p, v, &[all]);
         }
-        let all: Vec<[f64; W]> = (0..self.x0.len()).map(|i| read_elem(p, x, i)).collect();
+        let mut all = vec![[0.0f64; W]; self.x0.len()];
+        p.read_slice(x, 0, all.as_flattened_mut());
         let section = (list.section)(&all, self.part.range_of(me));
         p.compute(work::t(list.test_us, self.tested_per_proc()));
         let len = section.len() / 2;
@@ -547,9 +541,8 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
             let mine = direct(RegionRef::of(ilist), lo, hi, AccessType::Write, 400);
             validate(p, v, &[mine]);
         }
-        for (k, &e) in section.iter().enumerate() {
-            p.write(ilist, my_start + k, e as i32 + 1); // 1-based, Fortran-style
-        }
+        let entries: Vec<i32> = section.iter().map(|&e| e as i32 + 1).collect(); // 1-based, Fortran-style
+        p.write_slice(ilist, my_start, &entries);
         p.write(npairs, me, len as i64);
         len
     }

@@ -375,9 +375,7 @@ impl Kernel {
             };
 
             // --- untimed init: own x block + version-0 incident section ---
-            for i in my.clone() {
-                p.write(&x, i, world.x0[i]);
-            }
+            p.write_slice(&x, my.start, &world.x0[my.clone()]);
             write_section(p, pl.section(cur_sv, me));
             // The init barrier covers iteration 0's reads, i.e. it stands
             // where the end-of-iteration barrier of a (virtual) iteration
@@ -437,8 +435,8 @@ impl Kernel {
                 let mut k = my_start;
                 for (li, i) in my.clone().enumerate() {
                     for _ in 0..pl.incidence_of(sv).degree(i) {
-                        let a = p.read(&ilist, 2 * k) as u32 - 1;
-                        let b = p.read(&ilist, 2 * k + 1) as u32 - 1;
+                        let [a, b] = p.read_array::<i32, 2>(&ilist, 2 * k);
+                        let (a, b) = (a as u32 - 1, b as u32 - 1);
                         let flux = (p.read(&x, a as usize) - p.read(&x, b as usize)) * world.kappa;
                         accumulate(&mut acc[li], i as u32, a, flux);
                         k += 1;
@@ -449,10 +447,7 @@ impl Kernel {
                 );
 
                 // Owner-only update from coherent start-of-iteration values.
-                for (li, i) in my.clone().enumerate() {
-                    let cur = p.read(&x, i);
-                    p.write(&x, i, cur + acc[li]);
-                }
+                p.update_slice(&x, my.clone(), |i, cur| cur + acc[i - my.start]);
                 p.barrier_tagged(self.site(self.params.iter_tag, it));
             }
 
