@@ -61,31 +61,38 @@ pub fn build_interaction_list_for(
     last: usize,
 ) -> Vec<(u32, u32)> {
     let ncell = (box_l / cutoff).floor().max(1.0) as i64;
-    let cell_of = |p: &[f64; 3]| -> (i64, i64, i64) {
-        let c = |v: f64| ((v / box_l * ncell as f64) as i64).clamp(0, ncell - 1);
-        (c(p[0]), c(p[1]), c(p[2]))
-    };
-    // Bucket all molecules.
-    let mut buckets: std::collections::HashMap<(i64, i64, i64), Vec<u32>> =
-        std::collections::HashMap::new();
-    for (i, p) in pos.iter().enumerate() {
-        buckets.entry(cell_of(p)).or_default().push(i as u32);
+    let coord = |v: f64| ((v / box_l * ncell as f64) as i64).clamp(0, ncell - 1);
+    let cell = |x: i64, y: i64, z: i64| ((x * ncell + y) * ncell + z) as usize;
+    let cell_of = |p: &[f64; 3]| cell(coord(p[0]), coord(p[1]), coord(p[2]));
+    // Bucket all molecules with a counting sort over the dense grid:
+    // cell `c` holds `by_cell[start[c]..start[c + 1]]`, ascending.
+    let cells: Vec<usize> = pos.iter().map(cell_of).collect();
+    let mut start = vec![0usize; (ncell * ncell * ncell) as usize + 1];
+    for &c in &cells {
+        start[c + 1] += 1;
+    }
+    for c in 1..start.len() {
+        start[c] += start[c - 1];
+    }
+    let mut fill = start.clone();
+    let mut by_cell = vec![0u32; pos.len()];
+    for (i, &c) in cells.iter().enumerate() {
+        by_cell[fill[c]] = i as u32;
+        fill[c] += 1;
     }
     let rc2 = cutoff * cutoff;
     let mut list = Vec::new();
     for i in first..last {
         let pi = &pos[i];
-        let (cx, cy, cz) = cell_of(pi);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for dz in -1..=1 {
-                    let Some(cands) = buckets.get(&(cx + dx, cy + dy, cz + dz)) else {
-                        continue;
-                    };
-                    for &j in cands {
-                        if (j as usize) <= i {
-                            continue;
-                        }
+        let (cx, cy, cz) = (coord(pi[0]), coord(pi[1]), coord(pi[2]));
+        let row = list.len();
+        for x in (cx - 1).max(0)..=(cx + 1).min(ncell - 1) {
+            for y in (cy - 1).max(0)..=(cy + 1).min(ncell - 1) {
+                for z in (cz - 1).max(0)..=(cz + 1).min(ncell - 1) {
+                    let c = cell(x, y, z);
+                    let bucket = &by_cell[start[c]..start[c + 1]];
+                    let later = bucket.partition_point(|&j| j as usize <= i);
+                    for &j in &bucket[later..] {
                         let pj = &pos[j as usize];
                         let d0 = pi[0] - pj[0];
                         let d1 = pi[1] - pj[1];
@@ -97,8 +104,8 @@ pub fn build_interaction_list_for(
                 }
             }
         }
+        list[row..].sort_unstable();
     }
-    list.sort_unstable();
     list
 }
 
