@@ -459,8 +459,6 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
                         let descs = [direct(RegionRef::of(&forces), elo + 1, ehi, access, sched)];
                         validate(p, &mut v, &descs);
                     }
-                    // `e` indexes both the shared and the private array
-                    // (owner-computes).
                     if s == 0 {
                         p.write_slice(&forces, elo, &local[elo..ehi]);
                     } else {
