@@ -22,7 +22,9 @@ use std::ops::Range;
 
 use adapt::AdaptConfig;
 use rsd::{Dim, Rsd};
-use sdsm_core::{validate, AccessType, Cluster, Desc, DsmConfig, RegionRef, Validator};
+use sdsm_core::{
+    validate, AccessType, Cluster, Desc, DsmConfig, RegionRef, SharedSlice, TmkProc, Validator,
+};
 use simnet::{MsgKind, SimTime};
 
 use crate::harness::{install_policy, Capture};
@@ -284,6 +286,42 @@ impl Kernel {
             .expect("checked in Kernel::new")
     }
 
+    /// Writes the calling processor's section of schedule version `sv`
+    /// into its slice of the shared list `ilist`: pair `k` of the section
+    /// at flat entries `2·(rank·cap_pp + k)` and the one after, 1-based,
+    /// Fortran-style like the apps.
+    pub fn write_section(&self, p: &mut TmkProc, ilist: &SharedSlice<i32>, sv: usize) {
+        let start = p.rank() * self.plan.cap_pp;
+        for (k, &(a, b)) in self.plan.section(sv, p.rank()).iter().enumerate() {
+            p.write(ilist, 2 * (start + k), a as i32 + 1);
+            p.write(ilist, 2 * (start + k) + 1, b as i32 + 1);
+        }
+    }
+
+    /// The `Validate` descriptor of processor `q`'s endpoint reads: the
+    /// first `len` pairs of its slice of `ilist` (see
+    /// [`Kernel::write_section`]), each entry a 1-based element of `x`.
+    pub fn endpoint_desc(
+        &self,
+        q: usize,
+        x: &SharedSlice<f64>,
+        ilist: &SharedSlice<i32>,
+        len: usize,
+    ) -> Desc {
+        let start = q * self.plan.cap_pp;
+        Desc::Indirect {
+            data: RegionRef::of(x),
+            ind: *ilist,
+            ind_dims: vec![2, self.plan.cap_pp * self.params.dsm.nprocs],
+            section: Rsd::new(vec![
+                Dim::dense(1, 2),
+                Dim::dense(start as i64 + 1, (start + len) as i64),
+            ]),
+            access: AccessType::Read,
+            sched: 1,
+        }
+    }
+
     /// Barrier tag of site `base` in iteration `it`.
     fn site(&self, base: u32, it: usize) -> u32 {
         if self.params.parity_split {
@@ -357,26 +395,12 @@ impl Kernel {
             let mut cur_sv = 0;
             let mut my = pl.owned(cur_sv, me);
             let my_start = me * cap_pp;
-            let mut v = if variant == Variant::TmkOpt {
-                Validator::incremental()
-            } else {
-                Validator::new()
-            };
+            let mut v = Validator::new();
             let mut acc = vec![0.0f64; my.len()];
-
-            // Writes this processor's current incident section into the
-            // shared list (1-based entries, Fortran-style like the apps).
-            let write_section = |p: &mut sdsm_core::TmkProc, sec: &[(u32, u32)]| {
-                for (k, &(a, b)) in sec.iter().enumerate() {
-                    let flat = 2 * (my_start + k);
-                    p.write(&ilist, flat, a as i32 + 1);
-                    p.write(&ilist, flat + 1, b as i32 + 1);
-                }
-            };
 
             // --- untimed init: own x block + version-0 incident section ---
             p.write_slice(&x, my.start, &world.x0[my.clone()]);
-            write_section(p, pl.section(cur_sv, me));
+            self.write_section(p, &ilist, cur_sv);
             // The init barrier covers iteration 0's reads, i.e. it stands
             // where the end-of-iteration barrier of a (virtual) iteration
             // −1 would: same site, so that phase's event axis starts here.
@@ -392,7 +416,7 @@ impl Kernel {
                     // A partition re-cut (rebalance) lands here too: the
                     // owned ranges move, but the DSM keeps the value array
                     // coherent, so only the local views change hands.
-                    write_section(p, pl.section(sv, me));
+                    self.write_section(p, &ilist, sv);
                     let rb = self.rebuild();
                     p.compute(work::t(rb.us, rb.candidates / nprocs));
                     p.barrier_tagged(self.site(rb.tag, it));
@@ -408,18 +432,7 @@ impl Kernel {
                         p,
                         &mut v,
                         &[
-                            // Endpoint reads through the current list section.
-                            Desc::Indirect {
-                                data: RegionRef::of(&x),
-                                ind: ilist,
-                                ind_dims: vec![2, cap_pp * nprocs],
-                                section: Rsd::new(vec![
-                                    Dim::dense(1, 2),
-                                    Dim::dense(my_start as i64 + 1, (my_start + my_flat) as i64),
-                                ]),
-                                access: AccessType::Read,
-                                sched: 1,
-                            },
+                            self.endpoint_desc(me, &x, &ilist, my_flat),
                             // The owner-side x update over my block.
                             Desc::Direct {
                                 data: RegionRef::of(&x),

@@ -1,5 +1,21 @@
 //! The `Validate` entry point — the run-time half of the paper's
 //! compile-time/run-time pair (paper §3.2, Figure 3).
+//!
+//! When the write-watch on an indirection section fires, `Read_indices`
+//! rescans the whole section, as the paper's implementation does. The
+//! paper sketches an extension that would "use diffing … to
+//! incrementally recompute the page sets"; this crate once carried it
+//! (a bitmap per indirection page, rescanning only the pages the watch
+//! named) and deleted it, because its page set went stale: an
+//! indirection page that newly entered a processor's section had never
+//! been watched, so its entries were never scanned, and a page that left
+//! the section kept its share. Replacing it with the full rescan in the
+//! relaxation kernel's `TmkOpt` build held messages and bytes on 29 of
+//! the quick synthetic grid's 30 cells; `banded128/rebal5/p4` fell from
+//! 210 messages to 200. The scan time rose on 12 of the 18 steady
+//! 4-processor cells (e.g. `powerlaw2/remap5` 1 822 050 → 1 833 000 ns
+//! per processor), by the entries on the newly entered pages that the
+//! extension had skipped.
 
 use std::collections::HashMap;
 
@@ -23,17 +39,14 @@ struct Sched {
     /// Indirect schedules: the section's indirection pages at the last
     /// rescan, ascending — the pages the watch is armed on.
     watched: Vec<u32>,
+    /// `Read_indices`' bitmap over the data region's pages — bit `b` of
+    /// word `w` is page `f + 64·w + b`, `f` being the region's first page
+    /// rounded down to a multiple of 64 — kept so a rescan reuses its
+    /// capacity.
+    bits: Vec<u64>,
     recomputes: u64,
-    /// The data pages contributed by each *indirection* page, sorted by
-    /// that page, as bitmaps over the words `span` — bit `b` of word `w`
-    /// is page `64·w + b` — so an incremental rescan can replace just
-    /// the dirty pages' share. `pages` is their OR.
-    by_ind_page: Vec<(u32, Vec<u64>)>,
-    span: (usize, usize),
     /// Direct schedules: the `(region, section)` the page sets are for.
     direct: Option<(RegionRef, Dim)>,
-    /// Entries rescanned by partial recomputes (diagnostics).
-    partial_scans: u64,
 }
 
 /// Diagnostic snapshot of a schedule (tests, reports).
@@ -43,9 +56,6 @@ pub struct ScheduleInfo {
     pub full_pages: Vec<u32>,
     pub partial_pages: Vec<u32>,
     pub recomputes: u64,
-    /// Indirection entries rescanned by *partial* (incremental)
-    /// recomputes.
-    pub partial_scans: u64,
 }
 
 /// Per-processor `Validate` state: the schedule cache.
@@ -58,11 +68,6 @@ pub struct Validator {
     /// Simulated time spent scanning indirection arrays (`Read_indices`)
     /// — the number the paper quotes against the CHAOS inspector.
     scan_time: SimTime,
-    /// Incremental `Read_indices` (the paper's §3.2 future-work
-    /// extension): when the write-watch reports *which* indirection
-    /// pages changed, rescan only the section entries on those pages.
-    /// Off by default, matching the paper's implementation.
-    incremental: bool,
     /// Pass 2's fetch list, kept as scratch.
     fetch: Vec<u32>,
 }
@@ -72,35 +77,18 @@ impl Validator {
         Validator::default()
     }
 
-    /// A validator that recomputes page sets *incrementally* — the
-    /// extension the paper sketches: "A more sophisticated version of
-    /// this approach could use diffing ... to incrementally recompute
-    /// the page sets, but our current implementation does not do so."
-    pub fn incremental() -> Self {
-        Validator {
-            incremental: true,
-            ..Default::default()
-        }
-    }
-
     pub fn schedule(&self, sched: u32) -> Option<ScheduleInfo> {
         self.schedules.get(&sched).map(|s| ScheduleInfo {
             pages: s.pages.clone(),
             full_pages: s.full_pages.clone(),
             partial_pages: s.partial_pages.clone(),
             recomputes: s.recomputes,
-            partial_scans: s.partial_scans,
         })
     }
 
     /// Simulated seconds spent scanning indirection arrays.
     pub fn scan_seconds(&self) -> f64 {
         self.scan_time.as_secs_f64()
-    }
-
-    /// Is incremental recompute enabled?
-    pub fn is_incremental(&self) -> bool {
-        self.incremental
     }
 }
 
@@ -140,12 +128,9 @@ pub fn validate(p: &mut TmkProc, v: &mut Validator, descs: &[Desc]) {
                 let watch = *sch.watch.get_or_insert_with(|| p.new_watch());
                 // modified()? — set by local protection faults and by
                 // incoming write notices on the watched pages; born true.
-                let dirty = if v.incremental {
-                    p.take_modified_pages(watch)
-                } else {
-                    p.take_modified(watch).then(Vec::new)
-                };
-                let Some(dirty) = dirty else { continue };
+                if !p.take_modified(watch) {
+                    continue;
+                }
                 let entries = FlatIndices::new(section, ind_dims).unwrap_or_else(|e| {
                     panic!("Validate schedule {sched}: indirection section {section} {e}")
                 });
@@ -156,11 +141,8 @@ pub fn validate(p: &mut TmkProc, v: &mut Validator, descs: &[Desc]) {
                 );
                 // Read_indices: the scan reads the indirection array
                 // through the DSM, so its pages are fetched like any
-                // shared data. In incremental mode, a non-empty dirty
-                // list restricts the rescan to entries living on the
-                // dirtied indirection pages.
-                let partial = v.incremental && !dirty.is_empty() && sch.recomputes > 0;
-                let n = sch.read_indices(p, data, ind, entries, partial.then_some(&dirty[..]));
+                // shared data.
+                let n = sch.read_indices(p, data, ind, entries);
                 let dt = p.cost().index_scan(n);
                 p.compute(dt);
                 v.scan_time += dt;
@@ -249,52 +231,32 @@ pub fn validate(p: &mut TmkProc, v: &mut Validator, descs: &[Desc]) {
 
 impl Sched {
     /// `Read_indices`: one walk over the indirection section that maps
-    /// each target element to its page(s); returns the entries scanned.
-    /// The walk is ascending, so the entries on one indirection page form
-    /// a run, and a run is rescanned — its page's bitmap refilled — when
-    /// `dirty` is `None` (a full recompute) or lists that page.
+    /// each target element to its page(s) in the data-page bitmap, then
+    /// drains the bitmap into `pages` in ascending order; returns the
+    /// entries scanned. The walk is ascending, so the entries on one
+    /// indirection page form a run, and `watched` gains one page per run.
     fn read_indices(
         &mut self,
         p: &mut TmkProc,
         data: &RegionRef,
         ind: &SharedSlice<i32>,
         entries: FlatIndices,
-        dirty: Option<&[u32]>,
     ) -> usize {
         let shift = p.page_size().trailing_zeros();
-        // The words spanning the data region's pages. A partial rescan
-        // keeps the clean pages' bitmaps, so its span covers theirs too.
+        // The words spanning the data region's pages.
         let end = data.base + data.len * data.elem;
-        let mut span = (data.base >> shift >> 6, (end >> shift >> 6) + 1);
-        let (old, bitmaps) = (self.span, &mut self.by_ind_page);
-        if dirty.is_some() {
-            span = (span.0.min(old.0), span.1.max(old.1));
-            for (_, bits) in bitmaps.iter_mut() {
-                bits.splice(0..0, std::iter::repeat_n(0, old.0 - span.0));
-                bits.resize(span.1 - span.0, 0);
-            }
-        }
-        self.span = span;
-        let (first, words) = (span.0 << 6, span.1 - span.0);
+        let span = (data.base >> shift >> 6, (end >> shift >> 6) + 1);
+        let first = span.0 << 6;
+        self.bits.clear();
+        self.bits.resize(span.1 - span.0, 0);
 
         self.watched.clear();
-        let mut run = None; // the bitmap being refilled, None on a clean page
         let mut n = 0;
         for fi in entries {
             let ip = (ind.byte_at(fi) >> shift) as u32;
             if self.watched.last() != Some(&ip) {
                 self.watched.push(ip);
-                run = dirty.is_none_or(|d| d.binary_search(&ip).is_ok()).then(|| {
-                    let i = bitmaps.partition_point(|e| e.0 < ip);
-                    if bitmaps.get(i).is_none_or(|e| e.0 != ip) {
-                        bitmaps.insert(i, (ip, Vec::new()));
-                    }
-                    bitmaps[i].1.clear();
-                    bitmaps[i].1.resize(words, 0);
-                    i
-                });
             }
-            let Some(r) = run else { continue };
             let target = p.read(ind, fi);
             debug_assert!(target >= 1, "indirection entries are 1-based");
             let t = (target - 1) as usize;
@@ -302,20 +264,14 @@ impl Sched {
             let b = data.base + t * data.elem;
             for pg in [b >> shift, (b + data.elem - 1) >> shift] {
                 let i = pg - first;
-                bitmaps[r].1[i >> 6] |= 1 << (i & 63);
+                self.bits[i >> 6] |= 1 << (i & 63);
             }
             n += 1;
         }
-        if dirty.is_some() {
-            self.partial_scans += n as u64;
-        } else {
-            bitmaps.retain(|e| self.watched.binary_search(&e.0).is_ok());
-        }
 
-        // pages[sch] = the OR of every indirection page's bitmap.
+        // pages[sch] = the bitmap's set bits, ascending.
         self.pages.clear();
-        for w in 0..words {
-            let mut word = bitmaps.iter().fold(0, |acc, (_, bits)| acc | bits[w]);
+        for (w, mut word) in self.bits.iter().copied().enumerate() {
             while word != 0 {
                 let pg = first + (w << 6) + word.trailing_zeros() as usize;
                 self.pages.push(pg as u32);

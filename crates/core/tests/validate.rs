@@ -264,110 +264,6 @@ fn two_level_indirection_composes() {
     });
 }
 
-#[test]
-fn incremental_recompute_rescans_only_dirty_pages() {
-    // The §3.2 extension: after a localized change to the indirection
-    // array, an incremental Validator rescans only the entries on the
-    // dirtied indirection pages; the full Validator rescans everything.
-    let cfg = DsmConfig {
-        nprocs: 2,
-        page_size: 1024, // 256 i32 entries per indirection page
-        ..Default::default()
-    };
-    let cl = Cluster::new(cfg);
-    let data = cl.alloc::<f64>(8192);
-    let ind = cl.alloc::<i32>(1024); // 4 indirection pages
-    cl.run(|p| {
-        let mut v_full = Validator::new();
-        let mut v_inc = Validator::incremental();
-        assert!(v_inc.is_incremental());
-        if p.rank() == 0 {
-            for k in 0..1024 {
-                p.write(&ind, k, (k * 8 + 1) as i32);
-            }
-        }
-        p.barrier();
-
-        let d = |sched| indirect_desc(&data, &ind, 1024, AccessType::Read, sched);
-        validate(p, &mut v_full, &[d(1)]);
-        validate(p, &mut v_inc, &[d(2)]);
-        let full0 = v_full.schedule(1).unwrap();
-        let inc0 = v_inc.schedule(2).unwrap();
-        assert_eq!(full0.pages, inc0.pages, "same initial schedule");
-        p.barrier();
-
-        // One entry on ONE indirection page changes.
-        if p.rank() == 0 {
-            p.write(&ind, 700, 1); // page 2 of the indirection array
-        }
-        p.barrier();
-
-        let t_full = p.now();
-        validate(p, &mut v_full, &[d(1)]);
-        let full_cost = p.now() - t_full;
-        let t_inc = p.now();
-        validate(p, &mut v_inc, &[d(2)]);
-        let inc_cost = p.now() - t_inc;
-
-        let full1 = v_full.schedule(1).unwrap();
-        let inc1 = v_inc.schedule(2).unwrap();
-        assert_eq!(full1.pages, inc1.pages, "identical page sets either way");
-        assert_eq!(
-            inc1.partial_scans, 256,
-            "one ind page = 256 entries rescanned"
-        );
-        assert_eq!(full1.partial_scans, 0);
-        // The incremental rescan is ~4x cheaper (256 vs 1024 entries).
-        assert!(
-            inc_cost.as_ns() < full_cost.as_ns(),
-            "incremental {inc_cost:?} !< full {full_cost:?}"
-        );
-        p.barrier();
-    });
-}
-
-#[test]
-fn incremental_and_full_agree_under_repeated_mutation() {
-    let cl = Cluster::new(DsmConfig::with_nprocs(2));
-    let data = cl.alloc::<f64>(4096);
-    let ind = cl.alloc::<i32>(512);
-    cl.run(|p| {
-        let mut v_full = Validator::new();
-        let mut v_inc = Validator::incremental();
-        if p.rank() == 0 {
-            for k in 0..512 {
-                p.write(&ind, k, (k * 4 + 1) as i32);
-            }
-        }
-        p.barrier();
-        for round in 0..5 {
-            if p.rank() == 0 {
-                // Rewire a moving window of entries each round.
-                for k in (round * 37)..(round * 37 + 21) {
-                    p.write(&ind, k % 512, ((k * 13) % 4096 + 1) as i32);
-                }
-            }
-            p.barrier();
-            validate(
-                p,
-                &mut v_full,
-                &[indirect_desc(&data, &ind, 512, AccessType::Read, 1)],
-            );
-            validate(
-                p,
-                &mut v_inc,
-                &[indirect_desc(&data, &ind, 512, AccessType::Read, 2)],
-            );
-            assert_eq!(
-                v_full.schedule(1).unwrap().pages,
-                v_inc.schedule(2).unwrap().pages,
-                "round {round}: incremental schedule must equal full"
-            );
-            p.barrier();
-        }
-    });
-}
-
 /// One `Validate` call of an indirect descriptor over `ind` viewed with
 /// shape `ind_dims`; the array is never read before the shape checks.
 fn validate_shape(ind_len: usize, ind_dims: Vec<usize>, section: Vec<Dim>, sched: u32) {

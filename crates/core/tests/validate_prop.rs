@@ -1,11 +1,11 @@
 //! Properties of `Read_indices`: the single-walk scan computes exactly
-//! the schedule a naive div/mod enumeration into `BTreeSet`s computes —
-//! for the full and the incremental validator, over random shapes,
-//! sections, targets, page and element sizes, and rounds of random
-//! rewrites of the indirection array — and [`FlatIndices`] is the
-//! definitional column-major enumeration.
+//! the schedule a naive div/mod enumeration into a `BTreeSet` computes —
+//! over random shapes, sections, targets, page and element sizes, and
+//! rounds of random rewrites of the indirection array that switch the
+//! section and the data region under one schedule number — and
+//! [`FlatIndices`] is the definitional column-major enumeration.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -48,62 +48,33 @@ fn random_dim(rng: &mut TestRng, n: usize) -> Dim {
     Dim::new(lo, hi, stride)
 }
 
-/// The schedule as the paper's `Read_indices` defines it, kept in
-/// ordered sets: the data pages each indirection page's entries target.
+/// The schedule as the paper's `Read_indices` defines it, kept in an
+/// ordered set: the data pages the section's entries target.
 #[derive(Default)]
 struct Reference {
-    by_ind_page: BTreeMap<u32, BTreeSet<u32>>,
+    pages: BTreeSet<u32>,
     recomputes: u64,
-    partial_scans: u64,
 }
 
 impl Reference {
-    /// One `Validate` call whose watch reported `dirty` (`None`: the
-    /// indirection section is unmodified). `ind_page` and `targets` map a
-    /// flat index to its indirection page and its target's data pages.
-    fn validate(
-        &mut self,
-        incremental: bool,
-        dirty: Option<&BTreeSet<u32>>,
-        flats: &[usize],
-        ind_page: impl Fn(usize) -> u32,
-        targets: impl Fn(usize) -> [u32; 2],
-    ) {
-        let Some(dirty) = dirty else { return };
-        let partial = incremental && !dirty.is_empty() && self.recomputes > 0;
-        let scan: Vec<usize> = flats
-            .iter()
-            .copied()
-            .filter(|&fi| !partial || dirty.contains(&ind_page(fi)))
-            .collect();
-        let mut groups: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-        for &fi in &scan {
-            groups.entry(ind_page(fi)).or_default().extend(targets(fi));
+    /// One `Validate` call: if the watch fired, the page set is
+    /// recomputed from the current section (`flats`) and region
+    /// (`targets` maps a flat index to its target's data pages);
+    /// otherwise it stands.
+    fn validate(&mut self, fired: bool, flats: &[usize], targets: impl Fn(usize) -> [u32; 2]) {
+        if fired {
+            self.pages = flats.iter().flat_map(|&fi| targets(fi)).collect();
+            self.recomputes += 1;
         }
-        if partial {
-            self.partial_scans += scan.len() as u64;
-        } else {
-            self.by_ind_page.clear();
-        }
-        self.by_ind_page.extend(groups);
-        self.recomputes += 1;
     }
 
     fn info(&self) -> ScheduleInfo {
-        let pages: Vec<u32> = self
-            .by_ind_page
-            .values()
-            .flatten()
-            .copied()
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        let pages: Vec<u32> = self.pages.iter().copied().collect();
         ScheduleInfo {
             partial_pages: pages.clone(),
             pages,
             full_pages: Vec::new(),
             recomputes: self.recomputes,
-            partial_scans: self.partial_scans,
         }
     }
 }
@@ -152,9 +123,9 @@ fn check(page_shift: u32, elem: usize, two_d: bool, seed: u64) {
     let ind_page = |fi: usize| (ind.byte_at(fi) / page) as u32;
     cl.run(|p| {
         let mut vals = vec![0i32; ind_len];
-        let mut validators = [Validator::new(), Validator::incremental()];
-        let mut references = [Reference::default(), Reference::default()];
-        // The pages the two watches were ever armed on (a page keeps its
+        let mut validator = Validator::new();
+        let mut reference = Reference::default();
+        // The pages the watch was ever armed on (a page keeps its
         // watchers), and those still write-protected on rank 0.
         let (mut ever, mut armed) = (BTreeSet::new(), BTreeSet::new());
         for (round, (region, sec, writes)) in rounds.iter().enumerate() {
@@ -168,25 +139,19 @@ fn check(page_shift: u32, elem: usize, two_d: bool, seed: u64) {
             for &(i, t) in writes {
                 vals[i] = t;
             }
-            // Born dirty with no page list; afterwards the watches fire on
-            // the protected pages rank 0 writes (its local faults) and on
-            // watched pages whose contents changed (write notices on rank
-            // 1: an unchanged page publishes no diff).
-            let fired: BTreeSet<u32> = writes
-                .iter()
-                .filter(|&&(i, _)| p.rank() == 0 || vals[i] != old[i])
-                .map(|&(i, _)| ind_page(i))
-                .filter(|pg| [&armed, &ever][p.rank()].contains(pg))
-                .collect();
+            // Born fired; afterwards the watch fires on the protected
+            // pages rank 0 writes (its local faults) and on watched pages
+            // whose contents changed (write notices on rank 1: an
+            // unchanged page publishes no diff).
+            let fired = round == 0
+                || writes
+                    .iter()
+                    .filter(|&&(i, _)| p.rank() == 0 || vals[i] != old[i])
+                    .any(|&(i, _)| [&armed, &ever][p.rank()].contains(&ind_page(i)));
             if p.rank() == 0 {
                 armed.retain(|pg| writes.iter().all(|&(i, _)| ind_page(i) != *pg));
             }
-            let dirty = if round == 0 {
-                Some(BTreeSet::new())
-            } else {
-                (!fired.is_empty()).then_some(fired)
-            };
-            if dirty.is_some() {
+            if fired {
                 ever.extend(flats[*sec].iter().map(|&fi| ind_page(fi)));
                 armed.extend(flats[*sec].iter().map(|&fi| ind_page(fi)));
             }
@@ -204,19 +169,15 @@ fn check(page_shift: u32, elem: usize, two_d: bool, seed: u64) {
                 access: AccessType::Read,
                 sched: 1,
             };
-            for (k, (v, r)) in validators.iter_mut().zip(&mut references).enumerate() {
-                validate(p, v, std::slice::from_ref(&desc));
-                r.validate(k == 1, dirty.as_ref(), &flats[*sec], ind_page, targets);
-                assert_eq!(
-                    v.schedule(1).unwrap(),
-                    r.info(),
-                    "rank {} round {round}, {} validator: {} over {shape:?}, page {page}, \
-                     elem {elem}",
-                    p.rank(),
-                    ["full", "incremental"][k],
-                    sections[*sec],
-                );
-            }
+            validate(p, &mut validator, std::slice::from_ref(&desc));
+            reference.validate(fired, &flats[*sec], targets);
+            assert_eq!(
+                validator.schedule(1).unwrap(),
+                reference.info(),
+                "rank {} round {round}: {} over {shape:?}, page {page}, elem {elem}",
+                p.rank(),
+                sections[*sec],
+            );
             p.barrier();
         }
     });

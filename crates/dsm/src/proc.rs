@@ -111,9 +111,6 @@ pub(crate) struct ProcInner {
     /// unwatched pages; lookups are gated by `Frame::watched` anyway).
     watchers: Vec<Vec<usize>>,
     watch_flags: Vec<bool>,
-    /// Pages that fired each watch since the last take (supports the
-    /// paper's future-work extension: incremental page-set recompute).
-    watch_dirty: Vec<Vec<u32>>,
     pub(crate) counters: ProcCounters,
     /// The protocol decision layer (`None`: base TreadMarks — plain
     /// demand paging, no policy counter ever touched).
@@ -207,7 +204,6 @@ impl ProcInner {
         self.dirty.clear();
         self.watchers.clear();
         self.watch_flags.clear();
-        self.watch_dirty.clear();
         self.counters = ProcCounters::default();
         self.policy = None;
         self.deferred.clear();
@@ -957,7 +953,6 @@ impl<'c> TmkProc<'c> {
     /// Allocate a watch flag; `take_modified` reads-and-clears it.
     pub fn new_watch(&mut self) -> usize {
         self.inner.watch_flags.push(true); // born dirty: first Validate computes
-        self.inner.watch_dirty.push(Vec::new());
         self.inner.watch_flags.len() - 1
     }
 
@@ -980,33 +975,18 @@ impl<'c> TmkProc<'c> {
     }
 
     /// True if anything under `key`'s watch changed since the last call.
+    /// A watch is one flag, not a list of the pages that fired it: the
+    /// paper's `Validate` rescans the whole section when it is set, and
+    /// the incremental recompute a page list served was deleted (it kept
+    /// a stale superset; see `sdsm_core`'s `validate` module).
     pub fn take_modified(&mut self, key: usize) -> bool {
-        self.inner.watch_dirty[key].clear();
         std::mem::replace(&mut self.inner.watch_flags[key], false)
-    }
-
-    /// Like [`TmkProc::take_modified`], but also reports *which* watched
-    /// pages changed: `None` if nothing changed; `Some(pages)` with the
-    /// dirtied pages (empty right after `new_watch`, meaning "everything"
-    /// — no pages were being watched yet). This enables the incremental
-    /// `Read_indices` the paper sketches as an extension (§3.2: "a more
-    /// sophisticated version of this approach could ... incrementally
-    /// recompute the page sets").
-    pub fn take_modified_pages(&mut self, key: usize) -> Option<Vec<u32>> {
-        if !std::mem::replace(&mut self.inner.watch_flags[key], false) {
-            return None;
-        }
-        let mut pages = std::mem::take(&mut self.inner.watch_dirty[key]);
-        pages.sort_unstable();
-        pages.dedup();
-        Some(pages)
     }
 
     fn fire_watch(&mut self, page: u32) {
         if let Some(keys) = self.inner.watchers.get(page as usize) {
             for &k in keys {
                 self.inner.watch_flags[k] = true;
-                self.inner.watch_dirty[k].push(page);
             }
         }
     }

@@ -235,7 +235,7 @@ fn access<T: Val, const N: usize>(
 
 /// Everything a run can observe, per rank: the values read, and after
 /// every epoch the watch report, the counters and the clock.
-type Observed = Vec<(Vec<u64>, Vec<(Option<Vec<u32>>, ProcCounters, u64)>)>;
+type Observed = Vec<(Vec<u64>, Vec<(bool, ProcCounters, u64)>)>;
 
 fn run(prog: &Program, bulk: bool) -> (Observed, Vec<(ProcId, u64, TraceEvent)>) {
     let rec = Arc::new(Recorder::default());
@@ -269,7 +269,7 @@ fn run(prog: &Program, bulk: bool) -> (Observed, Vec<(ProcId, u64, TraceEvent)>)
                 }
             }
             p.barrier();
-            let watch = p.take_modified_pages(key);
+            let watch = p.take_modified(key);
             epochs.push((watch, p.counters().clone(), p.now().as_ns()));
         }
         (log, epochs)

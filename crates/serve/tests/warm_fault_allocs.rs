@@ -179,7 +179,7 @@ fn validate_allocs() -> Vec<(u64, u64, usize)> {
             p.barrier();
             n
         };
-        let mut v = Validator::incremental();
+        let mut v = Validator::new();
         write_list(p, 0);
         p.barrier();
         for _ in 0..3 {
@@ -223,10 +223,12 @@ fn static_cell() -> SynthConfig {
 /// scenario label each run stamped on its `Net` and copied into its
 /// report took 7 from every row, and the loss model's per-processor
 /// draw counters one more from CHAOS, which builds its world, and so
-/// its `Net`, per run.
+/// its `Net`, per run. `Read_indices` keeping one data-page bitmap per
+/// schedule, instead of one per indirection page in the section, took a
+/// warm `TmkOpt` run from 1 169 to 1 059.
 const WARM_ALLOCS: [(&str, Variant, u64); 8] = [
     ("uniform/static/p4", Variant::TmkBase, 945),
-    ("uniform/static/p4", Variant::TmkOpt, 1_169),
+    ("uniform/static/p4", Variant::TmkOpt, 1_059),
     ("uniform/static/p4", Variant::TmkAdaptive, 1_451),
     ("uniform/static/p4", Variant::TmkPush, 1_387),
     ("uniform/static/p4", Variant::Chaos, 153),
@@ -284,15 +286,17 @@ fn a_warm_fault_allocates_nothing() {
     );
 
     // c0baaf9, before the scan kept its buffers, allocated 6 and 76 times
-    // on each rank here.
+    // on each rank here; with a bitmap per indirection page a rescan
+    // still allocated up to one per page. The one kept bitmap allocates
+    // nothing.
     for (rank, (unchanged, rescan, pages)) in validate_allocs().into_iter().enumerate() {
         assert_eq!(
             unchanged, 0,
             "rank {rank}: Validate on an unchanged schedule"
         );
-        assert!(
-            rescan <= pages as u64 + 4,
-            "rank {rank}: a rescan of {pages} indirection pages allocated {rescan} times"
+        assert_eq!(
+            rescan, 0,
+            "rank {rank}: a rescan of {pages} indirection pages"
         );
     }
 }

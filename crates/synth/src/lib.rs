@@ -290,6 +290,11 @@ impl Prepared {
         &self.kernel.world
     }
 
+    /// The relaxation kernel every variant of this cell runs.
+    pub fn kernel(&self) -> &Kernel {
+        &self.kernel
+    }
+
     /// Enable or disable the recycled-cluster scratch path for
     /// subsequent Tmk runs.
     pub fn set_reuse(&self, on: bool) {

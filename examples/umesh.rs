@@ -1,6 +1,6 @@
 //! Unstructured-mesh relaxation on all three systems — the third
 //! irregular workload, exercising the public API beyond the paper's two
-//! benchmarks, including the *incremental* Read_indices extension.
+//! benchmarks.
 //!
 //! ```text
 //! cargo run --release --example umesh
