@@ -39,7 +39,11 @@ fmt-check:
 # (collect_into into the fetch's per-processor scratch, the master copy
 # lent in place by with_master); Validate's
 # Read_indices is one walk over the section (FlatIndices, runs of equal
-# indirection page, one bitmap per page) whose page math is a shift; and
+# indirection page, one data-page bitmap per schedule) whose page math
+# is a shift, and it rescans the whole section when the watch fires,
+# as the paper's does: no incremental mode (Validator::incremental,
+# partial_scans) and no per-watch page list (take_modified_pages,
+# watch_dirty) — it kept a stale superset; and
 # a cluster's state is plain single-thread data (Cell / RefCell / Rc),
 # so simnet/dsm/chaos hold no lock or atomic outside their tests, and
 # dsm/chaos no Arc (simnet's Arc<dyn TraceSink> is shared with the
@@ -119,6 +123,8 @@ hygiene:
 		echo "hygiene: Read_indices walks FlatIndices once and groups entries by run of indirection page; no index Vec, no per-entry hash"; exit 1; fi
 	@if grep -n "/ page_size\|% page_size" crates/core/src/validate.rs; then \
 		echo "hygiene: Validate's page numbers come from a shift (page sizes are powers of two)"; exit 1; fi
+	@if grep -rnwE "Validator::incremental|take_modified_pages|partial_scans|watch_dirty" crates/; then \
+		echo "hygiene: Validate rescans the whole section when its watch fires, as the paper's does; a watch is one flag"; exit 1; fi
 	@if awk '/#\[cfg\(test\)\]/ { nextfile } /Mutex|RwLock|Atomic/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit !bad }' $(ONE_THREAD_SRC); then \
 		echo "hygiene: a cluster runs on one thread; keep its state in Cell / RefCell, not a lock or an atomic"; exit 1; fi
 	@if awk '/#\[cfg\(test\)\]/ { nextfile } /Arc/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit !bad }' $(NO_ARC_SRC); then \
