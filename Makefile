@@ -97,7 +97,13 @@ fmt-check:
 # array is the owned block then the ghosts (no two-vector Ghosted, no
 # Loc enum, no per-app gather3/scatter3), a reference is one
 # CommSchedule::localize index, and only chaos itself translates an
-# element to its (owner, offset) pair (translate_free).
+# element to its (owner, offset) pair (translate_free). rsd keeps what
+# fcc and Validate run: the compiler merges symbolic sections with its
+# own hull, so there is no concrete-section algebra (fn intersect, hull,
+# iter_points or iter_flat, ext_gcd); a PageSet is a sorted Vec that
+# sort + dedup canonicalizes, with no bitmap planner
+# (bitmap_canonicalize, estimate_distinct); and fcc spells its own
+# access names, so core has no AccessType::fortran_name.
 ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
 NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
 hygiene:
@@ -165,6 +171,12 @@ hygiene:
 		echo "hygiene: a CHAOS local array is the owned block then the ghosts, indexed by CommSchedule::localize; chaos::gather / scatter_add with a width are the one executor"; exit 1; fi
 	@if grep -rn "translate_free" crates/ | grep -v "^crates/chaos/"; then \
 		echo "hygiene: outside chaos a reference is CommSchedule::localize's local index, not an (owner, offset) translation"; exit 1; fi
+	@if grep -rnE "fn (intersect|hull|iter_points|iter_flat)\b|ext_gcd" crates/rsd/; then \
+		echo "hygiene: rsd has no concrete-section algebra; fcc merges symbolic sections with its own hull_sym"; exit 1; fi
+	@if grep -rnE "bitmap_canonicalize|estimate_distinct" crates/rsd/; then \
+		echo "hygiene: a PageSet is a sorted Vec canonicalized by sort + dedup; Read_indices keeps its own bitmap"; exit 1; fi
+	@if grep -rn "fortran_name" crates/core/; then \
+		echo "hygiene: fcc spells its own access names; core's AccessType carries only whole_pages"; exit 1; fi
 
 # benchmark/ is a standalone package (not a workspace member) built
 # against crates/*: a refactor that breaks the call surface it uses

@@ -19,30 +19,8 @@ pub enum AccessType {
 }
 
 impl AccessType {
-    pub fn reads(self) -> bool {
-        matches!(
-            self,
-            AccessType::Read | AccessType::ReadWrite | AccessType::ReadWriteAll
-        )
-    }
-
-    pub fn writes(self) -> bool {
-        !matches!(self, AccessType::Read)
-    }
-
     pub fn whole_pages(self) -> bool {
         matches!(self, AccessType::WriteAll | AccessType::ReadWriteAll)
-    }
-
-    /// The spelling used in the paper's figures (for `fcc` codegen).
-    pub fn fortran_name(self) -> &'static str {
-        match self {
-            AccessType::Read => "READ",
-            AccessType::Write => "WRITE",
-            AccessType::ReadWrite => "READ&WRITE",
-            AccessType::WriteAll => "WRITE_ALL",
-            AccessType::ReadWriteAll => "READ&WRITE_ALL",
-        }
     }
 }
 
@@ -187,11 +165,8 @@ mod tests {
 
     #[test]
     fn access_type_predicates() {
-        assert!(AccessType::Read.reads() && !AccessType::Read.writes());
-        assert!(AccessType::WriteAll.writes() && AccessType::WriteAll.whole_pages());
-        assert!(AccessType::ReadWriteAll.reads());
-        assert!(!AccessType::ReadWrite.whole_pages());
-        assert_eq!(AccessType::ReadWrite.fortran_name(), "READ&WRITE");
+        assert!(AccessType::WriteAll.whole_pages() && AccessType::ReadWriteAll.whole_pages());
+        assert!(!AccessType::ReadWrite.whole_pages() && !AccessType::Read.whole_pages());
     }
 
     fn flat(sec: &Rsd, dims: &[usize]) -> Vec<usize> {

@@ -33,7 +33,9 @@ struct Sched {
     /// Pages entirely covered by the section (candidates for whole-page
     /// treatment under `WRITE_ALL`); always empty for indirect schedules.
     full_pages: Vec<u32>,
-    /// Boundary pages only partially covered — the false-sharing frontier.
+    /// Boundary pages only partially covered — the false-sharing
+    /// frontier; always empty for indirect schedules, which reject the
+    /// `*_ALL` types and so only ever read `pages`.
     partial_pages: Vec<u32>,
     watch: Option<usize>,
     /// Indirect schedules: the section's indirection pages at the last
@@ -279,7 +281,7 @@ impl Sched {
             }
         }
         self.full_pages.clear();
-        self.partial_pages.clone_from(&self.pages);
+        self.partial_pages.clear();
         self.recomputes += 1;
         self.direct = None;
         n

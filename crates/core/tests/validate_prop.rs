@@ -68,12 +68,13 @@ impl Reference {
         }
     }
 
+    /// An indirect schedule splits no pages into full and partial ones:
+    /// it rejects the `*_ALL` types that read the split.
     fn info(&self) -> ScheduleInfo {
-        let pages: Vec<u32> = self.pages.iter().copied().collect();
         ScheduleInfo {
-            partial_pages: pages.clone(),
-            pages,
+            pages: self.pages.iter().copied().collect(),
             full_pages: Vec::new(),
+            partial_pages: Vec::new(),
             recomputes: self.recomputes,
         }
     }

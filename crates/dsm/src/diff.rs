@@ -96,13 +96,6 @@ impl Diff {
     pub fn wire_bytes(&self) -> usize {
         self.bytes.len() + RUN_HEADER * self.runs.len()
     }
-
-    /// Does any run overlap `[lo, hi)` byte offsets?
-    pub fn touches(&self, lo: usize, hi: usize) -> bool {
-        self.runs
-            .iter()
-            .any(|&(off, len)| (off as usize) < hi && (off + len) as usize > lo)
-    }
 }
 
 /// What an interval publishes for one dirtied page.
@@ -210,18 +203,6 @@ mod tests {
         assert_eq!(ab, ba);
         assert_eq!(&ab[0..8], &1.0f64.to_le_bytes());
         assert_eq!(&ab[64..72], &2.0f64.to_le_bytes());
-    }
-
-    #[test]
-    fn touches_ranges() {
-        let twin = page(128);
-        let mut cur = twin.clone();
-        cur[32..40].fill(9);
-        let d = Diff::create(&twin, &cur);
-        assert!(d.touches(32, 40));
-        assert!(d.touches(0, 33));
-        assert!(!d.touches(0, 32));
-        assert!(!d.touches(40, 128));
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! * a `DIRECT` descriptor's section *is* the accessed part of shared data;
 //! * an `INDIRECT` descriptor's section describes the slice of the
 //!   indirection array a processor traverses (usually `lo:hi:1`), from
-//!   which `Read_indices` computes the actual page set.
+//!   which `Read_indices` (in `sdsm-core`) computes the actual page set.
 //!
-//! This crate has no dependency on the DSM; it is pure index algebra plus
-//! the page arithmetic both runtimes need.
+//! This crate has no dependency on the DSM. It holds the section types
+//! (symbolic, and the concrete ones they evaluate to), their evaluation,
+//! and the page arithmetic of a direct section ([`pages_of_section`]
+//! into a sorted [`PageSet`]). The compiler merges symbolic sections with
+//! its own hull; nothing at run time intersects or unions sections.
 
 mod concrete;
 mod pages;

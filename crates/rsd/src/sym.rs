@@ -94,10 +94,6 @@ impl Affine {
         }
         Some(v)
     }
-
-    pub fn free_syms(&self) -> impl Iterator<Item = &Sym> {
-        self.terms.keys()
-    }
 }
 
 impl fmt::Display for Affine {
@@ -148,10 +144,6 @@ impl Env {
     pub fn bind(mut self, name: impl Into<String>, v: i64) -> Self {
         self.vals.insert(Sym::new(name), v);
         self
-    }
-
-    pub fn set(&mut self, name: impl Into<String>, v: i64) {
-        self.vals.insert(Sym::new(name), v);
     }
 
     pub fn get(&self, s: &Sym) -> Option<i64> {
@@ -210,17 +202,6 @@ impl SymRsd {
             .collect::<Option<Vec<_>>>()
             .map(Rsd::new)
     }
-
-    pub fn free_syms(&self) -> Vec<&Sym> {
-        let mut v: Vec<&Sym> = self
-            .dims
-            .iter()
-            .flat_map(|d| d.lo.free_syms().chain(d.hi.free_syms()))
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    }
 }
 
 impl fmt::Display for SymRsd {
@@ -273,7 +254,7 @@ mod tests {
         let env = Env::new().bind("lo_p", 1).bind("hi_p", 100);
         let c = r.eval(&env).unwrap();
         assert_eq!(c.len(), 200);
-        assert_eq!(r.free_syms().len(), 2);
+        assert_eq!(r.eval(&Env::new().bind("lo_p", 1)), None);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub struct Net {
     /// itself via [`Net::scope`].
     cats: Vec<Cell<StallCat>>,
     /// Event sink, adopted at construction from
-    /// [`crate::with_trace_sink`] (or set via [`Net::set_trace_sink`]).
+    /// [`crate::with_trace_sink`].
     sink: Option<Arc<dyn TraceSink>>,
     /// `sink.is_some()`, cached so the disabled [`Net::trace`] path is
     /// a single predictable branch.
@@ -118,14 +118,6 @@ impl Net {
     /// Collective re-inspection passes since the last reset.
     pub fn reinspections(&self) -> u64 {
         self.reinspections.get()
-    }
-
-    /// Install (or clear) the event sink. Construction-time adoption
-    /// via [`crate::with_trace_sink`] is the usual route; this exists
-    /// for owners that build the `Net` before choosing a sink.
-    pub fn set_trace_sink(&mut self, sink: Option<Arc<dyn TraceSink>>) {
-        self.trace_on = sink.is_some();
-        self.sink = sink;
     }
 
     /// Add `bytes` of barrier notice metadata (leader-side, once per

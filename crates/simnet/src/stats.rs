@@ -418,11 +418,6 @@ impl PolicyReport {
         self.demotions += other.demotions;
         self.probes += other.probes;
     }
-
-    /// Did any adaptive decision actually happen?
-    pub fn is_active(&self) -> bool {
-        self.promotions > 0 || self.prefetch_rounds > 0 || self.push_rounds > 0
-    }
 }
 
 /// A frozen snapshot of the counters, for reports and table rows.
@@ -558,7 +553,6 @@ mod tests {
         assert_eq!(r.promotions, 4);
         assert_eq!(r.demotions, 1);
         assert_eq!(r.probes, 2);
-        assert!(r.is_active());
         // The per-phase breakdown splits the same stream by plan owner.
         assert_eq!(r.per_phase.len(), 2);
         let p1 = r.phase(1).unwrap();
@@ -586,7 +580,6 @@ mod tests {
         s.reset();
         let z = PolicyReport::capture(&s);
         assert_eq!(z, PolicyReport::default());
-        assert!(!z.is_active());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * **Event tracing** is opt-in and zero-overhead when disabled: a
 //!   cluster built without a sink never takes the traced branch (one
 //!   predictable `bool` test per would-be event). A sink installed via
-//!   [`with_trace_sink`] (or [`crate::Net::set_trace_sink`]) receives
+//!   [`with_trace_sink`] (adopted when the `Net` is built) receives
 //!   every [`TraceEvent`] from the *acting* thread, timestamped with
 //!   that processor's deterministic virtual time.
 //!

@@ -129,11 +129,6 @@ impl Dynamics {
         }
     }
 
-    /// Does the partition re-cut at (the start of) `iter`?
-    pub fn rebalances_at(&self, iter: usize) -> bool {
-        iter > 0 && self.partition_epoch(iter) != self.partition_epoch(iter - 1)
-    }
-
     /// Is this one of the churn regimes (a mid-run break no learner
     /// was told about)? Steady-state acceptance bars (adaptive ≤ base
     /// per cell) relax to the probe-budget bound exactly here.
@@ -393,8 +388,6 @@ mod tests {
         );
         let epochs: Vec<usize> = (0..8).map(|i| d.partition_epoch(i)).collect();
         assert_eq!(epochs, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-        let recut: Vec<usize> = (1..8).filter(|&i| d.rebalances_at(i)).collect();
-        assert_eq!(recut, vec![4]);
         assert_eq!(d.partition_epochs(10), 2);
         assert_eq!(d.partition_epochs(4), 1, "break past the run is inert");
         assert!(d.is_churn());

@@ -1,6 +1,7 @@
-//! Two runtimes, one need: on every quick-grid cell, each processor's
-//! `Validate` page set equals the pages of the elements CHAOS's inspector
-//! says the processor references.
+//! Two runtimes, one need: on every quick-grid cell, and on two sparse
+//! dynamic cells built here, each processor's `Validate` page set equals
+//! the pages of the elements CHAOS's inspector says the processor
+//! references.
 //!
 //! `Read_indices` works in pages and the inspector in elements, and both
 //! read the same indirection section. For each rank and each schedule
@@ -14,13 +15,14 @@
 //!
 //! and asserts that they are equal. A stale page set, one that keeps a
 //! page the current section no longer references or misses one it
-//! does, fails with the cell, rank, rebuild and page named.
+//! does, fails naming every cell it shows on, each with its first
+//! mismatching rank, rebuild and page.
 
 use std::collections::BTreeSet;
 
 use chaos::{inspector, ChaosWorld, TTable, TTableCache, TTableKind};
 use sdsm_core::{validate, Cluster, Validator};
-use synth::{scenario_grid, Prepared};
+use synth::{scenario_grid, Dynamics, Prepared, Structure, SynthConfig};
 
 /// The schedule versions a run meets, in order: version 0 at
 /// initialization, then each one an iteration moves to.
@@ -110,14 +112,62 @@ fn page_sets(prep: &Prepared) -> (PerRank<Option<Vec<u32>>>, PerRank<Vec<u32>>) 
     (tmk, chaos)
 }
 
+/// Sparse dynamic cells, kept out of `scenario_grid` (the benchmark's
+/// workloads read it). On most quick-grid cells every rank references
+/// nearly every value page, so a page set that keeps stale pages still
+/// matches. Here the value array spans 64 pages, 16 per processor, and
+/// each rank references a strict subset of them that moves with every
+/// list rebuild: few uniform pairs under remapping, and a narrow band
+/// under drift.
+fn sparse_cells() -> Vec<SynthConfig> {
+    let cell = |structure, dynamics, refs| SynthConfig {
+        n: 4096,
+        refs,
+        ..SynthConfig::quick(structure, dynamics)
+    };
+    vec![
+        cell(
+            Structure::Uniform,
+            Dynamics::PeriodicRemap { period: 3 },
+            192,
+        ),
+        cell(
+            Structure::Banded { width: 16 },
+            Dynamics::Drift { per_mille: 25 },
+            512,
+        ),
+    ]
+}
+
+/// The first page on which `got` and `want` differ, and which side has it.
+fn first_difference(got: &[u32], want: &[u32]) -> (u32, &'static str, &'static str) {
+    let (got, want): (BTreeSet<_>, BTreeSet<_>) = (got.iter().collect(), want.iter().collect());
+    let pg = **got.symmetric_difference(&want).next().unwrap();
+    if got.contains(&pg) {
+        (pg, "Validate's", "CHAOS's")
+    } else {
+        (pg, "CHAOS's", "Validate's")
+    }
+}
+
 #[test]
 fn validate_page_sets_equal_the_inspectors() {
     let mut compared = 0;
-    for cfg in scenario_grid(true) {
-        let label = cfg.label();
+    let mut mismatches = Vec::new();
+    let sparse = sparse_cells().into_iter().map(|cfg| {
+        let label = format!("{} (n {}, refs {})", cfg.label(), cfg.n, cfg.refs);
+        (label, cfg)
+    });
+    let cells = scenario_grid(true)
+        .into_iter()
+        .map(|cfg| (cfg.label(), cfg));
+    for (label, cfg) in cells.chain(sparse) {
         let prep = Prepared::new(cfg);
         let svs = rebuilds(&prep.kernel().plan.sv_of_iter);
         let (tmk, chaos) = page_sets(&prep);
+        // The cell's first mismatch, if any: every cell is checked, so
+        // one run names each cell a defect shows on.
+        let mut first = None;
         for (rank, (tmk, chaos)) in tmk.iter().zip(&chaos).enumerate() {
             for (r, got) in tmk.iter().enumerate() {
                 let want = &chaos[svs[r]];
@@ -126,26 +176,22 @@ fn validate_page_sets_equal_the_inspectors() {
                     assert!(want.is_empty(), "{label} rank {rank}: an empty section");
                     continue;
                 };
-                if got == want {
+                if got == want || first.is_some() {
                     continue;
                 }
-                let (got, want): (BTreeSet<_>, BTreeSet<_>) =
-                    (got.iter().collect(), want.iter().collect());
-                let pg = got.symmetric_difference(&want).next().unwrap();
-                let (has, lacks) = if got.contains(pg) {
-                    ("Validate's", "CHAOS's")
-                } else {
-                    ("CHAOS's", "Validate's")
-                };
-                panic!(
+                let (pg, has, lacks) = first_difference(got, want);
+                first = Some(format!(
                     "{label} rank {rank}, rebuild {r} (schedule version {}): page {pg} is in \
                      {has} page set but not in {lacks}",
                     svs[r]
-                );
+                ));
             }
         }
+        mismatches.extend(first);
     }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
     // Rank-rebuilds: 4 processors × (3 structures × 32 rebuilds of the six
-    // steady dynamics + 18 of the churn cells), 8 × 3 and 64 × 3 static.
-    assert_eq!(compared, 4 * (3 * 32 + 18) + 8 * 3 + 64 * 3);
+    // steady dynamics + 18 of the churn cells), 8 × 3 and 64 × 3 static,
+    // and 4 × (4 + 10) on the sparse cells.
+    assert_eq!(compared, 4 * (3 * 32 + 18) + 8 * 3 + 64 * 3 + 4 * (4 + 10));
 }
