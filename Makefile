@@ -82,8 +82,11 @@ fmt-check:
 # (no loss_per_mille, loss_seed, bill_retry or StallCat::Retry); a
 # report carries no scenario label (set_label); and the adaptive
 # engine promotes after two agreeing gaps and demotes on the first clean
-# probe, fixed (no promote_after or demote_after knob). umesh and every
-# synth cell run one owner-side relaxation kernel, apps::relax: umesh
+# probe, fixed (no promote_after or demote_after knob), and has one
+# tuning: its probe cadence and quiesce streak are private constants and
+# the variant picks push (no AdaptConfig, quiesce_after, or probe_every
+# field or access). umesh and every synth cell run one owner-side
+# relaxation kernel, apps::relax: umesh
 # builds no cluster or CHAOS world and calls neither validate nor the
 # inspector itself, and no second accumulate or incident_lists grows
 # back outside crates/apps/src/relax.rs. moldyn and nbf run one
@@ -157,8 +160,8 @@ hygiene:
 		echo "hygiene: Net::new builds a cluster's one Rendezvous; reach it through net().rendezvous()"; exit 1; fi
 	@if grep -rnwE "bill_sync|count_only|request_response|round_trip|rendezvous_crossings|spmd_launches" crates/; then \
 		echo "hygiene: Net::bill_barrier bills every barrier, a fetch is a parallel_round, and host counts are net().rendezvous().generation() / launches()"; exit 1; fi
-	@if grep -rnE "\b(loss_per_mille|loss_seed|bill_retry|set_label|promote_after|demote_after)\b|StallCat::Retry\b" crates examples tests src; then \
-		echo "hygiene: CostModel is a pure timing model (no lossy links or Retry stall), a report has no scenario label, and the adaptive engine's promote/demote thresholds are fixed"; exit 1; fi
+	@if grep -rnE "\b(loss_per_mille|loss_seed|bill_retry|set_label|promote_after|demote_after|AdaptConfig|quiesce_after)\b|StallCat::Retry\b|\bprobe_every:|\.probe_every\b" crates examples tests src; then \
+		echo "hygiene: CostModel is a pure timing model (no lossy links or Retry stall), a report has no scenario label, and the adaptive engine has one tuning: fixed thresholds, AdaptivePolicy::new(push) takes only the mode"; exit 1; fi
 	@if grep -rnE "Cluster::new|ChaosWorld::new|validate\(|inspector\(" crates/apps/src/umesh/; then \
 		echo "hygiene: umesh runs on apps::relax, the one owner-side relaxation kernel; it has no runner of its own"; exit 1; fi
 	@if grep -rnE "Cluster::new|ChaosWorld::new|validate\(|inspector\(|scatter_add\(" crates/apps/src/moldyn/ crates/apps/src/nbf/; then \

@@ -31,20 +31,26 @@
 //!    Promoted pages are fetched at exactly the predicted barrier,
 //!    batched with every other prediction into **one aggregated
 //!    exchange per peer** (`AdaptRequest`/`AdaptReply`) — the same wire
-//!    pattern `Validate` produces from compiler hints. In
-//!    [update-push mode](AdaptConfig::push) the writers push instead
-//!    (one one-way `AdaptPush` message per peer — the request leg
-//!    disappears, and a schedule *change* costs one one-way `AdaptSub`
-//!    subscription message per affected peer). In pull mode, after
-//!    [`AdaptConfig::quiesce_after`] identical epochs *of one phase*
-//!    the exchange is deferred to the epoch's first fault, so the run's
-//!    final barrier costs nothing (the *quiesce* heuristic); push mode
-//!    stays eager — a fault-triggered plan would be consumer-initiated,
-//!    i.e. a pull.
-//! 3. **Retreat** — periodic probes ([`AdaptConfig::probe_every`])
-//!    withhold the prefetch at exactly base-TreadMarks cost; a clean
-//!    probe demotes the page, so a dissolved pattern cannot keep
+//!    pattern `Validate` produces from compiler hints. In update-push
+//!    mode (`AdaptivePolicy::new(true)`, the `TmkPush` build) the
+//!    writers push instead (one one-way `AdaptPush` message per peer —
+//!    the request leg disappears, and a schedule *change* costs one
+//!    one-way `AdaptSub` subscription message per affected peer). In
+//!    pull mode, after two identical epochs *of one phase* the exchange
+//!    is deferred to the epoch's first fault, so the run's final
+//!    barrier costs nothing (the *quiesce* heuristic); push mode stays
+//!    eager — a fault-triggered plan would be consumer-initiated, i.e.
+//!    a pull.
+//! 3. **Retreat** — every 8th prediction of a promoted page is a probe
+//!    that withholds the prefetch at exactly base-TreadMarks cost; a
+//!    clean probe demotes the page, so a dissolved pattern cannot keep
 //!    wasting traffic.
+//!
+//! Both thresholds — the probe cadence of 8 and the quiesce streak of
+//! 2 — are fixed constants, like the promotion rule (a verified gap
+//! cycle):
+//! the engine has one tuning, and the only choice a caller makes is
+//! pull or push.
 //!
 //! The engine only moves fetches earlier (or flips who initiates the
 //! wire exchange); it never changes which records a fetch applies, so
@@ -59,13 +65,14 @@
 //! ## Quickstart
 //!
 //! ```
-//! use adapt::{AdaptConfig, AdaptivePolicy};
+//! use adapt::AdaptivePolicy;
 //! use dsm::{Cluster, DsmConfig};
 //!
 //! let cl = Cluster::new(DsmConfig::with_nprocs(4));
 //! let data = cl.alloc::<f64>(4096);
 //! // Install the engine on every processor, then run the app unchanged.
-//! cl.run(|p| p.set_policy(Box::new(AdaptivePolicy::new(AdaptConfig::default()))));
+//! // `true` would select update-push instead of pull.
+//! cl.run(|p| p.set_policy(Box::new(AdaptivePolicy::new(false))));
 //! cl.run(|p| {
 //!     for _step in 0..4 {
 //!         if p.rank() == 0 {
@@ -85,7 +92,7 @@
 
 mod policy;
 
-pub use policy::{probe_budget, AdaptConfig, AdaptivePolicy, PageMode};
+pub use policy::{probe_budget, AdaptivePolicy, PageMode};
 
 pub use dsm::{EpochDecision, ProtocolPolicy};
 pub use simnet::PolicyReport;

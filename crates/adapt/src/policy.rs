@@ -36,9 +36,8 @@
 //! window, the observed gap breaks the cycle match, the lock is lost,
 //! and the page falls back to demand paging until the history
 //! re-stabilizes. Pages that stop being used entirely are caught by
-//! probes ([`AdaptConfig::probe_every`]): every n-th prediction is
-//! withheld at exactly base-TreadMarks cost, and the first clean probe
-//! resets the predictor.
+//! probes (`PROBE_EVERY`): every 8th prediction is withheld at exactly
+//! base-TreadMarks cost, and the first clean probe resets the predictor.
 //!
 //! ## Phase identity
 //!
@@ -70,18 +69,19 @@
 //!
 //! Two protocol refinements ride on the same decision stream:
 //!
-//! * **Quiesce** ([`AdaptConfig::quiesce_after`]): after that many
+//! * **Quiesce** (`QUIESCE_AFTER`, 2): after that many
 //!   consecutive epochs of one phase with *identical* picks, the
 //!   batched fetch is deferred to the epoch's first demand fault
 //!   instead of issued eagerly inside the barrier. Steady-state epochs
 //!   still pay exactly one exchange per peer (the first touch triggers
 //!   it, and the touching page rides along); a plan whose pages are
 //!   re-invalidated untouched — above all one armed at the run's
-//!   **final barrier** — pays nothing at all.
-//! * **Update-push** ([`AdaptConfig::push`]): the predicted exchange is
-//!   accounted as writer-initiated — one one-way `AdaptPush` data
-//!   message per writer/consumer pair instead of a request/reply pair,
-//!   halving the remaining predicted messages. The consumer-side
+//!   **final barrier** — pays nothing at all. A discarded plan doubles
+//!   as a free probe (see `note_quiesced`).
+//! * **Update-push** (`AdaptivePolicy::new(true)`): the predicted
+//!   exchange is accounted as writer-initiated — one one-way
+//!   `AdaptPush` data message per writer/consumer pair instead of a
+//!   request/reply pair, halving the remaining predicted messages. The consumer-side
 //!   predictor still decides *what* moves; the subscription that
 //!   teaches writers the consumer's schedule is billed explicitly by
 //!   the protocol layer as one one-way `AdaptSub` message per peer per
@@ -98,62 +98,25 @@ const NO_PHASE: u32 = u32::MAX;
 /// verified).
 const HISTORY_WINDOW: usize = 16;
 
-/// Tuning knobs of the adaptive engine.
-#[derive(Debug, Clone)]
-pub struct AdaptConfig {
-    /// Every `probe_every`-th prediction of a promoted page is a
-    /// *probe*: the prefetch is withheld, and if no demand miss follows
-    /// before the page's next invalidation the predictor is reset — the
-    /// fast retreat an unannounced mid-run regime break demands.
-    /// This bounds how long a dead pattern can waste prefetch traffic
-    /// (a gap-1 page that quietly leaves the working set has no other
-    /// honest signal — its prefetches mask every would-be miss), at
-    /// exactly base-TreadMarks cost during the probe itself.
-    pub probe_every: u64,
-    /// Consecutive identical-pick epochs *of one phase* before the
-    /// batched fetch is deferred to the epoch's first demand fault (the
-    /// final-barrier quiesce heuristic). 0 disables deferral entirely
-    /// (PR 2's eager behavior). A quiesced (discarded) plan doubles as
-    /// a **free probe**: the protocol layer reports it back and the
-    /// engine clears the affected pages' covered-need marks in the
-    /// owning phase, so a dissolved pattern stops being predicted
-    /// immediately instead of being masked until the probe cadence
-    /// catches it. Ignored in push mode — see [`AdaptConfig::push`].
-    pub quiesce_after: u32,
-    /// Account predicted exchanges as writer-initiated update-push
-    /// (one one-way data message per peer) instead of request/reply
-    /// pulls. Results are bitwise identical either way.
-    ///
-    /// Push mode never defers: a plan triggered by the consumer's own
-    /// fault would be consumer-initiated — a pull — so deferral can
-    /// only cost push mode its one-way billing. The writers therefore
-    /// push eagerly at every predicted barrier, including the run's
-    /// last (the final-barrier waste is inherent to writer-initiated
-    /// protocols: the writer cannot know no iteration follows), and
-    /// still come out strictly ahead of pull-mode prefetch whenever
-    /// more than a couple of epochs run.
-    pub push: bool,
-}
+/// Every `PROBE_EVERY`-th prediction of a promoted page is a *probe*:
+/// the prefetch is withheld, and a window with no demand miss resets
+/// the predictor. A stale plan's prefetches mask every would-be miss, so
+/// the probe is the only honest death signal, at exactly base-TreadMarks
+/// cost. Pinned by `clean_probe_resets_a_dead_pattern`,
+/// `probe_miss_keeps_the_page_promoted`, `tests/regime_break.rs` and
+/// the probe counts in `apps`' `POLICY_GOLDEN`.
+const PROBE_EVERY: u64 = 8;
 
-impl Default for AdaptConfig {
-    fn default() -> Self {
-        AdaptConfig {
-            probe_every: 8,
-            quiesce_after: 2,
-            push: false,
-        }
-    }
-}
+// A probe on every prediction would withhold them all.
+const _: () = assert!(PROBE_EVERY >= 2);
 
-impl AdaptConfig {
-    /// The default knobs with update-push mode on.
-    pub fn pushing() -> Self {
-        AdaptConfig {
-            push: true,
-            ..Default::default()
-        }
-    }
-}
+/// Consecutive identical-plan epochs *of one phase* before a pull-mode
+/// batched fetch is deferred to the epoch's first demand fault, which
+/// saves the exchange of the run's final barrier (its "next iteration"
+/// never faults). Pinned by `quiesce_defers_after_identical_epochs`,
+/// `tests/phase_keyed.rs` and `synth`'s
+/// `quiesce_saves_the_final_barrier_prefetch_on_identical_epochs`.
+const QUIESCE_AFTER: u32 = 2;
 
 /// Worst-case extra messages the adaptive engine can spend, over plain
 /// demand paging, on plans a mid-run regime break turned stale — the
@@ -161,23 +124,23 @@ impl AdaptConfig {
 ///
 /// The argument: a broken plan's prefetches *mask* the misses that
 /// would expose it, so the only honest death signal is a probe, and the
-/// probe cadence guarantees one within [`AdaptConfig::probe_every`]
-/// predictions, and the first clean probe demotes. Until then each
+/// probe cadence guarantees one within `PROBE_EVERY` (8) predictions,
+/// and the first clean probe demotes. Until then each
 /// stale promoted page wastes at most one prefetch exchange per epoch,
 /// and one wasted page-exchange costs at most 2 messages (a
 /// request/reply pull; a push costs 1).
 /// A run of `epochs` epochs cannot waste more epochs than it has, so
 /// each of the `pages` ever-promoted pages wastes at most
-/// `min(probe_every, epochs)` exchanges:
+/// `min(PROBE_EVERY, epochs)` exchanges:
 ///
-/// `budget = 2 × pages × min(probe_every, epochs)`
+/// `budget = 2 × pages × min(PROBE_EVERY, epochs)`
 ///
 /// The bound is deliberately loose (it ignores that probes themselves
 /// cost base price, that re-promotion needs three live needs, and that
 /// quiesced plans die free) — loose enough to be stable across cost
 /// models, tight enough to fail if demotion ever stops working.
-pub fn probe_budget(probe_every: u64, pages: u64, epochs: u64) -> u64 {
-    2 * pages * probe_every.min(epochs)
+pub fn probe_budget(pages: u64, epochs: u64) -> u64 {
+    2 * pages * PROBE_EVERY.min(epochs)
 }
 
 /// Which way a page's data currently moves.
@@ -290,10 +253,11 @@ impl PhaseState {
 /// See `adapt/src/policy.rs`'s module docs for the prediction model
 /// and the phase keying. The engine never changes what data a page holds — only when
 /// it is fetched — so program results are bitwise identical to base
-/// TreadMarks under any knob setting, including update-push mode.
+/// TreadMarks in pull and update-push mode alike.
 #[derive(Debug)]
 pub struct AdaptivePolicy {
-    cfg: AdaptConfig,
+    /// Update-push mode (see [`AdaptivePolicy::new`]).
+    push: bool,
     /// Per-phase learned state, in first-seen order (few phases; linear
     /// scans are cheaper than hashing).
     phases: Vec<PhaseState>,
@@ -306,21 +270,19 @@ pub struct AdaptivePolicy {
 }
 
 impl AdaptivePolicy {
-    /// Build an engine with the given knobs (panics unless
-    /// [`AdaptConfig::probe_every`] is at least 2).
-    pub fn new(cfg: AdaptConfig) -> Self {
-        assert!(cfg.probe_every >= 2, "probe_every: at least 2");
+    /// Build an engine. With `push`, predicted exchanges are accounted
+    /// as writer-initiated update-push (one one-way data message per
+    /// peer) instead of request/reply pulls; results are bitwise
+    /// identical either way. Push mode never defers: a plan triggered by
+    /// the consumer's own fault would be a pull, so the writers push
+    /// eagerly at every predicted barrier, the run's last included.
+    pub fn new(push: bool) -> Self {
         AdaptivePolicy {
-            cfg,
+            push,
             phases: Vec::new(),
             last_inv: Vec::new(),
             cold_miss: Vec::new(),
         }
-    }
-
-    /// The knobs this engine runs with.
-    pub fn config(&self) -> &AdaptConfig {
-        &self.cfg
     }
 
     /// Phase tags this engine has seen, in first-seen order.
@@ -436,13 +398,12 @@ impl ProtocolPolicy for AdaptivePolicy {
         }
     }
 
-    fn epoch_end(&mut self, _epoch: u64, phase: u32, invalidated: &[u32]) -> EpochDecision {
+    fn epoch_end(&mut self, phase: u32, invalidated: &[u32]) -> EpochDecision {
         let pi = self.ensure_phase(phase);
         if let Some(&max) = invalidated.iter().max() {
             self.ensure_page(max);
         }
 
-        let probe_every = self.cfg.probe_every;
         let mut picks = Vec::new();
         // The picks plus any probe-withheld pages: the quiesce streak
         // compares *plans*, and a probe deliberately thinning one epoch
@@ -513,7 +474,7 @@ impl ProtocolPolicy for AdaptivePolicy {
                 if e.last_need + gap == t + 1 {
                     e.predictions += 1;
                     planned.push(page);
-                    if e.predictions % probe_every == 0 {
+                    if e.predictions % PROBE_EVERY == 0 {
                         e.probing = true;
                         events.push((page, PolicyAct::Probe));
                     } else {
@@ -524,7 +485,7 @@ impl ProtocolPolicy for AdaptivePolicy {
             }
         }
 
-        // Quiesce heuristic: after `quiesce_after` consecutive epochs
+        // Quiesce heuristic: after `QUIESCE_AFTER` consecutive epochs
         // of THIS phase with identical picks, steady state is assumed
         // and the batch is deferred to the epoch's first fault — so the
         // run's final barrier (whose window never faults) costs
@@ -534,16 +495,16 @@ impl ProtocolPolicy for AdaptivePolicy {
         // issues it". Other phases' barriers are invisible here — that
         // is the whole point: interleaved sites no longer reset each
         // other's streaks. Push mode never defers (a fault-triggered
-        // plan is a pull — see `AdaptConfig::push`).
+        // plan is a pull — see `AdaptivePolicy::new`).
         let st = &mut self.phases[pi];
-        let defer = if !self.cfg.push && self.cfg.quiesce_after > 0 && !picks.is_empty() {
+        let defer = if !self.push && !picks.is_empty() {
             if planned == st.last_picks {
                 st.identical_epochs = st.identical_epochs.saturating_add(1);
             } else {
                 st.identical_epochs = 0;
                 st.last_picks = planned;
             }
-            st.identical_epochs >= self.cfg.quiesce_after
+            st.identical_epochs >= QUIESCE_AFTER
         } else {
             false
         };
@@ -551,8 +512,7 @@ impl ProtocolPolicy for AdaptivePolicy {
         EpochDecision {
             picks,
             defer,
-            push: self.cfg.push,
-            phase,
+            push: self.push,
             events,
         }
     }
@@ -582,7 +542,7 @@ mod tests {
     /// `dsm::TmkProc::barrier_tagged` would.
     fn decide(p: &mut AdaptivePolicy, tally: &mut Tally, phase: u32, inv: &[u32]) -> EpochDecision {
         tally.epochs += 1;
-        let dec = p.epoch_end(tally.epochs, phase, inv);
+        let dec = p.epoch_end(phase, inv);
         for &(_, act) in &dec.events {
             match act {
                 PolicyAct::Promote => tally.promotions += 1,
@@ -596,7 +556,7 @@ mod tests {
     #[test]
     fn gap1_pattern_promotes_after_three_confirmed_needs() {
         let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig::default());
+        let mut p = AdaptivePolicy::new(false);
 
         // Needs at events 1, 2, 3 → gap 1 confirmed twice at event 3.
         p.note_miss(7);
@@ -628,7 +588,7 @@ mod tests {
         // A pipelined-reduction page: invalidated every event, needed
         // every 4th event. Blind prefetch would fetch 4x too often.
         let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig::default());
+        let mut p = AdaptivePolicy::new(false);
         let mut prefetches = Vec::new();
         let mut misses = 0;
         for t in 1u64..=40 {
@@ -655,7 +615,7 @@ mod tests {
     #[test]
     fn unaccessed_pages_are_never_prefetched() {
         let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig::default());
+        let mut p = AdaptivePolicy::new(false);
         for _ in 0..20 {
             // Invalidated every epoch but never missed on.
             assert!(drive(&mut p, &mut tally, &[3]).is_empty());
@@ -673,7 +633,7 @@ mod tests {
         // match, the lock is lost, and the predictor re-learns the
         // shifted phase — all without waiting for a probe.
         let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig::default());
+        let mut p = AdaptivePolicy::new(false);
         let mut wasted = 0;
         let mut demand_misses = 0;
         for t in 1u64..=60 {
@@ -702,24 +662,26 @@ mod tests {
     #[test]
     fn clean_probe_resets_a_dead_pattern() {
         let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig {
-            probe_every: 4,
-            ..Default::default()
-        });
+        let mut p = AdaptivePolicy::new(false);
         // Gap-1 pattern, promoted at event 3 (prediction #1).
         for _ in 0..3 {
             p.note_miss(9);
             drive(&mut p, &mut tally, &[9]);
         }
         // The program stops touching the page; writers keep writing.
-        // Predictions 2, 3 prefetch; prediction 4 is the probe; the
+        // Predictions 2..=7 prefetch; prediction 8 is the probe; the
         // clean probe window resets the predictor.
-        assert_eq!(drive(&mut p, &mut tally, &[9]), vec![9]); // prediction 2
-        assert_eq!(drive(&mut p, &mut tally, &[9]), vec![9]); // prediction 3
-        assert!(drive(&mut p, &mut tally, &[9]).is_empty()); // prediction 4 = probe
+        for prediction in 2..PROBE_EVERY {
+            assert_eq!(
+                drive(&mut p, &mut tally, &[9]),
+                vec![9],
+                "prediction {prediction}"
+            );
+        }
+        assert!(drive(&mut p, &mut tally, &[9]).is_empty()); // prediction 8 = probe
+        assert_eq!(tally.probes, 1);
         assert!(drive(&mut p, &mut tally, &[9]).is_empty()); // clean → reset
         assert_eq!(p.page_mode(9), PageMode::Demand);
-        assert_eq!(tally.probes, 1);
         assert!(tally.demotions >= 1);
         // And it stays quiet afterwards.
         for _ in 0..8 {
@@ -730,29 +692,31 @@ mod tests {
     #[test]
     fn probe_budget_formula() {
         // Bounded by the probe cadence...
-        assert_eq!(probe_budget(8, 3, 100), 2 * 3 * 8);
+        assert_eq!(probe_budget(3, 100), 2 * 3 * PROBE_EVERY);
         // ...or by the run length, whichever is shorter.
-        assert_eq!(probe_budget(8, 3, 5), 2 * 3 * 5);
-        assert_eq!(probe_budget(2, 0, 10), 0);
+        assert_eq!(probe_budget(3, 5), 2 * 3 * 5);
+        assert_eq!(probe_budget(0, 10), 0);
     }
 
     #[test]
     fn probe_miss_keeps_the_page_promoted() {
         let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig {
-            probe_every: 2,
-            ..Default::default()
-        });
+        let mut p = AdaptivePolicy::new(false);
         for _ in 0..3 {
             p.note_miss(5);
             drive(&mut p, &mut tally, &[5]);
         }
-        // Prediction #2 is a probe; the page is still live, so the
+        // Predictions 2..=7 prefetch while the page stays live.
+        for _ in 2..PROBE_EVERY {
+            assert_eq!(drive(&mut p, &mut tally, &[5]), vec![5]);
+        }
+        // Prediction #8 is a probe; the page is still live, so the
         // probe demand-faults and the pattern survives.
         assert!(drive(&mut p, &mut tally, &[5]).is_empty()); // probe
         p.note_miss(5);
-        assert_eq!(drive(&mut p, &mut tally, &[5]), vec![5]); // prediction 3
+        assert_eq!(drive(&mut p, &mut tally, &[5]), vec![5]); // prediction 9
         assert_eq!(p.page_mode(5), PageMode::Prefetch);
+        assert_eq!(tally.probes, 1);
         assert_eq!(tally.demotions, 0);
     }
 
@@ -780,22 +744,18 @@ mod tests {
     #[test]
     fn quiesce_defers_after_identical_epochs() {
         let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig {
-            quiesce_after: 2,
-            ..Default::default()
-        });
+        let mut p = AdaptivePolicy::new(false);
         // Promote page 7 (gap 1): three confirmed needs.
         for _ in 0..3 {
             p.note_miss(7);
             drive(&mut p, &mut tally, &[7]);
         }
-        // Identical picks [7] accumulate; the third identical epoch
-        // tips the decision to deferred.
+        // Identical picks [7] accumulate; `QUIESCE_AFTER` (2) identical
+        // epochs tip the decision to deferred.
         let mut defers = Vec::new();
         for _ in 0..4 {
             let dec = decide(&mut p, &mut tally, 0, &[7]);
             assert_eq!(dec.picks, vec![7]);
-            assert_eq!(dec.phase, 0, "the decision echoes its phase");
             defers.push(dec.defer);
         }
         assert_eq!(defers, vec![false, true, true, true]);
@@ -804,7 +764,7 @@ mod tests {
     #[test]
     fn quiesced_plan_acts_as_a_free_probe() {
         let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig::default());
+        let mut p = AdaptivePolicy::new(false);
         // Promote page 7 (gap 1), then run a steady predicted stretch.
         for _ in 0..3 {
             p.note_miss(7);
@@ -827,7 +787,7 @@ mod tests {
     #[test]
     fn push_mode_never_defers() {
         let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig::pushing());
+        let mut p = AdaptivePolicy::new(true);
         for _ in 0..3 {
             p.note_miss(4);
             drive(&mut p, &mut tally, &[4]);
@@ -844,33 +804,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "probe_every: at least 2")]
-    fn unsatisfiable_knobs_are_rejected() {
-        // A probe on every prediction would withhold them all: the page
-        // could never be prefetched.
-        let _ = AdaptivePolicy::new(AdaptConfig {
-            probe_every: 1,
-            ..Default::default()
-        });
-    }
-
-    #[test]
-    fn quiesce_zero_never_defers_and_push_flag_propagates() {
-        let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig {
-            quiesce_after: 0,
-            push: true,
-            ..Default::default()
-        });
-        for _ in 0..3 {
-            p.note_miss(2);
-            drive(&mut p, &mut tally, &[2]);
+    fn push_mode_predicts_what_pull_mode_predicts() {
+        // The flag changes who initiates the exchange, never what the
+        // predictor picks or records.
+        let (mut pull_tally, mut push_tally) = (Tally::default(), Tally::default());
+        let (mut pull, mut push) = (AdaptivePolicy::new(false), AdaptivePolicy::new(true));
+        for t in 0..12 {
+            if t < 3 || t % 3 == 0 {
+                pull.note_miss(2);
+                push.note_miss(2);
+            }
+            let a = decide(&mut pull, &mut pull_tally, 0, &[2]);
+            let b = decide(&mut push, &mut push_tally, 0, &[2]);
+            assert_eq!(a.picks, b.picks, "epoch {t}");
+            assert_eq!(a.events, b.events, "epoch {t}");
+            assert!(!a.push && b.push, "the flag rides every decision");
         }
-        for _ in 0..6 {
-            let dec = decide(&mut p, &mut tally, 0, &[2]);
-            assert!(!dec.defer, "quiesce_after: 0 disables deferral");
-            assert!(dec.push, "push mode rides every decision");
-        }
+        assert!(push_tally.promotions > 0);
     }
 
     #[test]
@@ -882,7 +832,7 @@ mod tests {
         // under a single global axis the interleaving would read as a
         // gap-2 pattern and *both* barriers' epochs would share it.
         let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig::default());
+        let mut p = AdaptivePolicy::new(false);
         for _ in 0..8 {
             let picks1 = decide(&mut p, &mut tally, 1, &[3]).picks;
             if picks1.is_empty() {
@@ -900,7 +850,7 @@ mod tests {
     #[test]
     fn untagged_stream_is_single_phase() {
         let mut tally = Tally::default();
-        let mut p = AdaptivePolicy::new(AdaptConfig::default());
+        let mut p = AdaptivePolicy::new(false);
         for _ in 0..4 {
             p.note_miss(1);
             drive(&mut p, &mut tally, &[1]);

@@ -7,15 +7,13 @@
 //! a union of periods; the gap-history predictor flips that test to
 //! positive capture.
 
-use adapt::{AdaptConfig, AdaptivePolicy, PageMode, ProtocolPolicy};
+use adapt::{AdaptivePolicy, PageMode, ProtocolPolicy};
 use simnet::{PolicyReport, PolicyStats};
 
 /// One phase-0 epoch, driven the way `dsm::TmkProc::barrier_tagged`
-/// does: numbered by the epochs `stats` has counted, the decision
-/// counted into `stats`.
+/// does: the decision counted into `stats`.
 fn drive(p: &mut AdaptivePolicy, stats: &PolicyStats, inv: &[u32]) -> Vec<u32> {
-    let epoch = PolicyReport::capture(stats).epochs + 1;
-    let dec = p.epoch_end(epoch, 0, inv);
+    let dec = p.epoch_end(0, inv);
     stats.record_epoch(0, 0, &dec.events);
     dec.picks
 }
@@ -25,7 +23,7 @@ fn two_pages_with_distinct_periods_are_both_captured() {
     // Page 1 is needed every 3rd invalidation, page 2 every 5th — the
     // per-page gap histories are independent, so both patterns lock.
     let stats = PolicyStats::new(1);
-    let mut p = AdaptivePolicy::new(AdaptConfig::default());
+    let mut p = AdaptivePolicy::new(false);
     let mut misses = [0u32; 2];
     let mut wasted = [0u32; 2];
     for t in 1u64..=60 {
@@ -70,7 +68,7 @@ fn union_of_two_periods_on_one_page_is_captured_with_zero_waste() {
     // need always lands one event before their prediction would fire,
     // breaking the lock just in time — so waste stays exactly zero.
     let stats = PolicyStats::new(1);
-    let mut p = AdaptivePolicy::new(AdaptConfig::default());
+    let mut p = AdaptivePolicy::new(false);
     let mut misses = 0u32;
     let mut covered = 0u32;
     let mut wasted = 0u32;
@@ -113,7 +111,7 @@ fn interleaved_remap_shifts_keep_probe_economy() {
     // The predictor must bound its waste: mispredictions self-correct
     // through gap instability, so off-need prefetches stay rare.
     let stats = PolicyStats::new(1);
-    let mut p = AdaptivePolicy::new(AdaptConfig::default());
+    let mut p = AdaptivePolicy::new(false);
     let mut wasted = 0u32;
     for t in 1u64..=90 {
         let picks = drive(&mut p, &stats, &[9]);

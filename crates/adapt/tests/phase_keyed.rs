@@ -8,23 +8,22 @@
 //! one by driving the same event stream through phase 0 alone, the
 //! phase-keyed one by tagging the two sites.
 
-use adapt::{AdaptConfig, AdaptivePolicy, PageMode, ProtocolPolicy};
-use simnet::{PolicyReport, PolicyStats};
+use adapt::{AdaptivePolicy, PageMode, ProtocolPolicy};
+use simnet::PolicyStats;
 
 const A: u32 = 1;
 const B: u32 = 2;
 
 /// Drive one epoch at `phase` the way `dsm::TmkProc::barrier_tagged`
-/// does — numbered by the epochs `stats` has counted, the decision
-/// counted into `stats` — returning the full decision.
+/// does — the decision counted into `stats` — returning the full
+/// decision.
 fn epoch(
     p: &mut AdaptivePolicy,
     stats: &PolicyStats,
     phase: u32,
     inv: &[u32],
 ) -> dsm::EpochDecision {
-    let e = PolicyReport::capture(stats).epochs + 1;
-    let dec = p.epoch_end(e, phase, inv);
+    let dec = p.epoch_end(phase, inv);
     stats.record_epoch(0, phase, &dec.events);
     dec
 }
@@ -36,7 +35,7 @@ fn epoch(
 /// PR 4 global keying.
 fn run_alternating(phases: (u32, u32), cycles: usize) -> (Vec<bool>, Vec<bool>, AdaptivePolicy) {
     let stats = PolicyStats::new(1);
-    let mut p = AdaptivePolicy::new(AdaptConfig::default());
+    let mut p = AdaptivePolicy::new(false);
     let mut defers_a = Vec::new();
     let mut defers_b = Vec::new();
     for _ in 0..cycles {
@@ -84,10 +83,10 @@ fn global_streak_provably_never_fires_on_alternating_sites() {
 fn phase_keyed_streaks_build_and_quiesce_both_sites() {
     // The same event stream, with the two sites tagged: each phase sees
     // only its own picks ([1] at every A epoch, [2] at every B epoch),
-    // the streaks build independently, and both defer from the
-    // (quiesce_after + 1)-th pick onward — including the run's final
-    // barrier, which is where the deferred plan dies untriggered and
-    // the exchange is saved.
+    // the streaks build independently, and both defer from the third
+    // pick onward (two identical epochs confirm a streak) — including
+    // the run's final barrier, which is where the deferred plan dies
+    // untriggered and the exchange is saved.
     let (defers_a, defers_b, p) = run_alternating((A, B), 32);
     assert_eq!(p.page_mode_in(1, A), PageMode::Prefetch);
     assert_eq!(p.page_mode_in(2, B), PageMode::Prefetch);
@@ -97,7 +96,7 @@ fn phase_keyed_streaks_build_and_quiesce_both_sites() {
         "no cross-phase bleed"
     );
     assert_eq!(p.page_mode_in(2, A), PageMode::Demand);
-    // quiesce_after = 2: picks at epochs k, k+1 confirm; k+2 defers.
+    // A streak of 2: picks at epochs k, k+1 confirm; k+2 defers.
     for (site, defers) in [("A", &defers_a), ("B", &defers_b)] {
         assert!(
             defers.len() >= 6,
@@ -107,7 +106,7 @@ fn phase_keyed_streaks_build_and_quiesce_both_sites() {
         assert_eq!(
             &defers[..2],
             &[false, false],
-            "site {site}: the streak needs quiesce_after confirmations"
+            "site {site}: the streak needs two confirmations"
         );
         assert!(
             defers[2..].iter().all(|&d| d),
@@ -125,7 +124,7 @@ fn deferred_final_plans_quiesce_per_phase() {
     // the engine stops predicting the affected pages — the free-probe
     // feedback, now phase-scoped.
     let stats = PolicyStats::new(1);
-    let mut p = AdaptivePolicy::new(AdaptConfig::default());
+    let mut p = AdaptivePolicy::new(false);
     for _ in 0..8 {
         if epoch(&mut p, &stats, A, &[1]).picks.is_empty() {
             p.note_miss(1);

@@ -25,7 +25,7 @@
 //! prefetching on message count, and no predictor choice changes that
 //! — so the property is stated over the prompt-read regime.
 
-use adapt::{AdaptConfig, AdaptivePolicy};
+use adapt::AdaptivePolicy;
 use dsm::{Cluster, DsmConfig};
 use proptest::prelude::*;
 
@@ -71,12 +71,14 @@ fn positions(nprocs: usize) -> impl Strategy<Value = Vec<Position>> {
     })
 }
 
-/// Run the cycle workload on one cluster; returns (checksum, messages).
-fn run(cycle: &[Position], nprocs: usize, policy: Option<AdaptConfig>) -> (f64, u64) {
+/// Run the cycle workload on one cluster — with the adaptive engine in
+/// pull (`Some(false)`) or push (`Some(true)`) mode, or none; returns
+/// (checksum, messages).
+fn run(cycle: &[Position], nprocs: usize, push: Option<bool>) -> (f64, u64) {
     let cl = Cluster::new(DsmConfig::with_nprocs(nprocs));
     let data = cl.alloc::<f64>(PAGES * ELEMS_PER_PAGE);
-    if let Some(cfg) = &policy {
-        cl.run(|p| p.set_policy(Box::new(AdaptivePolicy::new(cfg.clone()))));
+    if let Some(push) = push {
+        cl.run(|p| p.set_policy(Box::new(AdaptivePolicy::new(push))));
     }
 
     let sums = cl.run(|p| {
@@ -112,8 +114,8 @@ proptest! {
     fn phase_keyed_policy_never_exceeds_base(cycle in positions(3)) {
         let nprocs = 3;
         let (base_sum, base_msgs) = run(&cycle, nprocs, None);
-        let (ad_sum, ad_msgs) = run(&cycle, nprocs, Some(AdaptConfig::default()));
-        let (push_sum, push_msgs) = run(&cycle, nprocs, Some(AdaptConfig::pushing()));
+        let (ad_sum, ad_msgs) = run(&cycle, nprocs, Some(false));
+        let (push_sum, push_msgs) = run(&cycle, nprocs, Some(true));
         // The policy only moves fetches; every build reads identical data.
         prop_assert_eq!(ad_sum.to_bits(), base_sum.to_bits());
         prop_assert_eq!(push_sum.to_bits(), base_sum.to_bits());

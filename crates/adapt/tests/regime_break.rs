@@ -1,36 +1,38 @@
 //! Regime breaks: the pattern the predictor locked onto **dies or
 //! changes mid-run**, at an event no learner was told about. The
-//! engine's answer is the probe cadence — every `probe_every`-th
+//! engine's answer is the probe cadence — every 8th
 //! prediction is withheld at base cost, and the first clean probe
 //! declares the pattern dead — which makes the damage a
 //! stale plan can do *bounded*, and the bound falsifiable:
 //!
 //! * at policy level, a dead pattern is demoted within one probe
-//!   interval (≤ `probe_every` predictions, ≤ `period · probe_every`
-//!   epochs), wasting fewer than `probe_every` prefetches on the way,
+//!   interval (≤ 8 predictions, ≤ `period · 8` epochs), wasting fewer
+//!   than 8 prefetches on the way,
 //!   and a *new* pattern on the same page re-earns promotion;
 //! * at protocol level, across random break points and regime pairs
 //!   (`Dynamics::RegimeShift`) and random rebalance points
 //!   (`Dynamics::Rebalance`), every variant stays bitwise-identical
 //!   and adaptive/push message counts stay within
-//!   `base + probe_budget(probe_every, pages, epochs)` — the bound
+//!   `base + probe_budget(pages, epochs)` — the bound
 //!   [`adapt::probe_budget`] derives from first principles.
 //!
 //! The proptests run 64 cases under `cargo test` and scale to a soak
 //! via `PROPTEST_CASES` (the `make soak` target runs ≥ 512).
 
-use adapt::{probe_budget, AdaptConfig, AdaptivePolicy, PageMode, PolicyReport, ProtocolPolicy};
+use adapt::{probe_budget, AdaptivePolicy, PageMode, PolicyReport, ProtocolPolicy};
 use apps::workload::{run_matrix, Variant};
 use proptest::prelude::*;
 use simnet::PolicyStats;
 use synth::{Dynamics, Prepared, Structure, SynthConfig};
 
+/// The engine's probe cadence: every 8th prediction of a promoted page
+/// is withheld.
+const PROBE_EVERY: u64 = 8;
+
 /// One phase-0 epoch, driven the way `dsm::TmkProc::barrier_tagged`
-/// does: numbered by the epochs `stats` has counted, the decision
-/// counted into `stats`.
+/// does: the decision counted into `stats`.
 fn drive(p: &mut AdaptivePolicy, stats: &PolicyStats, inv: &[u32]) -> Vec<u32> {
-    let epoch = PolicyReport::capture(stats).epochs + 1;
-    let dec = p.epoch_end(epoch, 0, inv);
+    let dec = p.epoch_end(0, inv);
     stats.record_epoch(0, 0, &dec.events);
     dec.picks
 }
@@ -54,21 +56,21 @@ fn learn(p: &mut AdaptivePolicy, stats: &PolicyStats, page: u32, period: u64, t0
 
 #[test]
 fn dead_pattern_demotes_within_one_probe_interval() {
-    let cfg = AdaptConfig::default();
-    let (probe_every, period) = (cfg.probe_every, 3u64);
+    let period = 3u64;
     let stats = PolicyStats::new(1);
-    let mut p = AdaptivePolicy::new(cfg);
+    let mut p = AdaptivePolicy::new(false);
     let mut t = 0u64;
     learn(&mut p, &stats, 1, period, &mut t);
 
     // The break: the page is never needed again. Predictions keep
     // firing on the learned cadence until a probe lands in a window
-    // with no demand miss, and that first contradicting probe demotes. The probe cadence guarantees
-    // one within `probe_every` predictions, i.e. `period · probe_every`
-    // epochs; every prediction before it wastes at most one prefetch.
+    // with no demand miss, and that first contradicting probe demotes.
+    // The probe cadence guarantees one within `PROBE_EVERY` predictions,
+    // i.e. `period · PROBE_EVERY` epochs; every prediction before it
+    // wastes at most one prefetch.
     let mut wasted = 0u64;
     let mut demoted_after = None;
-    for k in 1..=(period * probe_every + period) {
+    for k in 1..=(period * PROBE_EVERY + period) {
         let picks = drive(&mut p, &stats, &[1]);
         wasted += u64::from(picks.contains(&1));
         if p.page_mode(1) == PageMode::Demand {
@@ -78,14 +80,14 @@ fn dead_pattern_demotes_within_one_probe_interval() {
     }
     let k = demoted_after.expect("stale promotion outlived the probe cadence");
     assert!(
-        k <= period * probe_every,
-        "demotion took {k} epochs, bound is period·probe_every = {}",
-        period * probe_every
+        k <= period * PROBE_EVERY,
+        "demotion took {k} epochs, bound is period·PROBE_EVERY = {}",
+        period * PROBE_EVERY
     );
     assert!(
-        wasted < probe_every,
+        wasted < PROBE_EVERY,
         "a dead pattern wasted {wasted} prefetches; the probe cadence \
-         bounds it below probe_every = {probe_every}"
+         bounds it below PROBE_EVERY = {PROBE_EVERY}"
     );
     let rep = PolicyReport::capture(&stats);
     assert!(rep.demotions >= 1, "the break must show up as a demotion");
@@ -95,7 +97,7 @@ fn dead_pattern_demotes_within_one_probe_interval() {
 #[test]
 fn new_pattern_on_the_same_page_re_earns_promotion() {
     let stats = PolicyStats::new(1);
-    let mut p = AdaptivePolicy::new(AdaptConfig::default());
+    let mut p = AdaptivePolicy::new(false);
     let mut t = 0u64;
     learn(&mut p, &stats, 5, 3, &mut t);
 
@@ -129,7 +131,7 @@ fn new_pattern_on_the_same_page_re_earns_promotion() {
     );
     assert_eq!(p.page_gap(5), Some(4), "the new period, not the old one");
     // Once re-locked, only the probe cadence may miss: ≤ 1 per
-    // probe_every predictions over the last 24 epochs (6 needs).
+    // `PROBE_EVERY` predictions over the last 24 epochs (6 needs).
     assert!(
         misses_late <= 1,
         "re-promoted page still missed {misses_late}× in steady state"
@@ -159,7 +161,7 @@ fn pages(cfg: &SynthConfig) -> u64 {
 /// Runs the full matrix (which itself asserts all six variants
 /// bitwise-identical) and checks the message-count budget bound.
 fn check_budget(cfg: SynthConfig) {
-    let budget = probe_budget(cfg.adapt.probe_every, pages(&cfg), cfg.iters as u64);
+    let budget = probe_budget(pages(&cfg), cfg.iters as u64);
     let m = run_matrix(&Prepared::new(cfg));
     let base = m.get(Variant::TmkBase).report.messages;
     for v in [Variant::TmkAdaptive, Variant::TmkPush] {

@@ -13,16 +13,12 @@ use simnet::{NetReport, PolicyReport, SimTime};
 use crate::report::{RunReport, Variant};
 
 /// Install the runtime-adaptive engine on processor `p` when `v` is one
-/// of the adaptive builds (`knobs.push` is overridden to select
-/// update-push for [`Variant::TmkPush`]); a no-op for every other
-/// variant. Every Tmk kernel calls this first thing in its SPMD body.
-pub fn install_policy(p: &mut sdsm_core::TmkProc, v: Variant, knobs: &adapt::AdaptConfig) {
+/// of the adaptive builds — in update-push mode for
+/// [`Variant::TmkPush`]; a no-op for every other variant. Every Tmk
+/// kernel calls this first thing in its SPMD body.
+pub fn install_policy(p: &mut sdsm_core::TmkProc, v: Variant) {
     if v.is_adaptive() {
-        let knobs = adapt::AdaptConfig {
-            push: v == Variant::TmkPush,
-            ..knobs.clone()
-        };
-        p.set_policy(Box::new(adapt::AdaptivePolicy::new(knobs)));
+        p.set_policy(Box::new(adapt::AdaptivePolicy::new(v == Variant::TmkPush)));
     }
 }
 

@@ -13,7 +13,6 @@
 
 use std::ops::Range;
 
-use adapt::AdaptConfig;
 use chaos::{gather, inspector, scatter_add, ChaosProc, ChaosWorld, Partition};
 use chaos::{TTable, TTableCache, TTableKind};
 use rsd::{Env, Rsd, SymRsd};
@@ -314,8 +313,8 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
     }
 
     /// The kernel on the DSM as one of the [`Variant::TMK`] builds; the
-    /// adaptive ones run the base program under the default
-    /// [`AdaptConfig`], which learns the repeating reads in a few steps.
+    /// adaptive ones run the base program under the adaptive engine,
+    /// which learns the repeating reads in a few steps.
     fn run_tmk(&self, variant: Variant, seq_time: SimTime) -> (RunReport, Vec<f64>) {
         variant.expect_tmk("pair::Kernel::run_tmk");
         let prm = &self.params;
@@ -335,7 +334,7 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
         };
 
         let ranks = cl.run(|p| {
-            install_policy(p, variant, &AdaptConfig::default());
+            install_policy(p, variant);
             let me = p.rank();
             let my = part.range_of(me);
             let page = p.page_size();

@@ -20,7 +20,6 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use adapt::AdaptConfig;
 use rsd::{Dim, Rsd};
 use sdsm_core::{
     validate, AccessType, Cluster, Desc, DsmConfig, RegionRef, SharedSlice, TmkProc, Validator,
@@ -66,8 +65,6 @@ pub struct Params {
     /// The cluster shape; CHAOS runs on `nprocs` processors under the
     /// same cost model.
     pub dsm: DsmConfig,
-    /// Knobs of the adaptive builds.
-    pub adapt: AdaptConfig,
     /// Modeled cost of one incident-flux evaluation, charged per visit
     /// (cross-block pairs are evaluated by both endpoint owners).
     pub visit_us: f64,
@@ -390,7 +387,7 @@ impl Kernel {
         let ilist = cl.alloc::<i32>(2 * cap_pp * nprocs);
 
         let ranks = cl.run(|p| {
-            install_policy(p, variant, &self.params.adapt);
+            install_policy(p, variant);
             let me = p.rank();
             let mut cur_sv = 0;
             let mut my = pl.owned(cur_sv, me);

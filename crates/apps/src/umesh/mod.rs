@@ -22,8 +22,8 @@
 //! the edge list once, and the adaptive builds promote the whole
 //! ghost-page set from the second sweep on, collapsing the per-sweep
 //! demand traffic into one exchange per neighbouring partition. A
-//! static mesh cannot dissolve that pattern, so probes are pure
-//! re-validation and the default [`adapt::AdaptConfig`] is fine.
+//! static mesh cannot dissolve that pattern, so the engine's probes are
+//! pure re-validation.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

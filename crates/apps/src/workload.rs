@@ -21,7 +21,6 @@
 //!   `Tolerance` where a pipelined reduction reassociates floating-point
 //!   addition (moldyn, nbf).
 
-use adapt::AdaptConfig;
 use chaos::{block_partition, rcb_partition, TTableKind};
 use sdsm_core::DsmConfig;
 use simnet::SimTime;
@@ -313,7 +312,6 @@ impl UmeshWorkload {
         };
         let params = Params {
             dsm: dsm_config(cfg.nprocs, cfg.page_size, &cfg.cost),
-            adapt: AdaptConfig::default(),
             visit_us: umesh::EDGE_US,
             iter_tag: phases::UPDATE,
             parity_split: false,

@@ -70,12 +70,12 @@ impl Scale {
 /// The probe-budget message slack a churn cell is granted over the
 /// steady-state `adaptive ≤ base` bar: every processor can hold a stale
 /// plan on at most every shared value page, and each stale plan wastes
-/// at most `min(probe_every, iters)` exchanges of ≤ 2 messages before
+/// at most `min(8, iters)` exchanges of ≤ 2 messages before
 /// the probe cadence demotes it (`adapt::probe_budget`). `table_synth`
 /// relaxes its per-cell bars by exactly this on churn cells.
 pub fn churn_budget(cfg: &synth::SynthConfig) -> u64 {
     let pages = ((cfg.n * 8).div_ceil(cfg.page_size) * cfg.nprocs) as u64;
-    adapt::probe_budget(cfg.adapt.probe_every, pages, cfg.iters as u64)
+    adapt::probe_budget(pages, cfg.iters as u64)
 }
 
 /// The systems of the paper's §5 one-processor runs, after `seq`.

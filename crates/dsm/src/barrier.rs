@@ -173,18 +173,12 @@ impl TmkProc<'_> {
         // no policy counter is touched.
         let dec = match &mut self.inner.policy {
             Some(policy) => {
-                let dec = policy.epoch_end(epoch, phase, &invalidated);
+                let dec = policy.epoch_end(phase, &invalidated);
                 cl.net().policy().record_epoch(self.me, phase, &dec.events);
                 if cl.net().tracing() {
                     for &(page, act) in &dec.events {
-                        cl.net().trace(
-                            self.me,
-                            TraceEvent::Policy {
-                                page,
-                                phase: dec.phase,
-                                act,
-                            },
-                        );
+                        cl.net()
+                            .trace(self.me, TraceEvent::Policy { page, phase, act });
                     }
                 }
                 dec
@@ -200,31 +194,29 @@ impl TmkProc<'_> {
                 // the phase-recurrence rule above just discarded any
                 // same-phase leftover.
                 debug_assert!(
-                    !self.inner.deferred.iter().any(|d| d.phase == dec.phase),
+                    !self.inner.deferred.iter().any(|d| d.phase == phase),
                     "same-phase plan survived its own phase's barrier"
                 );
-                cl.net().policy().record_deferred(self.me, dec.phase);
+                cl.net().policy().record_deferred(self.me, phase);
                 cl.net().trace(
                     self.me,
                     TraceEvent::PlanDefer {
-                        phase: dec.phase,
+                        phase,
                         pages: todo.len() as u32,
                     },
                 );
                 self.inner.deferred.push(crate::proc::DeferredPlan {
                     pages: todo,
-                    phase: dec.phase,
+                    phase,
                     armed_at: epoch,
                 });
             } else if dec.push {
-                cl.net()
-                    .policy()
-                    .record_push(self.me, dec.phase, todo.len());
-                self.fetch_pages_push(&todo, dec.phase);
+                cl.net().policy().record_push(self.me, phase, todo.len());
+                self.fetch_pages_push(&todo, phase);
             } else {
                 cl.net()
                     .policy()
-                    .record_prefetch(self.me, dec.phase, todo.len());
+                    .record_prefetch(self.me, phase, todo.len());
                 self.fetch_pages(&todo, crate::FetchClass::Prefetch);
             }
         }

@@ -32,7 +32,9 @@
 /// What a [`ProtocolPolicy`] decided at one barrier epoch boundary.
 ///
 /// The default ([`EpochDecision::none`]) is plain demand paging: no
-/// pages picked, nothing deferred, pull semantics, phase 0.
+/// pages picked, nothing deferred, pull semantics. The protocol layer
+/// bills whatever the decision causes against the phase of the barrier
+/// that asked for it.
 #[derive(Debug, Clone, Default)]
 pub struct EpochDecision {
     /// Pages to bring up to date this epoch instead of leaving them to
@@ -60,13 +62,6 @@ pub struct EpochDecision {
     ///
     /// [`FetchClass::Push`]: crate::FetchClass::Push
     pub push: bool,
-    /// The phase identity (barrier-site tag) that owns this decision.
-    /// The protocol layer bills the resulting prefetch/push/deferred/
-    /// quiesced traffic against this plan, so multi-barrier apps see a
-    /// per-site breakdown instead of one aliased stream. Policies
-    /// should echo the `phase` passed to
-    /// [`ProtocolPolicy::epoch_end`].
-    pub phase: u32,
     /// Per-page decision records made while forming this decision
     /// (promotions, demotions, withheld probes), in decision order. The
     /// protocol layer counts each into [`simnet::PolicyStats`] and emits
@@ -80,18 +75,6 @@ impl EpochDecision {
     /// The demand-paging decision: nothing picked.
     pub fn none() -> Self {
         EpochDecision::default()
-    }
-
-    /// An eager pull-mode prefetch of `picks` (PR 2's behavior),
-    /// attributed to phase 0.
-    pub fn prefetch(picks: Vec<u32>) -> Self {
-        EpochDecision {
-            picks,
-            defer: false,
-            push: false,
-            phase: 0,
-            events: Vec::new(),
-        }
     }
 }
 
@@ -119,11 +102,11 @@ pub trait ProtocolPolicy: Send + std::fmt::Debug {
     /// prefetch mask the absence of a miss.
     fn note_quiesced(&mut self, _phase: u32, _pages: &[u32]) {}
 
-    /// A barrier epoch boundary. `epoch` is the barrier sequence
-    /// number; `phase` is the barrier site's stable identity (the tag
-    /// passed to [`TmkProc::barrier_tagged`]; plain [`TmkProc::barrier`]
-    /// is phase 0) — multi-barrier apps tag each site so a policy can
-    /// keep its learned state per site instead of aliasing them;
+    /// A barrier epoch boundary. `phase` is the barrier site's stable
+    /// identity (the tag passed to [`TmkProc::barrier_tagged`]; plain
+    /// [`TmkProc::barrier`] is phase 0) — multi-barrier apps tag each
+    /// site so a policy can keep its learned state per site instead of
+    /// aliasing them;
     /// `invalidated` the pages write notices just invalidated for this
     /// processor (sorted, deduplicated). Returns an [`EpochDecision`]:
     /// which pages to bring up to date in one aggregated exchange per
@@ -133,7 +116,7 @@ pub trait ProtocolPolicy: Send + std::fmt::Debug {
     ///
     /// [`TmkProc::barrier_tagged`]: crate::TmkProc::barrier_tagged
     /// [`TmkProc::barrier`]: crate::TmkProc::barrier
-    fn epoch_end(&mut self, _epoch: u64, _phase: u32, _invalidated: &[u32]) -> EpochDecision {
+    fn epoch_end(&mut self, _phase: u32, _invalidated: &[u32]) -> EpochDecision {
         EpochDecision::none()
     }
 }

@@ -12,8 +12,6 @@ use dsm::{Cluster, DsmConfig, EpochDecision, MsgKind, PolicyReport, ProtocolPoli
 /// all four protocol shapes.
 #[derive(Debug, Default)]
 struct PrefetchAll {
-    misses: Vec<u32>,
-    epochs: Vec<u64>,
     push: bool,
     defer: bool,
 }
@@ -35,16 +33,11 @@ impl PrefetchAll {
 }
 
 impl ProtocolPolicy for PrefetchAll {
-    fn note_miss(&mut self, page: u32) {
-        self.misses.push(page);
-    }
-    fn epoch_end(&mut self, epoch: u64, phase: u32, invalidated: &[u32]) -> EpochDecision {
-        self.epochs.push(epoch);
+    fn epoch_end(&mut self, _phase: u32, invalidated: &[u32]) -> EpochDecision {
         EpochDecision {
             picks: invalidated.to_vec(),
             defer: self.defer,
             push: self.push,
-            phase,
             events: Vec::new(),
         }
     }
@@ -131,7 +124,7 @@ fn policy_hooks_observe_misses_and_epochs() {
         fn note_miss(&mut self, _page: u32) {
             self.misses += 1;
         }
-        fn epoch_end(&mut self, _epoch: u64, _phase: u32, _inv: &[u32]) -> EpochDecision {
+        fn epoch_end(&mut self, _phase: u32, _inv: &[u32]) -> EpochDecision {
             self.epochs += 1;
             EpochDecision::none()
         }

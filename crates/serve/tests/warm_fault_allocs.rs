@@ -35,7 +35,7 @@ static PUSH_START: AtomicU64 = AtomicU64::new(0);
 struct PushNeighbours;
 
 impl ProtocolPolicy for PushNeighbours {
-    fn epoch_end(&mut self, _epoch: u64, phase: u32, _invalidated: &[u32]) -> EpochDecision {
+    fn epoch_end(&mut self, phase: u32, _invalidated: &[u32]) -> EpochDecision {
         if phase != PUSH_PHASE {
             return EpochDecision::none();
         }
@@ -45,7 +45,6 @@ impl ProtocolPolicy for PushNeighbours {
             picks,
             defer: false,
             push: true,
-            phase,
             events: Vec::new(),
         }
     }

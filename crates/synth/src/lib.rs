@@ -99,8 +99,6 @@ pub struct SynthConfig {
     pub seed: u64,
     pub page_size: usize,
     pub cost: CostModel,
-    /// Knobs for the adaptive variant (default: `AdaptConfig::default()`).
-    pub adapt: adapt::AdaptConfig,
 }
 
 impl SynthConfig {
@@ -120,7 +118,6 @@ impl SynthConfig {
             seed: 2024,
             page_size: 512,
             cost: CostModel::default(),
-            adapt: adapt::AdaptConfig::default(),
         }
     }
 
@@ -137,7 +134,6 @@ impl SynthConfig {
             seed: 2024,
             page_size: 1024,
             cost: CostModel::default(),
-            adapt: adapt::AdaptConfig::default(),
         }
     }
 
@@ -262,7 +258,6 @@ impl Prepared {
                 page_size: cfg.page_size,
                 cost: cfg.cost.clone(),
             },
-            adapt: cfg.adapt.clone(),
             visit_us: REF_US,
             iter_tag: PHASE_ITER,
             parity_split: cfg.dynamics == Dynamics::Alternating,

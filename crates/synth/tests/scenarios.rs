@@ -106,44 +106,39 @@ fn multi_periodic_scenario_exercises_the_predictor() {
 fn quiesce_saves_the_final_barrier_prefetch_on_identical_epochs() {
     // A static cell is the "identical epochs" regime: the same page set
     // is invalidated and re-read every iteration, so the adaptive picks
-    // are literally the same set each barrier. Probes are pushed out of
-    // range so the pick stream is perfectly identical, isolating the
-    // quiesce heuristic.
+    // are literally the same set each barrier. The push build of the
+    // same cell runs the same predictor and never defers, so its push
+    // rounds count every plan the pull build armed.
     let mut cfg = tiny(Structure::Uniform, Dynamics::Static);
     cfg.iters = 12;
-    cfg.adapt.probe_every = 64;
-    let mut eager_cfg = cfg.clone();
-    eager_cfg.adapt.quiesce_after = 0; // PR 2 behavior: always eager
-    let quiet_cell = Prepared::new(cfg);
-    let (seq, _) = quiet_cell.run(Variant::Seq, simnet::SimTime::ZERO);
-    let (eager, xe) = Prepared::new(eager_cfg).run(Variant::TmkAdaptive, seq.time);
-    let (quiet, xq) = quiet_cell.run(Variant::TmkAdaptive, seq.time);
+    let cell = Prepared::new(cfg);
+    let (seq, _) = cell.run(Variant::Seq, simnet::SimTime::ZERO);
+    let (push, xp) = cell.run(Variant::TmkPush, seq.time);
+    let (quiet, xq) = cell.run(Variant::TmkAdaptive, seq.time);
 
-    assert_eq!(xq, xe, "quiesce must not change results");
-    let pe = eager.policy.as_ref().expect("policy report");
+    assert_eq!(xq, xp, "quiesce must not change results");
+    let pp = push.policy.as_ref().expect("policy report");
     let pq = quiet.policy.as_ref().expect("policy report");
-    assert_eq!(pe.deferred_plans, 0, "quiesce_after: 0 never defers");
-    assert_eq!(pe.quiesced_plans, 0);
+    assert_eq!(pp.deferred_plans, 0, "push mode never defers");
     assert!(pq.deferred_plans > 0, "identical epochs must defer");
     assert!(
         pq.quiesced_plans > 0,
         "the final-barrier plans must go untriggered"
     );
-    // Zero final-barrier prefetch messages, in counter form: every
-    // exchange the eager policy issued either still fires (triggered by
-    // the epoch's first touch) or quiesces — and the quiesced ones are
-    // exactly the final-barrier waste, so the totals drop.
+    // Zero final-barrier prefetch messages, in counter form: every plan
+    // the eager push build issued either still fires in the pull build
+    // (triggered by the epoch's first touch) or quiesces — and the
+    // quiesced ones are exactly the final-barrier waste.
     assert_eq!(
         pq.prefetch_rounds + pq.quiesced_plans,
-        pe.prefetch_rounds,
+        pp.push_rounds,
         "deferred rounds must fire or quiesce, never duplicate"
     );
-    assert!(
-        quiet.messages < eager.messages,
-        "quiesce {} !< eager {}",
-        quiet.messages,
-        eager.messages
+    assert_eq!(
+        (pq.prefetch_rounds, pq.deferred_plans, pq.quiesced_plans),
+        (32, 28, 4)
     );
+    assert_eq!(quiet.messages, 632);
 }
 
 #[test]

@@ -8,22 +8,23 @@
 //! cargo run --release --example adaptive
 //! ```
 
-use sdsm_repro::adapt::{AdaptConfig, AdaptivePolicy};
+use sdsm_repro::adapt::AdaptivePolicy;
 use sdsm_repro::dsm::{Cluster, DsmConfig};
 
 /// An irregular producer/consumer: each epoch, every processor writes
 /// its block and then reads a seeded scatter of remote elements — the
 /// access pattern is data-dependent (no compiler could name it), but
-/// stable across epochs, which is exactly what the engine learns.
-fn run(policy: Option<AdaptConfig>) -> (u64, u64, sdsm_repro::simnet::PolicyReport) {
+/// stable across epochs, which is exactly what the engine learns. With
+/// `Some(push)` the engine runs in pull (`false`) or push (`true`) mode.
+fn run(push: Option<bool>) -> (u64, u64, sdsm_repro::simnet::PolicyReport) {
     let nprocs = 4;
     let epochs = 8;
     let n = 16 * 512; // 16 pages of f64 at 4 KB
     let cl = Cluster::new(DsmConfig::with_nprocs(nprocs));
     let data = cl.alloc::<f64>(n);
 
-    if let Some(cfg) = policy {
-        cl.run(|p| p.set_policy(Box::new(AdaptivePolicy::new(cfg.clone()))));
+    if let Some(push) = push {
+        cl.run(|p| p.set_policy(Box::new(AdaptivePolicy::new(push))));
     }
 
     cl.run(|p| {
@@ -58,8 +59,8 @@ fn run(policy: Option<AdaptConfig>) -> (u64, u64, sdsm_repro::simnet::PolicyRepo
 fn main() {
     println!("=== adaptive: runtime-learned aggregation, no compiler hints ===\n");
     let (base_msgs, base_bytes, _) = run(None);
-    let (ad_msgs, ad_bytes, pol) = run(Some(AdaptConfig::default()));
-    let (push_msgs, push_bytes, push_pol) = run(Some(AdaptConfig::pushing()));
+    let (ad_msgs, ad_bytes, pol) = run(Some(false));
+    let (push_msgs, push_bytes, push_pol) = run(Some(true));
 
     println!("{:<18} {:>10} {:>12}", "System", "Messages", "Bytes");
     println!("{:<18} {:>10} {:>12}", "Tmk base", base_msgs, base_bytes);

@@ -92,10 +92,10 @@ fn umesh_example_path() {
 /// pattern and cuts messages without compiler hints.
 #[test]
 fn adaptive_example_path() {
-    use sdsm_repro::adapt::{AdaptConfig, AdaptivePolicy};
+    use sdsm_repro::adapt::AdaptivePolicy;
     let cl = Cluster::new(DsmConfig::with_nprocs(4));
     let data = cl.alloc::<f64>(8 * 512);
-    cl.run(|p| p.set_policy(Box::new(AdaptivePolicy::new(AdaptConfig::default()))));
+    cl.run(|p| p.set_policy(Box::new(AdaptivePolicy::new(false))));
     cl.run(|p| {
         let me = p.rank();
         let n = data.len();
