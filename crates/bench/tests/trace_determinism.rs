@@ -106,7 +106,7 @@ fn app_trace(w: &dyn Workload, nprocs: usize, v: Variant) -> String {
 }
 
 /// Every fault, fetch, twin, message and barrier of the Tmk builds of
-/// moldyn and nbf (base, optimized, adaptive) and of umesh (base), in
+/// moldyn and nbf (base, optimized, adaptive, push) and of umesh (base), in
 /// order and with its virtual timestamp: a change to how the kernels
 /// touch shared memory that moves one fault moves a digest.
 #[test]
@@ -115,13 +115,16 @@ fn app_trace_digests_are_pinned() {
     let nbf = NbfWorkload::new(NbfConfig::small());
     let umesh = UmeshWorkload::new(UmeshConfig::small());
     let (base, opt, adaptive) = (Variant::TmkBase, Variant::TmkOpt, Variant::TmkAdaptive);
-    let golden: [(&dyn Workload, usize, Variant, u64); 7] = [
+    let push = Variant::TmkPush;
+    let golden: [(&dyn Workload, usize, Variant, u64); 9] = [
         (&moldyn, moldyn.cfg.nprocs, base, 0x9e32_edc4_2f12_e578),
         (&moldyn, moldyn.cfg.nprocs, opt, 0xe49a_e41d_be03_8ed7),
         (&moldyn, moldyn.cfg.nprocs, adaptive, 0x4e19_9a46_5034_169d),
+        (&moldyn, moldyn.cfg.nprocs, push, 0xcd13_c9f6_5db5_25e4),
         (&nbf, nbf.cfg.nprocs, base, 0x3369_7697_efdd_dea4),
         (&nbf, nbf.cfg.nprocs, opt, 0xc20e_dab2_ea7b_b676),
         (&nbf, nbf.cfg.nprocs, adaptive, 0x4621_82e6_ef16_f84b),
+        (&nbf, nbf.cfg.nprocs, push, 0x5506_e3f2_08f1_3d02),
         (&umesh, umesh.cfg.nprocs, base, 0x8748_64be_4be6_7b51),
     ];
     let mut moved = Vec::new();
@@ -138,6 +141,26 @@ fn app_trace_digests_are_pinned() {
         moved.is_empty(),
         "trace digests moved:\n{}",
         moved.join("\n")
+    );
+}
+
+/// The base build of the benchmark's own moldyn cell (`apps_quick`'s:
+/// table1 `--quick` sizing, 2048 molecules on 4 KiB pages, rebuilt every
+/// 15 steps, 8 processors). Its 24-byte triples straddle pages, which
+/// `MoldynConfig::small`'s 1 KiB pages also do, but here every processor
+/// reads hundreds of remote triples per step.
+#[test]
+fn moldyn_benchmark_cell_trace_digest_is_pinned() {
+    let mut cfg = MoldynConfig::paper(15);
+    cfg.n = 2048;
+    cfg.cutoff_frac = 0.2;
+    let moldyn = MoldynWorkload::new(cfg);
+    let digest = fnv1a(&app_trace(&moldyn, moldyn.cfg.nprocs, Variant::TmkBase));
+    assert_eq!(
+        digest,
+        0x144a_8aea_937c_dc14,
+        "{}: trace digest moved: {digest:#018x}",
+        moldyn.label()
     );
 }
 
