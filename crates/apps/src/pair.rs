@@ -341,8 +341,9 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
             let mut v = Validator::new();
             let mut local = vec![[0.0f64; W]; n]; // private local_forces (Figure 2)
             let mut my_npairs = 0;
-            // One page run of partner entries, and of forces.
-            let mut run_partners = vec![0i32; page / 4];
+            let mut image = Image::new(&x, page);
+            // One page run of indirection entries, and of forces.
+            let mut run_ind = vec![0i32; page / 4];
             let mut run_forces = vec![0.0f64; page / 8];
 
             // --- untimed init: owners write their values and partner
@@ -398,13 +399,12 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
                             validate(p, &mut v, &[indirect(xs, ilist, dims, sec)]);
                         }
                         zero(p, &mut local);
-                        for k in 0..my_npairs {
-                            let [i, j] = p.read_array::<i32, 2>(&ilist, 2 * (my_start + k));
-                            let (i, j) = (i as usize - 1, j as usize - 1);
-                            let xi = p.read_array::<f64, W>(&x, W * i);
-                            let xj = p.read_array::<f64, W>(&x, W * j);
-                            newton3(&mut local, i, j, self.law.force(&xi, &xj));
-                        }
+                        image.reset();
+                        let mine = 2 * my_start..2 * (my_start + my_npairs);
+                        image.pairs(p, &x, &ilist, mine, &mut run_ind, |vals, i, j| {
+                            newton3(&mut local, i, j, self.law.force(&vals[i], &vals[j]));
+                        });
+                        image.debug_check(p, &x, &mut run_forces);
                         my_npairs
                     }
                     Shared::Partners(partners, last) => {
@@ -422,21 +422,27 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
                             validate(p, &mut v, &descs);
                         }
                         zero(p, &mut local);
+                        image.reset();
                         for i in my.clone() {
                             let [lo, hi] = p.read_array::<i32, 2>(&last, i);
-                            let xi = p.read_array::<f64, W>(&x, W * i);
-                            // A run's x(j) reads follow its entries, as
-                            // the element loop orders them.
+                            image.touch(p, &x, i);
+                            // Per run of partner entries: the touch pass
+                            // over its x(j), in entry order, then the
+                            // compute pass from the image.
                             for run in partners.page_runs(lo as usize..hi as usize, page) {
-                                let js = &mut run_partners[..run.len()];
+                                let js = &mut run_ind[..run.len()];
                                 p.read_slice(&partners, run.start, js);
                                 for &j in &*js {
+                                    image.touch(p, &x, j as usize - 1);
+                                }
+                                let vals = &image.vals;
+                                for &j in &*js {
                                     let j = j as usize - 1;
-                                    let xj = p.read_array::<f64, W>(&x, W * j);
-                                    newton3(&mut local, i, j, self.law.force(&xi, &xj));
+                                    newton3(&mut local, i, j, self.law.force(&vals[i], &vals[j]));
                                 }
                             }
                         }
+                        image.debug_check(p, &x, &mut run_forces);
                         mine.len()
                     }
                 };
@@ -638,6 +644,140 @@ impl<const W: usize, L: Law<W>> Kernel<W, L> {
     }
 }
 
+/// A processor's private image of the value array `x` for one step's
+/// pair loop, so that the loop's random `x(j)` reads are plain slice
+/// reads: TreadMarks's MMU lets a read of a valid page through at no
+/// cost, while [`TmkProc::read_array`] pays a frame lookup per call.
+///
+/// The loop runs in two passes per page run of its indirection entries.
+/// The *touch* pass visits the run's elements in loop order and copies
+/// each page of `x` here on its first touch this step, through
+/// [`TmkProc::read_slice`], whose page check faults exactly where the
+/// element loop's `read_array` would. The *compute* pass then runs the
+/// force law from the image alone. Compute is billed once, after the
+/// loop, so every fault and fetch keeps its place and virtual time.
+///
+/// Exact for two reasons. Only a barrier lowers a page state, so a page
+/// once readable stays readable to the loop's end. And the pair loop
+/// writes no shared page (its forces are private), so a page copied
+/// right after its fault equals its frame until the next barrier.
+/// [`Image::debug_check`] asserts the second fact in debug builds.
+struct Image<const W: usize> {
+    /// `x` by element; only the pages copied this step are current.
+    vals: Vec<[f64; W]>,
+    /// Per page of `x`: copied this step.
+    copied: Vec<bool>,
+    /// `x`'s first page.
+    first: usize,
+    /// `log2(page size)`: page and slot numbers come from shifts, as in
+    /// the software MMU.
+    shift: u32,
+}
+
+impl<const W: usize> Image<W> {
+    /// An image of `x` (`W` values per element, page-aligned, as
+    /// [`Cluster::alloc`] places it) on `page`-byte pages.
+    fn new(x: &SharedSlice<f64>, page: usize) -> Self {
+        assert!(page.is_power_of_two() && x.base_byte() & (page - 1) == 0);
+        let shift = page.trailing_zeros();
+        Image {
+            vals: vec![[0.0; W]; x.len() / W],
+            copied: vec![false; (8 * x.len()).div_ceil(page)],
+            first: x.base_byte() >> shift,
+            shift,
+        }
+    }
+
+    /// Forget every copy: the step's barriers may have invalidated them.
+    fn reset(&mut self) {
+        self.copied.fill(false);
+    }
+
+    /// The touch of element `e`: copy its page, or the two pages its `W`
+    /// values straddle in order, on their first touch this step.
+    #[inline]
+    fn touch(&mut self, p: &mut TmkProc, x: &SharedSlice<f64>, e: usize) {
+        let byte = 8 * W * e;
+        let lo = byte >> self.shift;
+        if !self.copied[lo] {
+            self.copy(p, x, lo);
+        }
+        // An element of a power-of-two size never straddles a page.
+        if !(8 * W).is_power_of_two() {
+            let hi = (byte + 8 * W - 1) >> self.shift;
+            if !self.copied[hi] {
+                self.copy(p, x, hi);
+            }
+        }
+    }
+
+    /// The values of `x` on its page `pg`.
+    fn span(&self, x: &SharedSlice<f64>, pg: usize) -> Range<usize> {
+        (pg << self.shift) >> 3..(((pg + 1) << self.shift) >> 3).min(x.len())
+    }
+
+    /// Copy page `pg` of `x`, faulting it in if it is invalid.
+    #[cold]
+    #[inline(never)]
+    fn copy(&mut self, p: &mut TmkProc, x: &SharedSlice<f64>, pg: usize) {
+        let span = self.span(x, pg);
+        p.read_slice(x, span.start, &mut self.vals.as_flattened_mut()[span]);
+        self.copied[pg] = true;
+    }
+
+    /// The pair loop over the 1-based pair list `ilist[pairs]`: per page
+    /// run of pairs, the touch pass, then `compute(image, i, j)` for
+    /// each 0-based pair `(i, j)` in list order.
+    fn pairs(
+        &mut self,
+        p: &mut TmkProc,
+        x: &SharedSlice<f64>,
+        ilist: &SharedSlice<i32>,
+        pairs: Range<usize>,
+        run_ind: &mut [i32],
+        mut compute: impl FnMut(&[[f64; W]], usize, usize),
+    ) {
+        for run in ilist.page_runs(pairs, 1 << self.shift) {
+            // A pair is 8 bytes at an even index of a page-aligned
+            // list, so it never straddles a page: runs hold whole pairs.
+            debug_assert!(run.len() % 2 == 0);
+            let ind = &mut run_ind[..run.len()];
+            p.read_slice(ilist, run.start, ind);
+            for ij in ind.chunks_exact(2) {
+                self.touch(p, x, ij[0] as usize - 1);
+                self.touch(p, x, ij[1] as usize - 1);
+            }
+            for ij in ind.chunks_exact(2) {
+                compute(&self.vals, ij[0] as usize - 1, ij[1] as usize - 1);
+            }
+        }
+    }
+
+    /// Debug builds: every copied page is still readable and equals its
+    /// frame, read back through `scratch` (a page of `f64`s) — the loop
+    /// wrote no shared page.
+    fn debug_check(&self, p: &mut TmkProc, x: &SharedSlice<f64>, scratch: &mut [f64]) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for pg in (0..self.copied.len()).filter(|&pg| self.copied[pg]) {
+            assert!(
+                !p.page_invalid((self.first + pg) as u32),
+                "page {pg} of x lost"
+            );
+            let span = self.span(x, pg);
+            let frame = &mut scratch[..span.len()];
+            p.read_slice(x, span.start, frame);
+            let image = &self.vals.as_flattened()[span];
+            let same = frame
+                .iter()
+                .zip(image)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "page {pg} of x changed during the pair loop");
+        }
+    }
+}
+
 /// Zero the private force array, charged per value.
 fn zero<const W: usize>(p: &mut TmkProc, local: &mut [[f64; W]]) {
     local.fill([0.0; W]);
@@ -663,4 +803,148 @@ fn allgather<const W: usize>(
         }
     });
     all[part.range_of(me)].copy_from_slice(own);
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use dsm::ProcCounters;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use simnet::with_trace_sink;
+    use trace::{Trace, Tracer};
+
+    use super::*;
+
+    /// One pair loop on a fresh cluster: `n` triples and each rank's
+    /// `pairs_pp` pairs of `pairs` (0-based, flat), with the pages in
+    /// `rewrite` (numbered from `x`'s first, through the list) rewritten
+    /// by their one writer just before the loop, so they are invalid on
+    /// every other rank.
+    #[derive(Debug)]
+    struct Case {
+        nprocs: usize,
+        page: usize,
+        n: usize,
+        pairs: Vec<u32>,
+        rewrite: Vec<(u32, usize)>,
+    }
+
+    impl Case {
+        fn new(nprocs: usize, page: usize, seed: u64) -> Case {
+            let mut g = StdRng::seed_from_u64(seed);
+            let n = g.gen_range(8..4 * page / 8);
+            let pairs_pp = g.gen_range(0..3 * page / 8);
+            let pairs = (0..2 * pairs_pp * nprocs)
+                .map(|_| g.gen_range(0..n as u32))
+                .collect();
+            let npages = (24 * n).div_ceil(page) + (8 * pairs_pp * nprocs).div_ceil(page);
+            let mut rewrite = Vec::new();
+            for pg in 0..npages as u32 {
+                if g.gen_bool(0.5) {
+                    rewrite.push((pg, g.gen_range(0..nprocs)));
+                }
+            }
+            Case {
+                nprocs,
+                page,
+                n,
+                pairs,
+                rewrite,
+            }
+        }
+    }
+
+    /// Per rank, the values the loop read for each pair, its counters and
+    /// its clock; and the cluster's whole trace.
+    type Observed = (Vec<(Vec<u64>, ProcCounters, u64)>, Trace);
+
+    fn run(case: &Case, image: bool) -> Observed {
+        let tracer = Arc::new(Tracer::new(case.nprocs, 1 << 14));
+        let mut cfg = DsmConfig::with_nprocs(case.nprocs);
+        cfg.page_size = case.page;
+        let cl = with_trace_sink(tracer.clone(), || Cluster::new(cfg));
+        let x = cl.alloc::<f64>(3 * case.n);
+        let ilist = cl.alloc::<i32>(case.pairs.len());
+        let first = x.base_byte() / case.page;
+        let per_rank = case.pairs.len() / case.nprocs;
+        let observed = cl.run(|p| {
+            let me = p.rank();
+            if me == 0 {
+                let vals: Vec<f64> = (0..x.len()).map(|k| k as f64 * 0.5).collect();
+                p.write_slice(&x, 0, &vals);
+                let entries: Vec<i32> = case.pairs.iter().map(|&e| e as i32 + 1).collect();
+                p.write_slice(&ilist, 0, &entries);
+            }
+            p.barrier();
+            p.read_slice(&x, 0, &mut vec![0.0; x.len()]);
+            p.read_slice(&ilist, 0, &mut vec![0; ilist.len()]);
+            p.barrier();
+            // A rewritten value moves; a rewritten entry names the next
+            // element.
+            let n = case.n as i32;
+            for &(pg, _) in case.rewrite.iter().filter(|&&(_, q)| q == me) {
+                let on = |byte: usize| byte / case.page == first + pg as usize;
+                for k in (0..x.len()).filter(|&k| on(x.byte_at(k))) {
+                    p.update(&x, k, |v| v + 1.0);
+                }
+                for k in (0..ilist.len()).filter(|&k| on(ilist.byte_at(k))) {
+                    p.update(&ilist, k, |e| e % n + 1);
+                }
+            }
+            p.barrier();
+            let start = p.counters().clone();
+            let t0 = p.now();
+            let mine = me * per_rank..(me + 1) * per_rank;
+            let mut log = Vec::new();
+            let mut pair = |xi: &[f64; 3], xj: &[f64; 3]| {
+                log.extend(xi.iter().chain(xj).map(|v| v.to_bits()));
+            };
+            if image {
+                let mut image = Image::<3>::new(&x, case.page);
+                image.reset();
+                let mut run_ind = vec![0; case.page / 4];
+                image.pairs(p, &x, &ilist, mine, &mut run_ind, |vals, i, j| {
+                    pair(&vals[i], &vals[j])
+                });
+                image.debug_check(p, &x, &mut vec![0.0; case.page / 8]);
+            } else {
+                for k in mine.step_by(2) {
+                    let [i, j] = p.read_array::<i32, 2>(&ilist, k);
+                    let (i, j) = (i as usize - 1, j as usize - 1);
+                    let xi = p.read_array::<f64, 3>(&x, 3 * i);
+                    let xj = p.read_array::<f64, 3>(&x, 3 * j);
+                    pair(&xi, &xj);
+                }
+            }
+            let mut counters = p.counters().clone();
+            counters.read_faults -= start.read_faults;
+            counters.pages_fetched -= start.pages_fetched;
+            (log, counters, (p.now() - t0).as_ns())
+        });
+        drop(cl);
+        let trace = tracer.capture();
+        assert_eq!(trace.dropped(), 0);
+        (observed, trace)
+    }
+
+    proptest! {
+        /// The touch pass faults and fetches as the element loop does,
+        /// at the same virtual times, and the image then holds exactly
+        /// what the element loop's `read_array`s return.
+        #[test]
+        fn the_image_loop_matches_the_element_loop(
+            nprocs in 2usize..5,
+            page in proptest::sample::select(vec![64usize, 128, 256]),
+            seed in any::<u64>(),
+        ) {
+            let case = Case::new(nprocs, page, seed);
+            let (want, want_trace) = run(&case, false);
+            let (got, got_trace) = run(&case, true);
+            prop_assert_eq!(got, want, "{:?}", case);
+            prop_assert_eq!(got_trace, want_trace, "{:?}", case);
+        }
+    }
 }
