@@ -145,11 +145,6 @@ impl Cluster {
         &self.page_pool
     }
 
-    /// Pooled free frames (diagnostics for reuse tests).
-    pub fn pooled_pages(&self) -> usize {
-        self.page_pool.len()
-    }
-
     /// The configuration this cluster was built with.
     pub fn config(&self) -> &DsmConfig {
         &self.cfg

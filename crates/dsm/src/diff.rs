@@ -87,11 +87,6 @@ impl Diff {
         self.runs.is_empty()
     }
 
-    /// Number of coalesced modified runs.
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
     /// Bytes this diff occupies on the wire (runs + per-run headers).
     pub fn wire_bytes(&self) -> usize {
         self.bytes.len() + RUN_HEADER * self.runs.len()
@@ -158,7 +153,7 @@ mod tests {
         let mut cur = page(128);
         cur[40..48].copy_from_slice(&7.5f64.to_le_bytes());
         let d = Diff::create(&twin, &cur);
-        assert_eq!(d.run_count(), 1);
+        assert_eq!(d.runs.len(), 1);
         let mut dst = twin.clone();
         d.apply(&mut dst);
         assert_eq!(dst, cur);
@@ -173,7 +168,7 @@ mod tests {
         }
         cur[160] = 0xCD; // one separate word
         let d = Diff::create(&twin, &cur);
-        assert_eq!(d.run_count(), 2);
+        assert_eq!(d.runs.len(), 2);
         assert_eq!(d.wire_bytes(), (40 + 4) + (4 + 4));
         // Exactly the runs' bytes, no slack: a diff stays resident in the
         // store until folded, so slack would be `peak_rss_mb`.
@@ -222,7 +217,7 @@ mod tests {
         let twin = page(4096);
         let cur = vec![0xFFu8; 4096];
         let d = Diff::create(&twin, &cur);
-        assert_eq!(d.run_count(), 1);
+        assert_eq!(d.runs.len(), 1);
         // A whole-page diff costs slightly less than a Full payload only in
         // headers; the paper's WRITE_ALL optimisation is about *how many*
         // of these get shipped, not their individual size.

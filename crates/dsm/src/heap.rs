@@ -69,21 +69,9 @@ impl<T: Pod> SharedSlice<T> {
         self.base
     }
 
-    /// Page holding element `i`.
-    #[inline]
-    pub fn page_of(&self, i: usize, page_size: usize) -> u32 {
-        (self.byte_at(i) / page_size) as u32
-    }
-
     /// All pages this region occupies.
     pub fn pages(&self, page_size: usize) -> std::ops::Range<u32> {
         rsd::pages_of_bytes(self.base, self.len * T::SIZE, page_size)
-    }
-
-    /// Pages occupied by elements `lo..hi` (half-open).
-    pub fn pages_of_range(&self, lo: usize, hi: usize, page_size: usize) -> std::ops::Range<u32> {
-        debug_assert!(lo <= hi && hi <= self.len);
-        rsd::pages_of_bytes(self.base + lo * T::SIZE, (hi - lo) * T::SIZE, page_size)
     }
 
     /// The *page runs* of elements `r`: its maximal sub-ranges that lie
@@ -152,11 +140,9 @@ mod tests {
         assert_eq!(s.byte_at(0), 8192);
         assert_eq!(s.byte_at(512), 8192 + 4096);
         assert_eq!(s.pages(4096), 2..4);
-        assert_eq!(s.page_of(0, 4096), 2);
-        assert_eq!(s.page_of(512, 4096), 3);
-        assert_eq!(s.pages_of_range(0, 512, 4096), 2..3);
-        assert_eq!(s.pages_of_range(0, 513, 4096), 2..4);
-        assert_eq!(s.pages_of_range(0, 0, 4096), 0..0);
+        assert_eq!(s.slice(0, 512).pages(4096), 2..3);
+        assert_eq!(s.slice(0, 513).pages(4096), 2..4);
+        assert_eq!(s.slice(0, 0).pages(4096), 0..0);
     }
 
     #[test]

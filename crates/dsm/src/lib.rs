@@ -41,9 +41,24 @@
 //! first element, a fault only ever raises page states (only a barrier
 //! lowers one), and the accessor holds `&mut TmkProc` for the whole run,
 //! so no barrier or `Validate` can run mid-run. Every fault, fetch, twin
-//! and trace event happens as the element loop would make it. Two
-//! deliberate deviations, both
-//! metric-preserving (ARCHITECTURE.md §Simulation honesty rules):
+//! and trace event happens as the element loop would make it.
+//!
+//! A loop whose reads are random rather than runs can keep its own
+//! copy of the pages it reads. The pair loops of moldyn and nbf
+//! (`apps::pair`) do: a touch pass copies each page of the value array
+//! into a private image on its first touch of the step, through
+//! [`TmkProc::read_slice`], which faults it where the element loop
+//! would; the force law then reads the image. That needs one more fact
+//! beyond "only a barrier lowers a page state": **the pair loop writes
+//! no shared page**, so a copied page equals its frame until the next
+//! barrier (checked in debug builds at the end of every pair loop).
+//! The relaxation kernel (`apps::relax`, umesh and the synthetic cells)
+//! is not converted: a value-array-sized image per processor does not
+//! pay for itself on the 64-processor cells, so it waits for a
+//! page-granular image.
+//!
+//! Two deliberate deviations, both metric-preserving (ARCHITECTURE.md
+//! §Simulation honesty rules):
 //!
 //! 1. **Eager diffing at interval close** instead of lazy diffing on first
 //!    request. Same diffs, same messages; only the *moment* diff-creation

@@ -74,6 +74,7 @@ impl PagePool {
     }
 
     /// Boxes currently pooled.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.free.borrow().len()
     }

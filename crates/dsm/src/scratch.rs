@@ -122,7 +122,10 @@ mod tests {
         let warm1 = run(&cl);
         pool.checkin(cl);
         let cl = pool.checkout(&cfg);
-        assert!(cl.pooled_pages() > 0, "recycle should have pooled frames");
+        assert!(
+            cl.page_pool().len() > 0,
+            "recycle should have pooled frames"
+        );
         let warm2 = run(&cl);
         assert_eq!(cold, warm1);
         assert_eq!(cold, warm2);

@@ -103,12 +103,16 @@ proptest! {
             cur[off] = b;
         }
         let d = Diff::create(&twin, &cur);
-        // Never bigger than a whole-page run, never smaller than payload.
-        prop_assert!(d.wire_bytes() <= 512 + 4 * d.run_count());
-        let payload: usize = (0..128)
-            .filter(|w| cur[w * 4..w * 4 + 4] != twin[w * 4..w * 4 + 4])
-            .count()
-            * 4;
-        prop_assert!(d.wire_bytes() >= payload);
+        // Exactly the modified words plus one 4-byte header per maximal
+        // run of them: never bigger than a whole-page run, never smaller
+        // than the payload.
+        let modified: Vec<bool> = (0..128)
+            .map(|w| cur[w * 4..w * 4 + 4] != twin[w * 4..w * 4 + 4])
+            .collect();
+        let payload = 4 * modified.iter().filter(|&&m| m).count();
+        let runs = (0..128)
+            .filter(|&w| modified[w] && (w == 0 || !modified[w - 1]))
+            .count();
+        prop_assert_eq!(d.wire_bytes(), payload + 4 * runs);
     }
 }

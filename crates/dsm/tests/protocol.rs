@@ -379,7 +379,7 @@ fn update_and_bulk_accessors() {
     // and third read-only: the bulk accessors fault exactly where an
     // element loop would, once per page that needs it.
     let s = cl.alloc::<f64>(3 * 512); // three 4 KiB pages
-    let page = |k: usize| s.page_of(512 * k, 4096);
+    let page = |k: usize| s.pages(4096).start + k as u32;
     let range = 500..1030; // the last 12 of page 0, all of page 1, 6 of page 2
     cl.run(|p| {
         if p.rank() == 0 {

@@ -193,9 +193,7 @@ fn validate_allocs() -> Vec<(u64, u64, usize)> {
             2,
             "one cold scan, one rescan"
         );
-        let pages = ilist
-            .pages_of_range(2 * start, 2 * (start + CAP), VPAGE)
-            .len();
+        let pages = ilist.page_runs(2 * start..2 * (start + CAP), VPAGE).count();
         (unchanged, rescan, pages)
     })
 }
