@@ -667,8 +667,6 @@ struct Image<const W: usize> {
     vals: Vec<[f64; W]>,
     /// Per page of `x`: copied this step.
     copied: Vec<bool>,
-    /// `x`'s first page.
-    first: usize,
     /// `log2(page size)`: page and slot numbers come from shifts, as in
     /// the software MMU.
     shift: u32,
@@ -683,7 +681,6 @@ impl<const W: usize> Image<W> {
         Image {
             vals: vec![[0.0; W]; x.len() / W],
             copied: vec![false; (8 * x.len()).div_ceil(page)],
-            first: x.base_byte() >> shift,
             shift,
         }
     }
@@ -760,11 +757,10 @@ impl<const W: usize> Image<W> {
         if !cfg!(debug_assertions) {
             return;
         }
+        let first = x.base_byte() >> self.shift;
         for pg in (0..self.copied.len()).filter(|&pg| self.copied[pg]) {
-            assert!(
-                !p.page_invalid((self.first + pg) as u32),
-                "page {pg} of x lost"
-            );
+            let lost = p.page_invalid((first + pg) as u32);
+            assert!(!lost, "page {pg} of x was invalidated during the pair loop");
             let span = self.span(x, pg);
             let frame = &mut scratch[..span.len()];
             p.read_slice(x, span.start, frame);
