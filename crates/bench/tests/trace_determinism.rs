@@ -15,7 +15,8 @@
 //!
 //! 3. **Pinned fault order on the applications** — the golden counts
 //!    survive a reordering of faults, trace bytes do not, so the Tmk
-//!    builds of moldyn, nbf and umesh have their trace digests pinned.
+//!    builds of moldyn, nbf and umesh, and of the relaxation kernel on
+//!    four synth cells, have their trace digests pinned.
 //!
 //! Soak runs raise the proptest case count with `PROPTEST_CASES`;
 //! failing draws replay via `PROPTEST_TEST`/`PROPTEST_SEED`.
@@ -105,6 +106,26 @@ fn app_trace(w: &dyn Workload, nprocs: usize, v: Variant) -> String {
     chrome_trace_json(&trace)
 }
 
+/// Run each `(workload, nprocs, variant, digest)` and name every run
+/// whose trace digest moved.
+fn assert_digests<'w>(golden: impl IntoIterator<Item = (&'w dyn Workload, usize, Variant, u64)>) {
+    let mut moved = Vec::new();
+    for (w, nprocs, v, pinned) in golden {
+        let digest = fnv1a(&app_trace(w, nprocs, v));
+        if digest != pinned {
+            moved.push(format!(
+                "{} {v:?}: {digest:#018x} (pinned {pinned:#018x})",
+                w.label()
+            ));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "trace digests moved:\n{}",
+        moved.join("\n")
+    );
+}
+
 /// Every fault, fetch, twin, message and barrier of the Tmk builds of
 /// moldyn and nbf (base, optimized, adaptive, push) and of umesh (base), in
 /// order and with its virtual timestamp: a change to how the kernels
@@ -127,21 +148,85 @@ fn app_trace_digests_are_pinned() {
         (&nbf, nbf.cfg.nprocs, push, 0x5506_e3f2_08f1_3d02),
         (&umesh, umesh.cfg.nprocs, base, 0x8748_64be_4be6_7b51),
     ];
-    let mut moved = Vec::new();
-    for (w, nprocs, v, pinned) in golden {
-        let digest = fnv1a(&app_trace(w, nprocs, v));
-        if digest != pinned {
-            moved.push(format!(
-                "{} {v:?}: {digest:#018x} (pinned {pinned:#018x})",
-                w.label()
-            ));
+    assert_digests(golden);
+}
+
+/// The Tmk builds of the relaxation kernel (`apps::relax`) on umesh and
+/// on synth cells of [`cell`]'s sizing. Small pages keep the page runs
+/// of the shared pair list short, so a change to how the kernel writes
+/// or reads its section moves a fault across a run boundary and a
+/// digest with it: the static cells write the list once, at init; the
+/// remap cell rewrites it inside the loop; the rebalance cell re-cuts
+/// every owned range mid-run; and the 64-processor cell gives each rank
+/// a section of a page or two.
+#[test]
+fn relax_trace_digests_are_pinned() {
+    let umesh = UmeshWorkload::new(UmeshConfig::small());
+    let (static_, remap) = (Dynamics::Static, Dynamics::PeriodicRemap { period: 2 });
+    let rebalance = Dynamics::Rebalance { at: 1 };
+    let cells = [
+        cell(Structure::Uniform, static_.clone(), 4, 7),
+        cell(Structure::Uniform, remap, 4, 7),
+        cell(Structure::Banded { width: 16 }, rebalance, 4, 7),
+        cell(Structure::Uniform, static_, 64, 7),
+    ];
+    let prepared: Vec<_> = cells.iter().cloned().map(Prepared::new).collect();
+    let mut golden: Vec<(&dyn Workload, usize, Variant, u64)> = vec![
+        (
+            &umesh,
+            umesh.cfg.nprocs,
+            Variant::TmkOpt,
+            0x4e98_ee8a_23e9_b836,
+        ),
+        (
+            &umesh,
+            umesh.cfg.nprocs,
+            Variant::TmkAdaptive,
+            0xada3_1a4d_6100_af3b,
+        ),
+        (
+            &umesh,
+            umesh.cfg.nprocs,
+            Variant::TmkPush,
+            0x3f90_8c88_45c2_4461,
+        ),
+    ];
+    // Per cell, in `Variant::TMK` order (base, optimized, adaptive,
+    // push). Two or three iterations leave the adaptive engine nothing
+    // to promote on the rebalance and 64-processor cells, so there its
+    // builds trace exactly as the base build does.
+    let pins: [[u64; 4]; 4] = [
+        [
+            0x689d_d59e_46eb_4ab9,
+            0x88e4_68fc_4e88_71b2,
+            0x7f92_5b14_7e8d_6329,
+            0x7aac_5b20_f37d_f8bf,
+        ],
+        [
+            0x0751_19ce_ee7b_109f,
+            0x7bb0_b861_c2fd_3ba3,
+            0x698f_d7b3_5172_612e,
+            0xfd68_3c35_89df_943f,
+        ],
+        [
+            0x5d1a_0c33_ed82_e57a,
+            0x56dd_4c8d_7876_6aca,
+            0x5d1a_0c33_ed82_e57a,
+            0x5d1a_0c33_ed82_e57a,
+        ],
+        [
+            0xe1e8_501b_21cd_5935,
+            0x515c_2941_0534_53a0,
+            0xe1e8_501b_21cd_5935,
+            0xe1e8_501b_21cd_5935,
+        ],
+    ];
+    for ((cfg, w), row) in cells.iter().zip(&prepared).zip(pins) {
+        for (v, pinned) in Variant::TMK.into_iter().zip(row) {
+            golden.push((w, cfg.nprocs, v, pinned));
         }
     }
-    assert!(
-        moved.is_empty(),
-        "trace digests moved:\n{}",
-        moved.join("\n")
-    );
+    assert_digests(golden);
 }
 
 /// The base build of the benchmark's own moldyn cell (`apps_quick`'s:
