@@ -221,15 +221,21 @@ pub struct Kernel {
 }
 
 /// One element's contribution from one incident pair, exactly as the
-/// sequential sweep applies it.
+/// sequential sweep applies it: `-flux` into the lower endpoint `a`,
+/// `+flux` into the higher. The sign is a flipped sign bit, not a
+/// branch: IEEE 754 defines `x - y` as `x + (-y)`, so the sum's bits are
+/// the sweep's.
 #[inline]
 fn accumulate(acc: &mut f64, node: u32, a: u32, flux: f64) {
-    if node == a {
-        *acc -= flux;
-    } else {
-        *acc += flux;
-    }
+    let sign = u64::from(node == a) << 63;
+    *acc += f64::from_bits(flux.to_bits() ^ sign);
 }
+
+/// Entries of the shared pair list that the Tmk loop reads and writes
+/// per accessor call: a 1 KiB stack buffer, whole pairs, so a page run
+/// longer than this is taken in several calls. Only the first call on
+/// a page can fault, so the extra checks are free and exact.
+const RUN: usize = 256;
 
 /// The elements two ranges share (empty, possibly with `start > end`,
 /// if none).
@@ -287,11 +293,20 @@ impl Kernel {
     /// into its slice of the shared list `ilist`: pair `k` of the section
     /// at flat entries `2·(rank·cap_pp + k)` and the one after, 1-based,
     /// Fortran-style like the apps.
+    ///
+    /// The entries go out through [`TmkProc::write_slice`], [`RUN`] at a
+    /// time, so each page takes one write check, made where an element
+    /// loop's first store to it would be.
     pub fn write_section(&self, p: &mut TmkProc, ilist: &SharedSlice<i32>, sv: usize) {
-        let start = p.rank() * self.plan.cap_pp;
-        for (k, &(a, b)) in self.plan.section(sv, p.rank()).iter().enumerate() {
-            p.write(ilist, 2 * (start + k), a as i32 + 1);
-            p.write(ilist, 2 * (start + k) + 1, b as i32 + 1);
+        let mut flat = 2 * p.rank() * self.plan.cap_pp;
+        let mut buf = [0i32; RUN];
+        for pairs in self.plan.section(sv, p.rank()).chunks(RUN / 2) {
+            let entries = &mut buf[..2 * pairs.len()];
+            for (e, &(a, b)) in entries.chunks_exact_mut(2).zip(pairs) {
+                e.copy_from_slice(&[a as i32 + 1, b as i32 + 1]);
+            }
+            p.write_slice(ilist, flat, entries);
+            flat += entries.len();
         }
     }
 
@@ -394,6 +409,7 @@ impl Kernel {
             let my_start = me * cap_pp;
             let mut v = Validator::new();
             let mut acc = vec![0.0f64; my.len()];
+            let mut buf = [0i32; RUN];
 
             // --- untimed init: own x block + version-0 incident section ---
             p.write_slice(&x, my.start, &world.x0[my.clone()]);
@@ -440,16 +456,35 @@ impl Kernel {
                         ],
                     );
                 }
-                // Fixed-order owner-side accumulation.
-                acc.iter_mut().for_each(|a| *a = 0.0);
-                let mut k = my_start;
-                for (li, i) in my.clone().enumerate() {
-                    for _ in 0..pl.incidence_of(sv).degree(i) {
-                        let [a, b] = p.read_array::<i32, 2>(&ilist, 2 * k);
-                        let (a, b) = (a as u32 - 1, b as u32 - 1);
-                        let flux = (p.read(&x, a as usize) - p.read(&x, b as usize)) * world.kappa;
-                        accumulate(&mut acc[li], i as u32, a, flux);
-                        k += 1;
+                // Fixed-order owner-side accumulation. The section is read
+                // one page run at a time (at most `RUN` entries per call)
+                // and walked element by element through the degrees; `x`
+                // is read in element order. A pair is 8 bytes at an even
+                // index of a page-aligned list, so no pair straddles a
+                // page, and a run's one check is the one the element loop
+                // makes on the run's first pair: every fault keeps its
+                // place.
+                acc.fill(0.0);
+                let inc = pl.incidence_of(sv);
+                let mut degrees = my.clone().map(|i| inc.degree(i)).enumerate();
+                // Owned element `my.start + li` has `left` pairs to come.
+                let (mut li, mut left) = (0, 0);
+                let flat = 2 * my_start..2 * (my_start + my_flat);
+                for run in ilist.page_runs(flat, p.page_size()) {
+                    for lo in run.clone().step_by(RUN) {
+                        let ind = &mut buf[..(run.end - lo).min(RUN)];
+                        debug_assert!(ind.len() % 2 == 0, "a run holds whole pairs");
+                        p.read_slice(&ilist, lo, ind);
+                        for ab in ind.chunks_exact(2) {
+                            while left == 0 {
+                                (li, left) = degrees.next().expect("the degrees cover the section");
+                            }
+                            left -= 1;
+                            let (a, b) = (ab[0] as u32 - 1, ab[1] as u32 - 1);
+                            let flux =
+                                (p.read(&x, a as usize) - p.read(&x, b as usize)) * world.kappa;
+                            accumulate(&mut acc[li], (my.start + li) as u32, a, flux);
+                        }
                     }
                 }
                 p.compute(
