@@ -47,7 +47,8 @@ impl ThreadBudget {
     }
 
     /// Tokens currently free (diagnostic snapshot).
-    pub fn available(&self) -> usize {
+    #[cfg(test)]
+    fn available(&self) -> usize {
         *self.lock()
     }
 

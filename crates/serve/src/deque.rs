@@ -50,7 +50,8 @@ impl<T> JobPool<T> {
 
     /// Jobs currently queued anywhere (racy snapshot; exact once all
     /// workers have stopped).
-    pub fn queued(&self) -> usize {
+    #[cfg(test)]
+    fn queued(&self) -> usize {
         lock(&self.injector).len() + self.locals.iter().map(|l| lock(l).len()).sum::<usize>()
     }
 

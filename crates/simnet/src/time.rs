@@ -24,20 +24,9 @@ impl SimTime {
         SimTime((us * 1e3).round() as u64)
     }
 
-    /// Construct from whole nanoseconds.
-    #[inline]
-    pub const fn from_ns(ns: u64) -> Self {
-        SimTime(ns)
-    }
-
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     #[inline]
@@ -123,7 +112,7 @@ mod tests {
     #[test]
     fn conversions_roundtrip() {
         let t = SimTime::from_us(123.456);
-        assert!((t.as_us_f64() - 123.456).abs() < 1e-3);
-        assert_eq!(SimTime::from_ns(t.as_ns()), t);
+        assert_eq!(t.as_ns(), 123_456);
+        assert_eq!(SimTime(t.as_ns()), t);
     }
 }

@@ -106,7 +106,8 @@ impl Dynamics {
 
     /// Does the list change at (the start of) `iter`, relative to
     /// `iter - 1`? Iteration 0 is the untimed initial build.
-    pub fn remaps_at(&self, iter: usize) -> bool {
+    #[cfg(test)]
+    fn remaps_at(&self, iter: usize) -> bool {
         iter > 0 && self.version(iter) != self.version(iter - 1)
     }
 
