@@ -294,9 +294,9 @@ impl Kernel {
     /// at flat entries `2·(rank·cap_pp + k)` and the one after, 1-based,
     /// Fortran-style like the apps.
     ///
-    /// The entries go out through [`TmkProc::write_slice`], [`RUN`] at a
-    /// time, so each page takes one write check, made where an element
-    /// loop's first store to it would be.
+    /// The entries go out through [`TmkProc::write_slice`] from a 1 KiB
+    /// stack buffer, so each page takes one write check, made where an
+    /// element loop's first store to it would be.
     pub fn write_section(&self, p: &mut TmkProc, ilist: &SharedSlice<i32>, sv: usize) {
         let mut flat = 2 * p.rank() * self.plan.cap_pp;
         let mut buf = [0i32; RUN];
