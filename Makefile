@@ -110,9 +110,13 @@ fmt-check:
 # powers of two, so Validate, the software MMU and the applications'
 # Tmk loops (core/src/validate.rs, dsm/src, apps/src) take page and
 # slot numbers from a shift and a mask, never a division by a run-time
-# page size.
+# page size. The relaxation kernel's Tmk loop reads and writes its
+# shared pair list in page runs, as the pair kernel's does, not one
+# read_array or two stores per pair (the reference element loops in the
+# unit tests are exempt).
 ONE_THREAD_SRC = crates/simnet/src/*.rs crates/dsm/src/*.rs crates/chaos/src/*.rs
 NO_ARC_SRC = crates/dsm/src/*.rs crates/chaos/src/*.rs
+APPS_SRC = crates/apps/src/*.rs crates/apps/src/*/*.rs
 hygiene:
 	@if grep -rn "Mutex" crates/apps/src crates/synth/src; then \
 		echo "hygiene: return per-rank values from the SPMD body instead of locking"; exit 1; fi
@@ -136,6 +140,8 @@ hygiene:
 		echo "hygiene: Read_indices walks FlatIndices once and groups entries by run of indirection page; no index Vec, no per-entry hash"; exit 1; fi
 	@if grep -rnE " [/%] (self\.)?page(_size)?\b" crates/core/src/validate.rs crates/dsm/src crates/apps/src; then \
 		echo "hygiene: page and slot numbers come from a shift and a mask (page sizes are powers of two): dividing by the run-time page size in TmkProc's address split made moldyn's Tmk base build 40 % slower (64 -> 87-93 ms per run at table1 --quick)"; exit 1; fi
+	@if awk '/#\[cfg\(test\)\]/ { nextfile } /read_array::<i32, 2>\(&ilist|p\.write\(ilist/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit !bad }' $(APPS_SRC); then \
+		echo "hygiene: relax reads and writes its pair list in page runs (read_slice / write_slice into a stack buffer): a read_array per pair and two p.write per pair cost steady4 27 % of its jobs_per_s (207 against 283 jobs/s, median of 6 paired 20 s benchmark runs on a 2-core x86-64 host)"; exit 1; fi
 	@if grep -rnwE "Validator::incremental|take_modified_pages|partial_scans|watch_dirty" crates/; then \
 		echo "hygiene: Validate rescans the whole section when its watch fires, as the paper's does; a watch is one flag"; exit 1; fi
 	@if awk '/#\[cfg\(test\)\]/ { nextfile } /Mutex|RwLock|Atomic/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit !bad }' $(ONE_THREAD_SRC); then \
